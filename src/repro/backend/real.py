@@ -66,7 +66,7 @@ from repro.errors import (
     RelocationError,
     UnsupportedOperationError,
 )
-from repro.ps.base import NodeState, WorkerClient, copy_rows, select_rows
+from repro.ps.base import KeyRows, NodeState, WorkerClient, copy_rows, select_rows
 from repro.ps.messages import (
     LocalizeAck,
     LocalizeRequest,
@@ -406,43 +406,40 @@ class RealWorkerClient(WorkerClient):
         state = self.state
         metrics = state.metrics
         policy = ps.management_policy
-        key_to_row = {key: index for index, key in enumerate(keys)}
         local_items: List[Tuple[int, int]] = []
-        remote_groups: Dict[int, List[int]] = defaultdict(list)
+        send_groups: Dict[int, List[Tuple[int, int]]] = defaultdict(list)
         for row, (key, route) in enumerate(
             zip(keys, policy.route_many(state, keys, write=True))
         ):
             if route.kind == ROUTE_LOCAL:
                 local_items.append((key, row))
             elif route.kind == ROUTE_REMOTE:
-                remote_groups[route.destination].append(key)
+                send_groups[route.destination].append((key, row))
             else:
                 raise ParameterServerError(
                     f"real backend cannot route kind {route.kind!r} (key {key})"
                 )
         if local_items:
             metrics.key_writes_local += len(local_items)
-        for dest_keys in remote_groups.values():
-            metrics.key_writes_remote += len(dest_keys)
-        if remote_groups:
+        for items in send_groups.values():
+            metrics.key_writes_remote += len(items)
+        if send_groups:
             metrics.pushes_remote += 1
         else:
             metrics.pushes_local += 1
-        send_groups: Dict[int, List[int]] = dict(remote_groups)
         if local_items:
             if ps._shared_local:
                 misses = self._push_shared_local(local_items, updates)
-                for key, _row in misses:
-                    send_groups.setdefault(policy.route_destination(state, key), []).append(key)
+                for item in misses:
+                    send_groups[policy.route_destination(state, item[0])].append(item)
             else:
-                send_groups.setdefault(self.node_id, []).extend(
-                    key for key, _ in local_items
-                )
+                send_groups[self.node_id].extend(local_items)
         outstanding = 0
         op_id = self._next_op_id()
-        for destination, dest_keys in send_groups.items():
-            for chunk in self._chunks(dest_keys):
-                chunk_updates = copy_rows(updates, [key_to_row[key] for key in chunk])
+        for destination, items in send_groups.items():
+            for chunk_items in self._chunks(items):
+                chunk = [key for key, _ in chunk_items]
+                chunk_updates = copy_rows(updates, [row for _, row in chunk_items])
                 request = PushRequest(
                     op_id, tuple(chunk), chunk_updates, self.node_id, self.worker_id, needs_ack
                 )
@@ -999,7 +996,6 @@ class RealParameterServer:
                     net, state.node_id, request.op_id, ack, message_size(len(keys), 0)
                 )
             return
-        key_to_row = {key: index for index, key in enumerate(keys)}
         with self.node_locks[state.node_id]:
             flags = state.storage.contains_flags(keys)
             owned = [key for key, resident in zip(keys, flags) if resident]
@@ -1007,8 +1003,9 @@ class RealParameterServer:
                 if is_pull:
                     values = state.read_local_many(owned)
                 else:
+                    owned_rows = [row for row, resident in enumerate(flags) if resident]
                     state.write_local_many(
-                        owned, select_rows(request.updates, [key_to_row[k] for k in owned])
+                        owned, select_rows(request.updates, owned_rows)
                     )
         if owned:
             if is_pull:
@@ -1022,11 +1019,12 @@ class RealParameterServer:
                 self._reply_to_worker(
                     net, state.node_id, request.op_id, ack, message_size(len(owned), 0)
                 )
-        forward_groups: Dict[int, List[int]] = defaultdict(list)
-        for key, resident in zip(keys, flags):
+        forward_groups: Dict[int, KeyRows] = defaultdict(KeyRows)
+        for row, (key, resident) in enumerate(zip(keys, flags)):
             if not resident:
-                forward_groups[self._forward_destination(state, key)].append(key)
-        for destination, forward_keys in forward_groups.items():
+                forward_groups[self._forward_destination(state, key)].add(key, row)
+        for destination, group in forward_groups.items():
+            forward_keys = group.keys
             state.metrics.forwarded_ops += 1
             if request.hops > 0:
                 state.metrics.cache_stale += 1
@@ -1040,7 +1038,7 @@ class RealParameterServer:
                 )
                 size = message_size(len(forward_keys), 0)
             else:
-                updates = copy_rows(request.updates, [key_to_row[k] for k in forward_keys])
+                updates = copy_rows(request.updates, group.rows)
                 forwarded = PushRequest(
                     request.op_id,
                     tuple(forward_keys),

@@ -94,6 +94,25 @@ def copy_rows(updates: np.ndarray, rows: List[int]) -> np.ndarray:
     return updates[rows]
 
 
+class KeyRows:
+    """Keys of one group of an operation with their row positions in it.
+
+    Update rows are always selected by *position*, never through a key → row
+    map: a push may name a key more than once, and every occurrence carries a
+    row of its own (duplicates accumulate, like ``add_many``).
+    """
+
+    __slots__ = ("keys", "rows")
+
+    def __init__(self) -> None:
+        self.keys: List[int] = []
+        self.rows: List[int] = []
+
+    def add(self, key: int, row: int) -> None:
+        self.keys.append(key)
+        self.rows.append(row)
+
+
 def first_missing(state: "NodeState", keys) -> Optional[int]:
     """First key of ``keys`` not resident in ``state``, or None (error paths only).
 
@@ -128,6 +147,8 @@ class QueuedOp:
     handle: Optional["OperationHandle"] = None
     update: Optional[np.ndarray] = None
     request: Optional[Any] = None
+    #: Position of ``key`` in ``request`` (a request may repeat a key).
+    row: int = 0
 
 
 def _run_action(action: Callable[[], None]) -> None:
@@ -649,19 +670,23 @@ class WorkerClient:
         keys: List[int],
         pull: bool,
         updates: Optional[np.ndarray] = None,
-        key_to_row: Optional[Dict[int, int]] = None,
+        rows: Optional[List[int]] = None,
     ) -> None:
         """Send a pull/push for ``keys`` to ``destination``'s server thread.
 
         Chunks according to ``message_grouping`` (§3.7) and registers every
         chunk's op id on ``handle`` so the van can route the responses back.
-        Pushes always request an acknowledgement.
+        Pushes always request an acknowledgement; ``rows`` names the row of
+        ``updates`` that belongs to each of ``keys``.
         """
         if self.ps.ps_config.message_grouping or len(keys) == 1:
-            self._send_chunk(handle, destination, keys, pull, updates, key_to_row)
-        else:
+            self._send_chunk(handle, destination, keys, pull, updates, rows)
+        elif pull:
             for key in keys:
-                self._send_chunk(handle, destination, [key], pull, updates, key_to_row)
+                self._send_chunk(handle, destination, [key], True, None, None)
+        else:
+            for key, row in zip(keys, rows):
+                self._send_chunk(handle, destination, [key], False, updates, [row])
 
     def _send_chunk(
         self,
@@ -670,7 +695,7 @@ class WorkerClient:
         chunk: List[int],
         pull: bool,
         updates: Optional[np.ndarray],
-        key_to_row: Optional[Dict[int, int]],
+        rows: Optional[List[int]],
     ) -> None:
         """Send one pull/push chunk (§3.7) with its op id registered."""
         ps = self.ps
@@ -682,9 +707,9 @@ class WorkerClient:
             request: Any = PullRequest(op_id, tuple(chunk), self.node_id, reply_to)
             size = message_size(len(chunk), 0)
         else:
-            assert updates is not None and key_to_row is not None
+            assert updates is not None and rows is not None
             # One sliced copy instead of a per-key vstack.
-            chunk_updates = copy_rows(updates, [key_to_row[key] for key in chunk])
+            chunk_updates = copy_rows(updates, rows)
             request = PushRequest(
                 op_id, tuple(chunk), chunk_updates, self.node_id, reply_to, True
             )

@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.ps.base import (
     FusedLocalSteps,
+    KeyRows,
     NodeState,
     ParameterServer,
     WorkerClient,
@@ -71,7 +72,8 @@ class ClassicWorkerClient(WorkerClient):
                 metrics.pulls_remote += 1
                 self._send_chunk(handle, route.destination, [key], True, None, None)
             return
-        local_keys, remote_groups = self._split_by_owner(keys)
+        local, remote_groups = self._split_by_owner(keys)
+        local_keys = local.keys
         if local_keys:
             metrics.key_reads_local += len(local_keys)
             if self.ps.ps_config.shared_memory_local_access:
@@ -79,9 +81,9 @@ class ClassicWorkerClient(WorkerClient):
             else:
                 # PS-Lite style: even local keys go through the server thread.
                 self._send_remote(handle, self.node_id, local_keys, pull=True)
-        for owner, owner_keys in remote_groups.items():
-            metrics.key_reads_remote += len(owner_keys)
-            self._send_remote(handle, owner, owner_keys, pull=True)
+        for owner, group in remote_groups.items():
+            metrics.key_reads_remote += len(group.keys)
+            self._send_remote(handle, owner, group.keys, pull=True)
         if remote_groups:
             metrics.pulls_remote += 1
         else:
@@ -104,34 +106,30 @@ class ClassicWorkerClient(WorkerClient):
                 metrics.key_writes_local += 1
                 metrics.pushes_local += 1
                 if self.ps.ps_config.shared_memory_local_access:
-                    self._local_push_shared_memory(handle, [key], updates, {key: 0})
+                    self._local_push_shared_memory(handle, [key], updates, [0])
                 else:
-                    self._send_chunk(
-                        handle, self.node_id, [key], False, updates, {key: 0}
-                    )
+                    self._send_chunk(handle, self.node_id, [key], False, updates, [0])
             else:
                 metrics.key_writes_remote += 1
                 metrics.pushes_remote += 1
                 self._send_chunk(
-                    handle, route.destination, [key], False, updates, {key: 0}
+                    handle, route.destination, [key], False, updates, [0]
                 )
             return
-        local_keys, remote_groups = self._split_by_owner(keys)
-        key_to_row = {key: index for index, key in enumerate(keys)}
-        if local_keys:
-            metrics.key_writes_local += len(local_keys)
+        local, remote_groups = self._split_by_owner(keys)
+        if local.keys:
+            metrics.key_writes_local += len(local.keys)
             if self.ps.ps_config.shared_memory_local_access:
-                self._local_push_shared_memory(handle, local_keys, updates, key_to_row)
+                self._local_push_shared_memory(handle, local.keys, updates, local.rows)
             else:
                 self._send_remote(
-                    handle, self.node_id, local_keys, pull=False,
-                    updates=updates, key_to_row=key_to_row,
+                    handle, self.node_id, local.keys, pull=False,
+                    updates=updates, rows=local.rows,
                 )
-        for owner, owner_keys in remote_groups.items():
-            metrics.key_writes_remote += len(owner_keys)
+        for owner, group in remote_groups.items():
+            metrics.key_writes_remote += len(group.keys)
             self._send_remote(
-                handle, owner, owner_keys, pull=False,
-                updates=updates, key_to_row=key_to_row,
+                handle, owner, group.keys, pull=False, updates=updates, rows=group.rows
             )
         if remote_groups:
             metrics.pushes_remote += 1
@@ -156,12 +154,11 @@ class ClassicWorkerClient(WorkerClient):
         handle: OperationHandle,
         local_keys: List[int],
         updates: np.ndarray,
-        key_to_row: Dict[int, int],
+        local_rows: List[int],
     ) -> None:
         cost = self.ps.cluster.cost_model
         delay = cost.local_access_time(shared_memory=True) * len(local_keys)
         state = self.state
-        local_rows = [key_to_row[key] for key in local_keys]
 
         def action() -> None:
             state.write_local_many(local_keys, select_rows(updates, local_rows))
@@ -172,23 +169,17 @@ class ClassicWorkerClient(WorkerClient):
     # --------------------------------------------------------------- routing
     def _split_by_owner(
         self, keys: Tuple[int, ...]
-    ) -> Tuple[List[int], Dict[int, List[int]]]:
-        if len(keys) == 1:
-            # Single-key fast lane (the per-entry training pattern).
-            key = keys[0]
-            route = self.policy.route(self.state, key)
-            if route.kind == ROUTE_LOCAL:
-                return [key], {}
-            return [], {route.destination: [key]}
+    ) -> Tuple[KeyRows, Dict[int, KeyRows]]:
+        """Group a multi-key operation into local keys and per-owner groups."""
+        local = KeyRows()
+        remote_groups: Dict[int, KeyRows] = defaultdict(KeyRows)
         routes = self.policy.route_many(self.state, keys)
-        local_keys: List[int] = []
-        remote_groups: Dict[int, List[int]] = defaultdict(list)
-        for key, route in zip(keys, routes):
+        for row, (key, route) in enumerate(zip(keys, routes)):
             if route.kind == ROUTE_LOCAL:
-                local_keys.append(key)
+                local.add(key, row)
             else:
-                remote_groups[route.destination].append(key)
-        return local_keys, dict(remote_groups)
+                remote_groups[route.destination].add(key, row)
+        return local, dict(remote_groups)
 
     # Request sending is inherited from WorkerClient._send_remote (chunked
     # pull/push requests with op ids registered for the van).

@@ -54,7 +54,7 @@ from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.config import message_size
-from repro.ps.base import FusedLocalSteps, NodeState, QueuedOp
+from repro.ps.base import FusedLocalSteps, KeyRows, NodeState, QueuedOp
 from repro.ps.futures import OperationHandle
 from repro.ps.lapse import LapseNodeState, LapsePS, LapseWorkerClient, RelocatingKey
 from repro.ps.messages import (
@@ -203,16 +203,15 @@ class HybridWorkerClient(LapseWorkerClient):
     ) -> None:
         state = self.state
         metrics = state.metrics
-        key_to_row = {key: index for index, key in enumerate(keys)}
-        local_keys: List[int] = []
-        replica_keys: List[int] = []
-        remote_groups: Dict[int, List[int]] = defaultdict(list)
-        for key in keys:
+        local = KeyRows()
+        replica = KeyRows()
+        remote_groups: Dict[int, KeyRows] = defaultdict(KeyRows)
+        for row, key in enumerate(keys):
             route = self.policy.route(state, key, write=True)
             if route.kind == ROUTE_LOCAL:
-                local_keys.append(key)
+                local.add(key, row)
             elif route.kind == ROUTE_REPLICA:
-                replica_keys.append(key)
+                replica.add(key, row)
             elif route.kind == ROUTE_QUEUE:
                 metrics.queued_ops += 1
                 metrics.key_writes_local += 1
@@ -220,7 +219,7 @@ class HybridWorkerClient(LapseWorkerClient):
                     kind="local_push",
                     key=key,
                     handle=handle,
-                    update=updates[key_to_row[key]].copy(),
+                    update=updates[row].copy(),
                 )
                 if key in state.installing:
                     metrics.replica_writes += 1
@@ -228,23 +227,18 @@ class HybridWorkerClient(LapseWorkerClient):
                 else:
                     state.relocating_in[key].queued_ops.append(queued)
             else:
-                remote_groups[route.destination].append(key)
-        if local_keys:
-            metrics.key_writes_local += len(local_keys)
-            self._local_push(handle, local_keys, updates, key_to_row)
-        if replica_keys:
-            metrics.key_writes_local += len(replica_keys)
-            metrics.replica_writes += len(replica_keys)
-            self._local_replica_push(handle, replica_keys, updates, key_to_row)
-        for destination, dest_keys in remote_groups.items():
-            metrics.key_writes_remote += len(dest_keys)
+                remote_groups[route.destination].add(key, row)
+        if local.keys:
+            metrics.key_writes_local += len(local.keys)
+            self._local_push(handle, local.keys, updates, local.rows)
+        if replica.keys:
+            metrics.key_writes_local += len(replica.keys)
+            metrics.replica_writes += len(replica.keys)
+            self._local_replica_push(handle, replica.keys, updates, replica.rows)
+        for destination, group in remote_groups.items():
+            metrics.key_writes_remote += len(group.keys)
             self._send_remote(
-                handle,
-                destination,
-                dest_keys,
-                pull=False,
-                updates=updates,
-                key_to_row=key_to_row,
+                handle, destination, group.keys, pull=False, updates=updates, rows=group.rows
             )
         if remote_groups:
             metrics.pushes_remote += 1
@@ -272,7 +266,7 @@ class HybridWorkerClient(LapseWorkerClient):
         handle: OperationHandle,
         keys: List[int],
         updates: np.ndarray,
-        key_to_row: Dict[int, int],
+        rows: List[int],
     ) -> None:
         cost = self.ps.cluster.cost_model
         delay = cost.local_access_time(shared_memory=True) * len(keys)
@@ -280,8 +274,8 @@ class HybridWorkerClient(LapseWorkerClient):
         ps: "HybridPS" = self.ps  # type: ignore[assignment]
 
         def action() -> None:
-            for key in keys:
-                ps.apply_replica_write(state, key, updates[key_to_row[key]])
+            for key, row in zip(keys, rows):
+                ps.apply_replica_write(state, key, updates[row])
             handle.complete_keys(keys)
 
         self._complete_after(delay, action)

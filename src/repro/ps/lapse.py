@@ -44,6 +44,7 @@ from repro.config import message_size
 from repro.errors import RelocationError, StorageError
 from repro.ps.base import (
     FusedLocalSteps,
+    KeyRows,
     NodeState,
     ParameterServer,
     QueuedOp,
@@ -163,21 +164,21 @@ class LapseWorkerClient(WorkerClient):
     ) -> None:
         state = self.state
         metrics = state.metrics
-        key_to_row = {key: index for index, key in enumerate(keys)}
-        local_keys: List[int] = []
-        queued_keys: List[int] = []
-        remote_groups: Dict[int, List[int]] = defaultdict(list)
-        for key, route in zip(keys, self.policy.route_many(state, keys, write=True)):
+        local = KeyRows()
+        queued = KeyRows()
+        remote_groups: Dict[int, KeyRows] = defaultdict(KeyRows)
+        routes = self.policy.route_many(state, keys, write=True)
+        for row, (key, route) in enumerate(zip(keys, routes)):
             if route.kind == ROUTE_LOCAL:
-                local_keys.append(key)
+                local.add(key, row)
             elif route.kind == ROUTE_QUEUE:
-                queued_keys.append(key)
+                queued.add(key, row)
             else:
-                remote_groups[route.destination].append(key)
-        if local_keys:
-            metrics.key_writes_local += len(local_keys)
-            self._local_push(handle, local_keys, updates, key_to_row)
-        for key in queued_keys:
+                remote_groups[route.destination].add(key, row)
+        if local.keys:
+            metrics.key_writes_local += len(local.keys)
+            self._local_push(handle, local.keys, updates, local.rows)
+        for key, row in zip(queued.keys, queued.rows):
             metrics.key_writes_local += 1
             metrics.queued_ops += 1
             state.relocating_in[key].queued_ops.append(
@@ -187,18 +188,13 @@ class LapseWorkerClient(WorkerClient):
                     handle=handle,
                     # Snapshot at issue time: the caller may reuse its update
                     # buffer while the relocation is in flight (see copy_rows).
-                    update=updates[key_to_row[key]].copy(),
+                    update=updates[row].copy(),
                 )
             )
-        for destination, dest_keys in remote_groups.items():
-            metrics.key_writes_remote += len(dest_keys)
+        for destination, group in remote_groups.items():
+            metrics.key_writes_remote += len(group.keys)
             self._send_remote(
-                handle,
-                destination,
-                dest_keys,
-                pull=False,
-                updates=updates,
-                key_to_row=key_to_row,
+                handle, destination, group.keys, pull=False, updates=updates, rows=group.rows
             )
         if remote_groups:
             metrics.pushes_remote += 1
@@ -277,13 +273,11 @@ class LapseWorkerClient(WorkerClient):
         handle: OperationHandle,
         local_keys: List[int],
         updates: np.ndarray,
-        key_to_row: Dict[int, int],
+        local_rows: List[int],
     ) -> None:
         cost = self.ps.cluster.cost_model
         delay = cost.local_access_time(shared_memory=True) * len(local_keys)
         state = self.state
-
-        local_rows = [key_to_row[key] for key in local_keys]
 
         def action() -> None:
             try:
@@ -292,14 +286,13 @@ class LapseWorkerClient(WorkerClient):
                 state.write_local_many(local_keys, select_rows(updates, local_rows))
             except StorageError:
                 done = []
-                for key, ok in zip(local_keys, state.storage.contains_flags(local_keys)):
+                flags = state.storage.contains_flags(local_keys)
+                for key, row, ok in zip(local_keys, local_rows, flags):
                     if ok:
-                        state.write_local(key, updates[key_to_row[key]])
+                        state.write_local(key, updates[row])
                         done.append(key)
                     else:
-                        self._reissue_key(
-                            handle, key, pull=False, update=updates[key_to_row[key]]
-                        )
+                        self._reissue_key(handle, key, pull=False, update=updates[row])
                 if done:
                     handle.complete_keys(done)
                 return
@@ -337,7 +330,7 @@ class LapseWorkerClient(WorkerClient):
                 [key],
                 pull=False,
                 updates=update.reshape(1, -1),
-                key_to_row={key: 0},
+                rows=[0],
             )
 
     # ---------------------------------------------------------------- routing
@@ -410,44 +403,42 @@ class LapsePS(ParameterServer):
     def _handle_access(self, state: LapseNodeState, request: Any) -> None:
         """Handle a pull/push request at the server, forwarding unknown keys."""
         is_pull = isinstance(request, PullRequest)
-        owned: List[int] = []
-        queued: List[int] = []
-        forward_groups: Dict[int, List[int]] = defaultdict(list)
+        owned = KeyRows()
+        queued = KeyRows()
+        forward_groups: Dict[int, KeyRows] = defaultdict(KeyRows)
         resident = state.storage.contains_flags(request.keys)
-        for key, is_resident in zip(request.keys, resident):
+        for row, (key, is_resident) in enumerate(zip(request.keys, resident)):
             if is_resident:
-                owned.append(key)
+                owned.add(key, row)
             elif key in state.relocating_in:
-                queued.append(key)
+                queued.add(key, row)
             else:
-                forward_groups[self._forward_destination(state, key)].append(key)
-        if owned:
+                forward_groups[self._forward_destination(state, key)].add(key, row)
+        if owned.keys:
             self._answer_owned(state, request, owned, is_pull)
-        for key in queued:
+        for key, row in zip(queued.keys, queued.rows):
             state.metrics.queued_ops += 1
             state.relocating_in[key].queued_ops.append(
                 QueuedOp(
                     kind="remote_pull" if is_pull else "remote_push",
                     key=key,
                     request=request,
+                    row=row,
                 )
             )
-        key_to_row = {key: index for index, key in enumerate(request.keys)}
-        for destination, keys in forward_groups.items():
+        for destination, group in forward_groups.items():
             state.metrics.forwarded_ops += 1
-            self._forward_access(state, request, destination, keys, key_to_row, is_pull)
+            self._forward_access(state, request, destination, group, is_pull)
 
     def _answer_owned(
-        self, state: LapseNodeState, request: Any, keys: List[int], is_pull: bool
+        self, state: LapseNodeState, request: Any, owned: KeyRows, is_pull: bool
     ) -> None:
-        key_to_row = {key: index for index, key in enumerate(request.keys)}
+        keys = owned.keys
         if is_pull:
             values = state.read_local_many(keys)
             self._respond_pull(state, request, keys, values)
         else:
-            state.write_local_many(
-                keys, select_rows(request.updates, [key_to_row[key] for key in keys])
-            )
+            state.write_local_many(keys, select_rows(request.updates, owned.rows))
             self._ack_push(state, request, keys)
 
     def _forward_destination(self, state: LapseNodeState, key: int) -> int:
@@ -469,11 +460,11 @@ class LapsePS(ParameterServer):
         state: LapseNodeState,
         request: Any,
         destination: int,
-        keys: List[int],
-        key_to_row: Dict[int, int],
+        group: KeyRows,
         is_pull: bool,
     ) -> None:
         op_id = request.op_id
+        keys = group.keys
         if is_pull:
             forwarded: Any = PullRequest(
                 op_id=op_id,
@@ -484,7 +475,7 @@ class LapsePS(ParameterServer):
             )
             size = message_size(len(keys), 0)
         else:
-            updates = copy_rows(request.updates, [key_to_row[key] for key in keys])
+            updates = copy_rows(request.updates, group.rows)
             forwarded = PushRequest(
                 op_id=op_id,
                 keys=tuple(keys),
@@ -758,7 +749,7 @@ class LapsePS(ParameterServer):
             queued.handle.complete_keys([key])
         elif queued.kind in ("remote_pull", "remote_push"):
             request = queued.request
-            single = self._single_key_view(request, key)
+            single = self._single_key_view(request, key, queued.row)
             self._handle_access(state, single)
         else:  # pragma: no cover - defensive
             raise RelocationError(f"unknown queued op kind {queued.kind!r}")
@@ -788,7 +779,7 @@ class LapsePS(ParameterServer):
             size = message_size(1, queued.update.size)
         self.send_to_server(state.node_id, destination, request, size)
 
-    def _single_key_view(self, request: Any, key: int) -> Any:
+    def _single_key_view(self, request: Any, key: int, row: int) -> Any:
         """Build a single-key copy of a multi-key request for queued processing."""
         if isinstance(request, PullRequest):
             return PullRequest(
@@ -798,11 +789,10 @@ class LapsePS(ParameterServer):
                 reply_to=request.reply_to,
                 hops=request.hops,
             )
-        index = request.keys.index(key)
         return PushRequest(
             op_id=request.op_id,
             keys=(key,),
-            updates=request.updates[index].reshape(1, -1),
+            updates=request.updates[row].reshape(1, -1),
             requester_node=request.requester_node,
             reply_to=request.reply_to,
             needs_ack=request.needs_ack,

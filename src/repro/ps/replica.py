@@ -50,6 +50,7 @@ import numpy as np
 from repro.config import message_size
 from repro.errors import ParameterServerError
 from repro.ps.base import (
+    KeyRows,
     NodeState,
     ParameterServer,
     QueuedOp,
@@ -172,15 +173,15 @@ class ReplicaWorkerClient(WorkerClient):
     ) -> None:
         state = self.state
         metrics = state.metrics
-        key_to_row = {key: index for index, key in enumerate(keys)}
-        local_keys: List[int] = []
-        replica_keys: List[int] = []
-        remote_groups: Dict[int, List[int]] = defaultdict(list)
-        for key, route in zip(keys, self.policy.route_many(state, keys, write=True)):
+        local = KeyRows()
+        replica = KeyRows()
+        remote_groups: Dict[int, KeyRows] = defaultdict(KeyRows)
+        routes = self.policy.route_many(state, keys, write=True)
+        for row, (key, route) in enumerate(zip(keys, routes)):
             if route.kind == ROUTE_LOCAL:
-                local_keys.append(key)
+                local.add(key, row)
             elif route.kind == ROUTE_REPLICA:
-                replica_keys.append(key)
+                replica.add(key, row)
             elif route.kind == ROUTE_QUEUE:
                 metrics.queued_ops += 1
                 metrics.key_writes_local += 1
@@ -190,22 +191,22 @@ class ReplicaWorkerClient(WorkerClient):
                         kind="local_push",
                         key=key,
                         handle=handle,
-                        update=updates[key_to_row[key]].copy(),
+                        update=updates[row].copy(),
                     )
                 )
             else:
                 # Replication is established on reads; a write to a key this
                 # node does not replicate goes straight to the owner (the
                 # policy already counted it toward the hot-key statistics).
-                remote_groups[route.destination].append(key)
-        if local_keys or replica_keys:
-            metrics.key_writes_local += len(local_keys) + len(replica_keys)
-            metrics.replica_writes += len(replica_keys)
-            self._local_push(handle, local_keys, replica_keys, updates, key_to_row)
-        for owner, owner_keys in remote_groups.items():
-            metrics.key_writes_remote += len(owner_keys)
+                remote_groups[route.destination].add(key, row)
+        if local.keys or replica.keys:
+            metrics.key_writes_local += len(local.keys) + len(replica.keys)
+            metrics.replica_writes += len(replica.keys)
+            self._local_push(handle, local, replica, updates)
+        for owner, group in remote_groups.items():
+            metrics.key_writes_remote += len(group.keys)
             self._send_remote(
-                handle, owner, owner_keys, pull=False, updates=updates, key_to_row=key_to_row
+                handle, owner, group.keys, pull=False, updates=updates, rows=group.rows
             )
         if remote_groups:
             metrics.pushes_remote += 1
@@ -236,29 +237,25 @@ class ReplicaWorkerClient(WorkerClient):
     def _local_push(
         self,
         handle: OperationHandle,
-        owned_keys: List[int],
-        replica_keys: List[int],
+        owned: KeyRows,
+        replica: KeyRows,
         updates: np.ndarray,
-        key_to_row: Dict[int, int],
     ) -> None:
         cost = self.ps.cluster.cost_model
         delay = cost.local_access_time(shared_memory=True) * (
-            len(owned_keys) + len(replica_keys)
+            len(owned.keys) + len(replica.keys)
         )
         state = self.state
         ps: "ReplicaPS" = self.ps  # type: ignore[assignment]
 
-        owned_rows = [key_to_row[key] for key in owned_keys]
-
         def action() -> None:
-            if owned_keys:
-                state.write_local_many(owned_keys, select_rows(updates, owned_rows))
-                for key in owned_keys:
-                    ps.enqueue_broadcast(state, key, updates[key_to_row[key]])
-            for key in replica_keys:
-                update = updates[key_to_row[key]]
-                ps.apply_replica_write(state, key, update)
-            handle.complete_keys(owned_keys + replica_keys)
+            if owned.keys:
+                state.write_local_many(owned.keys, select_rows(updates, owned.rows))
+                for key, row in zip(owned.keys, owned.rows):
+                    ps.enqueue_broadcast(state, key, updates[row])
+            for key, row in zip(replica.keys, replica.rows):
+                ps.apply_replica_write(state, key, updates[row])
+            handle.complete_keys(owned.keys + replica.keys)
 
         self._complete_after(delay, action)
 
