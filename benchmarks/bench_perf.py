@@ -612,8 +612,9 @@ def bench_parallel_engine(smoke, seed=0):
         }
     entries = 6000 if smoke else 20000
     # Dense enough that per-shard event processing dominates the
-    # window-synchronization barriers.
-    scale = MFScale(num_rows=256, num_cols=64, num_entries=entries, rank=8)
+    # window-synchronization barriers, and with room for the full-mode
+    # 20000 distinct cells.
+    scale = MFScale(num_rows=512, num_cols=128, num_entries=entries, rank=8)
     report = {"cores": cores, "entries": entries, "floor": PARALLEL_SCALING_FLOOR}
     for system in ("classic", "lapse"):
         times = {}

@@ -151,6 +151,18 @@ class KGETrainer:
                 f"got {ps.ps_config.value_length}"
             )
         self._epochs_run = 0
+        num_negatives = self.config.num_negatives
+        #: Pairs scored per triple, in accumulation order: the triple itself,
+        #: its subject corruptions, its object corruptions.  The columns index
+        #: a triple's entity list [subject, object, *negatives].
+        self._subject_columns = np.array(
+            [0, *range(2, 2 + num_negatives), *[0] * num_negatives]
+        )
+        self._object_columns = np.array(
+            [1, *[1] * num_negatives, *range(2 + num_negatives, 2 + 2 * num_negatives)]
+        )
+        self._labels = np.zeros(1 + 2 * num_negatives)
+        self._labels[0] = 1.0
         self._partition_triples()
         self._initialize_embeddings()
 
@@ -163,9 +175,9 @@ class KGETrainer:
         triples = self.graph.triples()
         self._worker_triples: Dict[int, np.ndarray] = {}
         self._node_relations: Dict[int, List[int]] = {node: [] for node in range(num_nodes)}
+        for relation in range(self.graph.num_relations):
+            self._node_relations[relation % num_nodes].append(relation)
         if self.config.data_clustering:
-            for relation in range(self.graph.num_relations):
-                self._node_relations[relation % num_nodes].append(relation)
             node_of_triple = triples[:, 1] % num_nodes
             for node in range(num_nodes):
                 node_triples = triples[node_of_triple == node]
@@ -173,55 +185,78 @@ class KGETrainer:
                     worker_id = node * workers_per_node + local_worker
                     self._worker_triples[worker_id] = node_triples[local_worker::workers_per_node]
         else:
-            for relation in range(self.graph.num_relations):
-                self._node_relations[relation % num_nodes].append(relation)
             for worker_id in range(total_workers):
                 self._worker_triples[worker_id] = triples[worker_id::total_workers]
 
     def _initialize_embeddings(self) -> None:
         rng = np.random.default_rng(derive_seed(self.seed, 202))
-        scale = self.config.init_scale
+        num_keys = self.keyspace.num_keys
         base_dim = self.config.base_dim
-        for key in range(self.keyspace.num_keys):
-            value = rng.normal(0.0, scale, size=base_dim)
-            packed = self.packing.pack(value, np.zeros(base_dim))
-            owner = self.ps.current_owner(key)
-            self.ps.states[owner].storage.set(key, packed)
+        # One draw for the whole table: the Generator fills it in key order,
+        # so the stream (and every bit) equals per-key draws.
+        values = rng.normal(0.0, self.config.init_scale, size=(num_keys, base_dim))
+        packed = self.packing.pack(values, np.zeros((num_keys, base_dim)))
+        keys = np.arange(num_keys, dtype=np.int64)
+        owners = self.ps.current_owners(keys)
+        for node, state in enumerate(self.ps.states):
+            node_keys = keys[owners == node]
+            if node_keys.size:
+                state.storage.set_many(node_keys, packed[node_keys])
 
     # ---------------------------------------------------------------- scoring
-    def _score_and_grads(
+    def score_pairs(
         self,
-        subject_vec: np.ndarray,
+        values: np.ndarray,
+        subject_rows: np.ndarray,
+        object_rows: np.ndarray,
         relation_rows: np.ndarray,
-        object_vec: np.ndarray,
-    ) -> Tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-        """Return (score, grad_subject, grad_relation_rows, grad_object)."""
-        if self.config.model == "rescal":
-            relation_matrix = relation_rows  # (d, d)
-            score = float(subject_vec @ relation_matrix @ object_vec)
-            grad_subject = relation_matrix @ object_vec
-            grad_object = relation_matrix.T @ subject_vec
-            grad_relation = np.outer(subject_vec, object_vec)
-            return score, grad_subject, grad_relation, grad_object
-        # ComplEx: vectors are [real | imaginary] halves of length d.
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Score a batch of (subject, relation, object) pairs in one shot.
+
+        ``values`` is a block of model rows ``(n, base_dim)``; the index
+        arguments select rows of it: one subject and one object row per pair,
+        and the ``keys_per_relation`` rows of the relation — shared by all
+        pairs (1-d) or one index row per pair (2-d).
+
+        Returns ``(scores, gradients)``: ``gradients[p]`` stacks the score's
+        gradient with respect to pair ``p``'s subject row, its object row and
+        its relation rows, shape ``(pairs, 2 + keys_per_relation, base_dim)``.
+
+        Every score and gradient is bit-identical to a pair-at-a-time
+        evaluation: ComplEx uses element-wise operations and one row-wise
+        ``np.sum`` only (over the last axis of a C-contiguous block it runs
+        the same pairwise routine per row); RESCAL keeps one matmul per pair.
+        """
+        subjects = values[subject_rows]
+        objects = values[object_rows]
         d = self.config.entity_dim
-        relation_vec = relation_rows[0]
-        re_s, im_s = subject_vec[:d], subject_vec[d:]
-        re_r, im_r = relation_vec[:d], relation_vec[d:]
-        re_o, im_o = object_vec[:d], object_vec[d:]
-        score = float(
-            np.sum(re_r * (re_s * re_o + im_s * im_o) + im_r * (re_s * im_o - im_s * re_o))
-        )
-        grad_subject = np.concatenate(
-            [re_r * re_o + im_r * im_o, re_r * im_o - im_r * re_o]
-        )
-        grad_object = np.concatenate(
-            [re_r * re_s - im_r * im_s, re_r * im_s + im_r * re_s]
-        )
-        grad_relation = np.concatenate(
-            [re_s * re_o + im_s * im_o, re_s * im_o - im_s * re_o]
-        ).reshape(1, -1)
-        return score, grad_subject, grad_relation, grad_object
+        pairs = len(subjects)
+        if self.config.model == "rescal":
+            matrices = values[relation_rows]  # (d, d) or (pairs, d, d)
+            scores = np.empty(pairs)
+            gradients = np.empty((pairs, 2 + d, d))
+            # One small matmul per pair, written as in the scalar formula: the
+            # BLAS sums a stacked product in another order.
+            for pair in range(pairs):
+                matrix = matrices if matrices.ndim == 2 else matrices[pair]
+                scores[pair] = subjects[pair] @ matrix @ objects[pair]
+                gradients[pair, 0] = matrix @ objects[pair]
+                gradients[pair, 1] = matrix.T @ subjects[pair]
+            np.multiply(subjects[:, :, None], objects[:, None, :], out=gradients[:, 2:])
+            return scores, gradients
+        # ComplEx: rows are [real | imaginary] halves of length d.  Read as
+        # complex vectors, score = Re(sum(r * s * conj(o))), whose gradients
+        # are conj(r) * o (subject), r * s (object) and conj(s) * o (relation).
+        subjects = subjects.reshape(pairs, 2, d)
+        objects = objects.reshape(pairs, 2, d)
+        relation = values[relation_rows[..., 0]].reshape(-1, 2, d)  # 1 or ``pairs`` rows
+        gradients = np.empty((pairs, 3, 2, d))
+        _complex_multiply(relation, objects, gradients[:, 0], conjugate=True)
+        _complex_multiply(relation, subjects, gradients[:, 1], conjugate=False)
+        _complex_multiply(subjects, objects, gradients[:, 2], conjugate=True)
+        weighted = relation * gradients[:, 2]
+        scores = np.sum(weighted[:, 0] + weighted[:, 1], axis=1)
+        return scores, gradients.reshape(pairs, 3, 2 * d)
 
     # -------------------------------------------------------------- training
     def train(self, num_epochs: int = 1, compute_loss: bool = True) -> List[EpochResult]:
@@ -240,10 +275,41 @@ class KGETrainer:
         loss = self.evaluation_loss() if compute_loss else None
         return EpochResult(epoch=epoch, duration=duration, end_time=self.ps.simulated_time, loss=loss)
 
-    def _triple_entity_keys(self, triple: np.ndarray, negatives: np.ndarray) -> List[int]:
-        entities = {int(triple[0]), int(triple[2])}
-        entities.update(int(e) for e in negatives)
-        return [self.keyspace.entity_key(e) for e in sorted(entities)]
+    def _epoch_schedule(
+        self, triples: np.ndarray, negatives: np.ndarray
+    ) -> Tuple[List[List[int]], List[List[int]], np.ndarray]:
+        """One worker's epoch, vectorised: ``(entity_keys, keys, rows)`` per triple.
+
+        ``keys[i]`` is what step ``i`` pulls and pushes — the triple's sorted
+        distinct entity keys (``entity_keys[i]``, what the prelocalizer
+        announces) followed by its relation keys.  ``rows[i]`` addresses rows
+        of the pulled block: one row ``[subject, object, *relation rows]`` per
+        scored pair, in the order the pairs' gradients are accumulated.
+        """
+        keys_per_relation = self.config.keys_per_relation
+        # Entity list per triple: [subject, object, *negatives]; its sorted
+        # distinct values are the triple's entity keys.
+        entities = np.concatenate([triples[:, [0, 2]], negatives], axis=1)
+        order = np.argsort(entities, axis=1, kind="stable")
+        ranked = np.take_along_axis(entities, order, axis=1)
+        distinct = np.ones(ranked.shape, dtype=bool)
+        distinct[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+        rank = np.cumsum(distinct, axis=1) - 1
+        #: Row (in the triple's key list) of the entity in each column.
+        row_of = np.empty_like(rank)
+        np.put_along_axis(row_of, order, rank, axis=1)
+        counts = rank[:, -1] + 1
+        flat_keys = ranked[distinct].tolist()
+        bounds = np.concatenate([[0], np.cumsum(counts)]).tolist()
+        entity_keys = [flat_keys[start:stop] for start, stop in zip(bounds, bounds[1:])]
+        first_relation_key = self.keyspace.num_entities + triples[:, 1] * keys_per_relation
+        relation_keys = (first_relation_key[:, None] + np.arange(keys_per_relation)).tolist()
+        rows = np.empty((len(triples), len(self._labels), 2 + keys_per_relation), dtype=np.int64)
+        rows[:, :, 0] = row_of[:, self._subject_columns]
+        rows[:, :, 1] = row_of[:, self._object_columns]
+        rows[:, :, 2:] = (counts[:, None] + np.arange(keys_per_relation))[:, None, :]
+        keys = [entities + relation for entities, relation in zip(entity_keys, relation_keys)]
+        return entity_keys, keys, rows
 
     def _worker_epoch(self, client, worker_id: int) -> Generator:
         config = self.config
@@ -261,13 +327,7 @@ class KGETrainer:
             negatives = rng.integers(
                 0, self.graph.num_entities, size=(len(triples), 2 * config.num_negatives)
             )
-            # Per-epoch key schedule, precomputed once: the entity-key list of
-            # every triple was previously recomputed twice per step (once for
-            # the latency-hiding announcement, once for processing).
-            entity_keys = [
-                self._triple_entity_keys(triples[index], negatives[index])
-                for index in range(len(triples))
-            ]
+            entity_keys, step_keys, step_rows = self._epoch_schedule(triples, negatives)
             use_latency_hiding = config.latency_hiding and supports_localize(self.ps)
             prelocalizer = Prelocalizer(client) if use_latency_hiding else None
             if prelocalizer is not None:
@@ -277,9 +337,10 @@ class KGETrainer:
                     prelocalizer.announce(entity_keys[index + 1])
                 if prelocalizer is not None:
                     yield from prelocalizer.ready()
-                yield from self._process_triple(
-                    client, triples[index], negatives[index], entity_keys[index]
-                )
+                keys = step_keys[index]
+                pulled = yield from client.pull(keys)
+                updates = self._step_updates(pulled, step_rows[index])
+                client.push_async(keys, updates, needs_ack=False)
                 if config.compute_time_per_triple > 0:
                     yield config.compute_time_per_triple
         yield from client.barrier()
@@ -287,57 +348,27 @@ class KGETrainer:
             yield from client.clock()
         return None
 
-    def _process_triple(
-        self,
-        client,
-        triple: np.ndarray,
-        negatives: np.ndarray,
-        entity_keys: Optional[List[int]] = None,
-    ) -> Generator:
-        config = self.config
-        subject, relation, obj = int(triple[0]), int(triple[1]), int(triple[2])
-        if entity_keys is None:
-            entity_keys = self._triple_entity_keys(triple, negatives)
-        relation_keys = self.keyspace.relation_keys(relation)
-        all_keys = entity_keys + relation_keys
-        pulled = yield from client.pull(all_keys)
-        packed: Dict[int, np.ndarray] = {key: pulled[i] for i, key in enumerate(all_keys)}
-        values: Dict[int, np.ndarray] = {}
-        for key in all_keys:
-            value, _ = self.packing.unpack(packed[key])
-            values[key] = value
-        relation_rows = np.vstack([values[key] for key in relation_keys])
-        gradients: Dict[int, np.ndarray] = {key: np.zeros(config.base_dim) for key in all_keys}
-        relation_grad = np.zeros_like(relation_rows)
+    def _step_updates(self, pulled: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """AdaGrad updates for one triple's keys from their pulled block.
 
-        def accumulate(s_ent: int, o_ent: int, label: float) -> None:
-            nonlocal relation_grad
-            s_key = self.keyspace.entity_key(s_ent)
-            o_key = self.keyspace.entity_key(o_ent)
-            score, grad_s, grad_r, grad_o = self._score_and_grads(
-                values[s_key], relation_rows, values[o_key]
-            )
-            coefficient = float(sigmoid(np.array([score]))[0] - label)
-            gradients[s_key] += coefficient * grad_s
-            gradients[o_key] += coefficient * grad_o
-            relation_grad = relation_grad + coefficient * grad_r
-
-        accumulate(subject, obj, label=1.0)
-        half = config.num_negatives
-        for negative in negatives[:half]:
-            accumulate(int(negative), obj, label=0.0)
-        for negative in negatives[half:]:
-            accumulate(subject, int(negative), label=0.0)
-        for row_index, key in enumerate(relation_keys):
-            gradients[key] += relation_grad[row_index]
-        updates = np.vstack(
-            [
-                adagrad_update(self.packing, packed[key], gradients[key], config.learning_rate)
-                for key in all_keys
-            ]
+        ``rows`` is the triple's entry of :meth:`_epoch_schedule`.  All pairs
+        are scored at once; their per-pair gradient rows are then accumulated
+        *in order* (pair by pair: subject, object, relation rows) into one
+        gradient row per key.  A key can collect several contributions — the
+        subject and object take part in several pairs, and a negative may
+        equal either or another negative — and floating-point addition is not
+        associative, so the accumulation must be the unbuffered, ordered
+        ``np.add.at``; a fancy-indexed ``+=`` would keep one contribution per
+        key.
+        """
+        base_dim = self.config.base_dim
+        scores, pair_gradients = self.score_pairs(
+            pulled[:, :base_dim], rows[:, 0], rows[:, 1], rows[0, 2:]
         )
-        client.push_async(all_keys, updates, needs_ack=False)
-        return None
+        pair_gradients *= (sigmoid(scores) - self._labels)[:, None, None]
+        gradients = np.zeros((len(pulled), base_dim))
+        np.add.at(gradients, rows, pair_gradients)
+        return adagrad_update(self.packing, pulled, gradients, self.config.learning_rate)
 
     # ------------------------------------------------------------- evaluation
     def _gather_values(self) -> np.ndarray:
@@ -349,29 +380,37 @@ class KGETrainer:
         """Mean log loss of positive triples vs. random negatives."""
         rng = np.random.default_rng(seed)
         values = self._gather_values()
-        count = min(num_samples, self.graph.num_triples)
-        indices = rng.choice(self.graph.num_triples, size=count, replace=False)
-        scores, labels = [], []
-        for index in indices:
-            subject = int(self.graph.subjects[index])
-            relation = int(self.graph.relations[index])
-            obj = int(self.graph.objects[index])
-            relation_rows = np.vstack(
-                [values[key] for key in self.keyspace.relation_keys(relation)]
-            )
-            score, _, _, _ = self._score_and_grads(
-                values[self.keyspace.entity_key(subject)],
-                relation_rows,
-                values[self.keyspace.entity_key(obj)],
-            )
-            scores.append(score)
-            labels.append(1.0)
-            negative = int(rng.integers(0, self.graph.num_entities))
-            score, _, _, _ = self._score_and_grads(
-                values[self.keyspace.entity_key(subject)],
-                relation_rows,
-                values[self.keyspace.entity_key(negative)],
-            )
-            scores.append(score)
-            labels.append(0.0)
-        return log_loss(np.array(scores), np.array(labels))
+        graph = self.graph
+        count = min(num_samples, graph.num_triples)
+        indices = rng.choice(graph.num_triples, size=count, replace=False)
+        # Scores alternate (true triple, object corruption) per sampled triple.
+        subjects = np.repeat(graph.subjects[indices], 2)
+        objects = np.repeat(graph.objects[indices], 2)
+        objects[1::2] = rng.integers(0, graph.num_entities, size=count)
+        keys_per_relation = self.config.keys_per_relation
+        relation_rows = (
+            self.keyspace.num_entities
+            + np.repeat(graph.relations[indices], 2)[:, None] * keys_per_relation
+            + np.arange(keys_per_relation)
+        )
+        scores, _ = self.score_pairs(values, subjects, objects, relation_rows)
+        labels = np.zeros(2 * count)
+        labels[0::2] = 1.0
+        return log_loss(scores, labels)
+
+
+def _complex_multiply(a: np.ndarray, b: np.ndarray, out: np.ndarray, conjugate: bool) -> None:
+    """``out = conj(a) * b`` (or ``a * b``) on rows of [real, imaginary] parts.
+
+    Operands have shape ``(n, 2, d)`` (``a`` may have one row, broadcast).
+    Every output entry is one difference or sum of two products, evaluated
+    exactly as the scalar formula writes it.
+    """
+    same = a * b  # [re_a * re_b, im_a * im_b]
+    cross = a * b[:, ::-1]  # [re_a * im_b, im_a * re_b]
+    if conjugate:
+        np.add(same[:, 0], same[:, 1], out=out[:, 0])
+        np.subtract(cross[:, 0], cross[:, 1], out=out[:, 1])
+    else:
+        np.subtract(same[:, 0], same[:, 1], out=out[:, 0])
+        np.add(cross[:, 0], cross[:, 1], out=out[:, 1])

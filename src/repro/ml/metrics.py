@@ -8,14 +8,14 @@ from repro.errors import ExperimentError
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function.
+
+    ``1 / (1 + exp(-x))`` for ``x >= 0`` and ``exp(x) / (1 + exp(x))`` below:
+    both are ``numerator / (1 + exp(-|x|))``, so one ``exp`` serves all entries.
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    positive = x >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-    exp_x = np.exp(x[~positive])
-    out[~positive] = exp_x / (1.0 + exp_x)
-    return out
+    decay = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, decay) / (1.0 + decay)
 
 
 def log_loss(scores: np.ndarray, labels: np.ndarray, epsilon: float = 1e-12) -> float:

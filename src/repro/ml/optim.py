@@ -61,19 +61,19 @@ def adagrad_update(
     Given the currently pulled packed value and a gradient, returns the delta
     to ``push`` so that the stored value becomes the post-step packed value:
     the parameter moves by ``-lr * g / sqrt(acc + g^2)`` and the accumulator
-    grows by ``g^2``.
+    grows by ``g^2``.  Inputs may carry leading batch dimensions ``[..., d]``.
     """
     if learning_rate <= 0:
         raise ExperimentError(f"learning_rate must be positive, got {learning_rate}")
-    parameter, accumulator = packing.unpack(np.asarray(packed_value, dtype=np.float64))
+    _, accumulator = packing.unpack(packed_value)
     gradient = np.asarray(gradient, dtype=np.float64)
-    if gradient.shape != parameter.shape:
+    if gradient.shape != accumulator.shape:
         raise ExperimentError(
-            f"gradient shape {gradient.shape} does not match parameter shape {parameter.shape}"
+            f"gradient shape {gradient.shape} does not match parameter shape {accumulator.shape}"
         )
     squared = gradient * gradient
-    new_accumulator = accumulator + squared
-    step = -learning_rate * gradient / np.sqrt(new_accumulator + epsilon)
+    # Expression order is part of the bit-identity contract: (acc + g*g) + eps.
+    step = -learning_rate * gradient / np.sqrt(accumulator + squared + epsilon)
     return np.concatenate([step, squared], axis=-1)
 
 

@@ -192,9 +192,6 @@ class ClassicPS(ParameterServer):
     policy_class = StaticPolicy
     name = "classic"
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-
     def _server_dispatch(self, state: NodeState):
         cost = self.cluster.cost_model.server_processing_time
         return {

@@ -43,6 +43,7 @@ class OperationHandle:
         "_event",
         "_pending_keys",
         "_values",
+        "_batch",
         "_op_ids",
     )
 
@@ -76,6 +77,8 @@ class OperationHandle:
         self._event._value = self
         self._pending_keys = set(keys)
         self._values: Dict[int, np.ndarray] = {}
+        #: Response block of a pull answered in one piece (:meth:`complete_batch`).
+        self._batch: Optional[np.ndarray] = None
         #: Op ids registered for this handle in the server's routing table
         #: (managed by :meth:`ParameterServer.register_op`).
         self._op_ids: Optional[list] = None
@@ -139,6 +142,22 @@ class OperationHandle:
             self.completed_at = self.sim._now
             self._event.succeed(self)
 
+    def complete_batch(self, values: Optional[np.ndarray] = None) -> None:
+        """Answer every key of the operation in one step.
+
+        For operations whose keys are all served at the same instant (an
+        all-resident local access).  ``values`` — pulls only — is the float64
+        response block with one row per key of :attr:`keys`, in that order; it
+        is kept as is, so :meth:`values` hands it out without the per-key
+        dictionary round trip.  Ignored once the operation has completed.
+        """
+        if self._event._triggered:
+            return
+        self._pending_keys.clear()
+        self._batch = values
+        self.last_progress_at = self.completed_at = self.sim._now
+        self._event.succeed(self)
+
     def fail(self, exception: BaseException) -> None:
         """Fail the operation, propagating ``exception`` to waiters."""
         if not self._event.triggered:
@@ -147,11 +166,17 @@ class OperationHandle:
 
     # ------------------------------------------------------------------ result
     def values(self) -> np.ndarray:
-        """Return pulled values as an array with one row per requested key."""
+        """Return pulled values as an array with one row per requested key.
+
+        The array belongs to the caller's operation: a batch-completed pull
+        returns its response block itself (every call the same array).
+        """
         if not self.done:
             raise ParameterServerError("operation has not completed yet")
         if self.op_type != "pull":
             raise ParameterServerError(f"{self.op_type} operations carry no values")
+        if self._batch is not None:
+            return self._batch
         keys = self.keys
         recorded = self._values
         out = np.empty((len(keys), self.value_length), dtype=np.float64)
@@ -176,6 +201,8 @@ class OperationHandle:
         """
         if not self._event._triggered:
             raise ParameterServerError("operation has not completed yet")
+        if self._batch is not None:
+            return self._batch[0]
         row = self._values.get(self.keys[0])
         if row is None:
             raise ParameterServerError(f"no value recorded for key {self.keys[0]}")

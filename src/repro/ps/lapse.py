@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,7 +55,6 @@ from repro.ps.base import (
 )
 from repro.ps.futures import OperationHandle
 from repro.ps.messages import (
-    LocalizeAck,
     LocalizeRequest,
     PullRequest,
     PullResponse,
@@ -127,6 +126,12 @@ class LapseWorkerClient(WorkerClient):
     def _issue_pull(self, handle: OperationHandle, keys: Tuple[int, ...]) -> None:
         state = self.state
         metrics = state.metrics
+        if all(state.storage.contains_flags(keys)):
+            # Every key is resident: one shared-memory access for the batch.
+            metrics.key_reads_local += len(keys)
+            metrics.pulls_local += 1
+            self._local_pull(handle, keys, whole=True)
+            return
         local_keys: List[int] = []
         queued_keys: List[int] = []
         remote_groups: Dict[int, List[int]] = defaultdict(list)
@@ -164,6 +169,11 @@ class LapseWorkerClient(WorkerClient):
     ) -> None:
         state = self.state
         metrics = state.metrics
+        if all(state.storage.contains_flags(keys)):
+            metrics.key_writes_local += len(keys)
+            metrics.pushes_local += 1
+            self._local_push(handle, keys, updates)
+            return
         local = KeyRows()
         queued = KeyRows()
         remote_groups: Dict[int, KeyRows] = defaultdict(KeyRows)
@@ -245,7 +255,13 @@ class LapseWorkerClient(WorkerClient):
         return state.storage.contains(key)
 
     # ------------------------------------------------------------ local access
-    def _local_pull(self, handle: OperationHandle, local_keys: List[int]) -> None:
+    # One kernel event per group of local keys, after the shared-memory access
+    # delay.  The group of an all-resident operation is the whole operation and
+    # is answered in one piece; the events, delays, metric and latch counts are
+    # those of any other local group.
+    def _local_pull(
+        self, handle: OperationHandle, local_keys: Sequence[int], whole: bool = False
+    ) -> None:
         cost = self.ps.cluster.cost_model
         delay = cost.local_access_time(shared_memory=True) * len(local_keys)
         state = self.state
@@ -264,17 +280,21 @@ class LapseWorkerClient(WorkerClient):
                     if not ok:
                         self._reissue_key(handle, key, pull=True)
                 return
-            handle.complete_keys(local_keys, values)
+            if whole:
+                handle.complete_batch(values)
+            else:
+                handle.complete_keys(local_keys, values)
 
         self._complete_after(delay, action)
 
     def _local_push(
         self,
         handle: OperationHandle,
-        local_keys: List[int],
+        local_keys: Sequence[int],
         updates: np.ndarray,
-        local_rows: List[int],
+        local_rows: Optional[List[int]] = None,
     ) -> None:
+        """Apply rows ``local_rows`` of ``updates``; ``None``: the whole operation."""
         cost = self.ps.cluster.cost_model
         delay = cost.local_access_time(shared_memory=True) * len(local_keys)
         state = self.state
@@ -283,11 +303,15 @@ class LapseWorkerClient(WorkerClient):
             try:
                 # add_many is check-then-apply, so a relocated-away key raises
                 # before any update lands and the per-key fallback stays exact.
-                state.write_local_many(local_keys, select_rows(updates, local_rows))
+                state.write_local_many(
+                    local_keys,
+                    updates if local_rows is None else select_rows(updates, local_rows),
+                )
             except StorageError:
                 done = []
                 flags = state.storage.contains_flags(local_keys)
-                for key, row, ok in zip(local_keys, local_rows, flags):
+                rows = range(len(local_keys)) if local_rows is None else local_rows
+                for key, row, ok in zip(local_keys, rows, flags):
                     if ok:
                         state.write_local(key, updates[row])
                         done.append(key)
@@ -296,7 +320,10 @@ class LapseWorkerClient(WorkerClient):
                 if done:
                     handle.complete_keys(done)
                 return
-            handle.complete_keys(local_keys)
+            if local_rows is None:
+                handle.complete_batch()
+            else:
+                handle.complete_keys(local_keys)
 
         self._complete_after(delay, action)
 
@@ -570,7 +597,6 @@ class LapsePS(ParameterServer):
         if requester == home_state.node_id:
             self._complete_requester_side(requester_state, keys, values=None)
             return
-        ack = LocalizeAck(op_id=0, keys=tuple(keys))
         # The ack is routed through the server so the requester node can clear
         # its relocation bookkeeping before completing worker handles.
         self.send_to_server(
@@ -585,7 +611,6 @@ class LapsePS(ParameterServer):
             ),
             message_size(len(keys), 0),
         )
-        del ack  # only the transfer-style notification is used
 
     def _handle_instruction(
         self, state: LapseNodeState, instruction: RelocateInstruction

@@ -85,6 +85,31 @@ class TestKeySpace:
             KGEConfig(learning_rate=0)
 
 
+def score_block(trainer, block):
+    """Score the pair (row 0, row 1) with the relation in the remaining rows.
+
+    Returns ``(score, gradients)``; ``gradients`` is aligned with ``block``:
+    row 0 is d score / d subject, row 1 d score / d object, then the relation.
+    """
+    scores, gradients = trainer.score_pairs(
+        block, np.array([0]), np.array([1]), np.arange(2, len(block))
+    )
+    return scores[0], gradients[0]
+
+
+def assert_gradients_match_numerical(model, seed):
+    trainer, _, _, config = build_trainer(LapsePS, model=model)
+    rng = np.random.default_rng(seed)
+    block = rng.normal(size=(2 + config.keys_per_relation, config.base_dim))
+    score, gradients = score_block(trainer, block)
+    epsilon = 1e-6
+    for index in np.ndindex(block.shape):
+        bumped = block.copy()
+        bumped[index] += epsilon
+        numerical = (score_block(trainer, bumped)[0] - score) / epsilon
+        assert numerical == pytest.approx(gradients[index], rel=1e-3, abs=1e-5)
+
+
 class TestGradients:
     def test_rescal_score_matches_bilinear_form(self):
         trainer, _, _, config = build_trainer(LapsePS, model="rescal")
@@ -92,56 +117,34 @@ class TestGradients:
         d = config.entity_dim
         subject, obj = rng.normal(size=d), rng.normal(size=d)
         relation = rng.normal(size=(d, d))
-        score, grad_s, grad_r, grad_o = trainer._score_and_grads(subject, relation, obj)
+        score, gradients = score_block(trainer, np.vstack([subject, obj, relation]))
         assert score == pytest.approx(subject @ relation @ obj)
-        np.testing.assert_allclose(grad_s, relation @ obj)
-        np.testing.assert_allclose(grad_o, relation.T @ subject)
-        np.testing.assert_allclose(grad_r, np.outer(subject, obj))
+        np.testing.assert_allclose(gradients[0], relation @ obj)
+        np.testing.assert_allclose(gradients[1], relation.T @ subject)
+        np.testing.assert_allclose(gradients[2:], np.outer(subject, obj))
 
     def test_complex_gradients_match_numerical(self):
-        trainer, _, _, config = build_trainer(LapsePS, model="complex")
-        rng = np.random.default_rng(1)
-        dim = config.base_dim
-        subject, obj = rng.normal(size=dim), rng.normal(size=dim)
-        relation = rng.normal(size=(1, dim))
+        assert_gradients_match_numerical("complex", seed=1)
 
-        def score_fn(s, r, o):
-            return trainer._score_and_grads(s, r, o)[0]
-
-        score, grad_s, grad_r, grad_o = trainer._score_and_grads(subject, relation, obj)
-        epsilon = 1e-6
-        for i in range(dim):
-            bumped = subject.copy()
-            bumped[i] += epsilon
-            numerical = (score_fn(bumped, relation, obj) - score) / epsilon
-            assert numerical == pytest.approx(grad_s[i], rel=1e-3, abs=1e-5)
-        for i in range(dim):
-            bumped = obj.copy()
-            bumped[i] += epsilon
-            numerical = (score_fn(subject, relation, bumped) - score) / epsilon
-            assert numerical == pytest.approx(grad_o[i], rel=1e-3, abs=1e-5)
+    def test_rescal_gradients_match_numerical(self):
+        assert_gradients_match_numerical("rescal", seed=2)
 
 
 def score_margin(trainer, graph, num_samples=100, seed=3):
     """Mean score of true triples minus mean score of random object corruptions."""
     rng = np.random.default_rng(seed)
     values = trainer._gather_values()
-    positives, negatives = [], []
     indices = rng.choice(graph.num_triples, size=min(num_samples, graph.num_triples), replace=False)
-    for index in indices:
-        subject = int(graph.subjects[index])
-        relation = int(graph.relations[index])
-        obj = int(graph.objects[index])
-        relation_rows = np.vstack(
-            [values[key] for key in trainer.keyspace.relation_keys(relation)]
-        )
-        positives.append(
-            trainer._score_and_grads(values[subject], relation_rows, values[obj])[0]
-        )
-        corrupted = int(rng.integers(0, graph.num_entities))
-        negatives.append(
-            trainer._score_and_grads(values[subject], relation_rows, values[corrupted])[0]
-        )
+    keys_per_relation = trainer.config.keys_per_relation
+    relation_rows = (
+        graph.num_entities
+        + graph.relations[indices][:, None] * keys_per_relation
+        + np.arange(keys_per_relation)
+    )
+    subjects = graph.subjects[indices]
+    corrupted = rng.integers(0, graph.num_entities, size=len(indices))
+    positives, _ = trainer.score_pairs(values, subjects, graph.objects[indices], relation_rows)
+    negatives, _ = trainer.score_pairs(values, subjects, corrupted, relation_rows)
     return float(np.mean(positives) - np.mean(negatives))
 
 
