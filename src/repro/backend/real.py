@@ -17,8 +17,8 @@ processes on real cores, behind the same API:
   (:class:`repro.backend.shm.SharedDirectory`), the real-backend counterpart
   of the per-home-node location tables (§3.5).
 
-The management policies run unchanged: :class:`~repro.ps.policy.StaticPolicy`
-and :class:`~repro.ps.policy.RelocationPolicy` make the same per-key routing
+The management policies run unchanged: :class:`~repro.ps.classic.StaticPolicy`
+and :class:`~repro.ps.lapse.RelocationPolicy` make the same per-key routing
 decisions against a :class:`RealNodeState`, which exposes the same storage,
 latch, and metric surfaces as the simulated :class:`~repro.ps.base.NodeState`
 (and adapts ``home_location`` to the shared directory).
@@ -66,7 +66,17 @@ from repro.errors import (
     RelocationError,
     UnsupportedOperationError,
 )
-from repro.ps.base import KeyRows, NodeState, WorkerClient, copy_rows, select_rows
+from repro.ps.base import (
+    ROUTE_LOCAL,
+    ROUTE_REMOTE,
+    KeyRows,
+    NodeState,
+    WorkerClient,
+    copy_rows,
+    select_rows,
+)
+from repro.ps.classic import StaticPolicy
+from repro.ps.lapse import RelocationPolicy
 from repro.ps.messages import (
     LocalizeAck,
     LocalizeRequest,
@@ -79,12 +89,6 @@ from repro.ps.messages import (
 )
 from repro.ps.metrics import PSMetrics
 from repro.ps.partition import make_partitioner
-from repro.ps.policy import (
-    ROUTE_LOCAL,
-    ROUTE_REMOTE,
-    RelocationPolicy,
-    StaticPolicy,
-)
 from repro.ps.storage import LatchTable
 from repro.simnet import NetworkStats, WallClock
 

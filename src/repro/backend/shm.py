@@ -14,7 +14,7 @@ Two pieces of cross-process state back the real (multiprocessing) backend:
 * :class:`SharedDirectory` — the location directory: one ``int64`` owner id
   per key in a shared block, guarded by a cross-process lock.  It plays the
   role of the per-home-node ``home_location`` tables of the simulator's
-  :class:`~repro.ps.policy.RelocationPolicy`: the home node of a key reads
+  :class:`~repro.ps.lapse.RelocationPolicy`: the home node of a key reads
   and updates the key's entry, every other node goes through the home node.
   :class:`DirectoryHomeView` adapts the array to the ``home_location``
   mapping interface the policy expects, so the policy runs unchanged.
@@ -146,7 +146,7 @@ class SharedDirectory:
 class DirectoryHomeView:
     """Adapt the shared directory to the ``home_location`` mapping interface.
 
-    :class:`~repro.ps.policy.RelocationPolicy` consults
+    :class:`~repro.ps.lapse.RelocationPolicy` consults
     ``state.home_location[key]`` for keys homed at ``state``'s node.  On the
     real backend that table *is* the shared directory; this view restricts
     reads to the node's home keys (mirroring the simulator's invariant that a

@@ -127,7 +127,7 @@ class Membership:
 
         Joining nodes receive their rebalanced share; draining, failed, and
         departed nodes must not re-acquire keys (the drain gate in
-        :meth:`repro.ps.lapse.LapsePS.process_localize_at_home`).
+        :meth:`repro.ps.lapse.RelocationPolicy.process_localize_at_home`).
         """
         self._check_node(node)
         return self._states[node] in (JOINING, ACTIVE)

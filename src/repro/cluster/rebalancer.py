@@ -7,7 +7,7 @@ The :class:`Rebalancer` translates membership events into parameter movement:
   move only *to* the new node); home duties for those keys are handed over on
   the control plane, and ownership migrates through the *existing* relocation
   protocol (§3.2) — the rebalancer simply acts as one more localize requester
-  on behalf of the new node, so every ``ManagementPolicy.on_relocate`` hook
+  on behalf of the new node, so everything the protocol does on arrival
   (queue draining, hybrid subscriber handoff, metrics) applies unchanged.
 * **drain** — the partitioner drops the node from the active set; every key
   the drainee still owns is relocated to that key's (new) home node.  Because
@@ -34,7 +34,7 @@ Modeling note: home-table handoff and membership bookkeeping are applied
 atomically at event time (a configuration-service control plane); all
 *parameter data* moves through real simulated messages.  Requests that were
 in flight across the epoch bump are tolerated by the stale-location
-forwarding of :meth:`repro.ps.lapse.LapsePS.process_localize_at_home`,
+forwarding of :meth:`repro.ps.lapse.RelocationPolicy.process_localize_at_home`,
 exactly as §3.5 tolerates stale location caches.
 """
 
@@ -178,7 +178,9 @@ class Rebalancer:
                 moved += 1
             if fresh:
                 target_state.metrics.rebalanced_keys += len(fresh)
-                ps.process_localize_at_home(target_state, tuple(fresh), requester=target)
+                ps.management_policy.process_localize_at_home(
+                    target_state, tuple(fresh), requester=target
+                )
         if moved == 0 and not handle.done:  # pragma: no cover - defensive
             handle.complete_keys(all_keys)
         return handle, moved
@@ -286,7 +288,7 @@ class Rebalancer:
                 holders = [
                     survivor
                     for survivor in replica_sources
-                    if key in getattr(ps.states[survivor], "replicas", {})
+                    if key in ps.states[survivor].replicas
                 ]
             value: Optional[np.ndarray] = None
             if wal_recovery:
@@ -322,8 +324,8 @@ class Rebalancer:
                 operation.lost_keys += 1
         # 3b) Keys restored from the durable log install synchronously: the
         #     read is off the crashed node's persisted state, not a network
-        #     transfer, so it rides no simulated message.  Going through the
-        #     policy's ``on_relocate`` reuses the full recovery semantics —
+        #     transfer, so it rides no simulated message.  Handing it to the
+        #     policy's install handler reuses the full recovery semantics —
         #     queued operations drain onto the new owner and (hybrid) the
         #     surviving subscribers' broadcast duties are handed over.
         for target in sorted(wal_groups):
@@ -336,7 +338,7 @@ class Rebalancer:
                 failed_node=node,
                 subscribers=tuple(holders for _key, _value, holders in entries),
             )
-            ps.management_policy.on_relocate(target_state, install)
+            ps.management_policy.install_recovered(target_state, install)
             target_state.metrics.wal_recovered_keys += len(entries)
             operation.moved_keys += len(entries)
         # 4) Surviving holders ship their copies to the new owners.

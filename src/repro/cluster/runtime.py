@@ -40,7 +40,7 @@ from repro.errors import ClusterError
 from repro.ps.base import van_address
 from repro.ps.messages import ReplicaRegisterRequest
 from repro.ps.partition import ElasticPartitioner
-from repro.ps.policy import InstallingKey
+from repro.ps.replica import InstallingKey
 from repro.ps.storage import make_storage
 
 
@@ -530,7 +530,7 @@ class ElasticCluster:
             return
         state = ps.states[node]
         if state.pending_updates:
-            ps.synchronize_node(state)
+            ps.management_policy.on_sync(state)
         state.replicas.clear()
         state.pending_updates.clear()
         state.installing.clear()

@@ -23,8 +23,7 @@ all of these properties decidable from the client-observed history alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro.consistency.history import History, Operation
 

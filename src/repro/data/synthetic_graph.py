@@ -11,7 +11,6 @@ frequently accessed entity embeddings (§4.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
 
 import numpy as np
 

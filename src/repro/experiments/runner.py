@@ -41,7 +41,7 @@ network traffic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 from repro.cluster import ClusterSchedule, ElasticCluster
 from repro.config import ClusterConfig, CostModel, ParameterServerConfig

@@ -29,7 +29,6 @@ from repro.ml.metrics import rmse
 from repro.ml.results import EpochResult
 from repro.pal.parameter_blocking import BlockSchedule, keys_of_block
 from repro.simnet import Network, Node, Simulator
-from repro.simnet.node import worker_address
 
 
 @dataclass(frozen=True)

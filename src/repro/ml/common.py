@@ -5,8 +5,6 @@ from __future__ import annotations
 from typing import Generator
 
 from repro.ps.base import ParameterServer
-from repro.ps.replica import ReplicaPS
-from repro.ps.stale import StalePS
 
 
 def supports_localize(ps: ParameterServer) -> bool:
@@ -16,9 +14,7 @@ def supports_localize(ps: ParameterServer) -> bool:
 
 def needs_clock(ps: ParameterServer) -> bool:
     """Whether the PS requires explicit clock advances for synchronization."""
-    if isinstance(ps, StalePS):
-        return True
-    return isinstance(ps, ReplicaPS) and ps.ps_config.replica_sync_trigger == "clock"
+    return ps.management_policy.needs_clock
 
 
 def maybe_localize(client, keys) -> Generator:

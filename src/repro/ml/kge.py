@@ -27,7 +27,7 @@ is being processed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 

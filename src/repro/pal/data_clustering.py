@@ -10,7 +10,7 @@ key design (which requires knowledge of PS internals, §2.2.1).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Iterable, List, Sequence
 
 import numpy as np
 

@@ -14,7 +14,7 @@ the block goes over the network.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from repro.errors import ExperimentError
 

@@ -21,27 +21,23 @@ Two further architectures go beyond the paper's systems:
   outlook sketches (and NuPS formalizes): replicate hot keys, relocate the
   long tail.
 
-All of them run on the same generic server runtime: a dispatch-table message
-loop in :class:`~repro.ps.base.ParameterServer` plus a pluggable
-:class:`~repro.ps.policy.ManagementPolicy` (see :mod:`repro.ps.policy`).
+All of them are the same machine — one
+:class:`~repro.ps.base.ParameterServer`, one
+:class:`~repro.ps.base.WorkerClient`, one :class:`~repro.ps.base.NodeState`
+(:mod:`repro.ps.base`) — parameterised by a
+:class:`~repro.ps.policy.ManagementPolicy`, the only place a technique lives
+(:mod:`repro.ps.policy` for the interface; each technique's module for its
+policy).  The named systems are declarations: name, policy, fixed
+configuration overrides.
 """
 
 from repro.ps.base import NodeState, ParameterServer, QueuedOp, WorkerClient
-from repro.ps.classic import ClassicIPCPS, ClassicPS, ClassicSharedMemoryPS
+from repro.ps.classic import ClassicIPCPS, ClassicPS, ClassicSharedMemoryPS, StaticPolicy
 from repro.ps.futures import OperationHandle
-from repro.ps.hybrid import HybridNodeState, HybridPS, HybridWorkerClient
-from repro.ps.lapse import LapseNodeState, LapsePS, LapseWorkerClient
+from repro.ps.hybrid import HybridManagementPolicy, HybridPS
+from repro.ps.lapse import LapsePS, RelocationPolicy
 from repro.ps.metrics import PSMetrics, RunningStat
-from repro.ps.policy import (
-    EagerReplicationPolicy,
-    HybridManagementPolicy,
-    ManagementPolicy,
-    RelocationPolicy,
-    Route,
-    StaleReplicaPolicy,
-    StaticPolicy,
-    consistency_classification,
-)
+from repro.ps.policy import ManagementPolicy, Route, consistency_classification
 from repro.ps.partition import (
     AccessCountHotKeyPolicy,
     ElasticPartitioner,
@@ -56,8 +52,8 @@ from repro.ps.partition import (
     make_partitioner,
     random_key_mapping,
 )
-from repro.ps.replica import ReplicaNodeState, ReplicaPS, ReplicaWorkerClient
-from repro.ps.stale import StalePS, StaleWorkerClient
+from repro.ps.replica import EagerReplicationPolicy, ReplicaPS
+from repro.ps.stale import StalePS, StaleReplicaPolicy
 from repro.ps.storage import DenseStorage, LatchTable, SparseStorage, make_storage
 
 __all__ = [
@@ -73,13 +69,9 @@ __all__ = [
     "HotKeyPolicy",
     "HashPartitioner",
     "HybridManagementPolicy",
-    "HybridNodeState",
     "HybridPS",
-    "HybridWorkerClient",
     "KeyPartitioner",
-    "LapseNodeState",
     "LapsePS",
-    "LapseWorkerClient",
     "LatchTable",
     "ManagementPolicy",
     "NoReplicationPolicy",
@@ -90,15 +82,12 @@ __all__ = [
     "QueuedOp",
     "RangePartitioner",
     "RelocationPolicy",
-    "ReplicaNodeState",
     "ReplicaPS",
-    "ReplicaWorkerClient",
     "Route",
     "RunningStat",
     "SparseStorage",
     "StalePS",
     "StaleReplicaPolicy",
-    "StaleWorkerClient",
     "StaticPolicy",
     "WorkerClient",
     "consistency_classification",

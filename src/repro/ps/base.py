@@ -1,53 +1,50 @@
-"""Common machinery shared by all parameter-server variants.
+"""The parameter-server runtime: one server, one client, one node state.
 
-This module provides:
+Every system of this repo is the same machine; what differs is the
+:class:`~repro.ps.policy.ManagementPolicy` it is parameterised by
+(``policy_class``).  This module provides the machine:
 
 * :class:`NodeState` — the per-node state shared (via "shared memory") by the
   node's server thread and its co-located worker threads: the local parameter
-  store, outstanding-operation table, metrics, and barrier bookkeeping,
+  store, latches, metrics, outstanding-operation and barrier bookkeeping, plus
+  the tables the policy installs (see the class docstring),
 * :class:`WorkerClient` — the application-facing API (Table 2 of the paper):
   ``pull`` / ``push`` / ``localize`` in synchronous and asynchronous flavours,
-  plus ``barrier`` and ``clock`` helpers used by the training algorithms,
-* :class:`ParameterServer` — the base class that builds the simulated cluster
-  (one server thread + several worker threads per node, Figure 2), runs worker
-  processes, and exposes metrics and the trained model.
+  plus ``barrier`` and ``clock``.  It routes every key through the policy,
+  groups the keys by route kind and hands each group to the policy's action
+  for that kind — written once, for all systems,
+* :class:`ParameterServer` — builds the simulated cluster (one server thread +
+  several worker threads per node, Figure 2), runs one generic message loop
+  per node over the policy's handler table, demultiplexes responses, runs
+  worker processes, and exposes metrics and the trained model.  It is also the
+  transport the policies send through (``send_to_server``, ``respond_pull``,
+  ``ack_push``, op-id registry).
 
-Concrete variants (classic, Lapse, stale, replica, hybrid) subclass
-:class:`ParameterServer` and :class:`WorkerClient`.  Since the
-management-policy refactor they no longer hand-roll their server loops:
-:meth:`ParameterServer._server_loop` is a single generic message loop driven
-by a per-variant *dispatch table* (:meth:`ParameterServer._server_dispatch`),
-and the per-key routing decisions live in the pluggable
-:class:`~repro.ps.policy.ManagementPolicy` objects (``policy_class``).
+The named systems (:class:`~repro.ps.lapse.LapsePS`, ...) are declarations: a
+report name, a policy class and, for the classic variants, fixed
+configuration overrides.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import (
     Any,
     Callable,
     Dict,
     Generator,
-    Hashable,
     Iterable,
     List,
     Optional,
     Sequence,
     Tuple,
-    Type,
 )
 
 import numpy as np
 
 from repro.config import ClusterConfig, ParameterServerConfig, message_size
-from repro.errors import (
-    ParameterServerError,
-    StorageError,
-    UnknownKeyError,
-    UnsupportedOperationError,
-)
+from repro.errors import ParameterServerError, StorageError, UnknownKeyError
 from repro.ps.futures import OperationHandle
 from repro.ps.messages import (
     BarrierArrive,
@@ -65,6 +62,24 @@ from repro.ps.storage import LatchTable, ParameterStorage, make_storage
 from repro.simnet import Network, Node, Simulator
 from repro.simnet.events import Event
 from repro.simnet.node import server_address
+
+#: Route kinds returned by :meth:`repro.ps.policy.ManagementPolicy.route`: the
+#: contract between the policies (which decide) and :class:`WorkerClient`
+#: (which groups the keys of an operation by kind and acts per group).
+ROUTE_LOCAL = "local"  #: owned parameter; access through shared memory/queues
+ROUTE_REPLICA = "replica"  #: answered from a local replica copy
+ROUTE_QUEUE = "queue"  #: key is in flight to this node; queue and drain
+ROUTE_REMOTE = "remote"  #: send to the destination node's server thread
+ROUTE_SUBSCRIBE = "subscribe"  #: install a replica: register at destination
+ROUTE_BUFFER = "buffer"  #: buffer the write locally (stale PS; flush on clock)
+
+
+@dataclass(frozen=True, slots=True)
+class Route:
+    """Where one key's access goes: a kind plus an optional destination node."""
+
+    kind: str
+    destination: int = -1
 
 
 def select_rows(updates: np.ndarray, rows: List[int]) -> np.ndarray:
@@ -173,7 +188,29 @@ def coordinator_address() -> Tuple[str, int]:
 
 
 class NodeState:
-    """State shared by the server thread and worker threads of one node."""
+    """State shared by the server thread and worker threads of one node.
+
+    The runtime owns the store, latches, metrics and operation bookkeeping
+    below.  Everything technique-specific is a *table the policy installs* in
+    :meth:`~repro.ps.policy.ManagementPolicy.attach` — plain attributes, so
+    they ship with the node through the parallel engine and can be inspected
+    by the cluster runtime and by tests:
+
+    * relocation (``lapse``): ``home_location`` (key -> owner, for the keys
+      homed here), ``relocating_in`` (key ->
+      :class:`~repro.ps.lapse.RelocatingKey`), ``last_transfer``,
+      ``location_cache``;
+    * replication (``replica``): ``replicas`` (key -> value),
+      ``pending_updates``, ``installing`` (key ->
+      :class:`~repro.ps.replica.InstallingKey`), ``subscribers``,
+      ``broadcast_buffer``, ``policy`` (the node's hot-key policy),
+      ``sync_timer_pending``;
+    * bounded staleness (``stale``): ``replicas`` (key -> [value, clock]),
+      ``subscriptions``, ``flush_counts``, ``pending_flush_acks``,
+      ``pending_fetches``.
+
+    ``hybrid`` installs the relocation and the replication tables.
+    """
 
     def __init__(self, ps: "ParameterServer", node: Node) -> None:
         self.ps = ps
@@ -199,8 +236,11 @@ class NodeState:
         self.outstanding: Dict[int, OperationHandle] = {}
         #: Barrier waiters: generation -> list of events to release.
         self.barrier_waiters: Dict[int, List[Event]] = {}
-        # Let the server's management policy install its per-node tables
-        # (location tables, replica stores, subscription sets, ...).
+        #: Clock of the worker whose pull is being routed.  Routing takes the
+        #: node, not the worker; :class:`WorkerClient` publishes its clock here
+        #: right before it routes, for policies whose read routes depend on it
+        #: (bounded staleness).
+        self.reader_clock = 0
         ps.management_policy.attach(self)
 
     # ------------------------------------------------------------------ access
@@ -297,15 +337,19 @@ class FusedLocalSteps:
     window.  Parameter blocking (§4.1) provides exactly this guarantee for
     matrix factorization, which is why the MF trainer opts in.  Only
     management policies whose local access has no side effects beyond
-    storage/latch/metric accounting offer the runner (static allocation and
-    pure relocation; replication and bounded staleness keep background
-    observers and are excluded).
+    storage/latch/metric accounting offer the runner, and they may hold
+    individual keys back (:meth:`~repro.ps.policy.ManagementPolicy.fusion_guard`).
     """
 
-    __slots__ = ("sim", "storage", "latches", "metrics", "access_delay", "clock", "trace")
+    __slots__ = (
+        "sim", "storage", "latches", "metrics", "access_delay", "clock", "trace", "guard",
+    )
 
-    def __init__(self, client: "WorkerClient") -> None:
+    def __init__(self, client: "WorkerClient", guard: Optional[Callable[[int], Any]]) -> None:
         state = client.state
+        #: ``key -> truthy`` for resident keys that must stay on the
+        #: event-by-event path (the policy's fusion guard), or ``None``.
+        self.guard = guard
         self.sim = client.ps.sim
         self.storage = state.storage
         self.latches = state.latches
@@ -335,6 +379,9 @@ class FusedLocalSteps:
         """
         storage = self.storage
         if not storage.has_row(key):
+            return None
+        guard = self.guard
+        if guard is not None and guard(key):
             return None
         metrics = self.metrics
         metrics.key_reads_local += 1
@@ -395,6 +442,11 @@ class WorkerClient:
     The client exposes the primitives of Table 2.  Synchronous variants are
     generators (to be used with ``yield from`` inside simulation processes);
     asynchronous variants return an :class:`OperationHandle` immediately.
+
+    There is one client class for all systems: :meth:`_issue_pull` and
+    :meth:`_issue_push` route every key through the server's
+    :class:`~repro.ps.policy.ManagementPolicy`, group the keys by route kind
+    and call the policy's action for each group.
     """
 
     #: Span recorder (:class:`repro.obs.core._OpRecorder`), attached by
@@ -420,12 +472,18 @@ class WorkerClient:
         self._clock = 0
         #: Cached reply address (hot: attached to every request message).
         self._van_address = van_address(state.node_id)
+        ps.management_policy.attach_client(self)
 
     # ------------------------------------------------------------- conveniences
     @property
     def sim(self) -> Simulator:
         """The cluster's simulator (exposed for custom worker logic)."""
         return self.ps.sim
+
+    @property
+    def policy(self):
+        """The server's :class:`~repro.ps.policy.ManagementPolicy`."""
+        return self.ps.management_policy
 
     @property
     def value_length(self) -> int:
@@ -499,7 +557,7 @@ class WorkerClient:
         return handle
 
     def localize(self, keys: Sequence[int]) -> Generator:
-        """Synchronously localize ``keys`` to this node (Lapse only)."""
+        """Synchronously localize ``keys`` to this node (relocating policies only)."""
         handle = self.localize_async(keys)
         if not handle.done:
             yield handle.completion_event
@@ -528,46 +586,43 @@ class WorkerClient:
         if recorder is not None:
             recorder.issue(handle)
         self.state.register_handle(handle)
-        self._issue_push(handle, keys, updates, needs_ack)
+        self._issue_push(handle, keys, updates)
         return handle
 
     def localize_async(self, keys: Sequence[int]) -> OperationHandle:
-        """Asynchronously request local allocation of ``keys`` (Lapse only)."""
+        """Asynchronously request local allocation of ``keys`` (relocating policies only)."""
         keys = self._check_keys(keys)
         handle = OperationHandle(self.sim, "localize", keys, self.value_length)
         recorder = self._trace
         if recorder is not None:
             recorder.issue(handle)
         self.state.register_handle(handle)
-        self._issue_localize(handle, keys)
+        self.ps.management_policy.issue_localize(self, handle, keys)
         return handle
 
     def fused_local_steps(self) -> Optional[FusedLocalSteps]:
         """Return a :class:`FusedLocalSteps` runner, or None if unsupported.
 
-        The base client never fuses; variants whose local access is pure
-        shared memory (classic with fast local access, Lapse) override this.
-        Always None under ``REPRO_DISABLE_FASTPATH`` so the reference run
-        exercises the event-by-event path.
-        """
-        return None
-
-    def _fusion_safe(self) -> bool:
-        """Engine- and cluster-level preconditions for fused local steps.
-
-        Besides shared-memory access and the fast paths being on, the
-        cluster must be *static*: the elastic runtime fires membership
-        events and rebalancer-driven relocations mid-epoch, which can move
-        a key inside a fused privacy window — exactly what the fusion
-        contract forbids.
+        Fusion needs shared-memory local access, the fast paths (the
+        reference run under ``REPRO_DISABLE_FASTPATH`` exercises the
+        event-by-event path), a *static* cluster — the elastic runtime fires
+        membership events and rebalancer-driven relocations mid-epoch, which
+        can move a key inside a fused privacy window — and a policy whose
+        local access has no observers
+        (:meth:`~repro.ps.policy.ManagementPolicy.fusion_guard`).
         """
         ps = self.ps
-        return (
+        if not (
             ps.ps_config.shared_memory_local_access
-            and self.sim.fastpath
+            and ps.sim.fastpath
             and ps._elastic_driver is None
             and ps.membership is None
-        )
+        ):
+            return None
+        guard = ps.management_policy.fusion_guard(self.state)
+        if guard is False:
+            return None
+        return FusedLocalSteps(self, guard)
 
     def pull_if_local(self, key: int) -> Optional[np.ndarray]:
         """Return the value of ``key`` if it is stored locally, else ``None``.
@@ -577,14 +632,7 @@ class WorkerClient:
         skipped and re-sampled rather than fetched remotely.
         """
         key = int(self._check_keys([key])[0])
-        if self.state.storage.contains(key):
-            self.state.metrics.key_reads_local += 1
-            self.state.metrics.pulls_local += 1
-            recorder = self._trace
-            if recorder is not None:
-                recorder.local_read(key, self.sim._now)
-            return self.state.read_local(key)
-        return None
+        return self.ps.management_policy.pull_if_local(self, key)
 
     # ------------------------------------------------------------------ waiting
     def wait(self, handle: OperationHandle) -> Generator:
@@ -620,41 +668,153 @@ class WorkerClient:
         return None
 
     def clock(self) -> Generator:
-        """Advance this worker's clock (meaningful for the stale PS).
+        """Advance this worker's clock.
 
-        The base implementation is a synchronization no-op so that training
-        algorithms written against the stale PS also run on classic PSs and
-        Lapse without modification.
+        What a clock advance synchronizes is the policy's business: nothing
+        under static allocation and relocation (so algorithms written against
+        the stale PS run everywhere), a flush of buffered writes under
+        bounded staleness, a synchronization round under clock-triggered
+        replication.
         """
-        self._clock += 1
-        self.state.metrics.clock_advances += 1
-        return
-        yield  # pragma: no cover - makes this function a generator
+        return self.policy.clock(self)
 
-    # ------------------------------------------------------ variant extension
+    # ----------------------------------------------------- route, group, act
     def _issue_pull(self, handle: OperationHandle, keys: Tuple[int, ...]) -> None:
-        raise NotImplementedError
+        state = self.state
+        policy = self.ps.management_policy
+        metrics = state.metrics
+        state.reader_clock = self._clock
+        if len(keys) == 1:
+            # Single-key lane: no grouping containers for the per-entry
+            # training pattern.
+            route = policy.route(state, keys[0])
+            kind = route.kind
+            if kind == ROUTE_LOCAL:
+                metrics.key_reads_local += 1
+                metrics.pulls_local += 1
+                policy.pull_local(self, handle, keys, policy.resident_is_local)
+                return
+            if kind == ROUTE_REMOTE:
+                metrics.key_reads_remote += 1
+                metrics.pulls_remote += 1
+                policy.pull_remote(self, handle, route.destination, keys)
+                return
+            routes: Sequence[Route] = (route,)
+        elif policy.resident_is_local and all(state.storage.contains_flags(keys)):
+            # Whole-batch lane: every key is resident, one shared-memory
+            # access answers the operation in one piece.
+            metrics.key_reads_local += len(keys)
+            metrics.pulls_local += 1
+            policy.pull_local(self, handle, keys, True)
+            return
+        else:
+            routes = policy.route_many(state, keys)
+        local: List[int] = []
+        replica: List[int] = []
+        subscribe: Dict[int, List[int]] = {}
+        remote: Dict[int, List[int]] = {}
+        for key, route in zip(keys, routes):
+            kind = route.kind
+            if kind == ROUTE_LOCAL:
+                local.append(key)
+            elif kind == ROUTE_REMOTE:
+                remote.setdefault(route.destination, []).append(key)
+            elif kind == ROUTE_QUEUE:
+                # Answered locally once the key arrives (§3.2).
+                metrics.queued_ops += 1
+                metrics.key_reads_local += 1
+                policy.enqueue(state, key, QueuedOp("local_pull", key, handle))
+            elif kind == ROUTE_REPLICA:
+                replica.append(key)
+            elif kind == ROUTE_SUBSCRIBE:
+                subscribe.setdefault(route.destination, []).append(key)
+            else:
+                raise ParameterServerError(f"cannot pull key {key} through a {kind!r} route")
+        if local:
+            metrics.key_reads_local += len(local)
+            policy.pull_local(self, handle, local, False)
+        if replica:
+            metrics.key_reads_local += len(replica)
+            metrics.replica_reads += len(replica)
+            policy.pull_replica(self, handle, replica)
+        for destination, dest_keys in subscribe.items():
+            metrics.key_reads_remote += len(dest_keys)
+            policy.subscribe(self, handle, destination, dest_keys)
+        for destination, dest_keys in remote.items():
+            metrics.key_reads_remote += len(dest_keys)
+            policy.pull_remote(self, handle, destination, dest_keys)
+        if subscribe or remote:
+            metrics.pulls_remote += 1
+        else:
+            metrics.pulls_local += 1
 
     def _issue_push(
-        self,
-        handle: OperationHandle,
-        keys: Tuple[int, ...],
-        updates: np.ndarray,
-        needs_ack: bool,
+        self, handle: OperationHandle, keys: Tuple[int, ...], updates: np.ndarray
     ) -> None:
-        raise NotImplementedError
-
-    def _issue_localize(self, handle: OperationHandle, keys: Tuple[int, ...]) -> None:
-        raise UnsupportedOperationError(
-            f"{type(self.ps).__name__} allocates parameters statically and does "
-            "not support localize"
-        )
-
-    # ------------------------------------------------------------------ policy
-    @property
-    def policy(self):
-        """The server's :class:`~repro.ps.policy.ManagementPolicy`."""
-        return self.ps.management_policy
+        state = self.state
+        policy = self.ps.management_policy
+        metrics = state.metrics
+        if policy.buffers_pushes:
+            policy.buffer_push(self, handle, keys, updates)
+            return
+        if len(keys) == 1:
+            route = policy.route(state, keys[0], write=True)
+            kind = route.kind
+            if kind == ROUTE_LOCAL:
+                metrics.key_writes_local += 1
+                metrics.pushes_local += 1
+                policy.push_local(
+                    self, handle, keys, updates, None if policy.resident_is_local else [0]
+                )
+                return
+            if kind == ROUTE_REMOTE:
+                metrics.key_writes_remote += 1
+                metrics.pushes_remote += 1
+                self._send_remote(handle, route.destination, keys, False, updates, [0])
+                return
+            routes: Sequence[Route] = (route,)
+        elif policy.resident_is_local and all(state.storage.contains_flags(keys)):
+            metrics.key_writes_local += len(keys)
+            metrics.pushes_local += 1
+            policy.push_local(self, handle, keys, updates, None)
+            return
+        else:
+            routes = policy.route_many(state, keys, write=True)
+        local = KeyRows()
+        replica = KeyRows()
+        remote: Dict[int, KeyRows] = {}
+        for row, (key, route) in enumerate(zip(keys, routes)):
+            kind = route.kind
+            if kind == ROUTE_LOCAL:
+                local.add(key, row)
+            elif kind == ROUTE_QUEUE:
+                metrics.queued_ops += 1
+                metrics.key_writes_local += 1
+                # Snapshot at issue time: the caller may reuse its update
+                # buffer while the key is in flight (see copy_rows).
+                policy.enqueue(
+                    state, key, QueuedOp("local_push", key, handle, updates[row].copy())
+                )
+            elif kind == ROUTE_REPLICA:
+                replica.add(key, row)
+            else:
+                # Replication is established on reads; a write to a key this
+                # node neither owns nor replicates goes to its server.
+                group = remote.get(route.destination)
+                if group is None:
+                    group = remote[route.destination] = KeyRows()
+                group.add(key, row)
+        if local.keys or replica.keys:
+            metrics.key_writes_local += len(local.keys) + len(replica.keys)
+            metrics.replica_writes += len(replica.keys)
+            policy.push_resident(self, handle, local, replica, updates)
+        for destination, group in remote.items():
+            metrics.key_writes_remote += len(group.keys)
+            self._send_remote(handle, destination, group.keys, False, updates, group.rows)
+        if remote:
+            metrics.pushes_remote += 1
+        else:
+            metrics.pushes_local += 1
 
     # --------------------------------------------------------------- internals
     def _complete_after(
@@ -667,7 +827,7 @@ class WorkerClient:
         self,
         handle: OperationHandle,
         destination: int,
-        keys: List[int],
+        keys: Sequence[int],
         pull: bool,
         updates: Optional[np.ndarray] = None,
         rows: Optional[List[int]] = None,
@@ -679,42 +839,16 @@ class WorkerClient:
         Pushes always request an acknowledgement; ``rows`` names the row of
         ``updates`` that belongs to each of ``keys``.
         """
-        if self.ps.ps_config.message_grouping or len(keys) == 1:
-            self._send_chunk(handle, destination, keys, pull, updates, rows)
+        ps = self.ps
+        node = self.node_id
+        if ps.ps_config.message_grouping or len(keys) == 1:
+            ps.send_request(node, handle, destination, keys, pull, updates, rows)
         elif pull:
             for key in keys:
-                self._send_chunk(handle, destination, [key], True, None, None)
+                ps.send_request(node, handle, destination, [key], True)
         else:
             for key, row in zip(keys, rows):
-                self._send_chunk(handle, destination, [key], False, updates, [row])
-
-    def _send_chunk(
-        self,
-        handle: OperationHandle,
-        destination: int,
-        chunk: List[int],
-        pull: bool,
-        updates: Optional[np.ndarray],
-        rows: Optional[List[int]],
-    ) -> None:
-        """Send one pull/push chunk (§3.7) with its op id registered."""
-        ps = self.ps
-        op_id = ps.next_op_id()
-        ps.register_op(op_id, handle)
-        reply_to = self._van_address
-        if pull:
-            # Positional construction (keyword parsing is measurable here).
-            request: Any = PullRequest(op_id, tuple(chunk), self.node_id, reply_to)
-            size = message_size(len(chunk), 0)
-        else:
-            assert updates is not None and rows is not None
-            # One sliced copy instead of a per-key vstack.
-            chunk_updates = copy_rows(updates, rows)
-            request = PushRequest(
-                op_id, tuple(chunk), chunk_updates, self.node_id, reply_to, True
-            )
-            size = message_size(len(chunk), chunk_updates.size)
-        ps.send_to_server(self.node_id, destination, request, size)
+                ps.send_request(node, handle, destination, [key], False, updates, [row])
 
     def _chunks(self, keys: List[int]) -> List[List[int]]:
         """Chunk assembly (§3.7): one chunk per destination when message
@@ -725,23 +859,25 @@ class WorkerClient:
 
 
 class ParameterServer:
-    """Base class for all simulated parameter servers.
+    """The simulated parameter server, parameterised by its management policy.
 
-    The server runtime is generic: one message loop per node
-    (:meth:`_server_loop`) dispatches over a per-variant table of message
-    handlers (:meth:`_server_dispatch`), and per-key routing and residency
-    decisions are delegated to a pluggable
-    :class:`~repro.ps.policy.ManagementPolicy` (``policy_class``).
+    The runtime is generic: one message loop per node (:meth:`_server_loop`,
+    or its event-driven twin :meth:`_server_receive`) dispatches over the
+    handler table of the server's
+    :class:`~repro.ps.policy.ManagementPolicy`, the van demultiplexes
+    responses, and every per-key decision is the policy's.  A named system is
+    a subclass that only *declares* ``name``, ``policy_class`` and
+    ``config_overrides``.
     """
 
-    #: Concrete subclasses set this to their client implementation.
-    client_class: Type[WorkerClient] = WorkerClient
-    #: Concrete subclasses set this to their management-policy implementation.
+    #: The management policy this system runs (set by every named system).
     policy_class: Optional[type] = None
+    #: Configuration fields the system fixes, applied over the caller's
+    #: ``ps_config`` (the classic variants pin their local-access mode).
+    config_overrides: Dict[str, Any] = {}
     #: Human-readable name used in reports.
     name: str = "base"
 
-    _management_policy: Optional[Any] = None
     #: Cluster membership record, attached by the elastic cluster runtime
     #: (:class:`repro.cluster.ElasticCluster`).  ``None`` for static clusters.
     membership: Optional[Any] = None
@@ -784,8 +920,16 @@ class ParameterServer:
         durability: Optional[Any] = None,
         trace: Optional[Any] = None,
     ) -> None:
+        if self.policy_class is None:
+            raise ParameterServerError(
+                f"{type(self).__name__} declares no policy_class; instantiate a "
+                "named system (ClassicPS, LapsePS, ...)"
+            )
         self.cluster = cluster
-        self.ps_config = ps_config or ParameterServerConfig()
+        ps_config = ps_config or ParameterServerConfig()
+        if self.config_overrides:
+            ps_config = replace(ps_config, **self.config_overrides)
+        self.ps_config = ps_config
         self.sim = Simulator()
         self.network = Network(self.sim, cluster.cost_model)
         self.nodes = [Node(self.sim, self.network, i, cluster) for i in range(cluster.num_nodes)]
@@ -803,7 +947,10 @@ class ParameterServer:
         #: the per-message hot path).
         self._server_addresses = [server_address(i) for i in range(cluster.num_nodes)]
         self._van_addresses = [van_address(i) for i in range(cluster.num_nodes)]
-        self.states: List[NodeState] = [self._make_node_state(node) for node in self.nodes]
+        #: The one policy object of this server; it installs its per-node
+        #: tables as the node states are built.
+        self.management_policy = self.policy_class(self)
+        self.states: List[NodeState] = [NodeState(self, node) for node in self.nodes]
         if durability is not None and durability.enabled:
             # Wrap the (still empty) stores before the initial inserts so the
             # baseline state is itself logged; the manager then checkpoints.
@@ -813,6 +960,10 @@ class ParameterServer:
 
             self.durability = DurabilityManager(self, durability)
         self._initialize_parameters(initial_values)
+        #: Van handlers for the policy's own response types, and its observer
+        #: of pull responses / push acks (``None`` when it has none).
+        self._van_handlers = self.management_policy.van_handlers()
+        self._response_observer = self.management_policy.response_observer()
         self._start_threads()
         self._clients: Dict[Tuple[int, int], WorkerClient] = {}
         if trace is not None and trace.enabled:
@@ -824,17 +975,6 @@ class ParameterServer:
             self.tracer = Tracer(self, trace)
 
     # ------------------------------------------------------------ construction
-    def _make_node_state(self, node: Node) -> NodeState:
-        return NodeState(self, node)
-
-    def _initial_owner(self, key: int) -> int:
-        """Node that owns ``key`` at start-up (the static partition)."""
-        return self.partitioner.node_of(key)
-
-    def _initial_owners(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`_initial_owner` (override both together)."""
-        return self.partitioner.nodes_of(keys)
-
     def _initialize_parameters(self, initial_values: Optional[Any]) -> None:
         num_keys = self.ps_config.num_keys
         length = self.ps_config.value_length
@@ -850,8 +990,9 @@ class ParameterServer:
             raise ParameterServerError(
                 f"initial values have shape {values.shape}, expected {(num_keys, length)}"
             )
+        # At start-up every key lives at its static partition (its home node).
         keys = np.arange(num_keys, dtype=np.int64)
-        owners = self._initial_owners(keys)
+        owners = self.partitioner.nodes_of(keys)
         for node in range(self.cluster.num_nodes):
             node_keys = keys[owners == node]
             if node_keys.size:
@@ -870,7 +1011,11 @@ class ParameterServer:
                 # scheduled callback per message (same times, same order).
                 self.network.attach_sink(
                     server_address(state.node_id),
-                    partial(self._server_receive, state, self._server_dispatch(state)),
+                    partial(
+                        self._server_receive,
+                        state,
+                        self.management_policy.server_handlers(state),
+                    ),
                 )
             else:
                 self.sim.process(
@@ -900,9 +1045,7 @@ class ParameterServer:
         key = (node, local_worker)
         if key not in self._clients:
             worker_id = self.cluster.worker_id(node, local_worker)
-            client = self.client_class(
-                self, self.states[node], worker_id, local_worker
-            )
+            client = WorkerClient(self, self.states[node], worker_id, local_worker)
             tracer = self.tracer
             if tracer is not None:
                 recorder = tracer.recorder(self.states[node], worker_id)
@@ -991,14 +1134,26 @@ class ParameterServer:
             return self.sim.run(until=until)
         return driver.drive(until=until, processes=processes)
 
-    # ------------------------------------------------------------------ owners
+    # -------------------------------------------------- inspection (by policy)
     def current_owner(self, key: int) -> int:
-        """Node that currently owns ``key`` (static partition unless overridden)."""
-        return self.partitioner.node_of(key)
+        """Node that currently owns ``key``."""
+        return self.management_policy.current_owner(key)
 
     def current_owners(self, keys: Sequence[int]) -> np.ndarray:
         """Vectorized :meth:`current_owner`: one node id per key."""
-        return self.partitioner.nodes_of(keys)
+        return self.management_policy.current_owners(keys)
+
+    def replica_holders(self, key: int) -> Tuple[int, ...]:
+        """Nodes currently holding a replica of ``key`` (outside simulation)."""
+        return self.management_policy.replica_holders(key)
+
+    def key_management(self, key: int) -> str:
+        """Name of the technique that currently manages ``key``."""
+        return self.management_policy.key_management(key)
+
+    def key_guarantees(self, key: int) -> Dict[str, bool]:
+        """Table-1 consistency classification of ``key`` (see §3.4)."""
+        return self.management_policy.key_guarantees(key)
 
     def parameter(self, key: int) -> np.ndarray:
         """Return the authoritative current value of ``key`` (outside simulation)."""
@@ -1035,49 +1190,16 @@ class ParameterServer:
         """Current simulated time in seconds."""
         return self.sim.now
 
-    # ------------------------------------------------------------- op id pool
-    def next_op_id(self) -> int:
-        """Return a fresh cluster-unique operation id."""
-        self._op_counter += 1
-        return self._op_counter
-
-    # ------------------------------------------------------------------ policy
-    @property
-    def management_policy(self):
-        """The :class:`~repro.ps.policy.ManagementPolicy` of this server."""
-        if self._management_policy is None:
-            policy_class = self.policy_class
-            if policy_class is None:
-                # Deferred import: policy.py imports from this module.
-                from repro.ps.policy import StaticPolicy
-
-                policy_class = StaticPolicy
-            self._management_policy = policy_class(self)
-        return self._management_policy
-
     # ------------------------------------------------------------ server loops
-    def _server_dispatch(
-        self, state: NodeState
-    ) -> Dict[type, Tuple[float, Callable[[NodeState, Any], None]]]:
-        """Dispatch table of the server thread on ``state``'s node.
-
-        Maps each message type the variant understands to a pair
-        ``(processing_cost, handler)``: the loop charges ``processing_cost``
-        simulated seconds, then calls ``handler(state, message)``.  Policies
-        contribute entries for the message types of their protocols (e.g. the
-        three relocation messages, or replica flushes and broadcasts).
-        """
-        raise NotImplementedError
-
     def _server_loop(self, state: NodeState) -> Generator:
         """Generic message loop of the server thread (reference engine).
 
-        Replaces the per-variant hand-rolled loops: receive, look the message
-        type up in the dispatch table, charge its processing cost, handle.
+        Receive, look the message type up in the policy's handler table
+        (``type -> (processing_cost, handler)``), charge the cost, handle.
         Under the fast paths the same semantics run event-driven through
         :meth:`_server_receive` instead.
         """
-        dispatch = self._server_dispatch(state)
+        dispatch = self.management_policy.server_handlers(state)
         inbox = state.node.server_inbox
         metrics = state.metrics
         while True:
@@ -1127,37 +1249,6 @@ class ParameterServer:
             )
         sim.call_later(handle_at - now, _run_handler, (handler, state, message))
 
-    # --------------------------------------------- shared server-side replies
-    def _respond_pull(
-        self, state: NodeState, request: Any, keys: Sequence[int], values: np.ndarray
-    ) -> None:
-        """Send a :class:`PullResponse` for ``keys`` back to the requester."""
-        response = PullResponse(request.op_id, tuple(keys), values, state.node_id)
-        size = message_size(len(keys), values.size)
-        self.network.send(state.node_id, request.reply_to, response, size)
-
-    def _ack_push(self, state: NodeState, request: Any, keys: Sequence[int]) -> None:
-        """Acknowledge an applied push (if the requester asked for an ack)."""
-        if request.needs_ack:
-            ack = PushAck(request.op_id, tuple(keys), state.node_id)
-            self.network.send(
-                state.node_id, request.reply_to, ack, message_size(len(keys), 0)
-            )
-
-    def _server_pull(self, state: NodeState, request: Any) -> None:
-        """Answer a pull for keys this node must own (static-allocation paths)."""
-        values = self.management_policy.handle_read(
-            state, request.keys, what="asked for"
-        )
-        self._respond_pull(state, request, request.keys, values)
-
-    def _server_push(self, state: NodeState, request: Any) -> None:
-        """Apply a push for keys this node must own (static-allocation paths)."""
-        self.management_policy.handle_write(
-            state, request.keys, request.updates, what="asked to update"
-        )
-        self._ack_push(state, request, request.keys)
-
     def _van_loop(self, state: NodeState, inbox) -> Generator:
         """Demultiplex responses arriving at this node back to operation handles."""
         while True:
@@ -1166,17 +1257,21 @@ class ParameterServer:
 
     def _handle_van_message(self, state: NodeState, message: Any) -> None:
         if isinstance(message, PullResponse):
-            handle = self._find_handle(state, message.op_id)
+            handle = self._op_handle_table.get(message.op_id)
             if handle is not None:
                 handle.complete_keys(message.keys, message.values)
-                self._after_response(state, message)
+                observer = self._response_observer
+                if observer is not None:
+                    observer(state, message)
         elif isinstance(message, PushAck):
-            handle = self._find_handle(state, message.op_id)
+            handle = self._op_handle_table.get(message.op_id)
             if handle is not None:
                 handle.complete_keys(message.keys)
-                self._after_response(state, message)
+                observer = self._response_observer
+                if observer is not None:
+                    observer(state, message)
         elif isinstance(message, LocalizeAck):
-            handle = self._find_handle(state, message.op_id)
+            handle = self._op_handle_table.get(message.op_id)
             if handle is not None:
                 handle.complete_keys(message.keys)
         elif isinstance(message, BarrierRelease):
@@ -1184,18 +1279,65 @@ class ParameterServer:
             for event in waiters:
                 event.succeed(None)
         else:
-            self._handle_extra_van_message(state, message)
+            handler = self._van_handlers.get(type(message))
+            if handler is None:
+                raise ParameterServerError(
+                    f"node {state.node_id} van received unexpected message {message!r}"
+                )
+            handler(state, message)
 
-    def _after_response(self, state: NodeState, message: Any) -> None:
-        """Hook for variants (e.g. location-cache updates in Lapse)."""
+    # ------------------------------------------------- transport for policies
+    def send_to_server(self, src_node: int, dst_node: int, payload: Any, size: int) -> None:
+        """Send ``payload`` to the server thread of ``dst_node``."""
+        self.network.send(src_node, self._server_addresses[dst_node], payload, size)
 
-    def _handle_extra_van_message(self, state: NodeState, message: Any) -> None:
-        raise ParameterServerError(
-            f"node {state.node_id} van received unexpected message {message!r}"
-        )
+    def send_request(
+        self,
+        src_node: int,
+        handle: OperationHandle,
+        destination: int,
+        chunk: Sequence[int],
+        pull: bool,
+        updates: Optional[np.ndarray] = None,
+        rows: Optional[List[int]] = None,
+    ) -> None:
+        """Send one pull/push chunk (§3.7) from ``src_node`` on behalf of
+        ``handle``, with its op id registered so the van routes the response
+        back; ``rows`` names the rows of ``updates`` the chunk carries."""
+        op_id = self.next_op_id()
+        self.register_op(op_id, handle)
+        reply_to = self._van_addresses[src_node]
+        if pull:
+            # Positional construction (keyword parsing is measurable here).
+            request: Any = PullRequest(op_id, tuple(chunk), src_node, reply_to)
+            size = message_size(len(chunk), 0)
+        else:
+            # One sliced copy instead of a per-key vstack.
+            chunk_updates = copy_rows(updates, rows)
+            request = PushRequest(op_id, tuple(chunk), chunk_updates, src_node, reply_to, True)
+            size = message_size(len(chunk), chunk_updates.size)
+        self.network.send(src_node, self._server_addresses[destination], request, size)
 
-    def _find_handle(self, state: NodeState, op_id: int) -> Optional[OperationHandle]:
-        return self._op_handle_table.get(op_id)
+    def respond_pull(
+        self, state: NodeState, request: Any, keys: Sequence[int], values: np.ndarray
+    ) -> None:
+        """Send a :class:`PullResponse` for ``keys`` back to the requester."""
+        response = PullResponse(request.op_id, tuple(keys), values, state.node_id)
+        size = message_size(len(keys), values.size)
+        self.network.send(state.node_id, request.reply_to, response, size)
+
+    def ack_push(self, state: NodeState, request: Any, keys: Sequence[int]) -> None:
+        """Acknowledge an applied push (if the requester asked for an ack)."""
+        if request.needs_ack:
+            ack = PushAck(request.op_id, tuple(keys), state.node_id)
+            self.network.send(
+                state.node_id, request.reply_to, ack, message_size(len(keys), 0)
+            )
+
+    def next_op_id(self) -> int:
+        """Return a fresh cluster-unique operation id."""
+        self._op_counter += 1
+        return self._op_counter
 
     # The operation-id → handle registry (``_op_handle_table``, initialized in
     # __init__) is cluster global; it models the per-node "customer" tables of
@@ -1255,12 +1397,3 @@ class ParameterServer:
                         message_size(0, 0),
                     )
                 del arrivals[message.generation]
-
-    # ------------------------------------------------------------------ sending
-    def send_to_server(self, src_node: int, dst_node: int, payload: Any, size: int) -> None:
-        """Send ``payload`` to the server thread of ``dst_node``."""
-        self.network.send(src_node, self._server_addresses[dst_node], payload, size)
-
-    def send_to_van(self, src_node: int, dst_node: int, payload: Any, size: int) -> None:
-        """Send ``payload`` to the client van of ``dst_node``."""
-        self.network.send(src_node, self._van_addresses[dst_node], payload, size)

@@ -1,6 +1,7 @@
 """Lapse: a parameter server with dynamic parameter allocation (DPA).
 
-This module implements the system described in Section 3 of the paper:
+This module implements the technique described in Section 3 of the paper, as
+:class:`RelocationPolicy`:
 
 * **localize primitive** (§3.1, Table 2): a worker can request that parameters
   be relocated to its node; subsequent accesses are local.
@@ -19,12 +20,6 @@ This module implements the system described in Section 3 of the paper:
 * **Message grouping** (§3.7): multi-key operations send one message per
   destination node.
 
-Per-key routing (shared-memory residency, relocation queueing, home/cache
-forwarding) is implemented by :class:`~repro.ps.policy.RelocationPolicy`; the
-server loop is the generic dispatch loop of
-:class:`~repro.ps.base.ParameterServer`, with the three relocation-protocol
-messages contributed by the policy.
-
 The implementation preserves the consistency behaviour analysed in §3.4:
 sequential consistency per key for synchronous operations and for
 asynchronous operations without location caches; location caches can break
@@ -35,44 +30,35 @@ test-suite demonstrates.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.config import message_size
 from repro.errors import RelocationError, StorageError
 from repro.ps.base import (
-    FusedLocalSteps,
     KeyRows,
     NodeState,
     ParameterServer,
     QueuedOp,
+    Route,
     WorkerClient,
     copy_rows,
     select_rows,
-    van_address,
 )
 from repro.ps.futures import OperationHandle
 from repro.ps.messages import (
     LocalizeRequest,
     PullRequest,
-    PullResponse,
-    PushAck,
     PushRequest,
     RecoveryInstall,
     RelocateInstruction,
     RelocationTransfer,
 )
-from repro.ps.policy import ROUTE_LOCAL, ROUTE_QUEUE, RelocationPolicy
+from repro.ps.policy import LOCAL, QUEUE, Handlers, ManagementPolicy
 
-__all__ = [
-    "LapseNodeState",
-    "LapsePS",
-    "LapseWorkerClient",
-    "QueuedOp",
-    "RelocatingKey",
-]
+__all__ = ["LapsePS", "RelocatingKey", "RelocationPolicy"]
 
 
 @dataclass
@@ -89,345 +75,309 @@ class RelocatingKey:
     pending_new_owner: Optional[int] = None
 
 
-class LapseNodeState(NodeState):
-    """Per-node state of Lapse: location tables, caches, and relocation state.
+class RelocationPolicy(ManagementPolicy):
+    """Dynamic parameter allocation by relocation (Lapse, §3).
 
-    The tables themselves (``home_location``, ``relocating_in``,
-    ``last_transfer``, ``location_cache``) are installed by
-    :meth:`repro.ps.policy.RelocationPolicy.attach`; the annotations below
-    document them for readers and type checkers.
+    Owned keys are read/written through shared memory; keys relocating *to*
+    this node queue their operations (drained when the transfer arrives,
+    §3.2); anything else is routed to the best-known location — the location
+    cache if enabled and populated, the owner directly if this node is the
+    key's home, or the home node otherwise (§3.5, Figure 5).
+
+    Consistency (§3.4): synchronous operations keep per-key sequential
+    consistency (Theorem 1); asynchronous operations keep it as long as
+    location caches are off (Theorem 2) — a stale cache entry can break
+    program order (Theorem 3), which the consistency suite demonstrates.
     """
 
-    home_location: Dict[int, int]
-    relocating_in: Dict[int, "RelocatingKey"]
-    last_transfer: Dict[int, int]
-    location_cache: Dict[int, int]
+    name = "relocation"
+    supports_localize = True
+    supports_rebalance = True
+    supports_wal_recovery = True
+    resident_is_local = True
 
+    #: The replication technique sharing this server (set by the hybrid
+    #: composition), or ``None``.  Relocation calls into it where a moving key
+    #: meets replicas: owner writes feed its broadcasts, subscriber sets travel
+    #: with transfers, and queued register/flush messages are redelivered.
+    replication: Optional[Any] = None
 
-class LapseWorkerClient(WorkerClient):
-    """Lapse client: shared-memory local access, localize, transparent routing."""
+    def attach(self, state: NodeState) -> None:
+        #: Owner of every key homed at this node (home-node location table);
+        #: at start-up the owner of every key is its home node.
+        node = state.node_id
+        state.home_location = dict.fromkeys(self.ps.partitioner.keys_of(node), node)
+        #: Keys currently relocating to this node.
+        state.relocating_in = {}
+        #: For keys this node recently transferred away: where they went.
+        state.last_transfer = {}
+        #: Optional location cache: key -> believed owner.
+        state.location_cache = {}
 
-    state: LapseNodeState
-
-    def fused_local_steps(self):
-        """Fused local steps for pure relocation (not the hybrid composition).
-
-        Under :class:`RelocationPolicy`, residency in the local store *is*
-        the local-route condition and local access touches nothing beyond
-        storage, latches, and metrics.  The hybrid policy is excluded: its
-        owner-side writes feed replica broadcast buffers that a background
-        synchronizer observes mid-window.
-        """
-        if self._fusion_safe() and type(self.policy) is RelocationPolicy:
-            return FusedLocalSteps(self)
-        return None
-
-    # ------------------------------------------------------------------- pull
-    def _issue_pull(self, handle: OperationHandle, keys: Tuple[int, ...]) -> None:
-        state = self.state
-        metrics = state.metrics
-        if all(state.storage.contains_flags(keys)):
-            # Every key is resident: one shared-memory access for the batch.
-            metrics.key_reads_local += len(keys)
-            metrics.pulls_local += 1
-            self._local_pull(handle, keys, whole=True)
-            return
-        local_keys: List[int] = []
-        queued_keys: List[int] = []
-        remote_groups: Dict[int, List[int]] = defaultdict(list)
-        for key, route in zip(keys, self.policy.route_many(state, keys)):
-            if route.kind == ROUTE_LOCAL:
-                local_keys.append(key)
-            elif route.kind == ROUTE_QUEUE:
-                queued_keys.append(key)
-            else:
-                remote_groups[route.destination].append(key)
-        if local_keys:
-            metrics.key_reads_local += len(local_keys)
-            self._local_pull(handle, local_keys)
-        for key in queued_keys:
-            metrics.key_reads_local += 1
-            metrics.queued_ops += 1
-            state.relocating_in[key].queued_ops.append(
-                QueuedOp(kind="local_pull", key=key, handle=handle)
-            )
-        for destination, dest_keys in remote_groups.items():
-            metrics.key_reads_remote += len(dest_keys)
-            self._send_remote(handle, destination, dest_keys, pull=True)
-        if remote_groups:
-            metrics.pulls_remote += 1
-        else:
-            metrics.pulls_local += 1
-
-    # ------------------------------------------------------------------- push
-    def _issue_push(
-        self,
-        handle: OperationHandle,
-        keys: Tuple[int, ...],
-        updates: np.ndarray,
-        needs_ack: bool,
-    ) -> None:
-        state = self.state
-        metrics = state.metrics
-        if all(state.storage.contains_flags(keys)):
-            metrics.key_writes_local += len(keys)
-            metrics.pushes_local += 1
-            self._local_push(handle, keys, updates)
-            return
-        local = KeyRows()
-        queued = KeyRows()
-        remote_groups: Dict[int, KeyRows] = defaultdict(KeyRows)
-        routes = self.policy.route_many(state, keys, write=True)
-        for row, (key, route) in enumerate(zip(keys, routes)):
-            if route.kind == ROUTE_LOCAL:
-                local.add(key, row)
-            elif route.kind == ROUTE_QUEUE:
-                queued.add(key, row)
-            else:
-                remote_groups[route.destination].add(key, row)
-        if local.keys:
-            metrics.key_writes_local += len(local.keys)
-            self._local_push(handle, local.keys, updates, local.rows)
-        for key, row in zip(queued.keys, queued.rows):
-            metrics.key_writes_local += 1
-            metrics.queued_ops += 1
-            state.relocating_in[key].queued_ops.append(
-                QueuedOp(
-                    kind="local_push",
-                    key=key,
-                    handle=handle,
-                    # Snapshot at issue time: the caller may reuse its update
-                    # buffer while the relocation is in flight (see copy_rows).
-                    update=updates[row].copy(),
-                )
-            )
-        for destination, group in remote_groups.items():
-            metrics.key_writes_remote += len(group.keys)
-            self._send_remote(
-                handle, destination, group.keys, pull=False, updates=updates, rows=group.rows
-            )
-        if remote_groups:
-            metrics.pushes_remote += 1
-        else:
-            metrics.pushes_local += 1
-
-    # --------------------------------------------------------------- localize
-    def _issue_localize(self, handle: OperationHandle, keys: Tuple[int, ...]) -> None:
-        state = self.state
-        ps: "LapsePS" = self.ps  # type: ignore[assignment]
-        metrics = state.metrics
-        metrics.localize_calls += 1
-        metrics.localized_keys += len(keys)
-        already_local: List[int] = []
-        home_groups: Dict[int, List[int]] = defaultdict(list)
-        for key in keys:
-            if self._localized_without_move(state, key):
-                already_local.append(key)
-            elif key in state.relocating_in:
-                state.relocating_in[key].localize_handles.append(handle)
-            else:
-                state.relocating_in[key] = RelocatingKey(
-                    key=key,
-                    requested_at=self.sim.now,
-                    localize_handles=[handle],
-                )
-                home_groups[ps.home_node(key)].append(key)
-        if already_local:
-            delay = self.ps.cluster.cost_model.localize_issue_time
-            self._complete_after(delay, lambda keys=tuple(already_local): handle.complete_keys(keys))
-        for home, home_keys in home_groups.items():
-            if home == self.node_id:
-                # The home table lives in this node's shared memory: apply the
-                # home-side logic directly (saves message 1 of the protocol).
-                ps.process_localize_at_home(state, tuple(home_keys), self.node_id)
-            else:
-                op_id = ps.next_op_id()
-                ps.register_op(op_id, handle)
-                request = LocalizeRequest(
-                    op_id=op_id, keys=tuple(home_keys), requester_node=self.node_id
-                )
-                ps.send_to_server(
-                    self.node_id, home, request, message_size(len(home_keys), 0)
-                )
-
-    def _localized_without_move(self, state: LapseNodeState, key: int) -> bool:
-        """Whether ``key`` is already local (no relocation needed)."""
-        return state.storage.contains(key)
-
-    # ------------------------------------------------------------ local access
-    # One kernel event per group of local keys, after the shared-memory access
-    # delay.  The group of an all-resident operation is the whole operation and
-    # is answered in one piece; the events, delays, metric and latch counts are
-    # those of any other local group.
-    def _local_pull(
-        self, handle: OperationHandle, local_keys: Sequence[int], whole: bool = False
-    ) -> None:
+    def server_handlers(self, state: NodeState) -> Handlers:
         cost = self.ps.cluster.cost_model
-        delay = cost.local_access_time(shared_memory=True) * len(local_keys)
-        state = self.state
+        return {
+            PullRequest: (cost.server_processing_time, self._handle_access),
+            PushRequest: (cost.server_processing_time, self._handle_access),
+            LocalizeRequest: (cost.relocation_processing_time, self._handle_localize),
+            RelocateInstruction: (cost.relocation_processing_time, self._handle_instruction),
+            RelocationTransfer: (cost.relocation_processing_time, self._handle_transfer),
+            RecoveryInstall: (cost.relocation_processing_time, self.install_recovered),
+        }
 
-        def action() -> None:
-            try:
-                values = state.read_local_many(local_keys)
-            except StorageError:
-                # A key was relocated away between issue and the (tiny)
-                # shared-memory access delay; split and re-route the misses.
-                flags = state.storage.contains_flags(local_keys)
-                present = [key for key, ok in zip(local_keys, flags) if ok]
-                if present:
-                    handle.complete_keys(present, state.read_local_many(present))
-                for key, ok in zip(local_keys, flags):
-                    if not ok:
-                        self._reissue_key(handle, key, pull=True)
-                return
-            if whole:
-                handle.complete_batch(values)
-            else:
-                handle.complete_keys(local_keys, values)
-
-        self._complete_after(delay, action)
-
-    def _local_push(
-        self,
-        handle: OperationHandle,
-        local_keys: Sequence[int],
-        updates: np.ndarray,
-        local_rows: Optional[List[int]] = None,
-    ) -> None:
-        """Apply rows ``local_rows`` of ``updates``; ``None``: the whole operation."""
-        cost = self.ps.cluster.cost_model
-        delay = cost.local_access_time(shared_memory=True) * len(local_keys)
-        state = self.state
-
-        def action() -> None:
-            try:
-                # add_many is check-then-apply, so a relocated-away key raises
-                # before any update lands and the per-key fallback stays exact.
-                state.write_local_many(
-                    local_keys,
-                    updates if local_rows is None else select_rows(updates, local_rows),
-                )
-            except StorageError:
-                done = []
-                flags = state.storage.contains_flags(local_keys)
-                rows = range(len(local_keys)) if local_rows is None else local_rows
-                for key, row, ok in zip(local_keys, rows, flags):
-                    if ok:
-                        state.write_local(key, updates[row])
-                        done.append(key)
-                    else:
-                        self._reissue_key(handle, key, pull=False, update=updates[row])
-                if done:
-                    handle.complete_keys(done)
-                return
-            if local_rows is None:
-                handle.complete_batch()
-            else:
-                handle.complete_keys(local_keys)
-
-        self._complete_after(delay, action)
-
-    def _reissue_key(
-        self,
-        handle: OperationHandle,
-        key: int,
-        pull: bool,
-        update: Optional[np.ndarray] = None,
-    ) -> None:
-        """Re-route a key whose local copy disappeared before the access ran."""
-        state = self.state
-        if key in state.relocating_in:
-            state.metrics.queued_ops += 1
-            state.relocating_in[key].queued_ops.append(
-                QueuedOp(
-                    kind="local_pull" if pull else "local_push",
-                    key=key,
-                    handle=handle,
-                    update=None if update is None else update.copy(),
-                )
-            )
-            return
-        destination = self._route_destination(key)
-        if pull:
-            self._send_remote(handle, destination, [key], pull=True)
-        else:
-            self._send_remote(
-                handle,
-                destination,
-                [key],
-                pull=False,
-                updates=update.reshape(1, -1),
-                rows=[0],
-            )
+    def response_observer(self) -> Optional[Callable[[NodeState, Any], None]]:
+        return self._learn_location if self.ps.ps_config.location_caches else None
 
     # ---------------------------------------------------------------- routing
-    def _route_destination(self, key: int) -> int:
-        """Choose the node to contact for a non-local access to ``key``."""
-        return self._relocation_policy().route_destination(self.state, key)
+    def route(self, state: NodeState, key: int, *, write: bool = False) -> Route:
+        if state.storage.contains(key):
+            return LOCAL
+        if key in state.relocating_in:
+            return QUEUE
+        return self._remote(self.route_destination(state, key))
 
-    def _relocation_policy(self) -> RelocationPolicy:
-        """The relocation policy handling cold keys (overridden by hybrid)."""
-        return self.policy  # type: ignore[return-value]
+    def route_many(
+        self, state: NodeState, keys: Sequence[int], *, write: bool = False
+    ) -> List[Route]:
+        routes = []
+        for key, resident in zip(keys, state.storage.contains_flags(keys)):
+            if resident:
+                routes.append(LOCAL)
+            elif key in state.relocating_in:
+                routes.append(QUEUE)
+            else:
+                routes.append(self._remote(self.route_destination(state, key)))
+        return routes
 
-    # _send_remote is inherited from WorkerClient: chunked pull/push requests
-    # routed to a destination server, with op ids registered for the van.
+    def route_destination(self, state: NodeState, key: int) -> int:
+        """Best node to contact for a non-local access to ``key`` (§3.5)."""
+        config = self.ps.ps_config
+        if config.location_caches and key in state.location_cache:
+            state.metrics.cache_hits += 1
+            return state.location_cache[key]
+        home = self.home_node(key)
+        if home == state.node_id:
+            # The home table is in this node's shared memory; contact the
+            # owner directly (2 messages instead of 3).
+            return state.home_location[key]
+        if config.location_caches:
+            state.metrics.cache_misses += 1
+        return home
 
+    def forward_destination(self, state: NodeState, key: int) -> int:
+        """Best next hop for a key this node neither owns nor is receiving.
 
-class LapsePS(ParameterServer):
-    """Parameter server with dynamic parameter allocation (the paper's Lapse)."""
+        The home node forwards to the owner recorded in its location table;
+        any other node forwards to the home node.  A request that reached a
+        stale owner (e.g. through a stale location cache) therefore travels
+        requester → stale owner → home → current owner, the double-forward of
+        Figure 5d (4 messages in total including the response).
+        """
+        home = self.home_node(key)
+        if home == state.node_id:
+            return state.home_location[key]
+        return home
 
-    client_class = LapseWorkerClient
-    policy_class = RelocationPolicy
-    name = "lapse"
+    def _learn_location(self, state: NodeState, message: Any) -> None:
+        """Location-cache update from a pull response / push ack (§3.5)."""
+        responder = message.responder_node
+        if responder == state.node_id:
+            return
+        for key in message.keys:
+            state.location_cache[key] = responder
 
-    def _make_node_state(self, node) -> LapseNodeState:
-        return LapseNodeState(self, node)
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        # Initialize home-node location tables: at start-up the owner of every
-        # key is its home node (the static partition).
-        for node in range(self.cluster.num_nodes):
-            home_location = self.states[node].home_location  # type: ignore[attr-defined]
-            for key in self.partitioner.keys_of(node):
-                home_location[key] = node
-
-    # --------------------------------------------------------------- locations
+    # ------------------------------------------------------------- inspection
     def home_node(self, key: int) -> int:
         """Home node of ``key`` (static, from the partitioner)."""
-        return self.partitioner.node_of(key)
+        return self.ps.partitioner.node_of(key)
 
     def current_owner(self, key: int) -> int:
         """Node that currently owns ``key`` according to its home node."""
-        home_state: LapseNodeState = self.states[self.home_node(key)]  # type: ignore[assignment]
-        return home_state.home_location[key]
+        return self.ps.states[self.home_node(key)].home_location[key]
 
-    def current_owners(self, keys) -> np.ndarray:
+    def current_owners(self, keys: Sequence[int]) -> np.ndarray:
         """Vectorized :meth:`current_owner` via the per-home location tables."""
         keys = np.asarray(keys, dtype=np.int64)
-        homes = self.partitioner.nodes_of(keys)
-        states = self.states
+        homes = self.ps.partitioner.nodes_of(keys)
+        states = self.ps.states
         return np.fromiter(
             (
-                states[home].home_location[key]  # type: ignore[attr-defined]
+                states[home].home_location[key]
                 for home, key in zip(homes.tolist(), keys.tolist())
             ),
             dtype=np.int64,
             count=keys.size,
         )
 
-    # ---------------------------------------------------------- server dispatch
-    def _server_dispatch(self, state: LapseNodeState):  # type: ignore[override]
-        cost = self.cluster.cost_model.server_processing_time
-        dispatch = {
-            PullRequest: (cost, self._handle_access),
-            PushRequest: (cost, self._handle_access),
-        }
-        dispatch.update(self.management_policy.server_handlers(state))
-        return dispatch
+    def fusion_guard(self, state: NodeState) -> Any:
+        """Residency in the local store *is* the local-route condition and
+        local access touches nothing beyond storage, latches and metrics —
+        unless the key has subscribers (hybrid): its writes feed broadcast
+        buffers that the background synchronizer reads mid-window.  The
+        trainer's privacy window also rules out a subscription *appearing*
+        mid-window (a registration requires another node to read the key)."""
+        return None if self.replication is None else state.subscribers.get
 
-    # ------------------------------------------------------------ pull / push
-    def _handle_access(self, state: LapseNodeState, request: Any) -> None:
+    # ---------------------------------------------- client side: local access
+    # One kernel event per group of local keys, after the shared-memory access
+    # delay.  The group of an all-resident operation is the whole operation and
+    # is answered in one piece; the events, delays, metric and latch counts are
+    # those of any other local group.
+    def pull_local(
+        self, client: WorkerClient, handle: OperationHandle, keys: Sequence[int], whole: bool
+    ) -> None:
+        state = client.state
+
+        def action() -> None:
+            try:
+                values = state.read_local_many(keys)
+            except StorageError:
+                # A key was relocated away between issue and the (tiny)
+                # shared-memory access delay; split and re-route the misses.
+                flags = state.storage.contains_flags(keys)
+                present = [key for key, ok in zip(keys, flags) if ok]
+                if present:
+                    handle.complete_keys(present, state.read_local_many(present))
+                for key, ok in zip(keys, flags):
+                    if not ok:
+                        self._reissue_key(client, handle, key, pull=True)
+                return
+            if whole:
+                handle.complete_batch(values)
+            else:
+                handle.complete_keys(keys, values)
+
+        self.after_shared_memory_access(client, len(keys), action)
+
+    def push_local(
+        self,
+        client: WorkerClient,
+        handle: OperationHandle,
+        keys: Sequence[int],
+        updates: np.ndarray,
+        rows: Optional[List[int]],
+    ) -> None:
+        state = client.state
+
+        def action() -> None:
+            try:
+                # add_many is check-then-apply, so a relocated-away key raises
+                # before any update lands and the per-key fallback stays exact.
+                self.write_owned(
+                    state, keys, updates if rows is None else select_rows(updates, rows)
+                )
+            except StorageError:
+                done = []
+                flags = state.storage.contains_flags(keys)
+                positions = range(len(keys)) if rows is None else rows
+                for key, row, ok in zip(keys, positions, flags):
+                    if ok:
+                        self.write_owned(state, (key,), updates[row : row + 1])
+                        done.append(key)
+                    else:
+                        self._reissue_key(client, handle, key, pull=False, update=updates[row])
+                if done:
+                    handle.complete_keys(done)
+                return
+            if rows is None:
+                handle.complete_batch()
+            else:
+                handle.complete_keys(keys)
+
+        self.after_shared_memory_access(client, len(keys), action)
+
+    def write_owned(self, state: NodeState, keys: Sequence[int], updates: np.ndarray) -> None:
+        """Owner-side write — worker fast path, forwarded push or drained
+        queue alike; under the hybrid composition every one of them also
+        feeds the key's subscribers."""
+        state.write_local_many(keys, updates)
+        if self.replication is not None:
+            self.replication.broadcast_owned_write(state, keys, updates)
+
+    def _reissue_key(
+        self,
+        client: WorkerClient,
+        handle: OperationHandle,
+        key: int,
+        pull: bool,
+        update: Optional[np.ndarray] = None,
+    ) -> None:
+        """Re-route a key whose local copy disappeared before the access ran."""
+        state = client.state
+        if key in state.relocating_in:
+            state.metrics.queued_ops += 1
+            self.enqueue(
+                state,
+                key,
+                QueuedOp(
+                    "local_pull" if pull else "local_push",
+                    key,
+                    handle,
+                    None if update is None else update.copy(),
+                ),
+            )
+            return
+        destination = self.route_destination(state, key)
+        if pull:
+            client._send_remote(handle, destination, [key], True)
+        else:
+            client._send_remote(handle, destination, [key], False, update.reshape(1, -1), [0])
+
+    def enqueue(self, state: NodeState, key: int, op: QueuedOp) -> None:
+        state.relocating_in[key].queued_ops.append(op)
+
+    # ------------------------------------------------- client side: localize
+    def issue_localize(
+        self, client: WorkerClient, handle: OperationHandle, keys: Tuple[int, ...]
+    ) -> None:
+        state = client.state
+        ps = self.ps
+        metrics = state.metrics
+        metrics.localize_calls += 1
+        metrics.localized_keys += len(keys)
+        replication = self.replication
+        already_local: List[int] = []
+        home_groups: Dict[int, List[int]] = defaultdict(list)
+        for key in keys:
+            # A replica (present or installing) already makes accesses local,
+            # so ``localize`` on a replicated key needs no relocation — this
+            # also keeps a node from ever being subscriber and owner of the
+            # same key.
+            if state.storage.contains(key) or (
+                replication is not None and replication.holds_replica(state, key)
+            ):
+                already_local.append(key)
+            elif key in state.relocating_in:
+                state.relocating_in[key].localize_handles.append(handle)
+            else:
+                state.relocating_in[key] = RelocatingKey(
+                    key=key,
+                    requested_at=ps.sim.now,
+                    localize_handles=[handle],
+                )
+                home_groups[self.home_node(key)].append(key)
+        if already_local:
+            delay = ps.cluster.cost_model.localize_issue_time
+            client._complete_after(
+                delay, lambda keys=tuple(already_local): handle.complete_keys(keys)
+            )
+        for home, home_keys in home_groups.items():
+            if home == client.node_id:
+                # The home table lives in this node's shared memory: apply the
+                # home-side logic directly (saves message 1 of the protocol).
+                self.process_localize_at_home(state, tuple(home_keys), client.node_id)
+            else:
+                op_id = ps.next_op_id()
+                ps.register_op(op_id, handle)
+                request = LocalizeRequest(
+                    op_id=op_id, keys=tuple(home_keys), requester_node=client.node_id
+                )
+                ps.send_to_server(
+                    client.node_id, home, request, message_size(len(home_keys), 0)
+                )
+
+    # ------------------------------------------------ server side: pull / push
+    def _handle_access(self, state: NodeState, request: Any) -> None:
         """Handle a pull/push request at the server, forwarding unknown keys."""
         is_pull = isinstance(request, PullRequest)
         owned = KeyRows()
@@ -440,9 +390,14 @@ class LapsePS(ParameterServer):
             elif key in state.relocating_in:
                 queued.add(key, row)
             else:
-                forward_groups[self._forward_destination(state, key)].add(key, row)
+                forward_groups[self.forward_destination(state, key)].add(key, row)
         if owned.keys:
-            self._answer_owned(state, request, owned, is_pull)
+            if is_pull:
+                values = state.read_local_many(owned.keys)
+                self.ps.respond_pull(state, request, owned.keys, values)
+            else:
+                self.write_owned(state, owned.keys, select_rows(request.updates, owned.rows))
+                self.ps.ack_push(state, request, owned.keys)
         for key, row in zip(queued.keys, queued.rows):
             state.metrics.queued_ops += 1
             state.relocating_in[key].queued_ops.append(
@@ -457,69 +412,59 @@ class LapsePS(ParameterServer):
             state.metrics.forwarded_ops += 1
             self._forward_access(state, request, destination, group, is_pull)
 
-    def _answer_owned(
-        self, state: LapseNodeState, request: Any, owned: KeyRows, is_pull: bool
-    ) -> None:
-        keys = owned.keys
-        if is_pull:
-            values = state.read_local_many(keys)
-            self._respond_pull(state, request, keys, values)
-        else:
-            state.write_local_many(keys, select_rows(request.updates, owned.rows))
-            self._ack_push(state, request, keys)
-
-    def _forward_destination(self, state: LapseNodeState, key: int) -> int:
-        """Best next hop for a key this node neither owns nor is receiving.
-
-        The home node forwards to the owner recorded in its location table;
-        any other node forwards to the home node.  A request that reached a
-        stale owner (e.g. through a stale location cache) therefore travels
-        requester → stale owner → home → current owner, the double-forward of
-        Figure 5d (4 messages in total including the response).
-        """
-        home = self.home_node(key)
-        if home == state.node_id:
-            return state.home_location[key]
-        return home
-
     def _forward_access(
         self,
-        state: LapseNodeState,
+        state: NodeState,
         request: Any,
         destination: int,
         group: KeyRows,
         is_pull: bool,
     ) -> None:
-        op_id = request.op_id
-        keys = group.keys
+        keys = tuple(group.keys)
         if is_pull:
-            forwarded: Any = PullRequest(
-                op_id=op_id,
-                keys=tuple(keys),
-                requester_node=request.requester_node,
-                reply_to=request.reply_to,
-                hops=request.hops + 1,
-            )
+            forwarded = replace(request, keys=keys, hops=request.hops + 1)
             size = message_size(len(keys), 0)
         else:
             updates = copy_rows(request.updates, group.rows)
-            forwarded = PushRequest(
-                op_id=op_id,
-                keys=tuple(keys),
-                updates=updates,
-                requester_node=request.requester_node,
-                reply_to=request.reply_to,
-                needs_ack=request.needs_ack,
-                hops=request.hops + 1,
-            )
+            forwarded = replace(request, keys=keys, updates=updates, hops=request.hops + 1)
             size = message_size(len(keys), updates.size)
         if request.hops > 0:
             state.metrics.cache_stale += 1
-        self.send_to_server(state.node_id, destination, forwarded, size)
+        self.ps.send_to_server(state.node_id, destination, forwarded, size)
 
-    # -------------------------------------------------------------- relocation
+    # ------------------------------------------------ server side: relocation
+    def install_recovered(self, state: NodeState, message: RecoveryInstall) -> None:
+        """Install keys recovered after their owner failed.
+
+        The elastic runtime re-homes a failed node's keys and restores each
+        from the durable log (installed out of band, no network hop) or from
+        a surviving replica (shipped as a message).  Installation mirrors a
+        relocation transfer: queued operations drain in order, but the keys
+        count as *recovered* rather than relocated; under the hybrid
+        composition the new owner also takes over the surviving subscribers.
+        """
+        for index, key in enumerate(message.keys):
+            entry = state.relocating_in.pop(key, None)
+            if entry is None:
+                raise RelocationError(
+                    f"node {state.node_id} received a recovery install for key "
+                    f"{key} it does not expect"
+                )
+            state.storage.insert(key, message.values[index])
+            state.metrics.recovered_keys += 1
+            if self.replication is not None:
+                self.replication.adopt_subscribers(
+                    state, key, message.subscribers[index] if message.subscribers else ()
+                )
+            for handle in entry.localize_handles:
+                handle.complete_keys([key])
+            self._drain_queue(state, key, entry)
+
+    def _handle_localize(self, state: NodeState, message: LocalizeRequest) -> None:
+        self.process_localize_at_home(state, message.keys, message.requester_node)
+
     def process_localize_at_home(
-        self, home_state: LapseNodeState, keys: Tuple[int, ...], requester: int
+        self, home_state: NodeState, keys: Tuple[int, ...], requester: int
     ) -> None:
         """Home-node half of the relocation protocol (message 1 handling).
 
@@ -537,7 +482,8 @@ class LapsePS(ParameterServer):
           not (re)acquire keys: its localize completes without moving anything
           (subsequent accesses route remotely).
         """
-        membership = self.membership
+        ps = self.ps
+        membership = ps.membership
         if membership is not None and not membership.may_own(requester):
             self._acknowledge_local_keys(home_state, list(keys), requester)
             return
@@ -565,16 +511,16 @@ class LapsePS(ParameterServer):
         for home, home_keys in forward_groups.items():
             home_state.metrics.forwarded_ops += 1
             forwarded = LocalizeRequest(
-                op_id=self.next_op_id(), keys=tuple(home_keys), requester_node=requester
+                op_id=ps.next_op_id(), keys=tuple(home_keys), requester_node=requester
             )
-            self.send_to_server(
+            ps.send_to_server(
                 home_state.node_id, home, forwarded, message_size(len(home_keys), 0)
             )
         if ack_keys:
             self._acknowledge_local_keys(home_state, ack_keys, requester)
         for old_owner, owner_keys in instruction_groups.items():
             instruction = RelocateInstruction(
-                op_id=self.next_op_id(),
+                op_id=ps.next_op_id(),
                 keys=tuple(owner_keys),
                 new_owner=requester,
                 home_node=home_state.node_id,
@@ -582,7 +528,7 @@ class LapsePS(ParameterServer):
             if old_owner == home_state.node_id:
                 self._handle_instruction(home_state, instruction)
             else:
-                self.send_to_server(
+                ps.send_to_server(
                     home_state.node_id,
                     old_owner,
                     instruction,
@@ -590,33 +536,34 @@ class LapsePS(ParameterServer):
                 )
 
     def _acknowledge_local_keys(
-        self, home_state: LapseNodeState, keys: List[int], requester: int
+        self, home_state: NodeState, keys: List[int], requester: int
     ) -> None:
         """Tell the requester that ``keys`` are already located at its node."""
-        requester_state: LapseNodeState = self.states[requester]  # type: ignore[assignment]
+        ps = self.ps
         if requester == home_state.node_id:
-            self._complete_requester_side(requester_state, keys, values=None)
+            self._complete_requester_side(ps.states[requester], keys)
             return
         # The ack is routed through the server so the requester node can clear
         # its relocation bookkeeping before completing worker handles.
-        self.send_to_server(
+        ps.send_to_server(
             home_state.node_id,
             requester,
             RelocationTransfer(
                 op_id=0,
                 keys=tuple(keys),
-                values=np.zeros((0, self.ps_config.value_length)),
+                values=np.zeros((0, ps.ps_config.value_length)),
                 old_owner=requester,
-                removed_at=self.sim.now,
+                removed_at=ps.sim.now,
             ),
             message_size(len(keys), 0),
         )
 
     def _handle_instruction(
-        self, state: LapseNodeState, instruction: RelocateInstruction
+        self, state: NodeState, instruction: RelocateInstruction
     ) -> None:
         """Old-owner half of the protocol (message 2 handling)."""
-        membership = self.membership
+        ps = self.ps
+        membership = ps.membership
         if membership is not None and membership.state_of(instruction.new_owner) in (
             "failed",
             "left",
@@ -648,36 +595,40 @@ class LapsePS(ParameterServer):
         if instruction.new_owner == state.node_id:
             self._handle_transfer(state, transfer)
         else:
-            self.send_to_server(state.node_id, instruction.new_owner, transfer, size)
+            ps.send_to_server(state.node_id, instruction.new_owner, transfer, size)
 
     def _build_transfer(
         self,
-        state: LapseNodeState,
+        state: NodeState,
         transfer_keys: List[int],
         instruction: RelocateInstruction,
     ) -> RelocationTransfer:
         """Remove ``transfer_keys`` from the old owner and build message 3.
 
-        Overridden by the hybrid PS to hand subscriber sets over with the
-        parameter values.
+        Under the hybrid composition the subscriber sets travel with the
+        values: broadcast duty moves to the new owner.
         """
-        values = state.storage.remove_many(transfer_keys)
+        subscribers: Tuple[Tuple[int, ...], ...] = ()
+        if self.replication is not None:
+            subscribers = self.replication.release_subscribers(state, transfer_keys)
         return RelocationTransfer(
             op_id=instruction.op_id,
             keys=tuple(transfer_keys),
-            values=values,
+            values=state.storage.remove_many(transfer_keys),
             old_owner=state.node_id,
-            removed_at=self.sim.now,
+            removed_at=self.ps.sim.now,
+            subscribers=subscribers,
         )
 
     def _handle_transfer(
-        self, state: LapseNodeState, transfer: RelocationTransfer
+        self, state: NodeState, transfer: RelocationTransfer
     ) -> None:
         """New-owner half of the protocol (message 3 handling)."""
         if transfer.values.shape[0] == 0:
             # "Already local" notification generated by the home node.
-            self._complete_requester_side(state, list(transfer.keys), values=None)
+            self._complete_requester_side(state, list(transfer.keys))
             return
+        ps = self.ps
         for index, key in enumerate(transfer.keys):
             if key not in state.relocating_in:
                 raise RelocationError(
@@ -685,66 +636,34 @@ class LapsePS(ParameterServer):
                     "it did not request"
                 )
             state.storage.insert(key, transfer.values[index])
-            self._install_transferred(state, transfer, index, key)
+            if self.replication is not None:
+                self.replication.adopt_subscribers(
+                    state, key, transfer.subscribers[index] if transfer.subscribers else ()
+                )
             entry = state.relocating_in.pop(key)
             state.metrics.relocations += 1
-            state.metrics.relocation_time.record(self.sim.now - entry.requested_at)
-            state.metrics.blocking_time.record(self.sim.now - transfer.removed_at)
+            state.metrics.relocation_time.record(ps.sim.now - entry.requested_at)
+            state.metrics.blocking_time.record(ps.sim.now - transfer.removed_at)
             trace = state.trace
             if trace is not None:
                 trace.relocation(
-                    key, entry.requested_at, transfer.removed_at, self.sim.now
+                    key, entry.requested_at, transfer.removed_at, ps.sim.now
                 )
-            if self.ps_config.location_caches:
+            if ps.ps_config.location_caches:
                 state.location_cache.pop(key, None)
             for handle in entry.localize_handles:
                 handle.complete_keys([key])
             self._drain_queue(state, key, entry)
             if entry.pending_new_owner is not None:
                 follow_up = RelocateInstruction(
-                    op_id=self.next_op_id(),
+                    op_id=ps.next_op_id(),
                     keys=(key,),
                     new_owner=entry.pending_new_owner,
                     home_node=self.home_node(key),
                 )
                 self._handle_instruction(state, follow_up)
 
-    def _install_transferred(
-        self, state: LapseNodeState, transfer: RelocationTransfer, index: int, key: int
-    ) -> None:
-        """Extra installation work per transferred key (hybrid: subscribers)."""
-
-    def _handle_recovery(self, state: LapseNodeState, install: RecoveryInstall) -> None:
-        """Install keys recovered from a surviving replica after an owner failed.
-
-        The elastic runtime re-homes a failed node's keys and, for every key
-        some surviving node replicates, has that holder ship its copy to the
-        new owner.  Installation mirrors a relocation transfer: queued
-        operations drain in order, but the keys count as *recovered* rather
-        than relocated.
-        """
-        for index, key in enumerate(install.keys):
-            entry = state.relocating_in.pop(key, None)
-            if entry is None:
-                raise RelocationError(
-                    f"node {state.node_id} received a recovery install for key "
-                    f"{key} it does not expect"
-                )
-            state.storage.insert(key, install.values[index])
-            state.metrics.recovered_keys += 1
-            self._install_recovered(state, install, index, key)
-            for handle in entry.localize_handles:
-                handle.complete_keys([key])
-            self._drain_queue(state, key, entry)
-
-    def _install_recovered(
-        self, state: LapseNodeState, install: RecoveryInstall, index: int, key: int
-    ) -> None:
-        """Extra installation work per recovered key (hybrid: subscriber takeover)."""
-
-    def _complete_requester_side(
-        self, state: LapseNodeState, keys: List[int], values: Optional[np.ndarray]
-    ) -> None:
+    def _complete_requester_side(self, state: NodeState, keys: List[int]) -> None:
         """Complete localize handles for keys that turned out to be local already."""
         for key in keys:
             entry = state.relocating_in.pop(key, None)
@@ -754,83 +673,49 @@ class LapsePS(ParameterServer):
                 handle.complete_keys([key])
             self._drain_queue(state, key, entry)
 
-    def _drain_queue(self, state: LapseNodeState, key: int, entry: RelocatingKey) -> None:
+    def _drain_queue(self, state: NodeState, key: int, entry: RelocatingKey) -> None:
         """Process operations queued while ``key`` was relocating, in order."""
         for queued in entry.queued_ops:
             self._drain_one(state, key, queued)
 
-    def _drain_one(self, state: LapseNodeState, key: int, queued: QueuedOp) -> None:
+    def _drain_one(self, state: NodeState, key: int, queued: QueuedOp) -> None:
         """Process one queued operation for a key that just became resident."""
-        if queued.kind in ("local_pull", "local_push") and not state.storage.contains(key):
+        kind = queued.kind
+        if kind in ("local_pull", "local_push") and not state.storage.contains(key):
             # The relocation completed without the key arriving (e.g. a
             # draining node's localize was acknowledged as a no-op by the
             # elastic drain gate): re-route the queued operation remotely.
             self._redirect_queued(state, key, queued)
-            return
-        if queued.kind == "local_pull":
+        elif kind == "local_pull":
             queued.handle.complete_keys([key], state.read_local(key).reshape(1, -1))
-        elif queued.kind == "local_push":
-            state.write_local(key, queued.update)
+        elif kind == "local_push":
+            self.write_owned(state, (key,), queued.update.reshape(1, -1))
             queued.handle.complete_keys([key])
-        elif queued.kind in ("remote_pull", "remote_push"):
-            request = queued.request
-            single = self._single_key_view(request, key, queued.row)
-            self._handle_access(state, single)
+        elif kind == "remote_pull":
+            self._handle_access(state, replace(queued.request, keys=(key,)))
+        elif kind == "remote_push":
+            update = queued.request.updates[queued.row].reshape(1, -1)
+            self._handle_access(state, replace(queued.request, keys=(key,), updates=update))
+        elif kind in ("register", "flush") and self.replication is not None:
+            # A replica subscription / update flush that chased the key here.
+            self.replication.redeliver(state, key, queued)
         else:  # pragma: no cover - defensive
-            raise RelocationError(f"unknown queued op kind {queued.kind!r}")
+            raise RelocationError(f"unknown queued op kind {kind!r}")
 
-    def _redirect_queued(self, state: LapseNodeState, key: int, queued: QueuedOp) -> None:
+    def _redirect_queued(self, state: NodeState, key: int, queued: QueuedOp) -> None:
         """Send a queued worker operation to the key's best-known location."""
-        destination = self.management_policy.route_destination(state, key)
-        op_id = self.next_op_id()
-        self.register_op(op_id, queued.handle)
+        destination = self.route_destination(state, key)
         if queued.kind == "local_pull":
-            request: Any = PullRequest(
-                op_id=op_id,
-                keys=(key,),
-                requester_node=state.node_id,
-                reply_to=van_address(state.node_id),
-            )
-            size = message_size(1, 0)
+            self.ps.send_request(state.node_id, queued.handle, destination, (key,), True)
         else:
-            request = PushRequest(
-                op_id=op_id,
-                keys=(key,),
-                updates=queued.update.reshape(1, -1),
-                requester_node=state.node_id,
-                reply_to=van_address(state.node_id),
-                needs_ack=True,
+            self.ps.send_request(
+                state.node_id, queued.handle, destination, (key,), False,
+                queued.update.reshape(1, -1), [0],
             )
-            size = message_size(1, queued.update.size)
-        self.send_to_server(state.node_id, destination, request, size)
 
-    def _single_key_view(self, request: Any, key: int, row: int) -> Any:
-        """Build a single-key copy of a multi-key request for queued processing."""
-        if isinstance(request, PullRequest):
-            return PullRequest(
-                op_id=request.op_id,
-                keys=(key,),
-                requester_node=request.requester_node,
-                reply_to=request.reply_to,
-                hops=request.hops,
-            )
-        return PushRequest(
-            op_id=request.op_id,
-            keys=(key,),
-            updates=request.updates[row].reshape(1, -1),
-            requester_node=request.requester_node,
-            reply_to=request.reply_to,
-            needs_ack=request.needs_ack,
-            hops=request.hops,
-        )
 
-    # ------------------------------------------------------------------- van
-    def _after_response(self, state: LapseNodeState, message: Any) -> None:  # type: ignore[override]
-        if not self.ps_config.location_caches:
-            return
-        if isinstance(message, (PullResponse, PushAck)):
-            responder = message.responder_node
-            if responder == state.node_id:
-                return
-            for key in message.keys:
-                state.location_cache[key] = responder
+class LapsePS(ParameterServer):
+    """Parameter server with dynamic parameter allocation (the paper's Lapse)."""
+
+    policy_class = RelocationPolicy
+    name = "lapse"

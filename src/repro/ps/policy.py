@@ -1,32 +1,38 @@
-"""Pluggable parameter-management policies for the PS runtime.
+"""The management-policy interface: one technique, the only place it lives.
 
 The paper's core contribution is *dynamic parameter allocation* inside the
 parameter server (§3); its outlook (realized in the NuPS follow-up) is that a
 single server should *combine* management techniques — relocate most keys,
-replicate the hot ones.  This module turns each technique into a composable
-object so one server runtime can mix them per key:
+replicate the hot ones.  In this repo a technique is one
+:class:`ManagementPolicy` object, and a system *is* its policy: the runtime
+(:mod:`repro.ps.base`) is the same for all of them.  A policy owns
 
-* :class:`ManagementPolicy` — the interface: per-key routing of client
-  accesses (``route`` / ``route_many``), server-side residency handling
-  (``handle_read`` / ``handle_write``), and lifecycle hooks for the
-  relocation protocol (``on_relocate``) and replica synchronization
-  (``on_sync``).  A policy also installs its per-node tables on every
-  :class:`~repro.ps.base.NodeState` (``attach``) and contributes its protocol
-  messages to the generic server loop's dispatch table
-  (``server_handlers``).
-* :class:`StaticPolicy` — classic PS: a key is answered by its static
-  partition owner, forever (§2.1).
-* :class:`RelocationPolicy` — Lapse's dynamic allocation (§3): shared-memory
-  access to owned keys, queue-and-drain for keys relocating in, forward
-  routing via home nodes, optional location caches (§3.5).
-* :class:`StaleReplicaPolicy` — Petuum-style bounded staleness (§2.1): reads
-  may be served from a replica fetched within the staleness bound, writes are
-  buffered until the next clock.
-* :class:`EagerReplicationPolicy` — replication-based management: hot keys
-  (per the :mod:`repro.ps.partition` hot-key policies) are copied to the
-  accessing node and kept loosely synchronized.
-* :class:`HybridManagementPolicy` — the per-key composition: replicate hot
-  keys, relocate the long tail (used by :class:`repro.ps.hybrid.HybridPS`).
+* the per-node tables of its technique (:meth:`~ManagementPolicy.attach`),
+* the per-key routing of client accesses (``route`` / ``route_many``),
+* the client-side *action* for each route kind — what a worker does with a
+  ``local`` / ``replica`` / ``queue`` / ``subscribe`` / ``remote`` group of
+  keys (``pull_local``, ``push_replica``, ``enqueue``, ...), plus
+  ``localize``, ``pull_if_local`` and ``clock``,
+* the server-side protocol: a handler per message type
+  (:meth:`~ManagementPolicy.server_handlers`) and per response type
+  (:meth:`~ManagementPolicy.van_handlers`),
+* its inspection helpers (``current_owner``, ``replica_holders``, ...).
+
+The techniques:
+
+* :class:`~repro.ps.classic.StaticPolicy` — classic PS: a key is answered by
+  its static partition owner, forever (§2.1).
+* :class:`~repro.ps.lapse.RelocationPolicy` — Lapse's dynamic allocation (§3):
+  shared-memory access to owned keys, queue-and-drain for keys relocating in,
+  forward routing via home nodes, optional location caches (§3.5).
+* :class:`~repro.ps.stale.StaleReplicaPolicy` — Petuum-style bounded
+  staleness (§2.1): reads may be served from a replica fetched within the
+  staleness bound, writes are buffered until the next clock.
+* :class:`~repro.ps.replica.EagerReplicationPolicy` — replication-based
+  management: hot keys (per the :mod:`repro.ps.partition` hot-key policies)
+  are copied to the accessing node and kept loosely synchronized.
+* :class:`~repro.ps.hybrid.HybridManagementPolicy` — the per-key composition:
+  a relocation and a replication policy, wired together at four points.
 
 Every policy carries a ``guarantees`` classification — which of the per-key
 consistency properties of §3.4 / Table 1 the technique retains — so that the
@@ -35,80 +41,74 @@ consistency test-suite can assert, per key, what a policy mix preserves.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ParameterServerError, StorageError
-from repro.ps.base import NodeState, QueuedOp, first_missing
-from repro.ps.messages import (
-    LocalizeRequest,
-    RecoveryInstall,
-    RelocateInstruction,
-    RelocationTransfer,
-    ReplicaDeltaBroadcast,
-    ReplicaFetchRequest,
-    ReplicaPush,
-    ReplicaRegisterRequest,
-    ReplicaSyncFlush,
-    UpdateFlush,
+from repro.errors import (
+    ParameterServerError,
+    StorageError,
+    UnsupportedOperationError,
 )
-from repro.ps.partition import HotKeyPolicy, make_hot_key_policy
+from repro.ps.base import (
+    ROUTE_BUFFER,
+    ROUTE_LOCAL,
+    ROUTE_QUEUE,
+    ROUTE_REMOTE,
+    ROUTE_REPLICA,
+    ROUTE_SUBSCRIBE,
+    KeyRows,
+    NodeState,
+    QueuedOp,
+    Route,
+    WorkerClient,
+    first_missing,
+    select_rows,
+)
+from repro.ps.futures import OperationHandle
 
-#: Route kinds returned by :meth:`ManagementPolicy.route`.
-ROUTE_LOCAL = "local"  #: owned parameter; access through shared memory/queues
-ROUTE_REPLICA = "replica"  #: answered from a local replica copy
-ROUTE_QUEUE = "queue"  #: key is in flight to this node; queue and drain
-ROUTE_REMOTE = "remote"  #: send to the destination node's server thread
-ROUTE_SUBSCRIBE = "subscribe"  #: install a replica: register at destination
-ROUTE_BUFFER = "buffer"  #: buffer the write locally (stale PS; flush on clock)
-
-
-@dataclass(frozen=True, slots=True)
-class Route:
-    """Where one key's access goes: a kind plus an optional destination node."""
-
-    kind: str
-    destination: int = -1
-
-
-@dataclass
-class InstallingKey:
-    """Queue of operations issued for a key while its replica install is in flight.
-
-    Mirrors the relocation queue (§3.2): accesses issued between the
-    subscribe request and the arrival of the snapshot are buffered as
-    :class:`~repro.ps.base.QueuedOp` and processed, in program order, once
-    the replica is installed.  ``pending_deltas`` holds owner broadcasts that
-    overtook the snapshot (a small delta message can be faster than the
-    install).
-    """
-
-    key: int
-    ops: List[QueuedOp] = field(default_factory=list)
-    pending_deltas: List[np.ndarray] = field(default_factory=list)
-
+__all__ = [
+    "ROUTE_BUFFER",
+    "ROUTE_LOCAL",
+    "ROUTE_QUEUE",
+    "ROUTE_REMOTE",
+    "ROUTE_REPLICA",
+    "ROUTE_SUBSCRIBE",
+    "ManagementPolicy",
+    "Route",
+    "consistency_classification",
+]
 
 # Shared singleton routes: route objects sit on the per-operation hot path,
 # so the destination-less kinds are interned once per process and the
 # destination-carrying kinds once per (policy, node).
-_LOCAL = Route(ROUTE_LOCAL)
-_REPLICA = Route(ROUTE_REPLICA)
-_QUEUE = Route(ROUTE_QUEUE)
-_BUFFER = Route(ROUTE_BUFFER)
+LOCAL = Route(ROUTE_LOCAL)
+REPLICA = Route(ROUTE_REPLICA)
+QUEUE = Route(ROUTE_QUEUE)
+BUFFER = Route(ROUTE_BUFFER)
+
+#: Handler table of a server thread: message type -> (processing cost, handler).
+Handlers = Dict[type, Tuple[float, Callable[[NodeState, Any], None]]]
 
 
 class ManagementPolicy:
     """One parameter-management technique, pluggable into the PS runtime.
 
-    A policy decides *where* every key access goes (client side), *how* the
-    server answers for keys it manages (server side), and reacts to the
-    lifecycle events of its protocol (relocations, synchronization rounds).
-    The :class:`~repro.ps.base.ParameterServer` owns exactly one policy
-    object; per-node state lives on the :class:`~repro.ps.base.NodeState`
-    (installed by :meth:`attach`), so one policy instance serves all nodes.
+    A policy decides *where* every key access goes, *what* the worker does
+    with it (client side), *how* the server answers (server side), and reacts
+    to the lifecycle events of its protocol.  The
+    :class:`~repro.ps.base.ParameterServer` owns exactly one policy object;
+    per-node state lives on the :class:`~repro.ps.base.NodeState` (installed
+    by :meth:`attach`), so one policy instance serves all nodes.
+
+    The defaults below are those of an owner-only technique with
+    shared-memory local access: local groups are read and written in place
+    after the access delay, remote groups go to the destination's server.
+    A policy that returns ``replica`` or ``subscribe`` routes additionally
+    implements ``pull_replica(client, handle, keys)``,
+    ``push_replica(client, handle, keys, updates, rows)`` and
+    ``subscribe(client, handle, destination, keys)``; one that sets
+    ``buffers_pushes`` implements ``buffer_push(client, handle, keys, updates)``.
     """
 
     #: Technique name used in reports and docs.
@@ -130,6 +130,16 @@ class ManagementPolicy:
     #: ``supports_rebalance`` (recovered keys must be re-homed), so static
     #: allocations stay unrecoverable even with a WAL attached.
     supports_wal_recovery: bool = False
+    #: Whether training loops must advance worker clocks for this policy's
+    #: synchronization to make progress (bounded staleness; clock-triggered
+    #: replication).
+    needs_clock: bool = False
+    #: Whether residency in the node's store *is* the local-route condition
+    #: (the relocating policies).  Lets the client answer an operation whose
+    #: keys are all resident in one piece, without routing key by key.
+    resident_is_local: bool = False
+    #: Whether pushes bypass route-group-act altogether (:meth:`buffer_push`).
+    buffers_pushes: bool = False
     #: Per-key consistency properties retained (§3.4 / Table 1): ``eventual``,
     #: ``session`` (the four client-centric guarantees), ``causal``, and
     #: ``sequential`` (for synchronous operations).
@@ -149,13 +159,27 @@ class ManagementPolicy:
     def attach(self, state: NodeState) -> None:
         """Install this policy's per-node tables on ``state`` (default: none)."""
 
-    def server_handlers(
-        self, state: NodeState
-    ) -> Dict[type, Tuple[float, Callable[[NodeState, Any], None]]]:
-        """Dispatch-table entries for this policy's protocol messages."""
+    def attach_client(self, client: WorkerClient) -> None:
+        """Install this policy's per-worker state on ``client`` (default: none)."""
+
+    def server_handlers(self, state: NodeState) -> Handlers:
+        """The server thread's handler table on ``state``'s node.
+
+        One ``(processing_cost, handler)`` entry per message type of the
+        technique's protocol, pull and push requests included; the server
+        loop charges the cost, then calls ``handler(state, message)``.
+        """
+        raise NotImplementedError
+
+    def van_handlers(self) -> Dict[type, Callable[[NodeState, Any], None]]:
+        """Handlers for response types beyond pull/push/localize acks."""
         return {}
 
-    # ----------------------------------------------------------- client side
+    def response_observer(self) -> Optional[Callable[[NodeState, Any], None]]:
+        """Callback run after a pull response / push ack reached its handle."""
+        return None
+
+    # --------------------------------------------------------------- routing
     def route(self, state: NodeState, key: int, *, write: bool = False) -> Route:
         """Route one access to ``key`` issued on ``state``'s node.
 
@@ -171,6 +195,118 @@ class ManagementPolicy:
         """Vectorizable batch :meth:`route` (same per-key order and effects)."""
         return [self.route(state, key, write=write) for key in keys]
 
+    # --------------------------------------------- client side: route actions
+    def after_shared_memory_access(
+        self, client: WorkerClient, count: int, action: Callable[[], None]
+    ) -> None:
+        """Run ``action`` once ``client``'s worker has spent the shared-memory
+        access delay of ``count`` node-resident values (one kernel event)."""
+        cost = self.ps.cluster.cost_model
+        client._complete_after(cost.local_access_time(shared_memory=True) * count, action)
+
+    def pull_local(
+        self, client: WorkerClient, handle: OperationHandle, keys: Sequence[int], whole: bool
+    ) -> None:
+        """Read the ``local`` group of a pull; ``whole``: it is the operation."""
+        state = client.state
+
+        def action() -> None:
+            handle.complete_keys(keys, state.read_local_many(keys))
+
+        self.after_shared_memory_access(client, len(keys), action)
+
+    def push_local(
+        self,
+        client: WorkerClient,
+        handle: OperationHandle,
+        keys: Sequence[int],
+        updates: np.ndarray,
+        rows: Optional[List[int]],
+    ) -> None:
+        """Apply rows ``rows`` of ``updates`` to the ``local`` group of a push.
+
+        ``rows=None``: the group is the whole operation (row ``i`` is
+        ``keys[i]``'s).
+        """
+        state = client.state
+
+        def action() -> None:
+            self.write_owned(
+                state, keys, updates if rows is None else select_rows(updates, rows)
+            )
+            handle.complete_keys(keys)
+
+        self.after_shared_memory_access(client, len(keys), action)
+
+    def push_resident(
+        self,
+        client: WorkerClient,
+        handle: OperationHandle,
+        local: KeyRows,
+        replica: KeyRows,
+        updates: np.ndarray,
+    ) -> None:
+        """Apply the node-resident groups of a multi-group push: the ``local``
+        group and the ``replica`` group, each charged as an access of its own."""
+        if local.keys:
+            self.push_local(client, handle, local.keys, updates, local.rows)
+        if replica.keys:
+            self.push_replica(client, handle, replica.keys, updates, replica.rows)
+
+    def write_owned(self, state: NodeState, keys: Sequence[int], updates: np.ndarray) -> None:
+        """Apply one update row per owned key — the one seam every owner-side
+        write of a technique goes through (replication hangs its subscriber
+        broadcasts here)."""
+        state.write_local_many(keys, updates)
+
+    def pull_remote(
+        self, client: WorkerClient, handle: OperationHandle, destination: int, keys: Sequence[int]
+    ) -> None:
+        """Fetch the ``remote`` group of a pull from ``destination``'s server."""
+        client._send_remote(handle, destination, keys, True)
+
+    def enqueue(self, state: NodeState, key: int, op: QueuedOp) -> None:
+        """Park ``op`` behind the in-flight arrival of ``key`` (``queue`` route)."""
+        raise ParameterServerError(f"{self.name} policy has no in-flight queue for key {key}")
+
+    def issue_localize(
+        self, client: WorkerClient, handle: OperationHandle, keys: Tuple[int, ...]
+    ) -> None:
+        """Start relocating ``keys`` to the client's node (Table 2)."""
+        raise UnsupportedOperationError(
+            f"{type(self.ps).__name__} allocates parameters statically and does "
+            "not support localize"
+        )
+
+    def pull_if_local(self, client: WorkerClient, key: int) -> Optional[np.ndarray]:
+        """Value of ``key`` if this node can answer without a message, else None."""
+        state = client.state
+        if state.storage.contains(key):
+            state.metrics.key_reads_local += 1
+            state.metrics.pulls_local += 1
+            recorder = client._trace
+            if recorder is not None:
+                recorder.local_read(key, self.ps.sim._now)
+            return state.read_local(key)
+        return None
+
+    def clock(self, client: WorkerClient) -> Generator:
+        """Advance ``client``'s clock; no synchronization by default."""
+        client._clock += 1
+        client.state.metrics.clock_advances += 1
+        return
+        yield  # pragma: no cover - makes this function a generator
+
+    def fusion_guard(self, state: NodeState) -> Any:
+        """Which resident keys workers on ``state``'s node may fuse.
+
+        ``False``: none — local access has observers beyond storage, latches
+        and metrics (see :class:`~repro.ps.base.FusedLocalSteps`).  ``None``:
+        every resident key.  A callable ``key -> truthy``: every resident key
+        it does not flag.
+        """
+        return False
+
     # ----------------------------------------------------------- server side
     def handle_read(
         self, state: NodeState, keys: Sequence[int], what: str = "asked for"
@@ -182,10 +318,7 @@ class ManagementPolicy:
             bad = first_missing(state, keys)
             if bad is None:
                 raise
-            raise ParameterServerError(
-                f"{self.ps.name} PS node {state.node_id} {what} key {bad} "
-                "it does not own"
-            ) from None
+            raise self.not_owned(state, bad, what) from None
 
     def handle_write(
         self,
@@ -201,21 +334,38 @@ class ManagementPolicy:
             bad = first_missing(state, keys)
             if bad is None:
                 raise
-            raise ParameterServerError(
-                f"{self.ps.name} PS node {state.node_id} {what} key {bad} "
-                "it does not own"
-            ) from None
+            raise self.not_owned(state, bad, what) from None
 
-    # -------------------------------------------------------------- lifecycle
-    def on_relocate(self, state: NodeState, message: Any) -> None:
-        """React to a relocation-protocol message (policies that move keys)."""
-        raise ParameterServerError(
-            f"{self.name} policy does not participate in relocations "
-            f"(got {message!r})"
+    def not_owned(self, state: NodeState, key: int, what: str) -> ParameterServerError:
+        """The error for a server message naming a ``key`` this node does not own."""
+        return ParameterServerError(
+            f"{self.ps.name} PS node {state.node_id} {what} key {key} it does not own"
         )
 
+    # -------------------------------------------------------------- lifecycle
     def on_sync(self, state: NodeState, clock: Optional[int] = None) -> None:
         """Run one synchronization round (policies that keep replicas)."""
+
+    # ------------------------------------------------------------- inspection
+    def current_owner(self, key: int) -> int:
+        """Node that currently owns ``key`` (static partition unless it moves)."""
+        return self.ps.partitioner.node_of(key)
+
+    def current_owners(self, keys: Sequence[int]) -> np.ndarray:
+        """Vectorized :meth:`current_owner`: one node id per key."""
+        return self.ps.partitioner.nodes_of(keys)
+
+    def replica_holders(self, key: int) -> Tuple[int, ...]:
+        """Nodes currently holding a replica of ``key`` (outside simulation)."""
+        return ()
+
+    def key_management(self, key: int) -> str:
+        """Name of the technique that currently manages ``key``."""
+        return self.name
+
+    def key_guarantees(self, key: int) -> Dict[str, bool]:
+        """Table-1 classification of ``key`` under this policy (see §3.4)."""
+        return dict(self.guarantees)
 
     # -------------------------------------------------------------- interning
     def _remote(self, destination: int) -> Route:
@@ -231,384 +381,6 @@ class ManagementPolicy:
                 ROUTE_SUBSCRIBE, destination
             )
         return route
-
-
-class StaticPolicy(ManagementPolicy):
-    """Static allocation (classic PS, §2.1): every key stays with its partition.
-
-    Synchronous operations are answered by the key's single owner in arrival
-    order, so all of Table 1's per-key properties hold — the price is that
-    locality never improves (no relocation, no replication).
-    """
-
-    name = "static"
-    guarantees = {
-        "eventual": True,
-        "session": True,
-        "causal": True,
-        "sequential": True,
-    }
-
-    def route(self, state: NodeState, key: int, *, write: bool = False) -> Route:
-        owner = self.ps.partitioner.node_of(key)
-        if owner == state.node_id:
-            return _LOCAL
-        return self._remote(owner)
-
-    def route_many(
-        self, state: NodeState, keys: Sequence[int], *, write: bool = False
-    ) -> List[Route]:
-        owners = self.ps.partitioner.nodes_of_list(keys)
-        node_id = state.node_id
-        return [
-            _LOCAL if owner == node_id else self._remote(owner) for owner in owners
-        ]
-
-
-class RelocationPolicy(ManagementPolicy):
-    """Dynamic parameter allocation by relocation (Lapse, §3).
-
-    Owned keys are read/written through shared memory; keys relocating *to*
-    this node queue their operations (drained when the transfer arrives,
-    §3.2); anything else is routed to the best-known location — the location
-    cache if enabled and populated, the owner directly if this node is the
-    key's home, or the home node otherwise (§3.5, Figure 5).
-
-    Consistency (§3.4): synchronous operations keep per-key sequential
-    consistency (Theorem 1); asynchronous operations keep it as long as
-    location caches are off (Theorem 2) — a stale cache entry can break
-    program order (Theorem 3), which the consistency suite demonstrates.
-    """
-
-    name = "relocation"
-    supports_localize = True
-    supports_rebalance = True
-    supports_wal_recovery = True
-    guarantees = {
-        "eventual": True,
-        "session": True,
-        "causal": True,
-        "sequential": True,
-    }
-
-    def attach(self, state: NodeState) -> None:
-        #: Owner of every key homed at this node (home-node location table).
-        state.home_location = {}
-        #: Keys currently relocating to this node.
-        state.relocating_in = {}
-        #: For keys this node recently transferred away: where they went.
-        state.last_transfer = {}
-        #: Optional location cache: key -> believed owner.
-        state.location_cache = {}
-
-    def server_handlers(self, state: NodeState):
-        cost = self.ps.cluster.cost_model.relocation_processing_time
-        return {
-            LocalizeRequest: (cost, self._handle_localize),
-            RelocateInstruction: (cost, self.on_relocate),
-            RelocationTransfer: (cost, self.on_relocate),
-            RecoveryInstall: (cost, self.on_relocate),
-        }
-
-    def route(self, state: NodeState, key: int, *, write: bool = False) -> Route:
-        if state.storage.contains(key):
-            return _LOCAL
-        if key in state.relocating_in:
-            return _QUEUE
-        return self._remote(self.route_destination(state, key))
-
-    def route_many(
-        self, state: NodeState, keys: Sequence[int], *, write: bool = False
-    ) -> List[Route]:
-        routes = []
-        for key, resident in zip(keys, state.storage.contains_flags(keys)):
-            if resident:
-                routes.append(_LOCAL)
-            elif key in state.relocating_in:
-                routes.append(_QUEUE)
-            else:
-                routes.append(self._remote(self.route_destination(state, key)))
-        return routes
-
-    def route_destination(self, state: NodeState, key: int) -> int:
-        """Best node to contact for a non-local access to ``key`` (§3.5)."""
-        ps = self.ps
-        if ps.ps_config.location_caches and key in state.location_cache:
-            state.metrics.cache_hits += 1
-            return state.location_cache[key]
-        home = ps.home_node(key)
-        if home == state.node_id:
-            # The home table is in this node's shared memory; contact the
-            # owner directly (2 messages instead of 3).
-            return state.home_location[key]
-        if ps.ps_config.location_caches:
-            state.metrics.cache_misses += 1
-        return home
-
-    def _handle_localize(self, state: NodeState, message: LocalizeRequest) -> None:
-        self.ps.process_localize_at_home(state, message.keys, message.requester_node)
-
-    def on_relocate(self, state: NodeState, message: Any) -> None:
-        """Drive the owner/new-owner halves of the relocation protocol."""
-        if isinstance(message, RelocateInstruction):
-            self.ps._handle_instruction(state, message)
-        elif isinstance(message, RelocationTransfer):
-            self.ps._handle_transfer(state, message)
-        elif isinstance(message, RecoveryInstall):
-            self.ps._handle_recovery(state, message)
-        else:
-            super().on_relocate(state, message)
-
-
-class StaleReplicaPolicy(ManagementPolicy):
-    """Bounded-staleness replicas (Petuum-style stale PS, §2.1).
-
-    Reads of remote keys may be served from a replica fetched within the
-    staleness bound (relative to the issuing worker's clock); writes to
-    remote keys are buffered and flushed at the next clock.  Remote reads
-    therefore provide only eventual consistency (Table 1): a fresh-enough
-    replica can still miss this worker's own unflushed remote writes.
-    """
-
-    name = "stale-replica"
-    guarantees = {
-        "eventual": True,
-        "session": False,
-        "causal": False,
-        "sequential": False,
-    }
-
-    def attach(self, state: NodeState) -> None:
-        #: Replicas of remote parameters: key -> [value, fetched_at_clock].
-        state.replicas = {}
-        #: Server side: nodes that accessed each locally-owned key (SSPPush).
-        state.subscriptions = defaultdict(set)
-        #: Server side: number of update flushes received per clock value.
-        state.flush_counts = defaultdict(int)
-        #: Pending flush acknowledgements: op id -> event.
-        state.pending_flush_acks = {}
-        #: Pending replica fetches: op id -> (handle, keys).
-        state.pending_fetches = {}
-
-    def server_handlers(self, state: NodeState):
-        cost = self.ps.cluster.cost_model.server_processing_time
-        return {
-            ReplicaFetchRequest: (cost, self.ps._handle_fetch),
-            UpdateFlush: (cost, self.ps._handle_flush),
-            ReplicaPush: (cost, self.ps._handle_replica_push),
-        }
-
-    def route_many(
-        self,
-        state: NodeState,
-        keys: Sequence[int],
-        *,
-        write: bool = False,
-        clock: int = 0,
-    ) -> List[Route]:
-        owners = self.ps.partitioner.nodes_of_list(keys)
-        fresh_after = clock - self.ps.ps_config.staleness_bound
-        replicas = state.replicas
-        node_id = state.node_id
-        routes = []
-        for key, owner in zip(keys, owners):
-            if owner == node_id:
-                routes.append(_LOCAL)
-            elif write:
-                routes.append(_BUFFER)
-            elif key in replicas and replicas[key][1] >= fresh_after:
-                routes.append(_REPLICA)
-            else:
-                routes.append(self._remote(owner))
-        return routes
-
-    def route(
-        self, state: NodeState, key: int, *, write: bool = False, clock: int = 0
-    ) -> Route:
-        return self.route_many(state, [key], write=write, clock=clock)[0]
-
-    def on_sync(self, state: NodeState, clock: Optional[int] = None) -> None:
-        """SSPPush: broadcast fresh values to all subscribers after a clock."""
-        self.ps._push_replicas(state, clock)
-
-
-class EagerReplicationPolicy(ManagementPolicy):
-    """Eager replication of hot keys (the alternative the paper contrasts DPA with).
-
-    The first read that a node's hot-key policy classifies as hot starts a
-    replica install (subscription at the owner); afterwards the key is read
-    and written through the local replica, with conflict-free additive
-    aggregation and a time- or clock-triggered synchronization loop.
-
-    The price is consistency (§3.4): between synchronization rounds a replica
-    read can miss other nodes' committed writes, so per-key sequential
-    consistency is lost; eventual consistency and the local session
-    guarantees (a node always sees its own writes) remain.
-    """
-
-    name = "replication"
-    supports_replica_recovery = True
-    guarantees = {
-        "eventual": True,
-        "session": True,
-        "causal": True,
-        "sequential": False,
-    }
-
-    def attach(self, state: NodeState) -> None:
-        #: Local replicas of remote parameters: key -> current value.
-        state.replicas = {}
-        #: Updates applied to local replicas but not yet flushed to the owner.
-        state.pending_updates = {}
-        #: Keys whose replica install is in flight, with queued operations.
-        state.installing = {}
-        #: Owner side: nodes holding a replica of each locally-owned key.
-        state.subscribers = defaultdict(set)
-        #: Owner side: per-subscriber aggregated deltas awaiting broadcast.
-        state.broadcast_buffer = defaultdict(dict)
-        #: This node's hot-key replication policy (per-node access counts).
-        state.policy = self.make_hot_key_policy()
-        #: Whether a time-triggered synchronization event is already scheduled.
-        state.sync_timer_pending = False
-
-    def make_hot_key_policy(self) -> HotKeyPolicy:
-        """Build one node's hot-key policy from the PS configuration."""
-        config = self.ps.ps_config
-        return make_hot_key_policy(
-            config.hot_key_policy,
-            threshold=config.hot_key_threshold,
-            hot_keys=config.hot_keys,
-            num_keys=config.num_keys,
-        )
-
-    def server_handlers(self, state: NodeState):
-        cost = self.ps.cluster.cost_model.server_processing_time
-        return {
-            ReplicaRegisterRequest: (cost, self.ps._handle_register),
-            ReplicaSyncFlush: (cost, self.ps._handle_flush),
-            ReplicaDeltaBroadcast: (cost, self.ps._handle_broadcast),
-        }
-
-    def route(
-        self,
-        state: NodeState,
-        key: int,
-        *,
-        write: bool = False,
-        owner: Optional[int] = None,
-    ) -> Route:
-        if owner is None:
-            owner = self.ps.partitioner.node_of(key)
-        if owner == state.node_id:
-            return _LOCAL
-        if key in state.replicas:
-            return _REPLICA
-        if key in state.installing:
-            return _QUEUE
-        # Accesses to keys this node neither owns nor replicates feed the
-        # hot-key statistics; replication is established on reads only.
-        state.policy.record_access(key)
-        if not write and state.policy.is_hot(key):
-            state.installing[key] = InstallingKey(key=key)
-            return self._subscribe(owner)
-        return self._remote(owner)
-
-    def route_many(
-        self, state: NodeState, keys: Sequence[int], *, write: bool = False
-    ) -> List[Route]:
-        owners = self.ps.partitioner.nodes_of_list(keys)
-        return [
-            self.route(state, key, write=write, owner=owner)
-            for key, owner in zip(keys, owners)
-        ]
-
-    def on_sync(self, state: NodeState, clock: Optional[int] = None) -> None:
-        """Flush pending replica updates and broadcast owner-side deltas."""
-        self.ps.synchronize_node(state)
-
-
-class HybridManagementPolicy(ManagementPolicy):
-    """Per-key composition: replicate hot keys, relocate the long tail.
-
-    The composition is the NuPS direction the paper's outlook sketches: most
-    keys move to the single node that works on them (relocation keeps their
-    strong per-key guarantees), while contended hot keys — which relocation
-    would bounce between nodes — are replicated to every accessor and
-    synchronized in the background.
-
-    Routing consults, in order: owned storage, the replica store, the two
-    in-flight queues (replica install / relocation), and finally the hot-key
-    policy — a hot read subscribes, everything else follows the relocation
-    routing (home node / location cache).  Replica subscriptions chase
-    relocated keys the same way accesses do: the home node forwards register
-    and flush messages to the current owner.
-    """
-
-    name = "hybrid"
-    supports_localize = True
-    supports_rebalance = True
-    supports_replica_recovery = True
-    supports_wal_recovery = True
-    #: The mixed store retains only what both techniques guarantee; per-key
-    #: classification is exposed via :meth:`key_guarantees`.
-    guarantees = {
-        "eventual": True,
-        "session": True,
-        "causal": True,
-        "sequential": False,
-    }
-
-    def __init__(self, ps: Any) -> None:
-        super().__init__(ps)
-        self.relocation = RelocationPolicy(ps)
-        self.replication = EagerReplicationPolicy(ps)
-
-    def attach(self, state: NodeState) -> None:
-        self.relocation.attach(state)
-        self.replication.attach(state)
-
-    def server_handlers(self, state: NodeState):
-        handlers = dict(self.relocation.server_handlers(state))
-        handlers.update(self.replication.server_handlers(state))
-        return handlers
-
-    def route(self, state: NodeState, key: int, *, write: bool = False) -> Route:
-        if state.storage.contains(key):
-            return _LOCAL
-        if key in state.replicas:
-            return _REPLICA
-        if key in state.installing or key in state.relocating_in:
-            return _QUEUE
-        state.policy.record_access(key)
-        if not write and state.policy.is_hot(key):
-            state.installing[key] = InstallingKey(key=key)
-            # The subscription chases the key like any access: via the
-            # location cache / home node of the relocation policy.
-            return self._subscribe(self.relocation.route_destination(state, key))
-        return self._remote(self.relocation.route_destination(state, key))
-
-    def route_destination(self, state: NodeState, key: int) -> int:
-        """Best node to contact for a cold (non-replicated) key — delegates to
-        the relocation half (home node / location cache, §3.5)."""
-        return self.relocation.route_destination(state, key)
-
-    def key_guarantees(self, key: int) -> Dict[str, bool]:
-        """Table-1 classification of one key under the current policy mix.
-
-        A key that any node currently replicates is governed by the
-        replication guarantees (sequential consistency lost between
-        synchronization rounds); a purely relocated/owned key keeps the full
-        relocation guarantees.
-        """
-        if self.ps.replica_holders(key):
-            return dict(self.replication.guarantees)
-        return dict(self.relocation.guarantees)
-
-    def on_relocate(self, state: NodeState, message: Any) -> None:
-        self.relocation.on_relocate(state, message)
-
-    def on_sync(self, state: NodeState, clock: Optional[int] = None) -> None:
-        self.replication.on_sync(state, clock)
 
 
 def consistency_classification(policy: ManagementPolicy) -> Dict[str, bool]:

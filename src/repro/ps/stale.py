@@ -3,8 +3,8 @@
 The *stale* PS architecture (§2.1) keeps the static parameter allocation of a
 classic PS but replicates previously-accessed parameters to the nodes that
 accessed them and tolerates bounded staleness in those replicas.  Applications
-drive synchronization with an explicit ``clock`` primitive.  Freshness-aware
-routing is implemented by :class:`~repro.ps.policy.StaleReplicaPolicy`.
+drive synchronization with an explicit ``clock`` primitive.  The technique is
+:class:`StaleReplicaPolicy`.
 
 Two synchronization strategies are implemented, mirroring the two Petuum modes
 compared in §4.5:
@@ -33,15 +33,16 @@ clocks old and writes of other workers become visible only after a flush.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Dict, Generator, List, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.config import message_size
-from repro.errors import ParameterServerError
 from repro.ps.base import (
+    ROUTE_LOCAL,
     NodeState,
     ParameterServer,
+    Route,
     WorkerClient,
     select_rows,
     van_address,
@@ -54,119 +55,146 @@ from repro.ps.messages import (
     ReplicaPush,
     UpdateFlush,
 )
-from repro.ps.policy import ROUTE_LOCAL, ROUTE_REPLICA, StaleReplicaPolicy
+from repro.ps.policy import BUFFER, LOCAL, REPLICA, Handlers, ManagementPolicy
 from repro.ps.storage import gather_rows
 from repro.simnet.events import Event
 
 
-def _gather_replicas(
-    replicas: Dict[int, List[Any]], keys: Sequence[int], value_length: int
-) -> np.ndarray:
-    """Copy replica values for ``keys`` into one (n, d) array in a single walk."""
-    out = np.empty((len(keys), value_length), dtype=np.float64)
-    for index, key in enumerate(keys):
-        out[index] = replicas[key][0]
-    return out
+class StaleReplicaPolicy(ManagementPolicy):
+    """Bounded-staleness replicas (Petuum-style stale PS, §2.1).
 
-
-class StaleNodeState(NodeState):
-    """Replica store, subscription table, and flush bookkeeping.
-
-    The tables are installed by
-    :meth:`repro.ps.policy.StaleReplicaPolicy.attach`; the annotations below
-    document them.
+    Reads of remote keys may be served from a replica fetched within the
+    staleness bound (relative to the issuing worker's clock); writes to
+    remote keys are buffered and flushed at the next clock.  Remote reads
+    therefore provide only eventual consistency (Table 1): a fresh-enough
+    replica can still miss this worker's own unflushed remote writes.
     """
 
-    replicas: Dict[int, List[Any]]
-    subscriptions: Dict[int, Set[int]]
-    flush_counts: Dict[int, int]
-    pending_flush_acks: Dict[int, Event]
-    pending_fetches: Dict[int, Tuple[OperationHandle, Tuple[int, ...]]]
+    name = "stale-replica"
+    needs_clock = True
+    buffers_pushes = True
+    guarantees = {
+        "eventual": True,
+        "session": False,
+        "causal": False,
+        "sequential": False,
+    }
 
+    def attach(self, state: NodeState) -> None:
+        #: Replicas of remote parameters: key -> [value, fetched_at_clock].
+        state.replicas = {}
+        #: Server side: nodes that accessed each locally-owned key (SSPPush).
+        state.subscriptions = defaultdict(set)
+        #: Server side: number of update flushes received per clock value.
+        state.flush_counts = defaultdict(int)
+        #: Pending flush acknowledgements: op id -> event.
+        state.pending_flush_acks = {}
+        #: Pending replica fetches: op id -> (handle, keys).
+        state.pending_fetches = {}
 
-class StaleWorkerClient(WorkerClient):
-    """Client of the stale PS: replica reads, buffered writes, clock-driven flushes."""
-
-    state: StaleNodeState
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def attach_client(self, client: WorkerClient) -> None:
         #: Updates accumulated since the last clock, keyed by parameter key.
-        self._write_buffer: Dict[int, np.ndarray] = {}
+        client._write_buffer = {}
 
-    # ------------------------------------------------------------------- pull
-    def _issue_pull(self, handle: OperationHandle, keys: Tuple[int, ...]) -> None:
-        state = self.state
-        metrics = state.metrics
-        cost = self.ps.cluster.cost_model
-        local_keys: List[int] = []
-        replica_keys: List[int] = []
-        fetch_groups: Dict[int, List[int]] = defaultdict(list)
-        routes = self.policy.route_many(state, keys, clock=self._clock)
-        for key, route in zip(keys, routes):
-            if route.kind == ROUTE_LOCAL:
-                local_keys.append(key)
-            elif route.kind == ROUTE_REPLICA:
-                replica_keys.append(key)
+    def server_handlers(self, state: NodeState) -> Handlers:
+        cost = self.ps.cluster.cost_model.server_processing_time
+        return {
+            ReplicaFetchRequest: (cost, self._handle_fetch),
+            UpdateFlush: (cost, self._handle_flush),
+            ReplicaPush: (cost, self._handle_replica_push),
+        }
+
+    def van_handlers(self) -> Dict[type, Callable[[NodeState, Any], None]]:
+        return {
+            ReplicaFetchResponse: self._install_fetched,
+            FlushAck: self._complete_flush,
+        }
+
+    # ---------------------------------------------------------------- routing
+    def route_many(
+        self, state: NodeState, keys: Sequence[int], *, write: bool = False
+    ) -> List[Route]:
+        owners = self.ps.partitioner.nodes_of_list(keys)
+        # The reading worker's clock (published by its client before routing).
+        fresh_after = state.reader_clock - self.ps.ps_config.staleness_bound
+        replicas = state.replicas
+        node_id = state.node_id
+        routes = []
+        for key, owner in zip(keys, owners):
+            if owner == node_id:
+                routes.append(LOCAL)
+            elif write:
+                routes.append(BUFFER)
+            elif key in replicas and replicas[key][1] >= fresh_after:
+                routes.append(REPLICA)
             else:
-                fetch_groups[route.destination].append(key)
-        if local_keys:
-            metrics.key_reads_local += len(local_keys)
-            delay = cost.interthread_access_latency * len(local_keys)
-            self._complete_after(
-                delay,
-                lambda keys=tuple(local_keys): handle.complete_keys(
-                    keys, state.read_local_many(keys)
-                ),
-            )
-        if replica_keys:
-            metrics.key_reads_local += len(replica_keys)
-            metrics.replica_reads += len(replica_keys)
-            delay = cost.interthread_access_latency * len(replica_keys)
-            self._complete_after(
-                delay,
-                lambda keys=tuple(replica_keys): handle.complete_keys(
-                    keys, _gather_replicas(state.replicas, keys, self.value_length)
-                ),
-            )
-        for owner, owner_keys in fetch_groups.items():
-            metrics.key_reads_remote += len(owner_keys)
-            self._send_fetch(handle, owner, owner_keys)
-        if fetch_groups:
-            metrics.pulls_remote += 1
-        else:
-            metrics.pulls_local += 1
+                routes.append(self._remote(owner))
+        return routes
 
-    def _send_fetch(
-        self, handle: OperationHandle, owner: int, keys: List[int]
+    def route(self, state: NodeState, key: int, *, write: bool = False) -> Route:
+        return self.route_many(state, [key], write=write)[0]
+
+    # --------------------------------------------- client side: route actions
+    # Local parameters and replicas are read through the server thread
+    # (inter-thread communication), not through shared memory.
+    def pull_local(
+        self, client: WorkerClient, handle: OperationHandle, keys: Sequence[int], whole: bool
     ) -> None:
-        for chunk in self._chunks(keys):
+        state = client.state
+        keys = tuple(keys)
+        delay = self.ps.cluster.cost_model.interthread_access_latency * len(keys)
+        client._complete_after(
+            delay, lambda: handle.complete_keys(keys, state.read_local_many(keys))
+        )
+
+    def pull_replica(
+        self, client: WorkerClient, handle: OperationHandle, keys: List[int]
+    ) -> None:
+        state = client.state
+        delay = self.ps.cluster.cost_model.interthread_access_latency * len(keys)
+
+        def action() -> None:
+            replicas = state.replicas
+            values = np.empty((len(keys), client.value_length), dtype=np.float64)
+            for index, key in enumerate(keys):
+                values[index] = replicas[key][0]
+            handle.complete_keys(keys, values)
+
+        client._complete_after(delay, action)
+
+    def pull_remote(
+        self, client: WorkerClient, handle: OperationHandle, destination: int, keys: Sequence[int]
+    ) -> None:
+        """Fetch fresh replicas of ``keys`` from their owner."""
+        for chunk in client._chunks(list(keys)):
             op_id = self.ps.next_op_id()
-            self.state.pending_fetches[op_id] = (handle, tuple(chunk))
+            client.state.pending_fetches[op_id] = (handle, tuple(chunk))
             request = ReplicaFetchRequest(
                 op_id=op_id,
                 keys=tuple(chunk),
-                requester_node=self.node_id,
-                reply_to=van_address(self.node_id),
-                clock=self._clock,
+                requester_node=client.node_id,
+                reply_to=van_address(client.node_id),
+                clock=client._clock,
             )
             self.ps.send_to_server(
-                self.node_id, owner, request, message_size(len(chunk), 0)
+                client.node_id, destination, request, message_size(len(chunk), 0)
             )
 
-    # ------------------------------------------------------------------- push
-    def _issue_push(
+    def buffer_push(
         self,
+        client: WorkerClient,
         handle: OperationHandle,
         keys: Tuple[int, ...],
         updates: np.ndarray,
-        needs_ack: bool,
     ) -> None:
-        state = self.state
+        """Issue a push.  Replaces the client's route-group-act: a stale push
+        is one inter-thread hand-off that writes owned keys and *buffers* the
+        rest until the next clock, so it is one event and always local."""
+        state = client.state
         metrics = state.metrics
-        cost = self.ps.cluster.cost_model
-        delay = cost.interthread_access_latency * len(keys)
-        routes = self.policy.route_many(state, keys, write=True, clock=self._clock)
+        write_buffer = client._write_buffer
+        delay = self.ps.cluster.cost_model.interthread_access_latency * len(keys)
+        routes = self.route_many(state, keys, write=True)
         local_keys = [
             key for key, route in zip(keys, routes) if route.kind == ROUTE_LOCAL
         ]
@@ -182,9 +210,9 @@ class StaleWorkerClient(WorkerClient):
                     metrics.key_writes_local += 1
                     continue
                 update = updates[index]
-                buffered = self._write_buffer.get(key)
+                buffered = write_buffer.get(key)
                 if buffered is None:
-                    self._write_buffer[key] = update.copy()
+                    write_buffer[key] = update.copy()
                 else:
                     buffered += update
                 # Make own writes visible locally within the staleness window.
@@ -195,10 +223,9 @@ class StaleWorkerClient(WorkerClient):
             handle.complete_keys(keys)
 
         metrics.pushes_local += 1
-        self._complete_after(delay, action)
+        client._complete_after(delay, action)
 
-    # ------------------------------------------------------------------ clock
-    def clock(self) -> Generator:
+    def clock(self, client: WorkerClient) -> Generator:
         """Advance this worker's clock: flush buffered updates to their owners.
 
         One (possibly empty) flush message is sent to every other node so that
@@ -207,71 +234,56 @@ class StaleWorkerClient(WorkerClient):
         number of workers, reproducing why client-based synchronization does
         not scale (§4.5).
         """
-        self._clock += 1
-        self.state.metrics.clock_advances += 1
+        ps = self.ps
+        state = client.state
+        value_length = ps.ps_config.value_length
+        client._clock += 1
+        state.metrics.clock_advances += 1
         groups: Dict[int, Dict[int, np.ndarray]] = defaultdict(dict)
-        if self._write_buffer:
-            buffer_keys = list(self._write_buffer.keys())
-            owners = self.ps.partitioner.nodes_of_list(buffer_keys)
+        write_buffer = client._write_buffer
+        if write_buffer:
+            buffer_keys = list(write_buffer.keys())
+            owners = ps.partitioner.nodes_of_list(buffer_keys)
             for key, owner in zip(buffer_keys, owners):
-                groups[owner][key] = self._write_buffer[key]
-        self._write_buffer = {}
+                groups[owner][key] = write_buffer[key]
+        client._write_buffer = {}
         ack_events: List[Event] = []
-        for node in range(self.ps.cluster.num_nodes):
-            if node == self.node_id:
+        for node in range(ps.cluster.num_nodes):
+            if node == client.node_id:
                 continue
             node_updates = groups.get(node, {})
             keys = tuple(sorted(node_updates.keys()))
             if keys:
-                updates = gather_rows(node_updates, keys, self.value_length)
+                updates = gather_rows(node_updates, keys, value_length)
             else:
-                updates = np.zeros((0, self.value_length))
-            op_id = self.ps.next_op_id()
-            event = Event(self.sim)
-            self.state.pending_flush_acks[op_id] = event
+                updates = np.zeros((0, value_length))
+            op_id = ps.next_op_id()
+            event = Event(ps.sim)
+            state.pending_flush_acks[op_id] = event
             ack_events.append(event)
             flush = UpdateFlush(
                 op_id=op_id,
                 keys=keys,
                 updates=updates,
-                source_node=self.node_id,
-                clock=self._clock,
-                reply_to=van_address(self.node_id),
+                source_node=client.node_id,
+                clock=client._clock,
+                reply_to=van_address(client.node_id),
             )
-            self.ps.send_to_server(
-                self.node_id, node, flush, message_size(len(keys), updates.size)
+            ps.send_to_server(
+                client.node_id, node, flush, message_size(len(keys), updates.size)
             )
         # The worker's own node needs no network flush, but its clock arrival
         # still counts toward the per-clock flush quota of the local server.
-        self.ps.record_local_clock(self.state, self._clock)
+        self._record_clock_arrival(state, client._clock)
         for event in ack_events:
             yield event
         return None
 
-
-class StalePS(ParameterServer):
-    """Petuum-style stale parameter server with SSP / SSPPush synchronization."""
-
-    client_class = StaleWorkerClient
-    policy_class = StaleReplicaPolicy
-    name = "stale"
-
-    def _make_node_state(self, node) -> StaleNodeState:
-        return StaleNodeState(self, node)
-
-    @property
-    def server_push(self) -> bool:
-        """Whether server-based synchronization (SSPPush) is enabled."""
-        return self.ps_config.stale_server_push
-
-    # ---------------------------------------------------------- server dispatch
-    def _server_dispatch(self, state: StaleNodeState):  # type: ignore[override]
-        # All stale-PS message types belong to the stale-replica policy.
-        return dict(self.management_policy.server_handlers(state))
-
-    def _handle_fetch(self, state: StaleNodeState, request: ReplicaFetchRequest) -> None:
-        values = self.management_policy.handle_read(state, request.keys)
-        if self.server_push:
+    # ------------------------------------------------------------ server side
+    def _handle_fetch(self, state: NodeState, request: ReplicaFetchRequest) -> None:
+        values = self.handle_read(state, request.keys)
+        ps = self.ps
+        if ps.ps_config.stale_server_push:
             for key in request.keys:
                 state.subscriptions[key].add(request.requester_node)
         response = ReplicaFetchResponse(
@@ -281,31 +293,31 @@ class StalePS(ParameterServer):
             clock=request.clock,
             responder_node=state.node_id,
         )
-        size = message_size(len(request.keys), len(request.keys) * self.ps_config.value_length)
-        self.network.send(state.node_id, request.reply_to, response, size)
+        size = message_size(len(request.keys), len(request.keys) * ps.ps_config.value_length)
+        ps.network.send(state.node_id, request.reply_to, response, size)
 
-    def _handle_flush(self, state: StaleNodeState, flush: UpdateFlush) -> None:
+    def _handle_flush(self, state: NodeState, flush: UpdateFlush) -> None:
         if flush.keys:
-            self.management_policy.handle_write(
+            self.handle_write(
                 state, flush.keys, flush.updates, what="received an update for"
             )
         if flush.reply_to is not None:
             ack = FlushAck(
                 op_id=flush.op_id, clock=flush.clock, responder_node=state.node_id
             )
-            self.network.send(state.node_id, flush.reply_to, ack, message_size(0, 0))
+            self.ps.network.send(state.node_id, flush.reply_to, ack, message_size(0, 0))
         self._record_clock_arrival(state, flush.clock)
 
-    def record_local_clock(self, state: StaleNodeState, clock: int) -> None:
-        """Count a clock arrival from a worker co-located with this server."""
-        self._record_clock_arrival(state, clock)
-
-    def _record_clock_arrival(self, state: StaleNodeState, clock: int) -> None:
+    def _record_clock_arrival(self, state: NodeState, clock: int) -> None:
+        """Count a clock arrival (a flush, or a co-located worker's clock)."""
         state.flush_counts[clock] += 1
-        if state.flush_counts[clock] == self.cluster.total_workers and self.server_push:
-            self.management_policy.on_sync(state, clock)
+        if (
+            state.flush_counts[clock] == self.ps.cluster.total_workers
+            and self.ps.ps_config.stale_server_push
+        ):
+            self.on_sync(state, clock)
 
-    def _push_replicas(self, state: StaleNodeState, clock: int) -> None:
+    def on_sync(self, state: NodeState, clock: Optional[int] = None) -> None:
         """SSPPush: send fresh values of all subscribed keys to every subscriber."""
         per_subscriber: Dict[int, List[int]] = defaultdict(list)
         for key, subscribers in state.subscriptions.items():
@@ -321,11 +333,11 @@ class StalePS(ParameterServer):
                 clock=clock,
                 responder_node=state.node_id,
             )
-            self.send_to_server(
+            self.ps.send_to_server(
                 state.node_id, node, push, message_size(len(keys), values.size)
             )
 
-    def _handle_replica_push(self, state: StaleNodeState, push: ReplicaPush) -> None:
+    def _handle_replica_push(self, state: NodeState, push: ReplicaPush) -> None:
         # One bulk copy; each replica row is a view into the node-owned buffer.
         values = np.array(push.values, dtype=np.float64)
         for index, key in enumerate(push.keys):
@@ -333,22 +345,24 @@ class StalePS(ParameterServer):
         state.metrics.replica_refreshes += len(push.keys)
 
     # -------------------------------------------------------------------- van
-    def _handle_extra_van_message(self, state: StaleNodeState, message: Any) -> None:  # type: ignore[override]
-        if isinstance(message, ReplicaFetchResponse):
-            entry = state.pending_fetches.pop(message.op_id, None)
-            if entry is None:
-                return
-            handle, keys = entry
-            values = np.array(message.values, dtype=np.float64)
-            for index, key in enumerate(message.keys):
-                state.replicas[key] = [values[index], message.clock]
-            handle.complete_keys(message.keys, message.values)
-        elif isinstance(message, FlushAck):
-            event = state.pending_flush_acks.pop(message.op_id, None)
-            if event is not None:
-                event.succeed(None)
-        else:
-            raise ParameterServerError(
-                f"stale PS van on node {state.node_id} received unexpected "
-                f"message {message!r}"
-            )
+    def _install_fetched(self, state: NodeState, message: ReplicaFetchResponse) -> None:
+        entry = state.pending_fetches.pop(message.op_id, None)
+        if entry is None:
+            return
+        handle, _keys = entry
+        values = np.array(message.values, dtype=np.float64)
+        for index, key in enumerate(message.keys):
+            state.replicas[key] = [values[index], message.clock]
+        handle.complete_keys(message.keys, message.values)
+
+    def _complete_flush(self, state: NodeState, message: FlushAck) -> None:
+        event = state.pending_flush_acks.pop(message.op_id, None)
+        if event is not None:
+            event.succeed(None)
+
+
+class StalePS(ParameterServer):
+    """Petuum-style stale parameter server with SSP / SSPPush synchronization."""
+
+    policy_class = StaleReplicaPolicy
+    name = "stale"

@@ -224,7 +224,7 @@ class TestDrainAndFailure:
         from repro.config import message_size
         from repro.ps.base import van_address
         from repro.ps.messages import ReplicaRegisterRequest
-        from repro.ps.policy import InstallingKey
+        from repro.ps.replica import InstallingKey
 
         elastic, trainer = make_elastic_mf(
             "hybrid", num_nodes=3, scale=TINY, workers_per_node=2, seed=6

@@ -43,8 +43,8 @@ class TestMakeParameterServer:
         assert isinstance(make_parameter_server("lapse", cluster, config), LapsePS)
         ssp = make_parameter_server("stale_ssp", cluster, config)
         ssppush = make_parameter_server("stale_ssppush", cluster, config)
-        assert isinstance(ssp, StalePS) and not ssp.server_push
-        assert isinstance(ssppush, StalePS) and ssppush.server_push
+        assert isinstance(ssp, StalePS) and not ssp.ps_config.stale_server_push
+        assert isinstance(ssppush, StalePS) and ssppush.ps_config.stale_server_push
         replica = make_parameter_server("replica", cluster, config)
         replica_clock = make_parameter_server("replica_clock", cluster, config)
         assert isinstance(replica, ReplicaPS)

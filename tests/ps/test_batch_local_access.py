@@ -3,22 +3,18 @@
 An operation whose keys are all resident is served by one shared-memory
 access and completes its handle in one piece.  That must be unobservable: the
 same values, completion times, metric counters, latch acquisitions and final
-parameters as routing every key on its own (``PerKeyRouteClient`` below — the
-client without the shortcut), for all-resident and for mixed batches.
+parameters as routing every key on its own (``PerKeyRoutePolicy`` below —
+relocation without the shortcut, so the one client routes, groups and acts
+key by key), for all-resident and for mixed batches.
 """
-
-from collections import defaultdict
 
 import numpy as np
 import pytest
 
 from repro.config import ClusterConfig, CostModel, ParameterServerConfig
 from repro.errors import ParameterServerError
-from repro.ps import LapsePS
-from repro.ps.base import KeyRows, QueuedOp
+from repro.ps import LapsePS, RelocationPolicy
 from repro.ps.futures import OperationHandle
-from repro.ps.lapse import LapseWorkerClient
-from repro.ps.policy import ROUTE_LOCAL, ROUTE_QUEUE
 from repro.simnet import Simulator
 
 NUM_KEYS = 12  # range partition over 3 nodes: 0-3 | 4-7 | 8-11
@@ -26,69 +22,14 @@ LENGTH = 2
 INITIAL = np.arange(NUM_KEYS * LENGTH, dtype=float).reshape(NUM_KEYS, LENGTH)
 
 
-class PerKeyRouteClient(LapseWorkerClient):
-    """The Lapse client with every key routed on its own (no batch shortcut)."""
+class PerKeyRoutePolicy(RelocationPolicy):
+    """Relocation with every key routed on its own (no batch shortcut)."""
 
-    def _issue_pull(self, handle, keys):
-        state, metrics = self.state, self.state.metrics
-        local_keys, queued_keys, remote_groups = [], [], defaultdict(list)
-        for key, route in zip(keys, self.policy.route_many(state, keys)):
-            if route.kind == ROUTE_LOCAL:
-                local_keys.append(key)
-            elif route.kind == ROUTE_QUEUE:
-                queued_keys.append(key)
-            else:
-                remote_groups[route.destination].append(key)
-        if local_keys:
-            metrics.key_reads_local += len(local_keys)
-            self._local_pull(handle, local_keys)
-        for key in queued_keys:
-            metrics.key_reads_local += 1
-            metrics.queued_ops += 1
-            state.relocating_in[key].queued_ops.append(
-                QueuedOp(kind="local_pull", key=key, handle=handle)
-            )
-        for destination, dest_keys in remote_groups.items():
-            metrics.key_reads_remote += len(dest_keys)
-            self._send_remote(handle, destination, dest_keys, pull=True)
-        if remote_groups:
-            metrics.pulls_remote += 1
-        else:
-            metrics.pulls_local += 1
-
-    def _issue_push(self, handle, keys, updates, needs_ack):
-        state, metrics = self.state, self.state.metrics
-        local, queued, remote_groups = KeyRows(), KeyRows(), defaultdict(KeyRows)
-        routes = self.policy.route_many(state, keys, write=True)
-        for row, (key, route) in enumerate(zip(keys, routes)):
-            if route.kind == ROUTE_LOCAL:
-                local.add(key, row)
-            elif route.kind == ROUTE_QUEUE:
-                queued.add(key, row)
-            else:
-                remote_groups[route.destination].add(key, row)
-        if local.keys:
-            metrics.key_writes_local += len(local.keys)
-            self._local_push(handle, local.keys, updates, local.rows)
-        for key, row in zip(queued.keys, queued.rows):
-            metrics.key_writes_local += 1
-            metrics.queued_ops += 1
-            state.relocating_in[key].queued_ops.append(
-                QueuedOp(kind="local_push", key=key, handle=handle, update=updates[row].copy())
-            )
-        for destination, group in remote_groups.items():
-            metrics.key_writes_remote += len(group.keys)
-            self._send_remote(
-                handle, destination, group.keys, pull=False, updates=updates, rows=group.rows
-            )
-        if remote_groups:
-            metrics.pushes_remote += 1
-        else:
-            metrics.pushes_local += 1
+    resident_is_local = False
 
 
 class PerKeyRoutePS(LapsePS):
-    client_class = PerKeyRouteClient
+    policy_class = PerKeyRoutePolicy
 
 
 def build(ps_class, **cost):
@@ -180,13 +121,13 @@ def test_key_relocated_away_before_the_access_completes_through_the_fallback(mon
     # between the issue of the batch and its access.
     slow = dict(sharedmem_access_latency=1e-3)
     reissued = []
-    reissue_key = LapseWorkerClient._reissue_key
+    reissue_key = RelocationPolicy._reissue_key
 
-    def recording_reissue_key(self, handle, key, pull, update=None):
+    def recording_reissue_key(self, client, handle, key, pull, update=None):
         reissued.append((handle.op_type, key))
-        reissue_key(self, handle, key, pull, update)
+        reissue_key(self, client, handle, key, pull, update)
 
-    monkeypatch.setattr(LapseWorkerClient, "_reissue_key", recording_reissue_key)
+    monkeypatch.setattr(RelocationPolicy, "_reissue_key", recording_reissue_key)
     observed = relocated_away(build(LapsePS, **slow))
     assert reissued == [("pull", 1), ("push", 1)]
     assert observed == relocated_away(build(PerKeyRoutePS, **slow))

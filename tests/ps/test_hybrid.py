@@ -13,7 +13,7 @@ from repro.consistency import (
     check_sequential,
 )
 from repro.ps import HybridPS
-from repro.ps.policy import HybridManagementPolicy
+from repro.ps import HybridManagementPolicy
 from repro.simnet.events import Timeout
 
 

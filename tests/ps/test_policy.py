@@ -1,18 +1,32 @@
 """Tests for the management-policy layer (routing, dispatch, classification)."""
 
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 
+import repro.ps
 from repro.config import ClusterConfig, ParameterServerConfig
 from repro.errors import ParameterServerError
 from repro.ps import (
+    ClassicIPCPS,
+    ClassicPS,
     ClassicSharedMemoryPS,
+    EagerReplicationPolicy,
+    HybridManagementPolicy,
     HybridPS,
     LapsePS,
+    RelocationPolicy,
     ReplicaPS,
     StalePS,
+    StaleReplicaPolicy,
+    StaticPolicy,
     consistency_classification,
 )
+from repro.ps.base import NodeState, ParameterServer, WorkerClient
+from repro.ps.messages import ReplicaRegisterRequest, ReplicaSyncFlush
+from repro.ps.replica import InstallingKey
 from repro.ps.policy import (
     ROUTE_BUFFER,
     ROUTE_LOCAL,
@@ -20,11 +34,6 @@ from repro.ps.policy import (
     ROUTE_REMOTE,
     ROUTE_REPLICA,
     ROUTE_SUBSCRIBE,
-    EagerReplicationPolicy,
-    HybridManagementPolicy,
-    RelocationPolicy,
-    StaleReplicaPolicy,
-    StaticPolicy,
 )
 
 
@@ -57,6 +66,48 @@ class TestPolicyBinding:
         assert not StaleReplicaPolicy(None).supports_localize
         assert not EagerReplicationPolicy(None).supports_localize
         assert RelocationPolicy(None).supports_localize
+
+
+class TestOneRuntime:
+    """A system is its policy: the runtime classes exist once, the named
+    systems only declare, and nothing is wired by multiple inheritance."""
+
+    SYSTEMS = (
+        ClassicPS, ClassicSharedMemoryPS, ClassicIPCPS, LapsePS, StalePS, ReplicaPS, HybridPS,
+    )
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_named_systems_define_no_methods(self, system):
+        assert issubclass(system, ParameterServer)
+        declared = {name for name in vars(system) if not name.startswith("__")}
+        assert declared <= {"name", "policy_class", "config_overrides"}
+        assert not any(callable(value) and not isinstance(value, type)
+                       for value in vars(system).values())
+
+    @staticmethod
+    def classes():
+        for info in pkgutil.iter_modules(repro.ps.__path__, "repro.ps."):
+            module = __import__(info.name, fromlist=["_"])
+            for _name, cls in inspect.getmembers(module, inspect.isclass):
+                if cls.__module__ == module.__name__:
+                    yield cls
+
+    def test_no_class_has_two_bases(self):
+        assert [cls for cls in self.classes() if len(cls.__bases__) > 1] == []
+
+    def test_the_runtime_classes_have_no_subclasses_with_behaviour(self):
+        for runtime in (NodeState, WorkerClient):
+            assert [cls for cls in self.classes() if cls is not runtime
+                    and issubclass(cls, runtime)] == []
+        assert {cls for cls in self.classes() if issubclass(cls, ParameterServer)} == {
+            ParameterServer, *self.SYSTEMS
+        }
+
+    def test_every_client_and_node_state_is_the_one_class(self):
+        for system in self.SYSTEMS:
+            ps = make(system)
+            assert type(ps.client(0, 0)) is WorkerClient
+            assert {type(state) for state in ps.states} == {NodeState}
 
 
 class TestStaticRouting:
@@ -108,16 +159,16 @@ class TestStaleRouting:
         policy = ps.management_policy
         state = ps.states[0]
         state.replicas[4] = [np.zeros(2), 0]  # fetched at clock 0
-        fresh = policy.route_many(state, [4], clock=1)[0]
+        state.reader_clock = 1  # published by the reading worker's client
+        fresh = policy.route_many(state, [4])[0]
         assert fresh.kind == ROUTE_REPLICA
-        stale = policy.route_many(state, [4], clock=3)[0]
+        state.reader_clock = 3
+        stale = policy.route_many(state, [4])[0]
         assert stale.kind == ROUTE_REMOTE and stale.destination == 1
 
     def test_remote_writes_buffer(self):
         ps = make(StalePS)
-        routes = ps.management_policy.route_many(
-            ps.states[0], [0, 4], write=True, clock=0
-        )
+        routes = ps.management_policy.route_many(ps.states[0], [0, 4], write=True)
         assert routes[0].kind == ROUTE_LOCAL
         assert routes[1].kind == ROUTE_BUFFER
 
@@ -160,6 +211,53 @@ class TestHybridRouting:
         assert ps.management_policy.route(state, 4).kind == ROUTE_REPLICA
 
 
+class TestRegisterAndFlushChaseRelocatedKeys:
+    """Replication alone serves subscriptions and flushes only for keys it
+    owns; with a relocation partner (hybrid) the same handlers forward a
+    relocated-away key along the relocation routing."""
+
+    @staticmethod
+    def register(key):
+        return ReplicaRegisterRequest(keys=(key,), requester_node=1, reply_to=("van", 1))
+
+    @staticmethod
+    def flush(key):
+        return ReplicaSyncFlush(keys=(key,), updates=np.ones((1, 2)), source_node=1)
+
+    def test_replication_alone_raises_does_not_own(self):
+        ps = make(ReplicaPS)
+        policy = ps.management_policy
+        assert isinstance(policy, EagerReplicationPolicy) and policy.relocation is None
+        state = ps.states[0]  # owns keys 0-3, not key 4
+        with pytest.raises(ParameterServerError, match="replica subscription for key 4 it does not own"):
+            policy._handle_register(state, self.register(4))
+        with pytest.raises(ParameterServerError, match="replica update flush for key 4 it does not own"):
+            policy._handle_flush(state, self.flush(4))
+
+    def test_hybrid_forwards_to_the_current_owner(self):
+        ps = make(HybridPS, num_nodes=3, num_keys=9)
+
+        def worker(client, worker_id):
+            if worker_id == 2:
+                yield from client.localize([0])  # key 0: home node 0, now owned by node 2
+
+        ps.run_workers(worker)
+        assert ps.current_owner(0) == 2
+        home = ps.states[0]
+        policy = ps.management_policy.replication
+        assert policy.relocation is ps.management_policy.relocation
+        before = ps.parameter(0).copy()
+        ps.states[1].installing[0] = InstallingKey(key=0)  # node 1 awaits the snapshot
+        policy._handle_register(home, self.register(0))
+        policy._handle_flush(home, self.flush(0))
+        assert home.metrics.forwarded_ops == 2
+        assert not home.subscribers.get(0)
+        ps.run()  # deliver the forwarded messages to node 2, its install to node 1
+        assert ps.states[2].subscribers[0] == {1}
+        np.testing.assert_array_equal(ps.states[1].replicas[0], before)
+        np.testing.assert_array_equal(ps.parameter(0), before + 1.0)
+
+
 class TestServerDispatch:
     def test_unexpected_message_raises(self):
         ps = make(ClassicSharedMemoryPS)
@@ -181,7 +279,7 @@ class TestServerDispatch:
         )
 
         ps = make(LapsePS)
-        dispatch = ps._server_dispatch(ps.states[0])
+        dispatch = ps.management_policy.server_handlers(ps.states[0])
         assert PullRequest in dispatch
         assert LocalizeRequest in dispatch
         assert RelocateInstruction in dispatch
@@ -191,14 +289,10 @@ class TestServerDispatch:
         assert dispatch[LocalizeRequest][0] == cost.relocation_processing_time
 
     def test_hybrid_dispatch_is_the_union_of_both_protocols(self):
-        from repro.ps.messages import (
-            LocalizeRequest,
-            ReplicaRegisterRequest,
-            ReplicaSyncFlush,
-        )
+        from repro.ps.messages import LocalizeRequest
 
         ps = make(HybridPS)
-        dispatch = ps._server_dispatch(ps.states[0])
+        dispatch = ps.management_policy.server_handlers(ps.states[0])
         assert LocalizeRequest in dispatch
         assert ReplicaRegisterRequest in dispatch
         assert ReplicaSyncFlush in dispatch

@@ -213,7 +213,7 @@ class TestReplication:
         assert np.allclose(ps.parameter(0), 2.0)
         for node in (1, 2):
             assert np.allclose(ps.states[node].replicas[0], 2.0)
-        assert not any(state.sync_dirty for state in ps.states)
+        assert not any(ps.management_policy.sync_dirty(state) for state in ps.states)
 
     def test_sync_traffic_metrics_recorded(self):
         ps = make_ps()
