@@ -27,6 +27,7 @@ is being processed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Generator, List, Optional, Tuple
 
 import numpy as np
@@ -34,7 +35,13 @@ import numpy as np
 from repro.config import derive_seed
 from repro.data.synthetic_graph import SyntheticKnowledgeGraph
 from repro.errors import ExperimentError
-from repro.ml.common import maybe_localize, needs_clock, supports_localize
+from repro.ml.common import (
+    install_parameters,
+    local_step,
+    maybe_localize,
+    needs_clock,
+    supports_localize,
+)
 from repro.ml.metrics import log_loss, sigmoid
 from repro.ml.optim import AdaGradPacking, adagrad_update
 from repro.ml.results import EpochResult
@@ -151,6 +158,11 @@ class KGETrainer:
                 f"got {ps.ps_config.value_length}"
             )
         self._epochs_run = 0
+        #: Triples whose pull → step → push ran inline as a verified fused step
+        #: (:meth:`repro.ps.base.FusedLocalSteps.step`), and triples the runner
+        #: handed back to the event path; both 0 where no runner is offered.
+        self.fused_steps = 0
+        self.declined_steps = 0
         num_negatives = self.config.num_negatives
         #: Pairs scored per triple, in accumulation order: the triple itself,
         #: its subject corruptions, its object corruptions.  The columns index
@@ -195,13 +207,7 @@ class KGETrainer:
         # One draw for the whole table: the Generator fills it in key order,
         # so the stream (and every bit) equals per-key draws.
         values = rng.normal(0.0, self.config.init_scale, size=(num_keys, base_dim))
-        packed = self.packing.pack(values, np.zeros((num_keys, base_dim)))
-        keys = np.arange(num_keys, dtype=np.int64)
-        owners = self.ps.current_owners(keys)
-        for node, state in enumerate(self.ps.states):
-            node_keys = keys[owners == node]
-            if node_keys.size:
-                state.storage.set_many(node_keys, packed[node_keys])
+        install_parameters(self.ps, self.packing.pack(values, np.zeros((num_keys, base_dim))))
 
     # ---------------------------------------------------------------- scoring
     def score_pairs(
@@ -269,7 +275,10 @@ class KGETrainer:
         """Run one epoch over all triples."""
         epoch = self._epochs_run
         start_time = self.ps.simulated_time
-        self.ps.run_workers(self._worker_epoch)
+        for counts in self.ps.run_workers(self._worker_epoch):
+            if counts is not None:
+                self.fused_steps += counts[0]
+                self.declined_steps += counts[1]
         duration = self.ps.simulated_time - start_time
         self._epochs_run += 1
         loss = self.evaluation_loss() if compute_loss else None
@@ -322,6 +331,9 @@ class KGETrainer:
                 relation_keys.extend(self.keyspace.relation_keys(relation))
             yield from maybe_localize(client, relation_keys)
         yield from client.barrier()
+        # Verified fused steps, one triple at a time (the prelocalizer acts
+        # between triples).
+        runner = client.fused_local_steps()
         if triples is not None and len(triples) > 0:
             # Pre-draw negative entities for every triple of this epoch.
             negatives = rng.integers(
@@ -330,6 +342,7 @@ class KGETrainer:
             entity_keys, step_keys, step_rows = self._epoch_schedule(triples, negatives)
             use_latency_hiding = config.latency_hiding and supports_localize(self.ps)
             prelocalizer = Prelocalizer(client) if use_latency_hiding else None
+            compute_time = config.compute_time_per_triple
             if prelocalizer is not None:
                 prelocalizer.prime(entity_keys[0])
             for index in range(len(triples)):
@@ -337,16 +350,14 @@ class KGETrainer:
                     prelocalizer.announce(entity_keys[index + 1])
                 if prelocalizer is not None:
                     yield from prelocalizer.ready()
-                keys = step_keys[index]
-                pulled = yield from client.pull(keys)
-                updates = self._step_updates(pulled, step_rows[index])
-                client.push_async(keys, updates, needs_ack=False)
-                if config.compute_time_per_triple > 0:
-                    yield config.compute_time_per_triple
+                kernel = partial(self._step_updates, rows=step_rows[index])
+                yield from local_step(client, runner, step_keys[index], compute_time, kernel)
         yield from client.barrier()
         if needs_clock(self.ps):
             yield from client.clock()
-        return None
+        if runner is None:
+            return None
+        return runner.taken, runner.declined
 
     def _step_updates(self, pulled: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """AdaGrad updates for one triple's keys from their pulled block.

@@ -18,14 +18,14 @@ trade-off the paper describes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.config import derive_seed
 from repro.data.synthetic_corpus import SyntheticCorpus
 from repro.errors import ExperimentError
-from repro.ml.common import needs_clock, supports_localize
+from repro.ml.common import install_parameters, local_step, needs_clock, supports_localize
 from repro.ml.metrics import sigmoid
 from repro.ml.results import EpochResult
 from repro.pal.latency_hiding import Prelocalizer
@@ -73,6 +73,8 @@ class Word2VecConfig:
             raise ExperimentError("num_negatives must be >= 1")
         if self.learning_rate <= 0:
             raise ExperimentError("learning_rate must be positive")
+        if self.compute_time_per_pair < 0:
+            raise ExperimentError("compute_time_per_pair must be non-negative")
         if self.presample_size < self.num_negatives:
             raise ExperimentError("presample_size must be at least num_negatives")
         if not 0 < self.presample_refresh <= self.presample_size:
@@ -115,6 +117,11 @@ class Word2VecTrainer:
         #: Count of negative-sample candidates skipped because they were not
         #: local (localization conflicts), summed over all workers.
         self.skipped_negatives = 0
+        #: Pairs whose pull → step → push ran inline as a verified fused step
+        #: (:meth:`repro.ps.base.FusedLocalSteps.step`), and pairs the runner
+        #: handed back to the event path; both 0 where no runner is offered.
+        self.fused_steps = 0
+        self.declined_steps = 0
 
     # ------------------------------------------------------------ preparation
     def _partition_sentences(self) -> None:
@@ -126,10 +133,10 @@ class Word2VecTrainer:
 
     def _initialize_embeddings(self) -> None:
         rng = np.random.default_rng(derive_seed(self.seed, 303))
-        for key in range(2 * self.vocabulary_size):
-            value = rng.normal(0.0, self.config.init_scale, size=self.config.dim)
-            owner = self.ps.current_owner(key)
-            self.ps.states[owner].storage.set(key, value)
+        # One draw for the whole table: the Generator fills it in key order,
+        # so the stream (and every bit) equals per-key draws.
+        shape = (2 * self.vocabulary_size, self.config.dim)
+        install_parameters(self.ps, rng.normal(0.0, self.config.init_scale, size=shape))
 
     def _compute_keep_probabilities(self) -> np.ndarray:
         """Frequent-word subsampling probabilities (Mikolov et al.)."""
@@ -176,7 +183,10 @@ class Word2VecTrainer:
         """Run one epoch over all sentences."""
         epoch = self._epochs_run
         start_time = self.ps.simulated_time
-        self.skipped_negatives += sum(self.ps.run_workers(self._worker_epoch))
+        for skipped, fused, declined in self.ps.run_workers(self._worker_epoch):
+            self.skipped_negatives += skipped
+            self.fused_steps += fused
+            self.declined_steps += declined
         duration = self.ps.simulated_time - start_time
         self._epochs_run += 1
         error = self.evaluation_error() if compute_error else None
@@ -207,6 +217,12 @@ class Word2VecTrainer:
         # in the reference Word2Vec implementation.
         sentences = [self._subsample(sentence, rng) for sentence in sentences]
         prelocalizer = Prelocalizer(client) if use_latency_hiding else None
+        # Verified fused steps, one pair at a time: every pair resumes through
+        # the kernel, because negative selection reads residency between pairs.
+        runner = client.fused_local_steps()
+        compute_time = config.compute_time_per_pair
+        train_pair = self._train_pair
+        vocabulary_size = self.vocabulary_size
         # Per-epoch key schedule: every sentence's key list was previously
         # computed twice (prime/announce plus processing order).
         sentence_keys = (
@@ -216,69 +232,72 @@ class Word2VecTrainer:
         )
         if prelocalizer is not None and sentences:
             prelocalizer.prime(sentence_keys[0])
+        contains = client.state.storage.contains
+        num_negatives = config.num_negatives
+        keys_per_pair = 2 + num_negatives
         for sentence_index, sentence in enumerate(sentences):
             if prelocalizer is not None and sentence_index + 1 < len(sentences):
                 prelocalizer.announce(sentence_keys[sentence_index + 1])
             if prelocalizer is not None:
                 yield from prelocalizer.ready()
-            for center_position, center in enumerate(sentence):
+            words = sentence.tolist()
+            for center_position, center in enumerate(words):
                 lo = max(0, center_position - config.window)
-                hi = min(len(sentence), center_position + config.window + 1)
+                hi = min(len(words), center_position + config.window + 1)
                 for context_position in range(lo, hi):
                     if context_position == center_position:
                         continue
                     # Refresh the negative pool once presample_refresh
                     # candidates have been consumed (paper: a new list of 4000
                     # is sampled when the 3900th sample is reached).
-                    if pool_position + config.num_negatives > config.presample_refresh:
+                    if pool_position + num_negatives > config.presample_refresh:
                         negative_pool = refill_pool()
                         pool_position = 0
-                    negatives = []
-                    while len(negatives) < config.num_negatives and pool_position < len(
-                        negative_pool
-                    ):
-                        candidate = negative_pool[pool_position]
+                    # Keys of the pair: the center's input vector, then the
+                    # output vectors of the context word and the negatives.
+                    keys = [center, vocabulary_size + words[context_position]]
+                    while len(keys) < keys_per_pair and pool_position < len(negative_pool):
+                        candidate = vocabulary_size + negative_pool[pool_position]
                         pool_position += 1
-                        if use_latency_hiding:
-                            # Only use negatives whose parameters are local
-                            # (skip localization conflicts, Appendix A).
-                            if client.state.storage.contains(self.output_key(candidate)):
-                                negatives.append(candidate)
-                            else:
-                                skipped_negatives += 1
+                        # Under latency hiding, only use negatives whose
+                        # parameters are local (skip localization conflicts,
+                        # Appendix A).
+                        if not use_latency_hiding or contains(candidate):
+                            keys.append(candidate)
                         else:
-                            negatives.append(candidate)
-                    yield from self._train_pair(
-                        client, int(center), int(sentence[context_position]), negatives
-                    )
-                    if config.compute_time_per_pair > 0:
-                        yield config.compute_time_per_pair
+                            skipped_negatives += 1
+                    yield from local_step(client, runner, keys, compute_time, train_pair)
         yield from client.barrier()
         if needs_clock(self.ps):
             yield from client.clock()
-        return skipped_negatives
+        if runner is None:
+            return skipped_negatives, 0, 0
+        return skipped_negatives, runner.taken, runner.declined
 
-    def _train_pair(
-        self, client, center: int, context: int, negatives: Sequence[int]
-    ) -> Generator:
-        config = self.config
-        keys = [self.input_key(center), self.output_key(context)] + [
-            self.output_key(n) for n in negatives
-        ]
-        pulled = yield from client.pull(keys)
-        center_vec = pulled[0]
-        grad_center = np.zeros(config.dim)
-        updates = np.zeros((len(keys), config.dim))
-        targets = [1.0] + [0.0] * len(negatives)
-        for slot, label in enumerate(targets):
-            output_vec = pulled[1 + slot]
-            score = float(center_vec @ output_vec)
-            coefficient = float(sigmoid(np.array([score]))[0] - label)
-            grad_center += coefficient * output_vec
-            updates[1 + slot] = -config.learning_rate * coefficient * center_vec
-        updates[0] = -config.learning_rate * grad_center
-        client.push_async(keys, updates, needs_ack=False)
-        return None
+    def _train_pair(self, pulled: np.ndarray) -> np.ndarray:
+        """SGD updates of one skip-gram pair from its pulled block.
+
+        ``pulled`` holds the center word's input vector, then the output
+        vectors of the context word (label 1) and of the negatives (label 0);
+        the result has one update row per pulled row.  Shared by the fused
+        and the event lane, and bit-identical to a slot-at-a-time loop
+        (``tests/ml/reference_word2vec.py``): one ``ddot`` per score (a
+        ``gemv`` sums in another order), one ``sigmoid`` over the score
+        vector (element-wise), the center gradient accumulated from zero row
+        by row in slot order, and every product grouped as the loop writes it
+        — ``(-lr * coefficient) * center``.
+        """
+        center = pulled[0]
+        outputs = pulled[1:]
+        dot = center.dot
+        coefficients = sigmoid(np.array([dot(output) for output in outputs]))
+        coefficients[0] -= 1.0
+        step = -self.config.learning_rate
+        updates = np.empty_like(pulled)
+        np.add.reduce(coefficients[:, None] * outputs, axis=0, initial=0.0, out=updates[0])
+        updates[0] *= step
+        np.multiply((step * coefficients)[:, None], center, out=updates[1:])
+        return updates
 
     # ------------------------------------------------------------- evaluation
     def embeddings(self) -> Tuple[np.ndarray, np.ndarray]:

@@ -241,6 +241,17 @@ class _OpRecorder:
             len(handle.keys),
         )
 
+    def span(
+        self, op_type: str, keys: Any, issued: float, completed: float
+    ) -> None:
+        """Record an operation that ran without a handle (a verified fused
+        step): the heatmap and span :meth:`issue` / ``_complete`` would give."""
+        trace = self.trace
+        if trace.heat_interval is not None:
+            for key in keys:
+                trace.heat_key(key, issued)
+        trace.op(op_type, self.worker_id, issued, completed, len(keys))
+
     def fused(self, kind: str, key: int, started: float, completed: float) -> None:
         """Record one fused local step (replayed at the fused runner's clock)."""
         trace = self.trace

@@ -319,30 +319,42 @@ class NodeState:
 
 
 class FusedLocalSteps:
-    """Fused purely-local worker steps: zero kernel events per step.
+    """Fused purely-local worker steps, run inline instead of event by event.
 
     On a shared-memory PS, one local training step costs the simulator a pull
     handle, two deferred actions, a timeout, and several generator resumes —
     all to model ``read, update, write`` on the worker's own node.  This
     runner performs the same storage reads/writes, latch accounting, and
-    metric increments *immediately* and accumulates the simulated time the
-    slow path would have taken; the trainer yields the accumulated time to
-    the kernel in one piece at its next communication or synchronization
-    boundary (:meth:`take_pending`).
+    metric increments *immediately* and replays the simulated time the slow
+    path would have taken.  It offers two lanes, which differ in why running
+    inline is safe:
 
-    Bit-identity contract (enforced by the test sweep, not checkable here):
-    the caller must guarantee that the keys it fuses are **private to this
-    worker** until the next drain — no other worker, server handler, or
-    background synchronizer reads or writes them inside the deferred-time
-    window.  Parameter blocking (§4.1) provides exactly this guarantee for
-    matrix factorization, which is why the MF trainer opts in.  Only
-    management policies whose local access has no side effects beyond
+    **Asserted** (:meth:`try_pull` / :meth:`push` / :meth:`advance` /
+    :meth:`drain`; zero kernel events per step).  The caller guarantees that
+    the keys it fuses are **private to this worker** until the next drain — no
+    other worker, server handler, or background synchronizer reads or writes
+    them inside the deferred-time window — and yields the accumulated time in
+    one piece at its next communication or synchronization boundary.
+    Parameter blocking (§4.1) provides exactly this guarantee for matrix
+    factorization, which is why the MF trainer opts in.  Not checkable here;
+    enforced by the bit-identity test sweep.
+
+    **Verified** (:meth:`step`; one kernel event per step).  For keys other
+    workers share, the runner checks the kernel's event horizon instead: a
+    multi-key pull → step → push runs inline only when every key is resident
+    and unguarded and nothing else is scheduled up to and including the
+    instant of the write (:meth:`~repro.simnet.kernel.Simulator.quiet_through`),
+    so no other event could have observed or reordered the read and the
+    write.  Anything else declines and the caller takes the event path.
+
+    Only management policies whose local access has no side effects beyond
     storage/latch/metric accounting offer the runner, and they may hold
     individual keys back (:meth:`~repro.ps.policy.ManagementPolicy.fusion_guard`).
     """
 
     __slots__ = (
         "sim", "storage", "latches", "metrics", "access_delay", "clock", "trace", "guard",
+        "state", "policy", "recorder", "verifiable", "taken", "declined",
     )
 
     def __init__(self, client: "WorkerClient", guard: Optional[Callable[[int], Any]]) -> None:
@@ -361,6 +373,19 @@ class FusedLocalSteps:
         #: deferred clock, so their spans carry the exact slow-path times.
         recorder = client._trace
         self.trace = recorder if recorder is not None and recorder.fused_on else None
+        #: The verified lane's collaborators: the node state it reads through,
+        #: the policy whose owner-side write seam it uses, and the worker's
+        #: span recorder (its steps report ordinary ``pull``/``push`` spans).
+        self.state = state
+        self.policy = client.ps.management_policy
+        self.recorder = recorder
+        #: A logged store stamps WAL records and compares lazy-checkpoint due
+        #: times with ``sim.now`` at append, which an inline write would move
+        #: from the write instant to the issue instant.
+        self.verifiable = client.ps.durability is None
+        #: Verified steps run inline / handed back to the event path.
+        self.taken = 0
+        self.declined = 0
         #: Replayed worker clock: the simulated time this worker would have
         #: reached had every fused step gone through the kernel.  The deltas
         #: are added one at a time, in slow-path order, so the final resume
@@ -419,6 +444,66 @@ class FusedLocalSteps:
         Only meaningful after a :meth:`try_pull` started the deferred window.
         """
         self.clock = self.clock + delta
+
+    def step(
+        self,
+        keys: Sequence[int],
+        compute_time: float,
+        kernel: Callable[[np.ndarray], np.ndarray],
+    ):
+        """Verified fused ``pull(keys)`` → ``kernel`` → ``push_async(keys)`` →
+        ``yield compute_time``: the event to yield, or None to fall back.
+
+        With ``t`` the current instant and ``d`` the shared-memory delay of
+        ``len(keys)`` values, the event path reads at ``t1 = t + d``, writes
+        at ``t2 = t1 + d`` and resumes the worker at ``t3 = t1 +
+        compute_time``.  The step runs inline — read, ``kernel(values)``,
+        write, the counters and latches of both operations — iff
+
+        * every key is resident and unguarded (in range is the caller's duty,
+          as for :meth:`try_pull`),
+        * ``t3 >= t2``: the worker's own next step must not overtake its write,
+        * the kernel is quiet through ``t2``: ties at ``t2`` take the event
+          path, so nothing can run between the read and the write.
+
+        The instants are the slow path's own additions (``(t + d) + d``,
+        ``(t + d) + compute_time``), so the resume lands on its exact bits.
+        A declined step leaves all state untouched.  The calling process must
+        be the last thing the event being processed resumes (a callback still
+        to run at ``t`` is on no queue the horizon test could see); every
+        resume of a worker process — wake-up, timeout, handle completion,
+        barrier release — is an event of its own.
+        """
+        sim = self.sim
+        now = sim._now
+        count = len(keys)
+        delay = self.access_delay * count
+        read_at = now + delay
+        write_at = read_at + delay
+        resume_at = read_at + compute_time
+        guard = self.guard
+        if (
+            resume_at < write_at
+            or not self.verifiable
+            or not sim.quiet_through(write_at)
+            or not all(self.storage.contains_flags(keys))
+            or (guard is not None and any(guard(key) for key in keys))
+        ):
+            self.declined += 1
+            return None
+        self.taken += 1
+        metrics = self.metrics
+        metrics.key_reads_local += count
+        metrics.pulls_local += 1
+        metrics.key_writes_local += count
+        metrics.pushes_local += 1
+        recorder = self.recorder
+        if recorder is not None:
+            recorder.span("pull", keys, now, read_at)
+            recorder.span("push", keys, read_at, write_at)
+        state = self.state
+        self.policy.write_owned(state, keys, kernel(state.read_local_many(keys)))
+        return sim.wake_at(resume_at)
 
     def drain(self):
         """Event resuming the worker at the replayed clock, or None if caught up.

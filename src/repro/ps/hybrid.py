@@ -159,6 +159,9 @@ class HybridManagementPolicy(ManagementPolicy):
     ) -> None:
         self.relocation.push_local(client, handle, keys, updates, rows)
 
+    def write_owned(self, state: NodeState, keys: Sequence[int], updates: np.ndarray) -> None:
+        self.relocation.write_owned(state, keys, updates)
+
     def pull_replica(
         self, client: WorkerClient, handle: OperationHandle, keys: List[int]
     ) -> None:

@@ -629,39 +629,66 @@ class RelocationPolicy(ManagementPolicy):
             self._complete_requester_side(state, list(transfer.keys))
             return
         ps = self.ps
-        for index, key in enumerate(transfer.keys):
-            if key not in state.relocating_in:
+        now = ps.sim.now
+        keys = transfer.keys
+        values = transfer.values
+        removed_at = transfer.removed_at
+        subscribers = transfer.subscribers
+        replication = self.replication
+        trace = state.trace
+        location_cache = state.location_cache if ps.ps_config.location_caches else None
+        relocating_in = state.relocating_in
+        insert = state.storage.insert
+        metrics = state.metrics
+        record_relocation_time = metrics.relocation_time.record
+        metrics.relocations += len(keys)
+        # Every key of a transfer was removed at the same instant.
+        metrics.blocking_time.record_repeated(now - removed_at, len(keys))
+        # Localize handles complete once per run of consecutive keys sharing
+        # one, flushed before anything else that draws a kernel sequence
+        # number (queue drains, follow-up instructions): the completions —
+        # and every scheduling draw — keep the key-by-key order.
+        run_handle: Optional[OperationHandle] = None
+        run_keys: List[int] = []
+        for index, key in enumerate(keys):
+            entry = relocating_in.pop(key, None)
+            if entry is None:
                 raise RelocationError(
                     f"node {state.node_id} received a transfer for key {key} "
                     "it did not request"
                 )
-            state.storage.insert(key, transfer.values[index])
-            if self.replication is not None:
-                self.replication.adopt_subscribers(
-                    state, key, transfer.subscribers[index] if transfer.subscribers else ()
+            insert(key, values[index])
+            if replication is not None:
+                replication.adopt_subscribers(
+                    state, key, subscribers[index] if subscribers else ()
                 )
-            entry = state.relocating_in.pop(key)
-            state.metrics.relocations += 1
-            state.metrics.relocation_time.record(ps.sim.now - entry.requested_at)
-            state.metrics.blocking_time.record(ps.sim.now - transfer.removed_at)
-            trace = state.trace
+            record_relocation_time(now - entry.requested_at)
             if trace is not None:
-                trace.relocation(
-                    key, entry.requested_at, transfer.removed_at, ps.sim.now
-                )
-            if ps.ps_config.location_caches:
-                state.location_cache.pop(key, None)
+                trace.relocation(key, entry.requested_at, removed_at, now)
+            if location_cache is not None:
+                location_cache.pop(key, None)
             for handle in entry.localize_handles:
-                handle.complete_keys([key])
-            self._drain_queue(state, key, entry)
-            if entry.pending_new_owner is not None:
-                follow_up = RelocateInstruction(
-                    op_id=ps.next_op_id(),
-                    keys=(key,),
-                    new_owner=entry.pending_new_owner,
-                    home_node=self.home_node(key),
-                )
-                self._handle_instruction(state, follow_up)
+                if handle is not run_handle:
+                    if run_keys:
+                        run_handle.complete_keys(run_keys)
+                        run_keys = []
+                    run_handle = handle
+                run_keys.append(key)
+            if entry.queued_ops or entry.pending_new_owner is not None:
+                if run_keys:
+                    run_handle.complete_keys(run_keys)
+                    run_keys = []
+                self._drain_queue(state, key, entry)
+                if entry.pending_new_owner is not None:
+                    follow_up = RelocateInstruction(
+                        op_id=ps.next_op_id(),
+                        keys=(key,),
+                        new_owner=entry.pending_new_owner,
+                        home_node=self.home_node(key),
+                    )
+                    self._handle_instruction(state, follow_up)
+        if run_keys:
+            run_handle.complete_keys(run_keys)
 
     def _complete_requester_side(self, state: NodeState, keys: List[int]) -> None:
         """Complete localize handles for keys that turned out to be local already."""

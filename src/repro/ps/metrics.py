@@ -71,6 +71,30 @@ class RunningStat:
             self.buckets = buckets
         buckets[_hist_index(value)] += 1
 
+    def record_repeated(self, value: float, times: int) -> None:
+        """Add ``times`` samples of one ``value``.
+
+        Equal, bit for bit, to ``times`` calls of :meth:`record`: ``total``
+        still accumulates sample by sample (``times * value`` rounds
+        differently); only the bounds and the bucket are worked out once.
+        """
+        if times < 1:
+            return
+        self.count += times
+        total = self.total
+        for _ in range(times):
+            total += value
+        self.total = total
+        if value < self.minimum:
+            self.minimum = value
+        if value > self.maximum:
+            self.maximum = value
+        buckets = self.buckets
+        if buckets is None:
+            buckets = [0] * _HIST_BUCKETS
+            self.buckets = buckets
+        buckets[_hist_index(value)] += times
+
     @property
     def mean(self) -> float:
         """Mean of the recorded samples (0.0 when empty)."""

@@ -187,6 +187,11 @@ class Simulator:
         #: Events dispatched by :meth:`run_window` since the fork — the
         #: shard-load signal for adaptive shard rebalancing.
         self.executed_events = 0
+        #: Exclusive bound of the run loop in progress: ``until`` of
+        #: :meth:`run` (``inf`` without a cutoff), ``end`` of
+        #: :meth:`run_window`; ``-inf`` while no loop runs (see
+        #: :meth:`quiet_through`).
+        self._run_bound = -math.inf
 
     # ------------------------------------------------------------------ sharding
     def enter_shard_mode(self, rank: int) -> None:
@@ -307,6 +312,23 @@ class Simulator:
         if not self._queue:
             return None
         return self._queue[0][0]
+
+    def quiet_through(self, time: float) -> bool:
+        """Whether nothing but the caller can happen up to and including ``time``.
+
+        True iff the ring is empty, no heap entry is due at or before
+        ``time`` and ``time`` lies strictly below the bound of the run loop in
+        progress — past ``until`` the loop stops before reaching it, and past
+        a window's ``end`` a cross-shard delivery may still be merged in.
+        The caller (code running inside the event being processed) may then
+        perform its own actions due up to ``time`` inline: no other event can
+        observe or reorder them.  Always False outside :meth:`run` /
+        :meth:`run_window` (a :meth:`step` driver gives no bound).
+        """
+        if self._ring or time >= self._run_bound:
+            return False
+        queue = self._queue
+        return not queue or queue[0][0] > time
 
     # ------------------------------------------------------------------ events
     def event(self) -> Event:
@@ -501,6 +523,7 @@ class Simulator:
                 f"cannot run until {until}, which is before current time {self._now}"
             )
         self._running = True
+        self._run_bound = math.inf if until is None else until
         # Hoisted locals: this loop is the single hottest code path of the
         # whole simulator.
         queue = self._queue
@@ -573,6 +596,7 @@ class Simulator:
                             pool.append(item)
         finally:
             self._running = False
+            self._run_bound = -math.inf
         return self._now
 
     def run_window(self, end: float, inclusive: bool = False) -> float:
@@ -608,6 +632,7 @@ class Simulator:
             # Keep the hot loop's single `time >= end` comparison: an
             # inclusive bound is an exclusive bound just past ``end``.
             end = math.nextafter(end, math.inf)
+        self._run_bound = end
         try:
             while True:
                 if queue:
@@ -640,6 +665,7 @@ class Simulator:
                         pool.append(item)
         finally:
             self._running = False
+            self._run_bound = -math.inf
             self.executed_events += executed
         return self._now
 

@@ -33,3 +33,13 @@ def test_profile_hotpath_smoke(profile_hotpath, capsys):
     # One profile block for the requested system, with the pstats table header.
     assert "=== classic:" in output
     assert "ncalls" in output
+
+
+@pytest.mark.parametrize("task, unit", [("kge", "triples"), ("w2v", "sentences")])
+def test_profile_hotpath_other_tasks(profile_hotpath, capsys, task, unit):
+    exit_code = profile_hotpath.main(["--task", task, "--systems", "lapse", "--top", "3"])
+    assert exit_code == 0
+    output = capsys.readouterr().out
+    assert f"=== lapse: one {task.upper()} epoch" in output
+    assert unit in output
+    assert "ncalls" in output

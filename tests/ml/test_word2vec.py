@@ -49,6 +49,9 @@ class TestConfigValidation:
             Word2VecConfig(num_negatives=10, presample_size=5)
         with pytest.raises(ExperimentError):
             Word2VecConfig(presample_refresh=0)
+        with pytest.raises(ExperimentError):
+            Word2VecConfig(compute_time_per_pair=-1e-6)
+        assert Word2VecConfig(compute_time_per_pair=0.0).compute_time_per_pair == 0.0
 
     def test_key_space_mismatch_rejected(self):
         cluster = ClusterConfig(num_nodes=1, workers_per_node=1)

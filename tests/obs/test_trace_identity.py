@@ -144,3 +144,42 @@ def test_jobs2_traced_identical_and_merged():
         assert sorted(seq_trace.server) == sorted(par_trace.server)
         assert sorted(seq_trace.net) == sorted(par_trace.net)
         assert sorted(seq_trace.reloc) == sorted(par_trace.reloc)
+
+
+def test_w2v_spans_identical_whether_pairs_fuse_or_not(monkeypatch):
+    """A verified fused step reports the ``pull``/``push`` spans (type, worker,
+    times, key count), heatmap counts and latency histograms of the event
+    path it replaces: the trace of a run where most pairs fuse equals the
+    trace of the same run with the runner withheld."""
+    from repro.ps.base import FusedLocalSteps, WorkerClient
+
+    taken = []
+    verified_step = FusedLocalSteps.step
+
+    def counting_step(self, keys, compute_time, kernel):
+        wake = verified_step(self, keys, compute_time, kernel)
+        taken.append(wake is not None)
+        return wake
+
+    monkeypatch.setattr(FusedLocalSteps, "step", counting_step)
+
+    def run():
+        result = run_w2v_experiment(
+            "lapse", scale=W2V, compute_error=False, trace=TraceConfig(), **NODES
+        )
+        return result, result.tracer.node_traces()
+
+    monkeypatch.delenv("REPRO_DISABLE_FASTPATH", raising=False)
+    fused, fused_traces = run()
+    assert 0 < sum(taken) < len(taken)  # both lanes contributed spans
+    monkeypatch.setattr(WorkerClient, "fused_local_steps", lambda self: None)
+    event, event_traces = run()
+    assert _fingerprint(fused) == _fingerprint(event)
+    assert any(op[0] in ("pull", "push") for trace in fused_traces for op in trace.ops)
+    for fused_trace, event_trace in zip(fused_traces, event_traces):
+        assert fused_trace.ops == event_trace.ops
+        assert fused_trace.heat == event_trace.heat
+        assert {name: vars(stat) for name, stat in fused_trace.hist.items()} == {
+            name: vars(stat) for name, stat in event_trace.hist.items()
+        }
+        assert fused_trace.samples == event_trace.samples

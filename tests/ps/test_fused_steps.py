@@ -1,0 +1,281 @@
+"""Verified fused steps (``FusedLocalSteps.step``) against the event path.
+
+A step that runs inline must be unobservable: on two identical servers, one
+worker taking the verified lane and one going through ``pull`` /
+``push_async`` / ``yield compute_time`` read the same values, resume at the
+same instant and leave the same storage, ``PSMetrics`` counters, latch
+acquisitions and messages.  Every condition of the window inequality has a
+refusal test; a refused step must leave all state untouched.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from repro.config import ClusterConfig, ParameterServerConfig
+from repro.ps import ClassicSharedMemoryPS, HybridPS, LapsePS
+
+NUM_KEYS = 12  # range partition over 2 nodes: 0-5 | 6-11
+LENGTH = 2
+INITIAL = np.arange(NUM_KEYS * LENGTH, dtype=float).reshape(NUM_KEYS, LENGTH)
+ACCESS = 0.3e-6  # shared-memory access + latch, per key (CostModel defaults)
+LOCAL_KEYS = [1, 3, 4]
+COMPUTE = 5e-6
+
+
+def build(ps_class=LapsePS):
+    cluster = ClusterConfig(num_nodes=2, workers_per_node=2, seed=1)
+    ps_config = ParameterServerConfig(num_keys=NUM_KEYS, value_length=LENGTH)
+    return ps_class(cluster, ps_config, initial_values=INITIAL)
+
+
+def kernel_into(seen):
+    """A step kernel that records what it read and returns value-dependent updates."""
+
+    def kernel(pulled):
+        seen.append(pulled.copy())
+        return 0.5 * pulled + 1.0
+
+    return kernel
+
+
+def observe(ps):
+    return {
+        "metrics": ps.metrics().as_dict(),
+        "latches": [state.latches.acquisitions for state in ps.states],
+        "messages": (ps.network.stats.messages_sent, ps.network.stats.bytes_sent),
+        "parameters": ps.all_parameters().tobytes(),
+        "now": ps.simulated_time,
+    }
+
+
+def run_steps(ps, key_lists, compute_time, fused, localize=()):
+    """One worker on node 0 runs a step per key list; returns what it saw."""
+    client = ps.client(0, 0)
+    runner = client.fused_local_steps()
+    seen, resumed, taken = [], [], []
+    kernel = kernel_into(seen)
+
+    def worker():
+        if localize:
+            yield from client.localize(list(localize))
+        yield 1e-3
+        for keys in key_lists:
+            wake = runner.step(keys, compute_time, kernel) if fused else None
+            taken.append(wake is not None)
+            if wake is not None:
+                yield wake
+            else:
+                pulled = yield from client.pull(keys)
+                client.push_async(keys, kernel(pulled), needs_ack=False)
+                yield compute_time
+            resumed.append(ps.sim.now)
+
+    ps.sim.process(worker())
+    ps.run()
+    return {
+        "seen": [block.tobytes() for block in seen],
+        "resumed": resumed,
+        "taken": taken,
+        "runner": runner,
+    }
+
+
+@pytest.mark.parametrize("ps_class", [LapsePS, HybridPS, ClassicSharedMemoryPS])
+@pytest.mark.parametrize(
+    "key_lists",
+    [
+        [LOCAL_KEYS],
+        [[4]],
+        [LOCAL_KEYS, [3, 1], LOCAL_KEYS],  # back to back: each starts where the last resumed
+        [[1, 1, 3]],  # a key named twice accumulates both rows
+    ],
+)
+def test_verified_step_equals_event_path(ps_class, key_lists):
+    fused_ps, event_ps = build(ps_class), build(ps_class)
+    fused = run_steps(fused_ps, key_lists, COMPUTE, fused=True)
+    event = run_steps(event_ps, key_lists, COMPUTE, fused=False)
+    assert fused["taken"] == [True] * len(key_lists)
+    assert fused["seen"] == event["seen"]
+    assert fused["resumed"] == event["resumed"]
+    assert observe(fused_ps) == observe(event_ps)
+    assert (fused["runner"].taken, fused["runner"].declined) == (len(key_lists), 0)
+
+
+def test_verified_step_on_a_localized_key_equals_event_path():
+    keys = [1, 7, 4]  # 7 is homed at node 1 and relocated in first
+    fused_ps, event_ps = build(), build()
+    fused = run_steps(fused_ps, [keys], COMPUTE, fused=True, localize=[7])
+    event = run_steps(event_ps, [keys], COMPUTE, fused=False, localize=[7])
+    assert fused["taken"] == [True]
+    assert fused["seen"] == event["seen"]
+    assert fused["resumed"] == event["resumed"]
+    assert observe(fused_ps) == observe(event_ps)
+
+
+def test_resume_lands_on_the_slow_paths_own_additions():
+    ps = build()
+    result = run_steps(ps, [LOCAL_KEYS], COMPUTE, fused=True)
+    start = 1e-3
+    assert result["resumed"] == [(start + ACCESS * 3) + COMPUTE]
+
+
+# ---------------------------------------------------------------- refusals
+def attempt(ps, keys, compute_time, prepare=None, run=None):
+    """Try one verified step at t = 1e-3 on node 0; a refused step falls back
+    to the event path.  Returns ``(taken, untouched, runner)``."""
+    client = ps.client(0, 0)
+    runner = client.fused_local_steps()
+    outcome = {}
+    kernel = kernel_into([])
+
+    def snapshot():
+        state = ps.states[0]
+        return (
+            state.metrics.as_dict(),
+            state.latches.acquisitions,
+            ps.all_parameters().tobytes(),
+            ps.sim.pending_events,
+        )
+
+    def worker():
+        yield 1e-3
+        if prepare is not None:
+            prepare(ps)
+        before = snapshot()
+        wake = runner.step(keys, compute_time, kernel)
+        outcome["taken"] = wake is not None
+        outcome["untouched"] = snapshot() == before
+        if wake is not None:
+            yield wake
+        else:
+            pulled = yield from client.pull(keys)
+            client.push_async(keys, kernel(pulled), needs_ack=False)
+            yield compute_time
+
+    ps.sim.process(worker())
+    (run or ps.run)()
+    return outcome["taken"], outcome["untouched"], runner
+
+
+def window_end(count, start=1e-3):
+    """The write instant ``t2`` of a step over ``count`` keys issued at ``start``."""
+    delay = ACCESS * count
+    return (start + delay) + delay
+
+
+def noop(_):
+    pass
+
+
+def test_refuses_a_heap_entry_inside_the_window():
+    taken, untouched, runner = attempt(
+        build(), LOCAL_KEYS, COMPUTE, prepare=lambda ps: ps.sim.call_later(ACCESS, noop)
+    )
+    assert (taken, untouched) == (False, True)
+    assert (runner.taken, runner.declined) == (0, 1)
+
+
+def test_refuses_an_entry_exactly_at_the_write_instant_and_takes_one_just_after():
+    write_at = window_end(len(LOCAL_KEYS))
+    taken, untouched, _ = attempt(
+        build(), LOCAL_KEYS, COMPUTE, prepare=lambda ps: ps.sim.wake_at(write_at)
+    )
+    assert (taken, untouched) == (False, True)
+    just_after = math.nextafter(write_at, math.inf)
+    taken, _, _ = attempt(
+        build(), LOCAL_KEYS, COMPUTE, prepare=lambda ps: ps.sim.wake_at(just_after)
+    )
+    assert taken
+
+
+def test_refuses_a_non_empty_ring():
+    taken, untouched, _ = attempt(
+        build(), LOCAL_KEYS, COMPUTE, prepare=lambda ps: ps.sim.call_later(0.0, noop)
+    )
+    assert (taken, untouched) == (False, True)
+
+
+def test_refuses_a_non_resident_key():
+    taken, untouched, _ = attempt(build(), [1, 7, 4], COMPUTE)
+    assert (taken, untouched) == (False, True)
+
+
+def test_refuses_a_guarded_key_under_hybrid():
+    def subscribe_node_1(ps):
+        # Node 1 holds a replica of key 3: writes on node 0 feed a broadcast.
+        ps.states[0].subscribers[3].add(1)
+        ps.states[1].replicas[3] = INITIAL[3].copy()
+
+    taken, untouched, _ = attempt(build(HybridPS), LOCAL_KEYS, COMPUTE, prepare=subscribe_node_1)
+    assert (taken, untouched) == (False, True)
+    # The unguarded keys of the same node still fuse.
+    taken, _, _ = attempt(build(HybridPS), [1, 4], COMPUTE, prepare=subscribe_node_1)
+    assert taken
+
+
+def test_refuses_a_compute_time_shorter_than_the_write_delay():
+    # Five keys: the write lands 1.5 us after the read, the worker would
+    # resume after 1 us — its next step would overtake its own write.
+    keys = [0, 1, 2, 3, 4]
+    taken, untouched, _ = attempt(build(), keys, 1e-6)
+    assert (taken, untouched) == (False, True)
+    taken, _, _ = attempt(build(), keys, 1.5e-6)
+    assert taken
+
+
+def test_refuses_a_window_beyond_run_until():
+    write_at = window_end(len(LOCAL_KEYS))
+    for until, expected in [(1e-3 + ACCESS, False), (write_at, False), (1.0, True)]:
+        ps = build()
+        taken, untouched, _ = attempt(
+            ps, LOCAL_KEYS, COMPUTE, run=lambda: ps.run(until=until)
+        )
+        assert taken == expected
+        assert untouched or taken
+
+
+def test_refuses_a_window_beyond_run_window_end():
+    write_at = window_end(len(LOCAL_KEYS))
+    for end, expected in [(1e-3 + ACCESS, False), (write_at, False), (1.0, True)]:
+        ps = build()
+        ps.run()  # drain start-up events: shard mode needs an empty ring
+        ps.sim.enter_shard_mode(0)
+        taken, untouched, _ = attempt(
+            ps, LOCAL_KEYS, COMPUTE, run=lambda: ps.sim.run_window(end)
+        )
+        assert taken == expected
+        assert untouched or taken
+
+
+def test_refuses_outside_a_run_loop():
+    ps = build()
+    runner = ps.client(0, 0).fused_local_steps()
+    assert runner.step(LOCAL_KEYS, COMPUTE, kernel_into([])) is None
+
+
+def test_refuses_with_durability_installed():
+    from repro.durability import DurabilityConfig
+
+    cluster = ClusterConfig(num_nodes=2, workers_per_node=2, seed=1)
+    ps_config = ParameterServerConfig(num_keys=NUM_KEYS, value_length=LENGTH)
+    ps = LapsePS(cluster, ps_config, initial_values=INITIAL, durability=DurabilityConfig())
+    taken, untouched, _ = attempt(ps, LOCAL_KEYS, COMPUTE)
+    assert (taken, untouched) == (False, True)
+
+
+def test_no_runner_on_the_reference_engine(monkeypatch):
+    monkeypatch.setenv("REPRO_DISABLE_FASTPATH", "1")
+    assert build().client(0, 0).fused_local_steps() is None
+
+
+def test_no_runner_on_an_elastic_cluster(monkeypatch):
+    from repro.cluster import ClusterSchedule
+    from repro.experiments.runner import MFScale, make_elastic_mf
+
+    monkeypatch.delenv("REPRO_DISABLE_FASTPATH", raising=False)
+    elastic, _ = make_elastic_mf(
+        "lapse", num_nodes=2, schedule=ClusterSchedule(), scale=MFScale(), workers_per_node=2
+    )
+    assert elastic.ps.clients()[0].fused_local_steps() is None

@@ -299,3 +299,67 @@ def test_determinism_across_runs():
         return trace
 
     assert build_and_run() == build_and_run()
+
+
+# ----------------------------------------------------------- quiet_through
+def _probe(sim, at, results, *times):
+    """At simulated time ``at``, record ``quiet_through`` for each of ``times``."""
+
+    def callback(_):
+        results.extend(sim.quiet_through(time) for time in times)
+
+    sim.call_later(at, callback)
+
+
+def test_quiet_through_is_false_outside_a_run_loop():
+    sim = Simulator()
+    assert not sim.quiet_through(0.0)
+    sim.call_later(1.0, lambda _: None)
+    sim.step()  # a step() driver gives no bound
+    assert not sim.quiet_through(1.0)
+
+
+def test_quiet_through_sees_heap_entries_up_to_and_including_the_time():
+    sim = Simulator()
+    results = []
+    sim.call_later(2.0, lambda _: None)
+    _probe(sim, 1.0, results, 1.5, 2.0, 2.5)
+    sim.run()
+    # Quiet strictly before the entry; an entry exactly at the time is not quiet.
+    assert results == [True, False, False]
+    # The bound is gone once the loop returns.
+    assert not sim.quiet_through(sim.now)
+
+
+def test_quiet_through_is_false_while_the_ring_holds_an_entry():
+    sim = Simulator()
+    results = []
+
+    def callback(_):
+        results.append(sim.quiet_through(5.0))
+        sim.call_later(0.0, lambda _: None)  # same-instant work, on the ring
+        results.append(sim.quiet_through(5.0))
+
+    sim.call_later(1.0, callback)
+    sim.run()
+    assert results == [True, False]
+
+
+def test_quiet_through_respects_run_until():
+    sim = Simulator()
+    results = []
+    _probe(sim, 1.0, results, 1.5, 2.0, 3.0)
+    sim.run(until=2.0)
+    # Strictly below the cutoff only.
+    assert results == [True, False, False]
+
+
+def test_quiet_through_respects_the_window_end():
+    for inclusive, expected in [(False, [True, False, False]), (True, [True, True, False])]:
+        sim = Simulator()
+        sim.enter_shard_mode(0)
+        results = []
+        _probe(sim, 1.0, results, 1.5, 2.0, 3.0)
+        sim.run_window(2.0, inclusive=inclusive)
+        assert results == expected
+        assert not sim.quiet_through(sim.now)
