@@ -85,8 +85,11 @@ REGRESSION_TOLERANCE = 0.20
 #: Same-run floors asserted for the engine fast paths on end-to-end MF.
 #: The reference engine shares the optimized message path (only the
 #: semantically delicate transforms are toggled), so these are conservative
-#: lower bounds on what the toggled transforms alone must deliver.
-ENGINE_SPEEDUP_FLOORS = {"classic": 1.1, "lapse": 3.0}
+#: lower bounds on what the toggled transforms alone must deliver.  The
+#: ``lapse`` floor sits between the per-entry fused lane (3.1-3.4x at
+#: ``--smoke`` scale) and the block-visit kernel (4.9-5.1x), so the gate
+#: fails if MF visits silently stop taking the kernel.
+ENGINE_SPEEDUP_FLOORS = {"classic": 1.1, "lapse": 4.2}
 
 #: W2V cell of the engine comparison (identity asserted, speed-up reported):
 #: skip-gram on ``lapse``, where the fast engine runs all-resident pairs as

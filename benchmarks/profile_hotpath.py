@@ -24,14 +24,18 @@ import time
 
 from benchmark_utils import make_arg_parser
 
+from repro.config import ClusterConfig, ParameterServerConfig
+from repro.data import generate_matrix
 from repro.experiments.runner import (
     KGEScale,
     MFScale,
     W2VScale,
+    make_parameter_server,
     run_kge_experiment,
     run_mf_experiment,
     run_w2v_experiment,
 )
+from repro.ml import MatrixFactorizationConfig, MatrixFactorizationTrainer
 
 #: Systems profiled by default (the bench_perf end-to-end set).
 DEFAULT_SYSTEMS = ("classic", "classic_fast_local", "lapse", "stale_ssp", "replica", "hybrid")
@@ -80,6 +84,37 @@ def profile_system(
     lines = buffer.getvalue().splitlines()
     header = next(i for i, line in enumerate(lines) if "ncalls" in line)
     print("\n".join(lines[header:]).rstrip())
+    if task == "mf" and backend == "sim" and jobs == 1:
+        print(mf_kernel_share(system, scale, num_nodes, workers_per_node, seed))
+
+
+def mf_kernel_share(system, scale, num_nodes, workers_per_node, seed):
+    """One more MF epoch on a trainer built here: how many entries took the
+    block-visit kernel, and the shape of the level schedules it ran."""
+    matrix = generate_matrix(
+        scale.num_rows, scale.num_cols, scale.num_entries, rank=scale.rank, seed=seed
+    )
+    ps = make_parameter_server(
+        system,
+        ClusterConfig(num_nodes=num_nodes, workers_per_node=workers_per_node, seed=seed),
+        ParameterServerConfig(num_keys=scale.num_cols, value_length=scale.rank),
+    )
+    config = MatrixFactorizationConfig(
+        rank=scale.rank, compute_time_per_entry=scale.compute_time_per_entry
+    )
+    trainer = MatrixFactorizationTrainer(ps, matrix, config, seed=seed)
+    trainer.run_epoch(compute_loss=False)
+    fused, declined = trainer.fused_steps, trainer.declined_steps
+    if fused + declined == 0:
+        return "block-visit kernel: no runner offered (every entry takes the event loop)"
+    visits = [bounds for plan in trainer._plans.values() for _, bounds in plan.levels.values()]
+    levels = sum(len(bounds) - 1 for bounds in visits)
+    return (
+        f"block-visit kernel: {fused} of {fused + declined} entries "
+        f"({fused / (fused + declined):.0%}; the rest take the event loop), "
+        f"{len(visits)} visits, {levels} levels, "
+        f"{fused / max(1, levels):.1f} entries per level"
+    )
 
 
 def main(argv=None):

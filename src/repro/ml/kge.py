@@ -87,6 +87,8 @@ class KGEConfig:
             raise ExperimentError("learning_rate must be positive")
         if self.compute_time_per_triple < 0:
             raise ExperimentError("compute_time_per_triple must be non-negative")
+        if self.init_scale < 0:
+            raise ExperimentError("init_scale must be non-negative")
 
     @property
     def base_dim(self) -> int:

@@ -17,7 +17,8 @@ stale PS a clock advance per subepoch refreshes the replicas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -28,7 +29,7 @@ from repro.errors import ExperimentError
 from repro.ml.common import maybe_localize, subepoch_synchronization
 from repro.ml.metrics import rmse
 from repro.ml.results import EpochResult
-from repro.pal.parameter_blocking import BlockSchedule, keys_of_block
+from repro.pal.parameter_blocking import BlockSchedule, block_of_keys, keys_of_block
 from repro.ps.base import ParameterServer
 
 
@@ -61,6 +62,40 @@ class MatrixFactorizationConfig:
             raise ExperimentError("regularization must be non-negative")
         if self.compute_time_per_entry < 0:
             raise ExperimentError("compute_time_per_entry must be non-negative")
+        if self.init_scale < 0:
+            raise ExperimentError("init_scale must be non-negative")
+
+
+def level_schedule(rows: np.ndarray, cols: np.ndarray) -> Tuple[np.ndarray, List[int]]:
+    """Dependency levels of the entries ``(rows[k], cols[k])`` of one block visit.
+
+    SGD steps on entries that share neither row nor column touch disjoint
+    factors and commute (the DSGD argument, applied inside a visit).  With
+    ``level[k] = 1 + max(level of the previous entry in the same row, level of
+    the previous entry in the same column)`` (0 where there is none), the
+    rows and the columns within a level are distinct, and running the levels
+    in order hands every entry exactly the operands the sequential loop would:
+    its row's and its column's earlier entries sit in lower levels, their
+    later ones in higher levels.
+
+    Returns ``(order, bounds)``: entry positions sorted by level, and the
+    offsets such that level ``k + 1`` is ``order[bounds[k]:bounds[k + 1]]``.
+    """
+    rows, cols = rows.tolist(), cols.tolist()
+    row_level = [0] * (max(rows, default=-1) + 1)
+    col_level = [0] * (max(cols, default=-1) + 1)
+    levels = []
+    for row, col in zip(rows, cols):
+        level = row_level[row]
+        if col_level[col] > level:
+            level = col_level[col]
+        level += 1
+        row_level[row] = col_level[col] = level
+        levels.append(level)
+    levels = np.array(levels, dtype=np.int64)
+    # No entry has level 0, so the running count of levels 0..k is bounds[k].
+    bounds = np.cumsum(np.bincount(levels, minlength=1))
+    return np.argsort(levels, kind="stable"), bounds.tolist()
 
 
 @dataclass(frozen=True)
@@ -72,13 +107,16 @@ class _EpochPlan:
     Plans are cached, and with a static cluster the single cached plan is
     identical to the pre-elastic fixed assignment.
 
-    ``entries`` holds the per-(worker, block) entry index arrays; the worker
-    loop unboxes one block's schedule into plain Python lists at subepoch
-    start (transient, so the cache never retains boxed copies of the data).
+    ``entries`` holds the per-(worker, block) entry index arrays in visit
+    order.  ``levels`` holds the same entries in :func:`level_schedule` order
+    with the level offsets, built at the first visit the block-visit kernel
+    takes.  Rows, columns and values are gathered per visit (transient, so
+    the cache never retains copies of the data).
     """
 
     schedule: BlockSchedule
     entries: Dict[Tuple[int, int], "np.ndarray"]
+    levels: Dict[Tuple[int, int], Tuple["np.ndarray", List[int]]] = field(default_factory=dict)
 
 
 class MatrixFactorizationTrainer:
@@ -119,6 +157,10 @@ class MatrixFactorizationTrainer:
         #: Worker-local row factors (each worker touches only its own rows).
         self.row_factors = rng.normal(0.0, self.config.init_scale, size=(matrix.num_rows, self.config.rank))
         self._epochs_run = 0
+        #: Entries run by the block-visit kernel, and entries of visits the
+        #: runner refused (event loop); both 0 where no runner is offered.
+        self.fused_steps = 0
+        self.declined_steps = 0
         self._initialize_column_factors(rng)
 
     # ------------------------------------------------------------ preparation
@@ -137,14 +179,7 @@ class MatrixFactorizationTrainer:
         matrix = self.matrix
         rows_per_worker = int(np.ceil(matrix.num_rows / num_workers))
         row_block_of = np.minimum(matrix.rows // max(1, rows_per_worker), num_workers - 1)
-        column_blocks = np.array(
-            [
-                self._column_block_of(col, schedule.num_blocks)
-                for col in range(matrix.num_cols)
-            ],
-            dtype=np.int64,
-        )
-        entry_col_blocks = column_blocks[matrix.cols]
+        entry_col_blocks = block_of_keys(matrix.num_cols, schedule.num_blocks)[matrix.cols]
         entries: Dict[Tuple[int, int], np.ndarray] = {}
         for worker in range(num_workers):
             worker_mask = row_block_of == worker
@@ -153,18 +188,13 @@ class MatrixFactorizationTrainer:
                 entries[(worker, block)] = np.flatnonzero(mask)
         return entries
 
-    def _column_block_of(self, col: int, num_blocks: int) -> int:
-        base = self.matrix.num_cols // num_blocks
-        remainder = self.matrix.num_cols % num_blocks
-        threshold = remainder * (base + 1)
-        if col < threshold:
-            return col // (base + 1)
-        return remainder + (col - threshold) // max(1, base)
-
     def _initialize_column_factors(self, rng: np.random.Generator) -> None:
         initial = rng.normal(
             0.0, self.config.init_scale, size=(self.matrix.num_cols, self.config.rank)
         )
+        # One write per column, not ``install_parameters``: a logged store
+        # appends a WAL record per write, and the durable golden digests and
+        # the churn benchmark's exact counters include ``wal_appends``.
         for col in range(self.matrix.num_cols):
             owner = self.ps.current_owner(col)
             self.ps.states[owner].storage.set(col, initial[col])
@@ -202,8 +232,10 @@ class MatrixFactorizationTrainer:
         results = self.ps.run_workers(worker_fn, clients=clients)
         for result in results:
             if result is not None:
-                low, high, rows = result
+                low, high, rows, (fused, declined) = result
                 self.row_factors[low:high] = rows
+                self.fused_steps += fused
+                self.declined_steps += declined
         duration = self.ps.simulated_time - start_time
         self._epochs_run += 1
         loss = self.training_rmse() if compute_loss else None
@@ -217,42 +249,41 @@ class MatrixFactorizationTrainer:
         regularization = config.regularization
         compute_time = config.compute_time_per_entry
         row_factors = self.row_factors
-        # Fused local steps (classic+sharedmem, Lapse): parameter blocking
+        # Fused block visits (classic+sharedmem, Lapse): parameter blocking
         # makes this worker's block keys private until the subepoch barrier,
-        # which is exactly the privacy window FusedLocalSteps requires.
+        # which is exactly the privacy window FusedLocalSteps.visit requires.
         fused = client.fused_local_steps()
         for subepoch in range(schedule.num_subepochs):
             block = schedule.block_for(participant, subepoch)
             block_keys = keys_of_block(block, matrix.num_cols, schedule.num_blocks)
             yield from maybe_localize(client, block_keys)
-            # Unbox this block's schedule once: the inner loop then performs
-            # no NumPy scalar conversions.  Transient per subepoch — cached
-            # plans keep only the compact index arrays.
-            indices = plan.entries[(participant, block)]
-            rows = matrix.rows[indices].tolist()
-            cols = matrix.cols[indices].tolist()
-            values = matrix.values[indices].astype(np.float64).tolist()
-            for index in range(len(rows)):
-                row = rows[index]
-                col = cols[index]
-                value = values[index]
-                col_factor = None
-                if fused is not None:
-                    col_factor = fused.try_pull(col)
-                if col_factor is None:
-                    # Slow path (remote / queued / unfused variants): drain
-                    # any fused time first so the operation issues at the
-                    # exact simulated instant the step-by-step path would.
-                    if fused is not None:
-                        wake = fused.drain()
-                        if wake is not None:
-                            yield wake
+            visit = (participant, block)
+            indices = plan.entries[visit]
+            if fused is not None and fused.visit(
+                block_keys,
+                matrix.cols[indices],
+                compute_time,
+                partial(self._run_levels, plan, visit, block_keys[0]),
+            ):
+                wake = fused.drain()
+                if wake is not None:
+                    yield wake
+            else:
+                # Event loop (no runner, or a visit it refused): one pull,
+                # update and asynchronous push per entry.  Unbox the visit
+                # once so the loop performs no NumPy scalar conversions.
+                rows = matrix.rows[indices].tolist()
+                cols = matrix.cols[indices].tolist()
+                values = matrix.values[indices].astype(np.float64).tolist()
+                for index in range(len(rows)):
+                    row = rows[index]
+                    col = cols[index]
                     handle = client.pull_async((col,))
                     if not handle.done:
                         yield handle.completion_event
                     col_factor = handle.first_value()
                     row_factor = row_factors[row]
-                    error = float(row_factor @ col_factor) - value
+                    error = float(row_factor @ col_factor) - values[index]
                     grad_row = error * col_factor + regularization * row_factor
                     grad_col = error * row_factor + regularization * col_factor
                     row_factors[row] = row_factor - learning_rate * grad_row
@@ -261,19 +292,6 @@ class MatrixFactorizationTrainer:
                     )
                     if compute_time > 0:
                         yield compute_time
-                    continue
-                row_factor = row_factors[row]
-                error = float(row_factor @ col_factor) - value
-                grad_row = error * col_factor + regularization * row_factor
-                grad_col = error * row_factor + regularization * col_factor
-                row_factors[row] = row_factor - learning_rate * grad_row
-                fused.push(col, -learning_rate * grad_col)
-                if compute_time > 0:
-                    fused.advance(compute_time)
-            if fused is not None:
-                wake = fused.drain()
-                if wake is not None:
-                    yield wake
             yield from subepoch_synchronization(client)
         # Return this worker's row-factor slice.  On the simulated backend
         # these rows were updated in place and the writeback in run_epoch is
@@ -286,7 +304,46 @@ class MatrixFactorizationTrainer:
             high = matrix.num_rows
         else:
             high = min((participant + 1) * rows_per_worker, matrix.num_rows)
-        return low, high, row_factors[low:high]
+        counts = (0, 0) if fused is None else (fused.taken, fused.declined)
+        return low, high, row_factors[low:high], counts
+
+    def _run_levels(
+        self, plan: _EpochPlan, visit: Tuple[int, int], first_key: int, columns: np.ndarray
+    ) -> np.ndarray:
+        """The block-visit kernel: one batched SGD step per dependency level.
+
+        ``columns`` holds the factors of the block's keys (``first_key``
+        onwards) and is returned as the per-entry loop would have left them.
+        Every expression is the loop's own, element-wise over the level; the
+        dot is the stacked ``matmul`` because it reduces each row pair the way
+        the scalar ``row @ col`` does (``einsum`` and ``(a * b).sum(1)`` sum in
+        another order and differ in the last bits).
+        """
+        matrix = self.matrix
+        if visit not in plan.levels:
+            indices = plan.entries[visit]
+            order, bounds = level_schedule(matrix.rows[indices], matrix.cols[indices])
+            plan.levels[visit] = (indices[order], bounds)
+        indices, bounds = plan.levels[visit]
+        rows = matrix.rows[indices]
+        cols = matrix.cols[indices] - first_key
+        values = matrix.values[indices].astype(np.float64).reshape(-1, 1)
+        learning_rate = self.config.learning_rate
+        regularization = self.config.regularization
+        row_factors = self.row_factors
+        for low, high in zip(bounds, bounds[1:]):
+            level_rows = rows[low:high]
+            level_cols = cols[low:high]
+            row_factor = row_factors[level_rows]
+            col_factor = columns[level_cols]
+            error = (
+                np.matmul(row_factor[:, None, :], col_factor[:, :, None])[:, 0] - values[low:high]
+            )
+            grad_row = error * col_factor + regularization * row_factor
+            grad_col = error * row_factor + regularization * col_factor
+            row_factors[level_rows] = row_factor - learning_rate * grad_row
+            columns[level_cols] = col_factor + -learning_rate * grad_col
+        return columns
 
     # ------------------------------------------------------------- evaluation
     def column_factors(self) -> np.ndarray:

@@ -81,6 +81,8 @@ class Word2VecConfig:
             raise ExperimentError("presample_refresh must be in (0, presample_size]")
         if self.subsample_threshold < 0:
             raise ExperimentError("subsample_threshold must be non-negative")
+        if self.init_scale < 0:
+            raise ExperimentError("init_scale must be non-negative")
 
 
 class Word2VecTrainer:

@@ -20,6 +20,7 @@ from repro.pal.latency_hiding import Prelocalizer
 from repro.pal.parameter_blocking import (
     BlockSchedule,
     block_of_key,
+    block_of_keys,
     keys_of_block,
 )
 
@@ -29,6 +30,7 @@ __all__ = [
     "access_counts_by_node",
     "assign_parameters_by_frequency",
     "block_of_key",
+    "block_of_keys",
     "clustering_localize_plan",
     "keys_of_block",
 ]

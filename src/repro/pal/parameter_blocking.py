@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import List
 
+import numpy as np
+
 from repro.errors import ExperimentError
 
 
@@ -38,17 +40,19 @@ def block_of_key(key: int, num_keys: int, num_blocks: int) -> int:
     """Return the block that contains ``key``."""
     if not 0 <= key < num_keys:
         raise ExperimentError(f"key {key} out of range [0, {num_keys})")
-    base = num_keys // num_blocks
-    remainder = num_keys % num_blocks
-    # Blocks 0..remainder-1 have (base + 1) keys each.
-    threshold = remainder * (base + 1)
-    if key < threshold:
-        return key // (base + 1)
-    if base == 0:
+    return int(block_of_keys(num_keys, num_blocks)[key])
+
+
+def block_of_keys(num_keys: int, num_blocks: int) -> np.ndarray:
+    """Block of every key: the vectorised inverse of :func:`keys_of_block`."""
+    if num_keys < num_blocks:
         raise ExperimentError(
             f"cannot split {num_keys} keys into {num_blocks} blocks"
         )
-    return remainder + (key - threshold) // base
+    base, remainder = divmod(num_keys, num_blocks)
+    sizes = np.full(num_blocks, base, dtype=np.int64)
+    sizes[:remainder] += 1
+    return np.repeat(np.arange(num_blocks, dtype=np.int64), sizes)
 
 
 class BlockSchedule:

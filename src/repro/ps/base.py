@@ -329,15 +329,16 @@ class FusedLocalSteps:
     path would have taken.  It offers two lanes, which differ in why running
     inline is safe:
 
-    **Asserted** (:meth:`try_pull` / :meth:`push` / :meth:`advance` /
-    :meth:`drain`; zero kernel events per step).  The caller guarantees that
-    the keys it fuses are **private to this worker** until the next drain — no
-    other worker, server handler, or background synchronizer reads or writes
-    them inside the deferred-time window — and yields the accumulated time in
-    one piece at its next communication or synchronization boundary.
-    Parameter blocking (§4.1) provides exactly this guarantee for matrix
-    factorization, which is why the MF trainer opts in.  Not checkable here;
-    enforced by the bit-identity test sweep.
+    **Asserted** (:meth:`visit` / :meth:`drain`; zero kernel events per
+    step).  The caller guarantees that the block of keys it visits is
+    **private to this worker** until the next drain — no other worker, server
+    handler, or background synchronizer reads or writes it inside the
+    deferred-time window — and yields the accumulated time in one piece at its
+    next communication or synchronization boundary.  Parameter blocking
+    (§4.1) provides exactly this guarantee for matrix factorization, which is
+    why the MF trainer opts in.  Residency, guards and logging are checked
+    once per visit; privacy is not checkable here and is enforced by the
+    bit-identity test sweep.
 
     **Verified** (:meth:`step`; one kernel event per step).  For keys other
     workers share, the runner checks the kernel's event horizon instead: a
@@ -354,7 +355,7 @@ class FusedLocalSteps:
 
     __slots__ = (
         "sim", "storage", "latches", "metrics", "access_delay", "clock", "trace", "guard",
-        "state", "policy", "recorder", "verifiable", "taken", "declined",
+        "state", "policy", "recorder", "logged", "taken", "declined",
     )
 
     def __init__(self, client: "WorkerClient", guard: Optional[Callable[[int], Any]]) -> None:
@@ -379,11 +380,12 @@ class FusedLocalSteps:
         self.state = state
         self.policy = client.ps.management_policy
         self.recorder = recorder
-        #: A logged store stamps WAL records and compares lazy-checkpoint due
-        #: times with ``sim.now`` at append, which an inline write would move
-        #: from the write instant to the issue instant.
-        self.verifiable = client.ps.durability is None
-        #: Verified steps run inline / handed back to the event path.
+        #: A logged store takes one WAL record per write, stamped and compared
+        #: with lazy-checkpoint due times at ``sim.now`` — which an inline
+        #: write would move from the write instant to the issue instant.  No
+        #: lane fuses while it is installed.
+        self.logged = client.ps.durability is not None
+        #: Steps run inline / handed back to the event path, on either lane.
         self.taken = 0
         self.declined = 0
         #: Replayed worker clock: the simulated time this worker would have
@@ -394,56 +396,63 @@ class FusedLocalSteps:
         #: the last bits).  ``None`` while no time is deferred.
         self.clock: Optional[float] = None
 
-    def try_pull(self, key: int) -> Optional[np.ndarray]:
-        """Fused local pull of one resident key, or None to fall back.
+    def visit(
+        self,
+        block_keys: Sequence[int],
+        entry_keys: np.ndarray,
+        compute_time: float,
+        kernel: Callable[[np.ndarray], np.ndarray],
+    ) -> bool:
+        """Asserted fused run of one single-key ``pull`` → update →
+        ``push_async`` → ``yield compute_time`` step per entry of
+        ``entry_keys``, all inside the private block ``block_keys``; False to
+        fall back.
 
-        ``key`` must be in range (trainers pull keys derived from their data
-        layout).  Returns a copy of the value row and accrues the
-        shared-memory access delay; a non-resident key leaves all state
-        untouched so the caller can take the ordinary slow path.
+        Checked once: every block key is resident and unguarded (in range is
+        the caller's duty) and the store is not logged — a WAL takes one
+        record per single-key write.  A refused visit leaves all state
+        untouched and the caller runs the event path entry by entry.  A taken
+        one accounts the operations of every step, replays the worker clock
+        with the event path's own additions in entry order (``+ access_delay``
+        for the pull, ``+ compute_time``; the asynchronous push costs the
+        worker nothing), reports each step's spans at those instants, and
+        replaces the block's values by ``kernel(values)``, which must leave
+        them as the steps would have in entry order.
         """
-        storage = self.storage
-        if not storage.has_row(key):
-            return None
+        count = len(entry_keys)
         guard = self.guard
-        if guard is not None and guard(key):
-            return None
+        if (
+            self.logged
+            or not all(self.storage.contains_flags(block_keys))
+            or (guard is not None and any(guard(key) for key in block_keys))
+        ):
+            self.declined += count
+            return False
+        self.taken += count
         metrics = self.metrics
-        metrics.key_reads_local += 1
-        metrics.pulls_local += 1
-        self.latches.acquisitions += 1
-        clock = self.clock
-        if clock is None:
-            clock = self.sim._now
-        self.clock = clock + self.access_delay
+        metrics.key_reads_local += count
+        metrics.pulls_local += count
+        metrics.key_writes_local += count
+        metrics.pushes_local += count
+        self.latches.acquisitions += 2 * count
+        # A running sum adds left to right, one delay at a time, like the
+        # worker it replays: entry k pulls from instants[2k] to instants[2k+1].
+        instants = np.empty(2 * count + 1)
+        instants[0] = self.sim._now if self.clock is None else self.clock
+        instants[1::2] = self.access_delay
+        instants[2::2] = compute_time
+        instants = np.add.accumulate(instants)
+        self.clock = float(instants[-1])
         trace = self.trace
         if trace is not None:
-            trace.fused("pull", key, clock, self.clock)
-        return storage.row_copy(key)
-
-    def push(self, key: int, update: np.ndarray) -> None:
-        """Fused local push: cumulative float64 update row for a resident key.
-
-        Only valid directly after a successful :meth:`try_pull` of the same
-        key (residency was verified there; the slow path's asynchronous write
-        lands inside the privacy window, so applying it immediately is
-        equivalent).
-        """
-        metrics = self.metrics
-        metrics.key_writes_local += 1
-        metrics.pushes_local += 1
-        self.latches.acquisitions += 1
-        trace = self.trace
-        if trace is not None and self.clock is not None:
-            trace.fused("push", key, self.clock, self.clock)
-        self.storage.row_add(key, update)
-
-    def advance(self, delta: float) -> None:
-        """Accrue compute time (the slow path's per-step compute yield).
-
-        Only meaningful after a :meth:`try_pull` started the deferred window.
-        """
-        self.clock = self.clock + delta
+            instants = instants.tolist()
+            for index, key in enumerate(entry_keys.tolist()):
+                read_at = instants[2 * index + 1]
+                trace.fused("pull", key, instants[2 * index], read_at)
+                trace.fused("push", key, read_at, read_at)
+        storage = self.storage
+        storage.set_many(block_keys, kernel(storage.get_many(block_keys)))
+        return True
 
     def step(
         self,
@@ -461,7 +470,7 @@ class FusedLocalSteps:
         write, the counters and latches of both operations — iff
 
         * every key is resident and unguarded (in range is the caller's duty,
-          as for :meth:`try_pull`),
+          as for :meth:`visit`),
         * ``t3 >= t2``: the worker's own next step must not overtake its write,
         * the kernel is quiet through ``t2``: ties at ``t2`` take the event
           path, so nothing can run between the read and the write.
@@ -484,7 +493,7 @@ class FusedLocalSteps:
         guard = self.guard
         if (
             resume_at < write_at
-            or not self.verifiable
+            or self.logged
             or not sim.quiet_through(write_at)
             or not all(self.storage.contains_flags(keys))
             or (guard is not None and any(guard(key) for key in keys))

@@ -33,6 +33,15 @@ def test_profile_hotpath_smoke(profile_hotpath, capsys):
     # One profile block for the requested system, with the pstats table header.
     assert "=== classic:" in output
     assert "ncalls" in output
+    assert "block-visit kernel: no runner offered" in output
+
+
+def test_profile_hotpath_reports_the_mf_kernel_share(profile_hotpath, capsys):
+    assert profile_hotpath.main(["--systems", "lapse", "--top", "3", "--entries", "200"]) == 0
+    output = capsys.readouterr().out
+    assert "block-visit kernel: " in output
+    assert "(100%; the rest take the event loop), 16 visits, " in output
+    assert "entries per level" in output
 
 
 @pytest.mark.parametrize("task, unit", [("kge", "triples"), ("w2v", "sentences")])

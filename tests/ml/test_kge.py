@@ -83,6 +83,8 @@ class TestKeySpace:
             KGEConfig(num_negatives=0)
         with pytest.raises(ExperimentError):
             KGEConfig(learning_rate=0)
+        with pytest.raises(ExperimentError):
+            KGEConfig(init_scale=-0.1)
 
 
 def score_block(trainer, block):

@@ -103,6 +103,9 @@ class TestTrainerValidation:
         with pytest.raises(ExperimentError):
             MatrixFactorizationConfig(regularization=-1)
         with pytest.raises(ExperimentError):
+            MatrixFactorizationConfig(init_scale=-0.1)
+        assert MatrixFactorizationConfig(init_scale=0.0).init_scale == 0.0
+        with pytest.raises(ExperimentError):
             MatrixFactorizationTrainer(
                 LapsePS(
                     ClusterConfig(num_nodes=1, workers_per_node=1),

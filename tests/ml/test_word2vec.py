@@ -51,6 +51,8 @@ class TestConfigValidation:
             Word2VecConfig(presample_refresh=0)
         with pytest.raises(ExperimentError):
             Word2VecConfig(compute_time_per_pair=-1e-6)
+        with pytest.raises(ExperimentError):
+            Word2VecConfig(init_scale=-0.1)
         assert Word2VecConfig(compute_time_per_pair=0.0).compute_time_per_pair == 0.0
 
     def test_key_space_mismatch_rejected(self):

@@ -13,6 +13,8 @@ traced run must merge the shard-recorded span buffers into the same trace a
 sequential traced run produces.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,46 @@ def test_jobs2_traced_identical_and_merged():
         assert sorted(seq_trace.server) == sorted(par_trace.server)
         assert sorted(seq_trace.net) == sorted(par_trace.net)
         assert sorted(seq_trace.reloc) == sorted(par_trace.reloc)
+
+
+#: sha256 over every node's op spans, heatmap, latency histograms and counter
+#: samples of the traced MF run below, recorded at the commit whose asserted
+#: lane still emitted one ``fused_pull`` / ``fused_push`` span per entry as
+#: the trainer stepped through them (``try_pull`` / ``push`` / ``advance``).
+PER_ENTRY_LANE_TRACES = {
+    "lapse": "bc8f049567c45ea51e41d7200704f4ab5a50dede980aa1dc60c57e69f6b78a1e",
+    "hybrid": "bc8f049567c45ea51e41d7200704f4ab5a50dede980aa1dc60c57e69f6b78a1e",
+    "classic_fast_local": "00abfe49742d6719ff0d663c55b04321323df903485adc6332b5125fe1ba9a9a",
+}
+
+
+@pytest.mark.parametrize("system", sorted(PER_ENTRY_LANE_TRACES))
+def test_mf_block_visit_reports_the_per_entry_spans(system, monkeypatch):
+    """The block-visit kernel replays the worker clock once per visit and
+    reports the spans from the replayed instants: same spans, in the same
+    order, as when every entry was stepped through on its own."""
+    monkeypatch.delenv("REPRO_DISABLE_FASTPATH", raising=False)
+    result = run_mf_experiment(
+        system, scale=MF, compute_loss=False, trace=TraceConfig(), **NODES
+    )
+    traces = result.tracer.node_traces()
+    digest = hashlib.sha256()
+    for trace in traces:
+        digest.update(repr(trace.ops).encode())
+        digest.update(
+            repr(sorted((key, sorted(buckets.items())) for key, buckets in trace.heat.items())).encode()
+        )
+        digest.update(
+            repr(sorted((name, sorted(vars(stat).items())) for name, stat in trace.hist.items())).encode()
+        )
+        digest.update(repr(trace.samples).encode())
+    assert digest.hexdigest() == PER_ENTRY_LANE_TRACES[system]
+    fused = [op for trace in traces for op in trace.ops if op[0].startswith("fused_")]
+    event = [op for trace in traces for op in trace.ops if op[0] in ("pull", "push")]
+    # 238 entries x 2 epochs; static allocation fuses only the visits whose
+    # block is local and sends the others through the event loop.
+    expected = {"classic_fast_local": (208, 744)}.get(system, (952, 0))
+    assert (len(fused), len(event)) == expected
 
 
 def test_w2v_spans_identical_whether_pairs_fuse_or_not(monkeypatch):

@@ -13,6 +13,7 @@ from repro.pal import (
     access_counts_by_node,
     assign_parameters_by_frequency,
     block_of_key,
+    block_of_keys,
     clustering_localize_plan,
     keys_of_block,
 )
@@ -85,6 +86,25 @@ class TestParameterBlocking:
         for key in range(10):
             block = block_of_key(key, num_keys=10, num_blocks=3)
             assert key in keys_of_block(block, 10, 3)
+
+    @pytest.mark.parametrize(
+        "num_keys, num_blocks", [(100, 6), (10, 3), (7, 7), (16, 4), (9, 1)]
+    )
+    def test_block_of_keys_agrees_with_the_scalar_maps(self, num_keys, num_blocks):
+        blocks = block_of_keys(num_keys, num_blocks)
+        assert blocks.dtype == np.int64 and blocks.shape == (num_keys,)
+        for block in range(num_blocks):
+            keys = keys_of_block(block, num_keys, num_blocks)
+            assert np.flatnonzero(blocks == block).tolist() == keys
+        assert blocks.tolist() == [
+            block_of_key(key, num_keys, num_blocks) for key in range(num_keys)
+        ]
+
+    def test_block_of_keys_rejects_more_blocks_than_keys(self):
+        with pytest.raises(ExperimentError):
+            block_of_keys(2, 3)
+        with pytest.raises(ExperimentError):
+            block_of_key(0, 2, 3)  # as keys_of_block: no degenerate split
 
     def test_invalid_blocking(self):
         with pytest.raises(ExperimentError):

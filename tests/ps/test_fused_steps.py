@@ -6,6 +6,10 @@ worker taking the verified lane and one going through ``pull`` /
 same instant and leave the same storage, ``PSMetrics`` counters, latch
 acquisitions and messages.  Every condition of the window inequality has a
 refusal test; a refused step must leave all state untouched.
+
+The asserted lane (``FusedLocalSteps.visit``, one check and one clock replay
+per block visit) is held to the same event path at the end of this file; its
+refusals are in ``tests/ml/test_mf_kernel.py``.
 """
 
 import math
@@ -279,3 +283,53 @@ def test_no_runner_on_an_elastic_cluster(monkeypatch):
         "lapse", num_nodes=2, schedule=ClusterSchedule(), scale=MFScale(), workers_per_node=2
     )
     assert elastic.ps.clients()[0].fused_local_steps() is None
+
+
+# ----------------------------------------------------------- asserted visits
+@pytest.mark.parametrize("ps_class", [LapsePS, HybridPS, ClassicSharedMemoryPS])
+@pytest.mark.parametrize("compute_time", [COMPUTE, 0.0])
+def test_asserted_visit_equals_one_event_step_per_entry(ps_class, compute_time):
+    block_keys = [1, 2, 3, 4]
+    entry_keys = [3, 1, 3, 3, 4, 1]  # key 2 is in the block but never touched
+
+    def update(value):
+        return 0.5 * value + 1.0
+
+    def kernel(columns):
+        for key in entry_keys:
+            columns[key - block_keys[0]] += update(columns[key - block_keys[0]])
+        return columns
+
+    def run(ps, fused):
+        client = ps.client(0, 0)
+        runner = client.fused_local_steps()
+        resumed = []
+
+        def worker():
+            yield 1e-3
+            if fused:
+                assert runner.visit(block_keys, np.array(entry_keys), compute_time, kernel)
+                wake = runner.drain()
+                if wake is not None:
+                    yield wake
+            else:
+                for key in entry_keys:
+                    pulled = yield from client.pull([key])
+                    client.push_async([key], update(pulled), needs_ack=False)
+                    if compute_time > 0:
+                        yield compute_time
+            resumed.append(ps.sim.now)
+
+        ps.sim.process(worker())
+        ps.run()
+        seen = observe(ps)
+        del seen["now"]  # the last asynchronous write may outlast the worker
+        return resumed, seen, (runner.taken, runner.declined)
+
+    fused, event = run(build(ps_class), True), run(build(ps_class), False)
+    assert fused[:2] == event[:2]
+    assert fused[2] == (len(entry_keys), 0)
+    start = 1e-3
+    for _ in entry_keys:
+        start = (start + ACCESS) + compute_time
+    assert fused[0] == [start]
