@@ -4,8 +4,8 @@
 **Paper anchor:** §3.3 (shared-memory local access) and §4.2 (scalability) —
 the simulator models these; this backend *does* them: workers are
 ``multiprocessing`` processes, parameter shards live in
-``multiprocessing.shared_memory``, and ownership moves through a shared
-location directory, all behind the same API as the simulator.
+``multiprocessing.shared_memory``, and one server process per node runs the
+simulator's own protocol handlers, all behind the same API as the simulator.
 
 The example runs the same small DSGD matrix-factorization job on both
 backends and prints the statistical-equivalence comparison: the final loss

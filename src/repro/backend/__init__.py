@@ -1,27 +1,23 @@
 """Real (multiprocessing + shared-memory) execution backend.
 
-The simulated backend in :mod:`repro.ps` executes every worker and server as
-a generator on one discrete-event kernel.  This package executes the same
-systems — classic PS variants and Lapse — on real operating-system processes
+The parameter-server runtime and its management policies (:mod:`repro.ps`)
+normally run on the discrete-event simulator.  This package runs the *same*
+runtime — classic PS variants and Lapse — on real operating-system processes
 with parameter shards in shared memory, behind the same client API.  See
 :mod:`repro.backend.real` for the execution model and
-:mod:`repro.backend.shm` for the shared-memory primitives.
+:mod:`repro.backend.shm` for the shared-memory store.
 """
 
 from repro.backend.real import (
     REAL_BACKEND_SYSTEMS,
-    RealNodeState,
     RealParameterServer,
     RealWorkerClient,
 )
-from repro.backend.shm import DirectoryHomeView, SharedDenseStorage, SharedDirectory
+from repro.backend.shm import SharedDenseStorage
 
 __all__ = [
-    "DirectoryHomeView",
     "REAL_BACKEND_SYSTEMS",
-    "RealNodeState",
     "RealParameterServer",
     "RealWorkerClient",
     "SharedDenseStorage",
-    "SharedDirectory",
 ]

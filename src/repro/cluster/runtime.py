@@ -41,7 +41,6 @@ from repro.ps.base import van_address
 from repro.ps.messages import ReplicaRegisterRequest
 from repro.ps.partition import ElasticPartitioner
 from repro.ps.replica import InstallingKey
-from repro.ps.storage import make_storage
 
 
 class ElasticCluster:
@@ -485,17 +484,12 @@ class ElasticCluster:
         """
         ps = self.ps
         state = ps.states[node]
-        fresh = make_storage(
-            dense=ps.ps_config.dense_storage,
-            num_keys=ps.ps_config.num_keys,
-            value_length=ps.ps_config.value_length,
-        )
+        fresh = ps._make_storage()
         if ps.durability is not None:
             fresh = ps.durability.wrap_fresh_storage(node, fresh)
         state.storage = fresh
         for attr in (
             "relocating_in",
-            "last_transfer",
             "location_cache",
             "replicas",
             "pending_updates",

@@ -420,11 +420,6 @@ def run_kge_experiment(
     trace: Optional[Any] = None,
 ) -> TaskRunResult:
     """Run knowledge-graph-embedding training (Figures 1 and 7, Table 5)."""
-    if backend != "sim":
-        raise ExperimentError(
-            "the KGE task only runs on the simulator (backend='sim'); the "
-            "real backend currently supports matrix factorization"
-        )
     scale = scale or KGEScale()
     graph = generate_knowledge_graph(
         num_entities=scale.num_entities,
@@ -444,23 +439,30 @@ def run_kge_experiment(
     ps_config = ParameterServerConfig(
         num_keys=keyspace.num_keys, value_length=kge_config.value_length
     )
-    ps = make_parameter_server(system, cluster, ps_config, jobs=jobs, trace=trace)
-    trainer = KGETrainer(ps, graph, kge_config, seed=seed)
-    epoch_results = trainer.train(num_epochs=epochs, compute_loss=compute_loss)
-    return TaskRunResult(
-        task=f"kge_{model}",
-        system=system,
-        num_nodes=num_nodes,
-        workers_per_node=workers_per_node,
-        epochs=epoch_results,
-        metrics=ps.metrics(),
-        remote_messages=ps.network.stats.remote_messages,
-        bytes_sent=ps.network.stats.bytes_sent,
-        jobs=jobs,
-        parallel_fallback_reason=ps._last_fallback_reason,
-        effective_jobs=ps._last_effective_jobs,
-        tracer=ps.tracer,
+    ps = make_parameter_server(
+        system, cluster, ps_config, backend=backend, jobs=jobs, trace=trace
     )
+    try:
+        trainer = KGETrainer(ps, graph, kge_config, seed=seed)
+        epoch_results = trainer.train(num_epochs=epochs, compute_loss=compute_loss)
+        return TaskRunResult(
+            task=f"kge_{model}",
+            system=system,
+            num_nodes=num_nodes,
+            workers_per_node=workers_per_node,
+            epochs=epoch_results,
+            metrics=ps.metrics(),
+            remote_messages=ps.network.stats.remote_messages,
+            bytes_sent=ps.network.stats.bytes_sent,
+            backend=backend,
+            jobs=jobs,
+            parallel_fallback_reason=ps._last_fallback_reason,
+            effective_jobs=ps._last_effective_jobs,
+            tracer=ps.tracer,
+        )
+    finally:
+        if backend == "real":
+            ps.shutdown()
 
 
 # ------------------------------------------------------------ elastic clusters
@@ -584,11 +586,6 @@ def run_w2v_experiment(
     trace: Optional[Any] = None,
 ) -> TaskRunResult:
     """Run skip-gram word-vector training (Figure 8)."""
-    if backend != "sim":
-        raise ExperimentError(
-            "the word2vec task only runs on the simulator (backend='sim'); "
-            "the real backend currently supports matrix factorization"
-        )
     scale = scale or W2VScale()
     corpus = generate_corpus(
         vocabulary_size=scale.vocabulary_size,
@@ -610,20 +607,27 @@ def run_w2v_experiment(
     ps_config = ParameterServerConfig(
         num_keys=2 * scale.vocabulary_size, value_length=scale.dim
     )
-    ps = make_parameter_server(system, cluster, ps_config, jobs=jobs, trace=trace)
-    trainer = Word2VecTrainer(ps, corpus, w2v_config, seed=seed)
-    epoch_results = trainer.train(num_epochs=epochs, compute_error=compute_error)
-    return TaskRunResult(
-        task="word2vec",
-        system=system,
-        num_nodes=num_nodes,
-        workers_per_node=workers_per_node,
-        epochs=epoch_results,
-        metrics=ps.metrics(),
-        remote_messages=ps.network.stats.remote_messages,
-        bytes_sent=ps.network.stats.bytes_sent,
-        jobs=jobs,
-        parallel_fallback_reason=ps._last_fallback_reason,
-        effective_jobs=ps._last_effective_jobs,
-        tracer=ps.tracer,
+    ps = make_parameter_server(
+        system, cluster, ps_config, backend=backend, jobs=jobs, trace=trace
     )
+    try:
+        trainer = Word2VecTrainer(ps, corpus, w2v_config, seed=seed)
+        epoch_results = trainer.train(num_epochs=epochs, compute_error=compute_error)
+        return TaskRunResult(
+            task="word2vec",
+            system=system,
+            num_nodes=num_nodes,
+            workers_per_node=workers_per_node,
+            epochs=epoch_results,
+            metrics=ps.metrics(),
+            remote_messages=ps.network.stats.remote_messages,
+            bytes_sent=ps.network.stats.bytes_sent,
+            backend=backend,
+            jobs=jobs,
+            parallel_fallback_reason=ps._last_fallback_reason,
+            effective_jobs=ps._last_effective_jobs,
+            tracer=ps.tracer,
+        )
+    finally:
+        if backend == "real":
+            ps.shutdown()

@@ -156,9 +156,9 @@ class NodeTrace:
     def reset(self) -> None:
         """Clear every buffer.
 
-        The real backend's forked worker processes inherit the parent's
-        buffer contents; they reset on startup so each child reports only
-        its own deltas back to the parent.
+        The real backend's forked worker and server processes inherit the
+        parent's buffer contents; they reset on startup so each child reports
+        only its own deltas back to the parent.
         """
         self.ops = []
         self.server = []
@@ -174,7 +174,7 @@ class NodeTrace:
         """Fold another buffer's records into this one.
 
         Used by the real backend's parent process to absorb the deltas each
-        worker process reports on exit (the simulated parallel engine ships
+        child process reports on exit (the simulated parallel engine ships
         whole buffers inside its shard payloads instead and never calls this).
         """
         self.ops.extend(other.ops)

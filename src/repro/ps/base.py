@@ -198,8 +198,7 @@ class NodeState:
 
     * relocation (``lapse``): ``home_location`` (key -> owner, for the keys
       homed here), ``relocating_in`` (key ->
-      :class:`~repro.ps.lapse.RelocatingKey`), ``last_transfer``,
-      ``location_cache``;
+      :class:`~repro.ps.lapse.RelocatingKey`), ``location_cache``;
     * replication (``replica``): ``replicas`` (key -> value),
       ``pending_updates``, ``installing`` (key ->
       :class:`~repro.ps.replica.InstallingKey`), ``subscribers``,
@@ -223,11 +222,7 @@ class NodeState:
         self.metrics = PSMetrics()
         self.latches = LatchTable(ps.ps_config.num_latches)
         #: Parameters currently owned by this node.
-        self.storage: ParameterStorage = make_storage(
-            dense=ps.ps_config.dense_storage,
-            num_keys=ps.ps_config.num_keys,
-            value_length=ps.ps_config.value_length,
-        )
+        self.storage: ParameterStorage = ps._make_storage()
         #: Tracing buffer (:class:`repro.obs.NodeTrace`), installed by the
         #: tracer when a :class:`~repro.obs.TraceConfig` is passed.  ``None``
         #: (the default) keeps every hook to one attribute check.
@@ -971,6 +966,8 @@ class ParameterServer:
     config_overrides: Dict[str, Any] = {}
     #: Human-readable name used in reports.
     name: str = "base"
+    #: Class of the clients :meth:`client` hands to worker functions.
+    client_class = WorkerClient
 
     #: Cluster membership record, attached by the elastic cluster runtime
     #: (:class:`repro.cluster.ElasticCluster`).  ``None`` for static clusters.
@@ -1024,8 +1021,7 @@ class ParameterServer:
         if self.config_overrides:
             ps_config = replace(ps_config, **self.config_overrides)
         self.ps_config = ps_config
-        self.sim = Simulator()
-        self.network = Network(self.sim, cluster.cost_model)
+        self._build_substrate()
         self.nodes = [Node(self.sim, self.network, i, cluster) for i in range(cluster.num_nodes)]
         self.partitioner = partitioner or make_partitioner(
             partitioner_kind, self.ps_config.num_keys, cluster.num_nodes
@@ -1069,6 +1065,23 @@ class ParameterServer:
             self.tracer = Tracer(self, trace)
 
     # ------------------------------------------------------------ construction
+    # What a server is built *on*, one method each, so that an execution
+    # backend (:mod:`repro.backend.real`) replaces the substrate and inherits
+    # the runtime.
+    def _build_substrate(self) -> None:
+        """Create ``sim`` and ``network``: the two objects through which the
+        runtime and the policies schedule work and reach other nodes."""
+        self.sim = Simulator()
+        self.network = Network(self.sim, self.cluster.cost_model)
+
+    def _make_storage(self) -> ParameterStorage:
+        """A fresh, empty parameter store for one node."""
+        return make_storage(
+            dense=self.ps_config.dense_storage,
+            num_keys=self.ps_config.num_keys,
+            value_length=self.ps_config.value_length,
+        )
+
     def _initialize_parameters(self, initial_values: Optional[Any]) -> None:
         num_keys = self.ps_config.num_keys
         length = self.ps_config.value_length
@@ -1139,7 +1152,7 @@ class ParameterServer:
         key = (node, local_worker)
         if key not in self._clients:
             worker_id = self.cluster.worker_id(node, local_worker)
-            client = WorkerClient(self, self.states[node], worker_id, local_worker)
+            client = self.client_class(self, self.states[node], worker_id, local_worker)
             tracer = self.tracer
             if tracer is not None:
                 recorder = tracer.recorder(self.states[node], worker_id)

@@ -109,8 +109,6 @@ class RelocationPolicy(ManagementPolicy):
         state.home_location = dict.fromkeys(self.ps.partitioner.keys_of(node), node)
         #: Keys currently relocating to this node.
         state.relocating_in = {}
-        #: For keys this node recently transferred away: where they went.
-        state.last_transfer = {}
         #: Optional location cache: key -> believed owner.
         state.location_cache = {}
 
@@ -578,7 +576,6 @@ class RelocationPolicy(ManagementPolicy):
         for key, is_resident in zip(instruction.keys, resident):
             if is_resident:
                 transfer_keys.append(key)
-                state.last_transfer[key] = instruction.new_owner
             elif key in state.relocating_in:
                 # The key is still on its way to us; pass it on as soon as it
                 # arrives and the queued operations have been drained.

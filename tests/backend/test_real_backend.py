@@ -7,7 +7,7 @@ statistical-equivalence contract documented in docs/architecture.md: final
 MF loss within tolerance of the simulator (bit-equal in practice for
 barrier-synchronized DSGD), exact equality of the deterministic
 access/relocation counters, and a consistent ownership record (every key
-resident at exactly the node the shared directory names).
+resident at exactly the node its home node's location table names).
 """
 
 import multiprocessing
@@ -17,13 +17,7 @@ import pytest
 
 from repro.backend import REAL_BACKEND_SYSTEMS, RealParameterServer
 from repro.errors import ExperimentError
-from repro.experiments.runner import (
-    MFScale,
-    make_parameter_server,
-    run_kge_experiment,
-    run_mf_experiment,
-    run_w2v_experiment,
-)
+from repro.experiments.runner import MFScale, make_parameter_server, run_mf_experiment
 from repro.ps.base import ClusterConfig, ParameterServerConfig
 from repro.ps.partition import RangePartitioner
 
@@ -64,10 +58,25 @@ def _run(system, backend, **kwargs):
     return run_mf_experiment(system, backend=backend, **kwargs)
 
 
-@pytest.mark.parametrize("system", REAL_BACKEND_SYSTEMS)
-def test_mf_statistical_equivalence(system):
-    sim = _run(system, "sim")
-    real = _run(system, "real")
+#: Cluster shapes beyond the default 2 nodes x 1 worker: co-located workers
+#: (one server process issuing for two clients) and a third node (home, owner
+#: and requester all distinct).
+SHAPES = ((2, 2), (3, 2))
+
+
+@pytest.mark.parametrize(
+    "system, num_nodes, workers_per_node",
+    [pytest.param(system, 2, 1, id=system) for system in REAL_BACKEND_SYSTEMS]
+    + [
+        pytest.param(system, nodes, workers, id=f"{system}-{nodes}x{workers}")
+        for system in REAL_BACKEND_SYSTEMS
+        for nodes, workers in SHAPES
+    ],
+)
+def test_mf_statistical_equivalence(system, num_nodes, workers_per_node):
+    shape = dict(num_nodes=num_nodes, workers_per_node=workers_per_node)
+    sim = _run(system, "sim", **shape)
+    real = _run(system, "real", **shape)
     assert real.backend == "real" and sim.backend == "sim"
     assert real.final_loss == pytest.approx(sim.final_loss, rel=1e-9)
     for counter in MIRRORED_COUNTERS:
@@ -94,7 +103,7 @@ def test_client_api_and_ownership_consistency():
         assert ps.current_owner(12) == 0 and ps.current_owner(13) == 0
         assert ps.metrics().relocations == 2
         # Ownership record is consistent: every key is resident at exactly
-        # the node the shared directory names, and nowhere else.
+        # the node its home's location table names, and nowhere else.
         for key in range(16):
             owner = ps.current_owner(key)
             for node in range(2):
@@ -147,7 +156,3 @@ def test_rejected_configurations():
         make_parameter_server("lapse", cluster, ps_config, backend="threads")
     with pytest.raises(ExperimentError, match="low-level baseline"):
         _run("lowlevel", "real")
-    with pytest.raises(ExperimentError, match="KGE"):
-        run_kge_experiment("lapse", num_nodes=2, backend="real")
-    with pytest.raises(ExperimentError, match="word2vec"):
-        run_w2v_experiment("lapse", num_nodes=2, backend="real")

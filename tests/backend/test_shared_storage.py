@@ -2,9 +2,7 @@
 
 ``SharedDenseStorage`` must behave exactly like ``DenseStorage`` (same
 layout, same batch API, same check-then-apply error contract) while making
-writes visible across ``fork``; ``SharedDirectory`` is the cross-process
-location record and ``DirectoryHomeView`` adapts it to the
-``home_location`` mapping interface of ``RelocationPolicy``.
+writes visible across ``fork``.
 """
 
 import multiprocessing
@@ -12,9 +10,8 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from repro.backend import DirectoryHomeView, SharedDenseStorage, SharedDirectory
+from repro.backend import SharedDenseStorage
 from repro.errors import StorageError
-from repro.ps.partition import RangePartitioner
 from repro.ps.storage import DenseStorage
 
 pytestmark = pytest.mark.skipif(
@@ -88,39 +85,3 @@ def test_shared_dense_detach_is_idempotent_and_keeps_state(shared_store):
     shared_store.detach()
     shared_store.detach()  # idempotent
     np.testing.assert_array_equal(shared_store.get(4), np.full(4, 3.0))
-
-
-def test_shared_directory_ops():
-    ctx = multiprocessing.get_context("fork")
-    directory = SharedDirectory(10, [key % 2 for key in range(10)], ctx.Lock())
-    try:
-        assert directory.owner_of(3) == 1
-        np.testing.assert_array_equal(directory.owners_of([0, 1, 2]), [0, 1, 0])
-        with directory.lock:
-            directory.set_owners([0, 2], 1)
-        assert directory.owner_of(0) == 1
-        snapshot = directory.snapshot()
-        # The snapshot is a private copy, detached from later updates.
-        with directory.lock:
-            directory.set_owners([4], 1)
-        assert snapshot[4] == 0
-    finally:
-        directory.detach()
-        directory.detach()  # idempotent
-
-
-def test_directory_home_view_restricts_to_home_keys():
-    ctx = multiprocessing.get_context("fork")
-    partitioner = RangePartitioner(10, 2)  # node 0 homes keys 0..4
-    directory = SharedDirectory(10, [partitioner.node_of(k) for k in range(10)], ctx.Lock())
-    try:
-        view = DirectoryHomeView(directory, partitioner, node_id=0)
-        assert 2 in view and 7 not in view
-        assert view[2] == 0
-        with directory.lock:
-            directory.set_owners([2], 1)
-        assert view[2] == 1  # the view reads through to the live directory
-        with pytest.raises(KeyError):
-            view[7]
-    finally:
-        directory.detach()
