@@ -19,12 +19,13 @@ runs them on real cores by replacing what they are built *on*:
   :mod:`repro.ps.messages`).  That existing seam is the whole transport: no
   policy and no line of the runtime knows which backend it runs on;
 * one **worker process** per worker drives the trainer generator (compute
-  yields become busy-wait CPU time).  It owns exactly one lane: an operation
-  whose keys are all resident in the node's
-  :class:`~repro.backend.shm.SharedDenseStorage` is a read or write of shared
-  memory under the node lock — the paper's shared-memory local access (§3.3)
-  on actual shared pages.  Every other operation is handed to the node's
-  server, which issues it, and the worker blocks for the answer.
+  yields become busy-wait CPU time).  It owns exactly one lane, which takes
+  an operation or a whole block visit: when every key named is resident in
+  the node's :class:`~repro.backend.shm.SharedDenseStorage`, an operation is
+  a read or write of shared memory under the node lock and a block visit
+  (:class:`_BlockVisits`) read, kernel and write under one hold of it — the
+  paper's shared-memory local access (§3.3) on actual shared pages.  Every
+  other operation is handed to the node's server, and the worker blocks.
 
 Semantics vs the simulator — *statistical equivalence*: true concurrency
 makes message interleavings nondeterministic, so runs are not bit-identical
@@ -53,6 +54,7 @@ import time
 import traceback
 import weakref
 from collections import deque
+from multiprocessing import heap, popen_fork, queues, synchronize  # noqa: F401  # not in run 1
 from typing import Any, Callable, Deque, Generator, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -308,13 +310,13 @@ class RealWorkerClient(WorkerClient):
         with self.ps.node_locks[self.node_id]:
             return super().pull_if_local(key)
 
-    def fused_local_steps(self):
-        """No fusion: real local accesses are already direct memory accesses.
-
-        Fusion exists to skip simulation-kernel events; the real backend has
-        no kernel to skip, so the trainers' slow path *is* the fast path.
-        """
-        return None
+    def fused_local_steps(self) -> Optional["_BlockVisits"]:
+        """The lane's block-visit runner, where the lane exists and every resident
+        key may fuse (a per-key guard reads ``state.subscribers``, which lives in
+        the server process): a visit saves a Python step and two lock holds per entry."""
+        lane = self.ps.ps_config.shared_memory_local_access
+        guard = self.policy.fusion_guard(self.state)
+        return _BlockVisits(self) if lane and guard is None else None
 
     # ------------------------------------------------------------ coordination
     def barrier(self) -> Generator:
@@ -346,6 +348,66 @@ class RealWorkerClient(WorkerClient):
             pass
         return None
         yield  # pragma: no cover - makes this function a generator
+
+
+class _BlockVisits:
+    """The worker's lane applied to whole block visits: what the trainers get
+    in place of a :class:`~repro.ps.base.FusedLocalSteps`.  Nothing is
+    asserted: a visit holds the node lock from its residency check to its
+    write, like any shared-store access, so it is atomic under any interleaving."""
+
+    def __init__(self, client: RealWorkerClient) -> None:
+        self.client = client
+        self.taken = 0  # entries run by a visit
+        self.declined = 0  # entries (and steps) handed back to the caller
+
+    def visit(
+        self, block_keys: Sequence[int], entry_keys: np.ndarray, compute_time: float,
+        kernel: Callable[[np.ndarray], np.ndarray],
+    ) -> bool:
+        """One single-key ``pull`` → update → ``push_async`` → compute step
+        per entry of ``entry_keys``, all inside ``block_keys``, as one access
+        replacing the block by ``kernel(values)``; False to fall back.
+
+        Refused, touching nothing, when a block key is not resident or the
+        lane would overtake an operation this worker handed over.  Counted as
+        ``_operate`` counts the entries one by one, traced as one ``pull`` and
+        one ``push`` of the block; compute burns outside the lock (own core).
+        """
+        client = self.client
+        count = len(entry_keys)
+        sim = client.ps.sim
+        storage = client.state.storage
+        issued = sim.now
+        with client.ps.node_locks[client.node_id]:
+            if client._overtakable or not all(storage.contains_flags(block_keys)):
+                self.declined += count
+                return False
+            values = storage.get_many(block_keys)
+            read = sim.now
+            values = kernel(values)
+            computed = sim.now
+            storage.set_many(block_keys, values)
+            written = sim.now
+        self.taken += count
+        metrics = client.state.metrics
+        metrics.key_reads_local += count
+        metrics.pulls_local += count
+        metrics.key_writes_local += count
+        metrics.pushes_local += count
+        recorder = client._trace
+        if recorder is not None:
+            recorder.span("pull", block_keys, issued, read)
+            recorder.span("push", block_keys, computed, written)
+        _busy_wait(count * compute_time)
+        return True
+
+    def step(self, keys: Sequence[int], compute_time: float, kernel: Callable) -> None:
+        """Declines: the event horizon licensing a step has no wall-clock counterpart."""
+        self.declined += 1
+
+    def drain(self) -> None:
+        """Nothing to yield: a visit's time has passed when it returns."""
 
 
 class RealParameterServer(ParameterServer):

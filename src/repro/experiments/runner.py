@@ -238,6 +238,11 @@ class TaskRunResult:
     parallel_fallback_reason: Optional[str] = None
     #: Shard count the last epoch actually used (1 after a fallback).
     effective_jobs: int = 1
+    #: Training steps a fused runner ran (block-visit entries, verified
+    #: steps) and steps it handed back to the per-step path; both 0 where
+    #: the system or engine offers no runner.
+    fused_steps: int = 0
+    declined_steps: int = 0
     #: The run's :class:`~repro.obs.Tracer` when tracing was enabled (call
     #: ``result.tracer.export(path)`` / ``.summary()``); ``None`` otherwise.
     tracer: Optional[Any] = field(default=None, compare=False, repr=False)
@@ -397,6 +402,8 @@ def run_mf_experiment(
             jobs=jobs,
             parallel_fallback_reason=getattr(ps, "_last_fallback_reason", None),
             effective_jobs=getattr(ps, "_last_effective_jobs", 1),
+            fused_steps=trainer.fused_steps,
+            declined_steps=trainer.declined_steps,
             tracer=ps.tracer,
         )
     finally:
@@ -458,6 +465,8 @@ def run_kge_experiment(
             jobs=jobs,
             parallel_fallback_reason=ps._last_fallback_reason,
             effective_jobs=ps._last_effective_jobs,
+            fused_steps=trainer.fused_steps,
+            declined_steps=trainer.declined_steps,
             tracer=ps.tracer,
         )
     finally:
@@ -626,6 +635,8 @@ def run_w2v_experiment(
             jobs=jobs,
             parallel_fallback_reason=ps._last_fallback_reason,
             effective_jobs=ps._last_effective_jobs,
+            fused_steps=trainer.fused_steps,
+            declined_steps=trainer.declined_steps,
             tracer=ps.tracer,
         )
     finally:
