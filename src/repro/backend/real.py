@@ -22,10 +22,24 @@ runs them on real cores by replacing what they are built *on*:
   yields become busy-wait CPU time).  It owns exactly one lane, which takes
   an operation or a whole block visit: when every key named is resident in
   the node's :class:`~repro.backend.shm.SharedDenseStorage`, an operation is
-  a read or write of shared memory under the node lock and a block visit
-  (:class:`_BlockVisits`) read, kernel and write under one hold of it — the
-  paper's shared-memory local access (§3.3) on actual shared pages.  Every
-  other operation is handed to the node's server, and the worker blocks.
+  a read or write of shared memory under the node lock, and a block visit
+  (:class:`_BlockVisits`) a read under one short hold, the kernel with the
+  lock free, and a compare-and-swap write under a second — the paper's
+  shared-memory local access (§3.3) on actual shared pages.  Every other
+  operation is handed to the node's server, and the worker blocks.
+
+Lifetime: the server processes are forked by the first ``run_workers`` —
+set-up, and whatever the parent did to its state before, reaches them by
+fork — and live until ``shutdown()``, as the server threads of §3.3 live for
+the job.  A run ends with ``sync``, not ``stop``: every server sends home
+what is new (metrics, traffic and trace deltas, location tables) and goes
+back to its queue.  Between runs the parent may read anything and write
+parameter *values* (the servers' stores are the shared blocks); where keys
+live changes only inside runs.  Workers are one fork per run: the fork is
+how an unpicklable ``worker_fn`` and the trainer's current state reach them.
+Any failed run discards the whole group — locks, queues, reply channels —
+and the next one starts afresh.  Spawning, waiting and tearing down are
+:class:`~repro.backend.supervisor.ProcessGroup`'s.
 
 Semantics vs the simulator — *statistical equivalence*: true concurrency
 makes message interleavings nondeterministic, so runs are not bit-identical
@@ -48,10 +62,8 @@ have; :data:`REAL_BACKEND_SYSTEMS` lists what runs.
 from __future__ import annotations
 
 import multiprocessing as mp
-import queue as queue_module
 import sys
 import time
-import traceback
 import weakref
 from collections import deque
 from multiprocessing import heap, popen_fork, queues, synchronize  # noqa: F401  # not in run 1
@@ -60,6 +72,7 @@ from typing import Any, Callable, Deque, Generator, Hashable, List, Optional, Se
 import numpy as np
 
 from repro.backend.shm import SharedDenseStorage
+from repro.backend.supervisor import ProcessGroup
 from repro.config import ClusterConfig, ParameterServerConfig
 from repro.errors import ParameterServerError
 from repro.ps.base import ParameterServer, WorkerClient
@@ -87,8 +100,8 @@ _SYSTEM_SPECS = {
     "lapse": ("lapse", RelocationPolicy, True),
 }
 
-#: Policy tables a server process sends home when it stops, so that
-#: ``current_owner`` and the next run's fork see where the keys went.
+#: Policy tables a server process sends home at the end of every run, so that
+#: ``current_owner`` and the next run's workers see where the keys went.
 _SHIPPED_TABLES = ("home_location", "location_cache")
 
 
@@ -105,8 +118,11 @@ def _busy_wait(seconds: float) -> None:
         pass
 
 
-def _release_shared(storages: List[SharedDenseStorage]) -> None:
-    """Detach every shared block (finalizer target; must not reference the PS)."""
+def _release(servers: List[ProcessGroup], storages: Sequence[SharedDenseStorage] = ()) -> None:
+    """Stop the server processes, if any, and detach the shared blocks named
+    (finalizer target; must not reference the PS)."""
+    while servers:
+        servers.pop().close()
     for storage in storages:
         storage.detach()
 
@@ -353,8 +369,11 @@ class RealWorkerClient(WorkerClient):
 class _BlockVisits:
     """The worker's lane applied to whole block visits: what the trainers get
     in place of a :class:`~repro.ps.base.FusedLocalSteps`.  Nothing is
-    asserted: a visit holds the node lock from its residency check to its
-    write, like any shared-store access, so it is atomic under any interleaving."""
+    asserted: a visit reads and writes its block under two short holds of the
+    node lock and runs the kernel between them, on its own copy, so the
+    node's server keeps serving meanwhile; the write is a compare-and-swap on
+    the block's values, and a visit that lost the race pushes what it
+    computed as the cumulative update it is.  No interleaving loses an update."""
 
     def __init__(self, client: RealWorkerClient) -> None:
         self.client = client
@@ -370,25 +389,38 @@ class _BlockVisits:
         replacing the block by ``kernel(values)``; False to fall back.
 
         Refused, touching nothing, when a block key is not resident or the
-        lane would overtake an operation this worker handed over.  Counted as
-        ``_operate`` counts the entries one by one, traced as one ``pull`` and
-        one ``push`` of the block; compute burns outside the lock (own core).
+        lane would overtake an operation this worker handed over.  The block
+        is replaced only if every key is still resident and holds, bit for
+        bit, what the kernel was given — the result is then the per-entry
+        loop's; a block that was written to or left meanwhile (even one that
+        came back) gets ``kernel(values) - values`` through the push path
+        instead.  Counted as ``_operate`` counts the entries one by one,
+        traced as one ``pull`` and one ``push`` of the block; kernel and
+        compute run outside the lock (own core).
         """
         client = self.client
         count = len(entry_keys)
         sim = client.ps.sim
         storage = client.state.storage
+        lock = client.ps.node_locks[client.node_id]
         issued = sim.now
-        with client.ps.node_locks[client.node_id]:
+        with lock:
             if client._overtakable or not all(storage.contains_flags(block_keys)):
                 self.declined += count
                 return False
-            values = storage.get_many(block_keys)
-            read = sim.now
-            values = kernel(values)
-            computed = sim.now
-            storage.set_many(block_keys, values)
-            written = sim.now
+            before = storage.get_many(block_keys)
+        read = sim.now
+        values = kernel(before.copy())
+        computed = sim.now
+        with lock:
+            swapped = all(storage.contains_flags(block_keys)) and np.array_equal(
+                storage.get_many(block_keys).view(np.uint64), before.view(np.uint64)
+            )
+            if swapped:
+                storage.set_many(block_keys, values)
+        written = sim.now
+        if not swapped:
+            client.push_async(block_keys, values - before, needs_ack=True)
         self.taken += count
         metrics = client.state.metrics
         metrics.key_reads_local += count
@@ -415,15 +447,19 @@ class RealParameterServer(ParameterServer):
 
     Construction builds, in the parent, what :class:`ParameterServer` always
     builds — policy, node states, initial allocation — with the stores in
-    shared memory.  :meth:`run_workers` forks one server process per node and
-    one process per worker, waits for the workers, waits until nothing is in
-    flight, stops the servers and merges what the children report (metrics,
-    traffic, traces, location tables) into the parent's node states.  Between
-    runs (epochs) the parent reads and writes parameters directly — the
-    shared blocks persist across runs.
+    shared memory.  The first :meth:`run_workers` forks one server process per
+    node, and they live until :meth:`shutdown`; every run forks one process
+    per worker, waits for the workers, waits until nothing is in flight and
+    has the servers ``sync``: what the children report (metrics, traffic,
+    traces, location tables) is merged into the parent's node states.
+    Between runs (epochs) the parent reads everything and writes parameter
+    *values* directly — the shared blocks are the servers' stores.  Where
+    keys live is the servers' business from the first run on: allocation
+    changes only inside runs.
 
-    Use as a context manager (or call :meth:`shutdown`) to release the
-    shared-memory blocks.
+    Use as a context manager (or call :meth:`shutdown`) to stop the servers
+    and release the shared-memory blocks; dropping the last reference does
+    the same.
     """
 
     client_class = RealWorkerClient
@@ -457,8 +493,11 @@ class RealParameterServer(ParameterServer):
         self.timeout = timeout
         self._ctx = mp.get_context("fork")
         super().__init__(cluster, ps_config)
+        #: The live group of server processes: empty before the first run and
+        #: after a failed one (a list so that the finalizer sees it change).
+        self._servers: List[ProcessGroup] = []
         self._finalizer = weakref.finalize(
-            self, _release_shared, [state.storage for state in self.states]
+            self, _release, self._servers, [state.storage for state in self.states]
         )
         if trace is not None and trace.enabled:
             from repro.obs import Tracer
@@ -476,7 +515,28 @@ class RealParameterServer(ParameterServer):
         return SharedDenseStorage(self.ps_config.num_keys, self.ps_config.value_length)
 
     def _start_threads(self) -> None:
-        """Nothing to start: the server loops are processes of a run."""
+        """Nothing to start yet: the server loops are processes, forked by
+        the first run from whatever set-up has made of the parent by then."""
+
+    def _server_group(self) -> ProcessGroup:
+        """The server processes, forked now unless a group is alive.
+
+        What the processes share besides the stores belongs to the group: a
+        failed run discards it whole, and no held lock or stray message
+        reaches the next one.
+        """
+        if not self._servers:
+            ctx = self._ctx
+            cluster = self.cluster
+            nodes = range(cluster.num_nodes)
+            self.node_locks = [ctx.Lock() for _ in nodes]
+            self.command_queues = [ctx.Queue() for _ in nodes]
+            self.reply_queues = [ctx.SimpleQueue() for _ in range(cluster.total_workers)]
+            group = ProcessGroup(ctx, "real backend")
+            self._servers.append(group)
+            for node in nodes:
+                group.spawn(f"server-{node}", self._serve, node)
+        return self._servers[0]
 
     # ------------------------------------------------------------------- runs
     def run_workers(
@@ -487,11 +547,12 @@ class RealParameterServer(ParameterServer):
     ) -> List[Any]:
         """Run ``worker_fn`` as one OS process per worker; returns their values.
 
-        Forks one server process per node plus the worker processes (fork, so
-        ``worker_fn`` and its closure need not be picklable) and returns once
-        the cluster is quiescent and every child has reported and exited.  A
-        child that fails, dies or overruns ``timeout`` ends the run with a
-        :class:`ParameterServerError` naming it, and no child survives.
+        Forks the worker processes (fork, so ``worker_fn`` and its closure
+        need not be picklable; the first run forks the servers too) and
+        returns once the cluster is quiescent, every server has reported and
+        every worker has exited.  A child that fails, dies or overruns
+        ``timeout`` ends the run with a :class:`ParameterServerError` naming
+        it, and no child survives: the next run starts new servers.
         """
         if until is not None:
             raise ParameterServerError(
@@ -501,96 +562,54 @@ class RealParameterServer(ParameterServer):
         client_list = list(clients) if clients is not None else self.clients()
         if not client_list:
             raise ParameterServerError("run_workers requires at least one client")
-        ctx = self._ctx
         cluster = self.cluster
-        nodes = range(cluster.num_nodes)
-        # What the processes of a run share besides the stores belongs to the
-        # run: a failed run leaves no held lock or stray message behind.
-        self.node_locks = [ctx.Lock() for _ in nodes]
-        self.command_queues = [ctx.Queue() for _ in nodes]
-        self.reply_queues = [ctx.SimpleQueue() for _ in range(cluster.total_workers)]
-        self.parent_queue = ctx.Queue()
-        self._barrier = ctx.Barrier(len(client_list))
-        targets = [(f"server-{node}", self._server_main, (node,)) for node in nodes]
-        targets += [
-            (f"worker-{client.worker_id}", self._worker_main, (client, worker_fn))
-            for client in client_list
-        ]
         deadline = time.monotonic() + self.timeout
-        processes: List[Any] = []
-        results = {}
         try:
-            for name, target, args in targets:
-                process = ctx.Process(target=target, args=args, name=name, daemon=True)
-                process.start()
-                processes.append(process)
-            for _ in client_list:
-                _, worker_id, value, metrics, trace = self._collect(
-                    deadline, processes, "worker_done"
-                )
-                results[worker_id] = value
-                self._absorb(cluster.node_of_worker(worker_id), metrics, trace)
-            # Quiescence.  Every operation of every worker has a handle at
-            # its server by now (each worker's last act is a round trip
-            # through it), and a handle completes only after the last message
-            # sent on its behalf was answered (simulated pushes are always
-            # acknowledged) — so "no outstanding handle anywhere" is "nothing
-            # in flight".  The message counts close the one gap: an operation
-            # naming a key twice completes on the first of its answers.
-            while True:
-                for commands in self.command_queues:
-                    commands.put(("idle", None))
-                reports = [self._collect(deadline, processes, "idle") for _ in nodes]
-                if sum(sent for _, sent, _ in reports) == sum(got for _, _, got in reports):
-                    break
-            for commands in self.command_queues:
-                commands.put(("stop", None))
-            for _ in nodes:
-                _, node, metrics, trace, stats, tables = self._collect(
-                    deadline, processes, "server_done"
-                )
-                self._absorb(node, metrics, trace)
-                self._merge_net(stats)
-                vars(self.states[node]).update(tables)
-            for process in processes:
-                process.join(timeout=max(0.0, deadline - time.monotonic()) + 5.0)
+            # On success every worker exits by itself; after a failure (or
+            # for a worker that does not exit) none may outlive the run.
+            with ProcessGroup(self._ctx, "real backend") as workers:
+                group = self._server_group()
+                servers = group.children
+                self._barrier = self._ctx.Barrier(len(client_list))
+                for client in client_list:
+                    workers.spawn(
+                        f"worker-{client.worker_id}", self._worker_main, client, worker_fn
+                    )
+                results = []
+                reports = workers.gather(workers.children, deadline, watching=servers)
+                for client, (value, metrics, trace) in zip(client_list, reports):
+                    results.append(value)
+                    self._absorb(cluster.node_of_worker(client.worker_id), metrics, trace)
+                # Quiescence.  Every operation of every worker has a handle at
+                # its server by now (each worker's last act is a round trip
+                # through it), and a handle completes only after the last
+                # message sent on its behalf was answered (simulated pushes
+                # are always acknowledged) — so "no outstanding handle
+                # anywhere" is "nothing in flight".  The message counts close
+                # the one gap: an operation naming a key twice completes on
+                # the first of its answers.
+                while True:
+                    self._tell_servers("idle")
+                    sent, received = map(sum, zip(*group.gather(servers, deadline)))
+                    if sent == received:
+                        break
+                self._tell_servers("sync")
+                reports = group.gather(servers, deadline)
+                for node, (metrics, trace, stats, tables) in enumerate(reports):
+                    self._absorb(node, metrics, trace)
+                    self.network.stats.absorb(stats)
+                    vars(self.states[node]).update(tables)
+        except BaseException:
+            # Locks may have died held and queues hold strays: servers too.
+            _release(self._servers)
+            raise
         finally:
             self._barrier = None
-            # On success every child has exited by itself; after a failure
-            # (or a child that does not exit) none may outlive the run.
-            for process in processes:
-                if process.is_alive():
-                    process.terminate()
-            for process in processes:
-                process.join(timeout=5.0)
-        return [results[client.worker_id] for client in client_list]
+        return results
 
-    def _collect(self, deadline: float, processes: List[Any], expected: str) -> Tuple:
-        """Next child report, which must be an ``expected`` one; watches for
-        died children and the deadline while it waits."""
-        while True:
-            try:
-                report = self.parent_queue.get(timeout=0.25)
-            except queue_module.Empty:
-                if time.monotonic() > deadline:
-                    raise ParameterServerError(
-                        f"real backend timed out after {self.timeout:.0f}s "
-                        "(deadlock or overload)"
-                    ) from None
-                for process in processes:
-                    if process.exitcode not in (None, 0):
-                        raise ParameterServerError(
-                            f"real backend process {process.name} died with "
-                            f"exit code {process.exitcode}"
-                        ) from None
-                continue
-            if report[0] == expected:
-                return report
-            if report[0] == "error":
-                raise ParameterServerError(
-                    f"real backend process {report[1]} failed:\n{report[2]}"
-                )
-            raise ParameterServerError(f"unexpected child report {report[0]!r}")
+    def _tell_servers(self, command: str) -> None:
+        for commands in self.command_queues:
+            commands.put((command, None))
 
     def _absorb(self, node: int, metrics: PSMetrics, trace: Optional[Any]) -> None:
         """Fold one child's metrics and trace deltas into its node's state."""
@@ -599,31 +618,13 @@ class RealParameterServer(ParameterServer):
         if trace is not None:
             state.trace.merge_from(trace)
 
-    def _merge_net(self, net: NetworkStats) -> None:
-        stats = self.network.stats
-        stats.messages_sent += net.messages_sent
-        stats.remote_messages += net.remote_messages
-        stats.local_messages += net.local_messages
-        stats.bytes_sent += net.bytes_sent
-        stats.delivery_events += net.delivery_events
-        for channel, count in net.per_channel_messages.items():
-            stats.per_channel_messages[channel] = (
-                stats.per_channel_messages.get(channel, 0) + count
-            )
-
     # ---------------------------------------------------------- server process
-    def _server_main(self, node_id: int) -> None:
-        try:
-            self._serve(node_id)
-        except Exception:
-            self.parent_queue.put(("error", f"server-{node_id}", traceback.format_exc()))
-
-    def _serve(self, node_id: int) -> None:
-        """The node: one loop over its command queue until told to stop.
+    def _serve(self, report: Callable[[Any], None], node_id: int) -> None:
+        """The node: one loop over its command queue, for as long as it lives.
 
         The queue carries protocol messages from other nodes (``server`` and
         ``van`` addresses), the local workers' operations (``op``) and the
-        parent's ``idle`` / ``stop``.  One item is handled, and everything it
+        parent's ``idle`` / ``sync``.  One item is handled, and everything it
         scheduled drained, under the node lock — the workers' shared-memory
         lane never observes half a relocation.
         """
@@ -634,12 +635,6 @@ class RealParameterServer(ParameterServer):
         sys.setswitchinterval(1e-5)
         state = self._state = self.states[node_id]
         self._handlers = self.management_policy.server_handlers(state)
-        # The fork copied what the parent had merged so far; this process
-        # reports only its own share.
-        state.metrics = PSMetrics()
-        if state.trace is not None:
-            state.trace.reset()
-        stats = self.network.stats = NetworkStats()
         cluster = self.cluster
         proxies = {}
         for local_worker in range(cluster.workers_per_node):
@@ -648,37 +643,44 @@ class RealParameterServer(ParameterServer):
         commands = self.command_queues[node_id]
         lock = self.node_locks[node_id]
         drain = self.sim.drain
-        received = 0
         #: Answers owed once no operation issued from this node is outstanding.
         when_idle: List[Callable[[], None]] = []
         while True:
-            item = commands.get()
-            kind = item[0]
-            if kind == "stop":
-                break
-            with lock:
-                if kind == "op":
-                    self._issue(proxies, when_idle, *item[1])
-                elif kind == "idle":
-                    when_idle.append(
-                        lambda: self.parent_queue.put(("idle", stats.remote_messages, received))
-                    )
-                else:
-                    received += 1
-                    self._deliver(item)
-                drain()
-            if when_idle and not state.outstanding:
-                for answer in when_idle:
-                    answer()
-                when_idle.clear()
-        relocating = getattr(state, "relocating_in", None)
-        if state.outstanding or relocating:
-            raise ParameterServerError(
-                f"told to stop with {len(state.outstanding)} operations outstanding "
-                f"and keys {sorted(relocating or ())} relocating in"
-            )
-        tables = {name: getattr(state, name) for name in _SHIPPED_TABLES if hasattr(state, name)}
-        self.parent_queue.put(("server_done", node_id, state.metrics, state.trace, stats, tables))
+            # The fork copied what the parent had merged so far, a ``sync``
+            # sent this process's share home: it reports only what is new.
+            state.metrics = PSMetrics()
+            if state.trace is not None:
+                state.trace.reset()
+            stats = self.network.stats = NetworkStats()
+            received = 0
+            while True:
+                item = commands.get()
+                kind = item[0]
+                if kind == "sync":
+                    break
+                with lock:
+                    if kind == "op":
+                        self._issue(proxies, when_idle, *item[1])
+                    elif kind == "idle":
+                        when_idle.append(lambda: report((stats.remote_messages, received)))
+                    else:
+                        received += 1
+                        self._deliver(item)
+                    drain()
+                if when_idle and not state.outstanding:
+                    for answer in when_idle:
+                        answer()
+                    when_idle.clear()
+            relocating = getattr(state, "relocating_in", None)
+            if state.outstanding or relocating:
+                raise ParameterServerError(
+                    f"told to sync with {len(state.outstanding)} operations outstanding "
+                    f"and keys {sorted(relocating or ())} relocating in"
+                )
+            tables = {
+                name: getattr(state, name) for name in _SHIPPED_TABLES if hasattr(state, name)
+            }
+            report((state.metrics, state.trace, stats, tables))
 
     def _deliver(self, item: Tuple[str, Any]) -> None:
         """Handle one protocol message addressed to this process's node."""
@@ -725,7 +727,9 @@ class RealParameterServer(ParameterServer):
             )
 
     # ---------------------------------------------------------- worker process
-    def _worker_main(self, client: RealWorkerClient, worker_fn: Callable) -> None:
+    def _worker_main(
+        self, report: Callable[[Any], None], client: RealWorkerClient, worker_fn: Callable
+    ) -> None:
         state = client.state
         state.metrics = PSMetrics()
         trace = None if client._trace is None else state.trace
@@ -733,16 +737,11 @@ class RealParameterServer(ParameterServer):
             # The forked copy still holds whatever the parent buffer held;
             # clear it so this child reports only its own span deltas.
             trace.reset()
-        try:
-            value = self._drive(worker_fn(client, client.worker_id))
-            # Once this comes back, every operation this worker handed over
-            # has a handle at its server — and, as it happens, has completed.
-            client._hand_over("flush", (), None, True)
-            self.parent_queue.put(("worker_done", client.worker_id, value, state.metrics, trace))
-        except Exception:
-            self.parent_queue.put(
-                ("error", f"worker-{client.worker_id}", traceback.format_exc())
-            )
+        value = self._drive(worker_fn(client, client.worker_id))
+        # Once this comes back, every operation this worker handed over
+        # has a handle at its server — and, as it happens, has completed.
+        client._hand_over("flush", (), None, True)
+        report((value, state.metrics, trace))
 
     @staticmethod
     def _drive(generator: Generator) -> Any:
@@ -776,7 +775,7 @@ class RealParameterServer(ParameterServer):
 
     # ----------------------------------------------------------------- cleanup
     def shutdown(self) -> None:
-        """Release the shared-memory blocks (idempotent)."""
+        """Stop the servers and release the shared-memory blocks (idempotent)."""
         self._finalizer()
 
     def __enter__(self) -> "RealParameterServer":

@@ -20,7 +20,8 @@ Synchronization model: one lock per node serializes the server's message
 handling with the workers' shared-memory accesses on that node.  NumPy
 reads/writes of a single row are not atomic, so *every* access to a shared
 store during a run must hold the owning node's lock — the real backend's
-client and server loop do.
+client and server loop do.  (Between runs the servers are idle and the
+parent may read and write values without it.)
 """
 
 from __future__ import annotations

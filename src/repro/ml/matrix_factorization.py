@@ -232,10 +232,11 @@ class MatrixFactorizationTrainer:
         results = self.ps.run_workers(worker_fn, clients=clients)
         for result in results:
             if result is not None:
-                low, high, rows, (fused, declined) = result
+                low, high, rows, (fused, declined), levels = result
                 self.row_factors[low:high] = rows
                 self.fused_steps += fused
                 self.declined_steps += declined
+                plan.levels.update(levels)
         duration = self.ps.simulated_time - start_time
         self._epochs_run += 1
         loss = self.training_rmse() if compute_loss else None
@@ -253,6 +254,7 @@ class MatrixFactorizationTrainer:
         # makes this worker's block keys private until the subepoch barrier,
         # which is exactly the privacy window FusedLocalSteps.visit requires.
         fused = client.fused_local_steps()
+        known_levels = set(plan.levels)
         for subepoch in range(schedule.num_subepochs):
             block = schedule.block_for(participant, subepoch)
             block_keys = keys_of_block(block, matrix.num_cols, schedule.num_blocks)
@@ -293,10 +295,11 @@ class MatrixFactorizationTrainer:
                     if compute_time > 0:
                         yield compute_time
             yield from subepoch_synchronization(client)
-        # Return this worker's row-factor slice.  On the simulated backend
-        # these rows were updated in place and the writeback in run_epoch is
-        # a no-op self-assignment; on the real backend the worker process
-        # updated a forked copy, and the returned slice carries the rows home.
+        # Return this worker's row-factor slice and the level schedules it
+        # built.  On the simulated backend the rows were updated in place and
+        # the plan is shared, so the writeback in run_epoch is a no-op; on
+        # the real backend the worker process worked on a forked copy, and
+        # what it returns carries the rows and the schedules home.
         num_workers = schedule.num_workers
         rows_per_worker = int(np.ceil(matrix.num_rows / num_workers))
         low = min(participant * rows_per_worker, matrix.num_rows)
@@ -305,7 +308,12 @@ class MatrixFactorizationTrainer:
         else:
             high = min((participant + 1) * rows_per_worker, matrix.num_rows)
         counts = (0, 0) if fused is None else (fused.taken, fused.declined)
-        return low, high, row_factors[low:high], counts
+        levels = {
+            visit: built
+            for visit, built in plan.levels.items()
+            if visit[0] == participant and visit not in known_levels
+        }
+        return low, high, row_factors[low:high], counts, levels
 
     def _run_levels(
         self, plan: _EpochPlan, visit: Tuple[int, int], first_key: int, columns: np.ndarray

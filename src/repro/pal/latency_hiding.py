@@ -15,7 +15,7 @@ worker computes on data point ``i``, the parameters of data point ``i + k``
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterable, List, Optional, Sequence, Tuple
+from typing import Deque, Optional, Sequence
 
 from repro.errors import ExperimentError
 from repro.ps.base import WorkerClient
@@ -77,30 +77,3 @@ class Prelocalizer:
         """Number of announced-but-not-yet-consumed data points."""
         return len(self._window)
 
-
-def presample_local_negatives(
-    client: WorkerClient,
-    candidates: Iterable[int],
-    needed: int,
-) -> Tuple[List[int], List]:
-    """Pick ``needed`` negative-sample keys whose parameters are local.
-
-    Implements the word-vector trick of Appendix A: pre-sampled negative
-    candidates that are currently not local (e.g. because of a localization
-    conflict) are skipped and the next candidate is tried instead, trading a
-    slight change of the sampling distribution for fully local access.
-
-    Returns:
-        ``(keys, values)`` — the chosen keys and their (local) values.  Fewer
-        than ``needed`` entries are returned if the candidate list is exhausted.
-    """
-    keys: List[int] = []
-    values: List = []
-    for key in candidates:
-        if len(keys) == needed:
-            break
-        value = client.pull_if_local(key)
-        if value is not None:
-            keys.append(key)
-            values.append(value)
-    return keys, values

@@ -99,11 +99,3 @@ class BlockSchedule:
     def assignment_table(self, subepoch: int) -> List[int]:
         """Blocks per worker for one subepoch (index = worker)."""
         return [self.block_for(worker, subepoch) for worker in range(self.num_workers)]
-
-    def verify_conflict_free(self) -> bool:
-        """Check that no two workers share a block in any subepoch."""
-        for subepoch in range(self.num_subepochs):
-            assignment = self.assignment_table(subepoch)
-            if len(set(assignment)) != len(assignment):
-                return False
-        return True

@@ -1288,10 +1288,6 @@ class ParameterServer:
         """Cluster-wide aggregate of all per-node metrics."""
         return PSMetrics.aggregate(state.metrics for state in self.states)
 
-    def node_metrics(self, node: int) -> PSMetrics:
-        """Metrics of one node."""
-        return self.states[node].metrics
-
     @property
     def simulated_time(self) -> float:
         """Current simulated time in seconds."""

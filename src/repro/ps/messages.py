@@ -272,11 +272,3 @@ class BarrierRelease:
 
     generation: int
 
-
-@dataclass(slots=True)
-class WorkerDirectValue:
-    """Reply routed to a specific worker rather than the node van (rarely used)."""
-
-    op_id: int
-    keys: Tuple[int, ...]
-    values: np.ndarray

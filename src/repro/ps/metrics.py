@@ -248,16 +248,6 @@ class PSMetrics:
     wal_recovered_keys: int = 0
 
     @property
-    def pulls_total(self) -> int:
-        """Total number of pull operations."""
-        return self.pulls_local + self.pulls_remote
-
-    @property
-    def pushes_total(self) -> int:
-        """Total number of push operations."""
-        return self.pushes_local + self.pushes_remote
-
-    @property
     def key_reads_total(self) -> int:
         """Total number of per-key reads (local + remote + replica)."""
         return self.key_reads_local + self.key_reads_remote

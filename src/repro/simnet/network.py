@@ -35,7 +35,7 @@ Hot-path design (docs/architecture.md, "Simulation engine performance"):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Optional, Tuple
 
 from repro.config import CostModel
@@ -74,8 +74,16 @@ class NetworkStats:
     delivery_events: int = 0
     coalesced_messages: int = 0
 
-    # Counters are updated inline by :meth:`Network.send` (the hot path); this
-    # class is pure data.
+    # Counters are updated inline by :meth:`Network.send` (the hot path).
+
+    def absorb(self, other: "NetworkStats") -> None:
+        """Add what ``other`` — a child process's own share — counted."""
+        for spec in fields(self):
+            if spec.name != "per_channel_messages":
+                setattr(self, spec.name, getattr(self, spec.name) + getattr(other, spec.name))
+        channels = self.per_channel_messages
+        for channel, count in other.per_channel_messages.items():
+            channels[channel] = channels.get(channel, 0) + count
 
 
 @dataclass(slots=True)
@@ -459,9 +467,3 @@ class Network:
         del self._pending_batches[batch_key]
         for payload in batch:
             put(payload)
-
-    def _delivery_delay(self, src_node: int, dst_node: int, size_bytes: int) -> float:
-        """One-way delay for a message on this channel (kept for tests)."""
-        if src_node == dst_node:
-            return self.cost_model.ipc_access_latency
-        return self.cost_model.message_time(size_bytes)

@@ -84,14 +84,6 @@ class Node:
         """Send a message from this node to the server thread of ``dst_node``."""
         self.network.send(self.node_id, server_address(dst_node), payload, size_bytes)
 
-    def send_to_worker(
-        self, dst_node: int, local_worker: int, payload, size_bytes: int
-    ) -> None:
-        """Send a message from this node to a worker thread on ``dst_node``."""
-        self.network.send(
-            self.node_id, worker_address(dst_node, local_worker), payload, size_bytes
-        )
-
     def send(self, dst_address: Hashable, payload, size_bytes: int) -> None:
         """Send a message from this node to an arbitrary registered address."""
         self.network.send(self.node_id, dst_address, payload, size_bytes)

@@ -59,7 +59,9 @@ numpy state) copy-on-write.  At the end of the epoch each child ships the
 mutated state of *its* nodes back through a pipe — node storage and policy
 tables, worker RNGs and clocks, channel clocks of the channels it owns,
 traffic-counter deltas, WAL segments, and membership outcomes — and the
-parent merges them so the next epoch forks from an up-to-date image.
+parent merges them so the next epoch forks from an up-to-date image.  The
+children run under a :class:`~repro.backend.supervisor.ProcessGroup`: one
+that fails or dies ends the epoch at once, named, and none survives it.
 
 Workloads the window protocol cannot shard (pending failure recovery,
 WAL truncation, single-node clusters, zero network latency, the reference
@@ -70,13 +72,14 @@ the sequential engine with a once-per-reason warning.
 from __future__ import annotations
 
 import multiprocessing
-import os
-import traceback
+import time
 import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import SimulationError
+from repro.backend.supervisor import ProcessGroup
+from repro.errors import ParameterServerError, SimulationError
+from repro.simnet.network import NetworkStats, _ChannelClock
 
 #: Op-id namespace stride: shard ``r`` draws operation ids above
 #: ``(r + 1) << 48``, so concurrently issued ops never collide.  Op ids are
@@ -225,42 +228,6 @@ def parallel_fallback_reason(ps: Any, until: Optional[float] = None) -> Optional
 
 
 # --------------------------------------------------------------------- child
-def _snapshot_stats(stats: Any) -> Dict[str, Any]:
-    return {
-        "messages_sent": stats.messages_sent,
-        "remote_messages": stats.remote_messages,
-        "local_messages": stats.local_messages,
-        "bytes_sent": stats.bytes_sent,
-        "dropped_messages": stats.dropped_messages,
-        "delivery_events": stats.delivery_events,
-        "coalesced_messages": stats.coalesced_messages,
-        "per_channel_messages": dict(stats.per_channel_messages),
-    }
-
-
-def _stats_delta(stats: Any, snapshot: Dict[str, Any]) -> Dict[str, Any]:
-    delta = {
-        name: getattr(stats, name) - snapshot[name]
-        for name in (
-            "messages_sent",
-            "remote_messages",
-            "local_messages",
-            "bytes_sent",
-            "dropped_messages",
-            "delivery_events",
-            "coalesced_messages",
-        )
-    }
-    base = snapshot["per_channel_messages"]
-    per_channel = {}
-    for channel, count in stats.per_channel_messages.items():
-        diff = count - base.get(channel, 0)
-        if diff:
-            per_channel[channel] = diff
-    delta["per_channel_messages"] = per_channel
-    return delta
-
-
 def _strip_relocating(table: Dict[int, Any]) -> Dict[int, Any]:
     """Handle-free copy of a ``relocating_in`` table (for pickling).
 
@@ -382,7 +349,8 @@ def _run_shard(
     network = ps.network
     driver = ps._elastic_driver
     durability = ps.durability
-    stats_snapshot = _snapshot_stats(network.stats)
+    # Counts only what this shard sends; the parent adds it to its own.
+    network.stats = NetworkStats()
     sim.enter_shard_mode(rank)
     network.enable_shard_mode(plan.node_ranks, rank)
     ps._op_counter = (rank + 1) * _OP_ID_STRIDE
@@ -520,7 +488,7 @@ def _run_shard(
             for channel, clock in network._channel_clock.items()
             if node_ranks[channel[0]] == rank
         },
-        "stats_delta": _stats_delta(network.stats, stats_snapshot),
+        "stats_delta": network.stats,
         "worker_results": {index: process.value for index, process in processes},
         "unfinished": unfinished,
         "executed_events": sim.executed_events,
@@ -560,25 +528,23 @@ def _run_shard(
     return payload
 
 
-def _shard_child_main(
+def _shard_main(
+    report: Callable[[Dict[str, Any]], None],
     ps: Any,
     rank: int,
     plan: ShardPlan,
     worker_fn: Callable[[Any, int], Generator],
     owned_clients: Sequence[Tuple[int, Any]],
-    conns: Dict[int, Any],
-    result_conn: Any,
+    conns: List[Dict[int, Any]],
     timeout: float,
 ) -> None:
-    try:
-        payload = _run_shard(ps, rank, plan, worker_fn, owned_clients, conns, timeout)
-    except BaseException:
-        payload = {"rank": rank, "error": traceback.format_exc()}
-    result_conn.send(payload)
-    result_conn.close()
-    # Skip atexit/teardown inherited from the parent: the forked image must
-    # not flush the parent's buffers or tear down shared resources twice.
-    os._exit(0)
+    # The fork copied every shard's pipe ends; holding on to a peer's would
+    # keep its pipes open after its death, and nobody would see an EOF.
+    for peer, ends in enumerate(conns):
+        if peer != rank:
+            for conn in ends.values():
+                conn.close()
+    report(_run_shard(ps, rank, plan, worker_fn, owned_clients, conns[rank], timeout))
 
 
 # -------------------------------------------------------------------- parent
@@ -603,22 +569,9 @@ def _apply_payload(ps: Any, plan: ShardPlan, clients: Sequence[Any], payload: Di
     for channel, last in payload["channel_clocks"].items():
         clock = network._channel_clock.get(channel)
         if clock is None:
-            from repro.simnet.network import _ChannelClock
-
             clock = network._channel_clock[channel] = _ChannelClock()
         clock.last = last
-    stats = network.stats
-    delta = payload["stats_delta"]
-    stats.messages_sent += delta["messages_sent"]
-    stats.remote_messages += delta["remote_messages"]
-    stats.local_messages += delta["local_messages"]
-    stats.bytes_sent += delta["bytes_sent"]
-    stats.dropped_messages += delta["dropped_messages"]
-    stats.delivery_events += delta["delivery_events"]
-    stats.coalesced_messages += delta["coalesced_messages"]
-    per_channel = stats.per_channel_messages
-    for channel, count in delta["per_channel_messages"].items():
-        per_channel[channel] = per_channel.get(channel, 0) + count
+    network.stats.absorb(payload["stats_delta"])
 
 
 def _merge_durability(ps: Any, payloads: Sequence[Dict]) -> None:
@@ -688,8 +641,6 @@ def run_workers_parallel(
     sequential ``run_workers``.  Epochs re-fork from the adaptively
     rebalanced :class:`ShardPlan` recorded on the server.
     """
-    from repro.ps.base import ParameterServerError
-
     sim = ps.sim
     # Drain everything scheduled at or below the current time (coordinator
     # bootstrap, stray zero-delay events) so the children fork a quiescent
@@ -721,59 +672,21 @@ def run_workers_parallel(
             end_i, end_j = ctx.Pipe(duplex=True)
             conns[i][j] = end_i
             conns[j][i] = end_j
-    result_pipes = [ctx.Pipe(duplex=False) for _ in range(plan.num_shards)]
 
-    children = []
-    try:
+    with ProcessGroup(ctx, "parallel engine") as group:
         for rank in range(plan.num_shards):
-            child = ctx.Process(
-                target=_shard_child_main,
-                args=(
-                    ps,
-                    rank,
-                    plan,
-                    worker_fn,
-                    owned[rank],
-                    conns[rank],
-                    result_pipes[rank][1],
-                    timeout,
-                ),
-                name=f"sim-shard-{rank}",
+            group.spawn(
+                f"sim-shard-{rank}", _shard_main,
+                ps, rank, plan, worker_fn, owned[rank], conns, timeout,
             )
-            child.daemon = True
-            child.start()
-            children.append(child)
         # The parent's copies of the exchange fds are not used; close them so
-        # repeated epochs do not accumulate descriptors.
-        for rank in range(plan.num_shards):
-            for conn in conns[rank].values():
+        # that a dead shard is an EOF to its peers and repeated epochs do not
+        # accumulate descriptors.
+        for ends in conns:
+            for conn in ends.values():
                 conn.close()
-            result_pipes[rank][1].close()
+        payloads = group.gather(group.children, time.monotonic() + timeout)
 
-        payloads: List[Optional[Dict]] = [None] * plan.num_shards
-        for rank in range(plan.num_shards):
-            receiver = result_pipes[rank][0]
-            if not receiver.poll(timeout):
-                raise ParameterServerError(
-                    f"parallel engine: shard {rank} produced no result within "
-                    f"{timeout}s (deadlocked shard barrier?)"
-                )
-            payloads[rank] = receiver.recv()
-        for child in children:
-            child.join()
-    finally:
-        for child in children:
-            if child.is_alive():
-                child.terminate()
-                child.join()
-        for rank in range(plan.num_shards):
-            result_pipes[rank][0].close()
-
-    errors = [p["error"] for p in payloads if p is not None and "error" in p]
-    if errors:
-        raise ParameterServerError(
-            "parallel engine: shard process failed:\n" + "\n".join(errors)
-        )
     unfinished = [name for p in payloads for name in p["unfinished"]]
     if unfinished:
         raise ParameterServerError(

@@ -21,31 +21,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class MessageQueue:
     """An unbounded FIFO queue connecting simulation processes."""
 
-    __slots__ = ("sim", "_items", "_getters", "_total_put")
+    __slots__ = ("sim", "_items", "_getters")
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-        self._total_put = 0
 
     def __len__(self) -> int:
         """Number of items currently buffered (not yet handed to a getter)."""
         return len(self._items)
 
-    @property
-    def total_put(self) -> int:
-        """Total number of items ever put into the queue."""
-        return self._total_put
-
-    @property
-    def waiting_getters(self) -> int:
-        """Number of get() events currently waiting for an item."""
-        return len(self._getters)
-
     def put(self, item: Any) -> None:
         """Add ``item`` to the queue, waking the oldest waiting getter if any."""
-        self._total_put += 1
         if self._getters:
             getter = self._getters.popleft()
             getter.succeed(item)
@@ -66,7 +54,3 @@ class MessageQueue:
         else:
             self._getters.append(event)
         return event
-
-    def peek_all(self) -> list:
-        """Return a snapshot of the currently buffered items (for inspection)."""
-        return list(self._items)

@@ -1,12 +1,14 @@
 """Block visits on the real backend's shared-memory lane.
 
 ``RealWorkerClient.fused_local_steps()`` hands the MF trainer a runner whose
-``visit`` is the worker's lane applied to a whole block: residency check,
-read, kernel and write under **one** hold of the node lock, counted as the
-per-entry loop counts the same entries.  The oracle is the technique of
+``visit`` is the worker's lane applied to a whole block: residency check and
+read under one short hold of the node lock, the kernel outside it, and a
+compare-and-swap write under a second — counted as the per-entry loop counts
+the same entries.  The oracle is the technique of
 ``tests/ps/test_fused_steps.py``: the same run with the runner withheld, and
 the simulator.  Also pinned: a refused visit touches nothing, the lock is free
-while a visit burns its compute time, and a worker that dies *holding* the
+inside the kernel and while a visit burns its compute time, a write that lands
+in between is neither lost nor doubled, and a worker that dies *holding* the
 lock still fails the run fast and clean.
 """
 
@@ -181,17 +183,24 @@ def test_visits_of_a_contended_block_lose_no_update():
         assert sum(taken for taken, _ in counts) > 0 and sum(lost for _, lost in counts) > 0
 
 
-def test_lock_is_held_across_the_access_and_free_during_compute(monkeypatch):  # (c)
+def test_lock_is_free_inside_the_kernel_and_a_write_in_between_is_kept(monkeypatch):  # (c)
+    """A deterministic conflict: the kernel itself pushes +1 to its block, then
+    returns ``values + 1``.  The visit's compare-and-swap sees the block
+    changed and hands its own +1 to the push path: 2, not 1 (the push lost)
+    and not 3 (the kernel's result taken for an increment of the new values)."""
     with _server() as ps:
         observed = {}  # filled in worker 0's process, which returns it
 
-        def kernel(values):
-            observed["kernel"] = _lock_is_free(ps.node_locks[0])
-            return values
-
         def worker(client, worker_id):
+            def kernel(values):
+                observed["kernel"] = _lock_is_free(ps.node_locks[0])
+                client.push_async([0, 1], np.ones((2, LENGTH)))
+                return values + 1.0
+
             if worker_id == 0:
-                client.fused_local_steps().visit([0, 1], np.array([0, 1, 1]), 0.5, kernel)
+                runner = client.fused_local_steps()
+                assert runner.visit([0, 1], np.array([0, 1, 1]), 0.5, kernel)
+                observed["taken"] = runner.taken
             yield from client.barrier()
             return observed
 
@@ -200,7 +209,9 @@ def test_lock_is_held_across_the_access_and_free_during_compute(monkeypatch):  #
             real_backend, "_busy_wait",
             lambda seconds: observed.update(compute=(seconds, _lock_is_free(ps.node_locks[0]))),
         )
-        assert ps.run_workers(worker)[0] == {"kernel": False, "compute": (1.5, True)}
+        assert ps.run_workers(worker)[0] == {"kernel": True, "taken": 3, "compute": (1.5, True)}
+        np.testing.assert_array_equal(ps.all_parameters()[:2], 2.0)
+        np.testing.assert_array_equal(ps.all_parameters()[2:], 0.0)
 
 
 def test_failing_kernel_releases_the_lock_and_fails_the_run():  # (c)
@@ -224,12 +235,12 @@ def test_failing_kernel_releases_the_lock_and_fails_the_run():  # (c)
 def test_worker_killed_inside_a_visit_fails_the_run_fast_and_clean():  # (d)
     """The lock dies held: the node-mate (its lane) and server 0 (a pull from
     node 1, on which server 1 then waits) block on it for good.  The parent's
-    exit-code poll does not depend on the lock."""
-    segments_before = set(os.listdir("/dev/shm"))
+    watch on the process sentinels does not depend on the lock."""
     ps = _server(workers_per_node=2)
     try:
 
         def die_holding_the_lock(values):
+            ps.node_locks[0].acquire()  # as the visit's write would
             time.sleep(0.2)  # everyone else queues up behind the lock
             os.kill(os.getpid(), signal.SIGKILL)
 
@@ -247,4 +258,3 @@ def test_worker_killed_inside_a_visit_fails_the_run_fast_and_clean():  # (d)
         assert multiprocessing.active_children() == []
     finally:
         ps.shutdown()
-    assert set(os.listdir("/dev/shm")) <= segments_before

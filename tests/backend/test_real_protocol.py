@@ -7,8 +7,10 @@
 * **Snapshot at hand-over.**  ``multiprocessing.Queue.put`` pickles in a
   feeder thread after it returned, so a push must copy its update rows before
   the caller can reuse the buffer.
-* **Fail fast.**  A killed server or worker ends the run with an error naming
-  it, promptly, leaving no process and no shared-memory segment behind.
+* **Fail fast.**  A killed server or worker — or one that leaves with exit
+  status 0 before it reported — ends the run with an error naming it,
+  promptly, leaving no process and no shared-memory segment behind (the
+  fixture in ``conftest.py`` checks both after every test).
 * **KGE and word2vec** run on real processes unchanged — the protocol they
   need (asynchronous prelocalization, ``pull_if_local``, multi-key steps) is
   the simulator's own.
@@ -18,6 +20,7 @@ import math
 import multiprocessing
 import os
 import signal
+import sys
 import time
 
 import numpy as np
@@ -148,7 +151,6 @@ class _RecordingContext:
 
 @pytest.mark.parametrize("victim", ("server-0", "worker-0"))
 def test_killed_child_fails_the_run_fast_and_clean(victim):
-    segments_before = set(os.listdir("/dev/shm"))
     cluster = ClusterConfig(num_nodes=2, workers_per_node=1, seed=0)
     ps_config = ParameterServerConfig(num_keys=8, value_length=2)
     ps = make_parameter_server("lapse", cluster, ps_config, backend="real")
@@ -170,7 +172,28 @@ def test_killed_child_fails_the_run_fast_and_clean(victim):
         assert multiprocessing.active_children() == []
     finally:
         ps.shutdown()
-    assert set(os.listdir("/dev/shm")) <= segments_before
+
+
+@pytest.mark.parametrize("leave", (lambda: os._exit(0), sys.exit), ids=("os._exit", "sys.exit"))
+def test_worker_leaving_with_status_zero_fails_the_run_fast(leave):
+    """Exit code 0 is not a report: the parent used to look at children only
+    when they had a non-zero one, and waited out its 300 s timeout."""
+    cluster = ClusterConfig(num_nodes=2, workers_per_node=1, seed=0)
+    ps_config = ParameterServerConfig(num_keys=8, value_length=2)
+    with make_parameter_server("lapse", cluster, ps_config, backend="real") as ps:
+
+        def worker(client, worker_id):
+            yield from client.barrier()
+            for step in range(10**9):  # mid-run: both workers keep crossing nodes
+                yield from client.pull([0, 7])
+                if worker_id == 1 and step == 20:
+                    leave()
+
+        started = time.monotonic()
+        with pytest.raises(ParameterServerError, match="worker-1 exited with code 0"):
+            ps.run_workers(worker)
+        assert time.monotonic() - started < 5.0
+        assert multiprocessing.active_children() == []
 
 
 def test_server_refuses_to_stop_with_work_in_flight():

@@ -17,7 +17,6 @@ from repro.pal import (
     clustering_localize_plan,
     keys_of_block,
 )
-from repro.pal.latency_hiding import presample_local_negatives
 from repro.ps import LapsePS
 
 
@@ -119,7 +118,6 @@ class TestParameterBlocking:
         assert schedule.num_subepochs == 3
         assert schedule.assignment_table(0) == [0, 1, 2]
         assert schedule.assignment_table(1) == [1, 2, 0]
-        assert schedule.verify_conflict_free()
 
     def test_each_worker_sees_every_block_once_per_epoch(self):
         schedule = BlockSchedule(num_workers=4)
@@ -145,8 +143,8 @@ class TestParameterBlocking:
     )
     def test_property_schedule_is_conflict_free_and_covering(self, num_workers, num_keys):
         schedule = BlockSchedule(num_workers=num_workers)
-        assert schedule.verify_conflict_free()
         for subepoch in range(schedule.num_subepochs):
+            assert len(set(schedule.assignment_table(subepoch))) == num_workers
             covered = []
             for worker in range(num_workers):
                 covered.extend(schedule.keys_for(worker, subepoch, num_keys))
@@ -220,11 +218,3 @@ class TestLatencyHiding:
             return "ok"
 
         assert ps.run_workers(worker)[0] == "ok"
-
-    def test_presample_local_negatives_skips_remote_keys(self):
-        ps = self._build()
-        client = ps.client(0, 0)
-        # Keys 0-5 are local to node 0, keys 6-11 are on node 1.
-        keys, values = presample_local_negatives(client, candidates=[6, 0, 7, 1, 8, 2], needed=2)
-        assert keys == [0, 1]
-        assert len(values) == 2

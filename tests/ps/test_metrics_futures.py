@@ -40,7 +40,6 @@ class TestRunningStat:
 class TestPSMetrics:
     def test_totals_and_fractions(self):
         metrics = PSMetrics(pulls_local=3, pulls_remote=1, key_reads_local=30, key_reads_remote=10)
-        assert metrics.pulls_total == 4
         assert metrics.key_reads_total == 40
         assert metrics.local_read_fraction == pytest.approx(0.75)
 

@@ -232,7 +232,7 @@ def test_same_instant_deliveries_share_one_event():
     assert stats.delivery_events == 1
     assert stats.coalesced_messages == 2
     sim.run()
-    assert inbox.peek_all() == ["a", "b", "c"]
+    assert list(inbox._items) == ["a", "b", "c"]
     assert not network._pending_batches  # batch table cleaned on delivery
 
 
@@ -249,7 +249,7 @@ def test_different_instants_do_not_coalesce():
     assert stats.delivery_events == 2
     assert stats.coalesced_messages == 1
     sim.run()
-    assert network.mailbox("dst").peek_all() == ["big", "small", "later"]
+    assert list(network.mailbox("dst")._items) == ["big", "small", "later"]
 
 
 def test_coalescing_disabled_under_reference_engine(monkeypatch):
@@ -262,7 +262,7 @@ def test_coalescing_disabled_under_reference_engine(monkeypatch):
     assert network.stats.delivery_events == 2
     assert network.stats.coalesced_messages == 0
     sim.run()
-    assert inbox.peek_all() == ["a", "b"]
+    assert list(inbox._items) == ["a", "b"]
 
 
 def test_coalesced_delivery_is_deterministic(monkeypatch):

@@ -138,7 +138,7 @@ def test_worker_addressing_and_send_to_worker():
 
     def sender():
         yield 0.0
-        nodes[0].send_to_worker(1, 2, "for worker 2", 100)
+        nodes[0].send(worker_address(1, 2), "for worker 2", 100)
 
     recv = sim.process(receiver())
     sim.process(sender())

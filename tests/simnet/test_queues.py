@@ -79,27 +79,9 @@ def test_len_and_counters():
     queue.put(1)
     queue.put(2)
     assert len(queue) == 2
-    assert queue.total_put == 2
-    assert queue.peek_all() == [1, 2]
 
     def consumer():
         yield queue.get()
 
     sim.run_process(consumer())
     assert len(queue) == 1
-    assert queue.total_put == 2
-
-
-def test_waiting_getters_counter():
-    sim = Simulator()
-    queue = MessageQueue(sim)
-
-    def consumer():
-        yield queue.get()
-
-    sim.process(consumer())
-    sim.process(consumer())
-    sim.run()
-    assert queue.waiting_getters == 2
-    queue.put("x")
-    assert queue.waiting_getters == 1
