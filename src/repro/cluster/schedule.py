@@ -12,7 +12,7 @@ boundary (a crash cannot abort the node's running worker generators).
 
 An **empty schedule is guaranteed inert**: no control-plane action is taken,
 and the simulated results are bit-identical to a run without the elastic
-runtime (asserted by the test-suite and ``bench_elasticity.py``).
+runtime (asserted by ``tests/cluster/test_elastic.py``).
 """
 
 from __future__ import annotations

@@ -99,7 +99,6 @@ def make_parameter_server(
     partitioner: Optional[KeyPartitioner] = None,
     durability: Optional[Any] = None,
     backend: str = "sim",
-    engine: str = "sim",
     jobs: int = 1,
     trace: Optional[Any] = None,
 ) -> ParameterServer:
@@ -123,9 +122,8 @@ def make_parameter_server(
     an object satisfying the same client/metrics API; call ``shutdown()`` on
     it (or use it as a context manager) to release the shared memory.
 
-    ``engine`` selects the simulator's event engine: ``"sim"`` (default) is
-    the sequential kernel, ``"parallel"`` shards the nodes across ``jobs``
-    forked processes with conservative time-window sync
+    ``jobs > 1`` shards the simulated nodes across that many forked
+    processes with conservative time-window sync
     (:mod:`repro.simnet.parallel`) — bit-identical results, multicore
     wall-clock.  Elastic membership changes and durable (WAL/checkpoint)
     runs shard too: membership events become window barriers and per-shard
@@ -135,16 +133,12 @@ def make_parameter_server(
     models) fall back to ``jobs=1`` at run time with a once-per-reason
     warning; the reason is recorded on the run result.
     """
-    if engine not in ("sim", "parallel"):
-        raise ExperimentError(f"unknown engine {engine!r}; choose 'sim' or 'parallel'")
     if jobs < 1:
         raise ExperimentError(f"jobs must be >= 1, got {jobs}")
-    if jobs > 1:
-        engine = "parallel"
-    if engine == "parallel" and backend == "real":
+    if jobs > 1 and backend == "real":
         raise ExperimentError(
-            "engine='parallel' applies to the simulator; the real backend "
-            "has its own process-level parallelism"
+            "jobs > 1 applies to the simulator; the real backend has its own "
+            "process-level parallelism"
         )
     if backend == "real":
         from repro.backend import REAL_BACKEND_SYSTEMS, RealParameterServer
@@ -167,9 +161,7 @@ def make_parameter_server(
     if backend != "sim":
         raise ExperimentError(f"unknown backend {backend!r}; choose 'sim' or 'real'")
     ps = _make_sim_ps(system, cluster, ps_config, partitioner, durability, trace)
-    if jobs > 1:
-        ps.jobs = jobs
-        ps.sim.jobs = jobs
+    ps.jobs = jobs
     return ps
 
 
@@ -261,6 +253,34 @@ class TaskRunResult:
     def parallelism(self) -> str:
         """Human-readable parallelism label, e.g. ``"4x4"``."""
         return f"{self.num_nodes}x{self.workers_per_node}"
+
+
+def _task_result(
+    task: str,
+    system: str,
+    ps: ParameterServer,
+    epochs: List[EpochResult],
+    trainer: Any,
+    backend: str = "sim",
+) -> TaskRunResult:
+    """What a finished run of ``trainer`` on ``ps`` reports."""
+    return TaskRunResult(
+        task=task,
+        system=system,
+        num_nodes=ps.cluster.num_nodes,
+        workers_per_node=ps.cluster.workers_per_node,
+        epochs=epochs,
+        metrics=ps.metrics(),
+        remote_messages=ps.network.stats.remote_messages,
+        bytes_sent=ps.network.stats.bytes_sent,
+        backend=backend,
+        jobs=ps.jobs,
+        parallel_fallback_reason=ps._last_fallback_reason,
+        effective_jobs=ps._last_effective_jobs,
+        fused_steps=trainer.fused_steps,
+        declined_steps=trainer.declined_steps,
+        tracer=ps.tracer,
+    )
 
 
 # ------------------------------------------------------------------ workloads
@@ -389,23 +409,7 @@ def run_mf_experiment(
     try:
         trainer = MatrixFactorizationTrainer(ps, matrix, mf_config, seed=seed)
         epoch_results = trainer.train(num_epochs=epochs, compute_loss=compute_loss)
-        return TaskRunResult(
-            task="matrix_factorization",
-            system=system,
-            num_nodes=num_nodes,
-            workers_per_node=workers_per_node,
-            epochs=epoch_results,
-            metrics=ps.metrics(),
-            remote_messages=ps.network.stats.remote_messages,
-            bytes_sent=ps.network.stats.bytes_sent,
-            backend=backend,
-            jobs=jobs,
-            parallel_fallback_reason=getattr(ps, "_last_fallback_reason", None),
-            effective_jobs=getattr(ps, "_last_effective_jobs", 1),
-            fused_steps=trainer.fused_steps,
-            declined_steps=trainer.declined_steps,
-            tracer=ps.tracer,
-        )
+        return _task_result("matrix_factorization", system, ps, epoch_results, trainer, backend)
     finally:
         if backend == "real":
             ps.shutdown()
@@ -447,28 +451,18 @@ def run_kge_experiment(
         num_keys=keyspace.num_keys, value_length=kge_config.value_length
     )
     ps = make_parameter_server(
-        system, cluster, ps_config, backend=backend, jobs=jobs, trace=trace
+        system,
+        cluster,
+        ps_config,
+        durability=durability,
+        backend=backend,
+        jobs=jobs,
+        trace=trace,
     )
     try:
         trainer = KGETrainer(ps, graph, kge_config, seed=seed)
         epoch_results = trainer.train(num_epochs=epochs, compute_loss=compute_loss)
-        return TaskRunResult(
-            task=f"kge_{model}",
-            system=system,
-            num_nodes=num_nodes,
-            workers_per_node=workers_per_node,
-            epochs=epoch_results,
-            metrics=ps.metrics(),
-            remote_messages=ps.network.stats.remote_messages,
-            bytes_sent=ps.network.stats.bytes_sent,
-            backend=backend,
-            jobs=jobs,
-            parallel_fallback_reason=ps._last_fallback_reason,
-            effective_jobs=ps._last_effective_jobs,
-            fused_steps=trainer.fused_steps,
-            declined_steps=trainer.declined_steps,
-            tracer=ps.tracer,
-        )
+        return _task_result(f"kge_{model}", system, ps, epoch_results, trainer, backend)
     finally:
         if backend == "real":
             ps.shutdown()
@@ -564,21 +558,7 @@ def run_elastic_mf_experiment(
     epoch_results = [
         elastic.run_epoch(trainer, compute_loss=compute_loss) for _ in range(epochs)
     ]
-    ps = elastic.ps
-    return TaskRunResult(
-        task="matrix_factorization",
-        system=system,
-        num_nodes=num_nodes,
-        workers_per_node=workers_per_node,
-        epochs=epoch_results,
-        metrics=ps.metrics(),
-        remote_messages=ps.network.stats.remote_messages,
-        bytes_sent=ps.network.stats.bytes_sent,
-        jobs=jobs,
-        parallel_fallback_reason=ps._last_fallback_reason,
-        effective_jobs=ps._last_effective_jobs,
-        tracer=ps.tracer,
-    )
+    return _task_result("matrix_factorization", system, elastic.ps, epoch_results, trainer)
 
 
 def run_w2v_experiment(
@@ -622,23 +602,7 @@ def run_w2v_experiment(
     try:
         trainer = Word2VecTrainer(ps, corpus, w2v_config, seed=seed)
         epoch_results = trainer.train(num_epochs=epochs, compute_error=compute_error)
-        return TaskRunResult(
-            task="word2vec",
-            system=system,
-            num_nodes=num_nodes,
-            workers_per_node=workers_per_node,
-            epochs=epoch_results,
-            metrics=ps.metrics(),
-            remote_messages=ps.network.stats.remote_messages,
-            bytes_sent=ps.network.stats.bytes_sent,
-            backend=backend,
-            jobs=jobs,
-            parallel_fallback_reason=ps._last_fallback_reason,
-            effective_jobs=ps._last_effective_jobs,
-            fused_steps=trainer.fused_steps,
-            declined_steps=trainer.declined_steps,
-            tracer=ps.tracer,
-        )
+        return _task_result("word2vec", system, ps, epoch_results, trainer, backend)
     finally:
         if backend == "real":
             ps.shutdown()

@@ -349,7 +349,7 @@ class Tracer:
         return sum(trace.span_count() for trace in self.node_traces())
 
     def summary(self) -> Dict[str, Any]:
-        """Compact tracer summary (the ``BENCH_PERF.json`` run-row payload)."""
+        """Compact tracer summary (the ``summary`` block of an exported trace)."""
         ops = {
             op_type: {
                 "count": hist.count,

@@ -56,7 +56,7 @@ from repro.ps.messages import (
     PushRequest,
 )
 from repro.ps.metrics import PSMetrics
-from repro.ps.partition import KeyPartitioner, make_partitioner
+from repro.ps.partition import KeyPartitioner, RangePartitioner
 from repro.ps.storage import SMALL_BATCH as _SMALL_BATCH
 from repro.ps.storage import LatchTable, ParameterStorage, make_storage
 from repro.simnet import Network, Node, Simulator
@@ -988,7 +988,7 @@ class ParameterServer:
     tracer: Optional[Any] = None
     #: Shard count for the parallel simulation engine
     #: (:mod:`repro.simnet.parallel`).  ``1`` -> sequential engine.  Set via
-    #: ``make_parameter_server(..., engine="parallel", jobs=N)`` or directly.
+    #: ``make_parameter_server(..., jobs=N)`` or directly.
     jobs: int = 1
     #: Outcome of the most recent :meth:`run_workers` engine selection: the
     #: fallback reason (``None`` when the parallel engine ran, or no parallel
@@ -1007,7 +1007,6 @@ class ParameterServer:
         ps_config: Optional[ParameterServerConfig] = None,
         initial_values: Optional[Any] = None,
         partitioner: Optional[KeyPartitioner] = None,
-        partitioner_kind: str = "range",
         durability: Optional[Any] = None,
         trace: Optional[Any] = None,
     ) -> None:
@@ -1023,8 +1022,8 @@ class ParameterServer:
         self.ps_config = ps_config
         self._build_substrate()
         self.nodes = [Node(self.sim, self.network, i, cluster) for i in range(cluster.num_nodes)]
-        self.partitioner = partitioner or make_partitioner(
-            partitioner_kind, self.ps_config.num_keys, cluster.num_nodes
+        self.partitioner = partitioner or RangePartitioner(
+            self.ps_config.num_keys, cluster.num_nodes
         )
         if self.partitioner.num_keys != self.ps_config.num_keys:
             raise ParameterServerError("partitioner key space does not match PS config")
@@ -1190,7 +1189,7 @@ class ParameterServer:
         """
         if clients is None:
             clients = self.clients()
-        jobs = max(self.jobs, self.sim.jobs)
+        jobs = self.jobs
         self._last_fallback_reason = None
         self._last_effective_jobs = 1
         if jobs > 1:

@@ -152,9 +152,7 @@ class Simulator:
         assert sim.now == 1.0 and proc.value == "done"
     """
 
-    def __init__(self, jobs: int = 1) -> None:
-        if jobs < 1:
-            raise SimulationError(f"jobs must be >= 1, got {jobs}")
+    def __init__(self) -> None:
         self._now = 0.0
         self._queue: List[Tuple[float, int, Any]] = []
         #: FIFO of events/calls scheduled for the current simulated time.
@@ -165,10 +163,6 @@ class Simulator:
         #: Whether the engine fast paths (ring, pool, coalescing, fused worker
         #: steps) are active for this simulator instance.
         self.fastpath = not fastpath_disabled()
-        #: Requested shard count for the parallel engine.  The kernel itself
-        #: stays single-threaded; ``repro.simnet.parallel`` forks one shard
-        #: process per job at each driver epoch when the workload is eligible.
-        self.jobs = jobs
         #: Shard rank once this simulator runs inside a shard process
         #: (``enter_shard_mode``); None in the ordinary sequential engine.
         self._shard_rank: Optional[int] = None

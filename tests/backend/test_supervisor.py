@@ -117,7 +117,7 @@ def test_killed_shard_fails_the_epoch_fast_and_clean():
     pipe ends open)."""
     cluster = ClusterConfig(num_nodes=2, workers_per_node=1, seed=0)
     ps_config = ParameterServerConfig(num_keys=8, value_length=2)
-    ps = make_parameter_server("classic", cluster, ps_config, engine="parallel", jobs=2)
+    ps = make_parameter_server("classic", cluster, ps_config, jobs=2)
 
     def worker(client, worker_id):
         for step in range(200):  # both shards keep exchanging windows
@@ -140,7 +140,7 @@ def test_surviving_shard_notices_its_dead_peer_by_itself(monkeypatch):
 
     cluster = ClusterConfig(num_nodes=2, workers_per_node=1, seed=0)
     ps_config = ParameterServerConfig(num_keys=8, value_length=2)
-    ps = make_parameter_server("classic", cluster, ps_config, engine="parallel", jobs=2)
+    ps = make_parameter_server("classic", cluster, ps_config, jobs=2)
 
     def worker(client, worker_id):
         if worker_id == 1:

@@ -38,7 +38,10 @@ class TestAcceptance:
         row = row_of(recovery_rows, "lapse")
         assert row["fail_injected"]
         assert row["lost_keys"] == 0
+        # No replicas: every recovered key came from the log.
+        assert row["recovered_keys"] > 0
         assert row["wal_recovered_keys"] > 0
+        assert row["replayed_deltas"] > 0
         assert row["params_match_reference"]
         assert row["fail_node_state"] == "active"
 
@@ -46,6 +49,7 @@ class TestAcceptance:
         row = row_of(recovery_rows, "hybrid")
         assert row["fail_injected"]
         assert row["lost_keys"] == 0
+        assert row["recovered_keys"] > 0
         assert row["params_match_reference"]
         assert row["fail_node_state"] == "active"
 

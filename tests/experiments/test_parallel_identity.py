@@ -9,8 +9,9 @@ counts, training losses, the aggregated PS metric counters, and (for MF)
 the final model parameters.
 
 ``jobs=2`` forks two shard processes regardless of host core count, so the
-determinism bar holds even on single-core CI runners; only the *speedup*
-claims (``benchmarks/bench_perf.py``) need real parallel hardware.
+determinism bar holds even on single-core CI runners; only a *speedup*
+needs real parallel hardware, and ``bench/`` measures that
+(workload ``mf_classic_jobs2``).
 """
 
 import warnings
@@ -134,6 +135,42 @@ def test_non_contiguous_plan_refork_identical():
     par_cols, par_rows = _train_mf("lapse", jobs=2, plan=interleaved)
     assert np.array_equal(seq_cols, par_cols)
     assert np.array_equal(seq_rows, par_rows)
+
+
+def _skewed_run(jobs):
+    """Lapse MF on 8 nodes of which only 4 ever hold keys or run workers."""
+    from repro.experiments.runner import make_elastic_mf
+
+    elastic, trainer = make_elastic_mf(
+        "lapse",
+        num_nodes=8,
+        initial_nodes=(0, 1, 2, 3),
+        scale=MFScale(num_rows=64, num_cols=32, num_entries=1200, rank=4),
+        workers_per_node=2,
+        jobs=jobs,
+    )
+    epochs = [elastic.run_epoch(trainer, compute_loss=True) for _ in range(3)]
+    stats = elastic.ps.network.stats
+    fingerprint = (
+        [(repr(epoch.duration), repr(epoch.loss)) for epoch in epochs],
+        stats.remote_messages,
+        stats.bytes_sent,
+        elastic.ps.metrics().as_dict(),
+    )
+    return elastic.ps, fingerprint
+
+
+def test_adaptive_replan_narrows_a_persistent_skew():
+    """The contiguous plan puts the 4 active nodes on 2 of 4 shards; the
+    per-epoch replan of ``run_workers_parallel`` must spread them out, and
+    the reforked epochs must still merge bit-identically."""
+    _, sequential = _skewed_run(jobs=1)
+    ps, sharded = _skewed_run(jobs=4)
+    assert ps._last_fallback_reason is None and ps._last_effective_jobs == 4
+    history = ps.shard_load_history
+    assert sum(epoch["replanned"] for epoch in history) >= 1
+    assert history[-1]["skew"] < history[0]["skew"]
+    assert sharded == sequential
 
 
 # ------------------------------------------------------------------- elastic

@@ -108,6 +108,20 @@ class TestRunners:
         assert with_loss.final_loss is not None
         assert without_loss.final_loss is None
 
+    def test_kge_durability_is_installed_and_inert(self):
+        from repro.durability import DurabilityConfig
+
+        run = dict(num_nodes=2, workers_per_node=2, scale=TINY_KGE, epochs=2)
+        plain = run_kge_experiment("lapse", **run)
+        durable = run_kge_experiment("lapse", durability=DurabilityConfig(), **run)
+        assert plain.metrics.wal_appends == 0
+        assert durable.metrics.wal_appends > 0
+        # A logged run takes the event loop for every step.
+        assert durable.fused_steps == 0 and durable.declined_steps > 0
+        assert [e.duration for e in durable.epochs] == [e.duration for e in plain.epochs]
+        assert durable.remote_messages == plain.remote_messages
+        assert durable.bytes_sent == plain.bytes_sent
+
     def test_lowlevel_has_no_ps_metrics(self):
         result = run_mf_experiment("lowlevel", num_nodes=2, workers_per_node=1, scale=TINY_MF)
         assert result.metrics is None

@@ -329,6 +329,12 @@ def test_durable_training_takes_the_event_loop():
     assert trainer.ps.metrics().wal_appends >= 2 * matrix.num_entries
 
 
+def test_the_ipc_classic_offers_no_runner(monkeypatch):
+    monkeypatch.delenv("REPRO_DISABLE_FASTPATH", raising=False)
+    trainer, _ = train("classic", generate_matrix(rank=4, seed=3, **GOLDEN_SCALE))
+    assert (trainer.fused_steps, trainer.declined_steps) == (0, 0)
+
+
 def test_reference_engine_offers_no_runner(monkeypatch):
     matrix = generate_matrix(rank=4, seed=3, **GOLDEN_SCALE)
     monkeypatch.delenv("REPRO_DISABLE_FASTPATH", raising=False)

@@ -262,6 +262,32 @@ class TestLatchTableBatch:
         assert table.acquisitions == 3
 
 
+class TestNodeStateBatch:
+    @pytest.mark.parametrize("size", BATCH_SIZES)
+    def test_local_many_match_per_key_reads_and_writes(self, size):
+        """What every server handler runs equals the per-key loop it replaced:
+        values bit-for-bit, duplicates accumulating, one latch per key."""
+        from repro.config import ClusterConfig, ParameterServerConfig
+        from repro.ps.classic import ClassicSharedMemoryPS
+
+        rng = _rng(size)
+        config = ParameterServerConfig(num_keys=NUM_KEYS, value_length=VALUE_LENGTH)
+        cluster = ClusterConfig(num_nodes=1, workers_per_node=1)
+        initial = rng.normal(size=(NUM_KEYS, VALUE_LENGTH))
+        batch = ClassicSharedMemoryPS(cluster, config, initial_values=initial).states[0]
+        single = ClassicSharedMemoryPS(cluster, config, initial_values=initial).states[0]
+        keys = [int(key) for key in rng.integers(0, NUM_KEYS, size=size)]
+        updates = rng.normal(size=(size, VALUE_LENGTH))
+        batch.write_local_many(keys, updates)
+        for index, key in enumerate(keys):
+            single.write_local(key, updates[index])
+        np.testing.assert_array_equal(
+            batch.read_local_many(keys),
+            np.vstack([single.read_local(key) for key in keys]),
+        )
+        assert batch.latches.acquisitions == single.latches.acquisitions == 2 * size
+
+
 class TestPartitionerBatch:
     @pytest.mark.parametrize(
         "partitioner",

@@ -143,29 +143,34 @@ def test_rebalance_keeps_the_plan_on_degenerate_weights():
 
 # ------------------------------------------------------------------ simulator
 def test_simulator_rejects_invalid_jobs():
-    with pytest.raises(SimulationError):
-        Simulator(jobs=0)
+    cluster = ClusterConfig(num_nodes=2, workers_per_node=1)
+    config = ParameterServerConfig(num_keys=4, value_length=2)
+    with pytest.raises(ExperimentError, match="jobs must be >= 1"):
+        make_parameter_server("lapse", cluster, config, jobs=0)
 
 
 def test_make_parameter_server_rejects_invalid_engine_combinations():
     cluster = ClusterConfig(num_nodes=2, workers_per_node=1)
     config = ParameterServerConfig(num_keys=4, value_length=2)
-    with pytest.raises(ExperimentError):
-        make_parameter_server("lapse", cluster, config, engine="bogus")
-    with pytest.raises(ExperimentError):
-        make_parameter_server("lapse", cluster, config, jobs=0)
-    with pytest.raises(ExperimentError):
-        make_parameter_server(
-            "lapse", cluster, config, backend="real", engine="parallel"
-        )
+    with pytest.raises(ExperimentError, match="unknown backend"):
+        make_parameter_server("lapse", cluster, config, backend="bogus")
+    with pytest.raises(ExperimentError, match="jobs > 1 applies to the simulator"):
+        make_parameter_server("lapse", cluster, config, backend="real", jobs=2)
 
 
 def test_jobs_flow_into_the_simulator():
+    """``ps.jobs`` is the one copy of the shard count, and the run reads it."""
     cluster = ClusterConfig(num_nodes=4, workers_per_node=1)
     config = ParameterServerConfig(num_keys=4, value_length=2)
     ps = make_parameter_server("lapse", cluster, config, jobs=3)
     assert ps.jobs == 3
-    assert ps.sim.jobs == 3
+
+    def worker(client, worker_id):
+        yield from client.pull([worker_id])
+
+    ps.run_workers(worker)
+    assert ps._last_fallback_reason is None
+    assert ps._last_effective_jobs == 3
 
 
 # ------------------------------------------------------------------ shard mode

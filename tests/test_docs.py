@@ -4,9 +4,12 @@ CI runs these to make sure the README and the architecture documentation do
 not rot: every local file or directory they reference must exist, every
 module path they name must be importable from the repository layout, and the
 system-name table in the README must match the experiment runner's registry.
+The CI workflow and the verify skill are held to the same rule, so a deleted
+script cannot leave a dead CI step or a dead recipe behind.
 """
 
 import ast
+import glob
 import os
 import re
 
@@ -22,6 +25,11 @@ DOC_FILES = ("README.md", "PAPER.md", "docs/architecture.md")
 _LINK = re.compile(r"\[[^\]]+\]\(([^)#]+)(?:#[^)]*)?\)")
 #: Inline-code references to repository paths such as ```src/repro/ps/replica.py```.
 _CODE_PATH = re.compile(r"`([A-Za-z0-9_./-]+/[A-Za-z0-9_./-]+?\.(?:py|md))`")
+
+#: Files that are commands, not prose: any ``*.py`` / ``*.json`` / ``*.md``
+#: token in them is a path someone will run, read or upload.
+RECIPE_FILES = (".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md")
+_RECIPE_PATH = re.compile(r"(?<![\w./<>*-])[\w.*-]+(?:/[\w.*-]+)*\.(?:py|json|md)\b")
 
 
 def _read(relpath):
@@ -58,6 +66,25 @@ def test_inline_code_paths_resolve(doc):
         if not any(os.path.exists(os.path.join(base, target)) for base in bases):
             broken.append(target)
     assert not broken, f"{doc} names missing files: {broken}"
+
+
+@pytest.mark.parametrize("recipe", RECIPE_FILES)
+def test_recipe_paths_resolve(recipe):
+    """Every path a CI step or a verify recipe names exists in the checkout —
+    at the root or, as prose shortens them, below it; globs must match
+    something — or is something a run writes: those are in ``.gitignore``."""
+    ignored = [line.strip() for line in _read(".gitignore").splitlines() if line.strip()]
+    broken = []
+    for target in sorted(set(_RECIPE_PATH.findall(_read(recipe)))):
+        written_by_a_run = any(
+            target.startswith(entry) if entry.endswith("/") else target == entry
+            for entry in ignored
+        )
+        if not written_by_a_run and not glob.glob(
+            os.path.join(ROOT, "**", target), recursive=True
+        ):
+            broken.append(target)
+    assert not broken, f"{recipe} names missing files: {broken}"
 
 
 def test_readme_system_table_matches_runner_registry():
