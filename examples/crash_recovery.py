@@ -24,10 +24,16 @@ a crash-and-restart becomes lossless *and exact*:
 Try ``DURABILITY = None`` to see the contrast: under pure relocation the
 crash then loses the failed node's keys (``PSMetrics.lost_keys``).
 
+Block visits run as one numerics kernel on the logged store too, except where
+a node's next checkpoint falls inside a visit; the script prints the entries
+each path took and exits non-zero if a run fused none (CI runs it).
+
 Run with::
 
     python examples/crash_recovery.py
 """
+
+import sys
 
 import numpy as np
 
@@ -55,16 +61,18 @@ def train(durability, crash_after_first_epoch):
             elastic.fail_at(now, CRASH_NODE)
             elastic.rejoin_at(now, CRASH_NODE)
             print(f"  -> node {CRASH_NODE} crashes and restarts at this boundary")
-    return elastic
+    print(f"  block-visit entries: {trainer.fused_steps} fused, "
+          f"{trainer.declined_steps} declined (event loop)")
+    return elastic, trainer
 
 
 def main():
     print(f"Failure-free reference ({SYSTEM!r}, {CAPACITY} nodes, no durability)")
-    reference = train(durability=None, crash_after_first_epoch=False)
+    reference, reference_trainer = train(durability=None, crash_after_first_epoch=False)
     reference_params = reference.ps.all_parameters()
 
     print("\nDurable run: WAL + checkpoints installed, crash after epoch 0")
-    elastic = train(durability=DURABILITY, crash_after_first_epoch=True)
+    elastic, trainer = train(durability=DURABILITY, crash_after_first_epoch=True)
     ps = elastic.ps
     metrics = ps.metrics()
 
@@ -80,6 +88,8 @@ def main():
     print(f"  final model bit-identical to the failure-free reference: {exact}")
     if DURABILITY is not None:
         assert metrics.lost_keys == 0 and exact
+    if min(reference_trainer.fused_steps, trainer.fused_steps) == 0:
+        sys.exit(f"a {SYSTEM} run fused no block visit: the fused lane is off")
 
 
 if __name__ == "__main__":

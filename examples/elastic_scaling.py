@@ -23,22 +23,29 @@ factorization workload (§4.2) through ``repro.cluster``:
    the failed node's keys are lost and re-initialized (counted in
    ``PSMetrics.lost_keys``).
 
+The lifecycle runs once per system.  Block visits run as one numerics kernel
+except through a membership change; the last table counts the entries each
+path took, and the script exits non-zero if ``lapse`` fused none (CI runs
+it).
+
 Run with::
 
     python examples/elastic_scaling.py
 """
 
+import sys
+
 from repro.experiments import MFScale, make_elastic_mf
 
-SYSTEM = "hybrid"  # try "lapse" (keys are lost on failure) or "classic"
+SYSTEMS = ("hybrid", "lapse")  # try adding "classic": it cannot shed keys
 CAPACITY = 3       # node 2 is reserve capacity at start
 SCALE = MFScale(num_rows=150, num_cols=24, num_entries=3000, rank=4,
                 compute_time_per_entry=25e-6)
 
 
-def main():
+def lifecycle(system):
     elastic, trainer = make_elastic_mf(
-        SYSTEM, num_nodes=CAPACITY, initial_nodes=[0, 1],
+        system, num_nodes=CAPACITY, initial_nodes=[0, 1],
         scale=SCALE, workers_per_node=2, seed=0,
     )
     ps = elastic.ps
@@ -53,7 +60,7 @@ def main():
               f"membership {states()}")
         return result
 
-    print(f"Elastic lifecycle on the {SYSTEM!r} PS "
+    print(f"Elastic lifecycle on the {system!r} PS "
           f"({CAPACITY} node capacity, 2 workers/node)\n")
 
     print("Phase 1: baseline on nodes 0 and 1")
@@ -87,6 +94,20 @@ def main():
 
     print(f"\nModel intact: {ps.all_parameters().shape} parameters, "
           f"final membership {states()}")
+    return trainer
+
+
+def main():
+    lanes = {}
+    for system in SYSTEMS:
+        trainer = lifecycle(system)
+        lanes[system] = (trainer.fused_steps, trainer.declined_steps)
+        print()
+    print("Block-visit entries: fused (one kernel per visit) / declined (event loop)")
+    for system, (fused, declined) in lanes.items():
+        print(f"  {system:<8s} {fused:7d} / {declined:7d}")
+    if "lapse" in lanes and lanes["lapse"][0] == 0:
+        sys.exit("lapse fused no block visit: the fused lane is off on elastic clusters")
 
 
 if __name__ == "__main__":

@@ -30,6 +30,7 @@ run without it.
 
 from __future__ import annotations
 
+import math
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.cluster.membership import ACTIVE, DRAINING, JOINING, Membership
@@ -87,6 +88,9 @@ class ElasticCluster:
         # means barriers must be sized to the participating workers from the
         # first epoch on.
         self._dynamic = len(self.membership.active_nodes()) != num_nodes
+        #: Whether an event fired since the last :meth:`settle` (see
+        #: :meth:`quiet_through`).
+        self._fired_since_settle = False
         #: Shard-mode registries (populated only inside forked shard
         #: processes): events fired at window barriers this epoch, and one
         #: stitching record per fired event (see ``apply_in_shard``).
@@ -136,11 +140,16 @@ class ElasticCluster:
         """Run the simulation, firing scheduled events at their times.
 
         Drop-in replacement for ``Simulator.run``: processes the event queue
-        to exhaustion (or ``until``), but whenever the next scheduled
-        membership event is due before the next simulation event it fires the
-        membership event first.  Events scheduled later than the end of the
-        epoch (all ``processes`` finished and the queue drained) stay pending
-        for a later epoch.
+        to exhaustion (or ``until``), firing each scheduled membership event
+        at exactly its time, once every simulation event due up to and
+        including that instant has run — also during the post-worker settle
+        tail, where the parallel engine's barrier protocol fires at the same
+        instant.  Between membership instants the kernel runs its own loop
+        (:meth:`~repro.simnet.kernel.Simulator.run_before`).  Events
+        scheduled later than the end of the epoch (all ``processes`` finished
+        and the queue drained) stay pending for a later epoch, and the clock
+        stays at the epoch's last event; a queue that drains while workers
+        still run fires the next event ahead of its time (a deadlock rescue).
 
         Joins and drains fire mid-epoch; a **fail** event is held until the
         running workers finish and applied at the next epoch boundary.  The
@@ -155,52 +164,63 @@ class ElasticCluster:
         order.
         """
         sim = self.ps.sim
+        processes = processes or []
+        # An inclusive cutoff is an exclusive bound just past it.
+        limit = math.inf if until is None else math.nextafter(until, math.inf)
         while True:
+            running = [process for process in processes if not process.processed]
             event = self._pending[0] if self._pending else None
-            if event is not None and until is not None and event.time > until:
-                event = None
-            workers_done = bool(processes) and all(p.processed for p in processes)
-            if event is not None and event.kind == FAIL and not workers_done:
-                event = None
-            fire = False
-            if event is not None:
-                if event.time <= sim.now:
-                    fire = True
-                else:
-                    next_time = sim.peek_time()
-                    if next_time is None:
-                        # Empty queue: a deadlock rescue fires the event even
-                        # ahead of its time while workers still run; once the
-                        # epoch is over the event stays pending for a later
-                        # epoch instead.
-                        fire = not workers_done
-                    elif event.time <= next_time:
-                        # Punctual firing: the event is due before (or at) the
-                        # next simulation event, so it fires at exactly its
-                        # scheduled time — also during the post-worker settle
-                        # tail, where the parallel engine's barrier protocol
-                        # fires at the same instant.
-                        fire = True
-            if fire:
-                if event.time > sim.now:
-                    sim.run(until=event.time)
-                self._pending.pop(0)
-                self._apply(event)
-                continue
-            next_time = sim.peek_time()
-            if next_time is None or (until is not None and next_time > until):
-                if until is not None:
-                    sim.run(until=until)
+            if (
+                event is None
+                or event.time >= limit
+                or (event.kind == FAIL and (running or not processes))
+            ):
+                # Nothing to fire by the cutoff, or a fail held while workers
+                # run: run on, and look again once the next worker finished
+                # (after the last one, a held fail may be due).
+                stop = running[0] if running else None
+                sim.run_before(limit, stop=stop)
+                if stop is not None and stop.processed:
+                    continue
                 break
-            sim.step()
+            if event.time > sim.now:
+                sim.run_before(math.nextafter(event.time, math.inf))
+                if sim.peek_time() is None and processes and all(
+                    process.processed for process in processes
+                ):
+                    break
+                sim.run(until=event.time)
+            self._pending.pop(0)
+            self._apply(event)
+        if until is not None:
+            sim.run(until=until)
         return sim.now
 
     def settle(self) -> float:
-        """Drain all in-flight protocol traffic (no event firing)."""
-        sim = self.ps.sim
-        while sim.peek_time() is not None:
-            sim.step()
-        return sim.now
+        """Drain all in-flight protocol traffic (no event firing).
+
+        Rebalance relocations of the events fired so far are then complete,
+        which is what lets fused block visits run again
+        (:meth:`quiet_through`).
+        """
+        now = self.ps.sim.run()
+        self._fired_since_settle = False
+        return now
+
+    def quiet_through(self, time: float) -> bool:
+        """Whether membership stays put up to and including ``time``.
+
+        False while an event fired since the last :meth:`settle` (its
+        rebalance relocations may still be in flight) or while the next
+        pending event is due at or before ``time``.  Fused MF block visits
+        (:meth:`~repro.ps.base.FusedLocalSteps.visit`) ask this of their last
+        instant.  Both facts are replicated on every shard of the parallel
+        engine (:meth:`apply_in_shard` runs :meth:`_apply` everywhere and the
+        pending list is replicated), so every shard answers alike.
+        """
+        if self._fired_since_settle:
+            return False
+        return not self._pending or self._pending[0].time > time
 
     # ------------------------------------------------------------ event handling
     def _apply(self, event: ClusterEvent) -> RebalanceOperation:
@@ -230,6 +250,7 @@ class ElasticCluster:
         else:  # pragma: no cover - ClusterEvent validates kinds
             raise ClusterError(f"unknown event kind {event.kind!r}")
         self._dynamic = True
+        self._fired_since_settle = True
         self.operations.append((event, operation))
         tracer = self.ps.tracer
         if tracer is not None:
@@ -440,6 +461,7 @@ class ElasticCluster:
         membership.history = lead["membership_history"]
         if lead["fired"]:
             self._dynamic = True
+            self._fired_since_settle = True
         rebuilt: List[Tuple[ClusterEvent, RebalanceOperation]] = []
         for opdata in lead["ops"]:
             event = ClusterEvent(

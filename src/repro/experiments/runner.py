@@ -231,8 +231,10 @@ class TaskRunResult:
     #: Shard count the last epoch actually used (1 after a fallback).
     effective_jobs: int = 1
     #: Training steps a fused runner ran (block-visit entries, verified
-    #: steps) and steps it handed back to the per-step path; both 0 where
-    #: the system or engine offers no runner.
+    #: steps) and steps it handed back to the per-step path — a key not
+    #: resident or guarded, another event inside a verified step's window,
+    #: a membership change or a node checkpoint falling inside the lane;
+    #: both 0 where the system or engine offers no runner.
     fused_steps: int = 0
     declined_steps: int = 0
     #: The run's :class:`~repro.obs.Tracer` when tracing was enabled (call

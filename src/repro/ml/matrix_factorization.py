@@ -108,10 +108,11 @@ class _EpochPlan:
     identical to the pre-elastic fixed assignment.
 
     ``entries`` holds the per-(worker, block) entry index arrays in visit
-    order.  ``levels`` holds the same entries in :func:`level_schedule` order
-    with the level offsets, built at the first visit the block-visit kernel
-    takes.  Rows, columns and values are gathered per visit (transient, so
-    the cache never retains copies of the data).
+    order.  ``levels`` holds each visit's :func:`level_schedule` — positions
+    into its ``entries`` in level order, and the level offsets — built at
+    the first visit the block-visit kernel takes.  Rows, columns and values
+    are gathered per visit (transient, so the cache never retains copies of
+    the data).
     """
 
     schedule: BlockSchedule
@@ -316,7 +317,12 @@ class MatrixFactorizationTrainer:
         return low, high, row_factors[low:high], counts, levels
 
     def _run_levels(
-        self, plan: _EpochPlan, visit: Tuple[int, int], first_key: int, columns: np.ndarray
+        self,
+        plan: _EpochPlan,
+        visit: Tuple[int, int],
+        first_key: int,
+        columns: np.ndarray,
+        deltas: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """The block-visit kernel: one batched SGD step per dependency level.
 
@@ -325,14 +331,16 @@ class MatrixFactorizationTrainer:
         Every expression is the loop's own, element-wise over the level; the
         dot is the stacked ``matmul`` because it reduces each row pair the way
         the scalar ``row @ col`` does (``einsum`` and ``(a * b).sum(1)`` sum in
-        another order and differ in the last bits).
+        another order and differ in the last bits).  ``deltas``, when given,
+        receives at row ``k`` the update the loop pushes for the visit's
+        ``k``-th entry.
         """
         matrix = self.matrix
         if visit not in plan.levels:
             indices = plan.entries[visit]
-            order, bounds = level_schedule(matrix.rows[indices], matrix.cols[indices])
-            plan.levels[visit] = (indices[order], bounds)
-        indices, bounds = plan.levels[visit]
+            plan.levels[visit] = level_schedule(matrix.rows[indices], matrix.cols[indices])
+        order, bounds = plan.levels[visit]
+        indices = plan.entries[visit][order]
         rows = matrix.rows[indices]
         cols = matrix.cols[indices] - first_key
         values = matrix.values[indices].astype(np.float64).reshape(-1, 1)
@@ -350,7 +358,10 @@ class MatrixFactorizationTrainer:
             grad_row = error * col_factor + regularization * row_factor
             grad_col = error * row_factor + regularization * col_factor
             row_factors[level_rows] = row_factor - learning_rate * grad_row
-            columns[level_cols] = col_factor + -learning_rate * grad_col
+            update = -learning_rate * grad_col
+            columns[level_cols] = col_factor + update
+            if deltas is not None:
+                deltas[order[low:high]] = update
         return columns
 
     # ------------------------------------------------------------- evaluation

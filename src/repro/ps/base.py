@@ -27,6 +27,7 @@ configuration overrides.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import (
@@ -331,9 +332,9 @@ class FusedLocalSteps:
     deferred-time window — and yields the accumulated time in one piece at its
     next communication or synchronization boundary.  Parameter blocking
     (§4.1) provides exactly this guarantee for matrix factorization, which is
-    why the MF trainer opts in.  Residency, guards and logging are checked
-    once per visit; privacy is not checkable here and is enforced by the
-    bit-identity test sweep.
+    why the MF trainer opts in.  Residency, guards, the membership schedule
+    and the next checkpoint are checked once per visit; privacy is not
+    checkable here and is enforced by the bit-identity test sweep.
 
     **Verified** (:meth:`step`; one kernel event per step).  For keys other
     workers share, the runner checks the kernel's event horizon instead: a
@@ -343,6 +344,13 @@ class FusedLocalSteps:
     so no other event could have observed or reordered the read and the
     write.  Anything else declines and the caller takes the event path.
 
+    Both lanes write at the issue instant what the event path writes later.
+    On a logged store (a :class:`~repro.durability.DurabilityConfig`) that is
+    unobservable as long as no lazy checkpoint of the node falls due up to
+    the lane's last write: checkpoints are per node and fire only on an
+    append at or after their due time, so they see the same store either
+    way.  A lane whose last write reaches the node's next due time declines.
+
     Only management policies whose local access has no side effects beyond
     storage/latch/metric accounting offer the runner, and they may hold
     individual keys back (:meth:`~repro.ps.policy.ManagementPolicy.fusion_guard`).
@@ -350,7 +358,7 @@ class FusedLocalSteps:
 
     __slots__ = (
         "sim", "storage", "latches", "metrics", "access_delay", "clock", "trace", "guard",
-        "state", "policy", "recorder", "logged", "taken", "declined",
+        "state", "policy", "recorder", "checkpoints", "elastic", "taken", "declined",
     )
 
     def __init__(self, client: "WorkerClient", guard: Optional[Callable[[int], Any]]) -> None:
@@ -375,11 +383,12 @@ class FusedLocalSteps:
         self.state = state
         self.policy = client.ps.management_policy
         self.recorder = recorder
-        #: A logged store takes one WAL record per write, stamped and compared
-        #: with lazy-checkpoint due times at ``sim.now`` — which an inline
-        #: write would move from the write instant to the issue instant.  No
-        #: lane fuses while it is installed.
-        self.logged = client.ps.durability is not None
+        #: Lazy-checkpoint due times (``node -> instant``) of the durability
+        #: manager when a WAL is installed, else None.
+        durability = client.ps.durability
+        self.checkpoints = None if durability is None else durability._next_checkpoint_at
+        #: The elastic runtime on an elastic cluster, else None.
+        self.elastic = client.ps._elastic_driver
         #: Steps run inline / handed back to the event path, on either lane.
         self.taken = 0
         self.declined = 0
@@ -396,30 +405,57 @@ class FusedLocalSteps:
         block_keys: Sequence[int],
         entry_keys: np.ndarray,
         compute_time: float,
-        kernel: Callable[[np.ndarray], np.ndarray],
+        kernel: Callable[..., np.ndarray],
     ) -> bool:
         """Asserted fused run of one single-key ``pull`` → update →
         ``push_async`` → ``yield compute_time`` step per entry of
         ``entry_keys``, all inside the private block ``block_keys``; False to
-        fall back.
+        fall back.  A visit without entries has nothing to run and is taken.
 
         Checked once: every block key is resident and unguarded (in range is
-        the caller's duty) and the store is not logged — a WAL takes one
-        record per single-key write.  A refused visit leaves all state
-        untouched and the caller runs the event path entry by entry.  A taken
-        one accounts the operations of every step, replays the worker clock
-        with the event path's own additions in entry order (``+ access_delay``
-        for the pull, ``+ compute_time``; the asynchronous push costs the
-        worker nothing), reports each step's spans at those instants, and
-        replaces the block's values by ``kernel(values)``, which must leave
-        them as the steps would have in entry order.
+        the caller's duty); on an elastic cluster, membership stays put
+        through the visit's last instant
+        (:meth:`~repro.cluster.runtime.ElasticCluster.quiet_through`); on a
+        logged store, the node's next checkpoint is due after the last write.
+        A refused visit leaves all state untouched and the caller runs the
+        event path entry by entry.  A taken one accounts the operations of
+        every step, replays the worker clock with the event path's own
+        additions in entry order (``+ access_delay`` for the pull,
+        ``+ compute_time``; the asynchronous push costs the worker nothing and
+        lands ``access_delay`` after the read), reports each step's spans at
+        those instants, and replaces the block's values by ``kernel(values)``,
+        which must leave them as the steps would have in entry order.  On a
+        logged store the call is ``kernel(values, deltas)``, and the kernel
+        also sets row ``k`` of ``deltas`` to the update entry ``k`` pushes:
+        the block is then written past the log, which takes one single-row
+        ``delta`` record per entry, in entry order — the records of the event
+        path's writes.
         """
         count = len(entry_keys)
+        if not count:
+            return True
         guard = self.guard
+        storage = self.storage
+        if not all(storage.contains_flags(block_keys)) or (
+            guard is not None and any(guard(key) for key in block_keys)
+        ):
+            self.declined += count
+            return False
+        # A running sum adds left to right, one delay at a time, like the
+        # worker it replays: entry k pulls from instants[2k] to instants[2k+1].
+        instants = np.empty(2 * count + 1)
+        instants[0] = self.sim._now if self.clock is None else self.clock
+        instants[1::2] = self.access_delay
+        instants[2::2] = compute_time
+        instants = np.add.accumulate(instants)
+        write_at = float(instants[-2]) + self.access_delay
+        checkpoints, elastic = self.checkpoints, self.elastic
         if (
-            self.logged
-            or not all(self.storage.contains_flags(block_keys))
-            or (guard is not None and any(guard(key) for key in block_keys))
+            checkpoints is not None
+            and checkpoints.get(self.state.node_id, math.inf) <= write_at
+        ) or (
+            elastic is not None
+            and not elastic.quiet_through(max(write_at, float(instants[-1])))
         ):
             self.declined += count
             return False
@@ -430,13 +466,6 @@ class FusedLocalSteps:
         metrics.key_writes_local += count
         metrics.pushes_local += count
         self.latches.acquisitions += 2 * count
-        # A running sum adds left to right, one delay at a time, like the
-        # worker it replays: entry k pulls from instants[2k] to instants[2k+1].
-        instants = np.empty(2 * count + 1)
-        instants[0] = self.sim._now if self.clock is None else self.clock
-        instants[1::2] = self.access_delay
-        instants[2::2] = compute_time
-        instants = np.add.accumulate(instants)
         self.clock = float(instants[-1])
         trace = self.trace
         if trace is not None:
@@ -445,8 +474,17 @@ class FusedLocalSteps:
                 read_at = instants[2 * index + 1]
                 trace.fused("pull", key, instants[2 * index], read_at)
                 trace.fused("push", key, read_at, read_at)
-        storage = self.storage
-        storage.set_many(block_keys, kernel(storage.get_many(block_keys)))
+        values = storage.get_many(block_keys)
+        if self.checkpoints is None:
+            storage.set_many(block_keys, kernel(values))
+            return True
+        from repro.durability.wal import WAL_DELTA
+
+        deltas = np.empty((count, 1, storage.value_length))
+        storage.inner.set_many(block_keys, kernel(values, deltas[:, 0]))
+        append = storage.wal.append
+        for key, delta in zip(entry_keys.tolist(), deltas):
+            append(WAL_DELTA, (key,), delta)
         return True
 
     def step(
@@ -468,11 +506,14 @@ class FusedLocalSteps:
           as for :meth:`visit`),
         * ``t3 >= t2``: the worker's own next step must not overtake its write,
         * the kernel is quiet through ``t2``: ties at ``t2`` take the event
-          path, so nothing can run between the read and the write.
+          path, so nothing can run between the read and the write,
+        * on a logged store, the node's next checkpoint is due after ``t2``.
 
         The instants are the slow path's own additions (``(t + d) + d``,
-        ``(t + d) + compute_time``), so the resume lands on its exact bits.
-        A declined step leaves all state untouched.  The calling process must
+        ``(t + d) + compute_time``), so the resume lands on its exact bits;
+        the write's WAL record takes the LSN the event path's would, as
+        nothing else runs in between.  A declined step leaves all state
+        untouched.  The calling process must
         be the last thing the event being processed resumes (a callback still
         to run at ``t`` is on no queue the horizon test could see); every
         resume of a worker process — wake-up, timeout, handle completion,
@@ -486,10 +527,14 @@ class FusedLocalSteps:
         write_at = read_at + delay
         resume_at = read_at + compute_time
         guard = self.guard
+        checkpoints = self.checkpoints
         if (
             resume_at < write_at
-            or self.logged
             or not sim.quiet_through(write_at)
+            or (
+                checkpoints is not None
+                and checkpoints.get(self.state.node_id, math.inf) <= write_at
+            )
             or not all(self.storage.contains_flags(keys))
             or (guard is not None and any(guard(key) for key in keys))
         ):
@@ -694,19 +739,13 @@ class WorkerClient:
 
         Fusion needs shared-memory local access, the fast paths (the
         reference run under ``REPRO_DISABLE_FASTPATH`` exercises the
-        event-by-event path), a *static* cluster — the elastic runtime fires
-        membership events and rebalancer-driven relocations mid-epoch, which
-        can move a key inside a fused privacy window — and a policy whose
-        local access has no observers
-        (:meth:`~repro.ps.policy.ManagementPolicy.fusion_guard`).
+        event-by-event path) and a policy whose local access has no observers
+        (:meth:`~repro.ps.policy.ManagementPolicy.fusion_guard`).  Elastic
+        clusters and logged stores get a runner too: its lanes decline where
+        a membership change or a checkpoint could observe them.
         """
         ps = self.ps
-        if not (
-            ps.ps_config.shared_memory_local_access
-            and ps.sim.fastpath
-            and ps._elastic_driver is None
-            and ps.membership is None
-        ):
+        if not (ps.ps_config.shared_memory_local_access and ps.sim.fastpath):
             return None
         guard = ps.management_policy.fusion_guard(self.state)
         if guard is False:

@@ -23,8 +23,9 @@ Hot-path design (see docs/architecture.md, "Simulation engine performance"):
   timeout resumes) are scheduled with :meth:`Simulator.call_later` as
   ``(fn, arg)`` tokens, skipping the Event object, its callback list, and its
   state flags entirely.
-* **Tight run loop** — :meth:`run` inlines event processing with hoisted
-  lookups instead of calling :meth:`step` per event.
+* **Tight run loop** — :meth:`run` and :meth:`run_before` share one loop
+  that inlines event processing with hoisted lookups instead of calling
+  :meth:`step` per event.
 
 Setting the environment variable ``REPRO_DISABLE_FASTPATH=1`` at simulator
 construction time disables the ring and the pool (and, downstream, message
@@ -183,8 +184,8 @@ class Simulator:
         self.executed_events = 0
         #: Exclusive bound of the run loop in progress: ``until`` of
         #: :meth:`run` (``inf`` without a cutoff), ``end`` of
-        #: :meth:`run_window`; ``-inf`` while no loop runs (see
-        #: :meth:`quiet_through`).
+        #: :meth:`run_before` and :meth:`run_window`; ``-inf`` while no loop
+        #: runs (see :meth:`quiet_through`).
         self._run_bound = -math.inf
 
     # ------------------------------------------------------------------ sharding
@@ -317,7 +318,8 @@ class Simulator:
         The caller (code running inside the event being processed) may then
         perform its own actions due up to ``time`` inline: no other event can
         observe or reorder them.  Always False outside :meth:`run` /
-        :meth:`run_window` (a :meth:`step` driver gives no bound).
+        :meth:`run_before` / :meth:`run_window` (a :meth:`step` driver gives
+        no bound).
         """
         if self._ring or time >= self._run_bound:
             return False
@@ -510,14 +512,37 @@ class Simulator:
         Returns:
             The simulated time at which the run stopped.
         """
-        if self._running:
-            raise SimulationError("Simulator.run is not reentrant")
-        if until is not None and until < self._now:
+        if until is None:
+            return self._loop(math.inf, math.inf, None)
+        if until < self._now:
             raise SimulationError(
                 f"cannot run until {until}, which is before current time {self._now}"
             )
+        # Events at ``until`` run too: an inclusive cutoff is an exclusive
+        # bound just past it.
+        self._loop(math.nextafter(until, math.inf), until, None)
+        self._now = until
+        return until
+
+    def run_before(self, end: float, stop: Optional[Event] = None) -> float:
+        """Process every event due strictly before ``end``; return after
+        ``stop`` (a non-pooled event, e.g. a :class:`Process`) if it is
+        processed first.
+
+        Unlike ``run(until)``, the clock is *not* advanced to ``end`` when the
+        queue drains early: it stays at the last processed event.  External
+        drivers (the elastic cluster runtime) interleave their own actions
+        with the kernel this way without stepping it event by event.
+        """
+        return self._loop(end, end, stop)
+
+    def _loop(self, end: float, bound: float, stop: Optional[Event]) -> float:
+        """The run loop of :meth:`run` and :meth:`run_before`: events due
+        before ``end``, with :meth:`quiet_through` bounded by ``bound``."""
+        if self._running:
+            raise SimulationError("Simulator.run is not reentrant")
         self._running = True
-        self._run_bound = math.inf if until is None else until
+        self._run_bound = bound
         # Hoisted locals: this loop is the single hottest code path of the
         # whole simulator.
         queue = self._queue
@@ -526,68 +551,37 @@ class Simulator:
         call_cls = _Call
         pool = self._event_pool
         try:
-            if until is None:
-                # Leanest variant of the loop: no cutoff checks (the
-                # dominant call shape — full epoch runs).
-                while True:
-                    if queue:
-                        time = queue[0][0]
-                        if ring and time > self._now:
-                            # Ring entries live at the current time and
-                            # their sequence numbers are newer than any heap
-                            # entry at the current time, older than later
-                            # heap times.
-                            item = ring.popleft()
-                        else:
-                            item = heappop(queue)[2]
-                            self._now = time
-                    elif ring:
+            while True:
+                if queue:
+                    time = queue[0][0]
+                    if ring and time > self._now:
+                        # Ring entries live at the current time and their
+                        # sequence numbers are newer than any heap entry at
+                        # the current time, older than later heap times.
                         item = ring.popleft()
-                    else:
+                    elif time >= end:
                         break
-                    # Inlined _process_item.
-                    if item.__class__ is call_cls:
-                        item.fn(item.arg)
                     else:
-                        callbacks = item._callbacks
-                        item._callbacks = None
-                        item._processed = True
-                        if callbacks:
-                            for callback in callbacks:
-                                callback(item)
-                        if item._pooled and len(pool) < _POOL_MAX:
-                            pool.append(item)
-            else:
-                while True:
-                    if queue:
-                        time = queue[0][0]
-                        if ring and time > self._now:
-                            item = ring.popleft()
-                        elif time > until:
-                            # The ring is necessarily empty here: its entries
-                            # live at the current time, which never exceeds
-                            # ``until``.
-                            self._now = until
-                            break
-                        else:
-                            item = heappop(queue)[2]
-                            self._now = time
-                    elif ring:
-                        item = ring.popleft()
-                    else:
-                        self._now = until
+                        item = heappop(queue)[2]
+                        self._now = time
+                elif ring:
+                    item = ring.popleft()
+                else:
+                    break
+                # Inlined _process_item.
+                if item.__class__ is call_cls:
+                    item.fn(item.arg)
+                else:
+                    callbacks = item._callbacks
+                    item._callbacks = None
+                    item._processed = True
+                    if callbacks:
+                        for callback in callbacks:
+                            callback(item)
+                    if item._pooled and len(pool) < _POOL_MAX:
+                        pool.append(item)
+                    elif item is stop:
                         break
-                    if item.__class__ is call_cls:
-                        item.fn(item.arg)
-                    else:
-                        callbacks = item._callbacks
-                        item._callbacks = None
-                        item._processed = True
-                        if callbacks:
-                            for callback in callbacks:
-                                callback(item)
-                        if item._pooled and len(pool) < _POOL_MAX:
-                            pool.append(item)
         finally:
             self._running = False
             self._run_bound = -math.inf

@@ -94,12 +94,12 @@ def test_w2v_bit_identical(system, monkeypatch):
 
 @pytest.mark.parametrize("system", ("lapse", "hybrid"))
 def test_elastic_mf_bit_identical(system, monkeypatch):
-    """Elastic lifecycles must match too — fusion disables itself.
+    """Elastic lifecycles must match too, fused block visits included.
 
     The elastic runtime relocates keys *mid-epoch* (joins trigger rebalances
-    while workers run), which violates the fused-step privacy window; the
-    clients therefore refuse to fuse on elastic clusters, and the remaining
-    fast paths (ring, pool, sinks, coalescing) must stay bit-identical.
+    while workers run), which would break the fused visits' privacy window;
+    a visit therefore declines through a membership event and for the rest
+    of its epoch, and the remaining fast paths must stay bit-identical.
     """
     from repro.cluster import ClusterSchedule
     from repro.experiments.runner import run_elastic_mf_experiment
@@ -121,16 +121,25 @@ def test_elastic_mf_bit_identical(system, monkeypatch):
     assert fast.metrics.as_dict() == reference.metrics.as_dict()
 
 
-def test_fusion_disabled_on_elastic_clusters(monkeypatch):
-    """The fused-step gate refuses elastic clusters outright."""
-    from repro.cluster import ClusterSchedule
+def test_elastic_fusion_declines_only_from_a_join_to_the_epoch_end(monkeypatch):
+    """Visits fuse on an elastic cluster, except from the visit a join would
+    fall into to the end of that epoch."""
     from repro.experiments.runner import make_elastic_mf
 
     monkeypatch.delenv("REPRO_DISABLE_FASTPATH", raising=False)
     elastic, trainer = make_elastic_mf(
-        "lapse", num_nodes=2, schedule=ClusterSchedule(), scale=MF, workers_per_node=2
+        "lapse", num_nodes=3, initial_nodes=(0, 1), scale=MF, workers_per_node=2
     )
-    assert elastic.ps.clients()[0].fused_local_steps() is None
+    entries = trainer.matrix.num_entries
+    counts = []
+    for index in range(3):
+        if index == 1:
+            elastic.join_at(elastic.ps.simulated_time + 0.4 * epoch.duration, node=2)
+        fused, declined = trainer.fused_steps, trainer.declined_steps
+        epoch = elastic.run_epoch(trainer, compute_loss=False)
+        counts.append((trainer.fused_steps - fused, trainer.declined_steps - declined))
+    assert counts[0] == counts[2] == (entries, 0)
+    assert counts[1][0] > 0 and counts[1][1] > 0 and sum(counts[1]) == entries
 
 
 def test_mf_model_parameters_bit_identical(monkeypatch):

@@ -116,8 +116,12 @@ class TestRunners:
         durable = run_kge_experiment("lapse", durability=DurabilityConfig(), **run)
         assert plain.metrics.wal_appends == 0
         assert durable.metrics.wal_appends > 0
-        # A logged run takes the event loop for every step.
-        assert durable.fused_steps == 0 and durable.declined_steps > 0
+        # Verified steps decline on a logged store only where a write reaches
+        # a node's next checkpoint, and none falls due in a run this short.
+        assert (durable.fused_steps, durable.declined_steps) == (
+            plain.fused_steps,
+            plain.declined_steps,
+        )
         assert [e.duration for e in durable.epochs] == [e.duration for e in plain.epochs]
         assert durable.remote_messages == plain.remote_messages
         assert durable.bytes_sent == plain.bytes_sent

@@ -7,7 +7,10 @@ durations, every counter and the traffic must agree byte for byte.  A visit
 the runner refuses takes the event loop; every refusal has a test.
 """
 
+import contextlib
 import hashlib
+import itertools
+import math
 from unittest import mock
 
 import numpy as np
@@ -15,14 +18,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import ElasticCluster
 from repro.config import ClusterConfig, ParameterServerConfig
 from repro.data import generate_matrix
 from repro.data.synthetic_matrix import SyntheticMatrix
-from repro.durability import DurabilityConfig
+from repro.durability import DurabilityConfig, replay_records
 from repro.experiments.runner import MFScale, make_elastic_mf, make_parameter_server
 from repro.ml import MatrixFactorizationConfig, MatrixFactorizationTrainer
 from repro.ml.matrix_factorization import level_schedule
 from repro.ps.base import WorkerClient
+from repro.ps.partition import ElasticPartitioner
 
 RANKS = (1, 2, 8, 33)
 SYSTEMS = ("lapse", "hybrid", "classic_fast_local")
@@ -233,7 +238,7 @@ def test_kernel_at_jobs2_equals_event_loop(system):
 
 
 # ---------------------------------------------------------------- refusals
-def visit_once(ps, block_keys, entry_keys, prepare=None):
+def visit_once(ps, block_keys, entry_keys, prepare=None, compute_time=2e-6):
     """One ``visit`` at t = 1e-3 by a worker of node 0; (taken, untouched)."""
     client = ps.client(0, 0)
     runner = client.fused_local_steps()
@@ -241,17 +246,24 @@ def visit_once(ps, block_keys, entry_keys, prepare=None):
 
     def snapshot():
         state = ps.states[0]
+        log = ps.durability.wals[0].records if ps.durability is not None else ()
         return (
             state.metrics.as_dict(),
             state.latches.acquisitions,
             ps.all_parameters().tobytes(),
             ps.sim.pending_events,
             runner.clock,
+            len(log),
         )
 
-    def kernel(columns):
+    def kernel(columns, deltas=None):
+        # Entry k adds k + 1 to its column, so every entry's update differs.
         outcome["kernel_ran"] = True
-        return columns + 1.0
+        for index, key in enumerate(entry_keys):
+            columns[list(block_keys).index(key)] += index + 1.0
+            if deltas is not None:
+                deltas[index] = index + 1.0
+        return columns
 
     def worker():
         yield 1e-3
@@ -259,7 +271,7 @@ def visit_once(ps, block_keys, entry_keys, prepare=None):
             prepare(ps)
         before = snapshot()
         outcome["taken"] = runner.visit(
-            block_keys, np.asarray(entry_keys, dtype=np.int64), 2e-6, kernel
+            block_keys, np.asarray(entry_keys, dtype=np.int64), compute_time, kernel
         )
         outcome["untouched"] = snapshot() == before
         wake = runner.drain()
@@ -271,6 +283,20 @@ def visit_once(ps, block_keys, entry_keys, prepare=None):
     return outcome["taken"], outcome["untouched"], runner, "kernel_ran" in outcome
 
 
+def last_instants(ps, entries, compute_time, start=1e-3):
+    """``(last write, last instant)`` of a visit of ``entries`` entries
+    issued at ``start``, by the event path's own additions: the last push
+    lands one access delay after the last read, past the worker's resume when
+    ``compute_time`` is shorter."""
+    delay = ps.cluster.cost_model.local_access_time(shared_memory=True)
+    clock = start
+    for _ in range(entries):
+        read_at = clock + delay
+        clock = read_at + compute_time
+    write_at = read_at + delay
+    return write_at, max(write_at, clock)
+
+
 def small_server(system, durability=None):
     """12 keys range-partitioned over 2 nodes: 0-5 | 6-11."""
     return make_parameter_server(
@@ -279,6 +305,18 @@ def small_server(system, durability=None):
         ParameterServerConfig(num_keys=12, value_length=2),
         durability=durability,
     )
+
+
+def elastic_server(durability=None):
+    """``small_server``'s keys on nodes 0 and 1 of three; node 2 is reserve."""
+    ps = make_parameter_server(
+        "lapse",
+        ClusterConfig(num_nodes=3, workers_per_node=2, seed=1),
+        ParameterServerConfig(num_keys=12, value_length=2),
+        partitioner=ElasticPartitioner(12, 3, active_nodes=[0, 1], kind="range"),
+        durability=durability,
+    )
+    return ElasticCluster(ps, initial_nodes=[0, 1])
 
 
 def test_visit_takes_a_resident_unguarded_block():
@@ -309,24 +347,89 @@ def test_visit_refuses_a_guarded_key_under_hybrid():
     assert taken
 
 
-def test_visit_refuses_a_logged_store():
-    ps = small_server("lapse", durability=DurabilityConfig())
-    taken, untouched, _, kernel_ran = visit_once(ps, [0, 1, 2], [1, 1, 2])
-    assert (taken, untouched, kernel_ran) == (False, True, False)
+@pytest.mark.parametrize("compute_time", [2e-6, 0.0])
+def test_visit_refuses_a_write_at_or_past_the_next_checkpoint(compute_time):
+    """A logged visit writes at its issue instant what the event path writes
+    later, so node 0's next lazy checkpoint must fall due after the visit's
+    last push lands.  A taken visit logs one single-row ``delta`` per entry,
+    in entry order, and triggers no checkpoint."""
+    entry_keys = [1, 1, 2]
+    write_at, _ = last_instants(small_server("lapse"), len(entry_keys), compute_time)
+    for due, expected in [(write_at, False), (math.nextafter(write_at, math.inf), True)]:
+        ps = small_server("lapse", durability=DurabilityConfig())
+        wal = ps.durability.wals[0]
+        logged = len(wal.records)
+
+        def checkpoint_due(ps, due=due):
+            ps.durability._next_checkpoint_at[0] = due
+
+        taken, untouched, _, kernel_ran = visit_once(
+            ps, [0, 1, 2], entry_keys, prepare=checkpoint_due, compute_time=compute_time
+        )
+        assert (taken, untouched, kernel_ran) == (expected, not expected, expected)
+    assert [(r.kind, r.keys, r.values.tolist()) for r in wal.records[logged:]] == [
+        ("delta", (1,), [[1.0, 1.0]]),
+        ("delta", (1,), [[2.0, 2.0]]),
+        ("delta", (2,), [[3.0, 3.0]]),
+    ]
+    assert len(ps.durability.checkpoints[0]) == 1  # the baseline
 
 
-def test_durable_training_takes_the_event_loop():
-    """One WAL record per push, as the per-entry writes log them."""
+def durable_log(ps):
+    """Per node: each key's WAL records in log order, each checkpoint as
+    (instant, keys, values, records of the node before it), and the store
+    each checkpoint plus its WAL suffix replays to.  LSN values are left out:
+    a visit logs its entries as one group, so records of *different* keys
+    (and nodes) interleave differently than on the event path."""
+    manager = ps.durability
+    logs = {}
+    for node, wal in manager.wals.items():
+        per_key = {}
+        for record in wal.records:
+            for key, row in zip(record.keys, record.values):
+                per_key.setdefault(key, []).append((record.kind, row.tobytes()))
+        checkpoints, replays = [], []
+        for checkpoint in manager.checkpoints[node].checkpoints:
+            suffix = wal.records_since(checkpoint.lsn)
+            checkpoints.append((
+                repr(checkpoint.taken_at),
+                checkpoint.keys.tobytes(),
+                checkpoint.values.tobytes(),
+                len(wal.records) - len(suffix),
+            ))
+            state = checkpoint.as_state()
+            replay_records(state, suffix)
+            replays.append(sorted((key, row.tobytes()) for key, row in state.items()))
+        logs[node] = {"records": per_key, "checkpoints": checkpoints, "replays": replays}
+    return logs
+
+
+def live_store(ps, node):
+    keys, values = ps.states[node].storage.snapshot()
+    return sorted(zip(keys.tolist(), (row.tobytes() for row in values)))
+
+
+def test_durable_training_equals_the_event_loop():
+    """Logged visits are unobservable: with the runner withheld the run has
+    the same results, every key's WAL records in the same order, the same
+    checkpoints, and every checkpoint plus its WAL suffix replays to the live
+    store.  Visits whose last write reaches a checkpoint take the event loop."""
     matrix = generate_matrix(rank=4, seed=3, **GOLDEN_SCALE)
-    trainer, epochs = train("lapse", matrix, durability=DurabilityConfig())
-    oracle = train("lapse", matrix, withhold=True, durability=DurabilityConfig())
+    durability = DurabilityConfig(checkpoint_interval=2e-4)
+    trainer, epochs = train("lapse", matrix, durability=durability)
+    oracle = train("lapse", matrix, withhold=True, durability=durability)
     assert observe(trainer, epochs) == observe(*oracle)
-    assert (trainer.fused_steps, trainer.declined_steps) == (0, 2 * matrix.num_entries)
+    log = durable_log(trainer.ps)
+    assert log == durable_log(oracle[0].ps)
+    for node, entry in log.items():
+        assert len(entry["checkpoints"]) > 1
+        assert all(replay == live_store(trainer.ps, node) for replay in entry["replays"])
+    assert trainer.fused_steps > trainer.declined_steps > 0
+    assert trainer.fused_steps + trainer.declined_steps == 2 * matrix.num_entries
     plain = train("lapse", matrix)
     logged, unlogged = observe(trainer, epochs), observe(*plain)
     for name in ("parameters", "row_factors", "durations", "network"):
         assert logged[name] == unlogged[name]
-    assert trainer.ps.metrics().wal_appends >= 2 * matrix.num_entries
 
 
 def test_the_ipc_classic_offers_no_runner(monkeypatch):
@@ -345,10 +448,121 @@ def test_reference_engine_offers_no_runner(monkeypatch):
     assert (reference[0].fused_steps, reference[0].declined_steps) == (0, 0)
 
 
-def test_elastic_cluster_offers_no_runner(monkeypatch):
-    monkeypatch.delenv("REPRO_DISABLE_FASTPATH", raising=False)
-    scale = MFScale(rank=4, **GOLDEN_SCALE)
-    elastic, trainer = make_elastic_mf("lapse", num_nodes=2, scale=scale, workers_per_node=2)
-    elastic.run_epoch(trainer, compute_loss=False)
-    assert (trainer.fused_steps, trainer.declined_steps) == (0, 0)
-    assert trainer.ps.metrics().pulls_local > 0
+@pytest.mark.parametrize("compute_time", [2e-6, 0.0])
+def test_elastic_visit_declines_through_a_membership_event(compute_time):
+    """A visit runs its entries' whole simulated span at once, so on an
+    elastic cluster it declines while a membership event is due at or before
+    its last instant, and for the rest of an epoch in which one fired (the
+    rebalance relocations may still be in flight); the boundary settle of
+    ``prepare_epoch`` lets it fuse again."""
+    entry_keys = [1, 1, 2]
+    _, last = last_instants(elastic_server().ps, len(entry_keys), compute_time)
+    for due, expected in [(last, False), (math.nextafter(last, math.inf), True)]:
+        elastic = elastic_server()
+        elastic.join_at(due, node=2)
+        taken, untouched, _, _ = visit_once(
+            elastic.ps, [0, 1, 2], entry_keys, compute_time=compute_time
+        )
+        assert (taken, untouched) == (expected, not expected)
+    elastic = elastic_server()
+    elastic.join_at(0.5e-3, node=2)  # fires before the visit; keys 0-3 stay on node 0
+    assert visit_once(elastic.ps, [0, 1, 2], entry_keys)[:2] == (False, True)
+    assert visit_once(elastic.ps, [0, 1, 2], entry_keys)[:2] == (False, True)
+    elastic.prepare_epoch()
+    assert visit_once(elastic.ps, [0, 1, 2], entry_keys)[:2] == (True, False)
+
+
+def test_an_empty_visit_on_a_durable_elastic_store_is_taken_and_does_nothing():
+    """No entry, no instant to check: taken even with a membership event and
+    a checkpoint due at the issue instant, and nothing is run, logged or
+    scheduled."""
+    elastic = elastic_server(durability=DurabilityConfig())
+    elastic.join_at(1e-3, node=2)
+
+    def checkpoint_due(ps):
+        ps.durability._next_checkpoint_at[0] = 1e-3
+
+    taken, untouched, runner, kernel_ran = visit_once(
+        elastic.ps, [0, 1, 2], [], prepare=checkpoint_due
+    )
+    assert (taken, untouched, kernel_ran) == (True, True, False)
+    assert (runner.taken, runner.declined) == (0, 0)
+
+
+# ------------------------------------- fused vs withheld on changing clusters
+SWEEP_SCALE = MFScale(num_rows=32, num_cols=18, num_entries=300, rank=4)
+SWEEP_DURABILITY = {"volatile": None, "wal": DurabilityConfig(checkpoint_interval=0.002)}
+SWEEP_SCHEDULES = ("static", "join", "drain", "fail_rejoin")
+
+
+def churn(system, durability, schedule, jobs, seed, withhold):
+    """Three elastic epochs on up to 3 nodes x 2 workers.  Node 2 joins
+    (from reserve) or node 1 drains 40 % into the second epoch; node 2
+    crashes and restarts at the boundary before it."""
+    elastic, trainer = make_elastic_mf(
+        system,
+        num_nodes=3,
+        initial_nodes=(0, 1) if schedule == "join" else None,
+        scale=SWEEP_SCALE,
+        workers_per_node=2,
+        seed=seed,
+        durability=SWEEP_DURABILITY[durability],
+        jobs=jobs,
+    )
+    ps = elastic.ps
+    epochs = []
+    withheld = mock.patch.object(WorkerClient, "fused_local_steps", lambda self: None)
+    with withheld if withhold else contextlib.nullcontext():
+        for index in range(3):
+            if index == 1:
+                mid_epoch = ps.simulated_time + 0.4 * epochs[-1].duration
+                if schedule == "join":
+                    elastic.join_at(mid_epoch, node=2)
+                elif schedule == "drain":
+                    elastic.drain_at(mid_epoch, node=1)
+                elif schedule == "fail_rejoin":
+                    elastic.fail_at(ps.simulated_time, 2)
+                    elastic.rejoin_at(ps.simulated_time, 2)
+            epochs.append(elastic.run_epoch(trainer, compute_loss=False))
+    return trainer, epochs
+
+
+#: The cells tier-1 runs; the rest of the matrix is ``-m slow``.
+SWEEP_TIER1 = {
+    ("lapse", "wal", "join", 1, 0),
+    ("hybrid", "volatile", "drain", 1, 0),
+    ("lapse", "wal", "fail_rejoin", 1, 1),
+    ("classic_fast_local", "wal", "drain", 2, 1),
+}
+
+
+def sweep_cells():
+    for cell in itertools.product(SYSTEMS, SWEEP_DURABILITY, SWEEP_SCHEDULES, (1, 2), (0, 1)):
+        system, _, schedule, _, _ = cell
+        if system == "classic_fast_local" and schedule == "fail_rejoin":
+            continue  # a static allocation cannot re-home a failed node's keys
+        marks = () if cell in SWEEP_TIER1 else pytest.mark.slow
+        yield pytest.param(*cell, marks=marks, id="-".join(map(str, cell)))
+
+
+@pytest.mark.parametrize("system,durability,schedule,jobs,seed", sweep_cells())
+def test_fused_equals_withheld_on_elastic_and_durable_clusters(
+    system, durability, schedule, jobs, seed
+):
+    """Every cell: equal durations, counters, traffic, parameters and row
+    factors; on a logged store also equal per-key WAL records and
+    checkpoints, and each node's latest checkpoint replays to its store.
+    Sharded, fewer events make other windows, and with them another physical
+    batching of deliveries (as between engines)."""
+    fused = churn(system, durability, schedule, jobs, seed, withhold=False)
+    oracle = churn(system, durability, schedule, jobs, seed, withhold=True)
+    seen = observe if jobs == 1 else observe_across_engines
+    assert seen(*fused) == seen(*oracle)
+    trainer = fused[0]
+    assert trainer.fused_steps > 0
+    assert trainer.fused_steps + trainer.declined_steps == 3 * trainer.matrix.num_entries
+    if durability == "wal":
+        log = durable_log(trainer.ps)
+        assert log == durable_log(oracle[0].ps)
+        for node, entry in log.items():
+            assert entry["replays"][-1] == live_store(trainer.ps, node)

@@ -12,12 +12,14 @@ per block visit) is held to the same event path at the end of this file; its
 refusals are in ``tests/ml/test_mf_kernel.py``.
 """
 
+import contextlib
 import math
 
 import numpy as np
 import pytest
 
 from repro.config import ClusterConfig, ParameterServerConfig
+from repro.durability import DurabilityConfig
 from repro.ps import ClassicSharedMemoryPS, HybridPS, LapsePS
 
 NUM_KEYS = 12  # range partition over 2 nodes: 0-5 | 6-11
@@ -259,14 +261,76 @@ def test_refuses_outside_a_run_loop():
     assert runner.step(LOCAL_KEYS, COMPUTE, kernel_into([])) is None
 
 
-def test_refuses_with_durability_installed():
-    from repro.durability import DurabilityConfig
+def test_refuses_a_write_at_or_past_the_next_checkpoint():
+    """On a logged store the write is logged at the issue instant, so node
+    0's next lazy checkpoint must fall due after the write instant — where
+    the event path's own append would take it."""
+    write_at = window_end(len(LOCAL_KEYS))
+    for due, expected in [(write_at, False), (math.nextafter(write_at, math.inf), True)]:
+        cluster = ClusterConfig(num_nodes=2, workers_per_node=2, seed=1)
+        ps_config = ParameterServerConfig(num_keys=NUM_KEYS, value_length=LENGTH)
+        ps = LapsePS(cluster, ps_config, initial_values=INITIAL, durability=DurabilityConfig())
 
-    cluster = ClusterConfig(num_nodes=2, workers_per_node=2, seed=1)
-    ps_config = ParameterServerConfig(num_keys=NUM_KEYS, value_length=LENGTH)
-    ps = LapsePS(cluster, ps_config, initial_values=INITIAL, durability=DurabilityConfig())
-    taken, untouched, _ = attempt(ps, LOCAL_KEYS, COMPUTE)
-    assert (taken, untouched) == (False, True)
+        def checkpoint_due(ps, due=due):
+            ps.durability._next_checkpoint_at[0] = due
+
+        taken, untouched, _ = attempt(ps, LOCAL_KEYS, COMPUTE, prepare=checkpoint_due)
+        assert (taken, untouched) == (expected, not expected)
+        latest = ps.durability.checkpoints[0].latest.taken_at
+        assert latest == (0.0 if expected else write_at)
+
+
+def test_durable_kge_logs_what_the_event_path_logs():
+    """KGE on a logged store, fused vs the runner withheld: equal results and
+    byte-identical WALs and checkpoints, LSNs included — a verified step
+    runs only while nothing else can append in between."""
+    from unittest import mock
+
+    from repro.data import generate_knowledge_graph
+    from repro.experiments.runner import make_parameter_server
+    from repro.ml import KGEConfig, KGETrainer
+    from repro.ml.kge import KGEKeySpace
+    from repro.ps.base import WorkerClient
+
+    graph = generate_knowledge_graph(num_entities=60, num_relations=4, num_triples=240, seed=2)
+    config = KGEConfig(entity_dim=2)
+
+    def run(withhold):
+        ps = make_parameter_server(
+            "lapse",
+            ClusterConfig(num_nodes=2, workers_per_node=2, seed=2),
+            ParameterServerConfig(
+                num_keys=KGEKeySpace(graph, config).num_keys, value_length=config.value_length
+            ),
+            durability=DurabilityConfig(checkpoint_interval=2e-4),
+        )
+        trainer = KGETrainer(ps, graph, config, seed=2)
+        patch = mock.patch.object(WorkerClient, "fused_local_steps", lambda self: None)
+        with patch if withhold else contextlib.nullcontext():
+            epochs = trainer.train(num_epochs=2, compute_loss=False)
+        manager = ps.durability
+        return trainer, {
+            "durations": [repr(epoch.duration) for epoch in epochs],
+            "metrics": ps.metrics().as_dict(),
+            "parameters": ps.all_parameters().tobytes(),
+            "wal": {
+                node: [(r.lsn, r.kind, r.keys, r.values.tobytes()) for r in wal.records]
+                for node, wal in manager.wals.items()
+            },
+            "checkpoints": {
+                node: [
+                    (c.lsn, repr(c.taken_at), c.keys.tobytes(), c.values.tobytes())
+                    for c in store.checkpoints
+                ]
+                for node, store in manager.checkpoints.items()
+            },
+        }
+
+    trainer, fused = run(withhold=False)
+    _, oracle = run(withhold=True)
+    assert fused == oracle
+    assert trainer.fused_steps > 0 and trainer.declined_steps > 0
+    assert fused["metrics"]["checkpoints"] > 2 * len(fused["wal"])
 
 
 def test_no_runner_on_the_reference_engine(monkeypatch):
@@ -274,15 +338,37 @@ def test_no_runner_on_the_reference_engine(monkeypatch):
     assert build().client(0, 0).fused_local_steps() is None
 
 
-def test_no_runner_on_an_elastic_cluster(monkeypatch):
-    from repro.cluster import ClusterSchedule
-    from repro.experiments.runner import MFScale, make_elastic_mf
+def elastic_lapse():
+    """The 12 keys on nodes 0 and 1 of three (0-5 | 6-11); node 2 is reserve."""
+    from repro.cluster import ElasticCluster
+    from repro.ps.partition import ElasticPartitioner
 
-    monkeypatch.delenv("REPRO_DISABLE_FASTPATH", raising=False)
-    elastic, _ = make_elastic_mf(
-        "lapse", num_nodes=2, schedule=ClusterSchedule(), scale=MFScale(), workers_per_node=2
-    )
-    assert elastic.ps.clients()[0].fused_local_steps() is None
+    cluster = ClusterConfig(num_nodes=3, workers_per_node=2, seed=1)
+    ps_config = ParameterServerConfig(num_keys=NUM_KEYS, value_length=LENGTH)
+    partitioner = ElasticPartitioner(NUM_KEYS, 3, active_nodes=[0, 1], kind="range")
+    ps = LapsePS(cluster, ps_config, initial_values=INITIAL, partitioner=partitioner)
+    return ElasticCluster(ps, initial_nodes=[0, 1])
+
+
+def test_steps_on_an_elastic_cluster_run_up_to_the_next_membership_event():
+    """The elastic driver fires a membership event once every simulation
+    event due at its instant has run: a step whose write lands at or before
+    the next event's instant fuses, one whose write lands after it declines.
+    Either way the run equals the event path, join and rebalance included."""
+    write_at = window_end(len(LOCAL_KEYS))
+
+    def run(due, fused):
+        elastic = elastic_lapse()
+        elastic.join_at(due, node=2)
+        result = run_steps(elastic.ps, [LOCAL_KEYS], COMPUTE, fused=fused)
+        seen = (result["seen"], result["resumed"], observe(elastic.ps))
+        return result["taken"], seen, elastic.membership.state_of(2)
+
+    for due, expected in [(math.nextafter(write_at, 0.0), False), (write_at, True)]:
+        taken, fused, joined = run(due, fused=True)
+        _, event, _ = run(due, fused=False)
+        assert (taken, joined) == ([expected], "active")
+        assert fused == event
 
 
 # ----------------------------------------------------------- asserted visits

@@ -164,6 +164,32 @@ def test_run_until_stops_early():
     assert handle.value == "late"
 
 
+def test_run_before_leaves_the_clock_at_the_last_event_and_returns_after_stop():
+    sim = Simulator()
+    order = []
+
+    def worker(name, delay):
+        yield delay
+        order.append(name)
+
+    sim.process(worker("first", 1.0))
+    sim.process(worker("second", 1.0))
+    sim.process(worker("late", 3.0))
+    # Exclusive bound: nothing at 3.0 runs, and the clock stays at 1.0.
+    sim.run_before(3.0)
+    assert (sim.now, order) == (1.0, ["first", "second"])
+
+    sim = Simulator()
+    order = []
+    first = sim.process(worker("first", 1.0))
+    sim.process(worker("second", 2.0))
+    # Returns as soon as ``first`` is processed.
+    sim.run_before(float("inf"), stop=first)
+    assert (first.processed, sim.now, order) == (True, 1.0, ["first"])
+    sim.run()
+    assert order == ["first", "second"]
+
+
 def test_run_until_in_past_rejected():
     sim = Simulator()
     sim.run_process(iter_timeout(sim, 5.0))
