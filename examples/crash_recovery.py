@@ -61,8 +61,10 @@ def train(durability, crash_after_first_epoch):
             elastic.fail_at(now, CRASH_NODE)
             elastic.rejoin_at(now, CRASH_NODE)
             print(f"  -> node {CRASH_NODE} crashes and restarts at this boundary")
+    reasons = sorted(trainer.decline_reasons.items())
+    why = ", ".join(f"{reason} {count}" for reason, count in reasons)
     print(f"  block-visit entries: {trainer.fused_steps} fused, "
-          f"{trainer.declined_steps} declined (event loop)")
+          f"{trainer.declined_steps} declined (event loop: {why or 'none'})")
     return elastic, trainer
 
 

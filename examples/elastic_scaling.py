@@ -101,11 +101,12 @@ def main():
     lanes = {}
     for system in SYSTEMS:
         trainer = lifecycle(system)
-        lanes[system] = (trainer.fused_steps, trainer.declined_steps)
+        lanes[system] = (trainer.fused_steps, trainer.declined_steps, trainer.decline_reasons)
         print()
-    print("Block-visit entries: fused (one kernel per visit) / declined (event loop)")
-    for system, (fused, declined) in lanes.items():
-        print(f"  {system:<8s} {fused:7d} / {declined:7d}")
+    print("Block-visit entries: fused (one kernel per visit) / declined (event loop), why")
+    for system, (fused, declined, reasons) in lanes.items():
+        why = ", ".join(f"{reason} {count}" for reason, count in sorted(reasons.items()))
+        print(f"  {system:<8s} {fused:7d} / {declined:7d}   {why or 'none'}")
     if "lapse" in lanes and lanes["lapse"][0] == 0:
         sys.exit("lapse fused no block visit: the fused lane is off on elastic clusters")
 

@@ -65,7 +65,7 @@ import multiprocessing as mp
 import sys
 import time
 import weakref
-from collections import deque
+from collections import Counter, deque
 from multiprocessing import heap, popen_fork, queues, synchronize  # noqa: F401  # not in run 1
 from typing import Any, Callable, Deque, Generator, Hashable, List, Optional, Sequence, Tuple
 
@@ -378,15 +378,22 @@ class _BlockVisits:
     def __init__(self, client: RealWorkerClient) -> None:
         self.client = client
         self.taken = 0  # entries run by a visit
-        self.declined = 0  # entries (and steps) handed back to the caller
+        #: Entries (and steps) handed back to the caller, by reason.
+        self.reasons: Counter = Counter()
+        self.conflicts = 0  # visits whose compare-and-swap lost the race
+
+    @property
+    def declined(self) -> int:
+        return sum(self.reasons.values())
 
     def visit(
         self, block_keys: Sequence[int], entry_keys: np.ndarray, compute_time: float,
         kernel: Callable[[np.ndarray], np.ndarray],
-    ) -> bool:
+    ) -> int:
         """One single-key ``pull`` → update → ``push_async`` → compute step
         per entry of ``entry_keys``, all inside ``block_keys``, as one access
-        replacing the block by ``kernel(values)``; False to fall back.
+        replacing the block by ``kernel(values)``: returns how many entries
+        it ran, all of them or (to fall back) none.
 
         Refused, touching nothing, when a block key is not resident or the
         lane would overtake an operation this worker handed over.  The block
@@ -405,9 +412,12 @@ class _BlockVisits:
         lock = client.ps.node_locks[client.node_id]
         issued = sim.now
         with lock:
-            if client._overtakable or not all(storage.contains_flags(block_keys)):
-                self.declined += count
-                return False
+            if client._overtakable:
+                self.reasons["handed over"] += count
+                return 0
+            if not all(storage.contains_flags(block_keys)):
+                self.reasons["not resident"] += count
+                return 0
             before = storage.get_many(block_keys)
         read = sim.now
         values = kernel(before.copy())
@@ -420,6 +430,7 @@ class _BlockVisits:
                 storage.set_many(block_keys, values)
         written = sim.now
         if not swapped:
+            self.conflicts += 1
             client.push_async(block_keys, values - before, needs_ack=True)
         self.taken += count
         metrics = client.state.metrics
@@ -432,11 +443,11 @@ class _BlockVisits:
             recorder.span("pull", block_keys, issued, read)
             recorder.span("push", block_keys, computed, written)
         _busy_wait(count * compute_time)
-        return True
+        return count
 
     def step(self, keys: Sequence[int], compute_time: float, kernel: Callable) -> None:
         """Declines: the event horizon licensing a step has no wall-clock counterpart."""
-        self.declined += 1
+        self.reasons["no horizon"] += 1
 
     def drain(self) -> None:
         """Nothing to yield: a visit's time has passed when it returns."""

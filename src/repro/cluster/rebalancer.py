@@ -221,6 +221,23 @@ class Rebalancer:
         return operation
 
     # ---------------------------------------------------------------- failure
+    def _first_waiting(self, key: int, nodes: List[int]) -> Optional[int]:
+        """The node of ``nodes`` first in line for ``key``, or None if none waits.
+
+        Waiting nodes form a chain, each one instructed to pass the key on to
+        the next (``pending_new_owner``); the first is the one no other
+        waiting node passes it to, the earliest request if the instruction
+        that would tell is still on the wire.
+        """
+        states = self.ps.states
+        waiting = [other for other in nodes if key in states[other].relocating_in]
+        passed_to = {states[other].relocating_in[key].pending_new_owner for other in waiting}
+        return min(
+            (other for other in waiting if other not in passed_to),
+            key=lambda other: (states[other].relocating_in[key].requested_at, other),
+            default=None,
+        )
+
     def recover_after_failure(self, node: int, now: float) -> RebalanceOperation:
         """Re-home a failed node's keys; recover from replicas or declare lost."""
         ps = self.ps
@@ -247,13 +264,16 @@ class Rebalancer:
                 for subscriber_set in state.subscribers.values():
                     subscriber_set.discard(node)
                 state.broadcast_buffer.pop(node, None)
-        # 3) Every key the failed node owned is recovered or lost.  Recovery
-        #    sources, in priority order: the durable log (checkpoint + WAL
-        #    replay — exact as of the crash instant), a `remove` record in a
-        #    survivor's WAL (the key's relocation transfer was on the wire to
-        #    the dead node), a surviving replica, nothing (lost).  Both the
-        #    WAL and the replica path install through the same
-        #    ``RecoveryInstall`` handler — two consumers of one log.
+        # 3) Every key the failed node owned is recovered or lost, and so is
+        #    every key a survivor waits for from it: held by the dead node, or
+        #    on its way there, while the home table already names the waiting
+        #    survivor (a relocation the crash cut short).  Recovery sources,
+        #    in priority order: the durable log (checkpoint + WAL replay —
+        #    exact as of the crash instant), a `remove` record in a survivor's
+        #    WAL (the key's relocation transfer was on the wire to the dead
+        #    node), a surviving replica, nothing (lost).  Both the WAL and the
+        #    replica path install through the same ``RecoveryInstall`` handler
+        #    — two consumers of one log.
         partitioner: ElasticPartitioner = self.ps.partitioner
         value_length = ps.ps_config.value_length
         wal_recovery = self.supports_wal_recovery
@@ -262,8 +282,16 @@ class Rebalancer:
             durable, _replayed = ps.durability.recovered_state(node)
         recovery_groups: Dict[Tuple[int, int], List[Tuple[int, Tuple[int, ...]]]] = {}
         wal_groups: Dict[int, List[Tuple[int, np.ndarray, Tuple[int, ...]]]] = {}
+        lost_groups: Dict[int, List[int]] = {}
         pending: List[int] = []
-        for key in self.owned_keys(node):
+        owned = self.owned_keys(node)
+        dead = ps.states[node]
+        cut_short = []
+        for key in sorted(set(dead.storage.keys()).union(dead.relocating_in).difference(owned)):
+            head = self._first_waiting(key, replica_sources)
+            if head is not None:
+                cut_short.append((key, head))
+        for key, target in [(key, None) for key in owned] + cut_short:
             # Stale-home tolerance: a localize instruction in flight at crash
             # time can leave the key resident on a survivor even though the
             # home table already names the dead node as owner.  The data is
@@ -277,12 +305,16 @@ class Rebalancer:
                 ),
                 None,
             )
-            target = partitioner.node_of(key)
+            if target is None:
+                # An owned key: its home entry names the new owner, or the
+                # survivor the key already rests on.
+                target = partitioner.node_of(key)
+                ps.states[target].home_location[key] = (
+                    target if resident_at is None else resident_at
+                )
             target_state = ps.states[target]
             if resident_at is not None:
-                target_state.home_location[key] = resident_at
                 continue
-            target_state.home_location[key] = target
             holders: List[int] = []
             if self.supports_replica_recovery:
                 holders = [
@@ -319,7 +351,10 @@ class Rebalancer:
                 pending.append(key)
                 operation.recovered_keys += 1
             else:
-                target_state.storage.insert(key, np.zeros(value_length))
+                if key in target_state.relocating_in:
+                    lost_groups.setdefault(target, []).append(key)
+                else:
+                    target_state.storage.insert(key, np.zeros(value_length))
                 target_state.metrics.lost_keys += 1
                 operation.lost_keys += 1
         # 3b) Keys restored from the durable log install synchronously: the
@@ -341,6 +376,16 @@ class Rebalancer:
             ps.management_policy.install_recovered(target_state, install)
             target_state.metrics.wal_recovered_keys += len(entries)
             operation.moved_keys += len(entries)
+        # 3c) A lost key that a relocation waits for is re-initialized the
+        #     same way, so the waiting handles complete.
+        for target, keys in sorted(lost_groups.items()):
+            install = RecoveryInstall(
+                keys=tuple(keys),
+                values=np.zeros((len(keys), value_length)),
+                source_node=node,
+                failed_node=node,
+            )
+            ps.management_policy.install_recovered(ps.states[target], install, lost=True)
         # 4) Surviving holders ship their copies to the new owners.
         if pending:
             handle = OperationHandle(ps.sim, "rebalance", sorted(pending), value_length)

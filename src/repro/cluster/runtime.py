@@ -47,6 +47,11 @@ from repro.ps.replica import InstallingKey
 class ElasticCluster:
     """Runtime that makes a simulated PS cluster dynamic.
 
+    It keeps the rebalance operations of the events fired since the last
+    :meth:`settle`: fused MF block visits stop short of the next pending
+    event and wait out only the keys those operations still move
+    (:meth:`fusion_horizon`).
+
     Args:
         ps: The parameter server (any variant; ownership migration and
             failure recovery require a relocation-capable policy and an
@@ -88,9 +93,9 @@ class ElasticCluster:
         # means barriers must be sized to the participating workers from the
         # first epoch on.
         self._dynamic = len(self.membership.active_nodes()) != num_nodes
-        #: Whether an event fired since the last :meth:`settle` (see
-        #: :meth:`quiet_through`).
-        self._fired_since_settle = False
+        #: Operations of the events fired since the last :meth:`settle`
+        #: (see :meth:`fusion_horizon`).
+        self._unsettled: List[RebalanceOperation] = []
         #: Shard-mode registries (populated only inside forked shard
         #: processes): events fired at window barriers this epoch, and one
         #: stitching record per fired event (see ``apply_in_shard``).
@@ -200,27 +205,39 @@ class ElasticCluster:
         """Drain all in-flight protocol traffic (no event firing).
 
         Rebalance relocations of the events fired so far are then complete,
-        which is what lets fused block visits run again
-        (:meth:`quiet_through`).
+        so no key they named holds fused block visits back any longer
+        (:meth:`fusion_horizon`).
         """
         now = self.ps.sim.run()
-        self._fired_since_settle = False
+        self._unsettled.clear()
         return now
 
-    def quiet_through(self, time: float) -> bool:
-        """Whether membership stays put up to and including ``time``.
+    def fusion_horizon(self, keys: Sequence[int]) -> float:
+        """The instant before which the runtime moves none of ``keys``.
 
-        False while an event fired since the last :meth:`settle` (its
-        rebalance relocations may still be in flight) or while the next
-        pending event is due at or before ``time``.  Fused MF block visits
-        (:meth:`~repro.ps.base.FusedLocalSteps.visit`) ask this of their last
-        instant.  Both facts are replicated on every shard of the parallel
-        engine (:meth:`apply_in_shard` runs :meth:`_apply` everywhere and the
-        pending list is replicated), so every shard answers alike.
+        ``-inf`` while a key is still pending in the rebalance of an event
+        fired since the last :meth:`settle`; otherwise the next pending
+        event's time, or ``inf`` if there is none.  Fused MF block visits
+        (:meth:`~repro.ps.base.FusedLocalSteps.visit`) run only the entries
+        done before it.  A rebalance issues every relocation it makes at the
+        apply instant
+        (:meth:`~repro.cluster.rebalancer.Rebalancer._relocate_to_homes`), and an
+        application localize it piggybacks on joins the same handle, so its
+        pending keys are all the runtime can move before the next event.
+        Inside a shard of the parallel engine a handle sees only the
+        completions on its own shard, so there any unsettled event answers
+        ``-inf``: that fact, like the pending list, is replicated on every
+        shard (:meth:`apply_in_shard` runs :meth:`_apply` everywhere).
         """
-        if self._fired_since_settle:
-            return False
-        return not self._pending or self._pending[0].time > time
+        unsettled = self._unsettled
+        if unsettled:
+            if self.ps.sim._shard_rank is not None:
+                return -math.inf
+            for operation in unsettled:
+                handle = operation.handle
+                if handle is not None and not handle._pending_keys.isdisjoint(keys):
+                    return -math.inf
+        return self._pending[0].time if self._pending else math.inf
 
     # ------------------------------------------------------------ event handling
     def _apply(self, event: ClusterEvent) -> RebalanceOperation:
@@ -250,7 +267,7 @@ class ElasticCluster:
         else:  # pragma: no cover - ClusterEvent validates kinds
             raise ClusterError(f"unknown event kind {event.kind!r}")
         self._dynamic = True
-        self._fired_since_settle = True
+        self._unsettled.append(operation)
         self.operations.append((event, operation))
         tracer = self.ps.tracer
         if tracer is not None:
@@ -461,7 +478,6 @@ class ElasticCluster:
         membership.history = lead["membership_history"]
         if lead["fired"]:
             self._dynamic = True
-            self._fired_since_settle = True
         rebuilt: List[Tuple[ClusterEvent, RebalanceOperation]] = []
         for opdata in lead["ops"]:
             event = ClusterEvent(

@@ -41,7 +41,7 @@ network traffic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.cluster import ClusterSchedule, ElasticCluster
 from repro.config import ClusterConfig, CostModel, ParameterServerConfig
@@ -231,12 +231,14 @@ class TaskRunResult:
     #: Shard count the last epoch actually used (1 after a fallback).
     effective_jobs: int = 1
     #: Training steps a fused runner ran (block-visit entries, verified
-    #: steps) and steps it handed back to the per-step path — a key not
-    #: resident or guarded, another event inside a verified step's window,
-    #: a membership change or a node checkpoint falling inside the lane;
-    #: both 0 where the system or engine offers no runner.
+    #: steps) and handed back to the per-step path, the latter by reason,
+    #: and real-backend block visits whose write lost a race
+    #: (:class:`~repro.ml.common.FusedLaneCounts`); all 0 where the system
+    #: or engine offers no runner.
     fused_steps: int = 0
     declined_steps: int = 0
+    decline_reasons: Dict[str, int] = field(default_factory=dict)
+    visit_conflicts: int = 0
     #: The run's :class:`~repro.obs.Tracer` when tracing was enabled (call
     #: ``result.tracer.export(path)`` / ``.summary()``); ``None`` otherwise.
     tracer: Optional[Any] = field(default=None, compare=False, repr=False)
@@ -281,6 +283,8 @@ def _task_result(
         effective_jobs=ps._last_effective_jobs,
         fused_steps=trainer.fused_steps,
         declined_steps=trainer.declined_steps,
+        decline_reasons=dict(trainer.decline_reasons),
+        visit_conflicts=trainer.visit_conflicts,
         tracer=ps.tracer,
     )
 

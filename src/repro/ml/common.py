@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Optional, Sequence
+from collections import Counter
+from typing import Any, Callable, Dict, Generator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,3 +72,37 @@ def local_step(
     if compute_time > 0:
         yield compute_time
     return None
+
+
+class FusedLaneCounts:
+    """What a trainer's fused runners decided, summed over workers and epochs.
+
+    ``fused_steps`` ran inline; ``declined_steps`` went to the event path,
+    tallied by reason in ``decline_reasons`` (see
+    :class:`~repro.ps.base.FusedLocalSteps`); ``visit_conflicts`` counts the
+    real backend's block visits whose compare-and-swap write lost a race.
+    All stay 0 where no runner is offered.  Kept off
+    :class:`~repro.ps.metrics.PSMetrics`: they describe the engine, not the
+    simulated system.
+    """
+
+    def __init__(self) -> None:
+        self.fused_steps = 0
+        self.declined_steps = 0
+        self.decline_reasons: Counter = Counter()
+        self.visit_conflicts = 0
+
+    def count_lanes(self, counts: Tuple[int, Dict[str, int], int]) -> None:
+        """Add what one worker's runner reported (:func:`lane_counts`)."""
+        taken, reasons, conflicts = counts
+        self.fused_steps += taken
+        self.declined_steps += sum(reasons.values())
+        self.decline_reasons.update(reasons)
+        self.visit_conflicts += conflicts
+
+
+def lane_counts(runner: Optional[Any]) -> Tuple[int, Dict[str, int], int]:
+    """What a worker reports home of its fused runner (zeros without one)."""
+    if runner is None:
+        return 0, {}, 0
+    return runner.taken, dict(runner.reasons), getattr(runner, "conflicts", 0)

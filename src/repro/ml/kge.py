@@ -36,7 +36,9 @@ from repro.config import derive_seed
 from repro.data.synthetic_graph import SyntheticKnowledgeGraph
 from repro.errors import ExperimentError
 from repro.ml.common import (
+    FusedLaneCounts,
     install_parameters,
+    lane_counts,
     local_step,
     maybe_localize,
     needs_clock,
@@ -134,7 +136,7 @@ class KGEKeySpace:
         return list(range(start, start + self.config.keys_per_relation))
 
 
-class KGETrainer:
+class KGETrainer(FusedLaneCounts):
     """Trains RESCAL/ComplEx embeddings on any of the PS variants."""
 
     def __init__(
@@ -160,11 +162,10 @@ class KGETrainer:
                 f"got {ps.ps_config.value_length}"
             )
         self._epochs_run = 0
-        #: Triples whose pull → step → push ran inline as a verified fused step
-        #: (:meth:`repro.ps.base.FusedLocalSteps.step`), and triples the runner
-        #: handed back to the event path; both 0 where no runner is offered.
-        self.fused_steps = 0
-        self.declined_steps = 0
+        # Lane counts by triple: whose pull → step → push ran inline as a
+        # verified fused step (:meth:`repro.ps.base.FusedLocalSteps.step`), or
+        # the runner handed back to the event path.
+        super().__init__()
         num_negatives = self.config.num_negatives
         #: Pairs scored per triple, in accumulation order: the triple itself,
         #: its subject corruptions, its object corruptions.  The columns index
@@ -278,9 +279,7 @@ class KGETrainer:
         epoch = self._epochs_run
         start_time = self.ps.simulated_time
         for counts in self.ps.run_workers(self._worker_epoch):
-            if counts is not None:
-                self.fused_steps += counts[0]
-                self.declined_steps += counts[1]
+            self.count_lanes(counts)
         duration = self.ps.simulated_time - start_time
         self._epochs_run += 1
         loss = self.evaluation_loss() if compute_loss else None
@@ -357,9 +356,7 @@ class KGETrainer:
         yield from client.barrier()
         if needs_clock(self.ps):
             yield from client.clock()
-        if runner is None:
-            return None
-        return runner.taken, runner.declined
+        return lane_counts(runner)
 
     def _step_updates(self, pulled: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """AdaGrad updates for one triple's keys from their pulled block.

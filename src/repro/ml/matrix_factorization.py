@@ -26,7 +26,7 @@ import numpy as np
 from repro.config import derive_seed
 from repro.data.synthetic_matrix import SyntheticMatrix
 from repro.errors import ExperimentError
-from repro.ml.common import maybe_localize, subepoch_synchronization
+from repro.ml.common import FusedLaneCounts, lane_counts, maybe_localize, subepoch_synchronization
 from repro.ml.metrics import rmse
 from repro.ml.results import EpochResult
 from repro.pal.parameter_blocking import BlockSchedule, block_of_keys, keys_of_block
@@ -120,7 +120,7 @@ class _EpochPlan:
     levels: Dict[Tuple[int, int], Tuple["np.ndarray", List[int]]] = field(default_factory=dict)
 
 
-class MatrixFactorizationTrainer:
+class MatrixFactorizationTrainer(FusedLaneCounts):
     """Runs DSGD matrix factorization epochs on a parameter server.
 
     The same trainer runs on every PS variant: it localizes blocks when the PS
@@ -158,10 +158,9 @@ class MatrixFactorizationTrainer:
         #: Worker-local row factors (each worker touches only its own rows).
         self.row_factors = rng.normal(0.0, self.config.init_scale, size=(matrix.num_rows, self.config.rank))
         self._epochs_run = 0
-        #: Entries run by the block-visit kernel, and entries of visits the
-        #: runner refused (event loop); both 0 where no runner is offered.
-        self.fused_steps = 0
-        self.declined_steps = 0
+        # Lane counts by entry: run by the block-visit kernel, or left to the
+        # event loop.
+        super().__init__()
         self._initialize_column_factors(rng)
 
     # ------------------------------------------------------------ preparation
@@ -233,10 +232,9 @@ class MatrixFactorizationTrainer:
         results = self.ps.run_workers(worker_fn, clients=clients)
         for result in results:
             if result is not None:
-                low, high, rows, (fused, declined), levels = result
+                low, high, rows, counts, levels = result
                 self.row_factors[low:high] = rows
-                self.fused_steps += fused
-                self.declined_steps += declined
+                self.count_lanes(counts)
                 plan.levels.update(levels)
         duration = self.ps.simulated_time - start_time
         self._epochs_run += 1
@@ -262,19 +260,21 @@ class MatrixFactorizationTrainer:
             yield from maybe_localize(client, block_keys)
             visit = (participant, block)
             indices = plan.entries[visit]
-            if fused is not None and fused.visit(
-                block_keys,
-                matrix.cols[indices],
-                compute_time,
-                partial(self._run_levels, plan, visit, block_keys[0]),
-            ):
+            if fused is not None:
+                taken = fused.visit(
+                    block_keys,
+                    matrix.cols[indices],
+                    compute_time,
+                    partial(self._run_levels, plan, visit, block_keys[0]),
+                )
                 wake = fused.drain()
                 if wake is not None:
                     yield wake
-            else:
-                # Event loop (no runner, or a visit it refused): one pull,
-                # update and asynchronous push per entry.  Unbox the visit
-                # once so the loop performs no NumPy scalar conversions.
+                indices = indices[taken:]
+            if len(indices):
+                # Event loop (no runner, or the entries a visit left): one
+                # pull, update and asynchronous push per entry.  Unbox the
+                # visit once so the loop performs no NumPy scalar conversions.
                 rows = matrix.rows[indices].tolist()
                 cols = matrix.cols[indices].tolist()
                 values = matrix.values[indices].astype(np.float64).tolist()
@@ -308,7 +308,7 @@ class MatrixFactorizationTrainer:
             high = matrix.num_rows
         else:
             high = min((participant + 1) * rows_per_worker, matrix.num_rows)
-        counts = (0, 0) if fused is None else (fused.taken, fused.declined)
+        counts = lane_counts(fused)
         levels = {
             visit: built
             for visit, built in plan.levels.items()
@@ -323,23 +323,30 @@ class MatrixFactorizationTrainer:
         first_key: int,
         columns: np.ndarray,
         deltas: Optional[np.ndarray] = None,
+        count: Optional[int] = None,
     ) -> np.ndarray:
         """The block-visit kernel: one batched SGD step per dependency level.
 
         ``columns`` holds the factors of the block's keys (``first_key``
-        onwards) and is returned as the per-entry loop would have left them.
-        Every expression is the loop's own, element-wise over the level; the
-        dot is the stacked ``matmul`` because it reduces each row pair the way
-        the scalar ``row @ col`` does (``einsum`` and ``(a * b).sum(1)`` sum in
-        another order and differ in the last bits).  ``deltas``, when given,
-        receives at row ``k`` the update the loop pushes for the visit's
-        ``k``-th entry.
+        onwards) and is returned as the per-entry loop would have left them
+        after the visit's first ``count`` entries (all by default).  Every
+        expression is the loop's own, element-wise over the level; the dot is
+        the stacked ``matmul`` because it reduces each row pair the way the
+        scalar ``row @ col`` does (``einsum`` and ``(a * b).sum(1)`` sum in
+        another order and differ in the last bits).  A prefix of the visit
+        keeps each of its entries' levels, so it runs as every level filtered
+        to ``order < count``.  ``deltas``, when given, receives at row ``k``
+        the update the loop pushes for the visit's ``k``-th entry.
         """
         matrix = self.matrix
         if visit not in plan.levels:
             indices = plan.entries[visit]
             plan.levels[visit] = level_schedule(matrix.rows[indices], matrix.cols[indices])
         order, bounds = plan.levels[visit]
+        if count is not None and count < len(order):
+            kept = order < count
+            bounds = np.concatenate(([0], np.cumsum(kept)))[bounds].tolist()
+            order = order[kept]
         indices = plan.entries[visit][order]
         rows = matrix.rows[indices]
         cols = matrix.cols[indices] - first_key

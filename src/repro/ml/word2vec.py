@@ -25,7 +25,14 @@ import numpy as np
 from repro.config import derive_seed
 from repro.data.synthetic_corpus import SyntheticCorpus
 from repro.errors import ExperimentError
-from repro.ml.common import install_parameters, local_step, needs_clock, supports_localize
+from repro.ml.common import (
+    FusedLaneCounts,
+    install_parameters,
+    lane_counts,
+    local_step,
+    needs_clock,
+    supports_localize,
+)
 from repro.ml.metrics import sigmoid
 from repro.ml.results import EpochResult
 from repro.pal.latency_hiding import Prelocalizer
@@ -85,7 +92,7 @@ class Word2VecConfig:
             raise ExperimentError("init_scale must be non-negative")
 
 
-class Word2VecTrainer:
+class Word2VecTrainer(FusedLaneCounts):
     """Trains skip-gram word vectors on any of the PS variants."""
 
     def __init__(
@@ -119,11 +126,10 @@ class Word2VecTrainer:
         #: Count of negative-sample candidates skipped because they were not
         #: local (localization conflicts), summed over all workers.
         self.skipped_negatives = 0
-        #: Pairs whose pull → step → push ran inline as a verified fused step
-        #: (:meth:`repro.ps.base.FusedLocalSteps.step`), and pairs the runner
-        #: handed back to the event path; both 0 where no runner is offered.
-        self.fused_steps = 0
-        self.declined_steps = 0
+        # Lane counts by pair: whose pull → step → push ran inline as a
+        # verified fused step (:meth:`repro.ps.base.FusedLocalSteps.step`), or
+        # the runner handed back to the event path.
+        super().__init__()
 
     # ------------------------------------------------------------ preparation
     def _partition_sentences(self) -> None:
@@ -185,10 +191,9 @@ class Word2VecTrainer:
         """Run one epoch over all sentences."""
         epoch = self._epochs_run
         start_time = self.ps.simulated_time
-        for skipped, fused, declined in self.ps.run_workers(self._worker_epoch):
+        for skipped, counts in self.ps.run_workers(self._worker_epoch):
             self.skipped_negatives += skipped
-            self.fused_steps += fused
-            self.declined_steps += declined
+            self.count_lanes(counts)
         duration = self.ps.simulated_time - start_time
         self._epochs_run += 1
         error = self.evaluation_error() if compute_error else None
@@ -272,9 +277,7 @@ class Word2VecTrainer:
         yield from client.barrier()
         if needs_clock(self.ps):
             yield from client.clock()
-        if runner is None:
-            return skipped_negatives, 0, 0
-        return skipped_negatives, runner.taken, runner.declined
+        return skipped_negatives, lane_counts(runner)
 
     def _train_pair(self, pulled: np.ndarray) -> np.ndarray:
         """SGD updates of one skip-gram pair from its pulled block.

@@ -28,6 +28,7 @@ configuration overrides.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import (
@@ -332,9 +333,10 @@ class FusedLocalSteps:
     deferred-time window — and yields the accumulated time in one piece at its
     next communication or synchronization boundary.  Parameter blocking
     (§4.1) provides exactly this guarantee for matrix factorization, which is
-    why the MF trainer opts in.  Residency, guards, the membership schedule
-    and the next checkpoint are checked once per visit; privacy is not
-    checkable here and is enforced by the bit-identity test sweep.
+    why the MF trainer opts in.  Residency and guards are checked once per
+    visit, the membership schedule and the next checkpoint cut it short;
+    privacy is not checkable here and is enforced by the bit-identity test
+    sweep.
 
     **Verified** (:meth:`step`; one kernel event per step).  For keys other
     workers share, the runner checks the kernel's event horizon instead: a
@@ -347,18 +349,18 @@ class FusedLocalSteps:
     Both lanes write at the issue instant what the event path writes later.
     On a logged store (a :class:`~repro.durability.DurabilityConfig`) that is
     unobservable as long as no lazy checkpoint of the node falls due up to
-    the lane's last write: checkpoints are per node and fire only on an
-    append at or after their due time, so they see the same store either
-    way.  A lane whose last write reaches the node's next due time declines.
+    the write: checkpoints are per node and fire only on an append at or
+    after their due time, so they see the same store either way.
 
     Only management policies whose local access has no side effects beyond
     storage/latch/metric accounting offer the runner, and they may hold
     individual keys back (:meth:`~repro.ps.policy.ManagementPolicy.fusion_guard`).
+    Every step handed back is tallied under its reason in :attr:`reasons`.
     """
 
     __slots__ = (
         "sim", "storage", "latches", "metrics", "access_delay", "clock", "trace", "guard",
-        "state", "policy", "recorder", "checkpoints", "elastic", "taken", "declined",
+        "state", "policy", "recorder", "checkpoints", "elastic", "taken", "reasons",
     )
 
     def __init__(self, client: "WorkerClient", guard: Optional[Callable[[int], Any]]) -> None:
@@ -389,9 +391,12 @@ class FusedLocalSteps:
         self.checkpoints = None if durability is None else durability._next_checkpoint_at
         #: The elastic runtime on an elastic cluster, else None.
         self.elastic = client.ps._elastic_driver
-        #: Steps run inline / handed back to the event path, on either lane.
+        #: Steps run inline, on either lane, and steps handed back to the
+        #: event path by reason: ``"not resident"``, ``"guarded"``,
+        #: ``"checkpoint"``, ``"membership event"``, ``"unsettled keys"``, and
+        #: for :meth:`step` also ``"t3 < t2"`` and ``"not quiet"``.
         self.taken = 0
-        self.declined = 0
+        self.reasons: Counter = Counter()
         #: Replayed worker clock: the simulated time this worker would have
         #: reached had every fused step gone through the kernel.  The deltas
         #: are added one at a time, in slow-path order, so the final resume
@@ -400,47 +405,60 @@ class FusedLocalSteps:
         #: the last bits).  ``None`` while no time is deferred.
         self.clock: Optional[float] = None
 
+    @property
+    def declined(self) -> int:
+        """Steps handed back to the event path, all reasons together."""
+        return sum(self.reasons.values())
+
+    def _refusal(self, keys: Sequence[int]) -> Optional[str]:
+        """Why neither lane may touch ``keys`` at all, or None."""
+        if not all(self.storage.contains_flags(keys)):
+            return "not resident"
+        guard = self.guard
+        if guard is not None and any(guard(key) for key in keys):
+            return "guarded"
+        return None
+
     def visit(
         self,
         block_keys: Sequence[int],
         entry_keys: np.ndarray,
         compute_time: float,
         kernel: Callable[..., np.ndarray],
-    ) -> bool:
+    ) -> int:
         """Asserted fused run of one single-key ``pull`` → update →
-        ``push_async`` → ``yield compute_time`` step per entry of
-        ``entry_keys``, all inside the private block ``block_keys``; False to
-        fall back.  A visit without entries has nothing to run and is taken.
+        ``push_async`` → ``yield compute_time`` step per leading entry of
+        ``entry_keys``, all inside the private block ``block_keys``: returns
+        how many entries it ran, and the caller runs the rest on the event
+        path after :meth:`drain`.
 
-        Checked once: every block key is resident and unguarded (in range is
-        the caller's duty); on an elastic cluster, membership stays put
-        through the visit's last instant
-        (:meth:`~repro.cluster.runtime.ElasticCluster.quiet_through`); on a
-        logged store, the node's next checkpoint is due after the last write.
-        A refused visit leaves all state untouched and the caller runs the
-        event path entry by entry.  A taken one accounts the operations of
-        every step, replays the worker clock with the event path's own
-        additions in entry order (``+ access_delay`` for the pull,
-        ``+ compute_time``; the asynchronous push costs the worker nothing and
-        lands ``access_delay`` after the read), reports each step's spans at
-        those instants, and replaces the block's values by ``kernel(values)``,
-        which must leave them as the steps would have in entry order.  On a
-        logged store the call is ``kernel(values, deltas)``, and the kernel
-        also sets row ``k`` of ``deltas`` to the update entry ``k`` pushes:
-        the block is then written past the log, which takes one single-row
-        ``delta`` record per entry, in entry order — the records of the event
-        path's writes.
+        A visit with a block key not resident or guarded runs nothing.
+        Otherwise it runs every entry no hazard reaches: on a logged store,
+        entry ``k``'s push must land (``writes[k]``, ``access_delay`` after
+        its read) before the node's next checkpoint is due; on an elastic
+        cluster, both that landing and the worker's resume after it must come
+        before the :meth:`~repro.cluster.runtime.ElasticCluster.fusion_horizon`
+        of the block.  Entries left over count under the hazard that cut them.
+        A visit that runs nothing leaves all state untouched.  One that runs
+        ``n`` entries accounts their operations, replays the worker clock
+        with the event path's own additions in entry order (``+ access_delay``
+        for the pull, ``+ compute_time``; the asynchronous push costs the
+        worker nothing), reports each step's spans at those instants, and
+        replaces the block's values by ``kernel(values, deltas, n)``, which
+        must leave them as the first ``n`` steps would have in entry order.
+        ``deltas`` is None on an unlogged store; on a logged one the kernel
+        sets its row ``k`` to the update entry ``k`` pushes, the block is
+        written past the log, and the WAL takes one single-row ``delta``
+        record per entry, in entry order — the records of the event path's
+        writes, all appended before the due time.
         """
         count = len(entry_keys)
         if not count:
-            return True
-        guard = self.guard
-        storage = self.storage
-        if not all(storage.contains_flags(block_keys)) or (
-            guard is not None and any(guard(key) for key in block_keys)
-        ):
-            self.declined += count
-            return False
+            return 0
+        reason = self._refusal(block_keys)
+        if reason is not None:
+            self.reasons[reason] += count
+            return 0
         # A running sum adds left to right, one delay at a time, like the
         # worker it replays: entry k pulls from instants[2k] to instants[2k+1].
         instants = np.empty(2 * count + 1)
@@ -448,44 +466,51 @@ class FusedLocalSteps:
         instants[1::2] = self.access_delay
         instants[2::2] = compute_time
         instants = np.add.accumulate(instants)
-        write_at = float(instants[-2]) + self.access_delay
+        taken = count
         checkpoints, elastic = self.checkpoints, self.elastic
-        if (
-            checkpoints is not None
-            and checkpoints.get(self.state.node_id, math.inf) <= write_at
-        ) or (
-            elastic is not None
-            and not elastic.quiet_through(max(write_at, float(instants[-1])))
-        ):
-            self.declined += count
-            return False
-        self.taken += count
+        if checkpoints is not None or elastic is not None:
+            writes = instants[1::2] + self.access_delay
+            due = math.inf if checkpoints is None else checkpoints.get(self.state.node_id, math.inf)
+            taken = int(np.searchsorted(writes, due))
+            reason = "checkpoint"
+            if elastic is not None:
+                horizon = elastic.fusion_horizon(block_keys)
+                reached = int(np.searchsorted(np.maximum(writes, instants[2::2]), horizon))
+                if reached < taken:
+                    taken = reached
+                    reason = "unsettled keys" if horizon == -math.inf else "membership event"
+            if taken < count:
+                self.reasons[reason] += count - taken
+                if not taken:
+                    return 0
+        self.taken += taken
         metrics = self.metrics
-        metrics.key_reads_local += count
-        metrics.pulls_local += count
-        metrics.key_writes_local += count
-        metrics.pushes_local += count
-        self.latches.acquisitions += 2 * count
-        self.clock = float(instants[-1])
+        metrics.key_reads_local += taken
+        metrics.pulls_local += taken
+        metrics.key_writes_local += taken
+        metrics.pushes_local += taken
+        self.latches.acquisitions += 2 * taken
+        self.clock = float(instants[2 * taken])
         trace = self.trace
         if trace is not None:
             instants = instants.tolist()
-            for index, key in enumerate(entry_keys.tolist()):
+            for index, key in enumerate(entry_keys[:taken].tolist()):
                 read_at = instants[2 * index + 1]
                 trace.fused("pull", key, instants[2 * index], read_at)
                 trace.fused("push", key, read_at, read_at)
+        storage = self.storage
         values = storage.get_many(block_keys)
-        if self.checkpoints is None:
-            storage.set_many(block_keys, kernel(values))
-            return True
+        if checkpoints is None:
+            storage.set_many(block_keys, kernel(values, None, taken))
+            return taken
         from repro.durability.wal import WAL_DELTA
 
-        deltas = np.empty((count, 1, storage.value_length))
-        storage.inner.set_many(block_keys, kernel(values, deltas[:, 0]))
+        deltas = np.empty((taken, 1, storage.value_length))
+        storage.inner.set_many(block_keys, kernel(values, deltas[:, 0], taken))
         append = storage.wal.append
-        for key, delta in zip(entry_keys.tolist(), deltas):
+        for key, delta in zip(entry_keys[:taken].tolist(), deltas):
             append(WAL_DELTA, (key,), delta)
-        return True
+        return taken
 
     def step(
         self,
@@ -502,12 +527,12 @@ class FusedLocalSteps:
         compute_time``.  The step runs inline — read, ``kernel(values)``,
         write, the counters and latches of both operations — iff
 
-        * every key is resident and unguarded (in range is the caller's duty,
-          as for :meth:`visit`),
         * ``t3 >= t2``: the worker's own next step must not overtake its write,
         * the kernel is quiet through ``t2``: ties at ``t2`` take the event
           path, so nothing can run between the read and the write,
-        * on a logged store, the node's next checkpoint is due after ``t2``.
+        * on a logged store, the node's next checkpoint is due after ``t2``,
+        * every key is resident and unguarded (in range is the caller's duty,
+          as for :meth:`visit`).
 
         The instants are the slow path's own additions (``(t + d) + d``,
         ``(t + d) + compute_time``), so the resume lands on its exact bits;
@@ -526,19 +551,17 @@ class FusedLocalSteps:
         read_at = now + delay
         write_at = read_at + delay
         resume_at = read_at + compute_time
-        guard = self.guard
         checkpoints = self.checkpoints
-        if (
-            resume_at < write_at
-            or not sim.quiet_through(write_at)
-            or (
-                checkpoints is not None
-                and checkpoints.get(self.state.node_id, math.inf) <= write_at
-            )
-            or not all(self.storage.contains_flags(keys))
-            or (guard is not None and any(guard(key) for key in keys))
-        ):
-            self.declined += 1
+        if resume_at < write_at:
+            reason = "t3 < t2"
+        elif not sim.quiet_through(write_at):
+            reason = "not quiet"
+        elif checkpoints is not None and checkpoints.get(self.state.node_id, math.inf) <= write_at:
+            reason = "checkpoint"
+        else:
+            reason = self._refusal(keys)
+        if reason is not None:
+            self.reasons[reason] += 1
             return None
         self.taken += 1
         metrics = self.metrics
@@ -741,8 +764,8 @@ class WorkerClient:
         reference run under ``REPRO_DISABLE_FASTPATH`` exercises the
         event-by-event path) and a policy whose local access has no observers
         (:meth:`~repro.ps.policy.ManagementPolicy.fusion_guard`).  Elastic
-        clusters and logged stores get a runner too: its lanes decline where
-        a membership change or a checkpoint could observe them.
+        clusters and logged stores get a runner too: its lanes stop short of
+        where a membership change or a checkpoint could observe them.
         """
         ps = self.ps
         if not (ps.ps_config.shared_memory_local_access and ps.sim.fastpath):

@@ -208,8 +208,10 @@ class HybridManagementPolicy(ManagementPolicy):
     ) -> None:
         self.relocation.process_localize_at_home(home_state, keys, requester)
 
-    def install_recovered(self, state: NodeState, message: RecoveryInstall) -> None:
-        self.relocation.install_recovered(state, message)
+    def install_recovered(
+        self, state: NodeState, message: RecoveryInstall, lost: bool = False
+    ) -> None:
+        self.relocation.install_recovered(state, message, lost)
 
     def on_sync(self, state: NodeState, clock: Optional[int] = None) -> None:
         self.replication.on_sync(state, clock)

@@ -431,15 +431,19 @@ class RelocationPolicy(ManagementPolicy):
         self.ps.send_to_server(state.node_id, destination, forwarded, size)
 
     # ------------------------------------------------ server side: relocation
-    def install_recovered(self, state: NodeState, message: RecoveryInstall) -> None:
+    def install_recovered(
+        self, state: NodeState, message: RecoveryInstall, lost: bool = False
+    ) -> None:
         """Install keys recovered after their owner failed.
 
         The elastic runtime re-homes a failed node's keys and restores each
         from the durable log (installed out of band, no network hop) or from
         a surviving replica (shipped as a message).  Installation mirrors a
-        relocation transfer: queued operations drain in order, but the keys
-        count as *recovered* rather than relocated; under the hybrid
-        composition the new owner also takes over the surviving subscribers.
+        relocation transfer: queued operations drain in order and a key
+        another node asked for meanwhile is passed on, but the keys count as
+        *recovered* rather than relocated (``lost``: re-initialized, counted
+        by the caller); under the hybrid composition the new owner also
+        takes over the surviving subscribers.
         """
         for index, key in enumerate(message.keys):
             entry = state.relocating_in.pop(key, None)
@@ -449,7 +453,8 @@ class RelocationPolicy(ManagementPolicy):
                     f"{key} it does not expect"
                 )
             state.storage.insert(key, message.values[index])
-            state.metrics.recovered_keys += 1
+            if not lost:
+                state.metrics.recovered_keys += 1
             if self.replication is not None:
                 self.replication.adopt_subscribers(
                     state, key, message.subscribers[index] if message.subscribers else ()
@@ -676,14 +681,6 @@ class RelocationPolicy(ManagementPolicy):
                     run_handle.complete_keys(run_keys)
                     run_keys = []
                 self._drain_queue(state, key, entry)
-                if entry.pending_new_owner is not None:
-                    follow_up = RelocateInstruction(
-                        op_id=ps.next_op_id(),
-                        keys=(key,),
-                        new_owner=entry.pending_new_owner,
-                        home_node=self.home_node(key),
-                    )
-                    self._handle_instruction(state, follow_up)
         if run_keys:
             run_handle.complete_keys(run_keys)
 
@@ -698,9 +695,18 @@ class RelocationPolicy(ManagementPolicy):
             self._drain_queue(state, key, entry)
 
     def _drain_queue(self, state: NodeState, key: int, entry: RelocatingKey) -> None:
-        """Process operations queued while ``key`` was relocating, in order."""
+        """Process operations queued while ``key`` was relocating, in order,
+        then pass the key on if another node asked for it meanwhile."""
         for queued in entry.queued_ops:
             self._drain_one(state, key, queued)
+        if entry.pending_new_owner is not None and state.storage.contains(key):
+            follow_up = RelocateInstruction(
+                op_id=self.ps.next_op_id(),
+                keys=(key,),
+                new_owner=entry.pending_new_owner,
+                home_node=self.home_node(key),
+            )
+            self._handle_instruction(state, follow_up)
 
     def _drain_one(self, state: NodeState, key: int, queued: QueuedOp) -> None:
         """Process one queued operation for a key that just became resident."""

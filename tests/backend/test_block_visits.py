@@ -66,9 +66,11 @@ def test_lapse_visits_equal_the_per_entry_loop_and_the_simulator(
     per_entry = _run("lapse", "real", **shape)
     assert_equals_simulator(visits, sim)
     assert_equals_simulator(per_entry, sim)
-    # Every block is localized before its visit, so every entry is taken.
+    # Every block is localized before its visit, so every entry is taken,
+    # and a block is private to its visit, so no write conflicts.
     assert paths(visits) == paths(sim) == (EPOCHS * NUM_ENTRIES, 0)
     assert paths(per_entry) == (0, 0)
+    assert visits.visit_conflicts == 0
 
 
 @pytest.mark.parametrize("num_nodes, workers_per_node", [(2, 1), (3, 2)])
@@ -143,13 +145,17 @@ def test_refused_visit_touches_nothing():  # (b)
                 metrics.pulls_local, metrics.key_reads_local,
                 metrics.pushes_local, metrics.key_writes_local,
             )
-            report = refused, untouched, taken, calls, counted, (runner.taken, runner.declined)
+            report = (
+                refused, untouched, taken, calls, counted,
+                (runner.taken, runner.declined), dict(runner.reasons),
+            )
         yield from client.barrier()
         return report
 
     with _server() as ps:
         report = ps.run_workers(worker)[0]
-        assert report == ([False, False], True, True, [4], (5, 5, 5, 5), (5, 10))
+        reasons = {"not resident": 5, "handed over": 5}
+        assert report == ([0, 0], True, 5, [4], (5, 5, 5, 5), (5, 10), reasons)
         np.testing.assert_array_equal(ps.all_parameters()[:4], 1.0)
         np.testing.assert_array_equal(ps.all_parameters()[4:], 0.0)
         assert ps.metrics().pulls_local == 5  # the worker's counters came home
@@ -187,7 +193,8 @@ def test_lock_is_free_inside_the_kernel_and_a_write_in_between_is_kept(monkeypat
     """A deterministic conflict: the kernel itself pushes +1 to its block, then
     returns ``values + 1``.  The visit's compare-and-swap sees the block
     changed and hands its own +1 to the push path: 2, not 1 (the push lost)
-    and not 3 (the kernel's result taken for an increment of the new values)."""
+    and not 3 (the kernel's result taken for an increment of the new values).
+    The visit counts one conflict."""
     with _server() as ps:
         observed = {}  # filled in worker 0's process, which returns it
 
@@ -199,8 +206,9 @@ def test_lock_is_free_inside_the_kernel_and_a_write_in_between_is_kept(monkeypat
 
             if worker_id == 0:
                 runner = client.fused_local_steps()
-                assert runner.visit([0, 1], np.array([0, 1, 1]), 0.5, kernel)
+                assert runner.visit([0, 1], np.array([0, 1, 1]), 0.5, kernel) == 3
                 observed["taken"] = runner.taken
+                observed["conflicts"] = runner.conflicts
             yield from client.barrier()
             return observed
 
@@ -209,7 +217,9 @@ def test_lock_is_free_inside_the_kernel_and_a_write_in_between_is_kept(monkeypat
             real_backend, "_busy_wait",
             lambda seconds: observed.update(compute=(seconds, _lock_is_free(ps.node_locks[0]))),
         )
-        assert ps.run_workers(worker)[0] == {"kernel": True, "taken": 3, "compute": (1.5, True)}
+        assert ps.run_workers(worker)[0] == {
+            "kernel": True, "taken": 3, "conflicts": 1, "compute": (1.5, True)
+        }
         np.testing.assert_array_equal(ps.all_parameters()[:2], 2.0)
         np.testing.assert_array_equal(ps.all_parameters()[2:], 0.0)
 

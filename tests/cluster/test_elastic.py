@@ -253,6 +253,45 @@ class TestDrainAndFailure:
         assert elastic.lost_keys == 0
         assert elastic.recovered_keys >= len(keys)
 
+    @pytest.mark.parametrize("system", ["lapse", "hybrid"])
+    @pytest.mark.parametrize("logged", [True, False])
+    def test_fail_rejoin_fail_at_one_boundary_recovers_cut_short_relocations(self, system, logged):
+        """Regression, shrunk from a random schedule: node 1 crashes and
+        restarts, then node 2 crashes, all at one epoch boundary.  The
+        restart's rebalance has just asked node 2 for keys 8-10 and the home
+        table already names node 1, so the second crash cuts those
+        relocations short.  Recovery must restore them to node 1 from node
+        2's log, or count them lost, and complete the handles waiting there;
+        it used to leave them waiting, and the next epoch deadlocked."""
+        from repro.durability import DurabilityConfig
+
+        elastic, trainer = make_elastic_mf(
+            system, num_nodes=4, workers_per_node=1, scale=MFScale(64, 32, 600, rank=4),
+            durability=DurabilityConfig() if logged else None,
+        )
+        ps = elastic.ps
+        elastic.run_epoch(trainer, compute_loss=False)
+        before = ps.all_parameters()
+        now = ps.simulated_time
+        elastic.fail_at(now, 1)
+        elastic.rejoin_at(now, 1)
+        elastic.fail_at(now, 2)
+        elastic.prepare_epoch()
+        assert [state.relocating_in for state in ps.states] == [{}] * 4
+        assert all(operation.done for _event, operation in elastic.operations)
+        assert elastic.membership.state_of(1) == ACTIVE
+        owners = sum(np.isin(np.arange(32), list(state.storage.keys())) for state in ps.states)
+        assert owners.tolist() == [1] * 32
+        after = ps.all_parameters()
+        changed = np.flatnonzero((after != before).any(axis=1))
+        if logged:
+            assert elastic.lost_keys == 0 and changed.size == 0
+        else:
+            assert {8, 9, 10} <= set(changed.tolist())
+            assert not after[changed].any() and elastic.lost_keys >= changed.size
+        for _ in range(2):
+            elastic.run_epoch(trainer, compute_loss=False)
+
     def test_static_policy_cannot_recover(self):
         schedule = ClusterSchedule().fail(0.0, node=1)
         elastic, trainer = make_elastic_mf(

@@ -98,8 +98,9 @@ def test_elastic_mf_bit_identical(system, monkeypatch):
 
     The elastic runtime relocates keys *mid-epoch* (joins trigger rebalances
     while workers run), which would break the fused visits' privacy window;
-    a visit therefore declines through a membership event and for the rest
-    of its epoch, and the remaining fast paths must stay bit-identical.
+    a visit therefore runs only its entries done before the next event, and
+    none while a rebalance still moves one of its keys, and the remaining fast
+    paths must stay bit-identical.
     """
     from repro.cluster import ClusterSchedule
     from repro.experiments.runner import run_elastic_mf_experiment
@@ -121,9 +122,10 @@ def test_elastic_mf_bit_identical(system, monkeypatch):
     assert fast.metrics.as_dict() == reference.metrics.as_dict()
 
 
-def test_elastic_fusion_declines_only_from_a_join_to_the_epoch_end(monkeypatch):
-    """Visits fuse on an elastic cluster, except from the visit a join would
-    fall into to the end of that epoch."""
+def test_elastic_fusion_declines_only_entries_a_join_reaches(monkeypatch):
+    """Visits fuse on an elastic cluster, except the entries of the visit a
+    join falls into that end at or after it: the rebalance names none of the
+    keys visited afterwards."""
     from repro.experiments.runner import make_elastic_mf
 
     monkeypatch.delenv("REPRO_DISABLE_FASTPATH", raising=False)
@@ -139,7 +141,8 @@ def test_elastic_fusion_declines_only_from_a_join_to_the_epoch_end(monkeypatch):
         epoch = elastic.run_epoch(trainer, compute_loss=False)
         counts.append((trainer.fused_steps - fused, trainer.declined_steps - declined))
     assert counts[0] == counts[2] == (entries, 0)
-    assert counts[1][0] > 0 and counts[1][1] > 0 and sum(counts[1]) == entries
+    assert counts[1] == (entries - 5, 5)
+    assert trainer.decline_reasons == {"membership event": 5}
 
 
 def test_mf_model_parameters_bit_identical(monkeypatch):

@@ -184,7 +184,7 @@ class ReferenceKGETrainer(KGETrainer):
         yield from client.barrier()
         if needs_clock(self.ps):
             yield from client.clock()
-        return None
+        return 0, {}, 0  # no fused runner
 
     def evaluation_loss(self, num_samples: int = 200, seed: int = 7) -> float:
         rng = np.random.default_rng(seed)

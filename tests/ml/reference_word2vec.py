@@ -110,7 +110,7 @@ class ReferenceWord2VecTrainer(Word2VecTrainer):
         yield from client.barrier()
         if needs_clock(self.ps):
             yield from client.clock()
-        return skipped_negatives, 0, 0
+        return skipped_negatives, (0, {}, 0)  # no fused runner
 
     def _train_pair_scalar(
         self, client, center: int, context: int, negatives: Sequence[int]

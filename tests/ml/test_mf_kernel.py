@@ -3,8 +3,9 @@
 A visit the runner takes (``FusedLocalSteps.visit``) runs its entries level by
 level (``level_schedule``) instead of one pull / update / push at a time.  The
 oracle is the same trainer with the runner withheld: model, row factors, epoch
-durations, every counter and the traffic must agree byte for byte.  A visit
-the runner refuses takes the event loop; every refusal has a test.
+durations, every counter and the traffic must agree byte for byte.  The
+entries a visit leaves — all of them when it refuses, the tail a checkpoint or
+a membership event cuts off — take the event loop; every reason has a test.
 """
 
 import contextlib
@@ -26,7 +27,7 @@ from repro.durability import DurabilityConfig, replay_records
 from repro.experiments.runner import MFScale, make_elastic_mf, make_parameter_server
 from repro.ml import MatrixFactorizationConfig, MatrixFactorizationTrainer
 from repro.ml.matrix_factorization import level_schedule
-from repro.ps.base import WorkerClient
+from repro.ps.base import FusedLocalSteps, WorkerClient
 from repro.ps.partition import ElasticPartitioner
 
 RANKS = (1, 2, 8, 33)
@@ -238,8 +239,10 @@ def test_kernel_at_jobs2_equals_event_loop(system):
 
 
 # ---------------------------------------------------------------- refusals
-def visit_once(ps, block_keys, entry_keys, prepare=None, compute_time=2e-6):
-    """One ``visit`` at t = 1e-3 by a worker of node 0; (taken, untouched)."""
+def visit_once(ps, block_keys, entry_keys, prepare=None, compute_time=2e-6, fused=True):
+    """One ``visit`` at t = 1e-3 by a worker of node 0, then the entries it
+    left on the event path (all of them without ``fused``); returns
+    ``(taken, untouched, runner, kernel_ran)``."""
     client = ps.client(0, 0)
     runner = client.fused_local_steps()
     outcome = {}
@@ -256,10 +259,10 @@ def visit_once(ps, block_keys, entry_keys, prepare=None, compute_time=2e-6):
             len(log),
         )
 
-    def kernel(columns, deltas=None):
+    def kernel(columns, deltas, count):
         # Entry k adds k + 1 to its column, so every entry's update differs.
         outcome["kernel_ran"] = True
-        for index, key in enumerate(entry_keys):
+        for index, key in enumerate(entry_keys[:count]):
             columns[list(block_keys).index(key)] += index + 1.0
             if deltas is not None:
                 deltas[index] = index + 1.0
@@ -270,31 +273,40 @@ def visit_once(ps, block_keys, entry_keys, prepare=None, compute_time=2e-6):
         if prepare is not None:
             prepare(ps)
         before = snapshot()
-        outcome["taken"] = runner.visit(
+        taken = runner.visit(
             block_keys, np.asarray(entry_keys, dtype=np.int64), compute_time, kernel
-        )
+        ) if fused else 0
+        outcome["taken"] = taken
         outcome["untouched"] = snapshot() == before
         wake = runner.drain()
         if wake is not None:
             yield wake
+        for index in range(taken, len(entry_keys)):
+            key = entry_keys[index]
+            yield from client.pull([key])
+            client.push_async([key], np.full((1, ps.ps_config.value_length), index + 1.0))
+            if compute_time > 0:
+                yield compute_time
 
     ps.sim.process(worker())
     ps.run()
     return outcome["taken"], outcome["untouched"], runner, "kernel_ran" in outcome
 
 
-def last_instants(ps, entries, compute_time, start=1e-3):
-    """``(last write, last instant)`` of a visit of ``entries`` entries
-    issued at ``start``, by the event path's own additions: the last push
-    lands one access delay after the last read, past the worker's resume when
-    ``compute_time`` is shorter."""
+def entry_instants(ps, entries, compute_time, start=1e-3):
+    """Per entry of a visit issued at ``start``, by the event path's own
+    additions: when its push lands, one access delay after its read, and
+    when it is done — the later of that and the worker's resume, which is
+    earlier when ``compute_time`` is shorter than the delay."""
     delay = ps.cluster.cost_model.local_access_time(shared_memory=True)
     clock = start
+    writes, ends = [], []
     for _ in range(entries):
         read_at = clock + delay
         clock = read_at + compute_time
-    write_at = read_at + delay
-    return write_at, max(write_at, clock)
+        writes.append(read_at + delay)
+        ends.append(max(read_at + delay, clock))
+    return writes, ends
 
 
 def small_server(system, durability=None):
@@ -321,14 +333,15 @@ def elastic_server(durability=None):
 
 def test_visit_takes_a_resident_unguarded_block():
     taken, untouched, runner, kernel_ran = visit_once(small_server("lapse"), [0, 1, 2], [1, 1, 2])
-    assert (taken, untouched, kernel_ran) == (True, False, True)
+    assert (taken, untouched, kernel_ran) == (3, False, True)
     assert (runner.taken, runner.declined) == (3, 0)
 
 
 def test_visit_refuses_a_non_resident_column():
     taken, untouched, runner, kernel_ran = visit_once(small_server("lapse"), [5, 6], [5, 5, 5])
-    assert (taken, untouched, kernel_ran) == (False, True, False)
+    assert (taken, untouched, kernel_ran) == (0, True, False)
     assert (runner.taken, runner.declined) == (0, 3)
+    assert runner.reasons == {"not resident": 3}
 
 
 def test_visit_refuses_a_guarded_key_under_hybrid():
@@ -339,40 +352,50 @@ def test_visit_refuses_a_guarded_key_under_hybrid():
 
     # Guarded although no entry of the visit touches key 2: the whole block
     # is read and written back.
-    taken, untouched, _, kernel_ran = visit_once(
+    taken, untouched, runner, kernel_ran = visit_once(
         small_server("hybrid"), [0, 1, 2], [0, 1], prepare=subscribe_node_1
     )
-    assert (taken, untouched, kernel_ran) == (False, True, False)
+    assert (taken, untouched, kernel_ran) == (0, True, False)
+    assert runner.reasons == {"guarded": 2}
     taken, _, _, _ = visit_once(small_server("hybrid"), [0, 1], [0, 1], prepare=subscribe_node_1)
-    assert taken
+    assert taken == 2
 
 
 @pytest.mark.parametrize("compute_time", [2e-6, 0.0])
 def test_visit_refuses_a_write_at_or_past_the_next_checkpoint(compute_time):
     """A logged visit writes at its issue instant what the event path writes
-    later, so node 0's next lazy checkpoint must fall due after the visit's
-    last push lands.  A taken visit logs one single-row ``delta`` per entry,
-    in entry order, and triggers no checkpoint."""
+    later, so it runs only the entries whose push lands before node 0's next
+    lazy checkpoint is due; the rest take the event path, where the first of
+    them triggers the checkpoint.  A visit logs one single-row ``delta`` per
+    entry it runs, in entry order, and triggers no checkpoint: per key and
+    per checkpoint the log is the one the event path alone writes."""
     entry_keys = [1, 1, 2]
-    write_at, _ = last_instants(small_server("lapse"), len(entry_keys), compute_time)
-    for due, expected in [(write_at, False), (math.nextafter(write_at, math.inf), True)]:
-        ps = small_server("lapse", durability=DurabilityConfig())
-        wal = ps.durability.wals[0]
-        logged = len(wal.records)
+    writes, _ = entry_instants(small_server("lapse"), len(entry_keys), compute_time)
+    for entry, write_at in enumerate(writes):
+        for due, expected in [(write_at, entry), (math.nextafter(write_at, math.inf), entry + 1)]:
 
-        def checkpoint_due(ps, due=due):
-            ps.durability._next_checkpoint_at[0] = due
+            def checkpoint_due(ps, due=due):
+                ps.durability._next_checkpoint_at[0] = due
 
-        taken, untouched, _, kernel_ran = visit_once(
-            ps, [0, 1, 2], entry_keys, prepare=checkpoint_due, compute_time=compute_time
-        )
-        assert (taken, untouched, kernel_ran) == (expected, not expected, expected)
-    assert [(r.kind, r.keys, r.values.tolist()) for r in wal.records[logged:]] == [
+            logs = []
+            for fused in (True, False):
+                ps = small_server("lapse", durability=DurabilityConfig())
+                taken, untouched, runner, _ = visit_once(
+                    ps, [0, 1, 2], entry_keys, checkpoint_due, compute_time, fused
+                )
+                logs.append((durable_log(ps), live_store(ps, 0)))
+                if fused:
+                    assert (taken, untouched) == (expected, not expected)
+                    assert runner.reasons == ({"checkpoint": 3 - expected} if expected < 3 else {})
+                    # The baseline, and one where the event path's write reached the due time.
+                    assert len(ps.durability.checkpoints[0]) == (1 if expected == 3 else 2)
+                    records = ps.durability.wals[0].records
+            assert logs[0] == logs[1]
+    assert [(r.kind, r.keys, r.values.tolist()) for r in records[-3:]] == [
         ("delta", (1,), [[1.0, 1.0]]),
         ("delta", (1,), [[2.0, 2.0]]),
         ("delta", (2,), [[3.0, 3.0]]),
     ]
-    assert len(ps.durability.checkpoints[0]) == 1  # the baseline
 
 
 def durable_log(ps):
@@ -448,34 +471,79 @@ def test_reference_engine_offers_no_runner(monkeypatch):
     assert (reference[0].fused_steps, reference[0].declined_steps) == (0, 0)
 
 
+def server_state(ps):
+    return (
+        ps.metrics().as_dict(),
+        [state.latches.acquisitions for state in ps.states],
+        ps.all_parameters().tobytes(),
+        repr(ps.simulated_time),
+        (ps.network.stats.messages_sent, ps.network.stats.bytes_sent),
+    )
+
+
 @pytest.mark.parametrize("compute_time", [2e-6, 0.0])
 def test_elastic_visit_declines_through_a_membership_event(compute_time):
-    """A visit runs its entries' whole simulated span at once, so on an
-    elastic cluster it declines while a membership event is due at or before
-    its last instant, and for the rest of an epoch in which one fired (the
-    rebalance relocations may still be in flight); the boundary settle of
-    ``prepare_epoch`` lets it fuse again."""
+    """A visit runs its entries' whole simulated spans at once, so on an
+    elastic cluster it runs only the entries done — push landed and worker
+    resumed — before the next pending membership event; the rest take the
+    event path, and the run equals the event path's, join included."""
     entry_keys = [1, 1, 2]
-    _, last = last_instants(elastic_server().ps, len(entry_keys), compute_time)
-    for due, expected in [(last, False), (math.nextafter(last, math.inf), True)]:
-        elastic = elastic_server()
-        elastic.join_at(due, node=2)
-        taken, untouched, _, _ = visit_once(
-            elastic.ps, [0, 1, 2], entry_keys, compute_time=compute_time
-        )
-        assert (taken, untouched) == (expected, not expected)
+    _, ends = entry_instants(elastic_server().ps, len(entry_keys), compute_time)
+    for entry, end in enumerate(ends):
+        for due, expected in [(end, entry), (math.nextafter(end, math.inf), entry + 1)]:
+            seen = []
+            for fused in (True, False):
+                elastic = elastic_server()
+                elastic.join_at(due, node=2)
+                taken, untouched, runner, _ = visit_once(
+                    elastic.ps, [0, 1, 2], entry_keys, compute_time=compute_time, fused=fused
+                )
+                seen.append((server_state(elastic.ps), elastic.membership.state_of(2)))
+                if fused:
+                    assert (taken, untouched) == (expected, not expected)
+                    assert runner.reasons == (
+                        {"membership event": 3 - expected} if expected < 3 else {}
+                    )
+            assert seen[0] == seen[1]
+            assert seen[0][1] == "active"
+
+
+def test_unsettled_keys_decline_while_other_keys_fuse_before_the_next_settle():
+    """A join of node 2 re-homes keys 4-5 to node 1 and 8-11 to node 2 and
+    relocates them there.  Until those relocations land, a visit of a block
+    with a moving key runs nothing; a block no rebalance names fuses at once,
+    with no boundary settle in between.  Once landed, the moved keys are
+    simply gone from node 0."""
     elastic = elastic_server()
-    elastic.join_at(0.5e-3, node=2)  # fires before the visit; keys 0-3 stay on node 0
-    assert visit_once(elastic.ps, [0, 1, 2], entry_keys)[:2] == (False, True)
-    assert visit_once(elastic.ps, [0, 1, 2], entry_keys)[:2] == (False, True)
-    elastic.prepare_epoch()
-    assert visit_once(elastic.ps, [0, 1, 2], entry_keys)[:2] == (True, False)
+    elastic.join_at(0.99e-3, node=2)
+    ps = elastic.ps
+    runner = ps.client(0, 0).fused_local_steps()
+    seen = []
+
+    def visit(block):
+        taken = runner.visit(block, np.array(block), 2e-6, lambda columns, deltas, count: columns)
+        seen.append((taken, elastic.fusion_horizon(block)))
+        return runner.drain()
+
+    def worker():
+        yield 1e-3  # the relocations are on the wire
+        for block in ([4, 5], [0, 1, 2]):
+            wake = visit(block)
+            if wake is not None:
+                yield wake
+        yield 1e-3  # they have landed
+        visit([4, 5])
+
+    ps.sim.process(worker())
+    ps.run()
+    assert seen == [(0, -math.inf), (3, math.inf), (0, math.inf)]
+    assert runner.reasons == {"unsettled keys": 2, "not resident": 2}
 
 
 def test_an_empty_visit_on_a_durable_elastic_store_is_taken_and_does_nothing():
-    """No entry, no instant to check: taken even with a membership event and
-    a checkpoint due at the issue instant, and nothing is run, logged or
-    scheduled."""
+    """No entry, no instant to check: all (none) of its entries are taken
+    even with a membership event and a checkpoint due at the issue instant,
+    and nothing is run, logged or scheduled."""
     elastic = elastic_server(durability=DurabilityConfig())
     elastic.join_at(1e-3, node=2)
 
@@ -485,7 +553,7 @@ def test_an_empty_visit_on_a_durable_elastic_store_is_taken_and_does_nothing():
     taken, untouched, runner, kernel_ran = visit_once(
         elastic.ps, [0, 1, 2], [], prepare=checkpoint_due
     )
-    assert (taken, untouched, kernel_ran) == (True, True, False)
+    assert (taken, untouched, kernel_ran) == (0, True, False)
     assert (runner.taken, runner.declined) == (0, 0)
 
 
@@ -545,6 +613,24 @@ def sweep_cells():
         yield pytest.param(*cell, marks=marks, id="-".join(map(str, cell)))
 
 
+@contextlib.contextmanager
+def recorded_visits():
+    """``(taken, entries)`` of every ``FusedLocalSteps.visit`` in this process."""
+    seen = []
+    visit = FusedLocalSteps.visit
+
+    def recording(self, block_keys, entry_keys, *args):
+        taken = visit(self, block_keys, entry_keys, *args)
+        seen.append((taken, len(entry_keys)))
+        return taken
+
+    with mock.patch.object(FusedLocalSteps, "visit", recording):
+        yield seen
+
+
+REASONS = {"not resident", "guarded", "checkpoint", "membership event", "unsettled keys"}
+
+
 @pytest.mark.parametrize("system,durability,schedule,jobs,seed", sweep_cells())
 def test_fused_equals_withheld_on_elastic_and_durable_clusters(
     system, durability, schedule, jobs, seed
@@ -553,14 +639,23 @@ def test_fused_equals_withheld_on_elastic_and_durable_clusters(
     factors; on a logged store also equal per-key WAL records and
     checkpoints, and each node's latest checkpoint replays to its store.
     Sharded, fewer events make other windows, and with them another physical
-    batching of deliveries (as between engines)."""
-    fused = churn(system, durability, schedule, jobs, seed, withhold=False)
+    batching of deliveries (as between engines).  Every declined entry has a
+    reason, and where a checkpoint or a mid-epoch event can reach a visit, a
+    sequential ``lapse`` / ``hybrid`` run splits some visit (shard children
+    keep what they record)."""
+    with recorded_visits() as visits:
+        fused = churn(system, durability, schedule, jobs, seed, withhold=False)
     oracle = churn(system, durability, schedule, jobs, seed, withhold=True)
     seen = observe if jobs == 1 else observe_across_engines
     assert seen(*fused) == seen(*oracle)
     trainer = fused[0]
     assert trainer.fused_steps > 0
     assert trainer.fused_steps + trainer.declined_steps == 3 * trainer.matrix.num_entries
+    assert sum(trainer.decline_reasons.values()) == trainer.declined_steps
+    assert set(trainer.decline_reasons) <= REASONS
+    hazard = durability == "wal" or schedule in ("join", "drain")
+    if jobs == 1 and hazard and system != "classic_fast_local":
+        assert any(0 < taken < entries for taken, entries in visits)
     if durability == "wal":
         log = durable_log(trainer.ps)
         assert log == durable_log(oracle[0].ps)

@@ -381,7 +381,8 @@ def test_asserted_visit_equals_one_event_step_per_entry(ps_class, compute_time):
     def update(value):
         return 0.5 * value + 1.0
 
-    def kernel(columns):
+    def kernel(columns, deltas, count):
+        assert deltas is None and count == len(entry_keys)
         for key in entry_keys:
             columns[key - block_keys[0]] += update(columns[key - block_keys[0]])
         return columns
@@ -394,7 +395,8 @@ def test_asserted_visit_equals_one_event_step_per_entry(ps_class, compute_time):
         def worker():
             yield 1e-3
             if fused:
-                assert runner.visit(block_keys, np.array(entry_keys), compute_time, kernel)
+                taken = runner.visit(block_keys, np.array(entry_keys), compute_time, kernel)
+                assert taken == len(entry_keys)
                 wake = runner.drain()
                 if wake is not None:
                     yield wake

@@ -18,7 +18,6 @@ from repro.config import ClusterConfig, ParameterServerConfig
 from repro.errors import RelocationError
 from repro.ps import HybridPS, LapsePS, RelocationPolicy
 from repro.ps.hybrid import HybridManagementPolicy
-from repro.ps.messages import RelocateInstruction
 from repro.ps.metrics import RunningStat
 
 NUM_KEYS = 24
@@ -50,15 +49,7 @@ class KeyByKeyTransferPolicy(RelocationPolicy):
                 state.location_cache.pop(key, None)
             for handle in entry.localize_handles:
                 handle.complete_keys([key])
-            self._drain_queue(state, key, entry)
-            if entry.pending_new_owner is not None:
-                follow_up = RelocateInstruction(
-                    op_id=ps.next_op_id(),
-                    keys=(key,),
-                    new_owner=entry.pending_new_owner,
-                    home_node=self.home_node(key),
-                )
-                self._handle_instruction(state, follow_up)
+            self._drain_queue(state, key, entry)  # and the follow-up instruction
 
 
 class KeyByKeyLapsePS(LapsePS):
