@@ -375,6 +375,10 @@ class _BlockVisits:
     the block's values, and a visit that lost the race pushes what it
     computed as the cumulative update it is.  No interleaving loses an update."""
 
+    #: A refused visit is refused for good: no hazard for the caller to wait
+    #: out, so the rest of the block takes the push path without retries.
+    hazard = None
+
     def __init__(self, client: RealWorkerClient) -> None:
         self.client = client
         self.taken = 0  # entries run by a visit

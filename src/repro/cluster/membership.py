@@ -81,6 +81,9 @@ class Membership:
         self.version = 0
         #: Transition log: (simulated time, node, old state, new state).
         self.history: List[Tuple[float, int, str, str]] = []
+        #: Restarts per node (``rejoin`` calls): tells a machine's messages
+        #: from those of its earlier, crashed incarnations.
+        self.incarnations: Dict[int, int] = dict.fromkeys(range(num_nodes), 0)
 
     # ------------------------------------------------------------------ checks
     def _check_node(self, node: int) -> None:
@@ -156,6 +159,7 @@ class Membership:
     def rejoin(self, node: int, time: float = 0.0) -> None:
         """A crashed machine comes back empty-handed (``failed -> joining``)."""
         self._transition(node, (FAILED,), JOINING, time)
+        self.incarnations[node] += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         summary = ", ".join(f"{node}:{state}" for node, state in sorted(self._states.items()))

@@ -221,22 +221,35 @@ class Rebalancer:
         return operation
 
     # ---------------------------------------------------------------- failure
-    def _first_waiting(self, key: int, nodes: List[int]) -> Optional[int]:
-        """The node of ``nodes`` first in line for ``key``, or None if none waits.
+    def _waiting_chain(self, key: int, nodes: List[int]) -> Tuple[Optional[int], Optional[int]]:
+        """The first and the last node of ``nodes`` in line for ``key``, each
+        None if none waits.
 
         Waiting nodes form a chain, each one instructed to pass the key on to
-        the next (``pending_new_owner``); the first is the one no other
+        the next (``pending_new_owner``).  The first is the one no other
         waiting node passes it to, the earliest request if the instruction
-        that would tell is still on the wire.
+        that would tell is still on the wire.  The last, where the key comes
+        to rest once the relocations under way have run, passes it to no
+        waiting node, the latest request if that instruction is on the wire.
         """
         states = self.ps.states
         waiting = [other for other in nodes if key in states[other].relocating_in]
+
+        def order(other: int) -> Tuple[float, int]:
+            return states[other].relocating_in[key].requested_at, other
+
         passed_to = {states[other].relocating_in[key].pending_new_owner for other in waiting}
-        return min(
-            (other for other in waiting if other not in passed_to),
-            key=lambda other: (states[other].relocating_in[key].requested_at, other),
+        first = min((other for other in waiting if other not in passed_to), key=order, default=None)
+        last = max(
+            (
+                other
+                for other in waiting
+                if states[other].relocating_in[key].pending_new_owner not in waiting
+            ),
+            key=order,
             default=None,
         )
+        return first, last
 
     def recover_after_failure(self, node: int, now: float) -> RebalanceOperation:
         """Re-home a failed node's keys; recover from replicas or declare lost."""
@@ -288,7 +301,7 @@ class Rebalancer:
         dead = ps.states[node]
         cut_short = []
         for key in sorted(set(dead.storage.keys()).union(dead.relocating_in).difference(owned)):
-            head = self._first_waiting(key, replica_sources)
+            head, _ = self._waiting_chain(key, replica_sources)
             if head is not None:
                 cut_short.append((key, head))
         for key, target in [(key, None) for key in owned] + cut_short:
@@ -307,11 +320,15 @@ class Rebalancer:
             )
             if target is None:
                 # An owned key: its home entry names the new owner, or the
-                # survivor the key already rests on.
+                # survivor the key rests on once the relocations under way
+                # have run (an instruction to ship it on may be on the wire).
                 target = partitioner.node_of(key)
-                ps.states[target].home_location[key] = (
-                    target if resident_at is None else resident_at
-                )
+                owner = target
+                if resident_at is not None:
+                    _, owner = self._waiting_chain(key, replica_sources)
+                    if owner is None:
+                        owner = resident_at
+                ps.states[target].home_location[key] = owner
             target_state = ps.states[target]
             if resident_at is not None:
                 continue

@@ -103,6 +103,13 @@ class LSNClock:
         self._last += 1
         return self._last
 
+    def take(self, count: int) -> range:
+        """Hand out ``count`` consecutive LSNs at once, as ``count`` calls of
+        :meth:`next` would."""
+        first = self._last + 1
+        self._last += count
+        return range(first, self._last + 1)
+
     @property
     def last(self) -> int:
         """The most recently handed-out LSN (0 before any append)."""
@@ -210,6 +217,36 @@ class DeltaWAL:
         if self.after_append is not None:
             self.after_append()
         return record
+
+    def append_deltas(self, keys: Sequence[int], rows: np.ndarray) -> None:
+        """Append one single-row ``delta`` record per key, in order.
+
+        The records, LSNs, ``wal_appends``, ``wal_bytes`` and captured shard
+        order keys are those of ``len(keys)`` :meth:`append` calls; the clock,
+        the metrics and ``after_append`` are updated once.  ``rows`` holds one
+        detached ``(1, d)`` float64 block per key.  The caller guarantees that
+        no checkpoint could fire between the records (a fused block visit
+        appends only while its node's next checkpoint is not yet due), so one
+        ``after_append`` at the end sees what the last of the calls would.
+        """
+        count = len(keys)
+        if not count:
+            return
+        lsns = self.clock.take(count)
+        self.records.extend(
+            WALRecord(lsn, WAL_DELTA, (key,), row) for lsn, key, row in zip(lsns, keys, rows)
+        )
+        if self._order_key_hook is not None:
+            hook = self._order_key_hook
+            self.shard_keys.extend(hook() for _ in lsns)
+        self._last_lsn = lsns[-1]
+        if self.metrics is not None:
+            self.metrics.wal_appends += count
+            self.metrics.wal_bytes += count * (
+                RECORD_HEADER_BYTES + KEY_BYTES + VALUE_BYTES * int(rows[0].size)
+            )
+        if self.after_append is not None:
+            self.after_append()
 
     def records_since(self, lsn: int) -> List[WALRecord]:
         """Records with an LSN strictly greater than ``lsn``, in log order."""

@@ -267,8 +267,9 @@ def _task_result(
     trainer: Any,
     backend: str = "sim",
 ) -> TaskRunResult:
-    """What a finished run of ``trainer`` on ``ps`` reports."""
-    return TaskRunResult(
+    """What a finished run of ``trainer`` on ``ps`` reports; a traced run
+    also exports its fusion and fallback decisions."""
+    result = TaskRunResult(
         task=task,
         system=system,
         num_nodes=ps.cluster.num_nodes,
@@ -287,6 +288,15 @@ def _task_result(
         visit_conflicts=trainer.visit_conflicts,
         tracer=ps.tracer,
     )
+    if ps.tracer is not None:
+        ps.tracer.decisions = {
+            "fused_steps": result.fused_steps,
+            "declined_steps": result.declined_steps,
+            "decline_reasons": result.decline_reasons,
+            "visit_conflicts": result.visit_conflicts,
+            "parallel_fallback_reason": result.parallel_fallback_reason,
+        }
+    return result
 
 
 # ------------------------------------------------------------------ workloads

@@ -260,24 +260,30 @@ class MatrixFactorizationTrainer(FusedLaneCounts):
             yield from maybe_localize(client, block_keys)
             visit = (participant, block)
             indices = plan.entries[visit]
-            if fused is not None:
-                taken = fused.visit(
-                    block_keys,
-                    matrix.cols[indices],
-                    compute_time,
-                    partial(self._run_levels, plan, visit, block_keys[0]),
-                )
-                wake = fused.drain()
-                if wake is not None:
-                    yield wake
-                indices = indices[taken:]
-            if len(indices):
+            start, count = 0, len(indices)
+            while start < count:
+                if fused is not None:
+                    start += fused.visit(
+                        block_keys,
+                        matrix.cols[indices[start:]],
+                        compute_time,
+                        partial(self._run_levels, plan, visit, block_keys[0], start=start),
+                    )
+                    wake = fused.drain()
+                    if wake is not None:
+                        yield wake
+                    if start == count:
+                        break
                 # Event loop (no runner, or the entries a visit left): one
                 # pull, update and asynchronous push per entry.  Unbox the
-                # visit once so the loop performs no NumPy scalar conversions.
-                rows = matrix.rows[indices].tolist()
-                cols = matrix.cols[indices].tolist()
-                values = matrix.values[indices].astype(np.float64).tolist()
+                # run once so the loop performs no NumPy scalar conversions.
+                # After a hazard, the visit resumes once the hazard has
+                # passed and this worker's last push has landed.
+                resumable = fused is not None and fused.hazard is not None
+                run = indices[start:]
+                rows = matrix.rows[run].tolist()
+                cols = matrix.cols[run].tolist()
+                values = matrix.values[run].astype(np.float64).tolist()
                 for index in range(len(rows)):
                     row = rows[index]
                     col = cols[index]
@@ -290,11 +296,16 @@ class MatrixFactorizationTrainer(FusedLaneCounts):
                     grad_row = error * col_factor + regularization * row_factor
                     grad_col = error * row_factor + regularization * col_factor
                     row_factors[row] = row_factor - learning_rate * grad_row
-                    client.push_async(
+                    push = client.push_async(
                         (col,), (-learning_rate * grad_col).reshape(1, -1), needs_ack=False
                     )
                     if compute_time > 0:
                         yield compute_time
+                    if resumable and push.done and fused.passed(len(rows) - index - 1):
+                        start += index + 1
+                        break
+                else:
+                    start = count
             yield from subepoch_synchronization(client)
         # Return this worker's row-factor slice and the level schedules it
         # built.  On the simulated backend the rows were updated in place and
@@ -324,33 +335,40 @@ class MatrixFactorizationTrainer(FusedLaneCounts):
         columns: np.ndarray,
         deltas: Optional[np.ndarray] = None,
         count: Optional[int] = None,
+        start: int = 0,
     ) -> np.ndarray:
         """The block-visit kernel: one batched SGD step per dependency level.
 
         ``columns`` holds the factors of the block's keys (``first_key``
         onwards) and is returned as the per-entry loop would have left them
-        after the visit's first ``count`` entries (all by default).  Every
-        expression is the loop's own, element-wise over the level; the dot is
-        the stacked ``matmul`` because it reduces each row pair the way the
-        scalar ``row @ col`` does (``einsum`` and ``(a * b).sum(1)`` sum in
-        another order and differ in the last bits).  A prefix of the visit
-        keeps each of its entries' levels, so it runs as every level filtered
-        to ``order < count``.  ``deltas``, when given, receives at row ``k``
-        the update the loop pushes for the visit's ``k``-th entry.
+        after the visit's entries ``start`` to ``start + count`` (all from
+        ``start`` by default), run on the factors the entries before
+        ``start`` left.  Every expression is the loop's own, element-wise
+        over the level; the dot is the stacked ``matmul`` because it reduces
+        each row pair the way the scalar ``row @ col`` does (``einsum`` and
+        ``(a * b).sum(1)`` sum in another order and differ in the last bits).
+        A contiguous run of the visit keeps each of its entries' levels — an
+        entry's earlier same-row and same-column entries in the run sit in
+        lower levels — so it runs as every level filtered to ``start <= order
+        < start + count``.  ``deltas``, when given, receives at row ``k`` the
+        update the loop pushes for the run's ``k``-th entry (visit entry
+        ``start + k``).
         """
         matrix = self.matrix
         if visit not in plan.levels:
             indices = plan.entries[visit]
             plan.levels[visit] = level_schedule(matrix.rows[indices], matrix.cols[indices])
         order, bounds = plan.levels[visit]
-        if count is not None and count < len(order):
-            kept = order < count
+        end = len(order) if count is None else start + count
+        if start or end < len(order):
+            kept = (order >= start) & (order < end)
             bounds = np.concatenate(([0], np.cumsum(kept)))[bounds].tolist()
             order = order[kept]
         indices = plan.entries[visit][order]
         rows = matrix.rows[indices]
         cols = matrix.cols[indices] - first_key
         values = matrix.values[indices].astype(np.float64).reshape(-1, 1)
+        positions = order - start
         learning_rate = self.config.learning_rate
         regularization = self.config.regularization
         row_factors = self.row_factors
@@ -368,7 +386,7 @@ class MatrixFactorizationTrainer(FusedLaneCounts):
             update = -learning_rate * grad_col
             columns[level_cols] = col_factor + update
             if deltas is not None:
-                deltas[order[low:high]] = update
+                deltas[positions[low:high]] = update
         return columns
 
     # ------------------------------------------------------------- evaluation

@@ -290,6 +290,10 @@ class Tracer:
         self.ps = ps
         self.config = config
         self.time_domain = time_domain
+        #: Why the run took the paths it took — fused and declined steps by
+        #: reason, visit conflicts, the parallel fallback — set by the
+        #: experiment runner when the run completes, else None.
+        self.decisions: Optional[Dict[str, Any]] = None
         for state in ps.states:
             state.trace = NodeTrace(state.node_id, config)
         if config.network and time_domain == "sim":

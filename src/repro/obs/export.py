@@ -192,6 +192,7 @@ def build_trace(tracer: "Tracer") -> Dict[str, Any]:
             "summary": tracer.summary(),
             "heatmap": heatmap,
             "samples": samples,
+            "decisions": tracer.decisions,
         },
     }
 

@@ -3,7 +3,10 @@
 Prints the per-op-type latency table (count / mean / p50 / p90 / p99 / max),
 the relocation activity, the membership markers, the hottest keys, and the
 sampled counter trajectories — the latency/locality view of the paper's
-Tables 3 and 5, reconstructed from one trace file instead of a live run.
+Tables 3 and 5, reconstructed from one trace file instead of a live run —
+and, for a run exported by the experiment runner, its decisions: steps the
+fused runner ran and declined (by reason), real-backend visit conflicts,
+and why the parallel engine fell back, if it did.
 
 ``--validate`` additionally checks the file against the Chrome trace-event
 schema (exit code 1 on a malformed trace), which is how the CI ``obs-smoke``
@@ -143,6 +146,20 @@ def report(document: Dict[str, Any], top_keys: int = 10) -> None:
             f"{len(samples)} nodes (interval {repro.get('metrics_interval')}s); "
             "load the trace in Perfetto to plot them."
         )
+
+    decisions = repro.get("decisions")
+    if decisions:
+        fused, declined = decisions["fused_steps"], decisions["declined_steps"]
+        total = fused + declined
+        share = f" ({100 * fused / total:.1f} % fused)" if total else ""
+        print(f"\nDecisions: {fused} steps fused, {declined} declined{share}")
+        for reason, count in sorted(
+            decisions["decline_reasons"].items(), key=lambda item: (-item[1], item[0])
+        ):
+            print(f"  declined  {count:>8}  {reason}")
+        print(f"  visit conflicts: {decisions['visit_conflicts']}")
+        fallback = decisions["parallel_fallback_reason"]
+        print(f"  parallel fallback: {fallback or 'none'}")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -360,7 +360,7 @@ class FusedLocalSteps:
 
     __slots__ = (
         "sim", "storage", "latches", "metrics", "access_delay", "clock", "trace", "guard",
-        "state", "policy", "recorder", "checkpoints", "elastic", "taken", "reasons",
+        "state", "policy", "recorder", "checkpoints", "elastic", "taken", "reasons", "hazard",
     )
 
     def __init__(self, client: "WorkerClient", guard: Optional[Callable[[int], Any]]) -> None:
@@ -397,6 +397,11 @@ class FusedLocalSteps:
         #: for :meth:`step` also ``"t3 < t2"`` and ``"not quiet"``.
         self.taken = 0
         self.reasons: Counter = Counter()
+        #: ``(reason, mark)`` of the hazard that cut the last visit short —
+        #: the checkpoint due time, the membership event's instant, or the
+        #: block keys an unsettled rebalance moves — else None (the visit ran
+        #: everything, or was refused for good).
+        self.hazard: Optional[Tuple[str, Any]] = None
         #: Replayed worker clock: the simulated time this worker would have
         #: reached had every fused step gone through the kernel.  The deltas
         #: are added one at a time, in slow-path order, so the final resume
@@ -438,20 +443,26 @@ class FusedLocalSteps:
         its read) before the node's next checkpoint is due; on an elastic
         cluster, both that landing and the worker's resume after it must come
         before the :meth:`~repro.cluster.runtime.ElasticCluster.fusion_horizon`
-        of the block.  Entries left over count under the hazard that cut them.
-        A visit that runs nothing leaves all state untouched.  One that runs
-        ``n`` entries accounts their operations, replays the worker clock
-        with the event path's own additions in entry order (``+ access_delay``
-        for the pull, ``+ compute_time``; the asynchronous push costs the
-        worker nothing), reports each step's spans at those instants, and
-        replaces the block's values by ``kernel(values, deltas, n)``, which
-        must leave them as the first ``n`` steps would have in entry order.
-        ``deltas`` is None on an unlogged store; on a logged one the kernel
-        sets its row ``k`` to the update entry ``k`` pushes, the block is
-        written past the log, and the WAL takes one single-row ``delta``
-        record per entry, in entry order — the records of the event path's
-        writes, all appended before the due time.
+        of the block.  Entries left over count under the hazard that cut them,
+        and the hazard stays in :attr:`hazard` until :meth:`passed` sees it
+        gone; the caller may then offer the entries it has not run yet as a
+        new visit (``entry_keys`` is any suffix of a block's entries).  A
+        visit that runs nothing leaves all state untouched; a hazard at the
+        first entry is found before any per-entry work.  One that runs ``n``
+        entries accounts their operations, replays the worker clock with the
+        event path's own additions in entry order (``+ access_delay`` for the
+        pull, ``+ compute_time``; the asynchronous push costs the worker
+        nothing), reports each step's spans at those instants, and replaces
+        the block's values by ``kernel(values, deltas, n)``, which must leave
+        them as the first ``n`` steps would have in entry order.  ``deltas``
+        is None on an unlogged store; on a logged one the kernel sets its row
+        ``k`` to the update entry ``k`` pushes, the block is written past the
+        log, and the WAL takes one single-row ``delta`` record per entry, in
+        entry order (:meth:`~repro.durability.wal.DeltaWAL.append_deltas`) —
+        the records of the event path's writes, all appended before the due
+        time.
         """
+        self.hazard = None
         count = len(entry_keys)
         if not count:
             return 0
@@ -459,30 +470,45 @@ class FusedLocalSteps:
         if reason is not None:
             self.reasons[reason] += count
             return 0
-        # A running sum adds left to right, one delay at a time, like the
-        # worker it replays: entry k pulls from instants[2k] to instants[2k+1].
-        instants = np.empty(2 * count + 1)
-        instants[0] = self.sim._now if self.clock is None else self.clock
-        instants[1::2] = self.access_delay
-        instants[2::2] = compute_time
-        instants = np.add.accumulate(instants)
+        start = self.sim._now if self.clock is None else self.clock
         taken = count
         checkpoints, elastic = self.checkpoints, self.elastic
-        if checkpoints is not None or elastic is not None:
-            writes = instants[1::2] + self.access_delay
+        hazardous = checkpoints is not None or elastic is not None
+        if hazardous:
             due = math.inf if checkpoints is None else checkpoints.get(self.state.node_id, math.inf)
-            taken = int(np.searchsorted(writes, due))
-            reason = "checkpoint"
-            if elastic is not None:
-                horizon = elastic.fusion_horizon(block_keys)
+            horizon = math.inf if elastic is None else elastic.fusion_horizon(block_keys)
+            checkpoint = ("checkpoint", due)
+            membership = (
+                ("unsettled keys", block_keys)
+                if horizon == -math.inf
+                else ("membership event", horizon)
+            )
+            # The first entry alone, before any per-entry work.
+            read_at = start + self.access_delay
+            write_at = read_at + self.access_delay
+            if due <= write_at:
+                taken, hazard = 0, checkpoint
+            elif max(write_at, read_at + compute_time) >= horizon:
+                taken, hazard = 0, membership
+        if taken:
+            # A running sum adds left to right, one delay at a time, like the
+            # worker it replays: entry k pulls from instants[2k] to instants[2k+1].
+            instants = np.empty(2 * count + 1)
+            instants[0] = start
+            instants[1::2] = self.access_delay
+            instants[2::2] = compute_time
+            instants = np.add.accumulate(instants)
+            if hazardous:
+                writes = instants[1::2] + self.access_delay
+                taken, hazard = int(np.searchsorted(writes, due)), checkpoint
                 reached = int(np.searchsorted(np.maximum(writes, instants[2::2]), horizon))
                 if reached < taken:
-                    taken = reached
-                    reason = "unsettled keys" if horizon == -math.inf else "membership event"
-            if taken < count:
-                self.reasons[reason] += count - taken
-                if not taken:
-                    return 0
+                    taken, hazard = reached, membership
+        if taken < count:
+            self.hazard = hazard
+            self.reasons[hazard[0]] += count - taken
+            if not taken:
+                return 0
         self.taken += taken
         metrics = self.metrics
         metrics.key_reads_local += taken
@@ -503,14 +529,30 @@ class FusedLocalSteps:
         if checkpoints is None:
             storage.set_many(block_keys, kernel(values, None, taken))
             return taken
-        from repro.durability.wal import WAL_DELTA
-
         deltas = np.empty((taken, 1, storage.value_length))
         storage.inner.set_many(block_keys, kernel(values, deltas[:, 0], taken))
-        append = storage.wal.append
-        for key, delta in zip(entry_keys[:taken].tolist(), deltas):
-            append(WAL_DELTA, (key,), delta)
+        storage.wal.append_deltas(entry_keys[:taken].tolist(), deltas)
         return taken
+
+    def passed(self, left: int) -> bool:
+        """Whether the :attr:`hazard` that cut the last visit is behind the
+        worker: the node's checkpoint due time has moved on, the membership
+        event's instant is before now, or no unsettled rebalance moves a
+        block key any more.  If so the hazard is cleared and the ``left``
+        entries the caller offers again are taken off its tally, so every
+        entry counts once, under the reason that sent it to the event path.
+        """
+        reason, mark = self.hazard
+        if reason == "checkpoint":
+            gone = self.checkpoints.get(self.state.node_id, math.inf) > mark
+        elif reason == "membership event":
+            gone = self.sim._now > mark
+        else:
+            gone = self.elastic.fusion_horizon(mark) != -math.inf
+        if gone:
+            self.hazard = None
+            self.reasons[reason] -= left
+        return gone
 
     def step(
         self,

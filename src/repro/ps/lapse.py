@@ -527,6 +527,7 @@ class RelocationPolicy(ManagementPolicy):
                 keys=tuple(owner_keys),
                 new_owner=requester,
                 home_node=home_state.node_id,
+                incarnation=0 if membership is None else membership.incarnations[requester],
             )
             if old_owner == home_state.node_id:
                 self._handle_instruction(home_state, instruction)
@@ -567,12 +568,13 @@ class RelocationPolicy(ManagementPolicy):
         """Old-owner half of the protocol (message 2 handling)."""
         ps = self.ps
         membership = ps.membership
-        if membership is not None and membership.state_of(instruction.new_owner) in (
-            "failed",
-            "left",
+        if membership is not None and (
+            membership.state_of(instruction.new_owner) in ("failed", "left")
+            or membership.incarnations[instruction.new_owner] != instruction.incarnation
         ):
             # The requester crashed (or left) while the instruction was on
-            # the wire: shipping the keys would hand them to a black hole.
+            # the wire: shipping the keys would hand them to a black hole, or
+            # to its restarted machine, which asks afresh for what it wants.
             # Keep them — failure recovery's stale-home tolerance re-points
             # their home entries back to this node.
             return
@@ -700,11 +702,15 @@ class RelocationPolicy(ManagementPolicy):
         for queued in entry.queued_ops:
             self._drain_one(state, key, queued)
         if entry.pending_new_owner is not None and state.storage.contains(key):
+            membership = self.ps.membership
             follow_up = RelocateInstruction(
                 op_id=self.ps.next_op_id(),
                 keys=(key,),
                 new_owner=entry.pending_new_owner,
                 home_node=self.home_node(key),
+                incarnation=(
+                    0 if membership is None else membership.incarnations[entry.pending_new_owner]
+                ),
             )
             self._handle_instruction(state, follow_up)
 

@@ -90,12 +90,17 @@ class LocalizeRequest:
 
 @dataclass(slots=True)
 class RelocateInstruction:
-    """Message 2 of the relocation protocol: home node → current owner."""
+    """Message 2 of the relocation protocol: home node → current owner.
+
+    ``incarnation`` is the new owner's restart count when the instruction was
+    issued (elastic clusters; 0 otherwise).
+    """
 
     op_id: int
     keys: Tuple[int, ...]
     new_owner: int
     home_node: int
+    incarnation: int = 0
 
 
 @dataclass(slots=True)

@@ -292,6 +292,43 @@ class TestDrainAndFailure:
         for _ in range(2):
             elastic.run_epoch(trainer, compute_loss=False)
 
+    @pytest.mark.parametrize(
+        "script",
+        [
+            # A restart's relocation instruction reaches the old owner after
+            # the requester crashed again and came back as a new machine.
+            ["fail 1", "rejoin 1", "fail 1", "rejoin 1"],
+            # Recovery re-homes a key whose relocation to a waiting node was
+            # already instructed: the home entry must name that node.
+            ["join 3", "fail 3", "rejoin 3", "fail 1", "rejoin 1", "fail 1", "rejoin 1"],
+        ],
+        ids=["fail-rejoin-twice", "join-then-restarts"],
+    )
+    @pytest.mark.parametrize("logged", [True, False])
+    def test_repeated_restarts_at_one_boundary_keep_every_key_owned_once(self, script, logged):
+        """Regression, shrunk from generated schedules: nodes crash and
+        restart repeatedly at one epoch boundary.  Both used to raise
+        ``RelocationError`` ("... neither owns nor expects") in the next
+        epoch."""
+        from repro.durability import DurabilityConfig
+
+        elastic, trainer = make_elastic_mf(
+            "lapse", num_nodes=4, initial_nodes=[0, 1], scale=MFScale(32, 18, 300, rank=4),
+            workers_per_node=2, seed=7,
+            durability=DurabilityConfig(checkpoint_interval=0.002) if logged else None,
+        )
+        ps = elastic.ps
+        elastic.run_epoch(trainer, compute_loss=False)
+        now = ps.simulated_time
+        for step in script:
+            kind, node = step.split()
+            getattr(elastic, f"{kind}_at")(now, int(node))
+        for _ in range(2):
+            elastic.run_epoch(trainer, compute_loss=False)
+        assert [state.relocating_in for state in ps.states] == [{}] * 4
+        owners = sum(np.isin(np.arange(18), list(state.storage.keys())) for state in ps.states)
+        assert owners.tolist() == [1] * 18
+
     def test_static_policy_cannot_recover(self):
         schedule = ClusterSchedule().fail(0.0, node=1)
         elastic, trainer = make_elastic_mf(

@@ -9,6 +9,7 @@ a membership event cuts off — take the event loop; every reason has a test.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -27,6 +28,7 @@ from repro.durability import DurabilityConfig, replay_records
 from repro.experiments.runner import MFScale, make_elastic_mf, make_parameter_server
 from repro.ml import MatrixFactorizationConfig, MatrixFactorizationTrainer
 from repro.ml.matrix_factorization import level_schedule
+from repro.pal.parameter_blocking import keys_of_block
 from repro.ps.base import FusedLocalSteps, WorkerClient
 from repro.ps.partition import ElasticPartitioner
 
@@ -73,12 +75,16 @@ def train(
 
 def observe(trainer, epochs):
     ps = trainer.ps
+    # Counts per channel, not the order in which the channels first carried
+    # a message: same-instant sends may open them in either order.
+    stats = ps.network.stats
+    channels = dict(sorted(stats.per_channel_messages.items()))
     return {
         "parameters": ps.all_parameters().tobytes(),
         "row_factors": trainer.row_factors.tobytes(),
         "durations": [repr(epoch.duration) for epoch in epochs],
         "metrics": ps.metrics().as_dict(),
-        "network": repr(ps.network.stats),
+        "network": repr(dataclasses.replace(stats, per_channel_messages=channels)),
         "latches": [state.latches.acquisitions for state in ps.states],
         "now": repr(ps.simulated_time),
     }
@@ -192,6 +198,60 @@ def test_kernel_equals_event_loop_at_the_golden_digest_scale(system, rank):
         assert trainer.fused_steps + trainer.declined_steps == total
     else:
         assert (trainer.fused_steps, trainer.declined_steps) == (total, 0)
+
+
+def loop_entries(trainer, indices, columns, first_key):
+    """The event loop's steps on ``indices``, with ``columns`` as the block's
+    store: returns the update each entry pushes."""
+    matrix, config = trainer.matrix, trainer.config
+    row_factors = trainer.row_factors
+    updates = []
+    for index in indices.tolist():
+        row, col = int(matrix.rows[index]), int(matrix.cols[index]) - first_key
+        col_factor = columns[col].copy()
+        row_factor = row_factors[row]
+        error = float(row_factor @ col_factor) - float(matrix.values[index])
+        grad_row = error * col_factor + config.regularization * row_factor
+        grad_col = error * row_factor + config.regularization * col_factor
+        row_factors[row] = row_factor - config.learning_rate * grad_row
+        update = -config.learning_rate * grad_col
+        columns[col] = col_factor + update
+        updates.append(update)
+    return np.array(updates).reshape(len(updates), columns.shape[1])
+
+
+@pytest.mark.parametrize("start,count", [(0, None), (0, 7), (5, None), (5, 30), (40, 1)])
+def test_levels_of_an_inner_run_equal_the_loop_after_the_entries_before_it(start, count):
+    """A visit resumed at entry ``start`` runs entries ``start`` onwards on
+    the factors the event loop left: the kernel filtered to ``start <= order
+    < start + count`` leaves columns, row factors and per-entry updates
+    bit-identical to the loop over that run."""
+    matrix = generate_matrix(rank=4, seed=3, **GOLDEN_SCALE)
+    ps = make_parameter_server(
+        "lapse",
+        ClusterConfig(num_nodes=2, workers_per_node=1, seed=3),
+        ParameterServerConfig(num_keys=matrix.num_cols, value_length=4),
+    )
+    trainer = MatrixFactorizationTrainer(ps, matrix, MatrixFactorizationConfig(rank=4), seed=3)
+    plan = trainer._plan(2)
+    visit = max(plan.entries, key=lambda cell: len(plan.entries[cell]))
+    indices = plan.entries[visit]
+    assert len(indices) > 45
+    first_key = keys_of_block(visit[1], matrix.num_cols, plan.schedule.num_blocks)[0]
+    run = indices[start:] if count is None else indices[start:start + count]
+    columns = np.random.default_rng(7).normal(size=(matrix.num_cols - first_key, 4))
+    initial_rows = trainer.row_factors.copy()
+    loop_entries(trainer, indices[:start], columns, first_key)
+    before_rows, before_columns = trainer.row_factors.copy(), columns.copy()
+    expected_updates = loop_entries(trainer, run, columns, first_key)
+    expected = (columns.tobytes(), trainer.row_factors.tobytes(), expected_updates.tobytes())
+    trainer.row_factors[:] = before_rows
+    deltas = np.full((len(run), 4), np.nan)
+    kernel = trainer._run_levels(
+        plan, visit, first_key, before_columns, deltas, count, start=start
+    )
+    assert (kernel.tobytes(), trainer.row_factors.tobytes(), deltas.tobytes()) == expected
+    assert not np.array_equal(trainer.row_factors, initial_rows)
 
 
 #: sha256 of the misaligned runs below at the parent commit, whose per-entry
@@ -436,7 +496,9 @@ def test_durable_training_equals_the_event_loop():
     """Logged visits are unobservable: with the runner withheld the run has
     the same results, every key's WAL records in the same order, the same
     checkpoints, and every checkpoint plus its WAL suffix replays to the live
-    store.  Visits whose last write reaches a checkpoint take the event loop."""
+    store.  Entries whose write reaches a checkpoint take the event loop until
+    the checkpoint has fired; the visit then resumes, so of 476 entries only
+    14 leave the kernel (30 checkpoints fire)."""
     matrix = generate_matrix(rank=4, seed=3, **GOLDEN_SCALE)
     durability = DurabilityConfig(checkpoint_interval=2e-4)
     trainer, epochs = train("lapse", matrix, durability=durability)
@@ -447,7 +509,8 @@ def test_durable_training_equals_the_event_loop():
     for node, entry in log.items():
         assert len(entry["checkpoints"]) > 1
         assert all(replay == live_store(trainer.ps, node) for replay in entry["replays"])
-    assert trainer.fused_steps > trainer.declined_steps > 0
+    assert (trainer.fused_steps, trainer.declined_steps) == (462, 14)
+    assert trainer.decline_reasons == {"checkpoint": 14}
     assert trainer.fused_steps + trainer.declined_steps == 2 * matrix.num_entries
     plain = train("lapse", matrix)
     logged, unlogged = observe(trainer, epochs), observe(*plain)
@@ -563,7 +626,7 @@ SWEEP_DURABILITY = {"volatile": None, "wal": DurabilityConfig(checkpoint_interva
 SWEEP_SCHEDULES = ("static", "join", "drain", "fail_rejoin")
 
 
-def churn(system, durability, schedule, jobs, seed, withhold):
+def churn(system, durability, schedule, jobs, seed, withhold, scale=SWEEP_SCALE):
     """Three elastic epochs on up to 3 nodes x 2 workers.  Node 2 joins
     (from reserve) or node 1 drains 40 % into the second epoch; node 2
     crashes and restarts at the boundary before it."""
@@ -571,7 +634,7 @@ def churn(system, durability, schedule, jobs, seed, withhold):
         system,
         num_nodes=3,
         initial_nodes=(0, 1) if schedule == "join" else None,
-        scale=SWEEP_SCALE,
+        scale=scale,
         workers_per_node=2,
         seed=seed,
         durability=SWEEP_DURABILITY[durability],
@@ -615,13 +678,15 @@ def sweep_cells():
 
 @contextlib.contextmanager
 def recorded_visits():
-    """``(taken, entries)`` of every ``FusedLocalSteps.visit`` in this process."""
+    """``(taken, entries, start, cut)`` of every ``FusedLocalSteps.visit`` in
+    this process: ``start`` is the block entry a resumed visit begins at,
+    ``cut`` whether a hazard (not a refusal) stopped it short."""
     seen = []
     visit = FusedLocalSteps.visit
 
-    def recording(self, block_keys, entry_keys, *args):
-        taken = visit(self, block_keys, entry_keys, *args)
-        seen.append((taken, len(entry_keys)))
+    def recording(self, block_keys, entry_keys, compute_time, kernel):
+        taken = visit(self, block_keys, entry_keys, compute_time, kernel)
+        seen.append((taken, len(entry_keys), kernel.keywords["start"], self.hazard is not None))
         return taken
 
     with mock.patch.object(FusedLocalSteps, "visit", recording):
@@ -641,8 +706,9 @@ def test_fused_equals_withheld_on_elastic_and_durable_clusters(
     Sharded, fewer events make other windows, and with them another physical
     batching of deliveries (as between engines).  Every declined entry has a
     reason, and where a checkpoint or a mid-epoch event can reach a visit, a
-    sequential ``lapse`` / ``hybrid`` run splits some visit (shard children
-    keep what they record)."""
+    sequential ``lapse`` / ``hybrid`` run splits some visit and, unless every
+    hazard cut came at a visit's last entry, resumes one past its hazard
+    (shard children keep what they record)."""
     with recorded_visits() as visits:
         fused = churn(system, durability, schedule, jobs, seed, withhold=False)
     oracle = churn(system, durability, schedule, jobs, seed, withhold=True)
@@ -655,9 +721,26 @@ def test_fused_equals_withheld_on_elastic_and_durable_clusters(
     assert set(trainer.decline_reasons) <= REASONS
     hazard = durability == "wal" or schedule in ("join", "drain")
     if jobs == 1 and hazard and system != "classic_fast_local":
-        assert any(0 < taken < entries for taken, entries in visits)
+        assert any(0 < taken < entries for taken, entries, _, _ in visits)
+        if any(cut and entries - taken > 1 for taken, entries, _, cut in visits):
+            assert any(start > 0 for _, _, start, _ in visits)
     if durability == "wal":
         log = durable_log(trainer.ps)
         assert log == durable_log(oracle[0].ps)
         for node, entry in log.items():
             assert entry["replays"][-1] == live_store(trainer.ps, node)
+
+
+def test_without_compute_time_a_cut_visit_is_never_resumed():
+    """With no compute time the worker resumes before its own push lands
+    (``t3 < t2``): a visit offered then could read the block before that
+    write, so a cut visit's entries all stay on the event path, and the run
+    still equals the withheld one — WAL per key and checkpoints included."""
+    scale = MFScale(num_rows=32, num_cols=18, num_entries=300, rank=4, compute_time_per_entry=0.0)
+    with recorded_visits() as visits:
+        fused = churn("lapse", "wal", "join", 1, 0, withhold=False, scale=scale)
+    oracle = churn("lapse", "wal", "join", 1, 0, withhold=True, scale=scale)
+    assert observe(*fused) == observe(*oracle)
+    assert durable_log(fused[0].ps) == durable_log(oracle[0].ps)
+    assert any(cut and entries - taken > 1 for taken, entries, _, cut in visits)
+    assert all(start == 0 for _, _, start, _ in visits)

@@ -133,3 +133,40 @@ def test_selective_kinds():
         assert not trace.net
         assert not trace.samples
         assert trace.ops  # op spans still recorded
+
+
+def test_report_shows_the_decisions_of_a_traced_churn_run(tmp_path, capsys):
+    """A churn run's fused and declined steps (by reason), visit conflicts
+    and parallel fallback travel in the exported trace to the report."""
+    from repro.durability import DurabilityConfig
+    from repro.experiments.runner import run_elastic_mf_experiment
+
+    result = run_elastic_mf_experiment(
+        "lapse",
+        num_nodes=3,
+        initial_nodes=(0, 1),
+        schedule=ClusterSchedule().join(0.002, node=2),
+        scale=MF,
+        workers_per_node=2,
+        epochs=2,
+        seed=3,
+        durability=DurabilityConfig(checkpoint_interval=0.002),
+        trace=TraceConfig(),
+    )
+    reasons = result.decline_reasons
+    assert result.fused_steps > 0 and {"checkpoint", "membership event"} <= set(reasons)
+    path = tmp_path / "churn.json"
+    result.tracer.export(str(path))
+    assert load_trace(str(path))["repro"]["decisions"] == {
+        "fused_steps": result.fused_steps,
+        "declined_steps": result.declined_steps,
+        "decline_reasons": reasons,
+        "visit_conflicts": 0,
+        "parallel_fallback_reason": None,
+    }
+    assert report_main([str(path)]) == 0
+    output = capsys.readouterr().out
+    assert f"Decisions: {result.fused_steps} steps fused, {result.declined_steps} declined" in output
+    for reason, count in reasons.items():
+        assert f"declined  {count:>8}  {reason}" in output
+    assert "visit conflicts: 0" in output and "parallel fallback: none" in output
