@@ -182,7 +182,8 @@ class DeltaWAL:
         Inside a forked shard the LSN clock advances independently, so LSNs
         drawn during the window are *provisional* (shard-relative).  The
         captured keys — :meth:`Simulator.wal_order_key` tuples
-        ``(time, executing-event lineage, local seq)`` — totally order
+        ``(time, executing-event lineage, local seq)``, the lineage being
+        the kernel's flat shard-mode key — totally order
         appends across shards exactly as the sequential engine would have
         interleaved them, letting the coordinator stitch all shards' records
         into the cluster order and rewrite provisional LSNs at window merge.

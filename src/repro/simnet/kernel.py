@@ -34,26 +34,34 @@ bit-identity test sweep compares against.
 
 **Shard mode** (``repro.simnet.parallel``): a simulator forked into a shard
 process calls :meth:`Simulator.enter_shard_mode`, which widens heap entries
-from ``(time, seq, item)`` to ``(time, lineage, item)``.  ``lineage`` is a
-*nested* tuple ``(sched_time, parent_lineage, shard_rank, seq, depth)``
-where ``parent_lineage`` is the lineage of the event that was being
-processed when this one was scheduled (``()`` at the root).  Tuple
-comparison therefore implements exactly the recursion that reproduces the
-sequential engine's global sequence order: the single-process engine
-assigns sequence numbers in scheduling order, scheduling order is
-simulated-time order (``sched_time`` first), and same-instant scheduling
-actions are ordered by the processing order of their scheduling events —
-which is, recursively, the *key* order of the parents (the nested
-``parent_lineage`` element), with ``(shard_rank, seq)`` ordering siblings
-of one parent.  ``(shard_rank, seq)`` also makes every lineage unique, so
-heap items are never compared; the trailing ``depth`` is bookkeeping for
-the amortized ancestry trim (``_LINEAGE_KEEP``/``_LINEAGE_REBUILD``) and is
-never reached by a comparison.  Shard processes advance through
-:meth:`Simulator.run_window` (a conservative time window with an exclusive
-upper bound) and receive cross-shard deliveries via
-:meth:`Simulator.schedule_foreign`, which merges them under the *sender's*
-lineage — exactly the key the delivery event would have carried had it been
-scheduled locally.
+from ``(time, seq, item)`` to ``(time, lineage, item)``.  A lineage is
+defined recursively as ``(sched_time, parent, shard_rank, seq)``, where
+``parent`` is the lineage of the event that was being processed when this
+one was scheduled (empty at the root).  Comparing lineages in that order
+reproduces the sequential engine's global sequence order: the
+single-process engine assigns sequence numbers in scheduling order,
+scheduling order is simulated-time order (``sched_time`` first), and
+same-instant scheduling actions are ordered by the processing order of
+their scheduling events — which is, recursively, the *key* order of the
+parents — with ``(shard_rank, seq)`` ordering siblings of one parent and
+making every lineage unique, so heap items are never compared.
+
+The kernel stores each lineage as its *flat*, prefix-free serialization
+``F(root) = (END,)`` and ``F(L) = (sched_time,) + F(parent) + (rank,
+seq)`` with ``END = -inf``, so a child's key is simply ``(now,) + ctx +
+(rank, seq)``.  ``F`` reads left to right without ambiguity, so no key is
+a prefix of another; at their first difference two keys hold the same kind
+of value (two instants, or two ints); and ``END`` sorts below every instant
+exactly as an empty parent sorts below any other.
+Plain tuple comparison of two flat keys therefore gives the recursive
+order in one pass over their common prefix, instead of re-comparing a
+parent chain at every level of a nested tuple.
+
+Shard processes advance through :meth:`Simulator.run_window` (a
+conservative time window with an exclusive upper bound) and receive
+cross-shard deliveries via :meth:`Simulator.schedule_foreign`, which merges
+them under the *sender's* lineage — exactly the key the delivery event
+would have carried had it been scheduled locally.
 """
 
 from __future__ import annotations
@@ -71,51 +79,53 @@ from repro.simnet.events import Event, Timeout
 #: are simply dropped for the garbage collector.
 _POOL_MAX = 512
 
-#: Ancestry depth kept when a lineage chain is rebuilt.  Comparisons only
+#: Serialized empty parent: below every scheduling instant, as an empty
+#: parent sorts below any other.
+_END = -math.inf
+
+#: Parent context of lineages scheduled at the root (no processing event).
+_ROOT_CTX: Tuple = (_END,)
+
+#: Ancestry depth kept when a lineage chain is trimmed.  Comparisons only
 #: walk the chain while the two events' scheduling instants stay equal, so
 #: the kept window has to cover the longest *identical-instant* ancestry two
-#: distinct events can share; beyond it the deterministic ``()`` sentinel
+#: distinct events can share; beyond it the deterministic ``END`` root
 #: decides.
 _LINEAGE_KEEP = 24
 
 #: Depth at which a lineage chain is trimmed back to ``_LINEAGE_KEEP``
-#: levels.  Trimming rebuilds ``_LINEAGE_KEEP`` tuples, so letting chains
-#: grow to twice the kept depth makes the rebuild cost O(1) amortized per
-#: scheduled event.
+#: levels.  Letting chains grow to twice the kept depth makes the trim
+#: cost O(1) amortized per scheduled event.
 _LINEAGE_REBUILD = 48
+
+#: Flat length of a lineage at depth ``_LINEAGE_REBUILD``: a depth-``d``
+#: lineage has ``4 + 3 d`` entries (``5 + 3 d`` under an apply root), so
+#: ``len >= _TRIM_LEN`` holds exactly from depth ``_LINEAGE_REBUILD`` on.
+_TRIM_LEN = 4 + 3 * _LINEAGE_REBUILD
 
 #: Parent context of lineages allocated during a replicated barrier apply
 #: (``begin_apply``).  Real parent lineages start with a finite scheduling
-#: time, so ``(inf,)`` sorts *after* every same-instant window lineage —
+#: time, so ``inf`` sorts *after* every same-instant window lineage —
 #: barrier-apply actions come after everything the shards processed up to
 #: the barrier, exactly as the sequential engine's (newer) sequence numbers
 #: would order them.
-_APPLY_CTX: Tuple = (float("inf"),)
+_APPLY_CTX: Tuple = (math.inf, _END)
 
 
 def _trim_lineage(lineage: Tuple) -> Tuple:
     """Bound a lineage chain's depth before it becomes a child's context.
 
-    Returns the lineage unchanged below ``_LINEAGE_REBUILD``; otherwise
-    rebuilds the top ``_LINEAGE_KEEP`` levels over a ``()`` root.  Only the
+    Returns the lineage unchanged below ``_LINEAGE_REBUILD``; otherwise keeps
+    the top ``_LINEAGE_KEEP`` levels over an ``END`` root: their instants
+    lead the flat key and their ``(rank, seq)`` pairs close it.  Only the
     ancestry that future comparisons can still reach is kept — a comparison
     walks parents only while both events' scheduling instants are equal, so
     dropping the deep tail is observable only for identical-instant
     ancestries longer than the kept window.
     """
-    if lineage[4] < _LINEAGE_REBUILD:
+    if len(lineage) < _TRIM_LEN:
         return lineage
-    chain = []
-    node = lineage
-    for _ in range(_LINEAGE_KEEP):
-        chain.append(node)
-        node = node[1]
-    ctx: Tuple = ()
-    depth = 0
-    for node in reversed(chain):
-        ctx = (node[0], ctx, node[2], node[3], depth)
-        depth += 1
-    return ctx
+    return lineage[:_LINEAGE_KEEP] + _ROOT_CTX + lineage[-2 * _LINEAGE_KEEP:]
 
 
 def fastpath_disabled() -> bool:
@@ -168,7 +178,7 @@ class Simulator:
         #: (``enter_shard_mode``); None in the ordinary sequential engine.
         self._shard_rank: Optional[int] = None
         #: Lineage of the event currently being processed (shard mode).
-        self._shard_ctx: Tuple = ()
+        self._shard_ctx: Tuple = _ROOT_CTX
         #: Whether a replicated barrier apply is executing (shard mode): all
         #: shards run the same control-plane code against identical merged
         #: state, so scheduling draws must come from the replicated
@@ -196,7 +206,7 @@ class Simulator:
         docstring for the lineage key).  Entries inherited from the parent
         at fork time (normally none beyond future timers — the parent
         drains everything at or below the current time before forking) get
-        the lineage ``(-1.0, (), -1, seq, 0)``: they sort ahead of anything
+        the lineage ``(-1.0, END, -1, seq)``: they sort ahead of anything
         scheduled after the fork at the same simulated time, matching their
         older global sequence numbers, and among themselves by the parent's
         global sequence.
@@ -211,7 +221,7 @@ class Simulator:
         self._shard_rank = rank
         if self._queue:
             self._queue = [
-                (time, (-1.0, (), -1, seq, 0), item)
+                (time, (-1.0, _END, -1, seq), item)
                 for (time, seq, item) in self._queue
             ]
             heapq.heapify(self._queue)
@@ -223,9 +233,7 @@ class Simulator:
         so shard-local sequence streams mirror the sequential engine's.
         """
         self._sequence += 1
-        ctx = self._shard_ctx
-        depth = ctx[4] + 1 if ctx else 0
-        return (self._now, ctx, self._shard_rank, self._sequence, depth)
+        return (self._now,) + self._shard_ctx + (self._shard_rank, self._sequence)
 
     def begin_apply(self) -> None:
         """Enter replicated-apply mode (barrier control-plane execution).
@@ -233,7 +241,7 @@ class Simulator:
         Between :meth:`begin_apply` and :meth:`end_apply` every scheduling
         action (event triggers, bare callbacks, wake-ups, lineage draws)
         allocates its key from the replicated ``_apply_seq`` counter under
-        the ``(inf,)`` parent context and leaves the shard-local sequence
+        the ``(inf, END)`` parent context and leaves the shard-local sequence
         untouched: all shards execute the identical apply code against
         identical merged state, so the streams stay in lockstep and the
         resulting keys are bit-identical across shards.
@@ -249,7 +257,7 @@ class Simulator:
     def apply_lineage(self) -> Tuple:
         """Allocate a lineage key from the replicated apply stream."""
         self._apply_seq += 1
-        return (self._now, _APPLY_CTX, -2, self._apply_seq, 0)
+        return (self._now,) + _APPLY_CTX + (-2, self._apply_seq)
 
     def wal_order_key(self) -> Tuple:
         """Total-order key for a WAL append issued on this shard.
@@ -370,14 +378,10 @@ class Simulator:
         if self._shard_rank is not None:
             if self._apply_mode:
                 self._apply_seq += 1
-                lineage = (now, _APPLY_CTX, -2, self._apply_seq, 0)
+                lineage = (now,) + _APPLY_CTX + (-2, self._apply_seq)
             else:
                 self._sequence += 1
-                ctx = self._shard_ctx
-                lineage = (
-                    now, ctx, self._shard_rank, self._sequence,
-                    ctx[4] + 1 if ctx else 0,
-                )
+                lineage = (now,) + self._shard_ctx + (self._shard_rank, self._sequence)
             if time == now and self.fastpath:
                 self._ring.append((event, lineage))
             else:
@@ -403,14 +407,10 @@ class Simulator:
         if self._shard_rank is not None:
             if self._apply_mode:
                 self._apply_seq += 1
-                lineage = (now, _APPLY_CTX, -2, self._apply_seq, 0)
+                lineage = (now,) + _APPLY_CTX + (-2, self._apply_seq)
             else:
                 self._sequence += 1
-                ctx = self._shard_ctx
-                lineage = (
-                    now, ctx, self._shard_rank, self._sequence,
-                    ctx[4] + 1 if ctx else 0,
-                )
+                lineage = (now,) + self._shard_ctx + (self._shard_rank, self._sequence)
             if time == now and self.fastpath:
                 self._ring.append((_Call(fn, arg), lineage))
             else:
@@ -440,14 +440,10 @@ class Simulator:
         if self._shard_rank is not None:
             if self._apply_mode:
                 self._apply_seq += 1
-                lineage = (self._now, _APPLY_CTX, -2, self._apply_seq, 0)
+                lineage = (self._now,) + _APPLY_CTX + (-2, self._apply_seq)
             else:
                 self._sequence += 1
-                ctx = self._shard_ctx
-                lineage = (
-                    self._now, ctx, self._shard_rank, self._sequence,
-                    ctx[4] + 1 if ctx else 0,
-                )
+                lineage = (self._now,) + self._shard_ctx + (self._shard_rank, self._sequence)
             if time == self._now and self.fastpath:
                 self._ring.append((event, lineage))
             else:

@@ -44,11 +44,13 @@ windows**:
   and the next epoch forks from the new plan.  Results are plan-independent
   (lineage keys reproduce the sequential order under any partition), so the
   replan is a pure wall-clock optimization.
-* **Determinism.**  Every shard-mode event is keyed by a recursive
-  *lineage* tuple ``(sched_time,) + parent_lineage + (shard, seq)`` (see
-  the :mod:`repro.simnet.kernel` module docstring), and cross-shard records
-  merge into the receiver's heap under the sender's lineage, which
-  reproduces the sequential engine's global sequence order.
+* **Determinism.**  Every shard-mode event is keyed by its *lineage*: the
+  flat tuple ``(sched_time,) + parent_lineage + (shard, seq)`` with
+  ``(-inf,)`` as the root's parent, a prefix-free serialization of the
+  recursive (scheduling instant, parent, shard, seq) order (see the
+  :mod:`repro.simnet.kernel` module docstring).  Cross-shard records merge
+  into the receiver's heap under the sender's lineage, which reproduces the
+  sequential engine's global sequence order.
   The identity sweep in ``tests/experiments/test_parallel_identity.py``
   holds the result to the same bit-identity bar as every prior engine
   change.
@@ -378,7 +380,10 @@ def _run_shard(
     #: Latched barrier: once the global horizon reaches the next membership
     #: event's time, the shards commit to firing it and drain toward it.
     fire_at: Optional[float] = None
+    #: Window exchanges so far (identical on every shard: rounds are framed).
+    window_rounds = 0
     while True:
+        window_rounds += 1
         records = network.take_shard_outbox()
         per_peer: Dict[int, list] = {j: [] for j in peers}
         lo = infinity
@@ -492,6 +497,7 @@ def _run_shard(
         "worker_results": {index: process.value for index, process in processes},
         "unfinished": unfinished,
         "executed_events": sim.executed_events,
+        "window_rounds": window_rounds,
         "node_load": dict(network.node_load),
     }
     if driver is not None:
@@ -729,6 +735,7 @@ def run_workers_parallel(
         {
             "jobs": plan.num_shards,
             "shard_events": shard_events,
+            "window_rounds": [payload["window_rounds"] for payload in payloads],
             "skew": skew,
             "node_ranks": dict(next_plan.node_ranks),
             "replanned": next_plan is not plan,

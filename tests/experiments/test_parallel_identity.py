@@ -82,6 +82,12 @@ def test_w2v_identical(system):
 
 
 def _train_mf(system, jobs, plan=None):
+    trainer = _mf_trainer(system, jobs, plan)
+    trainer.train(num_epochs=2, compute_loss=False)
+    return trainer.column_factors(), trainer.row_factors
+
+
+def _mf_trainer(system, jobs, plan=None):
     from repro.config import ClusterConfig, ParameterServerConfig
     from repro.data import generate_matrix
     from repro.ml import MatrixFactorizationConfig, MatrixFactorizationTrainer
@@ -96,11 +102,9 @@ def _train_mf(system, jobs, plan=None):
     )
     if plan is not None:
         ps._adaptive_shard_plan = plan
-    trainer = MatrixFactorizationTrainer(
+    return MatrixFactorizationTrainer(
         ps, matrix, MatrixFactorizationConfig(rank=4), seed=3
     )
-    trainer.train(num_epochs=2, compute_loss=False)
-    return trainer.column_factors(), trainer.row_factors
 
 
 @pytest.mark.parametrize("system", ("lapse", "hybrid"))
@@ -110,6 +114,18 @@ def test_mf_model_parameters_bit_identical(system):
     par_cols, par_rows = _train_mf(system, jobs=2)
     assert np.array_equal(seq_cols, par_cols)
     assert np.array_equal(seq_rows, par_rows)
+
+
+def test_shards_report_one_window_round_count_per_epoch():
+    """Window exchanges are framed — one message per peer per round — so
+    every shard of an epoch reports the same positive round count."""
+    trainer = _mf_trainer("classic", jobs=2)
+    trainer.train(num_epochs=2, compute_loss=False)
+    history = trainer.ps.shard_load_history
+    assert len(history) == 2
+    for epoch in history:
+        first, second = epoch["window_rounds"]
+        assert first == second > 0
 
 
 def test_four_shards_identical():

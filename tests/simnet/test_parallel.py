@@ -229,18 +229,26 @@ def test_run_window_preserves_pre_fork_order_and_cascades():
     assert order == ["a", "b", "a-child"]
 
 
+def _sender_lineage(rank, at):
+    """The key shard ``rank`` allocates at time ``at`` outside any event."""
+    sender = Simulator()
+    sender.enter_shard_mode(rank)
+    sender._now = at
+    return sender.shard_lineage()
+
+
 def test_schedule_foreign_merges_by_sender_lineage():
-    """A foreign record scheduled at an earlier instant sorts ahead of a
-    local event at the same delivery time (smaller sched_time => smaller
-    sequential sequence number)."""
+    """A pre-fork entry sorts ahead of a foreign record at the same delivery
+    time (its global sequence number is older), and a foreign record
+    scheduled at an earlier instant ahead of a later one."""
     sim = Simulator()
     order = []
-    sim.call_later(1.0, order.append, "local")  # pre-fork, sched_time -1.0
+    sim.call_later(1.0, order.append, "local")  # pre-fork
     sim.enter_shard_mode(0)
-    # Sender lineage: scheduled at t=0.2 by another shard's root context.
-    sim.schedule_foreign(1.0, (0.2, (), 1, 7, 0), order.append, "foreign")
+    sim.schedule_foreign(1.0, _sender_lineage(1, 0.3), order.append, "foreign-later")
+    sim.schedule_foreign(1.0, _sender_lineage(1, 0.2), order.append, "foreign")
     sim.run_window(2.0)
-    assert order == ["local", "foreign"]
+    assert order == ["local", "foreign", "foreign-later"]
 
 
 # ------------------------------------------------------------------ fallbacks
