@@ -802,15 +802,14 @@ class WorkerClient:
     def fused_local_steps(self) -> Optional[FusedLocalSteps]:
         """Return a :class:`FusedLocalSteps` runner, or None if unsupported.
 
-        Fusion needs shared-memory local access, the fast paths (the
-        reference run under ``REPRO_DISABLE_FASTPATH`` exercises the
-        event-by-event path) and a policy whose local access has no observers
+        Fusion needs shared-memory local access and a policy whose local
+        access has no observers
         (:meth:`~repro.ps.policy.ManagementPolicy.fusion_guard`).  Elastic
         clusters and logged stores get a runner too: its lanes stop short of
         where a membership change or a checkpoint could observe them.
         """
         ps = self.ps
-        if not (ps.ps_config.shared_memory_local_access and ps.sim.fastpath):
+        if not ps.ps_config.shared_memory_local_access:
             return None
         guard = ps.management_policy.fusion_guard(self.state)
         if guard is False:
@@ -1054,9 +1053,9 @@ class WorkerClient:
 class ParameterServer:
     """The simulated parameter server, parameterised by its management policy.
 
-    The runtime is generic: one message loop per node (:meth:`_server_loop`,
-    or its event-driven twin :meth:`_server_receive`) dispatches over the
-    handler table of the server's
+    The runtime is generic: one event-driven server per node
+    (:meth:`_server_receive`) dispatches over the handler table of the
+    server's
     :class:`~repro.ps.policy.ManagementPolicy`, the van demultiplexes
     responses, and every per-key decision is the policy's.  A named system is
     a subclass that only *declares* ``name``, ``policy_class`` and
@@ -1211,41 +1210,23 @@ class ParameterServer:
     def _start_threads(self) -> None:
         # Server thread + van (response demux) on every node, barrier
         # coordinator on node 0.
-        self._van_inboxes = []
-        fastpath = self.sim.fastpath
         for state in self.states:
-            if fastpath:
-                # Event-driven server: handler timing is fully determined by
-                # ``handle_at = max(arrival, busy_until) + cost``, so the
-                # receive/wait/handle generator loop can be replaced by one
-                # scheduled callback per message (same times, same order).
-                self.network.attach_sink(
-                    server_address(state.node_id),
-                    partial(
-                        self._server_receive,
-                        state,
-                        self.management_policy.server_handlers(state),
-                    ),
-                )
-            else:
-                self.sim.process(
-                    self._server_loop(state), name=f"server-{state.node_id}"
-                )
+            # Event-driven server: handler timing is fully determined by
+            # ``handle_at = max(arrival, busy_until) + cost``, so each message
+            # is one scheduled handler call.
+            self.network.attach_sink(
+                server_address(state.node_id),
+                partial(
+                    self._server_receive,
+                    state,
+                    self.management_policy.server_handlers(state),
+                ),
+            )
+            # The van charges no processing cost and reacts immediately, so
+            # its handler runs directly at the delivery instant.
             address = van_address(state.node_id)
-            inbox = self.network.register(address, state.node_id)
-            self._van_inboxes.append(inbox)
-            if fastpath:
-                # The van charges no processing cost and reacts immediately,
-                # so its handler can run directly at the delivery instant —
-                # the moment the van process would have been resumed — saving
-                # the mailbox/process round trip per response.
-                self.network.attach_sink(
-                    address, partial(self._handle_van_message, state)
-                )
-            else:
-                self.sim.process(
-                    self._van_loop(state, inbox), name=f"van-{state.node_id}"
-                )
+            self.network.register(address, state.node_id)
+            self.network.attach_sink(address, partial(self._handle_van_message, state))
         self._coordinator_inbox = self.network.register(coordinator_address(), 0)
         self.sim.process(self._coordinator_loop(), name="coordinator")
 
@@ -1397,42 +1378,13 @@ class ParameterServer:
         return self.sim.now
 
     # ------------------------------------------------------------ server loops
-    def _server_loop(self, state: NodeState) -> Generator:
-        """Generic message loop of the server thread (reference engine).
-
-        Receive, look the message type up in the policy's handler table
-        (``type -> (processing_cost, handler)``), charge the cost, handle.
-        Under the fast paths the same semantics run event-driven through
-        :meth:`_server_receive` instead.
-        """
-        dispatch = self.management_policy.server_handlers(state)
-        inbox = state.node.server_inbox
-        metrics = state.metrics
-        while True:
-            message = yield inbox.get()
-            entry = dispatch.get(type(message))
-            if entry is None:
-                raise ParameterServerError(
-                    f"{self.name} PS server on node {state.node_id} received "
-                    f"unexpected message {message!r}"
-                )
-            metrics.server_messages += 1
-            cost, handler = entry
-            trace = state.trace
-            if trace is not None:
-                now = self.sim._now
-                trace.server_span(type(message).__name__, now, now, now + cost, metrics)
-            yield cost
-            handler(state, message)
-
     def _server_receive(self, state: NodeState, dispatch: Dict, message: Any) -> None:
         """Event-driven server thread: one scheduled handler call per message.
 
-        The generator loop's timing collapses to a closed form — a message
-        arriving at ``a`` is handled at ``max(a, busy_until) + cost`` with
-        FIFO order preserved (``busy_until`` is monotonic) — so the handler
-        is scheduled directly at that instant, skipping the mailbox, the
-        getter event, and two generator resumes per message.
+        The server handles one message at a time in arrival order, so a
+        message arriving at ``a`` is handled at ``max(a, busy_until) + cost``
+        (``busy_until`` is monotonic, which keeps the order FIFO); the
+        handler is scheduled directly at that instant.
         """
         entry = dispatch.get(type(message))
         if entry is None:
@@ -1454,12 +1406,6 @@ class ParameterServer:
                 type(message).__name__, now, start, handle_at, state.metrics
             )
         sim.call_later(handle_at - now, _run_handler, (handler, state, message))
-
-    def _van_loop(self, state: NodeState, inbox) -> Generator:
-        """Demultiplex responses arriving at this node back to operation handles."""
-        while True:
-            message = yield inbox.get()
-            self._handle_van_message(state, message)
 
     def _handle_van_message(self, state: NodeState, message: Any) -> None:
         if isinstance(message, PullResponse):

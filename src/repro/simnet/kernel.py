@@ -27,11 +27,6 @@ Hot-path design (see docs/architecture.md, "Simulation engine performance"):
   that inlines event processing with hoisted lookups instead of calling
   :meth:`step` per event.
 
-Setting the environment variable ``REPRO_DISABLE_FASTPATH=1`` at simulator
-construction time disables the ring and the pool (and, downstream, message
-coalescing and fused worker steps), restoring the reference engine that the
-bit-identity test sweep compares against.
-
 **Shard mode** (``repro.simnet.parallel``): a simulator forked into a shard
 process calls :meth:`Simulator.enter_shard_mode`, which widens heap entries
 from ``(time, seq, item)`` to ``(time, lineage, item)``.  A lineage is
@@ -68,7 +63,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
 from collections import deque
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
@@ -128,15 +122,6 @@ def _trim_lineage(lineage: Tuple) -> Tuple:
     return lineage[:_LINEAGE_KEEP] + _ROOT_CTX + lineage[-2 * _LINEAGE_KEEP:]
 
 
-def fastpath_disabled() -> bool:
-    """Whether ``REPRO_DISABLE_FASTPATH`` requests the reference engine.
-
-    Read at :class:`Simulator` construction time, so tests can toggle the
-    environment variable per simulation run.
-    """
-    return os.environ.get("REPRO_DISABLE_FASTPATH", "").strip() not in ("", "0")
-
-
 class _Call:
     """A bare scheduled callback: one-shot work without an Event object."""
 
@@ -171,9 +156,6 @@ class Simulator:
         self._sequence = 0
         self._running = False
         self._event_pool: List[Event] = []
-        #: Whether the engine fast paths (ring, pool, coalescing, fused worker
-        #: steps) are active for this simulator instance.
-        self.fastpath = not fastpath_disabled()
         #: Shard rank once this simulator runs inside a shard process
         #: (``enter_shard_mode``); None in the ordinary sequential engine.
         self._shard_rank: Optional[int] = None
@@ -356,8 +338,7 @@ class Simulator:
             event._processed = False
             return event
         event = Event(self)
-        if self.fastpath:
-            event._pooled = True
+        event._pooled = True
         return event
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
@@ -382,13 +363,13 @@ class Simulator:
             else:
                 self._sequence += 1
                 lineage = (now,) + self._shard_ctx + (self._shard_rank, self._sequence)
-            if time == now and self.fastpath:
+            if time == now:
                 self._ring.append((event, lineage))
             else:
                 heapq.heappush(self._queue, (time, lineage, event))
             return
         self._sequence += 1
-        if time == now and self.fastpath:
+        if time == now:
             self._ring.append(event)
         else:
             heapq.heappush(self._queue, (time, self._sequence, event))
@@ -411,13 +392,13 @@ class Simulator:
             else:
                 self._sequence += 1
                 lineage = (now,) + self._shard_ctx + (self._shard_rank, self._sequence)
-            if time == now and self.fastpath:
+            if time == now:
                 self._ring.append((_Call(fn, arg), lineage))
             else:
                 heapq.heappush(self._queue, (time, lineage, _Call(fn, arg)))
             return
         self._sequence += 1
-        if time == now and self.fastpath:
+        if time == now:
             self._ring.append(_Call(fn, arg))
         else:
             heapq.heappush(self._queue, (time, self._sequence, _Call(fn, arg)))
@@ -444,13 +425,13 @@ class Simulator:
             else:
                 self._sequence += 1
                 lineage = (self._now,) + self._shard_ctx + (self._shard_rank, self._sequence)
-            if time == self._now and self.fastpath:
+            if time == self._now:
                 self._ring.append((event, lineage))
             else:
                 heapq.heappush(self._queue, (time, lineage, event))
             return event
         self._sequence += 1
-        if time == self._now and self.fastpath:
+        if time == self._now:
             self._ring.append(event)
         else:
             heapq.heappush(self._queue, (time, self._sequence, event))

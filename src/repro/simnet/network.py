@@ -29,8 +29,7 @@ Hot-path design (docs/architecture.md, "Simulation engine performance"):
   the number of simulated messages: :class:`NetworkStats` keeps counting one
   logical message per ``send`` call, and additionally reports
   ``delivery_events`` / ``coalesced_messages`` so the physical batching is
-  observable.  Disabled when the simulator was built under
-  ``REPRO_DISABLE_FASTPATH=1``.
+  observable.
 """
 
 from __future__ import annotations
@@ -146,7 +145,6 @@ class Network:
         self._sinks: Dict[Hashable, Any] = {}
         #: In-flight coalesced batches: (dst_address, deliver_at) -> payloads.
         self._pending_batches: Dict[Tuple[Hashable, float], List[Any]] = {}
-        self._coalesce = sim.fastpath
         #: Parallel-engine shard state (``enable_shard_mode``): node -> shard
         #: rank, this process's rank, and outgoing cross-shard records.
         self._shard_ranks: Optional[Dict[int, int]] = None
@@ -359,27 +357,23 @@ class Network:
                 return None
             load = self.node_load
             load[dst_node] = load.get(dst_node, 0) + 1
-        if self._coalesce:
-            batches = self._pending_batches
-            batch_key = (dst_address, deliver_at)
-            batch = batches.get(batch_key)
-            if batch is not None:
-                # A delivery event for this address and instant is already
-                # scheduled: ride along.  Append order equals global send
-                # order, which is the order the separate delivery events
-                # would have delivered in.
-                batch.append(payload)
-                stats.coalesced_messages += 1
-                return None
-            batch = [payload]
-            batches[batch_key] = batch
-            stats.delivery_events += 1
-            sim.call_later(
-                deliver_at - now, self._deliver_batch, (batch_key, batch, lane.put)
-            )
-        else:
-            stats.delivery_events += 1
-            sim.call_later(deliver_at - now, lane.put, payload)
+        batches = self._pending_batches
+        batch_key = (dst_address, deliver_at)
+        batch = batches.get(batch_key)
+        if batch is not None:
+            # A delivery event for this address and instant is already
+            # scheduled: ride along.  Append order equals global send
+            # order, which is the order the separate delivery events
+            # would have delivered in.
+            batch.append(payload)
+            stats.coalesced_messages += 1
+            return None
+        batch = [payload]
+        batches[batch_key] = batch
+        stats.delivery_events += 1
+        sim.call_later(
+            deliver_at - now, self._deliver_batch, (batch_key, batch, lane.put)
+        )
         return None
 
     def send_apply(

@@ -201,8 +201,6 @@ def parallel_fallback_reason(ps: Any, until: Optional[float] = None) -> Optional
     """
     if until is not None:
         return "a simulated-time cutoff was requested"
-    if not ps.sim.fastpath:
-        return "the reference engine is active (REPRO_DISABLE_FASTPATH)"
     driver = ps._elastic_driver
     if driver is None and ps.membership is not None:
         return "membership is attached without an elastic driver"

@@ -13,11 +13,10 @@ value when the generator completes, so processes can wait for each other.
 
 Hot-path note: plain ``float``/``int`` yields — the dominant yield kind on the
 simulator's hot path (server processing costs, compute times) — do not
-allocate a :class:`Timeout` event at all when the engine fast paths are on;
-the resume is scheduled directly as a kernel callback token
-(:meth:`Simulator.call_later`), which is order-identical to the Timeout it
-replaces.  Exotic numerics (NumPy scalars) and the reference engine
-(``REPRO_DISABLE_FASTPATH=1``) keep the original Timeout path.
+allocate a :class:`Timeout` event at all; the resume is scheduled directly as
+a kernel callback token (:meth:`Simulator.call_later`), which is
+order-identical to the Timeout it replaces.  Exotic numerics (NumPy scalars)
+keep the Timeout path.
 """
 
 from __future__ import annotations
@@ -96,11 +95,9 @@ class Process(Event):
         cls = yielded.__class__
         if cls is float or cls is int:
             # Timeout fast path: schedule the resume directly, no Event.
-            sim = self.sim
-            if sim.fastpath:
-                sim.call_later(yielded, self._step, None)
-                return
-        elif isinstance(yielded, Event):
+            self.sim.call_later(yielded, self._step, None)
+            return
+        if isinstance(yielded, Event):
             # Inlined _wait_on for the dominant event-yield case.
             if yielded.sim is not self.sim:
                 raise ProcessError("process yielded an event from a different simulator")

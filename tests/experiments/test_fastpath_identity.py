@@ -1,15 +1,20 @@
-"""Bit-identity sweep: engine fast paths vs the reference engine.
+"""Bit-identity sweep: engine fast paths vs one event at a time.
 
-The hot-path overhaul (immediate-dispatch ring, event pool, callback tokens,
+The hot-path machinery (immediate-dispatch ring, event pool, callback tokens,
 van/server sinks, message coalescing, fused worker steps) claims to leave
 simulated results *bit-identical*.  This sweep runs every system on every
-workload twice — once with the fast paths, once under
-``REPRO_DISABLE_FASTPATH=1`` — and requires exact equality of simulated epoch
-durations (full float precision), message and byte counts, training losses,
-and (for MF) the aggregated PS metric counters.
+workload twice — once as shipped, once with every worker step an event of its
+own (``WorkerClient.fused_local_steps`` withheld) on the plain ``(time,
+sequence)`` heap kernel of ``tests/simnet/reference_order.py`` — and requires
+exact equality of simulated epoch durations (full float precision), message
+and byte counts, training losses, and (for MF) the aggregated PS metric
+counters.  ``test_golden_digests`` pins the same cells to recorded digests,
+but not their losses.
 """
 
-import numpy as np
+import os
+import sys
+
 import pytest
 
 from repro.experiments import (
@@ -20,6 +25,10 @@ from repro.experiments import (
     run_mf_experiment,
     run_w2v_experiment,
 )
+from repro.ps.base import WorkerClient
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "simnet"))
+import reference_order  # noqa: E402
 
 #: Every PS variant of the runner that supports all three workloads.
 SYSTEMS = (
@@ -38,7 +47,7 @@ W2V = W2VScale(vocabulary_size=50, num_sentences=8)
 
 
 def _fingerprint(result):
-    """Everything the overhaul must preserve, at full float precision."""
+    """Everything the fast paths must preserve, at full float precision."""
     return {
         "durations": tuple(repr(epoch.duration) for epoch in result.epochs),
         "losses": tuple(repr(epoch.loss) for epoch in result.epochs),
@@ -48,11 +57,12 @@ def _fingerprint(result):
 
 
 def _run_both(monkeypatch, fn):
-    monkeypatch.delenv("REPRO_DISABLE_FASTPATH", raising=False)
+    """``fn()`` as shipped, then with no fused runner on the heap-only kernel."""
     fast = fn()
-    monkeypatch.setenv("REPRO_DISABLE_FASTPATH", "1")
-    reference = fn()
-    monkeypatch.delenv("REPRO_DISABLE_FASTPATH", raising=False)
+    with monkeypatch.context() as plain:
+        plain.setattr(WorkerClient, "fused_local_steps", lambda self: None)
+        plain.setattr("repro.ps.base.Simulator", reference_order.HeapOnlySimulator)
+        reference = fn()
     return fast, reference
 
 
@@ -120,55 +130,3 @@ def test_elastic_mf_bit_identical(system, monkeypatch):
     fast, reference = _run_both(monkeypatch, run)
     assert _fingerprint(fast) == _fingerprint(reference)
     assert fast.metrics.as_dict() == reference.metrics.as_dict()
-
-
-def test_elastic_fusion_declines_only_entries_a_join_reaches(monkeypatch):
-    """Visits fuse on an elastic cluster, except the entries of the visit a
-    join falls into that end at or after it and begin before it has fired:
-    the cut visit resumes right after the join, and the rebalance names none
-    of the keys visited afterwards."""
-    from repro.experiments.runner import make_elastic_mf
-
-    monkeypatch.delenv("REPRO_DISABLE_FASTPATH", raising=False)
-    elastic, trainer = make_elastic_mf(
-        "lapse", num_nodes=3, initial_nodes=(0, 1), scale=MF, workers_per_node=2
-    )
-    entries = trainer.matrix.num_entries
-    counts = []
-    for index in range(3):
-        if index == 1:
-            elastic.join_at(elastic.ps.simulated_time + 0.4 * epoch.duration, node=2)
-        fused, declined = trainer.fused_steps, trainer.declined_steps
-        epoch = elastic.run_epoch(trainer, compute_loss=False)
-        counts.append((trainer.fused_steps - fused, trainer.declined_steps - declined))
-    assert counts[0] == counts[2] == (entries, 0)
-    assert counts[1] == (entries - 1, 1)
-    assert trainer.decline_reasons == {"membership event": 1}
-
-
-def test_mf_model_parameters_bit_identical(monkeypatch):
-    """Final model parameters match exactly for a fused-path system."""
-    from repro.data import generate_matrix
-    from repro.experiments import make_parameter_server
-    from repro.config import ClusterConfig, ParameterServerConfig
-    from repro.ml import MatrixFactorizationConfig, MatrixFactorizationTrainer
-
-    def train():
-        cluster = ClusterConfig(num_nodes=2, workers_per_node=2)
-        matrix = generate_matrix(
-            num_rows=MF.num_rows, num_cols=MF.num_cols, num_entries=MF.num_entries, seed=3
-        )
-        ps = make_parameter_server(
-            "lapse",
-            cluster,
-            ParameterServerConfig(num_keys=matrix.num_cols, value_length=4),
-        )
-        trainer = MatrixFactorizationTrainer(
-            ps, matrix, MatrixFactorizationConfig(rank=4), seed=3
-        )
-        trainer.train(num_epochs=2, compute_loss=False)
-        return trainer.column_factors(), trainer.row_factors
-
-    (fast_cols, fast_rows), (ref_cols, ref_rows) = _run_both(monkeypatch, train)
-    assert np.array_equal(fast_cols, ref_cols)
-    assert np.array_equal(fast_rows, ref_rows)

@@ -1,21 +1,25 @@
 """Golden digests: checked-in fingerprints of whole runs, per system and engine.
 
-The identity sweeps (``test_fastpath_identity``, ``test_parallel_identity``)
-compare two engines of the *same* checkout, so a change that moves all of
-them together goes unnoticed.  This file pins each run to a digest recorded
-on an earlier commit: every epoch duration at full float precision, the
-remote message and byte counts, and every scalar ``PSMetrics`` counter.  A
-refactor that claims to preserve behaviour must leave
-``golden_digests.json`` untouched.
+The other witnesses of the simulator's behaviour compare two runs of the
+*same* checkout: the fused-vs-withheld oracle (``tests/ml/test_mf_kernel.py``)
+runs a trainer with and without its fused runner, ``test_fastpath_identity``
+runs each small cell against one event at a time (heap-only kernel, runner
+withheld), and the ``jobs=2`` sweeps (``test_parallel_identity``) run the
+sequential engine against the sharded one.  A change that moves both sides
+together goes unnoticed there.  This file pins each run to a digest recorded on an earlier commit: every epoch
+duration at full float precision, the remote message and byte counts, and
+every scalar ``PSMetrics`` counter.  A refactor that claims to preserve
+behaviour must leave ``golden_digests.json`` untouched.
 
 Cells:
 
-* ``small/<task>/<system>`` — 7 systems x MF/KGE/W2V at the
-  ``test_fastpath_identity`` scales; one digest per cell, asserted on the fast
-  engine, under ``REPRO_DISABLE_FASTPATH=1`` and at ``jobs=2``;
-* ``mid/<task>/<system>`` — KGE and W2V at 4 nodes x 2 workers, fast engine
-  only (the reference and sharded engines diverge from it at this scale, see
-  ``test_engine_identity_breaches``);
+* ``small/<task>/<system>`` — 7 systems x MF/KGE/W2V at 2 nodes x 2 workers;
+  one digest per cell, asserted on the sequential engine, on the heap-only
+  kernel model of ``tests/simnet/reference_order.py`` (the order the
+  kernel's ring claims to keep) and at ``jobs=2``;
+* ``mid/<task>/<system>`` — KGE and W2V at 4 nodes x 2 workers, on the
+  sequential engine and the heap-only model (the sharded engine diverges at
+  this scale, see ``test_engine_identity_breaches``);
 * ``elastic/<system>`` (a join and a drain mid-run) and ``durable/<system>``
   (crash and restart of one node under WAL + checkpoints) for ``lapse`` and
   ``hybrid``.
@@ -28,6 +32,7 @@ Regenerate, after an *intended* behaviour change only, with::
 import hashlib
 import json
 import os
+import sys
 
 import pytest
 
@@ -42,6 +47,9 @@ from repro.experiments import (
     run_w2v_experiment,
 )
 from repro.experiments.runner import make_elastic_mf, run_elastic_mf_experiment
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "simnet"))
+import reference_order  # noqa: E402
 
 DATA_FILE = os.path.join(os.path.dirname(__file__), "golden_digests.json")
 
@@ -155,19 +163,22 @@ def golden():
     return load_golden()
 
 
+@pytest.fixture()
+def heap_only(monkeypatch):
+    """Build every server on the plain ``(time, sequence)`` heap kernel."""
+    monkeypatch.setattr("repro.ps.base.Simulator", reference_order.HeapOnlySimulator)
+
+
 @pytest.mark.parametrize("system", SYSTEMS)
 @pytest.mark.parametrize("task", sorted(SMALL_RUNS))
 class TestSmallCells:
-    def test_fast_engine(self, task, system, golden, monkeypatch):
-        monkeypatch.delenv("REPRO_DISABLE_FASTPATH", raising=False)
+    def test_fast_engine(self, task, system, golden):
         assert of_result(SMALL_RUNS[task](system)) == golden[f"small/{task}/{system}"]
 
-    def test_reference_engine(self, task, system, golden, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_FASTPATH", "1")
+    def test_heap_only_kernel(self, task, system, golden, heap_only):
         assert of_result(SMALL_RUNS[task](system)) == golden[f"small/{task}/{system}"]
 
-    def test_jobs2(self, task, system, golden, monkeypatch):
-        monkeypatch.delenv("REPRO_DISABLE_FASTPATH", raising=False)
+    def test_jobs2(self, task, system, golden):
         result = SMALL_RUNS[task](system, jobs=2)
         assert result.effective_jobs == 2
         assert of_result(result) == golden[f"small/{task}/{system}"]
@@ -175,27 +186,29 @@ class TestSmallCells:
 
 @pytest.mark.parametrize("system", SYSTEMS)
 @pytest.mark.parametrize("task", sorted(MID_RUNS))
-def test_mid_scale_fast_engine(task, system, golden, monkeypatch):
-    monkeypatch.delenv("REPRO_DISABLE_FASTPATH", raising=False)
+def test_mid_scale_fast_engine(task, system, golden):
+    assert of_result(MID_RUNS[task](system)) == golden[f"mid/{task}/{system}"]
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+@pytest.mark.parametrize("task", sorted(MID_RUNS))
+def test_mid_scale_heap_only_kernel(task, system, golden, heap_only):
     assert of_result(MID_RUNS[task](system)) == golden[f"mid/{task}/{system}"]
 
 
 @pytest.mark.parametrize("system", ELASTIC_SYSTEMS)
-def test_elastic_join_and_drain(system, golden, monkeypatch):
-    monkeypatch.delenv("REPRO_DISABLE_FASTPATH", raising=False)
+def test_elastic_join_and_drain(system, golden):
     assert elastic_cell(system) == golden[f"elastic/{system}"]
 
 
 @pytest.mark.parametrize("system", ELASTIC_SYSTEMS)
-def test_durable_fail_and_rejoin(system, golden, monkeypatch):
-    monkeypatch.delenv("REPRO_DISABLE_FASTPATH", raising=False)
+def test_durable_fail_and_rejoin(system, golden):
     cell = durable_cell(system)
     assert cell == golden[f"durable/{system}"]
 
 
 def generate():
-    """Every cell on the fast engine (the engine all three must agree with)."""
-    os.environ.pop("REPRO_DISABLE_FASTPATH", None)
+    """Every cell on the sequential engine (the one ``jobs=2`` must agree with)."""
     cells = {}
     for task, run in SMALL_RUNS.items():
         for system in SYSTEMS:

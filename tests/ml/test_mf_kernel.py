@@ -92,7 +92,7 @@ def observe(trainer, epochs):
 
 def observe_across_engines(trainer, epochs):
     """``observe`` without the physical batching of deliveries, which differs
-    between the fast, the reference and the sharded engine."""
+    between the sequential and the sharded engine."""
     seen = observe(trainer, epochs)
     stats = trainer.ps.network.stats
     seen["network"] = (stats.messages_sent, stats.remote_messages, stats.bytes_sent)
@@ -518,20 +518,19 @@ def test_durable_training_equals_the_event_loop():
         assert logged[name] == unlogged[name]
 
 
-def test_the_ipc_classic_offers_no_runner(monkeypatch):
-    monkeypatch.delenv("REPRO_DISABLE_FASTPATH", raising=False)
+def test_the_ipc_classic_offers_no_runner():
     trainer, _ = train("classic", generate_matrix(rank=4, seed=3, **GOLDEN_SCALE))
     assert (trainer.fused_steps, trainer.declined_steps) == (0, 0)
 
 
-def test_reference_engine_offers_no_runner(monkeypatch):
+def test_mf_model_parameters_equal_the_withheld_run():
+    """The trainer's own accessors read the same final model either way."""
     matrix = generate_matrix(rank=4, seed=3, **GOLDEN_SCALE)
-    monkeypatch.delenv("REPRO_DISABLE_FASTPATH", raising=False)
-    fast = train("lapse", matrix)
-    monkeypatch.setenv("REPRO_DISABLE_FASTPATH", "1")
-    reference = train("lapse", matrix)
-    assert observe_across_engines(*fast) == observe_across_engines(*reference)
-    assert (reference[0].fused_steps, reference[0].declined_steps) == (0, 0)
+    fused, _ = train("lapse", matrix)
+    oracle, _ = train("lapse", matrix, withhold=True)
+    assert fused.fused_steps == 2 * matrix.num_entries
+    assert np.array_equal(fused.column_factors(), oracle.column_factors())
+    assert np.array_equal(fused.row_factors, oracle.row_factors)
 
 
 def server_state(ps):
@@ -569,6 +568,31 @@ def test_elastic_visit_declines_through_a_membership_event(compute_time):
                     )
             assert seen[0] == seen[1]
             assert seen[0][1] == "active"
+
+
+def test_elastic_fusion_declines_only_entries_a_join_reaches():
+    """Visits fuse on an elastic cluster, except the entries of the visit a
+    join falls into that end at or after it and begin before it has fired:
+    the cut visit resumes right after the join, and the rebalance names none
+    of the keys visited afterwards."""
+    elastic, trainer = make_elastic_mf(
+        "lapse",
+        num_nodes=3,
+        initial_nodes=(0, 1),
+        scale=MFScale(num_rows=32, num_cols=16, num_entries=300, rank=4),
+        workers_per_node=2,
+    )
+    entries = trainer.matrix.num_entries
+    counts = []
+    for index in range(3):
+        if index == 1:
+            elastic.join_at(elastic.ps.simulated_time + 0.4 * epoch.duration, node=2)
+        fused, declined = trainer.fused_steps, trainer.declined_steps
+        epoch = elastic.run_epoch(trainer, compute_loss=False)
+        counts.append((trainer.fused_steps - fused, trainer.declined_steps - declined))
+    assert counts[0] == counts[2] == (entries, 0)
+    assert counts[1] == (entries - 1, 1)
+    assert trainer.decline_reasons == {"membership event": 1}
 
 
 def test_unsettled_keys_decline_while_other_keys_fuse_before_the_next_settle():

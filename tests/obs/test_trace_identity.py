@@ -160,11 +160,10 @@ PER_ENTRY_LANE_TRACES = {
 
 
 @pytest.mark.parametrize("system", sorted(PER_ENTRY_LANE_TRACES))
-def test_mf_block_visit_reports_the_per_entry_spans(system, monkeypatch):
+def test_mf_block_visit_reports_the_per_entry_spans(system):
     """The block-visit kernel replays the worker clock once per visit and
     reports the spans from the replayed instants: same spans, in the same
     order, as when every entry was stepped through on its own."""
-    monkeypatch.delenv("REPRO_DISABLE_FASTPATH", raising=False)
     result = run_mf_experiment(
         system, scale=MF, compute_loss=False, trace=TraceConfig(), **NODES
     )
@@ -211,7 +210,6 @@ def test_w2v_spans_identical_whether_pairs_fuse_or_not(monkeypatch):
         )
         return result, result.tracer.node_traces()
 
-    monkeypatch.delenv("REPRO_DISABLE_FASTPATH", raising=False)
     fused, fused_traces = run()
     assert 0 < sum(taken) < len(taken)  # both lanes contributed spans
     monkeypatch.setattr(WorkerClient, "fused_local_steps", lambda self: None)

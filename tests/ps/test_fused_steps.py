@@ -333,11 +333,6 @@ def test_durable_kge_logs_what_the_event_path_logs():
     assert fused["metrics"]["checkpoints"] > 2 * len(fused["wal"])
 
 
-def test_no_runner_on_the_reference_engine(monkeypatch):
-    monkeypatch.setenv("REPRO_DISABLE_FASTPATH", "1")
-    assert build().client(0, 0).fused_local_steps() is None
-
-
 def elastic_lapse():
     """The 12 keys on nodes 0 and 1 of three (0-5 | 6-11); node 2 is reserve."""
     from repro.cluster import ElasticCluster

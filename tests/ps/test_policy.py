@@ -2,6 +2,7 @@
 
 import inspect
 import pkgutil
+from functools import partial
 
 import numpy as np
 import pytest
@@ -258,6 +259,23 @@ class TestRegisterAndFlushChaseRelocatedKeys:
         np.testing.assert_array_equal(ps.parameter(0), before + 1.0)
 
 
+class _Probe:
+    def __init__(self, tag):
+        self.tag = tag
+
+
+class _Quick(_Probe):
+    pass
+
+
+class _Slow(_Probe):
+    pass
+
+
+class _Free(_Probe):
+    pass
+
+
 class TestServerDispatch:
     def test_unexpected_message_raises(self):
         ps = make(ClassicSharedMemoryPS)
@@ -287,6 +305,35 @@ class TestServerDispatch:
         cost = ps.cluster.cost_model
         assert dispatch[PullRequest][0] == cost.server_processing_time
         assert dispatch[LocalizeRequest][0] == cost.relocation_processing_time
+
+    def test_messages_are_handled_one_at_a_time_in_arrival_order(self):
+        """A message arriving at ``a`` is handled at ``max(a, busy_until) +
+        cost``: a burst at one instant is served back to back, a message
+        arriving while the server is busy waits for the busy period to end,
+        and one arriving after the server went idle waits only its cost."""
+        ps = make(ClassicSharedMemoryPS)
+        state = ps.states[1]
+        handled = []
+
+        def record(_state, message):
+            handled.append((message.tag, ps.sim.now))
+
+        dispatch = {_Quick: (0.25, record), _Slow: (0.5, record), _Free: (0.0, record)}
+        arrivals = [
+            (1.0, _Quick("a")), (1.0, _Slow("b")), (1.0, _Quick("c")),  # one burst
+            (1.5, _Quick("d")), (1.5, _Free("e")),  # busy until 2.0
+            (3.0, _Quick("f")),  # idle since 2.25
+        ]
+        receive = partial(ps._server_receive, state, dispatch)
+        for at, message in arrivals:
+            ps.sim.call_later(at, receive, message)
+        ps.run()
+        assert handled == [
+            ("a", 1.25), ("b", 1.75), ("c", 2.0), ("d", 2.25), ("e", 2.25), ("f", 3.25),
+        ]
+        assert state.server_busy_until == 3.25
+        assert state.metrics.server_messages == len(arrivals)
+        assert ps.states[0].metrics.server_messages == 0
 
     def test_hybrid_dispatch_is_the_union_of_both_protocols(self):
         from repro.ps.messages import LocalizeRequest

@@ -1,49 +1,29 @@
 """Tests for the simulation-engine fast paths.
 
-Covers the hot-path machinery introduced by the engine overhaul:
+Covers the hot-path machinery of the kernel and the network:
 
-* the immediate-dispatch ring (same-time FIFO ordering identical to the
-  heap-only reference engine),
+* the immediate-dispatch ring (same-time order identical to the plain
+  ``(time, sequence)`` heap of ``reference_order.HeapOnlySimulator``),
 * event-pool reuse safety (recycled events never fire stale callbacks or
   leak values),
 * message coalescing (one kernel delivery event per (destination, instant),
-  logical counters unchanged, delivery order preserved),
-* absolute-time wake-ups (``Simulator.wake_at``) used by fused worker steps,
-* the ``REPRO_DISABLE_FASTPATH`` toggle itself.
+  logical counters unchanged, delivery order and instants those of
+  ``reference_order.per_message_deliveries``),
+* absolute-time wake-ups (``Simulator.wake_at``) used by fused worker steps.
 
-The end-to-end bit-identity sweep across all systems and workloads lives in
-``tests/experiments/test_fastpath_identity.py``.
+Whole runs are pinned by ``tests/experiments/test_golden_digests.py``.
 """
 
-import pytest
+import itertools
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_order
 from repro.config import CostModel
 from repro.errors import SimulationError
 from repro.simnet import Event, Network, Simulator
-from repro.simnet.kernel import fastpath_disabled
-
-
-@pytest.fixture(autouse=True)
-def _fast_engine(monkeypatch):
-    """Default every test to the fast engine, whatever the ambient env says.
-
-    Tests that exercise the reference engine set the variable themselves via
-    their own ``monkeypatch`` argument (which layers on top of this one).
-    """
-    monkeypatch.delenv("REPRO_DISABLE_FASTPATH", raising=False)
-
-
-# ----------------------------------------------------------------- the toggle
-def test_fastpath_toggle_read_at_construction(monkeypatch):
-    monkeypatch.delenv("REPRO_DISABLE_FASTPATH", raising=False)
-    assert not fastpath_disabled()
-    assert Simulator().fastpath
-    monkeypatch.setenv("REPRO_DISABLE_FASTPATH", "1")
-    assert fastpath_disabled()
-    assert not Simulator().fastpath
-    # "0" and empty mean enabled (convenient for scripted toggling).
-    monkeypatch.setenv("REPRO_DISABLE_FASTPATH", "0")
-    assert Simulator().fastpath
 
 
 # --------------------------------------------------------- same-time ordering
@@ -85,13 +65,71 @@ def _trigger_order_scenario(sim):
     return order
 
 
-def test_same_time_fifo_matches_reference_engine(monkeypatch):
-    monkeypatch.delenv("REPRO_DISABLE_FASTPATH", raising=False)
+def test_same_time_fifo_matches_the_heap_only_model():
     fast = _trigger_order_scenario(Simulator())
-    monkeypatch.setenv("REPRO_DISABLE_FASTPATH", "1")
-    reference = _trigger_order_scenario(Simulator())
-    assert fast == reference
+    assert fast == _trigger_order_scenario(reference_order.HeapOnlySimulator())
     assert fast[0][0] == "t1"  # pre-scheduled heap entries first, FIFO
+
+
+#: How a generated action schedules a child: a bare callback, a triggered
+#: event, an absolute-time wake-up, or a process yielding the delay.
+SCHEDULERS = ("call_later", "event", "wake_at", "process")
+
+
+def _tree_order(sim, plan):
+    """Run a generated tree of actions; return ``(tag, instant)`` in run order.
+
+    Action ``k`` schedules the children ``plan[k % len(plan)]``, each a
+    ``(scheduler, delay)``, tagged in the order they are scheduled; after 60
+    actions no more children are scheduled.
+    """
+    order = []
+    tags = itertools.count(1)
+
+    def run(tag):
+        order.append((tag, sim.now))
+        if len(order) >= 60:
+            return
+        for scheduler, delay in plan[tag % len(plan)]:
+            child = next(tags)
+            if scheduler == "call_later":
+                sim.call_later(delay, run, child)
+            elif scheduler == "event":
+                event = Event(sim)
+                event.callbacks.append(lambda _e, child=child: run(child))
+                event.succeed(None, delay=delay)
+            elif scheduler == "wake_at":
+                sim.wake_at(sim.now + delay).callbacks.append(lambda _e, child=child: run(child))
+            else:
+                sim.process(_after(delay, run, child))
+
+    sim.call_later(0.0, run, 0)
+    sim.run()
+    return order
+
+
+def _after(delay, fn, arg):
+    yield delay
+    fn(arg)
+
+
+@given(
+    plan=st.lists(
+        st.lists(
+            st.tuples(st.sampled_from(SCHEDULERS), st.sampled_from([0.0, 0.0, 0.5, 1.0])),
+            max_size=3,
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_generated_schedules_run_in_heap_order(plan):
+    """Whatever mix of zero-delay and later actions a run schedules, the ring
+    runs them in the plain heap's (time, sequence) order."""
+    assert _tree_order(Simulator(), plan) == _tree_order(
+        reference_order.HeapOnlySimulator(), plan
+    )
 
 
 def test_ring_drains_in_fifo_order():
@@ -151,16 +189,6 @@ def test_recycled_event_drops_stale_callbacks():
     reused.succeed(None)
     sim.run()
     assert fired == ["fresh"]
-
-
-def test_pool_disabled_under_reference_engine(monkeypatch):
-    monkeypatch.setenv("REPRO_DISABLE_FASTPATH", "1")
-    sim = Simulator()
-    event = sim.acquire_event()
-    assert not event._pooled
-    event.succeed(None)
-    sim.run()
-    assert not sim._event_pool
 
 
 def test_pool_is_bounded():
@@ -252,50 +280,38 @@ def test_different_instants_do_not_coalesce():
     assert list(network.mailbox("dst")._items) == ["big", "small", "later"]
 
 
-def test_coalescing_disabled_under_reference_engine(monkeypatch):
-    monkeypatch.setenv("REPRO_DISABLE_FASTPATH", "1")
+def test_coalesced_delivery_matches_the_per_message_model():
+    """Three senders (one of them local) feed one mailbox with messages whose
+    arrivals collide, clamp behind a larger one, or stand alone: the consumer
+    sees each message at its own delivery instant, in send order within an
+    instant, as if every message had been its own delivery event."""
+    cost = CostModel(network_latency=1e-3, network_bandwidth=1e6)
     sim = Simulator()
-    network = Network(sim, _flat_cost())
+    network = Network(sim, cost)
     inbox = network.register("dst", 1)
-    network.send(0, "dst", "a", 0)
-    network.send(0, "dst", "b", 0)
-    assert network.stats.delivery_events == 2
-    assert network.stats.coalesced_messages == 0
+    received, sends = [], []
+
+    def consumer():
+        while True:
+            payload = yield inbox.get()
+            received.append((payload, sim.now))
+
+    def producer(src, sizes, pause):
+        for round_index in range(3):
+            for index, size in enumerate(sizes):
+                payload = f"{src}:{round_index}.{index}"
+                sends.append((sim.now, src, 1, payload, size))
+                network.send(src, "dst", payload, size)
+            yield pause
+
+    sim.process(consumer())
+    sim.process(producer(0, (64, 64, 1000, 0), 5e-4))
+    sim.process(producer(2, (64, 0), 5e-4))
+    sim.process(producer(1, (8,), 2.5e-4))
     sim.run()
-    assert list(inbox._items) == ["a", "b"]
-
-
-def test_coalesced_delivery_is_deterministic(monkeypatch):
-    """Same scenario, fast vs reference engine: identical order and times."""
-
-    def run_once():
-        sim = Simulator()
-        network = Network(sim, _flat_cost())
-        inbox = network.register("dst", 1)
-        network.register("other", 2)
-        received = []
-
-        def consumer():
-            while True:
-                payload = yield inbox.get()
-                received.append((payload, sim.now))
-
-        def producer():
-            for round_index in range(3):
-                for payload in ("x", "y", "z"):
-                    network.send(0, "dst", f"{payload}{round_index}", 64)
-                yield 5e-4
-
-        sim.process(consumer())
-        sim.process(producer())
-        sim.run()
-        return received
-
-    monkeypatch.delenv("REPRO_DISABLE_FASTPATH", raising=False)
-    fast = run_once()
-    monkeypatch.setenv("REPRO_DISABLE_FASTPATH", "1")
-    reference = run_once()
-    assert fast == reference
+    assert network.stats.coalesced_messages > 0
+    assert network.stats.delivery_events + network.stats.coalesced_messages == len(sends)
+    assert received == reference_order.per_message_deliveries(cost, sends)
 
 
 def test_sink_receives_at_delivery_instant():

@@ -270,11 +270,6 @@ def test_fallback_on_single_node_cluster():
     assert "single node" in parallel_fallback_reason(_make_ps(num_nodes=1))
 
 
-def test_fallback_on_reference_engine(monkeypatch):
-    monkeypatch.setenv("REPRO_DISABLE_FASTPATH", "1")
-    assert "reference engine" in parallel_fallback_reason(_make_ps())
-
-
 def test_fallback_on_failed_nodes():
     """A currently-failed node means recovery is still in progress; the
     epoch stays sequential.  Once the node is restored, sharding resumes."""
