@@ -232,13 +232,16 @@ class TaskRunResult:
     effective_jobs: int = 1
     #: Training steps a fused runner ran (block-visit entries, verified
     #: steps) and handed back to the per-step path, the latter by reason,
-    #: and real-backend block visits whose write lost a race
+    #: real-backend block visits whose write lost a race, and the
+    #: simulator's commits of block-visit numerics with the visits they ran
     #: (:class:`~repro.ml.common.FusedLaneCounts`); all 0 where the system
     #: or engine offers no runner.
     fused_steps: int = 0
     declined_steps: int = 0
     decline_reasons: Dict[str, int] = field(default_factory=dict)
     visit_conflicts: int = 0
+    visit_commits: int = 0
+    committed_visits: int = 0
     #: The run's :class:`~repro.obs.Tracer` when tracing was enabled (call
     #: ``result.tracer.export(path)`` / ``.summary()``); ``None`` otherwise.
     tracer: Optional[Any] = field(default=None, compare=False, repr=False)
@@ -286,6 +289,8 @@ def _task_result(
         declined_steps=trainer.declined_steps,
         decline_reasons=dict(trainer.decline_reasons),
         visit_conflicts=trainer.visit_conflicts,
+        visit_commits=trainer.visit_commits,
+        committed_visits=trainer.committed_visits,
         tracer=ps.tracer,
     )
     if ps.tracer is not None:
@@ -294,6 +299,8 @@ def _task_result(
             "declined_steps": result.declined_steps,
             "decline_reasons": result.decline_reasons,
             "visit_conflicts": result.visit_conflicts,
+            "visit_commits": result.visit_commits,
+            "committed_visits": result.committed_visits,
             "parallel_fallback_reason": result.parallel_fallback_reason,
         }
     return result

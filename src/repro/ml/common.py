@@ -81,9 +81,11 @@ class FusedLaneCounts:
     tallied by reason in ``decline_reasons`` (see
     :class:`~repro.ps.base.FusedLocalSteps`); ``visit_conflicts`` counts the
     real backend's block visits whose compare-and-swap write lost a race.
-    All stay 0 where no runner is offered.  Kept off
-    :class:`~repro.ps.metrics.PSMetrics`: they describe the engine, not the
-    simulated system.
+    ``visit_commits`` counts the simulator's commits of block-visit numerics
+    and ``committed_visits`` the visits they ran (see
+    :meth:`~repro.ps.base.FusedLocalSteps.commit`).  All stay 0 where no
+    runner is offered.  Kept off :class:`~repro.ps.metrics.PSMetrics`: they
+    describe the engine, not the simulated system.
     """
 
     def __init__(self) -> None:
@@ -91,18 +93,23 @@ class FusedLaneCounts:
         self.declined_steps = 0
         self.decline_reasons: Counter = Counter()
         self.visit_conflicts = 0
+        self.visit_commits = 0
+        self.committed_visits = 0
 
-    def count_lanes(self, counts: Tuple[int, Dict[str, int], int]) -> None:
+    def count_lanes(self, counts: Tuple[int, Dict[str, int], int, int, int]) -> None:
         """Add what one worker's runner reported (:func:`lane_counts`)."""
-        taken, reasons, conflicts = counts
+        taken, reasons, conflicts, commits, committed = counts
         self.fused_steps += taken
         self.declined_steps += sum(reasons.values())
         self.decline_reasons.update(reasons)
         self.visit_conflicts += conflicts
+        self.visit_commits += commits
+        self.committed_visits += committed
 
 
-def lane_counts(runner: Optional[Any]) -> Tuple[int, Dict[str, int], int]:
+def lane_counts(runner: Optional[Any]) -> Tuple[int, Dict[str, int], int, int, int]:
     """What a worker reports home of its fused runner (zeros without one)."""
     if runner is None:
-        return 0, {}, 0
-    return runner.taken, dict(runner.reasons), getattr(runner, "conflicts", 0)
+        return 0, {}, 0, 0, 0
+    extras = [getattr(runner, name, 0) for name in ("conflicts", "commits", "committed")]
+    return (runner.taken, dict(runner.reasons), *extras)

@@ -18,8 +18,7 @@ stale PS a clock advance per subepoch refreshes the replicas.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Generator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from repro.ml.common import FusedLaneCounts, lane_counts, maybe_localize, subepo
 from repro.ml.metrics import rmse
 from repro.ml.results import EpochResult
 from repro.pal.parameter_blocking import BlockSchedule, block_of_keys, keys_of_block
-from repro.ps.base import ParameterServer
+from repro.ps.base import ParameterServer, commit_visits
 
 
 @dataclass(frozen=True)
@@ -109,7 +108,7 @@ class _EpochPlan:
 
     ``entries`` holds the per-(worker, block) entry index arrays in visit
     order.  ``levels`` holds each visit's :func:`level_schedule` — positions
-    into its ``entries`` in level order, and the level offsets — built at
+    into its ``entries`` in level order, and the level of each — built at
     the first visit the block-visit kernel takes.  Rows, columns and values
     are gathered per visit (transient, so the cache never retains copies of
     the data).
@@ -117,7 +116,25 @@ class _EpochPlan:
 
     schedule: BlockSchedule
     entries: Dict[Tuple[int, int], "np.ndarray"]
-    levels: Dict[Tuple[int, int], Tuple["np.ndarray", List[int]]] = field(default_factory=dict)
+    levels: Dict[Tuple[int, int], Tuple["np.ndarray", "np.ndarray"]] = field(default_factory=dict)
+
+
+class VisitKernel(NamedTuple):
+    """The kernel :meth:`~repro.ps.base.FusedLocalSteps.visit` takes for one
+    block visit from entry ``start`` on: called, it runs the visit alone;
+    visits pending together run as one ``batch`` (``_run_levels``) call."""
+
+    batch: Callable[[list], None]
+    plan: _EpochPlan
+    cell: Tuple[int, int]
+    first_key: int
+    start: int
+
+    def __call__(
+        self, columns: np.ndarray, deltas: Optional[np.ndarray] = None, count: Optional[int] = None
+    ) -> np.ndarray:
+        self.batch([(self, columns, deltas, count)])
+        return columns
 
 
 class MatrixFactorizationTrainer(FusedLaneCounts):
@@ -230,6 +247,8 @@ class MatrixFactorizationTrainer(FusedLaneCounts):
         epoch = self._epochs_run
         start_time = self.ps.simulated_time
         results = self.ps.run_workers(worker_fn, clients=clients)
+        # A visit commits by its worker's resume; none may outlive the epoch.
+        commit_visits(self.ps.pending_visits)
         for result in results:
             if result is not None:
                 low, high, rows, counts, levels = result
@@ -267,7 +286,7 @@ class MatrixFactorizationTrainer(FusedLaneCounts):
                         block_keys,
                         matrix.cols[indices[start:]],
                         compute_time,
-                        partial(self._run_levels, plan, visit, block_keys[0], start=start),
+                        VisitKernel(self._run_levels, plan, visit, block_keys[0], start),
                     )
                     wake = fused.drain()
                     if wake is not None:
@@ -328,47 +347,63 @@ class MatrixFactorizationTrainer(FusedLaneCounts):
         return low, high, row_factors[low:high], counts, levels
 
     def _run_levels(
-        self,
-        plan: _EpochPlan,
-        visit: Tuple[int, int],
-        first_key: int,
-        columns: np.ndarray,
-        deltas: Optional[np.ndarray] = None,
-        count: Optional[int] = None,
-        start: int = 0,
-    ) -> np.ndarray:
-        """The block-visit kernel: one batched SGD step per dependency level.
+        self, visits: List[Tuple[VisitKernel, np.ndarray, Optional[np.ndarray], Optional[int]]]
+    ) -> None:
+        """The block-visit kernel: one batched SGD step per dependency level,
+        for any number of visits that share no row and no column.
 
-        ``columns`` holds the factors of the block's keys (``first_key``
-        onwards) and is returned as the per-entry loop would have left them
-        after the visit's entries ``start`` to ``start + count`` (all from
-        ``start`` by default), run on the factors the entries before
-        ``start`` left.  Every expression is the loop's own, element-wise
-        over the level; the dot is the stacked ``matmul`` because it reduces
-        each row pair the way the scalar ``row @ col`` does (``einsum`` and
-        ``(a * b).sum(1)`` sum in another order and differ in the last bits).
-        A contiguous run of the visit keeps each of its entries' levels — an
-        entry's earlier same-row and same-column entries in the run sit in
-        lower levels — so it runs as every level filtered to ``start <= order
-        < start + count``.  ``deltas``, when given, receives at row ``k`` the
-        update the loop pushes for the run's ``k``-th entry (visit entry
-        ``start + k``).
+        Each visit is ``(kernel, columns, deltas, count)``.  ``columns``
+        holds the factors of the block's keys (``kernel.first_key`` onwards)
+        and is left as the per-entry loop would have left it after the
+        visit's entries ``start`` to ``start + count`` (all from ``start`` by
+        default), run on the factors the entries before ``start`` left.
+        Every expression is the loop's own, element-wise over the level; the
+        dot is the stacked ``matmul`` because it reduces each row pair the
+        way the scalar ``row @ col`` does (``einsum`` and ``(a * b).sum(1)``
+        sum in another order and differ in the last bits).  A contiguous run
+        of the visit keeps each of its entries' levels — an entry's earlier
+        same-row and same-column entries in the run sit in lower levels — so
+        it runs as every level filtered to ``start <= order < start +
+        count``.  Visits that share no factor (the workers of one DSGD
+        subepoch) keep their levels side by side: the runs' entries, stably
+        sorted by level, run against one table of every block's columns.
+        ``deltas``, when given, receives at row ``k`` the update the loop
+        pushes for the run's ``k``-th entry (visit entry ``start + k``).
         """
         matrix = self.matrix
-        if visit not in plan.levels:
-            indices = plan.entries[visit]
-            plan.levels[visit] = level_schedule(matrix.rows[indices], matrix.cols[indices])
-        order, bounds = plan.levels[visit]
-        end = len(order) if count is None else start + count
-        if start or end < len(order):
-            kept = (order >= start) & (order < end)
-            bounds = np.concatenate(([0], np.cumsum(kept)))[bounds].tolist()
-            order = order[kept]
-        indices = plan.entries[visit][order]
+        runs, levels, cols, positions, spans = [], [], [], [], []
+        offset = length = 0
+        logged = False
+        for kernel, columns, deltas, count in visits:
+            logged |= deltas is not None
+            plan, cell, start = kernel.plan, kernel.cell, kernel.start
+            if cell not in plan.levels:
+                indices = plan.entries[cell]
+                order, bounds = level_schedule(matrix.rows[indices], matrix.cols[indices])
+                plan.levels[cell] = order, np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+            order, level = plan.levels[cell]
+            end = len(order) if count is None else start + count
+            if start or end < len(order):
+                kept = (order >= start) & (order < end)
+                order, level = order[kept], level[kept]
+            run = plan.entries[cell][order]
+            runs.append(run)
+            levels.append(level)
+            cols.append(matrix.cols[run] + (offset - kernel.first_key))
+            positions.append(order + (length - start))
+            spans.append((offset, length))
+            offset += len(columns)
+            length += end - start
+        level = np.concatenate(levels)
+        by_level = np.argsort(level, kind="stable") if len(visits) > 1 else slice(None)
+        bounds = [0, *np.cumsum(np.bincount(level)).tolist()]
+        indices = np.concatenate(runs)[by_level]
         rows = matrix.rows[indices]
-        cols = matrix.cols[indices] - first_key
+        cols = np.concatenate(cols)[by_level]
         values = matrix.values[indices].astype(np.float64).reshape(-1, 1)
-        positions = order - start
+        positions = np.concatenate(positions)[by_level]
+        columns = np.concatenate([visit[1] for visit in visits])
+        deltas = np.empty((length, columns.shape[1])) if logged else None
         learning_rate = self.config.learning_rate
         regularization = self.config.regularization
         row_factors = self.row_factors
@@ -387,7 +422,10 @@ class MatrixFactorizationTrainer(FusedLaneCounts):
             columns[level_cols] = col_factor + update
             if deltas is not None:
                 deltas[positions[low:high]] = update
-        return columns
+        for (_, block, block_deltas, _), (at, written) in zip(visits, spans):
+            block[:] = columns[at : at + len(block)]
+            if block_deltas is not None:
+                block_deltas[:] = deltas[written : written + len(block_deltas)]
 
     # ------------------------------------------------------------- evaluation
     def column_factors(self) -> np.ndarray:

@@ -6,7 +6,8 @@ sampled counter trajectories — the latency/locality view of the paper's
 Tables 3 and 5, reconstructed from one trace file instead of a live run —
 and, for a run exported by the experiment runner, its decisions: steps the
 fused runner ran and declined (by reason), real-backend visit conflicts,
-and why the parallel engine fell back, if it did.
+how many block visits each commit of their numerics ran, and why the
+parallel engine fell back, if it did.
 
 ``--validate`` additionally checks the file against the Chrome trace-event
 schema (exit code 1 on a malformed trace), which is how the CI ``obs-smoke``
@@ -158,6 +159,9 @@ def report(document: Dict[str, Any], top_keys: int = 10) -> None:
         ):
             print(f"  declined  {count:>8}  {reason}")
         print(f"  visit conflicts: {decisions['visit_conflicts']}")
+        commits, committed = decisions["visit_commits"], decisions["committed_visits"]
+        width = f", {committed / commits:.2f} per commit" if commits else ""
+        print(f"  visit commits: {commits} ({committed} visits{width})")
         fallback = decisions["parallel_fallback_reason"]
         print(f"  parallel fallback: {fallback or 'none'}")
 

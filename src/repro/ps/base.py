@@ -346,11 +346,14 @@ class FusedLocalSteps:
     so no other event could have observed or reordered the read and the
     write.  Anything else declines and the caller takes the event path.
 
-    Both lanes write at the issue instant what the event path writes later.
-    On a logged store (a :class:`~repro.durability.DurabilityConfig`) that is
-    unobservable as long as no lazy checkpoint of the node falls due up to
-    the write: checkpoints are per node and fire only on an append at or
-    after their due time, so they see the same store either way.
+    Both lanes write what the event path writes entry by entry at one
+    instant: the step's or visit's own, or, for a visit on an unlogged
+    store, the first resume of a worker with a visit pending
+    (:meth:`commit`).  On a logged store (a
+    :class:`~repro.durability.DurabilityConfig`) that is unobservable as
+    long as no lazy checkpoint of the node falls due up to the write:
+    checkpoints are per node and fire only on an append at or after their
+    due time, so they see the same store either way.
 
     Only management policies whose local access has no side effects beyond
     storage/latch/metric accounting offer the runner, and they may hold
@@ -361,6 +364,7 @@ class FusedLocalSteps:
     __slots__ = (
         "sim", "storage", "latches", "metrics", "access_delay", "clock", "trace", "guard",
         "state", "policy", "recorder", "checkpoints", "elastic", "taken", "reasons", "hazard",
+        "pending", "commits", "committed",
     )
 
     def __init__(self, client: "WorkerClient", guard: Optional[Callable[[int], Any]]) -> None:
@@ -402,6 +406,13 @@ class FusedLocalSteps:
         #: block keys an unsettled rebalance moves — else None (the visit ran
         #: everything, or was refused for good).
         self.hazard: Optional[Tuple[str, Any]] = None
+        #: The server's queue of visits whose numerics still have to run,
+        #: shared by the runners of all its workers (:meth:`commit`).
+        self.pending: List[Tuple] = client.ps.pending_visits
+        #: Commits this runner made, and the visits they ran (several per
+        #: commit where concurrent visits were pending together).
+        self.commits = 0
+        self.committed = 0
         #: Replayed worker clock: the simulated time this worker would have
         #: reached had every fused step gone through the kernel.  The deltas
         #: are added one at a time, in slow-path order, so the final resume
@@ -454,13 +465,18 @@ class FusedLocalSteps:
         pull, ``+ compute_time``; the asynchronous push costs the worker
         nothing), reports each step's spans at those instants, and replaces
         the block's values by ``kernel(values, deltas, n)``, which must leave
-        them as the first ``n`` steps would have in entry order.  ``deltas``
-        is None on an unlogged store; on a logged one the kernel sets its row
-        ``k`` to the update entry ``k`` pushes, the block is written past the
-        log, and the WAL takes one single-row ``delta`` record per entry, in
-        entry order (:meth:`~repro.durability.wal.DeltaWAL.append_deltas`) —
-        the records of the event path's writes, all appended before the due
-        time.
+        them as the first ``n`` steps would have in entry order.
+
+        On an unlogged store the numerics wait: the visit queues ``(store,
+        block_keys, kernel, n)`` in :attr:`pending`, and :meth:`commit` runs
+        them, with ``deltas`` None, when the first worker resumes from its
+        :meth:`drain` — no later than this worker's own resume, where the
+        block's privacy window ends, so no other event can tell.  On a logged
+        store they run at the visit: the kernel sets row ``k`` of ``deltas``
+        to the update entry ``k`` pushes, the block is written past the log,
+        and the WAL takes one single-row ``delta`` record per entry, in entry
+        order (:meth:`~repro.durability.wal.DeltaWAL.append_deltas`) — the
+        records of the event path's writes, all appended before the due time.
         """
         self.hazard = None
         count = len(entry_keys)
@@ -525,10 +541,12 @@ class FusedLocalSteps:
                 trace.fused("pull", key, instants[2 * index], read_at)
                 trace.fused("push", key, read_at, read_at)
         storage = self.storage
-        values = storage.get_many(block_keys)
         if checkpoints is None:
-            storage.set_many(block_keys, kernel(values, None, taken))
+            self.pending.append((storage, block_keys, kernel, taken))
             return taken
+        self.commits += 1
+        self.committed += 1
+        values = storage.get_many(block_keys)
         deltas = np.empty((taken, 1, storage.value_length))
         storage.inner.set_many(block_keys, kernel(values, deltas[:, 0], taken))
         storage.wal.append_deltas(entry_keys[:taken].tolist(), deltas)
@@ -624,15 +642,52 @@ class FusedLocalSteps:
 
         The trainer must ``yield`` the returned event before any non-fused
         operation, synchronization, or the end of its block — that closes the
-        privacy window and realigns the worker with the kernel clock.
+        privacy window and realigns the worker with the kernel clock.  While
+        visits are pending, the event commits them (:meth:`commit`) before
+        it resumes the worker; a worker already caught up commits at once.
         """
         clock = self.clock
         if clock is None:
             return None
         self.clock = None
         if clock == self.sim._now:
+            self.commit()
             return None
-        return self.sim.wake_at(clock)
+        wake = self.sim.wake_at(clock)
+        if self.pending:
+            wake.callbacks.append(self.commit)
+        return wake
+
+    def commit(self, wake: Optional[Event] = None) -> None:
+        """Run the numerics of every pending visit (the drain ``wake``'s
+        first callback).  Visits whose kernels share a ``batch`` run as one
+        ``batch([(kernel, values, None, count), ...])`` call, which replaces
+        each ``values`` in place; any other kernel runs alone."""
+        merged = commit_visits(self.pending)
+        if merged:
+            self.commits += 1
+            self.committed += merged
+
+
+def commit_visits(pending: List[Tuple]) -> int:
+    """Commit and empty a queue of pending block visits (see
+    :meth:`FusedLocalSteps.commit`); returns how many it held."""
+    batches: Dict[Any, List[Tuple]] = {}
+    writes = []
+    for storage, keys, kernel, count in pending:
+        values = storage.get_many(keys)
+        batch = getattr(kernel, "batch", None)
+        if batch is None:
+            values = kernel(values, None, count)
+        else:
+            batches.setdefault(batch, []).append((kernel, values, None, count))
+        writes.append((storage, keys, values))
+    pending.clear()
+    for batch, visits in batches.items():
+        batch(visits)
+    for storage, keys, values in writes:
+        storage.set_many(keys, values)
+    return len(writes)
 
 
 class WorkerClient:
@@ -777,7 +832,12 @@ class WorkerClient:
     def push_async(
         self, keys: Sequence[int], updates: Any, needs_ack: bool = False
     ) -> OperationHandle:
-        """Asynchronously push ``updates`` for ``keys``."""
+        """Asynchronously push ``updates`` for ``keys``.
+
+        Only the real backend honours ``needs_ack``.  In the simulator a
+        remote push always asks for an ack and completes when it arrives,
+        as with ``needs_ack=True``; honouring it would move the golden digests.
+        """
         keys = self._check_keys(keys)
         updates = self._prepare_updates(keys, updates)
         handle = OperationHandle(self.sim, "push", keys, self.value_length)
@@ -1158,6 +1218,9 @@ class ParameterServer:
         self._response_observer = self.management_policy.response_observer()
         self._start_threads()
         self._clients: Dict[Tuple[int, int], WorkerClient] = {}
+        #: Block visits of the asserted fused lane whose numerics have not
+        #: run yet (:meth:`FusedLocalSteps.visit`); empty between runs.
+        self.pending_visits: List[Tuple] = []
         if trace is not None and trace.enabled:
             # Observation only (no kernel events, no RNG draws), so traced
             # runs stay bit-identical to untraced ones.  Imported lazily for

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.config import derive_seed
 from repro.ml import KGEConfig, KGETrainer
-from repro.ml.common import maybe_localize, needs_clock, supports_localize
+from repro.ml.common import lane_counts, maybe_localize, needs_clock, supports_localize
 from repro.ml.metrics import log_loss
 from repro.ml.optim import AdaGradPacking
 from repro.pal.latency_hiding import Prelocalizer
@@ -184,7 +184,7 @@ class ReferenceKGETrainer(KGETrainer):
         yield from client.barrier()
         if needs_clock(self.ps):
             yield from client.clock()
-        return 0, {}, 0  # no fused runner
+        return lane_counts(None)  # no fused runner
 
     def evaluation_loss(self, num_samples: int = 200, seed: int = 7) -> float:
         rng = np.random.default_rng(seed)

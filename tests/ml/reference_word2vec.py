@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.config import derive_seed
 from repro.ml import Word2VecTrainer
-from repro.ml.common import needs_clock, supports_localize
+from repro.ml.common import lane_counts, needs_clock, supports_localize
 from repro.ml.metrics import sigmoid
 from repro.pal.latency_hiding import Prelocalizer
 
@@ -110,7 +110,7 @@ class ReferenceWord2VecTrainer(Word2VecTrainer):
         yield from client.barrier()
         if needs_clock(self.ps):
             yield from client.clock()
-        return skipped_negatives, (0, {}, 0)  # no fused runner
+        return skipped_negatives, lane_counts(None)  # no fused runner
 
     def _train_pair_scalar(
         self, client, center: int, context: int, negatives: Sequence[int]

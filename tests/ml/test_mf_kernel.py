@@ -25,9 +25,14 @@ from repro.config import ClusterConfig, ParameterServerConfig
 from repro.data import generate_matrix
 from repro.data.synthetic_matrix import SyntheticMatrix
 from repro.durability import DurabilityConfig, replay_records
-from repro.experiments.runner import MFScale, make_elastic_mf, make_parameter_server
-from repro.ml import MatrixFactorizationConfig, MatrixFactorizationTrainer
-from repro.ml.matrix_factorization import level_schedule
+from repro.experiments.runner import (
+    MFScale,
+    make_elastic_mf,
+    make_parameter_server,
+    run_mf_experiment,
+)
+from repro.ml import MatrixFactorizationConfig, MatrixFactorizationTrainer, matrix_factorization
+from repro.ml.matrix_factorization import VisitKernel, _EpochPlan, level_schedule
 from repro.pal.parameter_blocking import keys_of_block
 from repro.ps.base import FusedLocalSteps, WorkerClient
 from repro.ps.partition import ElasticPartitioner
@@ -247,10 +252,9 @@ def test_levels_of_an_inner_run_equal_the_loop_after_the_entries_before_it(start
     expected = (columns.tobytes(), trainer.row_factors.tobytes(), expected_updates.tobytes())
     trainer.row_factors[:] = before_rows
     deltas = np.full((len(run), 4), np.nan)
-    kernel = trainer._run_levels(
-        plan, visit, first_key, before_columns, deltas, count, start=start
-    )
-    assert (kernel.tobytes(), trainer.row_factors.tobytes(), deltas.tobytes()) == expected
+    kernel = VisitKernel(trainer._run_levels, plan, visit, first_key, start)
+    columns = kernel(before_columns, deltas, count)
+    assert (columns.tobytes(), trainer.row_factors.tobytes(), deltas.tobytes()) == expected
     assert not np.array_equal(trainer.row_factors, initial_rows)
 
 
@@ -710,7 +714,7 @@ def recorded_visits():
 
     def recording(self, block_keys, entry_keys, compute_time, kernel):
         taken = visit(self, block_keys, entry_keys, compute_time, kernel)
-        seen.append((taken, len(entry_keys), kernel.keywords["start"], self.hazard is not None))
+        seen.append((taken, len(entry_keys), kernel.start, self.hazard is not None))
         return taken
 
     with mock.patch.object(FusedLocalSteps, "visit", recording):
@@ -768,3 +772,155 @@ def test_without_compute_time_a_cut_visit_is_never_resumed():
     assert durable_log(fused[0].ps) == durable_log(oracle[0].ps)
     assert any(cut and entries - taken > 1 for taken, entries, _, cut in visits)
     assert all(start == 0 for _, _, start, _ in visits)
+
+
+# ------------------------------------- concurrent visits, one kernel call
+@st.composite
+def concurrent_visits(draw):
+    """Up to four visits, each over rows and columns of its own (as the
+    workers of one DSGD subepoch), with repeated cells, empty visits, a
+    ``start`` / ``count`` cut each, and deltas asked for or not."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    visits, rows, cols = [], [], []
+    num_rows = num_cols = 0
+    for _ in range(draw(st.integers(1, 4))):
+        height, width, size = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(0, 40))
+        start = draw(st.integers(0, size))
+        count = draw(st.none() | st.integers(0, size - start))
+        entries = np.arange(len(rows), len(rows) + size)
+        rows += rng.integers(num_rows, num_rows + height, size=size).tolist()
+        cols += rng.integers(num_cols, num_cols + width, size=size).tolist()
+        visits.append((entries, num_cols, width, start, count, draw(st.booleans())))
+        num_rows, num_cols = num_rows + height, num_cols + width
+    matrix = coordinate_matrix(num_rows, num_cols, rows, cols, seed=int(rng.integers(2**31)))
+    return matrix, visits
+
+
+@given(drawn=concurrent_visits(), rank=st.sampled_from(RANKS))
+@settings(max_examples=100, deadline=None)
+def test_concurrent_visits_in_one_kernel_call_equal_one_call_each(drawn, rank):
+    """Visits sharing no row and no column, run as one level schedule, leave
+    row factors, every block's columns and every visit's deltas byte for
+    byte as running them one after another does."""
+    matrix, drawn_visits = drawn
+    ps = make_parameter_server(
+        "lapse",
+        ClusterConfig(num_nodes=1, workers_per_node=1, seed=0),
+        ParameterServerConfig(num_keys=matrix.num_cols, value_length=rank),
+    )
+    trainer = MatrixFactorizationTrainer(ps, matrix, MatrixFactorizationConfig(rank=rank))
+    initial_rows = trainer.row_factors.copy()
+    initial = np.random.default_rng(rank).normal(size=(matrix.num_cols, rank))
+
+    def run(together):
+        trainer.row_factors[:] = initial_rows
+        plan = _EpochPlan(trainer.schedule, {})
+        visits = []
+        for cell, (entries, first_key, width, start, count, logged) in enumerate(drawn_visits):
+            plan.entries[cell] = entries
+            run_length = len(entries) - start if count is None else count
+            deltas = np.full((run_length, rank), np.nan) if logged else None
+            kernel = VisitKernel(trainer._run_levels, plan, cell, first_key, start)
+            visits.append((kernel, initial[first_key : first_key + width].copy(), deltas, count))
+        if together:
+            trainer._run_levels(visits)
+        else:
+            for kernel, columns, deltas, count in visits:
+                kernel(columns, deltas, count)
+        return trainer.row_factors.tobytes(), [
+            (columns.tobytes(), None if deltas is None else deltas.tobytes())
+            for _, columns, deltas, _ in visits
+        ]
+
+    assert run(together=True) == run(together=False)
+
+
+#: Visits long enough that all workers of a subepoch visit before the first
+#: of them resumes (at the golden scale some localizes outlast a visit).
+MERGE_SCALE = MFScale(num_rows=64, num_cols=16, num_entries=800, rank=4)
+
+
+def test_concurrent_visits_commit_together_and_logged_visits_alone():
+    """On 2x2 Lapse the four workers of a subepoch visit at once and the
+    first of them to resume commits all four visits; on a logged store every
+    visit commits at its own instant."""
+    scale = MERGE_SCALE
+    volatile = run_mf_experiment("lapse", 2, scale, workers_per_node=2, epochs=2)
+    assert (volatile.visit_commits, volatile.committed_visits) == (2 * 4, 2 * 4 * 4)
+    logged = run_mf_experiment(
+        "lapse", 2, scale, workers_per_node=2, epochs=2, durability=DurabilityConfig()
+    )
+    assert logged.visit_commits == logged.committed_visits >= 2 * 4 * 4
+
+
+@contextlib.contextmanager
+def left_to_the_epoch():
+    """How many visits each ``run_epoch`` found still pending at its end."""
+    left = []
+    commit = matrix_factorization.commit_visits
+
+    def recording(pending):
+        left.append(len(pending))
+        return commit(pending)
+
+    with mock.patch.object(matrix_factorization, "commit_visits", recording):
+        yield left
+
+
+@pytest.mark.parametrize("jobs,width", [(1, 4), (2, 2)])
+def test_every_visit_commits_by_its_workers_resume(jobs, width):
+    """Nothing is left for ``run_epoch`` to commit: every visit commits by
+    its worker's resume.  Sharded, each shard's two workers commit
+    together."""
+    scale = MERGE_SCALE
+    matrix = generate_matrix(scale.num_rows, scale.num_cols, scale.num_entries, rank=4, seed=3)
+    with left_to_the_epoch() as left, recorded_visits() as visits:
+        trainer, _ = train("lapse", matrix, compute_time=scale.compute_time_per_entry, jobs=jobs)
+    assert left == [0, 0] and trainer.ps.pending_visits == []
+    assert trainer.committed_visits == width * trainer.visit_commits > 0
+    if jobs == 1:
+        assert trainer.committed_visits == sum(1 for taken, *_ in visits if taken)
+
+
+def test_elastic_visits_without_a_wal_commit_by_their_workers_resume():
+    with left_to_the_epoch() as left:
+        trainer, _ = churn("lapse", "volatile", "join", 1, 0, withhold=False)
+    assert left == [0, 0, 0] and trainer.ps.pending_visits == []
+    assert trainer.committed_visits > trainer.visit_commits > 0
+
+
+@pytest.mark.parametrize("logged", [False, True])
+def test_a_logged_visit_writes_at_its_instant_an_unlogged_one_at_the_resume(logged):
+    """A logged visit writes its block and appends its records inside the
+    event that runs it; an unlogged one leaves the store to the first
+    resume of a worker with a pending visit, which commits before the worker
+    runs on."""
+    ps = small_server("lapse", DurabilityConfig() if logged else None)
+    runner = ps.client(0, 0).fused_local_steps()
+    seen = []
+
+    def kernel(columns, deltas, count):
+        columns += 1.0
+        if deltas is not None:
+            deltas[:] = 1.0
+        return columns
+
+    def observe_store():
+        records = len(ps.durability.wals[0].records) if logged else 0
+        return ps.all_parameters()[0, 0], records, len(ps.pending_visits)
+
+    def worker():
+        yield 1e-3
+        before = observe_store()
+        assert runner.visit([0, 1, 2], np.array([1, 1, 2]), 2e-6, kernel) == 3
+        seen.append(np.subtract(observe_store(), before).tolist())
+        yield runner.drain()
+        seen.append(np.subtract(observe_store(), before).tolist())
+
+    ps.sim.process(worker())
+    ps.run()
+    if logged:
+        assert seen == [[1.0, 3, 0], [1.0, 3, 0]]
+    else:
+        assert seen == [[0.0, 0, 1], [1.0, 0, 0]]
+    assert (runner.commits, runner.committed) == (1, 1)

@@ -136,8 +136,9 @@ def test_selective_kinds():
 
 
 def test_report_shows_the_decisions_of_a_traced_churn_run(tmp_path, capsys):
-    """A churn run's fused and declined steps (by reason), visit conflicts
-    and parallel fallback travel in the exported trace to the report."""
+    """A churn run's fused and declined steps (by reason), visit conflicts,
+    visit commits and parallel fallback travel in the exported trace to the
+    report.  With a WAL every visit commits on its own."""
     from repro.durability import DurabilityConfig
     from repro.experiments.runner import run_elastic_mf_experiment
 
@@ -162,6 +163,8 @@ def test_report_shows_the_decisions_of_a_traced_churn_run(tmp_path, capsys):
         "declined_steps": result.declined_steps,
         "decline_reasons": reasons,
         "visit_conflicts": 0,
+        "visit_commits": result.visit_commits,
+        "committed_visits": result.visit_commits,
         "parallel_fallback_reason": None,
     }
     assert report_main([str(path)]) == 0
@@ -170,3 +173,6 @@ def test_report_shows_the_decisions_of_a_traced_churn_run(tmp_path, capsys):
     for reason, count in reasons.items():
         assert f"declined  {count:>8}  {reason}" in output
     assert "visit conflicts: 0" in output and "parallel fallback: none" in output
+    commits = result.visit_commits
+    assert commits > 0
+    assert f"visit commits: {commits} ({commits} visits, 1.00 per commit)" in output

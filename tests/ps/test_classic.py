@@ -42,6 +42,26 @@ class TestClassicPullPush:
         ps.run_workers(worker)
         np.testing.assert_allclose(ps.parameter(3), initial[3] + 4.0)
 
+    def test_the_simulator_acknowledges_a_remote_push_without_needs_ack(self):
+        """``push_async(needs_ack=False)`` still asks for an ack: the handle
+        completes when it arrives, with the traffic of ``needs_ack=True``."""
+        seen = []
+        for needs_ack in (False, True):
+            ps, _ = build_classic()
+
+            def worker(client, worker_id, needs_ack=needs_ack, ps=ps):
+                if worker_id == 0:  # key 7 lives on node 1
+                    handle = client.push_async([7], np.ones((1, 2)), needs_ack=needs_ack)
+                    yield handle.completion_event
+                    return handle.done, ps.sim.now
+                return None
+
+            done = ps.run_workers(worker)[0]
+            stats = ps.network.stats
+            seen.append((done, stats.remote_messages, stats.bytes_sent, stats.per_channel_messages))
+        assert seen[0] == seen[1]
+        assert seen[0][0][0] and seen[0][1] == 2  # the request and its ack
+
     def test_pull_sees_prior_push_of_same_worker(self):
         ps, initial = build_classic()
 
