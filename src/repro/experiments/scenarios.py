@@ -306,9 +306,6 @@ def _elastic_lifecycle_row(
         "parallel_fallback_reason": ps._last_fallback_reason,
         "effective_jobs": ps._last_effective_jobs,
         "shard_skew": [h["skew"] for h in (ps.shard_load_history or [])],
-        "shard_replans": sum(
-            1 for h in (ps.shard_load_history or []) if h["replanned"]
-        ),
     }
 
 

@@ -1158,10 +1158,8 @@ class ParameterServer:
     #: run was requested) and the effective shard count that executed.
     _last_fallback_reason: Optional[str] = None
     _last_effective_jobs: int = 1
-    #: Adaptive shard-rebalancing state (:mod:`repro.simnet.parallel`): the
-    #: plan the next parallel epoch forks from, and the per-epoch record of
-    #: executed-event counts / skew / replans.
-    _adaptive_shard_plan: Optional[Any] = None
+    #: Per-epoch record of the parallel engine (:mod:`repro.simnet.parallel`):
+    #: shard count, executed events and window rounds per shard, and skew.
     shard_load_history: Optional[List[dict]] = None
 
     def __init__(

@@ -172,7 +172,7 @@ class Simulator:
         #: Shard-local WAL ordering counter (see :meth:`wal_order_key`).
         self._wal_seq = 0
         #: Events dispatched by :meth:`run_window` since the fork — the
-        #: shard-load signal for adaptive shard rebalancing.
+        #: per-shard load that ``ps.shard_load_history`` records.
         self.executed_events = 0
         #: Exclusive bound of the run loop in progress: ``until`` of
         #: :meth:`run` (``inf`` without a cutoff), ``end`` of

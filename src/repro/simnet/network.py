@@ -150,11 +150,6 @@ class Network:
         self._shard_ranks: Optional[Dict[int, int]] = None
         self._shard_rank: Optional[int] = None
         self._shard_outbox: List[Tuple[float, Tuple, int, Hashable, Any]] = []
-        #: Per-destination-node delivery counts (shard mode only): the load
-        #: signal adaptive shard rebalancing uses to weight the node->shard
-        #: assignment.  Deliveries track where event processing happens, so
-        #: they proxy per-node kernel load.
-        self.node_load: Optional[Dict[int, int]] = None
 
     # ---------------------------------------------------------------- sharding
     def enable_shard_mode(self, node_ranks: Dict[int, int], rank: int) -> None:
@@ -175,7 +170,6 @@ class Network:
         """
         self._shard_ranks = node_ranks
         self._shard_rank = rank
-        self.node_load = {}
 
     def take_shard_outbox(self) -> List[Tuple[float, Tuple, int, Hashable, Any]]:
         """Return and reset the cross-shard records accumulated this window."""
@@ -302,10 +296,24 @@ class Network:
         if size_bytes < 0:
             raise NetworkError(f"message size must be non-negative, got {size_bytes}")
         sim = self.sim
+        lineage = None
         if sim._apply_mode:
-            return self.send_apply(src_node, dst_address, payload, size_bytes)
+            # A replicated membership apply (``ElasticCluster.apply_in_shard``)
+            # runs this send with identical arguments, in identical order, on
+            # every shard.  Two rules keep the shards convergent:
+            # * the scheduling key is drawn unconditionally on every shard,
+            #   even for a send the owner then drops on the failed-node check,
+            #   so the replicated ``_apply_seq`` counters advance in lockstep;
+            # * every other side effect (traffic counters, FIFO channel clock,
+            #   tracer span, scheduling or outbox append) happens only on the
+            #   shard owning the source node: network stats ship home as
+            #   per-shard deltas and are summed, so replicated increments
+            #   would double-count.
+            lineage = sim.apply_lineage()
         lane, channel_clock = self._lane(src_node, dst_address)
         dst_node = lane.dst_node
+        if lineage is not None and self._shard_ranks[src_node] != self._shard_rank:
+            return None
         now = sim._now
         stats = self.stats
         if self._failed_nodes and (
@@ -351,12 +359,21 @@ class Network:
                 # partition whole nodes), so deliver_at >= sent_at + lookahead —
                 # the receiving shard merges it at a future window boundary.
                 stats.delivery_events += 1
+                if lineage is None:
+                    lineage = sim.shard_lineage()
                 self._shard_outbox.append(
-                    (deliver_at, sim.shard_lineage(), dst_node, dst_address, payload)
+                    (deliver_at, lineage, dst_node, dst_address, payload)
                 )
                 return None
-            load = self.node_load
-            load[dst_node] = load.get(dst_node, 0) + 1
+            if lineage is not None:
+                # Apply-mode deliveries are never coalesced: they are always
+                # remote (rebalancing instructions target other nodes), land
+                # at least one lookahead after the barrier, and per-message
+                # heap entries ordered by the apply sequence reproduce the
+                # sequential delivery order exactly.
+                stats.delivery_events += 1
+                sim.schedule_foreign(deliver_at, lineage, lane.put, payload)
+                return None
         batches = self._pending_batches
         batch_key = (dst_address, deliver_at)
         batch = batches.get(batch_key)
@@ -374,86 +391,6 @@ class Network:
         sim.call_later(
             deliver_at - now, self._deliver_batch, (batch_key, batch, lane.put)
         )
-        return None
-
-    def send_apply(
-        self,
-        src_node: int,
-        dst_address: Hashable,
-        payload: Any,
-        size_bytes: int,
-    ) -> Optional[Envelope]:
-        """Shard-mode send while a membership event is being *applied*.
-
-        At a window barrier every shard replays the same cluster event
-        against identical merged control-plane state
-        (:meth:`ClusterDriver.apply_in_shard`), so this method runs — with
-        identical arguments, in identical order — on **all** shards.  Two
-        rules keep the replicated execution convergent:
-
-        * The scheduling key is drawn *unconditionally* on every shard
-          (:meth:`Simulator.apply_lineage`), even for sends the owner
-          subsequently drops on the failed-node check — the replicated
-          ``_apply_seq`` counters must advance in lockstep.
-        * All side effects beyond the key draw (traffic counters, FIFO
-          channel clock, tracer span, scheduling or outbox append) happen
-          only on the shard owning the *source* node, because network stats
-          are shipped to the coordinator as per-shard deltas and summed —
-          replicated increments would double-count.
-
-        Apply-mode deliveries are never coalesced: they are always remote
-        (rebalancing instructions target other nodes), land at least one
-        lookahead after the barrier, and per-message heap entries ordered by
-        the apply sequence reproduce the sequential delivery order exactly.
-        """
-        sim = self.sim
-        lineage = sim.apply_lineage()
-        lane, channel_clock = self._lane(src_node, dst_address)
-        dst_node = lane.dst_node
-        if self._shard_ranks[src_node] != self._shard_rank:
-            return None
-        now = sim._now
-        stats = self.stats
-        if self._failed_nodes and (
-            src_node in self._failed_nodes or dst_node in self._failed_nodes
-        ):
-            stats.dropped_messages += 1
-            return Envelope(
-                src_node=src_node,
-                dst_node=dst_node,
-                dst_address=dst_address,
-                payload=payload,
-                size_bytes=size_bytes,
-                sent_at=now,
-            )
-        stats.messages_sent += 1
-        cost = self.cost_model
-        if lane.local:
-            stats.local_messages += 1
-            delay = cost.ipc_access_latency
-        else:
-            stats.remote_messages += 1
-            stats.bytes_sent += size_bytes
-            per_channel = stats.per_channel_messages
-            channel = lane.channel
-            per_channel[channel] = per_channel.get(channel, 0) + 1
-            delay = cost.message_time(size_bytes)
-        earliest = now + delay
-        last = channel_clock.last
-        deliver_at = earliest if earliest > last else last
-        channel_clock.last = deliver_at
-        tracer = self._tracer
-        if tracer is not None:
-            tracer.net_span(src_node, dst_node, payload, now, deliver_at, size_bytes)
-        stats.delivery_events += 1
-        if self._shard_ranks[dst_node] != self._shard_rank:
-            self._shard_outbox.append(
-                (deliver_at, lineage, dst_node, dst_address, payload)
-            )
-            return None
-        load = self.node_load
-        load[dst_node] = load.get(dst_node, 0) + 1
-        sim.schedule_foreign(deliver_at, lineage, lane.put, payload)
         return None
 
     def _deliver_batch(self, arg: Tuple[Tuple[Hashable, float], List[Any], Any]) -> None:

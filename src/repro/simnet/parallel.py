@@ -37,13 +37,11 @@ windows**:
   records by that key, rewrites provisional LSNs into the cluster total
   order, and stitches records and checkpoints back into the per-node logs,
   so later recovery replays identically to a sequential run.
-* **Adaptive shard rebalancing.**  Each epoch the shards report executed
-  event counts and per-node delivery loads; when the executed-event skew
-  exceeds :data:`SHARD_SKEW_THRESHOLD`, :func:`rebalance_shard_plan`
-  recomputes the node->shard assignment (movement-minimizing LPT greedy)
-  and the next epoch forks from the new plan.  Results are plan-independent
-  (lineage keys reproduce the sequential order under any partition), so the
-  replan is a pure wall-clock optimization.
+* **Shard plan.**  Every epoch forks from contiguous node blocks
+  (:func:`make_shard_plan`).  Results are plan-independent (lineage keys
+  reproduce the sequential order under any partition), so the plan only
+  decides wall-clock load; each epoch records its per-shard executed
+  events and their skew on ``ps.shard_load_history``.
 * **Determinism.**  Every shard-mode event is keyed by its *lineage*: the
   flat tuple ``(sched_time,) + parent_lineage + (shard, seq)`` with
   ``(-inf,)`` as the root's parent, a prefix-free serialization of the
@@ -66,8 +64,8 @@ children run under a :class:`~repro.backend.supervisor.ProcessGroup`: one
 that fails or dies ends the epoch at once, named, and none survives it.
 
 Workloads the window protocol cannot shard (pending failure recovery,
-WAL truncation, single-node clusters, zero network latency, the reference
-engine) are detected by :func:`parallel_fallback_reason` and fall back to
+WAL truncation, single-node clusters, zero network latency, simulated-time
+cutoffs) are detected by :func:`parallel_fallback_reason` and fall back to
 the sequential engine with a once-per-reason warning.
 """
 
@@ -93,10 +91,6 @@ _OP_ID_STRIDE = 1 << 48
 #: shard's result) before declaring the window barrier deadlocked.
 DEFAULT_BARRIER_TIMEOUT = 120.0
 
-#: Executed-event skew (max shard / mean shard) above which the node->shard
-#: assignment is recomputed between epochs.
-SHARD_SKEW_THRESHOLD = 1.5
-
 #: NodeState attributes that must not be shipped between processes: object
 #: graph backlinks (`ps`, `node`, the bound cleanup method) stay the
 #: parent's, and the in-flight tables (`outstanding`, `barrier_waiters`)
@@ -112,8 +106,8 @@ class ShardPlan:
     """The node partition and synchronization constants of one parallel run."""
 
     num_shards: int
-    #: node id -> shard rank (contiguous blocks initially; adaptive
-    #: rebalancing may produce non-contiguous assignments).
+    #: node id -> shard rank.  :func:`make_shard_plan` assigns contiguous
+    #: blocks; the engine is correct under any assignment.
     node_ranks: Dict[int, int]
     #: shard rank -> list of owned node ids.
     shard_nodes: List[List[int]]
@@ -136,57 +130,6 @@ def make_shard_plan(num_nodes: int, jobs: int, lookahead: float) -> ShardPlan:
         node_ranks=node_ranks,
         shard_nodes=shard_nodes,
         lookahead=lookahead,
-    )
-
-
-def rebalance_shard_plan(
-    plan: ShardPlan, shard_events: Sequence[int], node_load: Dict[int, int]
-) -> Tuple[ShardPlan, float]:
-    """Recompute the node->shard assignment when per-shard load skews.
-
-    Returns ``(plan, skew)``: the input plan unchanged while the
-    executed-event skew (max shard / mean shard) stays at or below
-    :data:`SHARD_SKEW_THRESHOLD`, otherwise a movement-minimizing
-    reassignment weighted by per-node delivery counts — heaviest node first
-    onto the least-loaded shard, preferring the node's current shard on
-    ties so as few nodes move as possible (same spirit as
-    ``ElasticPartitioner.rebalance``).  Deterministic: ties break by node
-    id and shard rank.  Simulation results are plan-independent, so a
-    replan only changes wall-clock behaviour.
-    """
-    num_shards = plan.num_shards
-    total = sum(shard_events)
-    if num_shards < 2 or total == 0:
-        return plan, 1.0
-    mean = total / num_shards
-    skew = max(shard_events) / mean
-    if skew <= SHARD_SKEW_THRESHOLD:
-        return plan, skew
-    nodes = sorted(plan.node_ranks)
-    weights = {node: node_load.get(node, 0) for node in nodes}
-    if not any(weights.values()):
-        return plan, skew
-    bins = [0] * num_shards
-    node_ranks: Dict[int, int] = {}
-    for node in sorted(nodes, key=lambda n: (-weights[n], n)):
-        current = plan.node_ranks[node]
-        rank = min(range(num_shards), key=lambda r: (bins[r], r != current, r))
-        node_ranks[node] = rank
-        bins[rank] += weights[node]
-    shard_nodes: List[List[int]] = [[] for _ in range(num_shards)]
-    for node in nodes:
-        shard_nodes[node_ranks[node]].append(node)
-    if any(not owned for owned in shard_nodes):
-        # Degenerate weights left a shard empty; keep the current partition.
-        return plan, skew
-    return (
-        ShardPlan(
-            num_shards=num_shards,
-            node_ranks=node_ranks,
-            shard_nodes=shard_nodes,
-            lookahead=plan.lookahead,
-        ),
-        skew,
     )
 
 
@@ -496,7 +439,6 @@ def _run_shard(
         "unfinished": unfinished,
         "executed_events": sim.executed_events,
         "window_rounds": window_rounds,
-        "node_load": dict(network.node_load),
     }
     if driver is not None:
         payload["elastic"] = driver.shard_epoch_summary(rank)
@@ -552,7 +494,7 @@ def _shard_main(
 
 
 # -------------------------------------------------------------------- parent
-def _apply_payload(ps: Any, plan: ShardPlan, clients: Sequence[Any], payload: Dict) -> None:
+def _apply_payload(ps: Any, clients: Sequence[Any], payload: Dict) -> None:
     """Merge one shard's end-of-epoch state into the parent image."""
     network = ps.network
     for node_id, data in payload["states"].items():
@@ -642,8 +584,7 @@ def run_workers_parallel(
     quiescence, merges the shards' state — node tables, WAL segments,
     membership outcome — back into the parent, and returns the worker
     return values in ``clients`` order — exactly the contract of the
-    sequential ``run_workers``.  Epochs re-fork from the adaptively
-    rebalanced :class:`ShardPlan` recorded on the server.
+    sequential ``run_workers``.
     """
     sim = ps.sim
     # Drain everything scheduled at or below the current time (coordinator
@@ -652,16 +593,9 @@ def run_workers_parallel(
     while sim._ring or (sim._queue and sim._queue[0][0] <= sim._now):
         sim.step()
 
-    num_nodes = ps.cluster.num_nodes
-    lookahead = ps.cluster.cost_model.network_latency
-    plan = getattr(ps, "_adaptive_shard_plan", None)
-    if (
-        plan is None
-        or plan.num_shards != min(jobs, num_nodes)
-        or len(plan.node_ranks) != num_nodes
-        or plan.lookahead != lookahead
-    ):
-        plan = make_shard_plan(num_nodes, jobs, lookahead)
+    plan = make_shard_plan(
+        ps.cluster.num_nodes, jobs, ps.cluster.cost_model.network_latency
+    )
     owned: List[List[Tuple[int, Any]]] = [[] for _ in range(plan.num_shards)]
     for index, client in enumerate(clients):
         owned[plan.node_ranks[client.node_id]].append((index, client))
@@ -702,7 +636,7 @@ def run_workers_parallel(
     final_now = sim._now
     final_sequence = sim._sequence
     for payload in payloads:
-        _apply_payload(ps, plan, clients, payload)
+        _apply_payload(ps, clients, payload)
         for index, value in payload["worker_results"].items():
             results[index] = value
         if payload["now"] > final_now:
@@ -718,15 +652,10 @@ def run_workers_parallel(
     if ps.durability is not None:
         _merge_durability(ps, payloads)
 
-    # Adaptive shard rebalancing: replan between epochs when the executed
-    # event counts skew, so one hot shard stops serializing the run.
+    # Executed-event skew (max shard / mean shard): how evenly the plan
+    # spread this epoch's kernel work.
     shard_events = [payload["executed_events"] for payload in payloads]
-    node_load: Dict[int, int] = {}
-    for payload in payloads:
-        for node_id, count in payload["node_load"].items():
-            node_load[node_id] = node_load.get(node_id, 0) + count
-    next_plan, skew = rebalance_shard_plan(plan, shard_events, node_load)
-    ps._adaptive_shard_plan = next_plan
+    total = sum(shard_events)
     if ps.shard_load_history is None:
         ps.shard_load_history = []
     ps.shard_load_history.append(
@@ -734,9 +663,7 @@ def run_workers_parallel(
             "jobs": plan.num_shards,
             "shard_events": shard_events,
             "window_rounds": [payload["window_rounds"] for payload in payloads],
-            "skew": skew,
-            "node_ranks": dict(next_plan.node_ranks),
-            "replanned": next_plan is not plan,
+            "skew": max(shard_events) / (total / plan.num_shards) if total else 1.0,
         }
     )
     return results

@@ -81,13 +81,13 @@ def test_w2v_identical(system):
     assert _fingerprint(seq) == _fingerprint(par)
 
 
-def _train_mf(system, jobs, plan=None):
-    trainer = _mf_trainer(system, jobs, plan)
+def _train_mf(system, jobs):
+    trainer = _mf_trainer(system, jobs)
     trainer.train(num_epochs=2, compute_loss=False)
     return trainer.column_factors(), trainer.row_factors
 
 
-def _mf_trainer(system, jobs, plan=None):
+def _mf_trainer(system, jobs):
     from repro.config import ClusterConfig, ParameterServerConfig
     from repro.data import generate_matrix
     from repro.ml import MatrixFactorizationConfig, MatrixFactorizationTrainer
@@ -100,8 +100,6 @@ def _mf_trainer(system, jobs, plan=None):
         ParameterServerConfig(num_keys=matrix.num_cols, value_length=4),
         jobs=jobs,
     )
-    if plan is not None:
-        ps._adaptive_shard_plan = plan
     return MatrixFactorizationTrainer(
         ps, matrix, MatrixFactorizationConfig(rank=4), seed=3
     )
@@ -128,6 +126,21 @@ def test_shards_report_one_window_round_count_per_epoch():
         assert first == second > 0
 
 
+def test_shard_load_history_entries_keep_their_contract():
+    """Each epoch's entry has exactly these keys, and ``skew`` is the max over
+    the mean of the shards' executed events (``bench/`` reads the last one)."""
+    trainer = _mf_trainer("lapse", jobs=2)
+    trainer.train(num_epochs=2, compute_loss=False)
+    history = trainer.ps.shard_load_history
+    assert len(history) == 2
+    for epoch in history:
+        assert set(epoch) == {"jobs", "shard_events", "window_rounds", "skew"}
+        assert epoch["jobs"] == len(epoch["shard_events"]) == 2
+        events = epoch["shard_events"]
+        assert min(events) > 0
+        assert epoch["skew"] == max(events) / (sum(events) / len(events))
+
+
 def test_four_shards_identical():
     """More shards than strictly divide the cluster still merge identically."""
     seq = run_kge_experiment("lapse", scale=KGE, compute_loss=True, **NODES)
@@ -135,20 +148,22 @@ def test_four_shards_identical():
     assert _fingerprint(seq) == _fingerprint(par)
 
 
-def test_non_contiguous_plan_refork_identical():
-    """A plan that moves nodes between shards (the rebalance/refork path)
-    still merges bit-identically: shard membership is a wall-clock detail."""
+def test_non_contiguous_plan_refork_identical(monkeypatch):
+    """Every epoch re-forked from an interleaved plan still merges
+    bit-identically: which shard runs a node never decides the event order,
+    so contiguous plans lose nothing but wall-clock balance."""
     from repro.config import CostModel
-    from repro.simnet.parallel import ShardPlan
+    from repro.simnet import parallel
 
-    interleaved = ShardPlan(
+    interleaved = parallel.ShardPlan(
         num_shards=2,
         node_ranks={0: 0, 1: 1, 2: 0, 3: 1},
         shard_nodes=[[0, 2], [1, 3]],
         lookahead=CostModel().network_latency,
     )
     seq_cols, seq_rows = _train_mf("lapse", jobs=1)
-    par_cols, par_rows = _train_mf("lapse", jobs=2, plan=interleaved)
+    monkeypatch.setattr(parallel, "make_shard_plan", lambda *args: interleaved)
+    par_cols, par_rows = _train_mf("lapse", jobs=2)
     assert np.array_equal(seq_cols, par_cols)
     assert np.array_equal(seq_rows, par_rows)
 
@@ -176,16 +191,12 @@ def _skewed_run(jobs):
     return elastic.ps, fingerprint
 
 
-def test_adaptive_replan_narrows_a_persistent_skew():
-    """The contiguous plan puts the 4 active nodes on 2 of 4 shards; the
-    per-epoch replan of ``run_workers_parallel`` must spread them out, and
-    the reforked epochs must still merge bit-identically."""
+def test_idle_reserve_nodes_shard_identically():
+    """The contiguous plan puts the 4 active nodes on 2 of 4 shards, so two
+    shards only host idle reserve nodes; the run still merges bit-identically."""
     _, sequential = _skewed_run(jobs=1)
     ps, sharded = _skewed_run(jobs=4)
     assert ps._last_fallback_reason is None and ps._last_effective_jobs == 4
-    history = ps.shard_load_history
-    assert sum(epoch["replanned"] for epoch in history) >= 1
-    assert history[-1]["skew"] < history[0]["skew"]
     assert sharded == sequential
 
 

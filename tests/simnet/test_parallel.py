@@ -3,8 +3,9 @@
 The end-to-end bit-identity bar lives in
 ``tests/experiments/test_parallel_identity.py``; this file covers the
 pieces in isolation: the node partition, the kernel's shard mode (lineage
-keys, ``run_window`` bounds), and the eligibility gate that decides when a
-workload falls back to the sequential engine.
+keys, ``run_window`` bounds), the network's shard-mode and apply-mode sends,
+and the eligibility gate that decides when a workload falls back to the
+sequential engine.
 """
 
 import warnings
@@ -15,10 +16,10 @@ from repro.config import ClusterConfig, CostModel, ParameterServerConfig
 from repro.errors import ExperimentError, SimulationError
 from repro.experiments import make_parameter_server
 from repro.simnet.kernel import Simulator
+from repro.simnet.network import Network
 from repro.simnet.parallel import (
     make_shard_plan,
     parallel_fallback_reason,
-    rebalance_shard_plan,
     reset_fallback_warnings,
     warn_parallel_fallback,
 )
@@ -88,57 +89,6 @@ def test_plan_lookahead_derives_from_the_cost_model():
         )
         assert plan.lookahead == cost_model.network_latency
         assert plan.lookahead == pytest.approx(150e-6 * factor)
-
-
-# ------------------------------------------------------------------ rebalance
-def _contiguous_plan():
-    return make_shard_plan(num_nodes=4, jobs=2, lookahead=0.1)
-
-
-def test_rebalance_keeps_the_plan_below_the_skew_threshold():
-    plan = _contiguous_plan()
-    new_plan, skew = rebalance_shard_plan(plan, [100, 100], {0: 50, 1: 50, 2: 50, 3: 50})
-    assert new_plan is plan
-    assert skew == 1.0
-
-
-def test_rebalance_moves_nodes_off_the_hot_shard():
-    plan = _contiguous_plan()  # {0,1} | {2,3}
-    # Shard 0 executed nearly everything; nodes 0 and 1 carry the load.
-    new_plan, skew = rebalance_shard_plan(
-        plan, [1000, 50], {0: 100, 1: 100, 2: 5, 3: 5}
-    )
-    assert skew > 1.5
-    assert new_plan is not plan
-    ranks = new_plan.node_ranks
-    # The two heavy nodes end up on different shards.
-    assert ranks[0] != ranks[1]
-    # Every node still assigned, no empty shard.
-    assert sorted(n for nodes in new_plan.shard_nodes for n in nodes) == [0, 1, 2, 3]
-    assert all(nodes for nodes in new_plan.shard_nodes)
-    # Movement-minimizing: node 0 (heaviest, placed first) stays put.
-    assert ranks[0] == plan.node_ranks[0]
-    assert new_plan.lookahead == plan.lookahead
-
-
-def test_rebalance_is_deterministic():
-    plan = _contiguous_plan()
-    args = ([900, 100], {0: 80, 1: 80, 2: 10, 3: 10})
-    first, _ = rebalance_shard_plan(plan, *args)
-    second, _ = rebalance_shard_plan(plan, *args)
-    assert first.node_ranks == second.node_ranks
-    assert first.shard_nodes == second.shard_nodes
-
-
-def test_rebalance_keeps_the_plan_on_degenerate_weights():
-    plan = _contiguous_plan()
-    # Skewed events but no delivery signal at all: nothing to balance on.
-    new_plan, skew = rebalance_shard_plan(plan, [1000, 1], {})
-    assert new_plan is plan
-    assert skew > 1.5
-    # Zero events: trivially unchanged.
-    unchanged, skew = rebalance_shard_plan(plan, [0, 0], {})
-    assert unchanged is plan and skew == 1.0
 
 
 # ------------------------------------------------------------------ simulator
@@ -249,6 +199,90 @@ def test_schedule_foreign_merges_by_sender_lineage():
     sim.schedule_foreign(1.0, _sender_lineage(1, 0.2), order.append, "foreign")
     sim.run_window(2.0)
     assert order == ["local", "foreign", "foreign-later"]
+
+
+# ------------------------------------------------------------------ shard sends
+def _shard_network(rank, apply=True):
+    """A four-node network on shard ``rank`` of the plan {0,1} | {2,3}, one
+    sink-backed address per node; returns ``(sim, network, deliveries)``."""
+    sim = Simulator()
+    network = Network(sim)
+    deliveries = []
+    for node in range(4):
+        network.register(f"n{node}", node)
+        network.attach_sink(f"n{node}", deliveries.append)
+    sim.enter_shard_mode(rank)
+    network.enable_shard_mode({0: 0, 1: 0, 2: 1, 3: 1}, rank)
+    if apply:
+        sim.begin_apply()
+    return sim, network, deliveries
+
+
+def test_apply_send_off_the_owner_shard_only_draws_its_key():
+    """Every shard replays an apply-mode send; a shard that does not own the
+    source node advances the replicated key stream and touches nothing else."""
+    sim, network, _ = _shard_network(rank=1)
+    assert network.send(0, "n2", "msg", 64) is None
+    assert sim._apply_seq == 1
+    assert sim._sequence == 0
+    assert network.stats.messages_sent == 0
+    assert network.stats.delivery_events == 0
+    assert network.take_shard_outbox() == []
+    assert sim.pending_events == 0
+    assert all(clock.last == 0.0 for clock in network._channel_clock.values())
+
+
+def test_apply_send_to_a_failed_node_still_draws_its_key():
+    """The owner drops the message, but only after the unconditional key
+    draw, so its ``_apply_seq`` stays in lockstep with the other shards."""
+    sim, network, _ = _shard_network(rank=0)
+    network.fail_node(1)
+    dropped = network.send(0, "n1", "msg", 64)
+    assert dropped is not None and dropped.dst_node == 1
+    assert sim._apply_seq == 1
+    assert network.stats.dropped_messages == 1
+    assert network.stats.messages_sent == 0
+
+
+def test_apply_send_across_shards_ships_the_apply_lineage():
+    """A cross-shard apply-mode record carries the replicated apply key, not
+    a shard-local one, so the receiver merges it at the same position
+    whichever shard sent it."""
+    sim, network, _ = _shard_network(rank=0)
+    twin = Simulator()
+    twin.enter_shard_mode(1)
+    twin.begin_apply()
+    network.send(0, "n2", "msg", 64)
+    [(deliver_at, lineage, dst_node, dst_address, payload)] = network.take_shard_outbox()
+    assert lineage == twin.apply_lineage()
+    assert (dst_node, dst_address, payload) == (2, "n2", "msg")
+    assert deliver_at >= network.cost_model.network_latency
+    assert sim._sequence == 0
+    assert network.stats.delivery_events == 1
+
+
+def test_apply_sends_within_a_shard_are_never_coalesced():
+    """Two same-instant apply-mode sends to one address get a heap entry
+    each and arrive in send order."""
+    sim, network, deliveries = _shard_network(rank=0)
+    network.send(0, "n1", "first", 64)
+    network.send(0, "n1", "second", 64)
+    sim.end_apply()
+    assert network.stats.delivery_events == 2
+    assert network.stats.coalesced_messages == 0
+    assert network._pending_batches == {}
+    sim.run_window(1.0)
+    assert deliveries == ["first", "second"]
+
+
+def test_shard_send_outside_apply_uses_the_shard_lineage():
+    """Ordinary shard-mode sends key cross-shard records from the local
+    sequence and leave the replicated apply stream alone."""
+    sim, network, _ = _shard_network(rank=0, apply=False)
+    network.send(0, "n3", "msg", 64)
+    [(_, lineage, _, _, _)] = network.take_shard_outbox()
+    assert lineage[-2:] == (0, 1)
+    assert sim._apply_seq == 0
 
 
 # ------------------------------------------------------------------ fallbacks
