@@ -498,11 +498,6 @@ class RealParameterServer(ParameterServer):
             raise ParameterServerError(
                 "the real backend requires the fork start method (POSIX only)"
             )
-        if ps_config is not None and not ps_config.dense_storage:
-            raise ParameterServerError(
-                "the real backend requires dense storage (fixed-layout "
-                "shared-memory slabs)"
-            )
         self.name, self.policy_class, shared_local = _SYSTEM_SPECS[system]
         self.config_overrides = {"shared_memory_local_access": shared_local}
         self.timeout = timeout
@@ -526,7 +521,7 @@ class RealParameterServer(ParameterServer):
         self.sim = _InlineKernel()
         self.network = _QueueNetwork(self)
 
-    def _make_storage(self) -> SharedDenseStorage:
+    def _new_storage(self) -> SharedDenseStorage:
         return SharedDenseStorage(self.ps_config.num_keys, self.ps_config.value_length)
 
     def _start_threads(self) -> None:

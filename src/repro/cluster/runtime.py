@@ -522,7 +522,7 @@ class ElasticCluster:
         """
         ps = self.ps
         state = ps.states[node]
-        fresh = ps._make_storage()
+        fresh = ps._new_storage()
         if ps.durability is not None:
             fresh = ps.durability.wrap_fresh_storage(node, fresh)
         state.storage = fresh

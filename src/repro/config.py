@@ -177,14 +177,11 @@ class ParameterServerConfig:
     Attributes:
         num_keys: Size of the key space (keys are ``0 .. num_keys - 1``).
         value_length: Number of float32 entries stored per key.
-        dense_storage: Use dense (array-backed) local stores if True, sparse
-            (dict-backed) stores otherwise.
         shared_memory_local_access: Whether local parameter accesses bypass the
             server thread (Lapse-style fast local access).
         location_caches: Enable location caches (Lapse only).
         message_grouping: Group per-destination messages of multi-key
             operations (Lapse §3.7).
-        num_latches: Number of latches guarding local parameter access.
         staleness_bound: Staleness bound for the stale PS (ignored elsewhere).
         stale_server_push: Use server-based synchronization (SSPPush) in the
             stale PS instead of client-based synchronization (SSP).
@@ -205,11 +202,9 @@ class ParameterServerConfig:
 
     num_keys: int = 1024
     value_length: int = 8
-    dense_storage: bool = True
     shared_memory_local_access: bool = True
     location_caches: bool = False
     message_grouping: bool = True
-    num_latches: int = 1000
     staleness_bound: int = 1
     stale_server_push: bool = False
     replica_sync_trigger: str = "time"
@@ -223,8 +218,6 @@ class ParameterServerConfig:
             raise ExperimentError(f"num_keys must be >= 1, got {self.num_keys}")
         if self.value_length < 1:
             raise ExperimentError(f"value_length must be >= 1, got {self.value_length}")
-        if self.num_latches < 1:
-            raise ExperimentError(f"num_latches must be >= 1, got {self.num_latches}")
         if self.staleness_bound < 0:
             raise ExperimentError(
                 f"staleness_bound must be >= 0, got {self.staleness_bound}"

@@ -54,7 +54,7 @@ class Checkpoint:
 
 
 def take_checkpoint(storage, node: int, lsn: int, now: float) -> Checkpoint:
-    """Snapshot ``storage`` (any ParameterStorage-compatible store)."""
+    """Snapshot ``storage`` (a DenseStorage or a LoggedStorage around one)."""
     keys, values = storage.snapshot()
     return Checkpoint(node=node, lsn=lsn, taken_at=now, keys=keys, values=values)
 

@@ -12,9 +12,8 @@ Three pieces live here:
 
 * :class:`DurabilityConfig` — the opt-in switch.  When no config is passed
   to the parameter server, **nothing** in this module is imported on the hot
-  path and the stores stay plain :class:`~repro.ps.storage.DenseStorage` /
-  :class:`~repro.ps.storage.SparseStorage`; durability off is structurally
-  zero-overhead.
+  path and the stores stay plain :class:`~repro.ps.storage.DenseStorage`;
+  durability off is structurally zero-overhead.
 * :class:`DeltaWAL` — one append-only record list per node.  All node WALs
   share one :class:`LSNClock`, so LSNs form a cluster-wide total order and a
   record written by node A can be ordered against node B's checkpoint (this
@@ -290,7 +289,7 @@ class LoggedStorage:
     Reads delegate straight through.  Mutators delegate first — inheriting
     the inner store's check-then-apply batch semantics, so a rejected batch
     logs nothing — then append exactly one WAL record.  The proxy is
-    API-compatible with :class:`~repro.ps.storage.ParameterStorage`
+    API-compatible with :class:`~repro.ps.storage.DenseStorage`
     (including the unchecked ``row_*`` fast path used by fused worker
     steps), so every caller of the store is captured without knowing the
     log exists.

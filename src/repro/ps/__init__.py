@@ -54,7 +54,7 @@ from repro.ps.partition import (
 )
 from repro.ps.replica import EagerReplicationPolicy, ReplicaPS
 from repro.ps.stale import StalePS, StaleReplicaPolicy
-from repro.ps.storage import DenseStorage, LatchTable, SparseStorage, make_storage
+from repro.ps.storage import DenseStorage, LatchTable
 
 __all__ = [
     "AccessCountHotKeyPolicy",
@@ -85,7 +85,6 @@ __all__ = [
     "ReplicaPS",
     "Route",
     "RunningStat",
-    "SparseStorage",
     "StalePS",
     "StaleReplicaPolicy",
     "StaticPolicy",
@@ -93,6 +92,5 @@ __all__ = [
     "consistency_classification",
     "make_hot_key_policy",
     "make_partitioner",
-    "make_storage",
     "random_key_mapping",
 ]

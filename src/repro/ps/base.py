@@ -60,7 +60,7 @@ from repro.ps.messages import (
 from repro.ps.metrics import PSMetrics
 from repro.ps.partition import KeyPartitioner, RangePartitioner
 from repro.ps.storage import SMALL_BATCH as _SMALL_BATCH
-from repro.ps.storage import LatchTable, ParameterStorage, make_storage
+from repro.ps.storage import DenseStorage, LatchTable
 from repro.simnet import Network, Node, Simulator
 from repro.simnet.events import Event
 from repro.simnet.node import server_address
@@ -222,9 +222,9 @@ class NodeState:
         #: server thread is busy handling already-arrived messages.
         self.server_busy_until = 0.0
         self.metrics = PSMetrics()
-        self.latches = LatchTable(ps.ps_config.num_latches)
+        self.latches = LatchTable()
         #: Parameters currently owned by this node.
-        self.storage: ParameterStorage = ps._make_storage()
+        self.storage: DenseStorage = ps._new_storage()
         #: Tracing buffer (:class:`repro.obs.NodeTrace`), installed by the
         #: tracer when a :class:`~repro.obs.TraceConfig` is passed.  ``None``
         #: (the default) keeps every hook to one attribute check.
@@ -1237,13 +1237,9 @@ class ParameterServer:
         self.sim = Simulator()
         self.network = Network(self.sim, self.cluster.cost_model)
 
-    def _make_storage(self) -> ParameterStorage:
+    def _new_storage(self) -> DenseStorage:
         """A fresh, empty parameter store for one node."""
-        return make_storage(
-            dense=self.ps_config.dense_storage,
-            num_keys=self.ps_config.num_keys,
-            value_length=self.ps_config.value_length,
-        )
+        return DenseStorage(self.ps_config.num_keys, self.ps_config.value_length)
 
     def _initialize_parameters(self, initial_values: Optional[Any]) -> None:
         num_keys = self.ps_config.num_keys

@@ -1,27 +1,22 @@
-"""Local parameter stores.
+"""Local parameter store.
 
-Each simulated node keeps the parameters it currently *owns* in a local store.
-As in Lapse (§3.7), two variants are provided:
+Each simulated node keeps the parameters it currently *owns* in one
+:class:`DenseStorage`: a contiguous NumPy array indexed by key plus a
+residency mask, so a node's resident set can change as Lapse relocates keys
+(§3.7).  The store guarantees per-key atomic reads and cumulative writes.
 
-* :class:`DenseStorage` — a contiguous NumPy array indexed by key, suitable
-  when the key space is contiguous and mostly resident (classic/stale PS, or
-  Lapse on a single node),
-* :class:`SparseStorage` — a dict of per-key vectors, suitable when a node
-  holds an arbitrary, changing subset of the key space (Lapse with dynamic
-  parameter allocation).
+Local accesses are synchronized by latches rather than a global lock (§3.3).
+The simulation is cooperatively scheduled, so a latch never blocks:
+:class:`LatchTable` only counts acquisitions, and each one costs
+``CostModel.latch_acquire_time`` of simulated time.
 
-Both guarantee per-key atomic reads and cumulative writes; a
-:class:`LatchTable` models the fixed pool of latches (default 1000) that Lapse
-uses to synchronize local access without a global lock.
-
-Besides the single-key primitives, every store exposes a **batch API**
+Besides the single-key primitives, the store exposes a **batch API**
 (``get_many`` / ``add_many`` / ``set_many`` / ``insert_many`` /
 ``remove_many`` / ``contains_many``) operating on whole key sequences at
 once.  On success, batch operations produce exactly the state a sequence of
 single-key ops in batch order would — duplicates in an ``add_many`` batch
-accumulate, and errors name the first offending key — but run vectorized:
-fancy indexing and ``np.add.at`` on :class:`DenseStorage`, a single dict walk
-per batch on :class:`SparseStorage`.  On *error*, every batch mutator is
+accumulate, and errors name the first offending key — but run vectorized
+with fancy indexing and ``np.add.at``.  On *error*, every batch mutator is
 check-then-apply: an invalid batch raises before any key is touched, so the
 parameter servers can probe a whole batch and fall back to a per-key split
 without double-applying updates.  The parameter servers' hot data paths use
@@ -68,212 +63,60 @@ def _first_duplicate(keys: np.ndarray) -> int:
 
 
 class LatchTable:
-    """A fixed pool of latches with a many-to-one key→latch mapping.
+    """Counter of latch acquisitions for local parameter access.
 
-    The simulation is cooperatively scheduled, so latches never actually
-    block; the table exists to (a) model the acquisition cost and (b) expose
-    the key→latch mapping so tests can verify that distinct keys may share a
-    latch while one key always maps to the same latch.
+    Every local read or write of a key acquires that key's latch once.  The
+    simulation is cooperatively scheduled, so a latch never blocks and only
+    the number of acquisitions is kept.
     """
 
-    __slots__ = ("num_latches", "acquisitions")
+    __slots__ = ("acquisitions",)
 
-    def __init__(self, num_latches: int = 1000) -> None:
-        if num_latches < 1:
-            raise StorageError(f"num_latches must be >= 1, got {num_latches}")
-        self.num_latches = num_latches
+    def __init__(self) -> None:
         self.acquisitions = 0
 
-    def latch_for(self, key: int) -> int:
-        """Return the latch index guarding ``key``."""
-        return key % self.num_latches
-
-    def acquire(self, key: int) -> int:
-        """Record an acquisition of the latch for ``key`` and return its index."""
+    def acquire(self, key: int) -> None:
+        """Record an acquisition of the latch guarding ``key``."""
         self.acquisitions += 1
-        return self.latch_for(key)
 
-    def acquire_many(self, keys: Sequence[int]) -> Sequence[int]:
-        """Record one latch acquisition per key in a single accounting step.
-
-        Equivalent to calling :meth:`acquire` for every key (every key of a
-        batch still pays for its latch) but batched.  Returns the latch index
-        of every key (a list for small batches, an array for large ones).
-        """
+    def acquire_many(self, keys: Sequence[int]) -> None:
+        """Record one latch acquisition per key of a batch."""
         self.acquisitions += len(keys)
-        num_latches = self.num_latches
-        if type(keys) is np.ndarray:
-            return keys % num_latches
-        if len(keys) <= SMALL_BATCH:
-            return [key % num_latches for key in keys]
-        return np.asarray(keys, dtype=np.int64) % num_latches
 
 
-class ParameterStorage:
-    """Interface shared by dense and sparse local parameter stores.
+class DenseStorage:
+    """Array-backed store over a contiguous key range.
 
-    Values are float64 vectors of a fixed per-store length.  ``get`` returns a
-    copy (parameters are copied out of and back into the store, as the paper
-    notes for PS architectures in §4.4); ``add`` applies a cumulative update
-    in place.
-
-    The ``*_many`` batch operations behave exactly like the corresponding
-    single-key operation applied per key in batch order.  The base class
-    provides per-key fallbacks so that custom stores only need the single-key
-    primitives; :class:`DenseStorage` and :class:`SparseStorage` override them
-    with vectorized implementations.
+    Values are float64 vectors of a fixed per-store length.  A membership
+    mask tracks which keys are currently resident, because a Lapse node's
+    resident set changes.  ``get`` returns a copy (parameters are copied out
+    of and back into the store, as the paper notes for PS architectures in
+    §4.4); ``add`` applies a cumulative update in place.  The ``*_many``
+    batch operations behave exactly like the corresponding single-key
+    operation applied per key in batch order.
     """
 
-    value_length: int
-
-    def contains(self, key: int) -> bool:
-        raise NotImplementedError
-
-    # -------------------------------------------------- unchecked fast access
-    # The ``row_*`` primitives back the fused worker-step path: the caller has
-    # already verified residency (``has_row``) and guarantees a float64 update
-    # row of the store's value length, so all per-call validation is skipped.
-    def has_row(self, key: int) -> bool:
-        """Unchecked residency probe (``key`` must be in range)."""
-        return self.contains(key)
-
-    def row_copy(self, key: int) -> np.ndarray:
-        """Copy of a resident row, without residency/range checks."""
-        return self.get(key)
-
-    def row_add(self, key: int, update: np.ndarray) -> None:
-        """In-place cumulative update of a resident row, without checks."""
-        self.add(key, update)
-
-    def get(self, key: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def set(self, key: int, value: np.ndarray) -> None:
-        raise NotImplementedError
-
-    def add(self, key: int, update: np.ndarray) -> None:
-        raise NotImplementedError
-
-    def insert(self, key: int, value: np.ndarray) -> None:
-        raise NotImplementedError
-
-    def remove(self, key: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def keys(self) -> Iterator[int]:
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        raise NotImplementedError
+    def __init__(
+        self,
+        num_keys: int,
+        value_length: int,
+        initial_keys: Optional[Iterable[int]] = None,
+    ) -> None:
+        if num_keys < 1:
+            raise StorageError(f"num_keys must be >= 1, got {num_keys}")
+        if value_length < 1:
+            raise StorageError(f"value_length must be >= 1, got {value_length}")
+        self.num_keys = num_keys
+        self.value_length = value_length
+        self._values = np.zeros((num_keys, value_length), dtype=np.float64)
+        self._present = np.zeros(num_keys, dtype=bool)
+        if initial_keys is not None:
+            keys = self._check_key_range(list(initial_keys))
+            self._present[keys] = True
 
     def __contains__(self, key: int) -> bool:
         return self.contains(key)
 
-    def snapshot(self) -> "tuple[np.ndarray, np.ndarray]":
-        """Copy the resident state out as ``(keys, values)`` arrays.
-
-        Keys are sorted ascending (int64); values hold one float64 row per
-        key.  The arrays are detached copies — later mutations of the store
-        do not affect a snapshot, which is what makes it usable as a
-        checkpoint payload.
-        """
-        keys = np.fromiter(self.keys(), dtype=np.int64)
-        keys.sort()
-        if keys.size == 0:
-            return keys, np.empty((0, self.value_length), dtype=np.float64)
-        return keys, self.get_many(keys)
-
-    # ------------------------------------------------------------- batch API
-    def contains_many(self, keys: Sequence[int]) -> np.ndarray:
-        """Return a boolean array: whether each key is resident."""
-        return np.fromiter(
-            (self.contains(int(key)) for key in keys), dtype=bool, count=len(keys)
-        )
-
-    def contains_flags(self, keys: Sequence[int]) -> list:
-        """Like :meth:`contains_many` but as a plain Python list of bools.
-
-        Small batches avoid the array round-trip entirely; large batches
-        delegate to the vectorized :meth:`contains_many`.
-        """
-        if type(keys) is not np.ndarray and len(keys) <= SMALL_BATCH:
-            contains = self.contains
-            return [contains(key) for key in keys]
-        return self.contains_many(keys).tolist()
-
-    def get_many(self, keys: Sequence[int]) -> np.ndarray:
-        """Return the values of ``keys`` as an array with one row per key."""
-        keys = self._check_batch_keys(keys)
-        out = np.empty((keys.size, self.value_length), dtype=np.float64)
-        for index, key in enumerate(keys.tolist()):
-            out[index] = self.get(key)
-        return out
-
-    def add_many(self, keys: Sequence[int], updates: np.ndarray) -> None:
-        """Apply one cumulative update row per key; duplicate keys accumulate.
-
-        Check-then-apply: a batch with a non-resident key raises before any
-        update lands (callers probe whole batches and rely on falling back to
-        a per-key split without double-applying updates).
-        """
-        keys = self._check_batch_keys(keys)
-        updates = self._check_batch_values(keys.size, updates)
-        key_list = keys.tolist()
-        for key in key_list:
-            if not self.contains(key):
-                raise StorageError(f"key {key} is not resident in this store")
-        for index, key in enumerate(key_list):
-            self.add(key, updates[index])
-
-    def set_many(self, keys: Sequence[int], values: np.ndarray) -> None:
-        """Overwrite one value row per key (the last row wins for duplicates).
-
-        Check-then-apply, like :meth:`add_many`.
-        """
-        keys = self._check_batch_keys(keys)
-        values = self._check_batch_values(keys.size, values)
-        key_list = keys.tolist()
-        for key in key_list:
-            if not self.contains(key):
-                raise StorageError(f"key {key} is not resident in this store")
-        for index, key in enumerate(key_list):
-            self.set(key, values[index])
-
-    def insert_many(self, keys: Sequence[int], values: np.ndarray) -> None:
-        """Insert one value row per (previously non-resident, distinct) key.
-
-        Check-then-apply, like :meth:`add_many`.
-        """
-        keys = self._check_batch_keys(keys)
-        values = self._check_batch_values(keys.size, values)
-        key_list = keys.tolist()
-        seen = set()
-        for key in key_list:
-            if self.contains(key) or key in seen:
-                raise StorageError(f"key {key} is already resident; cannot insert twice")
-            seen.add(key)
-        for index, key in enumerate(key_list):
-            self.insert(key, values[index])
-
-    def remove_many(self, keys: Sequence[int]) -> np.ndarray:
-        """Remove ``keys``, returning their former values one row per key.
-
-        Check-then-apply: a batch with a non-resident (or duplicated) key
-        raises before any key is removed.
-        """
-        keys = self._check_batch_keys(keys)
-        key_list = keys.tolist()
-        seen = set()
-        for key in key_list:
-            if not self.contains(key) or key in seen:
-                raise StorageError(f"key {key} is not resident in this store")
-            seen.add(key)
-        out = np.empty((keys.size, self.value_length), dtype=np.float64)
-        for index, key in enumerate(key_list):
-            out[index] = self.remove(key)
-        return out
-
-    # --------------------------------------------------------------- checking
     def _check_value(self, key: int, value: np.ndarray) -> np.ndarray:
         value = np.asarray(value, dtype=np.float64)
         if value.shape != (self.value_length,):
@@ -302,32 +145,6 @@ class ParameterStorage:
             )
         return values
 
-
-class DenseStorage(ParameterStorage):
-    """Array-backed store over a contiguous key range.
-
-    A membership mask tracks which keys are currently resident so that dense
-    storage can also be used by Lapse nodes (whose resident set changes).
-    """
-
-    def __init__(
-        self,
-        num_keys: int,
-        value_length: int,
-        initial_keys: Optional[Iterable[int]] = None,
-    ) -> None:
-        if num_keys < 1:
-            raise StorageError(f"num_keys must be >= 1, got {num_keys}")
-        if value_length < 1:
-            raise StorageError(f"value_length must be >= 1, got {value_length}")
-        self.num_keys = num_keys
-        self.value_length = value_length
-        self._values = np.zeros((num_keys, value_length), dtype=np.float64)
-        self._present = np.zeros(num_keys, dtype=bool)
-        if initial_keys is not None:
-            keys = self._check_key_range(list(initial_keys))
-            self._present[keys] = True
-
     def _check_key(self, key: int) -> None:
         if not 0 <= key < self.num_keys:
             raise StorageError(f"key {key} out of range [0, {self.num_keys})")
@@ -353,7 +170,11 @@ class DenseStorage(ParameterStorage):
         self._check_key(key)
         return bool(self._present[key])
 
+    # The ``row_*`` primitives back the fused worker-step path: the caller has
+    # already verified residency (``has_row``) and guarantees a float64 update
+    # row of the store's value length, so all per-call validation is skipped.
     def has_row(self, key: int) -> bool:
+        """Unchecked residency probe (``key`` must be in range)."""
         return self._present[key]
 
     def row_copy(self, key: int) -> np.ndarray:
@@ -398,6 +219,12 @@ class DenseStorage(ParameterStorage):
         return int(self._present.sum())
 
     def snapshot(self) -> "tuple[np.ndarray, np.ndarray]":
+        """Copy the resident state out as ``(keys, values)`` arrays.
+
+        Keys are sorted ascending (int64); values hold one float64 row per
+        key.  The arrays are detached copies, so a snapshot can serve as a
+        checkpoint payload.
+        """
         keys = np.flatnonzero(self._present).astype(np.int64)
         # Fancy indexing copies, detaching the snapshot from the live store.
         return keys, self._values[keys]
@@ -536,279 +363,3 @@ class DenseStorage(ParameterStorage):
         self._present[keys] = False
         self._values[keys] = 0.0
         return values
-
-
-class SparseStorage(ParameterStorage):
-    """Slab-backed store holding an arbitrary subset of the key space.
-
-    Resident keys map (via a dict) to row *slots* of one contiguous backing
-    matrix; the matrix grows by doubling, and removed keys' slots are
-    recycled through a free list.  Values are copied in on ``insert`` /
-    ``set`` and out on ``get``, so callers never alias stored rows, and
-    ``add`` updates the slab row in place (no allocation per update).
-
-    The slab layout is what makes the batch operations fast: ``get_many`` is
-    one fancy-index gather and ``add_many`` one vectorized in-place scatter
-    (``np.add.at`` when the batch contains duplicate keys), instead of a
-    Python-level loop of per-row NumPy calls.  Batch semantics are unchanged:
-    state after a batch equals a sequence of single-key ops in batch order,
-    and every mutator is check-then-apply.
-    """
-
-    def __init__(
-        self,
-        num_keys: int,
-        value_length: int,
-        initial_keys: Optional[Iterable[int]] = None,
-    ) -> None:
-        if num_keys < 1:
-            raise StorageError(f"num_keys must be >= 1, got {num_keys}")
-        if value_length < 1:
-            raise StorageError(f"value_length must be >= 1, got {value_length}")
-        self.num_keys = num_keys
-        self.value_length = value_length
-        #: key -> row slot in the backing matrix.
-        self._index: Dict[int, int] = {}
-        #: Dense mirror of ``_index`` (-1 = not resident): lets the batch ops
-        #: resolve all slots in one fancy-index gather instead of a Python
-        #: dict walk.  Kept in sync at every ``_index`` mutation site.
-        self._slot_of = np.full(num_keys, -1, dtype=np.intp)
-        self._matrix = np.zeros((8, value_length), dtype=np.float64)
-        #: Slots handed back by ``remove``, reused before growing the slab.
-        self._free: List[int] = []
-        #: High-water mark: slots below this have been allocated at least once.
-        self._top = 0
-        if initial_keys is not None:
-            for key in initial_keys:
-                self._check_key(key)
-                slot = self._allocate()
-                self._index[key] = slot
-                self._slot_of[key] = slot
-
-    def _check_key(self, key: int) -> None:
-        if not 0 <= key < self.num_keys:
-            raise StorageError(f"key {key} out of range [0, {self.num_keys})")
-
-    def _allocate(self) -> int:
-        """Return a zeroed free slot, growing the slab if necessary."""
-        free = self._free
-        if free:
-            slot = free.pop()
-            self._matrix[slot] = 0.0
-            return slot
-        matrix = self._matrix
-        if self._top == matrix.shape[0]:
-            grown = np.zeros((matrix.shape[0] * 2, self.value_length), dtype=np.float64)
-            grown[: self._top] = matrix
-            self._matrix = grown
-        slot = self._top
-        self._top += 1
-        return slot
-
-    def contains(self, key: int) -> bool:
-        self._check_key(key)
-        return key in self._index
-
-    def has_row(self, key: int) -> bool:
-        return key in self._index
-
-    def row_copy(self, key: int) -> np.ndarray:
-        return self._matrix[self._index[key]].copy()
-
-    def row_add(self, key: int, update: np.ndarray) -> None:
-        self._matrix[self._index[key]] += update
-
-    def get(self, key: int) -> np.ndarray:
-        if not self.contains(key):
-            raise StorageError(f"key {key} is not resident in this store")
-        return self._matrix[self._index[key]].copy()
-
-    def set(self, key: int, value: np.ndarray) -> None:
-        if not self.contains(key):
-            raise StorageError(f"key {key} is not resident in this store")
-        self._matrix[self._index[key]] = self._check_value(key, value)
-
-    def add(self, key: int, update: np.ndarray) -> None:
-        if not self.contains(key):
-            raise StorageError(f"key {key} is not resident in this store")
-        # In-place accumulation into the slab row: no allocation per update.
-        self._matrix[self._index[key]] += self._check_value(key, update)
-
-    def insert(self, key: int, value: np.ndarray) -> None:
-        self._check_key(key)
-        if key in self._index:
-            raise StorageError(f"key {key} is already resident; cannot insert twice")
-        value = self._check_value(key, value)
-        slot = self._allocate()
-        self._index[key] = slot
-        self._slot_of[key] = slot
-        self._matrix[slot] = value
-
-    def remove(self, key: int) -> np.ndarray:
-        value = self.get(key)
-        self._free.append(self._index.pop(key))
-        self._slot_of[key] = -1
-        return value
-
-    def keys(self) -> Iterator[int]:
-        return iter(sorted(self._index.keys()))
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def snapshot(self) -> "tuple[np.ndarray, np.ndarray]":
-        key_list = sorted(self._index.keys())
-        keys = np.asarray(key_list, dtype=np.int64)
-        if not key_list:
-            return keys, np.empty((0, self.value_length), dtype=np.float64)
-        slots = [self._index[key] for key in key_list]
-        # One gather off the slab (fancy indexing copies).
-        return keys, self._matrix[slots]
-
-    # ------------------------------------------------------------- batch API
-    @staticmethod
-    def _key_list(keys: Sequence[int]) -> Sequence[int]:
-        """Normalize a key batch to something cheaply iterable as Python ints."""
-        if type(keys) is np.ndarray:
-            return keys.tolist()
-        return keys
-
-    def _resolve_slots(self, key_list: Sequence[int]) -> List[int]:
-        """Slot of every key, raising on the first non-resident key."""
-        index = self._index
-        slots = []
-        for key in key_list:
-            slot = index.get(key)
-            if slot is None:
-                self._check_key(key)
-                raise StorageError(f"key {key} is not resident in this store")
-            slots.append(slot)
-        return slots
-
-    def _resolve_slot_array(self, key_list: Sequence[int]) -> np.ndarray:
-        """Vectorized :meth:`_resolve_slots` for large batches.
-
-        One bounds check plus one gather off ``_slot_of``; only when a key is
-        out of range or not resident does it fall back to the Python walk,
-        which raises naming the first offending key in batch order (the same
-        error contract as the per-key path).
-        """
-        key_array = np.asarray(key_list, dtype=np.intp)
-        if key_array.size == 0:
-            return key_array
-        if key_array.min() < 0 or key_array.max() >= self.num_keys:
-            self._resolve_slots(key_list)
-        slots = self._slot_of[key_array]
-        if (slots < 0).any():
-            self._resolve_slots(key_list)
-        return slots
-
-    def contains_many(self, keys: Sequence[int]) -> np.ndarray:
-        key_list = self._key_list(keys)
-        index = self._index
-        num_keys = self.num_keys
-        out = np.empty(len(key_list), dtype=bool)
-        for position, key in enumerate(key_list):
-            if not 0 <= key < num_keys:
-                raise StorageError(f"key {key} out of range [0, {num_keys})")
-            out[position] = key in index
-        return out
-
-    def contains_flags(self, keys: Sequence[int]) -> list:
-        key_list = self._key_list(keys)
-        index = self._index
-        num_keys = self.num_keys
-        flags = []
-        for key in key_list:
-            if not 0 <= key < num_keys:
-                raise StorageError(f"key {key} out of range [0, {num_keys})")
-            flags.append(key in index)
-        return flags
-
-    def get_many(self, keys: Sequence[int]) -> np.ndarray:
-        key_list = self._key_list(keys)
-        if len(key_list) <= SMALL_BATCH:
-            slots: Sequence[int] = self._resolve_slots(key_list)
-        else:
-            slots = self._resolve_slot_array(key_list)
-        # One gather off the slab (fancy indexing copies, as ``get`` does).
-        return self._matrix[slots]
-
-    def add_many(self, keys: Sequence[int], updates: np.ndarray) -> None:
-        key_list = self._key_list(keys)
-        updates = self._check_batch_values(len(key_list), updates)
-        matrix = self._matrix
-        # Resolving every slot first keeps add_many check-then-apply: a batch
-        # with a non-resident key raises before any update lands.
-        if len(key_list) <= SMALL_BATCH:
-            for position, slot in enumerate(self._resolve_slots(key_list)):
-                matrix[slot] += updates[position]
-            return
-        slot_array = self._resolve_slot_array(key_list)
-        if np.unique(slot_array).size == slot_array.size:
-            # Duplicate-free batch: fancy += is several times faster than the
-            # unbuffered np.add.at and numerically identical here.
-            matrix[slot_array] += updates
-        else:
-            # Unbuffered accumulation: duplicate keys in one batch add up
-            # exactly as a sequence of single-key ``add`` calls would.
-            np.add.at(matrix, slot_array, updates)
-
-    def set_many(self, keys: Sequence[int], values_in: np.ndarray) -> None:
-        key_list = self._key_list(keys)
-        values_in = self._check_batch_values(len(key_list), values_in)
-        matrix = self._matrix
-        if len(key_list) <= SMALL_BATCH:
-            for position, slot in enumerate(self._resolve_slots(key_list)):
-                matrix[slot] = values_in[position]
-            return
-        # Duplicate slots resolve to the last row, matching per-key order.
-        matrix[self._resolve_slot_array(key_list)] = values_in
-
-    def insert_many(self, keys: Sequence[int], values_in: np.ndarray) -> None:
-        key_list = self._key_list(keys)
-        values_in = self._check_batch_values(len(key_list), values_in)
-        index = self._index
-        seen = set()
-        for key in key_list:
-            self._check_key(key)
-            if key in index or key in seen:
-                raise StorageError(f"key {key} is already resident; cannot insert twice")
-            seen.add(key)
-        slots = [self._allocate() for _ in key_list]
-        matrix = self._matrix
-        for position, key in enumerate(key_list):
-            index[key] = slots[position]
-            self._slot_of[key] = slots[position]
-        if len(slots) <= SMALL_BATCH:
-            for position, slot in enumerate(slots):
-                matrix[slot] = values_in[position]
-        else:
-            matrix[np.asarray(slots, dtype=np.intp)] = values_in
-
-    def remove_many(self, keys: Sequence[int]) -> np.ndarray:
-        key_list = self._key_list(keys)
-        index = self._index
-        seen = set()
-        for key in key_list:
-            if key not in index or key in seen:
-                self._check_key(key)
-                raise StorageError(f"key {key} is not resident in this store")
-            seen.add(key)
-        slots = [index.pop(key) for key in key_list]
-        self._slot_of[np.asarray(key_list, dtype=np.intp)] = -1
-        values = self._matrix[slots]
-        self._free.extend(slots)
-        return values
-
-
-def make_storage(
-    dense: bool,
-    num_keys: int,
-    value_length: int,
-    initial_keys: Optional[Iterable[int]] = None,
-) -> ParameterStorage:
-    """Build a dense or sparse store according to the PS configuration."""
-    if dense:
-        return DenseStorage(num_keys, value_length, initial_keys)
-    return SparseStorage(num_keys, value_length, initial_keys)

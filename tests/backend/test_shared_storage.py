@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.backend import SharedDenseStorage
+from repro.backend.shm import _attach_array
 from repro.errors import StorageError
 from repro.ps.storage import DenseStorage
 
@@ -85,3 +86,36 @@ def test_shared_dense_detach_is_idempotent_and_keeps_state(shared_store):
     shared_store.detach()
     shared_store.detach()  # idempotent
     np.testing.assert_array_equal(shared_store.get(4), np.full(4, 3.0))
+
+
+def test_shared_dense_mutators_touch_only_the_shared_arrays(shared_store):
+    """Forked server and worker processes share ``_values`` and ``_present``
+    and nothing else, so every mutator must write into those two shared
+    blocks in place: a reassigned array or any other changed attribute would
+    make the processes of a node diverge silently."""
+    values_view = _attach_array(shared_store._values_shm, (16, 4), np.float64)
+    present_view = _attach_array(shared_store._present_shm, (16,), np.bool_)
+    others = {
+        name: value
+        for name, value in vars(shared_store).items()
+        if name not in ("_values", "_present")
+    }
+    shared_store.insert(9, np.ones(4))
+    shared_store.add(9, np.ones(4))
+    shared_store.set(0, np.full(4, 2.0))
+    shared_store.row_add(1, np.full(4, 0.5))
+    shared_store.insert_many([10, 11], np.ones((2, 4)))
+    shared_store.add_many([10, 10, 11], np.ones((3, 4)))
+    shared_store.set_many([2, 3], np.zeros((2, 4)))
+    shared_store.remove(4)
+    shared_store.remove_many([5, 6])
+    assert set(vars(shared_store)) == set(others) | {"_values", "_present"}
+    for name, value in others.items():
+        assert getattr(shared_store, name) is value, name
+    assert np.shares_memory(shared_store._values, values_view)
+    assert np.shares_memory(shared_store._present, present_view)
+    keys, values = shared_store.snapshot()
+    assert keys.tolist() == np.flatnonzero(present_view).tolist()
+    np.testing.assert_array_equal(values, values_view[keys])
+    np.testing.assert_array_equal(values_view[10], np.full(4, 3.0))
+    del values_view, present_view

@@ -14,12 +14,11 @@ same order as the live store did, so no tolerance is needed.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.durability import DeltaWAL, LoggedStorage, replay_records, take_checkpoint
-from repro.ps.storage import make_storage
+from repro.ps.storage import DenseStorage
 
 NUM_KEYS = 6
 D = 2
@@ -49,7 +48,7 @@ def _apply_step(storage, model, key, action, values):
 
     Non-resident keys are inserted (odd actions via a duplicate-key batch);
     resident keys cycle through add / duplicate-batch add / set / remove,
-    so remove-then-insert sequences exercise sparse slab free-list reuse.
+    so remove-then-insert sequences re-insert keys the store dropped.
     """
     value = np.asarray(values, dtype=np.float64)
     if key not in model:
@@ -79,14 +78,11 @@ def _states_equal(state, other):
     return all(np.array_equal(state[key], other[key]) for key in state)
 
 
-@pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
 @given(scenario=scenarios())
 @settings(max_examples=60, deadline=None)
-def test_any_crash_point_reconverges_bit_identically(dense, scenario):
+def test_any_crash_point_reconverges_bit_identically(scenario):
     steps, checkpoint_index, crash_index = scenario
-    storage = LoggedStorage(
-        make_storage(dense=dense, num_keys=NUM_KEYS, value_length=D), DeltaWAL()
-    )
+    storage = LoggedStorage(DenseStorage(NUM_KEYS, D), DeltaWAL())
     model = {}
     # model_at[i] / lsn_at[i]: state and last LSN after the first i steps.
     model_at = [dict(model)]
@@ -125,17 +121,14 @@ def test_any_crash_point_reconverges_bit_identically(dense, scenario):
     assert _states_equal(restored, model_at[crash_index])
 
 
-@pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
 @given(scenario=scenarios())
 @settings(max_examples=25, deadline=None)
-def test_replay_from_baseline_rebuilds_everything(dense, scenario):
+def test_replay_from_baseline_rebuilds_everything(scenario):
     """The degenerate checkpoint (empty store, LSN 0) still recovers fully:
     initial inserts are themselves logged, so replaying the whole WAL from
     nothing rebuilds the final state."""
     steps, _, _ = scenario
-    storage = LoggedStorage(
-        make_storage(dense=dense, num_keys=NUM_KEYS, value_length=D), DeltaWAL()
-    )
+    storage = LoggedStorage(DenseStorage(NUM_KEYS, D), DeltaWAL())
     model = {}
     for key, action, values in steps:
         _apply_step(storage, model, key, action, values)

@@ -25,7 +25,7 @@ from repro.durability import (
 )
 from repro.errors import DurabilityError
 from repro.ps.metrics import PSMetrics
-from repro.ps.storage import DenseStorage, SparseStorage, make_storage
+from repro.ps.storage import DenseStorage
 
 D = 3
 
@@ -155,13 +155,12 @@ class TestDurabilityConfig:
             DurabilityConfig(checkpoint_interval=-1.0)
 
 
-@pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
 class TestLoggedStorage:
     """The proxy must be observationally identical to the bare store."""
 
-    def _pair(self, dense, num_keys=8):
-        bare = make_storage(dense=dense, num_keys=num_keys, value_length=D)
-        inner = make_storage(dense=dense, num_keys=num_keys, value_length=D)
+    def _pair(self, num_keys=8):
+        bare = DenseStorage(num_keys, D)
+        inner = DenseStorage(num_keys, D)
         logged = LoggedStorage(inner, DeltaWAL())
         return bare, logged
 
@@ -179,8 +178,8 @@ class TestLoggedStorage:
         storage.remove_many([0, 3])
         return removed
 
-    def test_reads_and_writes_match_bare_store(self, dense):
-        bare, logged = self._pair(dense)
+    def test_reads_and_writes_match_bare_store(self):
+        bare, logged = self._pair()
         removed_bare = self._exercise(bare)
         removed_logged = self._exercise(logged)
         np.testing.assert_array_equal(removed_bare, removed_logged)
@@ -195,8 +194,8 @@ class TestLoggedStorage:
         np.testing.assert_array_equal(keys_bare, keys_logged)
         np.testing.assert_array_equal(values_bare, values_logged)
 
-    def test_every_mutation_is_logged(self, dense):
-        _, logged = self._pair(dense)
+    def test_every_mutation_is_logged(self):
+        _, logged = self._pair()
         self._exercise(logged)
         kinds = [record.kind for record in logged.wal.records]
         assert set(kinds) <= set(WAL_KINDS)
@@ -207,10 +206,10 @@ class TestLoggedStorage:
         lsns = [record.lsn for record in logged.wal.records]
         assert lsns == sorted(lsns)
 
-    def test_remove_record_carries_removed_values(self, dense):
+    def test_remove_record_carries_removed_values(self):
         """REMOVE logs the dropped rows: recovery of an in-flight relocation
         restores the value from the old owner's REMOVE record."""
-        _, logged = self._pair(dense)
+        _, logged = self._pair()
         logged.insert(5, row(3, 1, 4))
         removed = logged.remove(5)
         np.testing.assert_array_equal(removed, row(3, 1, 4))
@@ -219,8 +218,8 @@ class TestLoggedStorage:
         assert record.keys == (5,)
         np.testing.assert_array_equal(record.values[0], row(3, 1, 4))
 
-    def test_checkpoint_plus_replay_equals_live_store(self, dense):
-        _, logged = self._pair(dense)
+    def test_checkpoint_plus_replay_equals_live_store(self):
+        _, logged = self._pair()
         logged.insert_many([0, 1], rows(row(1, 1, 1), row(2, 2, 2)))
         checkpoint = take_checkpoint(logged, node=0, lsn=logged.wal.last_lsn, now=0.0)
         logged.add(0, row(1, 2, 3))
@@ -233,8 +232,8 @@ class TestLoggedStorage:
         for index, key in enumerate(keys.tolist()):
             np.testing.assert_array_equal(state[key], values[index])
 
-    def test_delta_replay_onto_missing_key_raises(self, dense):
-        _, logged = self._pair(dense)
+    def test_delta_replay_onto_missing_key_raises(self):
+        _, logged = self._pair()
         logged.insert(0, row(1, 1, 1))
         logged.add(0, row(1, 0, 0))
         delta = logged.wal.records[-1]
@@ -243,9 +242,8 @@ class TestLoggedStorage:
 
 
 class TestSnapshots:
-    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
-    def test_snapshot_is_detached_and_sorted(self, dense):
-        storage = make_storage(dense=dense, num_keys=8, value_length=D)
+    def test_snapshot_is_detached_and_sorted(self):
+        storage = DenseStorage(8, D)
         for key in (5, 1, 3):
             storage.insert(key, row(key, key, key))
         keys, values = storage.snapshot()
@@ -254,9 +252,6 @@ class TestSnapshots:
         np.testing.assert_array_equal(storage.get(5), row(5, 5, 5))
 
     def test_storage_classes_direct(self):
-        dense = DenseStorage(4, D)
-        sparse = SparseStorage(4, D)
-        for storage in (dense, sparse):
-            keys, values = storage.snapshot()
-            assert keys.size == 0
-            assert values.shape == (0, D)
+        keys, values = DenseStorage(4, D).snapshot()
+        assert keys.size == 0
+        assert values.shape == (0, D)

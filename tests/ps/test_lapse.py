@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.backend import SharedDenseStorage
 from repro.config import ClusterConfig, CostModel, ParameterServerConfig
 from repro.ps import LapsePS
 
@@ -13,14 +14,12 @@ def build_lapse(
     num_keys=12,
     value_length=2,
     location_caches=False,
-    dense=True,
     seed=1,
 ):
     cluster = ClusterConfig(num_nodes=num_nodes, workers_per_node=workers_per_node, seed=seed)
     ps_config = ParameterServerConfig(
         num_keys=num_keys,
         value_length=value_length,
-        dense_storage=dense,
         location_caches=location_caches,
     )
     initial = np.arange(num_keys * value_length, dtype=float).reshape(num_keys, value_length)
@@ -318,9 +317,14 @@ class TestLocationCaches:
         assert metrics.cache_misses >= 1
 
 
-class TestLapseSparseStorage:
-    def test_sparse_storage_end_to_end(self):
-        ps, initial = build_lapse(dense=False)
+class TestLapseSharedStorage:
+    def test_shared_storage_end_to_end(self):
+        """Relocation moves rows between the real backend's shared-memory
+        stores exactly as between the simulator's own stores."""
+
+        class SharedStoreLapsePS(LapsePS):
+            def _new_storage(self):
+                return SharedDenseStorage(self.ps_config.num_keys, self.ps_config.value_length)
 
         def worker(client, worker_id):
             yield from client.localize([worker_id])
@@ -328,9 +332,26 @@ class TestLapseSparseStorage:
             values = yield from client.pull([worker_id])
             return values[0]
 
-        results = ps.run_workers(worker)
-        for worker_id, value in enumerate(results):
-            np.testing.assert_allclose(value, initial[worker_id] + 1.0)
+        reference, initial = build_lapse()
+        expected = reference.run_workers(worker)
+        cluster = ClusterConfig(num_nodes=3, workers_per_node=1, seed=1)
+        ps = SharedStoreLapsePS(
+            cluster, ParameterServerConfig(num_keys=12, value_length=2), initial_values=initial
+        )
+        try:
+            results = ps.run_workers(worker)
+            for worker_id, value in enumerate(results):
+                np.testing.assert_allclose(value, initial[worker_id] + 1.0)
+                np.testing.assert_array_equal(value, expected[worker_id])
+            for node in range(3):
+                assert isinstance(ps.states[node].storage, SharedDenseStorage)
+                reference_keys, reference_values = reference.states[node].storage.snapshot()
+                keys, values = ps.states[node].storage.snapshot()
+                np.testing.assert_array_equal(keys, reference_keys)
+                np.testing.assert_array_equal(values, reference_values)
+        finally:
+            for state in ps.states:
+                state.storage.detach()
 
 
 class TestLapseWithManyWorkers:

@@ -1,17 +1,25 @@
-"""Unit and property-based tests for local parameter stores."""
+"""Unit and property-based tests for the local parameter store."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backend import SharedDenseStorage
 from repro.errors import StorageError
-from repro.ps.storage import DenseStorage, LatchTable, SparseStorage, make_storage
+from repro.ps.storage import DenseStorage, LatchTable, gather_rows
 
 
-@pytest.fixture(params=["dense", "sparse"])
+@pytest.fixture(params=["dense", "shared"])
 def storage(request):
-    return make_storage(dense=request.param == "dense", num_keys=16, value_length=4)
+    """An empty store of each kind a node can own: the simulator's
+    ``DenseStorage`` and the real backend's shared-memory subclass."""
+    if request.param == "dense":
+        yield DenseStorage(16, 4)
+        return
+    store = SharedDenseStorage(16, 4)
+    yield store
+    store.detach()
 
 
 class TestStorageBasics:
@@ -89,35 +97,86 @@ class TestStorageBasics:
         assert 2 not in storage
 
     def test_initial_keys(self):
-        for dense in (True, False):
-            store = make_storage(dense, num_keys=8, value_length=2, initial_keys=[0, 7])
-            assert store.contains(0) and store.contains(7)
-            np.testing.assert_allclose(store.get(0), np.zeros(2))
+        store = DenseStorage(8, 2, initial_keys=[0, 7])
+        assert store.contains(0) and store.contains(7)
+        np.testing.assert_allclose(store.get(0), np.zeros(2))
 
     def test_invalid_construction(self):
         with pytest.raises(StorageError):
             DenseStorage(0, 4)
         with pytest.raises(StorageError):
-            SparseStorage(4, 0)
+            DenseStorage(4, 0)
+
+
+class TestRowPrimitives:
+    """The unchecked ``row_*`` primitives of the fused worker-step path agree
+    with the checked single-key operations."""
+
+    def test_has_row_tracks_residency(self, storage):
+        assert not storage.has_row(3)
+        storage.insert(3, np.ones(4))
+        assert storage.has_row(3)
+        storage.remove(3)
+        assert not storage.has_row(3)
+
+    def test_row_copy_is_detached(self, storage):
+        storage.insert(2, np.arange(4.0))
+        row = storage.row_copy(2)
+        np.testing.assert_array_equal(row, storage.get(2))
+        row[0] = 99.0
+        np.testing.assert_array_equal(storage.get(2), np.arange(4.0))
+
+    def test_row_add_matches_add(self, storage):
+        update = np.array([0.5, -1.0, 2.0, 0.25])
+        storage.insert(1, np.ones(4))
+        storage.insert(6, np.ones(4))
+        storage.row_add(1, update)
+        storage.add(6, update)
+        np.testing.assert_array_equal(storage.get(1), storage.get(6))
+
+
+class TestSnapshot:
+    def test_snapshot_is_sorted_and_detached(self, storage):
+        for key in (9, 2, 5):
+            storage.insert(key, np.full(4, float(key)))
+        keys, values = storage.snapshot()
+        assert keys.dtype == np.int64
+        assert keys.tolist() == [2, 5, 9]
+        np.testing.assert_array_equal(values, np.repeat([[2.0], [5.0], [9.0]], 4, axis=1))
+        values += 1.0
+        storage.add(2, np.ones(4))
+        np.testing.assert_array_equal(storage.snapshot()[1][0], np.full(4, 3.0))
+        np.testing.assert_array_equal(values[0], np.full(4, 3.0))
+
+    def test_snapshot_of_empty_store(self, storage):
+        storage.insert(0, np.ones(4))
+        storage.remove(0)
+        keys, values = storage.snapshot()
+        assert keys.shape == (0,)
+        assert values.shape == (0, 4)
+
+
+class TestGatherRows:
+    def test_rows_follow_key_order(self):
+        per_key = {3: np.array([3.0, 3.5]), 0: np.array([0.0, 0.5]), 7: np.array([7.0, 7.5])}
+        out = gather_rows(per_key, [7, 0, 3, 7], 2)
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(
+            out, [[7.0, 7.5], [0.0, 0.5], [3.0, 3.5], [7.0, 7.5]]
+        )
+        out[0, 0] = -1.0
+        assert per_key[7][0] == 7.0
+
+    def test_no_keys_give_an_empty_batch(self):
+        assert gather_rows({1: np.ones(3)}, [], 3).shape == (0, 3)
 
 
 class TestLatchTable:
-    def test_key_always_maps_to_same_latch(self):
-        table = LatchTable(num_latches=10)
-        assert table.latch_for(3) == table.latch_for(3)
-        assert 0 <= table.latch_for(123456) < 10
-
     def test_acquisition_counter(self):
-        table = LatchTable(num_latches=4)
+        table = LatchTable()
         table.acquire(1)
         table.acquire(5)
         assert table.acquisitions == 2
-        # Keys 1 and 5 share a latch in a 4-latch table (1 % 4 == 5 % 4).
-        assert table.latch_for(1) == table.latch_for(5)
-
-    def test_invalid_latch_count(self):
-        with pytest.raises(StorageError):
-            LatchTable(0)
 
 
 @settings(max_examples=50, deadline=None)
@@ -135,25 +194,21 @@ class TestLatchTable:
         max_size=40,
     )
 )
-def test_property_dense_and_sparse_agree(ops):
-    """Dense and sparse stores behave identically under the same operation stream."""
-    dense = DenseStorage(16, 4)
-    sparse = SparseStorage(16, 4)
+def test_property_store_matches_dict_model(ops):
+    """The store behaves like a dict of rows under an insert/add stream."""
+    store = DenseStorage(16, 4)
     model = {}
     for key, update in ops:
         update = np.asarray(update)
         if key in model:
-            dense.add(key, update)
-            sparse.add(key, update)
+            store.add(key, update)
             model[key] = model[key] + update
         else:
-            dense.insert(key, update)
-            sparse.insert(key, update)
+            store.insert(key, update)
             model[key] = update.copy()
-    assert sorted(dense.keys()) == sorted(sparse.keys()) == sorted(model.keys())
+    assert sorted(store.keys()) == sorted(model.keys())
     for key, expected in model.items():
-        np.testing.assert_allclose(dense.get(key), expected, rtol=1e-9, atol=1e-9)
-        np.testing.assert_allclose(sparse.get(key), expected, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(store.get(key), expected, rtol=1e-9, atol=1e-9)
 
 
 @settings(max_examples=30, deadline=None)
@@ -162,7 +217,7 @@ def test_property_dense_and_sparse_agree(ops):
 )
 def test_property_remove_inverts_insert(keys):
     """After inserting and removing the same keys, the store is empty again."""
-    store = SparseStorage(64, 2)
+    store = DenseStorage(64, 2)
     for key in keys:
         store.insert(key, np.array([key, -key], dtype=float))
     for key in keys:

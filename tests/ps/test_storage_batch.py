@@ -5,7 +5,8 @@ single-key primitives per key in batch order: duplicates accumulate under
 ``add_many``, errors name the first offending key, and values round-trip
 bit-for-bit.  Every test runs both below and above the ``SMALL_BATCH``
 threshold so the pure-Python fast path and the vectorized path are both
-covered.
+covered, and the parity and error tests run on both stores a node can own:
+``DenseStorage`` and the real backend's ``SharedDenseStorage``.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backend import SharedDenseStorage
 from repro.errors import StorageError, UnknownKeyError
 from repro.ps.base import ParameterServer
 from repro.ps.partition import (
@@ -20,13 +22,7 @@ from repro.ps.partition import (
     HashPartitioner,
     RangePartitioner,
 )
-from repro.ps.storage import (
-    SMALL_BATCH,
-    DenseStorage,
-    LatchTable,
-    SparseStorage,
-    make_storage,
-)
+from repro.ps.storage import SMALL_BATCH, DenseStorage, LatchTable
 
 NUM_KEYS = 3 * SMALL_BATCH
 VALUE_LENGTH = 4
@@ -35,18 +31,26 @@ VALUE_LENGTH = 4
 BATCH_SIZES = (1, 2, SMALL_BATCH, SMALL_BATCH + 1, 2 * SMALL_BATCH)
 
 
-@pytest.fixture(params=["dense", "sparse"])
-def store_kind(request):
-    return request.param
+def _make(initial=None):
+    return DenseStorage(NUM_KEYS, VALUE_LENGTH, initial_keys=initial)
 
 
-def _make(kind, initial=None):
-    return make_storage(
-        dense=kind == "dense",
-        num_keys=NUM_KEYS,
-        value_length=VALUE_LENGTH,
-        initial_keys=initial,
-    )
+@pytest.fixture(params=["dense", "shared"])
+def make_store(request):
+    """Factory for the store kind under test: the simulator's ``DenseStorage``
+    or the real backend's shared-memory subclass (detached afterwards)."""
+    created = []
+
+    def make(initial=None):
+        if request.param == "dense":
+            return _make(initial)
+        store = SharedDenseStorage(NUM_KEYS, VALUE_LENGTH, initial_keys=initial)
+        created.append(store)
+        return store
+
+    yield make
+    for store in created:
+        store.detach()
 
 
 def _rng(seed=0):
@@ -55,12 +59,12 @@ def _rng(seed=0):
 
 class TestBatchParity:
     @pytest.mark.parametrize("size", BATCH_SIZES)
-    def test_insert_many_then_get_many_roundtrip(self, store_kind, size):
+    def test_insert_many_then_get_many_roundtrip(self, make_store, size):
         rng = _rng(size)
         keys = list(rng.permutation(NUM_KEYS)[:size])
         values = rng.normal(size=(size, VALUE_LENGTH))
-        batch = _make(store_kind)
-        single = _make(store_kind)
+        batch = make_store()
+        single = make_store()
         batch.insert_many(keys, values)
         for index, key in enumerate(keys):
             single.insert(key, values[index])
@@ -70,12 +74,12 @@ class TestBatchParity:
             np.testing.assert_array_equal(batch.get(key), single.get(key))
 
     @pytest.mark.parametrize("size", BATCH_SIZES)
-    def test_add_many_matches_single_adds(self, store_kind, size):
+    def test_add_many_matches_single_adds(self, make_store, size):
         rng = _rng(size + 100)
         keys = list(rng.permutation(NUM_KEYS)[:size])
         updates = rng.normal(size=(size, VALUE_LENGTH))
-        batch = _make(store_kind, initial=range(NUM_KEYS))
-        single = _make(store_kind, initial=range(NUM_KEYS))
+        batch = make_store(initial=range(NUM_KEYS))
+        single = make_store(initial=range(NUM_KEYS))
         batch.add_many(keys, updates)
         for index, key in enumerate(keys):
             single.add(key, updates[index])
@@ -83,13 +87,13 @@ class TestBatchParity:
             np.testing.assert_array_equal(batch.get(key), single.get(key))
 
     @pytest.mark.parametrize("size", BATCH_SIZES)
-    def test_add_many_duplicates_accumulate(self, store_kind, size):
+    def test_add_many_duplicates_accumulate(self, make_store, size):
         rng = _rng(size + 200)
         base_keys = list(rng.permutation(NUM_KEYS)[:size])
         keys = base_keys + base_keys  # every key appears twice
         updates = rng.normal(size=(len(keys), VALUE_LENGTH))
-        batch = _make(store_kind, initial=range(NUM_KEYS))
-        single = _make(store_kind, initial=range(NUM_KEYS))
+        batch = make_store(initial=range(NUM_KEYS))
+        single = make_store(initial=range(NUM_KEYS))
         batch.add_many(keys, updates)
         for index, key in enumerate(keys):
             single.add(key, updates[index])
@@ -97,12 +101,12 @@ class TestBatchParity:
             np.testing.assert_array_equal(batch.get(key), single.get(key))
 
     @pytest.mark.parametrize("size", BATCH_SIZES)
-    def test_set_many_matches_single_sets(self, store_kind, size):
+    def test_set_many_matches_single_sets(self, make_store, size):
         rng = _rng(size + 300)
         keys = list(rng.permutation(NUM_KEYS)[:size])
         values = rng.normal(size=(size, VALUE_LENGTH))
-        batch = _make(store_kind, initial=range(NUM_KEYS))
-        single = _make(store_kind, initial=range(NUM_KEYS))
+        batch = make_store(initial=range(NUM_KEYS))
+        single = make_store(initial=range(NUM_KEYS))
         batch.set_many(keys, values)
         for index, key in enumerate(keys):
             single.set(key, values[index])
@@ -110,36 +114,36 @@ class TestBatchParity:
             np.testing.assert_array_equal(batch.get(key), single.get(key))
 
     @pytest.mark.parametrize("size", BATCH_SIZES)
-    def test_remove_many_matches_single_removes(self, store_kind, size):
+    def test_remove_many_matches_single_removes(self, make_store, size):
         rng = _rng(size + 400)
         keys = list(rng.permutation(NUM_KEYS)[:size])
-        batch = _make(store_kind, initial=range(NUM_KEYS))
-        single = _make(store_kind, initial=range(NUM_KEYS))
+        batch = make_store(initial=range(NUM_KEYS))
+        single = make_store(initial=range(NUM_KEYS))
         removed = batch.remove_many(keys)
         for index, key in enumerate(keys):
             np.testing.assert_array_equal(removed[index], single.remove(key))
         assert sorted(batch.keys()) == sorted(single.keys())
 
     @pytest.mark.parametrize("size", BATCH_SIZES)
-    def test_contains_many_and_flags(self, store_kind, size):
+    def test_contains_many_and_flags(self, make_store, size):
         rng = _rng(size + 500)
         resident = set(rng.permutation(NUM_KEYS)[: NUM_KEYS // 2].tolist())
-        store = _make(store_kind, initial=sorted(resident))
+        store = make_store(initial=sorted(resident))
         keys = list(rng.permutation(NUM_KEYS)[:size])
         expected = [key in resident for key in keys]
         assert store.contains_many(keys).tolist() == expected
         assert store.contains_flags(keys) == expected
 
-    def test_ndarray_key_batches_accepted(self, store_kind):
-        store = _make(store_kind, initial=range(NUM_KEYS))
+    def test_ndarray_key_batches_accepted(self, make_store):
+        store = make_store(initial=range(NUM_KEYS))
         keys = np.arange(NUM_KEYS, dtype=np.int64)
         values = store.get_many(keys)
         assert values.shape == (NUM_KEYS, VALUE_LENGTH)
         store.add_many(keys, np.ones((NUM_KEYS, VALUE_LENGTH)))
         np.testing.assert_array_equal(store.get_many(keys), values + 1.0)
 
-    def test_get_many_returns_copies(self, store_kind):
-        store = _make(store_kind, initial=range(NUM_KEYS))
+    def test_get_many_returns_copies(self, make_store):
+        store = make_store(initial=range(NUM_KEYS))
         out = store.get_many([0, 1])
         out += 99.0
         np.testing.assert_array_equal(store.get(0), np.zeros(VALUE_LENGTH))
@@ -147,9 +151,9 @@ class TestBatchParity:
 
 class TestBatchErrors:
     @pytest.mark.parametrize("size", (2, 2 * SMALL_BATCH))
-    def test_non_resident_key_rejected(self, store_kind, size):
+    def test_non_resident_key_rejected(self, make_store, size):
         resident = [k for k in range(size) if k != 1]
-        store = _make(store_kind, initial=resident)
+        store = make_store(initial=resident)
         keys = list(range(size))  # key 1 is missing
         with pytest.raises(StorageError, match="key 1 is not resident"):
             store.get_many(keys)
@@ -161,9 +165,9 @@ class TestBatchErrors:
             store.remove_many(keys)
 
     @pytest.mark.parametrize("size", (2, 2 * SMALL_BATCH))
-    def test_add_many_is_atomic_on_error(self, store_kind, size):
+    def test_add_many_is_atomic_on_error(self, make_store, size):
         resident = [k for k in range(size) if k != size - 1]
-        store = _make(store_kind, initial=resident)
+        store = make_store(initial=resident)
         keys = list(range(size))  # the last key is missing
         with pytest.raises(StorageError):
             store.add_many(keys, np.ones((size, VALUE_LENGTH)))
@@ -172,10 +176,10 @@ class TestBatchErrors:
             np.testing.assert_array_equal(store.get(key), np.zeros(VALUE_LENGTH))
 
     @pytest.mark.parametrize("size", (2, 2 * SMALL_BATCH))
-    def test_mutating_batches_are_atomic_on_error(self, store_kind, size):
+    def test_mutating_batches_are_atomic_on_error(self, make_store, size):
         """set/insert/remove batches with a bad key must leave no partial state."""
         resident = [k for k in range(size) if k != size - 1]
-        store = _make(store_kind, initial=resident)
+        store = make_store(initial=resident)
         keys = list(range(size))  # the last key is missing
         with pytest.raises(StorageError):
             store.set_many(keys, np.ones((size, VALUE_LENGTH)))
@@ -189,8 +193,8 @@ class TestBatchErrors:
         assert not store.contains(size) and not store.contains(size + 1)
 
     @pytest.mark.parametrize("size", (3, 2 * SMALL_BATCH))
-    def test_out_of_range_key_rejected(self, store_kind, size):
-        store = _make(store_kind, initial=range(NUM_KEYS))
+    def test_out_of_range_key_rejected(self, make_store, size):
+        store = make_store(initial=range(NUM_KEYS))
         keys = list(range(size - 1)) + [NUM_KEYS]
         with pytest.raises(StorageError, match=f"key {NUM_KEYS} out of range"):
             store.get_many(keys)
@@ -198,8 +202,8 @@ class TestBatchErrors:
             store.contains_many([-1] + list(range(size - 1)))
 
     @pytest.mark.parametrize("size", (2, 2 * SMALL_BATCH))
-    def test_shape_mismatch_rejected(self, store_kind, size):
-        store = _make(store_kind, initial=range(NUM_KEYS))
+    def test_shape_mismatch_rejected(self, make_store, size):
+        store = make_store(initial=range(NUM_KEYS))
         keys = list(range(size))
         with pytest.raises(StorageError, match="shape"):
             store.add_many(keys, np.zeros((size, VALUE_LENGTH + 1)))
@@ -207,29 +211,23 @@ class TestBatchErrors:
             store.set_many(keys, np.zeros((size + 1, VALUE_LENGTH)))
 
     @pytest.mark.parametrize("size", (2, 2 * SMALL_BATCH))
-    def test_insert_many_duplicate_in_batch_rejected(self, store_kind, size):
-        store = _make(store_kind)
+    def test_insert_many_duplicate_in_batch_rejected(self, make_store, size):
+        store = make_store()
         keys = list(range(size - 1)) + [0]  # key 0 appears twice
         with pytest.raises(StorageError, match="already resident"):
             store.insert_many(keys, np.zeros((size, VALUE_LENGTH)))
 
     @pytest.mark.parametrize("size", (2, 2 * SMALL_BATCH))
-    def test_insert_many_existing_key_rejected(self, store_kind, size):
-        store = _make(store_kind, initial=[1])
+    def test_insert_many_existing_key_rejected(self, make_store, size):
+        store = make_store(initial=[1])
         keys = list(range(size))
         with pytest.raises(StorageError, match="key 1 is already resident"):
             store.insert_many(keys, np.zeros((size, VALUE_LENGTH)))
 
 
-class TestSparseInPlaceAdd:
-    def test_add_does_not_reallocate(self):
-        store = SparseStorage(8, VALUE_LENGTH, initial_keys=[3])
-        slab_before = store._matrix
-        store.add(3, np.ones(VALUE_LENGTH))
-        assert store._matrix is slab_before  # slab row updated in place
-
+class TestNoAliasing:
     def test_add_does_not_mutate_caller_arrays(self):
-        store = SparseStorage(8, VALUE_LENGTH)
+        store = DenseStorage(8, VALUE_LENGTH)
         inserted = np.ones(VALUE_LENGTH)
         store.insert(0, inserted)
         store.add(0, np.ones(VALUE_LENGTH))
@@ -240,7 +238,7 @@ class TestSparseInPlaceAdd:
         np.testing.assert_array_equal(set_value, np.full(VALUE_LENGTH, 5.0))
 
     def test_get_still_returns_copy(self):
-        store = SparseStorage(8, VALUE_LENGTH, initial_keys=[0])
+        store = DenseStorage(8, VALUE_LENGTH, initial_keys=[0])
         copy = store.get(0)
         copy[0] = 42.0
         np.testing.assert_array_equal(store.get(0), np.zeros(VALUE_LENGTH))
@@ -249,16 +247,13 @@ class TestSparseInPlaceAdd:
 class TestLatchTableBatch:
     @pytest.mark.parametrize("size", BATCH_SIZES)
     def test_acquire_many_counts_every_key(self, size):
-        table = LatchTable(num_latches=7)
-        keys = list(range(size))
-        indexes = table.acquire_many(keys)
+        table = LatchTable()
+        table.acquire_many(list(range(size)))
         assert table.acquisitions == size
-        assert list(indexes) == [table.latch_for(key) for key in keys]
 
     def test_acquire_many_accepts_ndarray(self):
-        table = LatchTable(num_latches=5)
-        indexes = table.acquire_many(np.array([1, 6, 11]))
-        assert list(indexes) == [1, 1, 1]
+        table = LatchTable()
+        table.acquire_many(np.array([1, 6, 11]))
         assert table.acquisitions == 3
 
 
@@ -428,56 +423,55 @@ class TestAllParametersBatched:
     )
 )
 def test_property_batch_ops_match_single_ops(ops):
-    """Random batch-op programs agree with their per-key expansion on both stores."""
-    for kind in ("dense", "sparse"):
-        batch = _make(kind)
-        single = _make(kind)
-        for op, keys, seed in ops:
-            values = np.random.default_rng(seed).normal(size=(len(keys), VALUE_LENGTH))
-            if op == "add":
-                keys = [key for key in keys if single.contains(key)]
-                values = values[: len(keys)]
-                if not keys:
-                    continue
-                batch.add_many(keys, values)
-                for index, key in enumerate(keys):
-                    single.add(key, values[index])
-            elif op == "set":
-                # Deduplicate: set_many's last-wins contract equals per-key
-                # order only when we apply rows in the same order, which the
-                # per-key expansion does; keep duplicates to exercise it.
-                keys = [key for key in keys if single.contains(key)]
-                values = values[: len(keys)]
-                if not keys:
-                    continue
-                batch.set_many(keys, values)
-                for index, key in enumerate(keys):
-                    single.set(key, values[index])
-            elif op == "insert":
-                seen = set()
-                fresh = []
-                for key in keys:
-                    if not single.contains(key) and key not in seen:
-                        fresh.append(key)
-                        seen.add(key)
-                values = values[: len(fresh)]
-                if not fresh:
-                    continue
-                batch.insert_many(fresh, values)
-                for index, key in enumerate(fresh):
-                    single.insert(key, values[index])
-            else:  # remove
-                seen = set()
-                present = []
-                for key in keys:
-                    if single.contains(key) and key not in seen:
-                        present.append(key)
-                        seen.add(key)
-                if not present:
-                    continue
-                removed = batch.remove_many(present)
-                for index, key in enumerate(present):
-                    np.testing.assert_array_equal(removed[index], single.remove(key))
-        assert sorted(batch.keys()) == sorted(single.keys())
-        for key in single.keys():
-            np.testing.assert_array_equal(batch.get(key), single.get(key))
+    """Random batch-op programs agree with their per-key expansion."""
+    batch = _make()
+    single = _make()
+    for op, keys, seed in ops:
+        values = np.random.default_rng(seed).normal(size=(len(keys), VALUE_LENGTH))
+        if op == "add":
+            keys = [key for key in keys if single.contains(key)]
+            values = values[: len(keys)]
+            if not keys:
+                continue
+            batch.add_many(keys, values)
+            for index, key in enumerate(keys):
+                single.add(key, values[index])
+        elif op == "set":
+            # Deduplicate: set_many's last-wins contract equals per-key
+            # order only when we apply rows in the same order, which the
+            # per-key expansion does; keep duplicates to exercise it.
+            keys = [key for key in keys if single.contains(key)]
+            values = values[: len(keys)]
+            if not keys:
+                continue
+            batch.set_many(keys, values)
+            for index, key in enumerate(keys):
+                single.set(key, values[index])
+        elif op == "insert":
+            seen = set()
+            fresh = []
+            for key in keys:
+                if not single.contains(key) and key not in seen:
+                    fresh.append(key)
+                    seen.add(key)
+            values = values[: len(fresh)]
+            if not fresh:
+                continue
+            batch.insert_many(fresh, values)
+            for index, key in enumerate(fresh):
+                single.insert(key, values[index])
+        else:  # remove
+            seen = set()
+            present = []
+            for key in keys:
+                if single.contains(key) and key not in seen:
+                    present.append(key)
+                    seen.add(key)
+            if not present:
+                continue
+            removed = batch.remove_many(present)
+            for index, key in enumerate(present):
+                np.testing.assert_array_equal(removed[index], single.remove(key))
+    assert sorted(batch.keys()) == sorted(single.keys())
+    for key in single.keys():
+        np.testing.assert_array_equal(batch.get(key), single.get(key))

@@ -72,8 +72,6 @@ def test_parameter_server_config_validation():
     with pytest.raises(ExperimentError):
         ParameterServerConfig(value_length=0)
     with pytest.raises(ExperimentError):
-        ParameterServerConfig(num_latches=0)
-    with pytest.raises(ExperimentError):
         ParameterServerConfig(staleness_bound=-1)
 
 
