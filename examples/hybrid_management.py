@@ -6,7 +6,7 @@ Servers* (§3 introduces relocation; §3.4/Table 1 analyse what each management
 technique does to per-key consistency) sketches combining multiple management
 techniques inside one server, the direction later formalized as NuPS
 (Renz-Wieland et al., SIGMOD 2022).  This example runs that combination: the
-``hybrid`` PS assigns a technique **per key** via the hot-key policies of
+``hybrid`` PS assigns a technique **per key** via the hot-key policy of
 ``repro.ps.partition``.
 
 The workload is deliberately skewed, like the paper's KGE and word-vector

@@ -25,12 +25,7 @@ Quickstart::
     print(ps.metrics().relocations, "relocations in", ps.simulated_time, "sim-seconds")
 """
 
-from repro.config import (
-    ClusterConfig,
-    CostModel,
-    ParameterServerConfig,
-    WorkloadConfig,
-)
+from repro.config import ClusterConfig, CostModel, ParameterServerConfig
 from repro.ps import (
     ClassicIPCPS,
     ClassicPS,
@@ -52,6 +47,5 @@ __all__ = [
     "ParameterServerConfig",
     "ReplicaPS",
     "StalePS",
-    "WorkloadConfig",
     "__version__",
 ]

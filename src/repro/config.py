@@ -21,7 +21,6 @@ because they determine the shape of the scaling curves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple
 
 from repro.errors import ExperimentError
 
@@ -192,12 +191,9 @@ class ParameterServerConfig:
             whenever one of its workers advances its clock).
         replica_sync_interval: Period of the time-triggered synchronization
             loop in simulated seconds (replica PS only).
-        hot_key_policy: Hot-key replication policy kind (replica PS only):
-            ``"access_count"``, ``"explicit"``, or ``"none"``
-            (see :func:`repro.ps.partition.make_hot_key_policy`).
-        hot_key_threshold: Access count at which a key becomes hot under the
-            ``access_count`` policy.
-        hot_keys: Fixed hot set for the ``explicit`` policy.
+        hot_key_threshold: Access count at which a node replicates a key
+            (replication-based PSs only; see
+            :class:`repro.ps.partition.AccessCountHotKeyPolicy`).
     """
 
     num_keys: int = 1024
@@ -209,9 +205,7 @@ class ParameterServerConfig:
     stale_server_push: bool = False
     replica_sync_trigger: str = "time"
     replica_sync_interval: float = 500e-6
-    hot_key_policy: str = "access_count"
     hot_key_threshold: int = 1
-    hot_keys: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
         if self.num_keys < 1:
@@ -231,44 +225,10 @@ class ParameterServerConfig:
             raise ExperimentError(
                 f"replica_sync_interval must be > 0, got {self.replica_sync_interval}"
             )
-        if self.hot_key_policy not in ("access_count", "explicit", "none"):
-            raise ExperimentError(
-                "hot_key_policy must be 'access_count', 'explicit', or 'none', "
-                f"got {self.hot_key_policy!r}"
-            )
         if self.hot_key_threshold < 1:
             raise ExperimentError(
                 f"hot_key_threshold must be >= 1, got {self.hot_key_threshold}"
             )
-        if self.hot_key_policy == "explicit" and self.hot_keys is None:
-            raise ExperimentError("hot_key_policy 'explicit' requires hot_keys")
-        if self.hot_keys is not None:
-            for key in self.hot_keys:
-                if not 0 <= key < self.num_keys:
-                    raise ExperimentError(
-                        f"hot key {key} out of range [0, {self.num_keys})"
-                    )
-
-
-@dataclass(frozen=True)
-class WorkloadConfig:
-    """Compute-cost knobs for a simulated ML workload.
-
-    Attributes:
-        compute_time_per_datapoint: Simulated seconds of pure computation a
-            worker spends on one data point (excluding parameter access).
-        datapoints_per_worker: Number of data points each worker processes per
-            epoch when the workload is synthetic.
-    """
-
-    compute_time_per_datapoint: float = 20e-6
-    datapoints_per_worker: int = 1000
-
-    def __post_init__(self) -> None:
-        if self.compute_time_per_datapoint < 0:
-            raise ExperimentError("compute_time_per_datapoint must be non-negative")
-        if self.datapoints_per_worker < 1:
-            raise ExperimentError("datapoints_per_worker must be >= 1")
 
 
 #: The parallelism levels used throughout the paper's evaluation (nodes x 4 threads).

@@ -11,16 +11,9 @@ equivalents that preserve the properties the experiments depend on:
   entity/relation ratio and Zipf-skewed entity usage,
 * :mod:`repro.data.synthetic_corpus` — text corpora with Zipf-distributed
   word frequencies (the skew that drives localization conflicts in the
-  word-vector experiment),
-* :mod:`repro.data.partitioning` — utilities to partition data points over
-  workers (by row block, by relation, round-robin).
+  word-vector experiment).
 """
 
-from repro.data.partitioning import (
-    partition_by_key_function,
-    partition_contiguous,
-    partition_round_robin,
-)
 from repro.data.synthetic_corpus import SyntheticCorpus, generate_corpus
 from repro.data.synthetic_graph import SyntheticKnowledgeGraph, generate_knowledge_graph
 from repro.data.synthetic_matrix import SyntheticMatrix, generate_matrix
@@ -32,7 +25,4 @@ __all__ = [
     "generate_corpus",
     "generate_knowledge_graph",
     "generate_matrix",
-    "partition_by_key_function",
-    "partition_contiguous",
-    "partition_round_robin",
 ]

@@ -200,7 +200,6 @@ def _make_sim_ps(
             replace(
                 ps_config,
                 replica_sync_trigger="time",
-                hot_key_policy="access_count",
                 hot_key_threshold=HYBRID_HOT_KEY_THRESHOLD,
             ),
             **extras,
@@ -523,9 +522,7 @@ def make_elastic_mf(
     )
     cluster = _cluster(num_nodes, workers_per_node, seed, cost_model)
     ps_config = ParameterServerConfig(num_keys=scale.num_cols, value_length=scale.rank)
-    partitioner = ElasticPartitioner(
-        scale.num_cols, num_nodes, active_nodes=initial_nodes, kind="range"
-    )
+    partitioner = ElasticPartitioner(scale.num_cols, num_nodes, active_nodes=initial_nodes)
     ps = make_parameter_server(
         system,
         cluster,

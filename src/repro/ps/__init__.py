@@ -41,16 +41,8 @@ from repro.ps.policy import ManagementPolicy, Route, consistency_classification
 from repro.ps.partition import (
     AccessCountHotKeyPolicy,
     ElasticPartitioner,
-    ExplicitHotKeyPolicy,
-    ExplicitPartitioner,
-    HashPartitioner,
-    HotKeyPolicy,
     KeyPartitioner,
-    NoReplicationPolicy,
     RangePartitioner,
-    make_hot_key_policy,
-    make_partitioner,
-    random_key_mapping,
 )
 from repro.ps.replica import EagerReplicationPolicy, ReplicaPS
 from repro.ps.stale import StalePS, StaleReplicaPolicy
@@ -64,17 +56,12 @@ __all__ = [
     "DenseStorage",
     "EagerReplicationPolicy",
     "ElasticPartitioner",
-    "ExplicitHotKeyPolicy",
-    "ExplicitPartitioner",
-    "HotKeyPolicy",
-    "HashPartitioner",
     "HybridManagementPolicy",
     "HybridPS",
     "KeyPartitioner",
     "LapsePS",
     "LatchTable",
     "ManagementPolicy",
-    "NoReplicationPolicy",
     "NodeState",
     "OperationHandle",
     "ParameterServer",
@@ -90,7 +77,4 @@ __all__ = [
     "StaticPolicy",
     "WorkerClient",
     "consistency_classification",
-    "make_hot_key_policy",
-    "make_partitioner",
-    "random_key_mapping",
 ]

@@ -1,19 +1,16 @@
-"""Key partitioners and hot-key replication policies.
+"""Key partitioners and the hot-key replication policy.
 
 Classic parameter servers allocate parameters statically via a partitioning of
-the key space (range or hash partitioning, §2.2.1).  Lapse uses the same
-static partitioning to assign each key its *home node* (§3.5), while the
-*owner* changes dynamically at run time.
+the key space (§2.2.1); here that is always range partitioning.  Lapse uses
+the same static partitioning to assign each key its *home node* (§3.5), while
+the *owner* changes dynamically at run time.  :class:`ElasticPartitioner`
+applies range partitioning to the active nodes of an elastic cluster.
 
-``random_key_mapping`` implements the key-randomization trick from footnote 5
-of the paper: assigning random keys to parameters spreads hot parameters over
-servers when the application's natural key order is skewed.
-
-The :class:`HotKeyPolicy` family decides which keys a *replication*-based PS
+:class:`AccessCountHotKeyPolicy` decides which keys a *replication*-based PS
 (:class:`repro.ps.replica.ReplicaPS`) replicates to an accessing node — the
 alternative to relocation that the paper contrasts DPA with in its related
-work discussion.  Policies are per-node (each node tracks its own accesses)
-and purely local: they never communicate.
+work discussion.  The policy is per-node (each node counts its own accesses)
+and purely local: it never communicates.
 """
 
 from __future__ import annotations
@@ -30,7 +27,11 @@ from repro.ps.storage import SMALL_BATCH as _SMALL_BATCH
 
 
 class KeyPartitioner:
-    """Maps every key to the node that statically hosts it."""
+    """Maps every key to the node that statically hosts it.
+
+    Subclasses provide :meth:`node_of`, its vectorized form ``nodes_of`` (one
+    int64 node id per key) and ``keys_of`` (all keys of one node).
+    """
 
     def __init__(self, num_keys: int, num_nodes: int) -> None:
         if num_keys < 1:
@@ -44,18 +45,6 @@ class KeyPartitioner:
         """Return the node statically responsible for ``key``."""
         raise NotImplementedError
 
-    def nodes_of(self, keys: Sequence[int]) -> np.ndarray:
-        """Vectorized :meth:`node_of`: one int64 node id per key.
-
-        The hot data paths of the parameter servers resolve whole key batches
-        through this method; subclasses override it with a NumPy
-        implementation.  The fallback loops over :meth:`node_of`.
-        """
-        keys = np.asarray(keys, dtype=np.int64)
-        return np.fromiter(
-            (self.node_of(int(key)) for key in keys), dtype=np.int64, count=keys.size
-        )
-
     def nodes_of_list(self, keys: Sequence[int]) -> List[int]:
         """:meth:`nodes_of` as a plain Python list.
 
@@ -66,11 +55,6 @@ class KeyPartitioner:
             node_of = self.node_of
             return [node_of(key) for key in keys]
         return self.nodes_of(keys).tolist()
-
-    def keys_of(self, node: int) -> List[int]:
-        """Return all keys statically assigned to ``node``."""
-        self._check_node(node)
-        return [key for key in range(self.num_keys) if self.node_of(key) == node]
 
     def _check_key(self, key: int) -> None:
         if not 0 <= key < self.num_keys:
@@ -137,63 +121,15 @@ class RangePartitioner(KeyPartitioner):
         return self._boundaries[node]
 
 
-class HashPartitioner(KeyPartitioner):
-    """Deterministic hash partitioning (multiplicative hashing)."""
-
-    _MULTIPLIER = 2654435761  # Knuth's multiplicative hash constant
-
-    def node_of(self, key: int) -> int:
-        self._check_key(key)
-        return ((key * self._MULTIPLIER) & 0xFFFFFFFF) % self.num_nodes
-
-    def nodes_of(self, keys: Sequence[int]) -> np.ndarray:
-        keys = self._check_keys_array(keys)
-        hashed = (keys.astype(np.uint64) * np.uint64(self._MULTIPLIER)) & np.uint64(0xFFFFFFFF)
-        return (hashed % np.uint64(self.num_nodes)).astype(np.int64)
-
-
-class ExplicitPartitioner(KeyPartitioner):
-    """Partitioning given by an explicit key→node assignment array.
-
-    This is what a PS with *parameter location control* exposes: the
-    application decides where each parameter lives (used by the data-clustering
-    PAL technique to place each parameter on the node that accesses it most).
-    """
-
-    def __init__(self, assignment: Sequence[int], num_nodes: int) -> None:
-        assignment = np.asarray(assignment, dtype=np.int64)
-        super().__init__(len(assignment), num_nodes)
-        if assignment.size == 0:
-            raise PartitionError("assignment must not be empty")
-        if assignment.min() < 0 or assignment.max() >= num_nodes:
-            raise PartitionError(
-                "assignment contains node ids outside the range "
-                f"[0, {num_nodes})"
-            )
-        self._assignment = assignment
-
-    def node_of(self, key: int) -> int:
-        self._check_key(key)
-        return int(self._assignment[key])
-
-    def nodes_of(self, keys: Sequence[int]) -> np.ndarray:
-        keys = self._check_keys_array(keys)
-        return self._assignment[keys]
-
-    def keys_of(self, node: int) -> List[int]:
-        self._check_node(node)
-        return np.flatnonzero(self._assignment == node).tolist()
-
-
 class ElasticPartitioner(KeyPartitioner):
     """Versioned partitioner over the *active* subset of an elastic cluster.
 
     A classic partitioner maps the key space onto a fixed node set; an elastic
     cluster changes its node set at run time.  :class:`ElasticPartitioner`
-    wraps a base partitioning ``kind`` (range or hash) but applies it only to
-    the currently active nodes: ``num_nodes`` is the cluster's *capacity*
-    (reserve nodes are valid ids that simply hold no keys), and
-    :meth:`rebalance` recomputes the assignment for a new active set.
+    range-partitions the key space over the currently active nodes only:
+    ``num_nodes`` is the cluster's *capacity* (reserve nodes are valid ids
+    that simply hold no keys), and :meth:`rebalance` recomputes the
+    assignment for a new active set.
 
     Rebalancing is *movement-minimizing*: instead of re-ranging the whole key
     space (which would shuffle keys between nodes that did not change), every
@@ -214,12 +150,8 @@ class ElasticPartitioner(KeyPartitioner):
         num_keys: int,
         num_nodes: int,
         active_nodes: Optional[Sequence[int]] = None,
-        kind: str = "range",
     ) -> None:
         super().__init__(num_keys, num_nodes)
-        if kind not in ("range", "hash"):
-            raise PartitionError(f"unknown partitioner kind {kind!r}")
-        self._kind = kind
         active = list(range(num_nodes)) if active_nodes is None else list(active_nodes)
         self._active = self._check_active(active)
         self.epoch = 0
@@ -239,7 +171,7 @@ class ElasticPartitioner(KeyPartitioner):
 
     # ------------------------------------------------------------- assignment
     def _fresh_assignment(self, active: List[int]) -> np.ndarray:
-        base = make_partitioner(self._kind, self.num_keys, len(active))
+        base = RangePartitioner(self.num_keys, len(active))
         keys = np.arange(self.num_keys, dtype=np.int64)
         return np.asarray(active, dtype=np.int64)[base.nodes_of(keys)]
 
@@ -321,48 +253,14 @@ class ElasticPartitioner(KeyPartitioner):
         return int(self._previous_assignment[key])
 
 
-def random_key_mapping(num_keys: int, seed: int = 0) -> np.ndarray:
-    """Return a random bijective mapping ``original key -> assigned key``.
-
-    The paper (footnote 5) manually assigns random keys to parameters so that
-    range partitioning spreads frequently accessed parameters evenly across
-    servers.  Applications apply this mapping before talking to the PS.
-    """
-    if num_keys < 1:
-        raise PartitionError(f"num_keys must be >= 1, got {num_keys}")
-    rng = np.random.default_rng(seed)
-    return rng.permutation(num_keys)
-
-
-def make_partitioner(kind: str, num_keys: int, num_nodes: int) -> KeyPartitioner:
-    """Factory for the built-in partitioner kinds (``"range"`` or ``"hash"``)."""
-    if kind == "range":
-        return RangePartitioner(num_keys, num_nodes)
-    if kind == "hash":
-        return HashPartitioner(num_keys, num_nodes)
-    raise PartitionError(f"unknown partitioner kind {kind!r}")
-
-
-# ----------------------------------------------------------- hot-key policies
-class HotKeyPolicy:
-    """Decides which keys a node replicates (replication-based PS only).
+# ------------------------------------------------------------ hot-key policy
+class AccessCountHotKeyPolicy:
+    """Replicate a key once this node accessed it ``threshold`` times.
 
     A node consults its policy on every access to a parameter it neither owns
     nor already replicates: ``record_access`` is called first, then ``is_hot``
-    decides whether the node should install a replica of the key.  Policies
-    are stateful per node and see only that node's accesses.
-    """
-
-    def record_access(self, key: int) -> None:
-        """Note one access to a non-local ``key`` (default: no bookkeeping)."""
-
-    def is_hot(self, key: int) -> bool:
-        """Whether ``key`` should be replicated to this node."""
-        raise NotImplementedError
-
-
-class AccessCountHotKeyPolicy(HotKeyPolicy):
-    """Replicate a key once this node accessed it ``threshold`` times.
+    decides whether the node should install a replica of the key.  The policy
+    is stateful per node and sees only that node's accesses.
 
     ``threshold=1`` replicates eagerly on the first access (every accessed key
     is treated as hot); larger thresholds replicate only keys that a node
@@ -376,64 +274,13 @@ class AccessCountHotKeyPolicy(HotKeyPolicy):
         self._counts: dict = {}
 
     def record_access(self, key: int) -> None:
+        """Note one access to a non-local ``key``."""
         self._counts[key] = self._counts.get(key, 0) + 1
 
     def is_hot(self, key: int) -> bool:
+        """Whether ``key`` should be replicated to this node."""
         return self._counts.get(key, 0) >= self.threshold
 
     def access_count(self, key: int) -> int:
         """Number of accesses recorded for ``key`` on this node."""
         return self._counts.get(key, 0)
-
-
-class ExplicitHotKeyPolicy(HotKeyPolicy):
-    """Replicate exactly the keys in a fixed application-provided hot set."""
-
-    def __init__(self, hot_keys: Sequence[int], num_keys: Optional[int] = None) -> None:
-        keys = frozenset(int(key) for key in hot_keys)
-        for key in keys:
-            if key < 0:
-                raise PartitionError(f"hot key {key} must be non-negative")
-            if num_keys is not None and key >= num_keys:
-                raise PartitionError(
-                    f"hot key {key} out of range [0, {num_keys})"
-                )
-        self.hot_keys = keys
-
-    def is_hot(self, key: int) -> bool:
-        return key in self.hot_keys
-
-
-class NoReplicationPolicy(HotKeyPolicy):
-    """Never replicate: the replica PS degenerates to a classic PS."""
-
-    def is_hot(self, key: int) -> bool:
-        return False
-
-
-def make_hot_key_policy(
-    kind: str,
-    *,
-    threshold: int = 1,
-    hot_keys: Optional[Sequence[int]] = None,
-    num_keys: Optional[int] = None,
-) -> HotKeyPolicy:
-    """Factory for the built-in hot-key policy kinds.
-
-    Args:
-        kind: ``"access_count"`` (replicate after ``threshold`` accesses),
-            ``"explicit"`` (replicate a fixed ``hot_keys`` set), or
-            ``"none"`` (never replicate).
-        threshold: Access count at which a key becomes hot (``access_count``).
-        hot_keys: The fixed hot set (``explicit`` only).
-        num_keys: Optional key-space size used to validate ``hot_keys``.
-    """
-    if kind == "access_count":
-        return AccessCountHotKeyPolicy(threshold)
-    if kind == "explicit":
-        if hot_keys is None:
-            raise PartitionError("explicit hot-key policy requires hot_keys")
-        return ExplicitHotKeyPolicy(hot_keys, num_keys=num_keys)
-    if kind == "none":
-        return NoReplicationPolicy()
-    raise PartitionError(f"unknown hot-key policy kind {kind!r}")

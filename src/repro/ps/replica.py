@@ -67,7 +67,7 @@ from repro.ps.messages import (
     ReplicaRegisterRequest,
     ReplicaSyncFlush,
 )
-from repro.ps.partition import make_hot_key_policy
+from repro.ps.partition import AccessCountHotKeyPolicy
 from repro.ps.policy import LOCAL, QUEUE, REPLICA, Handlers, ManagementPolicy
 from repro.ps.storage import gather_rows
 from repro.simnet.events import Event
@@ -137,13 +137,7 @@ class EagerReplicationPolicy(ManagementPolicy):
         #: Owner side: per-subscriber aggregated deltas awaiting broadcast.
         state.broadcast_buffer = defaultdict(dict)
         #: This node's hot-key replication policy (per-node access counts).
-        config = self.ps.ps_config
-        state.policy = make_hot_key_policy(
-            config.hot_key_policy,
-            threshold=config.hot_key_threshold,
-            hot_keys=config.hot_keys,
-            num_keys=config.num_keys,
-        )
+        state.policy = AccessCountHotKeyPolicy(self.ps.ps_config.hot_key_threshold)
         #: Whether a time-triggered synchronization event is already scheduled.
         state.sync_timer_pending = False
 

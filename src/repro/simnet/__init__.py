@@ -13,8 +13,8 @@ latency and transfer time from :class:`repro.config.CostModel`, and "run time"
 is simulated time.
 """
 
-from repro.simnet.clock import Clock, SimulatedClock, WallClock
-from repro.simnet.events import AllOf, AnyOf, Event, Timeout
+from repro.simnet.clock import WallClock
+from repro.simnet.events import AllOf, Event, Timeout
 from repro.simnet.kernel import Simulator
 from repro.simnet.network import Network, NetworkStats
 from repro.simnet.node import Node
@@ -23,15 +23,12 @@ from repro.simnet.queues import MessageQueue
 
 __all__ = [
     "AllOf",
-    "AnyOf",
-    "Clock",
     "Event",
     "MessageQueue",
     "Network",
     "NetworkStats",
     "Node",
     "Process",
-    "SimulatedClock",
     "Simulator",
     "Timeout",
     "WallClock",

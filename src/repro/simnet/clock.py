@@ -1,14 +1,11 @@
-"""Clock abstraction shared by the simulated and real execution backends.
+"""Wall clock of the real execution backend.
 
 Everything above the execution layer (trainers, experiment runners, reports)
 measures epochs as ``end_time - start_time`` against a single ``.now``
-property.  On the simulated backend that property is the discrete-event
-kernel's virtual time; on the real multiprocessing backend it is wall-clock
-time.  :class:`Clock` names that contract so the two backends are
-interchangeable behind :attr:`ParameterServer.simulated_time`:
-
-* :class:`SimulatedClock` — reads :attr:`repro.simnet.kernel.Simulator.now`,
-* :class:`WallClock` — monotonic wall time since construction.
+property behind :attr:`ParameterServer.simulated_time`.  On the simulated
+backend that property is the discrete-event kernel's virtual time
+(:attr:`repro.simnet.kernel.Simulator.now`); on the real multiprocessing
+backend it is :class:`WallClock` — monotonic wall time since construction.
 
 ``WallClock`` uses :func:`time.monotonic` (not ``perf_counter``): on Linux it
 is CLOCK_MONOTONIC, whose epoch is shared across processes, so timestamps
@@ -19,35 +16,9 @@ compared against readings in another.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.simnet.kernel import Simulator
 
 
-class Clock:
-    """Source of the current time for one execution backend."""
-
-    @property
-    def now(self) -> float:
-        """Current time in seconds (virtual or wall, backend-defined)."""
-        raise NotImplementedError
-
-
-class SimulatedClock(Clock):
-    """Virtual time of a discrete-event :class:`Simulator`."""
-
-    __slots__ = ("sim",)
-
-    def __init__(self, sim: "Simulator") -> None:
-        self.sim = sim
-
-    @property
-    def now(self) -> float:
-        return self.sim.now
-
-
-class WallClock(Clock):
+class WallClock:
     """Monotonic wall-clock seconds elapsed since this clock was created."""
 
     __slots__ = ("_start",)

@@ -3,7 +3,7 @@
 An :class:`Event` is a one-shot occurrence with an optional value.  Processes
 wait on events by yielding them; the simulator resumes the process when the
 event is processed.  :class:`Timeout` is an event that triggers after a fixed
-simulated delay.  :class:`AllOf` / :class:`AnyOf` combine several events.
+simulated delay.  :class:`AllOf` waits for several events.
 """
 
 from __future__ import annotations
@@ -132,8 +132,11 @@ class Timeout(Event):
         self.succeed(value=value, delay=delay)
 
 
-class _Condition(Event):
-    """Base class for events that fire based on a set of child events."""
+class AllOf(Event):
+    """Event that triggers when *all* child events have been processed.
+
+    Its value is the list of child values in the order the children were given.
+    """
 
     __slots__ = ("events", "_remaining")
 
@@ -153,18 +156,6 @@ class _Condition(Event):
             else:
                 event.callbacks.append(self._child_done)
 
-    def _child_done(self, event: Event) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Event that triggers when *all* child events have been processed.
-
-    Its value is the list of child values in the order the children were given.
-    """
-
-    __slots__ = ()
-
     def _child_done(self, event: Event) -> None:
         if self.triggered:
             return
@@ -174,20 +165,3 @@ class AllOf(_Condition):
         self._remaining -= 1
         if self._remaining == 0:
             self.succeed(value=[child.value for child in self.events])
-
-
-class AnyOf(_Condition):
-    """Event that triggers when *any* child event has been processed.
-
-    Its value is the value of the first child that completed.
-    """
-
-    __slots__ = ()
-
-    def _child_done(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event.ok:
-            self.fail(event.exception)  # type: ignore[arg-type]
-            return
-        self.succeed(value=event.value)

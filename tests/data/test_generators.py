@@ -1,18 +1,9 @@
-"""Tests for the synthetic dataset generators and partitioning utilities."""
+"""Tests for the synthetic dataset generators."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.data import (
-    generate_corpus,
-    generate_knowledge_graph,
-    generate_matrix,
-    partition_by_key_function,
-    partition_contiguous,
-    partition_round_robin,
-)
+from repro.data import generate_corpus, generate_knowledge_graph, generate_matrix
 from repro.errors import DataGenerationError
 
 
@@ -148,44 +139,3 @@ class TestSyntheticCorpus:
             generate_corpus(mean_sentence_length=1)
         with pytest.raises(DataGenerationError):
             generate_corpus(skew=-0.5)
-
-
-class TestPartitioning:
-    def test_round_robin(self):
-        parts = partition_round_robin(list(range(10)), 3)
-        assert parts[0] == [0, 3, 6, 9]
-        assert parts[1] == [1, 4, 7]
-        assert sum(len(p) for p in parts) == 10
-
-    def test_contiguous(self):
-        parts = partition_contiguous(list(range(10)), 3)
-        assert parts[0] == [0, 1, 2, 3]
-        assert parts[2] == [7, 8, 9]
-
-    def test_by_key_function(self):
-        items = [(i, i % 4) for i in range(20)]
-        parts = partition_by_key_function(items, 2, key_fn=lambda item: item[1])
-        assert all(item[1] % 2 == 0 for item in parts[0])
-        assert all(item[1] % 2 == 1 for item in parts[1])
-
-    def test_validation(self):
-        with pytest.raises(DataGenerationError):
-            partition_round_robin([1], 0)
-        with pytest.raises(DataGenerationError):
-            partition_contiguous([1], 0)
-        with pytest.raises(DataGenerationError):
-            partition_by_key_function([1], 0, key_fn=lambda x: x)
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        num_items=st.integers(min_value=0, max_value=100),
-        num_parts=st.integers(min_value=1, max_value=10),
-    )
-    def test_property_partitions_cover_all_items(self, num_items, num_parts):
-        items = list(range(num_items))
-        for strategy in (partition_round_robin, partition_contiguous):
-            parts = strategy(items, num_parts)
-            assert sorted(sum(parts, [])) == items
-            assert len(parts) == num_parts
-            sizes = [len(p) for p in parts]
-            assert max(sizes) - min(sizes) <= 1

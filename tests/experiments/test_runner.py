@@ -15,6 +15,7 @@ from repro.experiments import (
     run_w2v_experiment,
     speedup,
 )
+from repro.experiments.runner import HYBRID_HOT_KEY_THRESHOLD
 from repro.experiments.scenarios import epoch_time, matrix_factorization_scenario
 from repro.ps import (
     ClassicIPCPS,
@@ -54,6 +55,23 @@ class TestMakeParameterServer:
         hybrid = make_parameter_server("hybrid", cluster, config)
         assert isinstance(hybrid, HybridPS)
         assert hybrid.ps_config.hot_key_threshold > 1
+
+    def test_hybrid_pins_its_sync_trigger_and_threshold(self):
+        cluster = ClusterConfig(num_nodes=2, workers_per_node=1)
+        config = ParameterServerConfig(
+            num_keys=8, value_length=2, replica_sync_trigger="clock", hot_key_threshold=5
+        )
+        hybrid = make_parameter_server("hybrid", cluster, config)
+        assert hybrid.ps_config.replica_sync_trigger == "time"
+        assert hybrid.ps_config.hot_key_threshold == HYBRID_HOT_KEY_THRESHOLD
+        assert hybrid.states[0].policy.threshold == HYBRID_HOT_KEY_THRESHOLD
+
+    def test_replica_keeps_the_callers_threshold(self):
+        cluster = ClusterConfig(num_nodes=2, workers_per_node=1)
+        config = ParameterServerConfig(num_keys=8, value_length=2, hot_key_threshold=5)
+        for system in ("replica", "replica_clock"):
+            ps = make_parameter_server(system, cluster, config)
+            assert all(state.policy.threshold == 5 for state in ps.states)
 
     def test_unknown_system_rejected(self):
         cluster = ClusterConfig(num_nodes=1, workers_per_node=1)

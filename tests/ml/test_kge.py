@@ -150,6 +150,35 @@ def score_margin(trainer, graph, num_samples=100, seed=3):
     return float(np.mean(positives) - np.mean(negatives))
 
 
+def sorted_rows(array):
+    return sorted(map(tuple, np.asarray(array).reshape(-1, 3).tolist()))
+
+
+class TestDataPartitioning:
+    def test_triples_dealt_round_robin_without_clustering(self):
+        trainer, _, graph, _ = build_trainer(
+            LapsePS, num_nodes=2, workers_per_node=2, data_clustering=False
+        )
+        triples = graph.triples()
+        parts = [trainer._worker_triples[worker] for worker in range(4)]
+        for worker, part in enumerate(parts):
+            np.testing.assert_array_equal(part, triples[worker::4])
+        assert sorted_rows(np.vstack(parts)) == sorted_rows(triples)
+
+    def test_data_clustering_keeps_each_relation_on_one_node(self):
+        trainer, _, graph, _ = build_trainer(
+            LapsePS, num_nodes=2, workers_per_node=2, num_relations=5
+        )
+        for node in range(2):
+            assert trainer._node_relations[node] == [r for r in range(5) if r % 2 == node]
+        parts = []
+        for worker in range(4):
+            part = trainer._worker_triples[worker]
+            assert np.all(part[:, 1] % 2 == worker // 2)  # relations of its node only
+            parts.append(part)
+        assert sorted_rows(np.vstack(parts)) == sorted_rows(graph.triples())
+
+
 class TestTraining:
     def test_loss_decreases_complex(self):
         trainer, ps, _, _ = build_trainer(LapsePS, model="complex", num_triples=60)

@@ -80,6 +80,35 @@ class TestMatrixFactorizationOnOtherPS:
         np.testing.assert_allclose(trainer_a.column_factors(), trainer_b.column_factors())
 
 
+class TestDataPartitioning:
+    def test_entries_partitioned_by_row_block_and_column_block(self):
+        trainer, _, matrix = build_trainer(LapsePS)  # 4 workers, 24 rows, 16 columns
+        entries = trainer._plan(4).entries
+        assert sorted(np.concatenate(list(entries.values())).tolist()) == list(
+            range(len(matrix.rows))
+        )
+        rows_of_worker = {}
+        for (worker, block), indices in entries.items():
+            assert np.all(matrix.rows[indices] // 6 == worker)
+            assert np.all(matrix.cols[indices] // 4 == block)
+            rows_of_worker.setdefault(worker, set()).update(matrix.rows[indices].tolist())
+        # Each row's factors are touched by exactly one worker.
+        assert sum(len(rows) for rows in rows_of_worker.values()) == len(
+            set().union(*rows_of_worker.values())
+        )
+
+    def test_plans_are_cached_per_worker_count(self):
+        trainer, _, matrix = build_trainer(LapsePS)
+        assert trainer._plan(4).schedule is trainer.schedule
+        plan = trainer._plan(3)  # an elastic epoch with three active workers
+        assert trainer._plan(3) is plan
+        assert plan.schedule.num_workers == plan.schedule.num_blocks == 3
+        assert set(plan.entries) == {(w, b) for w in range(3) for b in range(3)}
+        assert sorted(np.concatenate(list(plan.entries.values())).tolist()) == list(
+            range(len(matrix.rows))
+        )
+
+
 class TestTrainerValidation:
     def test_key_space_mismatch_rejected(self):
         cluster = ClusterConfig(num_nodes=1, workers_per_node=1)

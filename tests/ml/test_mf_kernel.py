@@ -389,7 +389,7 @@ def elastic_server(durability=None):
         "lapse",
         ClusterConfig(num_nodes=3, workers_per_node=2, seed=1),
         ParameterServerConfig(num_keys=12, value_length=2),
-        partitioner=ElasticPartitioner(12, 3, active_nodes=[0, 1], kind="range"),
+        partitioner=ElasticPartitioner(12, 3, active_nodes=[0, 1]),
         durability=durability,
     )
     return ElasticCluster(ps, initial_nodes=[0, 1])

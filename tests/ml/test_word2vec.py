@@ -72,6 +72,27 @@ class TestKeyMapping:
         assert max(output_keys) == 2 * corpus.vocabulary_size - 1
 
 
+class TestDataPartitioning:
+    def test_sentences_dealt_round_robin_over_workers(self):
+        trainer, _, corpus = build_trainer(LapsePS, num_nodes=2, workers_per_node=2)
+        for worker in range(4):
+            dealt = trainer._worker_sentences[worker]
+            expected = corpus.sentences[worker::4]
+            assert len(dealt) == len(expected)
+            for got, want in zip(dealt, expected):
+                np.testing.assert_array_equal(got, want)
+        assert sum(len(trainer._worker_sentences[w]) for w in range(4)) == len(corpus.sentences)
+
+    def test_more_workers_than_sentences_leaves_workers_idle(self):
+        trainer, ps, _ = build_trainer(
+            LapsePS, num_nodes=2, workers_per_node=2, num_sentences=3
+        )
+        assert trainer._worker_sentences[3] == []
+        result = trainer.run_epoch()
+        assert result.duration > 0
+        assert np.isfinite(result.loss)
+
+
 class TestTraining:
     def test_error_decreases_over_epochs(self):
         trainer, ps, _ = build_trainer(LapsePS, num_sentences=30)

@@ -106,7 +106,7 @@ def test_pull_returns_one_row_per_position(system):
 
 @pytest.mark.parametrize("system", ("replica", "hybrid"))
 def test_push_to_replicated_key_applies_every_row(system):
-    ps = build(system, hot_key_policy="explicit", hot_keys=(REMOTE,))
+    ps = build(system, hot_key_threshold=2)
 
     def body(client):
         for _ in range(3):  # hot after at most two reads: installs the replica

@@ -340,7 +340,7 @@ def elastic_lapse():
 
     cluster = ClusterConfig(num_nodes=3, workers_per_node=2, seed=1)
     ps_config = ParameterServerConfig(num_keys=NUM_KEYS, value_length=LENGTH)
-    partitioner = ElasticPartitioner(NUM_KEYS, 3, active_nodes=[0, 1], kind="range")
+    partitioner = ElasticPartitioner(NUM_KEYS, 3, active_nodes=[0, 1])
     ps = LapsePS(cluster, ps_config, initial_values=INITIAL, partitioner=partitioner)
     return ElasticCluster(ps, initial_nodes=[0, 1])
 

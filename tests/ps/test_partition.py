@@ -1,22 +1,11 @@
-"""Unit and property-based tests for key partitioners and hot-key policies."""
+"""Unit and property-based tests for key partitioners and the hot-key policy."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import PartitionError
-from repro.ps.partition import (
-    AccessCountHotKeyPolicy,
-    ExplicitHotKeyPolicy,
-    ExplicitPartitioner,
-    HashPartitioner,
-    NoReplicationPolicy,
-    RangePartitioner,
-    make_hot_key_policy,
-    make_partitioner,
-    random_key_mapping,
-)
+from repro.ps.partition import AccessCountHotKeyPolicy, RangePartitioner
 
 
 class TestRangePartitioner:
@@ -82,6 +71,18 @@ class TestRangePartitioner:
             part.keys_of(9)
 
 
+    def test_nodes_of_rejects_out_of_range_keys(self):
+        part = RangePartitioner(num_keys=8, num_nodes=2)
+        with pytest.raises(PartitionError, match="key 8 out of range"):
+            part.nodes_of([0, 8, -1])
+        with pytest.raises(PartitionError, match="key -1 out of range"):
+            part.nodes_of([3, -1])
+        # Large batches reach the vectorized check through nodes_of_list.
+        big = RangePartitioner(num_keys=200, num_nodes=3)
+        with pytest.raises(PartitionError, match="key 200 out of range"):
+            big.nodes_of_list(list(range(100)) + [200])
+
+
 class TestHotKeyPolicies:
     def test_access_count_threshold_boundary(self):
         policy = AccessCountHotKeyPolicy(threshold=3)
@@ -110,108 +111,45 @@ class TestHotKeyPolicies:
         policy.record_access(0)
         assert policy.is_hot(0)
 
+    def test_is_hot_does_not_count_an_access(self):
+        policy = AccessCountHotKeyPolicy(threshold=2)
+        policy.record_access(5)
+        for _ in range(3):
+            assert not policy.is_hot(5)
+        assert policy.access_count(5) == 1
+        policy.record_access(5)
+        assert policy.is_hot(5)
+
     def test_invalid_threshold_rejected(self):
         with pytest.raises(PartitionError):
             AccessCountHotKeyPolicy(threshold=0)
         with pytest.raises(PartitionError):
-            make_hot_key_policy("access_count", threshold=-1)
-
-    def test_explicit_policy_boundaries(self):
-        policy = ExplicitHotKeyPolicy([0, 4], num_keys=5)
-        assert policy.is_hot(0)
-        assert policy.is_hot(4)  # last valid key
-        assert not policy.is_hot(3)
-        policy.record_access(3)  # recording never changes an explicit set
-        assert not policy.is_hot(3)
-
-    def test_explicit_policy_validates_keys(self):
-        with pytest.raises(PartitionError):
-            ExplicitHotKeyPolicy([5], num_keys=5)  # one past the end
-        with pytest.raises(PartitionError):
-            ExplicitHotKeyPolicy([-1])
-        # Without a key-space size, any non-negative key is accepted.
-        assert ExplicitHotKeyPolicy([10**6]).is_hot(10**6)
-
-    def test_empty_explicit_set_never_hot(self):
-        policy = ExplicitHotKeyPolicy([], num_keys=4)
-        assert not any(policy.is_hot(key) for key in range(4))
-
-    def test_no_replication_policy(self):
-        policy = NoReplicationPolicy()
-        policy.record_access(0)
-        assert not policy.is_hot(0)
-
-    def test_factory(self):
-        assert isinstance(make_hot_key_policy("access_count", threshold=2), AccessCountHotKeyPolicy)
-        assert isinstance(make_hot_key_policy("explicit", hot_keys=[1]), ExplicitHotKeyPolicy)
-        assert isinstance(make_hot_key_policy("none"), NoReplicationPolicy)
-        with pytest.raises(PartitionError):
-            make_hot_key_policy("explicit")  # hot_keys missing
-        with pytest.raises(PartitionError):
-            make_hot_key_policy("zigzag")
-
-
-class TestHashPartitioner:
-    def test_deterministic(self):
-        part = HashPartitioner(num_keys=100, num_nodes=4)
-        assert [part.node_of(k) for k in range(100)] == [part.node_of(k) for k in range(100)]
-
-    def test_reasonably_balanced(self):
-        part = HashPartitioner(num_keys=10_000, num_nodes=4)
-        counts = np.bincount([part.node_of(k) for k in range(10_000)], minlength=4)
-        assert counts.min() > 1500
-
-    def test_all_nodes_valid(self):
-        part = HashPartitioner(num_keys=50, num_nodes=3)
-        assert all(0 <= part.node_of(k) < 3 for k in range(50))
-
-
-class TestExplicitPartitioner:
-    def test_assignment_respected(self):
-        part = ExplicitPartitioner([0, 1, 1, 0, 2], num_nodes=3)
-        assert part.node_of(0) == 0
-        assert part.node_of(4) == 2
-        assert part.keys_of(1) == [1, 2]
-
-    def test_invalid_assignment_rejected(self):
-        with pytest.raises(PartitionError):
-            ExplicitPartitioner([0, 3], num_nodes=2)
-        with pytest.raises(PartitionError):
-            ExplicitPartitioner([], num_nodes=2)
-
-
-class TestRandomKeyMapping:
-    def test_is_permutation(self):
-        mapping = random_key_mapping(100, seed=1)
-        assert sorted(mapping.tolist()) == list(range(100))
-
-    def test_deterministic_per_seed(self):
-        assert random_key_mapping(50, seed=3).tolist() == random_key_mapping(50, seed=3).tolist()
-        assert random_key_mapping(50, seed=3).tolist() != random_key_mapping(50, seed=4).tolist()
-
-    def test_invalid_size(self):
-        with pytest.raises(PartitionError):
-            random_key_mapping(0)
-
-
-def test_make_partitioner():
-    assert isinstance(make_partitioner("range", 10, 2), RangePartitioner)
-    assert isinstance(make_partitioner("hash", 10, 2), HashPartitioner)
-    with pytest.raises(PartitionError):
-        make_partitioner("zigzag", 10, 2)
+            AccessCountHotKeyPolicy(threshold=-1)
 
 
 @settings(max_examples=50, deadline=None)
 @given(
     num_keys=st.integers(min_value=1, max_value=200),
     num_nodes=st.integers(min_value=1, max_value=16),
-    kind=st.sampled_from(["range", "hash"]),
 )
-def test_property_every_key_has_exactly_one_node(num_keys, num_nodes, kind):
-    part = make_partitioner(kind, num_keys, num_nodes)
+def test_property_every_key_has_exactly_one_node(num_keys, num_nodes):
+    part = RangePartitioner(num_keys, num_nodes)
     for key in range(num_keys):
         node = part.node_of(key)
         assert 0 <= node < num_nodes
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    num_keys=st.integers(min_value=1, max_value=300),
+    num_nodes=st.integers(min_value=1, max_value=16),
+)
+def test_property_closed_form_node_of_matches_vectorized_nodes_of(num_keys, num_nodes):
+    """``node_of`` is closed-form arithmetic, ``nodes_of`` a binary search over
+    range starts: the two must agree on every key, empty ranges included."""
+    part = RangePartitioner(num_keys, num_nodes)
+    keys = list(range(num_keys))
+    assert part.nodes_of(keys).tolist() == [part.node_of(key) for key in keys]
 
 
 @settings(max_examples=30, deadline=None)
@@ -247,6 +185,15 @@ class TestElasticPartitioner:
         assert set(elastic.nodes_of(list(range(12))).tolist()) == {0, 2}
         assert elastic.keys_of(1) == []
         assert elastic.keys_of(3) == []
+
+    def test_active_subset_is_range_partitioned_in_node_order(self):
+        from repro.ps.partition import ElasticPartitioner
+
+        elastic = ElasticPartitioner(12, 5, active_nodes=[4, 1, 2])
+        assert elastic.active_nodes == [1, 2, 4]
+        assert elastic.keys_of(1) == [0, 1, 2, 3]
+        assert elastic.keys_of(2) == [4, 5, 6, 7]
+        assert elastic.keys_of(4) == [8, 9, 10, 11]
 
     def test_single_node_cluster(self):
         from repro.ps.partition import ElasticPartitioner
@@ -289,6 +236,42 @@ class TestElasticPartitioner:
         sizes = [len(elastic.keys_of(node)) for node in (0, 2)]
         assert max(sizes) - min(sizes) <= 1
 
+    def test_survivors_shed_their_highest_keys(self):
+        from repro.ps.partition import ElasticPartitioner
+
+        elastic = ElasticPartitioner(12, 3, active_nodes=[0, 1])
+        moves = elastic.rebalance([0, 1, 2])
+        assert elastic.keys_of(0) == [0, 1, 2, 3]
+        assert elastic.keys_of(1) == [6, 7, 8, 9]
+        assert elastic.keys_of(2) == [4, 5, 10, 11]
+        assert moves == [(4, 0, 2), (5, 0, 2), (10, 1, 2), (11, 1, 2)]
+
+    def test_rebalance_moves_agree_with_both_epochs(self):
+        from repro.ps.partition import ElasticPartitioner
+
+        elastic = ElasticPartitioner(30, 4, active_nodes=[0, 1, 2])
+        elastic.rebalance([1, 2, 3])
+        before = [elastic.node_of(key) for key in range(30)]
+        moves = elastic.rebalance([0, 2, 3])
+        moved = [key for key, _old, _new in moves]
+        assert moved == sorted(moved)
+        for key, old, new in moves:
+            assert old != new
+            assert (elastic.previous_node_of(key), elastic.node_of(key)) == (old, new)
+        for key in set(range(30)) - set(moved):
+            assert elastic.node_of(key) == elastic.previous_node_of(key) == before[key]
+
+    def test_nodes_of_rejects_negative_keys(self):
+        """The lookup indexes an array, where ``-1`` would silently read the
+        last key's node; the bounds check must reject it instead."""
+        from repro.ps.partition import ElasticPartitioner
+
+        elastic = ElasticPartitioner(10, 2)
+        with pytest.raises(PartitionError, match="key -1 out of range"):
+            elastic.nodes_of([0, -1])
+        with pytest.raises(PartitionError, match="key 10 out of range"):
+            elastic.nodes_of([10])
+
     def test_previous_node_of_reports_stale_epoch(self):
         from repro.ps.partition import ElasticPartitioner
 
@@ -324,8 +307,6 @@ class TestElasticPartitioner:
     def test_validation(self):
         from repro.ps.partition import ElasticPartitioner
 
-        with pytest.raises(PartitionError):
-            ElasticPartitioner(10, 2, kind="zigzag")
         with pytest.raises(PartitionError):
             ElasticPartitioner(10, 2, active_nodes=[])
         with pytest.raises(PartitionError):
@@ -365,3 +346,35 @@ class TestElasticPartitioner:
             assert sorted(gathered) == list(range(num_keys))
             sizes = [len(elastic.keys_of(node)) for node in sorted(active)]
             assert max(sizes) - min(sizes) <= 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        num_keys=st.integers(min_value=1, max_value=120),
+        capacity=st.integers(min_value=1, max_value=8),
+        data=st.data(),
+    )
+    def test_property_survivors_keep_their_quota_of_keys(self, num_keys, capacity, data):
+        """Movement-minimizing: a node active before and after a rebalance keeps
+        its lowest keys up to its new balanced quota and loses only the rest."""
+        from repro.ps.partition import ElasticPartitioner
+
+        elastic = ElasticPartitioner(num_keys, capacity)
+        for _round in range(3):
+            active = sorted(
+                data.draw(
+                    st.sets(
+                        st.integers(min_value=0, max_value=capacity - 1),
+                        min_size=1,
+                        max_size=capacity,
+                    )
+                )
+            )
+            held = {node: elastic.keys_of(node) for node in elastic.active_nodes}
+            elastic.rebalance(active)
+            base, remainder = divmod(num_keys, len(active))
+            for index, node in enumerate(active):
+                if node not in held:
+                    continue
+                quota = base + (1 if index < remainder else 0)
+                lost = set(held[node]) - set(elastic.keys_of(node))
+                assert lost == set(held[node][quota:])

@@ -87,7 +87,7 @@ class TestReplication:
                 assert np.allclose(state.replicas[3], expected)
 
     def test_cold_keys_are_not_replicated(self):
-        ps = make_ps(hot_key_policy="access_count", hot_key_threshold=3)
+        ps = make_ps(hot_key_threshold=3)
 
         def worker(client, worker_id):
             if worker_id != 1:
@@ -103,22 +103,51 @@ class TestReplication:
         assert 0 in ps.states[1].replicas
         assert ps.metrics().replica_creates == 1
 
-    def test_explicit_hot_set(self):
-        ps = make_ps(hot_key_policy="explicit", hot_keys=(0,))
+    def test_access_counts_are_per_node(self):
+        ps = make_ps(hot_key_threshold=2)
+
+        def worker(client, worker_id):
+            reads = {0: 3, 1: 2, 2: 1}[worker_id]  # key 0 is owned by node 0
+            for _ in range(reads):
+                yield from client.pull([0])
+            return None
+
+        ps.run_workers(worker)
+        assert ps.replica_holders(0) == (1,)
+        assert ps.states[2].policy.access_count(0) == 1
+        assert ps.states[0].policy.access_count(0) == 0  # the owner's reads are local
+
+    def test_workers_of_one_node_share_its_counts(self):
+        ps = make_ps(workers_per_node=2, hot_key_threshold=2)
+
+        def worker(client, worker_id):
+            if client.node_id == 1:  # one read from each of node 1's workers
+                yield from client.pull([0])
+            return None
+
+        ps.run_workers(worker)
+        assert ps.replica_holders(0) == (1,)
+        assert ps.metrics().replica_creates == 1
+
+    def test_writes_count_but_only_reads_install(self):
+        ps = make_ps(hot_key_threshold=2)
 
         def worker(client, worker_id):
             if worker_id != 1:
                 return None
-            yield from client.pull([0, 1])
-            yield from client.pull([0, 1])
+            yield from client.push([0], np.ones((1, 4)))
+            yield from client.push([0], np.ones((1, 4)))
+            assert 0 not in client.state.replicas  # hot, but writes never install
+            yield from client.pull([0])
+            assert 0 in client.state.replicas
             return None
 
         ps.run_workers(worker)
-        assert 0 in ps.states[1].replicas
-        assert 1 not in ps.states[1].replicas
+        assert ps.states[1].policy.access_count(0) == 3
+        assert ps.metrics().replica_creates == 1
 
-    def test_none_policy_degenerates_to_classic(self):
-        ps = make_ps(hot_key_policy="none")
+    def test_unreached_threshold_degenerates_to_classic(self):
+        ps = make_ps(hot_key_threshold=10**9)
 
         def worker(client, worker_id):
             yield from client.pull([0])

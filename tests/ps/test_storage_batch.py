@@ -17,11 +17,7 @@ from hypothesis import strategies as st
 from repro.backend import SharedDenseStorage
 from repro.errors import StorageError, UnknownKeyError
 from repro.ps.base import ParameterServer
-from repro.ps.partition import (
-    ExplicitPartitioner,
-    HashPartitioner,
-    RangePartitioner,
-)
+from repro.ps.partition import RangePartitioner
 from repro.ps.storage import SMALL_BATCH, DenseStorage, LatchTable
 
 NUM_KEYS = 3 * SMALL_BATCH
@@ -290,10 +286,8 @@ class TestPartitionerBatch:
             RangePartitioner(101, 8),
             RangePartitioner(8, 3),
             RangePartitioner(3, 8),  # more nodes than keys: empty ranges
-            HashPartitioner(101, 8),
-            ExplicitPartitioner([2, 0, 1, 1, 2, 0, 0, 2], 3),
         ],
-        ids=["range", "range-uneven", "range-empty-nodes", "hash", "explicit"],
+        ids=["range", "range-uneven", "range-empty-nodes"],
     )
     def test_nodes_of_matches_node_of(self, partitioner):
         keys = list(range(partitioner.num_keys))

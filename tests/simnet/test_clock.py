@@ -1,28 +1,25 @@
-"""Tests for the clock abstraction shared by the execution backends.
+"""Tests for the time source of each execution backend.
 
-The :class:`~repro.simnet.clock.Clock` contract is small but load-bearing:
-epoch durations, relocation timestamps, and the parallel engine's window
-bookkeeping all reduce to ``end - start`` against ``.now``.  These tests pin
-the two implementations' observable guarantees — monotonicity and
-cross-process comparability for :class:`WallClock`, and exact kernel-time
-tracking (including zero-duration advances and ``until`` cutoffs) for
-:class:`SimulatedClock`.
+Epoch durations and relocation timestamps reduce to ``end - start`` against
+:attr:`ParameterServer.simulated_time`.  On the real backend that is
+:attr:`WallClock.now`; these tests pin its monotonicity, its tracking of real
+elapsed time and the cross-process comparability of
+:meth:`WallClock.absolute`.  On the simulated backend it is
+:attr:`repro.simnet.kernel.Simulator.now` (kernel time semantics are tested in
+``tests/simnet/test_kernel.py``).
 """
 
+import os
+import subprocess
+import sys
 import time
 
-import pytest
-
-from repro.simnet.clock import Clock, SimulatedClock, WallClock
-from repro.simnet.kernel import Simulator
-
-
-def test_base_clock_is_abstract():
-    with pytest.raises(NotImplementedError):
-        Clock().now
+import repro
+from repro.config import ClusterConfig, ParameterServerConfig
+from repro.ps import LapsePS
+from repro.simnet.clock import WallClock
 
 
-# ------------------------------------------------------------------ wall clock
 def test_wallclock_starts_near_zero_and_is_monotonic():
     clock = WallClock()
     first = clock.now
@@ -52,44 +49,46 @@ def test_wallclock_absolute_is_shared_not_relative():
     assert first.now > second.now
 
 
-# ------------------------------------------------------------- simulated clock
-def test_simulated_clock_reads_kernel_time():
-    sim = Simulator()
-    clock = SimulatedClock(sim)
-    assert clock.now == 0.0
-    sim.call_later(2.5, lambda _arg: None)
-    sim.run()
-    assert clock.now == 2.5 == sim.now
+def test_wallclock_now_is_absolute_minus_construction_time():
+    clock = WallClock()
+    # Every reading pair recovers the same construction instant.
+    offsets = [clock.absolute() - clock.now for _ in range(20)]
+    assert max(offsets) - min(offsets) < 0.05
 
 
-def test_simulated_clock_zero_duration_advance():
-    """Processing any number of same-instant events advances the clock by
-    exactly zero — durations measured around immediate work are 0.0, not a
-    tiny epsilon."""
-    sim = Simulator()
-    clock = SimulatedClock(sim)
-    sim.call_later(1.0, lambda _arg: None)
-    sim.run()
-    before = clock.now
-    fired = []
-    for index in range(50):
-        sim.call_later(0.0, fired.append, index)
-    sim.run()
-    assert fired == list(range(50))
-    assert clock.now == before == 1.0
+def test_wallclock_absolute_is_comparable_across_processes():
+    """A stamp taken in another process lies between two parent readings, so
+    e.g. a relocation's ``removed_at`` can be compared against the receiver."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "from repro.simnet.clock import WallClock; print(repr(WallClock().absolute()))"
+    clock = WallClock()
+    before = clock.absolute()
+    child = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    after = clock.absolute()
+    assert child.returncode == 0, child.stderr
+    assert before <= float(child.stdout) <= after
 
 
-def test_simulated_clock_respects_run_cutoff():
-    """``run(until=...)`` leaves the clock at the cutoff, not at the next
-    pending event, and resuming continues from there."""
-    sim = Simulator()
-    clock = SimulatedClock(sim)
-    fired = []
-    sim.call_later(1.0, fired.append, "early")
-    sim.call_later(3.0, fired.append, "late")
-    sim.run(until=2.0)
-    assert fired == ["early"]
-    assert clock.now == 2.0
-    sim.run()
-    assert fired == ["early", "late"]
-    assert clock.now == 3.0
+# ------------------------------------------------------------ simulated backend
+def test_simulated_backend_time_is_the_kernel_clock():
+    """On the simulated backend ``simulated_time`` reads ``Simulator.now``:
+    it advances exactly by the simulated work of a run, never by host time."""
+    ps = LapsePS(
+        ClusterConfig(num_nodes=1, workers_per_node=1),
+        ParameterServerConfig(num_keys=4, value_length=2),
+    )
+    assert ps.simulated_time == 0.0
+
+    def worker(client, worker_id):
+        yield 0.25
+        return None
+
+    ps.run_workers(worker)
+    assert ps.simulated_time == ps.sim.now
+    assert ps.simulated_time >= 0.25
+    before = ps.simulated_time
+    time.sleep(0.01)
+    assert ps.simulated_time == before

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ProcessError, SimulationError
-from repro.simnet import AllOf, AnyOf, Event, Simulator, Timeout
+from repro.simnet import AllOf, Event, Simulator, Timeout
 
 
 def test_clock_starts_at_zero():
@@ -164,6 +164,33 @@ def test_run_until_stops_early():
     assert handle.value == "late"
 
 
+def test_run_until_between_events_leaves_now_at_the_cutoff():
+    """``run(until=...)`` stops the clock at the cutoff, not at the next pending
+    event, and resuming continues from there."""
+    sim = Simulator()
+    fired = []
+    sim.call_later(1.0, fired.append, "early")
+    sim.call_later(3.0, fired.append, "late")
+    sim.run(until=2.0)
+    assert (fired, sim.now) == (["early"], 2.0)
+    sim.run()
+    assert (fired, sim.now) == (["early", "late"], 3.0)
+
+
+def test_same_instant_events_leave_now_unchanged():
+    """Any number of same-instant events advances the clock by exactly zero, so
+    durations measured around immediate work are 0.0, not a tiny epsilon."""
+    sim = Simulator()
+    sim.call_later(1.0, lambda _arg: None)
+    sim.run()
+    fired = []
+    for index in range(50):
+        sim.call_later(0.0, fired.append, index)
+    sim.run()
+    assert fired == list(range(50))
+    assert sim.now == 1.0
+
+
 def test_run_before_leaves_the_clock_at_the_last_event_and_returns_after_stop():
     sim = Simulator()
     order = []
@@ -255,19 +282,52 @@ def test_allof_empty_completes_immediately():
     assert sim.run_process(parent()) == []
 
 
-def test_anyof_returns_first_value():
+def test_allof_fails_with_the_first_failing_child():
+    """A failing child fails the whole condition at once; children that finish
+    later neither re-trigger it nor change its exception."""
     sim = Simulator()
+    early = sim.event()
+    failing = sim.event()
+    late = sim.event()
 
-    def child(delay, value):
-        yield delay
-        return value
+    def trigger():
+        yield 1.0
+        early.succeed("early")
+        yield 1.0
+        failing.fail(ValueError("boom"))
+        yield 1.0
+        late.succeed("late")
+
+    def waiter():
+        try:
+            yield AllOf(sim, [early, failing, late])
+        except ValueError as exc:
+            return (sim.now, str(exc))
+        return "not failed"
+
+    sim.process(trigger())
+    proc = sim.process(waiter())
+    sim.run()
+    assert proc.value == (2.0, "boom")
+    assert late.processed
+
+
+def test_allof_counts_children_processed_before_it_was_built():
+    sim = Simulator()
+    done = sim.event()
+    done.succeed("done")
+    pending = sim.event()
 
     def parent():
-        procs = [sim.process(child(d, v)) for d, v in [(3.0, "slow"), (1.0, "fast")]]
-        value = yield AnyOf(sim, procs)
-        return value
+        yield 1.0
+        assert done.processed
+        condition = AllOf(sim, [done, pending])
+        assert not condition.triggered
+        pending.succeed("pending")
+        return (yield condition)
 
-    assert sim.run_process(parent()) == "fast"
+    assert sim.run_process(parent()) == ["done", "pending"]
+    assert sim.now == 1.0
 
 
 def test_condition_rejects_mixed_simulators():

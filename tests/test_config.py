@@ -6,7 +6,6 @@ from repro.config import (
     ClusterConfig,
     CostModel,
     ParameterServerConfig,
-    WorkloadConfig,
     derive_seed,
     message_size,
 )
@@ -75,11 +74,14 @@ def test_parameter_server_config_validation():
         ParameterServerConfig(staleness_bound=-1)
 
 
-def test_workload_config_validation():
+def test_replication_knobs_validation():
     with pytest.raises(ExperimentError):
-        WorkloadConfig(compute_time_per_datapoint=-1.0)
+        ParameterServerConfig(hot_key_threshold=0)
     with pytest.raises(ExperimentError):
-        WorkloadConfig(datapoints_per_worker=0)
+        ParameterServerConfig(replica_sync_trigger="barrier")
+    with pytest.raises(ExperimentError):
+        ParameterServerConfig(replica_sync_interval=0.0)
+    assert ParameterServerConfig().hot_key_threshold == 1  # eager by default
 
 
 def test_derive_seed_deterministic_and_distinct():
