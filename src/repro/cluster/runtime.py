@@ -96,11 +96,6 @@ class ElasticCluster:
         #: Operations of the events fired since the last :meth:`settle`
         #: (see :meth:`fusion_horizon`).
         self._unsettled: List[RebalanceOperation] = []
-        #: Shard-mode registries (populated only inside forked shard
-        #: processes): events fired at window barriers this epoch, and one
-        #: stitching record per fired event (see ``apply_in_shard``).
-        self._shard_fired: List[ClusterEvent] = []
-        self._shard_ops: List[dict] = []
         ps.membership = self.membership
         ps._elastic_driver = self
 
@@ -148,8 +143,7 @@ class ElasticCluster:
         to exhaustion (or ``until``), firing each scheduled membership event
         at exactly its time, once every simulation event due up to and
         including that instant has run — also during the post-worker settle
-        tail, where the parallel engine's barrier protocol fires at the same
-        instant.  Between membership instants the kernel runs its own loop
+        tail.  Between membership instants the kernel runs its own loop
         (:meth:`~repro.simnet.kernel.Simulator.run_before`).  Events
         scheduled later than the end of the epoch (all ``processes`` finished
         and the queue drained) stay pending for a later epoch, and the clock
@@ -224,19 +218,11 @@ class ElasticCluster:
         (:meth:`~repro.cluster.rebalancer.Rebalancer._relocate_to_homes`), and an
         application localize it piggybacks on joins the same handle, so its
         pending keys are all the runtime can move before the next event.
-        Inside a shard of the parallel engine a handle sees only the
-        completions on its own shard, so there any unsettled event answers
-        ``-inf``: that fact, like the pending list, is replicated on every
-        shard (:meth:`apply_in_shard` runs :meth:`_apply` everywhere).
         """
-        unsettled = self._unsettled
-        if unsettled:
-            if self.ps.sim._shard_rank is not None:
+        for operation in self._unsettled:
+            handle = operation.handle
+            if handle is not None and not handle._pending_keys.isdisjoint(keys):
                 return -math.inf
-            for operation in unsettled:
-                handle = operation.handle
-                if handle is not None and not handle._pending_keys.isdisjoint(keys):
-                    return -math.inf
         return self._pending[0].time if self._pending else math.inf
 
     # ------------------------------------------------------------ event handling
@@ -279,22 +265,7 @@ class ElasticCluster:
                 recovered_keys=operation.recovered_keys,
                 lost_keys=operation.lost_keys,
             )
-        if self.ps.sim._shard_rank is not None:
-            # Shard mode: the handle's keys complete on whichever shards own
-            # the target nodes, so no single process can observe completion —
-            # progress is exchanged at window barriers and stitched via
-            # finish_shard_ops / merge_shard_epoch instead of a callback.
-            if operation.handle is None:
-                self._finish_operation(event, operation, record_time=False)
-            self._shard_ops.append(
-                {
-                    "event": event,
-                    "operation": operation,
-                    "r0": None,
-                    "finished": operation.handle is None,
-                }
-            )
-        elif operation.handle is None:
+        if operation.handle is None:
             self._finish_operation(event, operation, record_time=False)
         else:
             operation.handle.completion_event.callbacks.append(
@@ -326,189 +297,6 @@ class ElasticCluster:
         # Drains flip to "left" only at the next epoch boundary
         # (prepare_epoch): the drainee's workers may still be mid-epoch, and
         # applications can keep moving keys back until they stop.
-
-    # ------------------------------------------------------- shard-mode barriers
-    def shard_barrier_time(self) -> Optional[float]:
-        """Time of the next pending membership event (the window barrier)."""
-        return self._pending[0].time if self._pending else None
-
-    def apply_in_shard(self) -> int:
-        """Fire every membership event due at the barrier instant (replicated).
-
-        Runs inside each shard process once all shards have quiesced through
-        the barrier time and synchronized the control-plane state the apply
-        reads: every shard executes the identical apply against identical
-        state, drawing scheduling keys from the replicated apply stream
-        (:meth:`Simulator.begin_apply`), so the shards stay in lockstep.
-        Events due at the same instant fire back to back, exactly as the
-        sequential driver's ``event.time <= sim.now`` top-of-loop check does.
-        """
-        sim = self.ps.sim
-        fired = 0
-        sim.begin_apply()
-        try:
-            while self._pending and self._pending[0].time <= sim.now:
-                event = self._pending.pop(0)
-                if event.kind == FAIL:  # pragma: no cover - gated by fallback
-                    raise ClusterError(
-                        "a fail event reached the sharded engine; pending "
-                        "failures must fall back to the sequential driver"
-                    )
-                self._shard_fired.append(event)
-                self._apply(event)
-                fired += 1
-        finally:
-            sim.end_apply()
-        for entry in self._shard_ops:
-            if entry["r0"] is None and entry["operation"].handle is not None:
-                entry["r0"] = len(entry["operation"].handle._pending_keys)
-        return fired
-
-    def shard_op_progress(self) -> List[Tuple[int, Optional[float]]]:
-        """Per fired event: (keys still pending on this shard, last progress).
-
-        Each shard completes a disjoint subset of an operation's keys (the
-        ones whose target nodes it owns), so summing ``r0 - remaining`` over
-        shards counts completions exactly once, and the max of the progress
-        stamps is the operation's completion instant.
-        """
-        rows: List[Tuple[int, Optional[float]]] = []
-        for entry in self._shard_ops:
-            handle = entry["operation"].handle
-            if handle is None:
-                rows.append((0, None))
-            else:
-                rows.append((len(handle._pending_keys), handle.last_progress_at))
-        return rows
-
-    def finish_shard_ops(
-        self, progress_rows: Sequence[Sequence[Tuple[int, Optional[float]]]]
-    ) -> int:
-        """Finish operations whose data movement has globally completed.
-
-        ``progress_rows`` holds every shard's :meth:`shard_op_progress`, in
-        rank order — identical input on every shard, so the replicated finish
-        decisions (and the membership flips and metric records they make)
-        stay in lockstep.  Completions are finished in completion-time order,
-        matching the order the sequential engine's callbacks fire in.
-        """
-        due = []
-        for index, entry in enumerate(self._shard_ops):
-            if entry["finished"]:
-                continue
-            completed = sum(entry["r0"] - rows[index][0] for rows in progress_rows)
-            if completed < entry["r0"]:
-                continue
-            stamps = [
-                rows[index][1] for rows in progress_rows if rows[index][1] is not None
-            ]
-            due.append((max(stamps), index))
-        for t_star, index in sorted(due):
-            entry = self._shard_ops[index]
-            entry["finished"] = True
-            self._finish_shard_op(entry["event"], entry["operation"], t_star)
-        return len(due)
-
-    def _finish_shard_op(
-        self, event: ClusterEvent, operation: RebalanceOperation, t_star: float
-    ) -> None:
-        """The stitched equivalent of :meth:`_finish_operation` at ``t_star``."""
-        node = event.node
-        self.ps.states[node].metrics.rebalance_time.record(t_star - operation.started_at)
-        if event.kind in (JOIN, REJOIN) and self.membership.state_of(node) == JOINING:
-            self.membership.complete_join(node, t_star)
-
-    def shard_epoch_summary(self, rank: int) -> dict:
-        """Control-plane outcome of a sharded epoch, shipped to the parent.
-
-        Every shard reports its operation progress; rank 0 additionally
-        carries the replicated facts (fired events, membership, operation
-        metadata) the parent adopts in :meth:`merge_shard_epoch`.
-        """
-        summary: dict = {"progress": self.shard_op_progress()}
-        if rank == 0:
-            summary.update(
-                fired=len(self._shard_fired),
-                # The rebalance apply mutates the partitioner (add/drop nodes,
-                # reassign keys); ship its attributes so the parent's instance
-                # — which clients and policies reference — can catch up.
-                partitioner_state=dict(vars(self.ps.partitioner)),
-                membership_states=dict(self.membership._states),
-                membership_version=self.membership.version,
-                membership_history=list(self.membership.history),
-                ops=[
-                    {
-                        "event_time": entry["event"].time,
-                        "event_kind": entry["event"].kind,
-                        "node": entry["event"].node,
-                        "kind": entry["operation"].kind,
-                        "started_at": entry["operation"].started_at,
-                        "moved_keys": entry["operation"].moved_keys,
-                        "recovered_keys": entry["operation"].recovered_keys,
-                        "lost_keys": entry["operation"].lost_keys,
-                        "r0": entry["r0"],
-                        "finished": entry["finished"],
-                    }
-                    for entry in self._shard_ops
-                ],
-            )
-        return summary
-
-    def merge_shard_epoch(self, summaries: Sequence[dict]) -> None:
-        """Adopt the children's control-plane outcome after a sharded epoch.
-
-        Runs in the parent, *after* the node-state payload merge (so late
-        stitched completions record their metrics into the merged state).
-        The fired events leave the pending list, rank 0's membership record
-        is adopted wholesale (all shards hold the identical replicated copy),
-        and each fired event's operation is reconstructed handle-less with
-        its final counts — by quiescence, any operation that can complete
-        has, and one that has not would not have completed sequentially
-        either.
-        """
-        lead = summaries[0]
-        for _ in range(lead["fired"]):
-            self._pending.pop(0)
-        # In-place update: the parent's partitioner object is referenced all
-        # over (clients, policies), so its identity must not change.
-        vars(self.ps.partitioner).update(lead["partitioner_state"])
-        membership = self.membership
-        membership._states = lead["membership_states"]
-        membership.version = lead["membership_version"]
-        membership.history = lead["membership_history"]
-        if lead["fired"]:
-            self._dynamic = True
-        rebuilt: List[Tuple[ClusterEvent, RebalanceOperation]] = []
-        for opdata in lead["ops"]:
-            event = ClusterEvent(
-                time=opdata["event_time"], kind=opdata["event_kind"], node=opdata["node"]
-            )
-            operation = RebalanceOperation(
-                kind=opdata["kind"],
-                node=opdata["node"],
-                started_at=opdata["started_at"],
-                handle=None,
-                moved_keys=opdata["moved_keys"],
-                recovered_keys=opdata["recovered_keys"],
-                lost_keys=opdata["lost_keys"],
-            )
-            self.operations.append((event, operation))
-            rebuilt.append((event, operation))
-        progress_rows = [summary["progress"] for summary in summaries]
-        due = []
-        for index, opdata in enumerate(lead["ops"]):
-            if opdata["finished"]:
-                continue
-            completed = sum(opdata["r0"] - rows[index][0] for rows in progress_rows)
-            if completed < opdata["r0"]:
-                continue
-            stamps = [
-                rows[index][1] for rows in progress_rows if rows[index][1] is not None
-            ]
-            due.append((max(stamps), index))
-        for t_star, index in sorted(due):
-            event, operation = rebuilt[index]
-            self._finish_shard_op(event, operation, t_star)
 
     def _wipe_volatile_state(self, node: int) -> None:
         """Model the crash: the failed node's RAM is gone.

@@ -42,11 +42,6 @@ class SyntheticKnowledgeGraph:
         """Return the triples as an array of shape (num_triples, 3)."""
         return np.column_stack([self.subjects, self.relations, self.objects])
 
-    def triples_of_relation(self, relation: int) -> np.ndarray:
-        """Return the triples that use ``relation``."""
-        mask = self.relations == relation
-        return np.column_stack([self.subjects[mask], self.relations[mask], self.objects[mask]])
-
     def entity_frequencies(self) -> np.ndarray:
         """Return how many triples each entity participates in (as subject or object)."""
         counts = np.zeros(self.num_entities, dtype=np.int64)

@@ -10,7 +10,6 @@ reproduces that construction at configurable (much smaller) scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -41,18 +40,6 @@ class SyntheticMatrix:
     def num_entries(self) -> int:
         """Number of revealed entries."""
         return len(self.values)
-
-    def entries_for_rows(self, row_start: int, row_end: int) -> Tuple[np.ndarray, ...]:
-        """Return the (rows, cols, values) of entries whose row is in [row_start, row_end)."""
-        mask = (self.rows >= row_start) & (self.rows < row_end)
-        return self.rows[mask], self.cols[mask], self.values[mask]
-
-    def entries_for_columns(
-        self, col_start: int, col_end: int
-    ) -> Tuple[np.ndarray, ...]:
-        """Return the (rows, cols, values) of entries whose column is in [col_start, col_end)."""
-        mask = (self.cols >= col_start) & (self.cols < col_end)
-        return self.rows[mask], self.cols[mask], self.values[mask]
 
 
 def generate_matrix(

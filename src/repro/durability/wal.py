@@ -159,8 +159,6 @@ class DeltaWAL:
         "records",
         "after_append",
         "_last_lsn",
-        "shard_keys",
-        "_order_key_hook",
     )
 
     def __init__(self, node: int = 0, clock: Optional[LSNClock] = None, metrics=None):
@@ -170,25 +168,6 @@ class DeltaWAL:
         self.records: List[WALRecord] = []
         self.after_append: Optional[Callable[[], None]] = None
         self._last_lsn = 0
-        #: Parallel-engine capture (``enable_shard_capture``): one global
-        #: order key per post-fork append, parallel to ``records``.
-        self.shard_keys: Optional[List[Tuple]] = None
-        self._order_key_hook: Optional[Callable[[], Tuple]] = None
-
-    def enable_shard_capture(self, order_key_hook: Callable[[], Tuple]) -> None:
-        """Capture a global order key alongside every append (shard mode).
-
-        Inside a forked shard the LSN clock advances independently, so LSNs
-        drawn during the window are *provisional* (shard-relative).  The
-        captured keys — :meth:`Simulator.wal_order_key` tuples
-        ``(time, executing-event lineage, local seq)``, the lineage being
-        the kernel's flat shard-mode key — totally order
-        appends across shards exactly as the sequential engine would have
-        interleaved them, letting the coordinator stitch all shards' records
-        into the cluster order and rewrite provisional LSNs at window merge.
-        """
-        self._order_key_hook = order_key_hook
-        self.shard_keys = []
 
     @property
     def last_lsn(self) -> int:
@@ -208,8 +187,6 @@ class DeltaWAL:
             lsn=self.clock.next(), kind=kind, keys=tuple(keys), values=values
         )
         self.records.append(record)
-        if self._order_key_hook is not None:
-            self.shard_keys.append(self._order_key_hook())
         self._last_lsn = record.lsn
         if self.metrics is not None:
             self.metrics.wal_appends += 1
@@ -221,8 +198,8 @@ class DeltaWAL:
     def append_deltas(self, keys: Sequence[int], rows: np.ndarray) -> None:
         """Append one single-row ``delta`` record per key, in order.
 
-        The records, LSNs, ``wal_appends``, ``wal_bytes`` and captured shard
-        order keys are those of ``len(keys)`` :meth:`append` calls; the clock,
+        The records, LSNs, ``wal_appends`` and ``wal_bytes`` are those of
+        ``len(keys)`` :meth:`append` calls; the clock,
         the metrics and ``after_append`` are updated once.  ``rows`` holds one
         detached ``(1, d)`` float64 block per key.  The caller guarantees that
         no checkpoint could fire between the records (a fused block visit
@@ -236,9 +213,6 @@ class DeltaWAL:
         self.records.extend(
             WALRecord(lsn, WAL_DELTA, (key,), row) for lsn, key, row in zip(lsns, keys, rows)
         )
-        if self._order_key_hook is not None:
-            hook = self._order_key_hook
-            self.shard_keys.extend(hook() for _ in lsns)
         self._last_lsn = lsns[-1]
         if self.metrics is not None:
             self.metrics.wal_appends += count

@@ -122,16 +122,13 @@ def make_parameter_server(
     an object satisfying the same client/metrics API; call ``shutdown()`` on
     it (or use it as a context manager) to release the shared memory.
 
-    ``jobs > 1`` shards the simulated nodes across that many forked
-    processes with conservative time-window sync
-    (:mod:`repro.simnet.parallel`) — bit-identical results, multicore
-    wall-clock.  Elastic membership changes and durable (WAL/checkpoint)
-    runs shard too: membership events become window barriers and per-shard
-    WAL segments are stitched into the cluster total order at epoch merge.
-    The few workloads the window protocol cannot shard (scheduled node
-    failures, WAL truncation, single-node clusters, zero-latency cost
-    models) fall back to ``jobs=1`` at run time with a once-per-reason
-    warning; the reason is recorded on the run result.
+    ``jobs > 1`` shards the simulated nodes of a static, non-durable
+    cluster across that many forked processes with conservative time-window
+    sync (:mod:`repro.simnet.parallel`) — results bit-identical to
+    ``jobs=1``.  Runs the window protocol does not shard (elastic clusters,
+    durable stores, single-node clusters, zero-latency cost models) fall
+    back to ``jobs=1`` at run time with a once-per-reason warning; the
+    reason is recorded on the run result.
     """
     if jobs < 1:
         raise ExperimentError(f"jobs must be >= 1, got {jobs}")
@@ -501,7 +498,6 @@ def make_elastic_mf(
     seed: int = 0,
     cost_model: Optional[CostModel] = None,
     durability: Optional[Any] = None,
-    jobs: int = 1,
     trace: Optional[Any] = None,
 ):
     """Build an elastic matrix-factorization run: ``(elastic, trainer)``.
@@ -529,7 +525,6 @@ def make_elastic_mf(
         ps_config,
         partitioner=partitioner,
         durability=durability,
-        jobs=jobs,
         trace=trace,
     )
     elastic = ElasticCluster(ps, initial_nodes=initial_nodes, schedule=schedule)
@@ -552,7 +547,6 @@ def run_elastic_mf_experiment(
     seed: int = 0,
     cost_model: Optional[CostModel] = None,
     durability: Optional[Any] = None,
-    jobs: int = 1,
     trace: Optional[Any] = None,
 ) -> TaskRunResult:
     """Elastic counterpart of :func:`run_mf_experiment`.
@@ -572,7 +566,6 @@ def run_elastic_mf_experiment(
         seed=seed,
         cost_model=cost_model,
         durability=durability,
-        jobs=jobs,
         trace=trace,
     )
     epoch_results = [

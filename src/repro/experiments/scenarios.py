@@ -199,7 +199,6 @@ def elastic_scaling_scenario(
     join_node: int = 2,
     drain_node: int = 1,
     inject_failure: bool = True,
-    jobs: int = 1,
 ) -> List[Dict[str, object]]:
     """One full elastic lifecycle per system on the MF workload.
 
@@ -232,7 +231,6 @@ def elastic_scaling_scenario(
                 join_node=join_node,
                 drain_node=drain_node,
                 inject_failure=inject_failure,
-                jobs=jobs,
             )
         )
     return rows
@@ -248,7 +246,6 @@ def _elastic_lifecycle_row(
     join_node: int,
     drain_node: int,
     inject_failure: bool,
-    jobs: int,
 ) -> Dict[str, object]:
     elastic, trainer = make_elastic_mf(
         system,
@@ -257,7 +254,6 @@ def _elastic_lifecycle_row(
         scale=scale,
         workers_per_node=workers_per_node,
         seed=seed,
-        jobs=jobs,
     )
     ps = elastic.ps
 
@@ -300,12 +296,6 @@ def _elastic_lifecycle_row(
         "dropped_messages": ps.network.stats.dropped_messages,
         "drain_node_state": elastic.membership.state_of(drain_node),
         "sim_time_s": ps.simulated_time,
-        # Parallel-engine bookkeeping for the *last* epoch of the lifecycle:
-        # the injected failure (if any) forces that epoch sequential, so with
-        # jobs>1 and inject_failure these report the documented fallback.
-        "parallel_fallback_reason": ps._last_fallback_reason,
-        "effective_jobs": ps._last_effective_jobs,
-        "shard_skew": [h["skew"] for h in (ps.shard_load_history or [])],
     }
 
 
@@ -324,7 +314,6 @@ def durability_recovery_scenario(
     capacity: int = 3,
     fail_node: int = 2,
     durability: Optional[Any] = None,
-    jobs: int = 1,
 ) -> List[Dict[str, object]]:
     """Crash-and-restart under durability, per system, on the MF workload.
 
@@ -351,7 +340,6 @@ def durability_recovery_scenario(
             capacity=capacity,
             fail_node=fail_node,
             durability=durability,
-            jobs=jobs,
         )
         for system in systems
     ]
@@ -365,7 +353,6 @@ def _durability_recovery_row(
     capacity: int,
     fail_node: int,
     durability: Optional[Any],
-    jobs: int,
 ) -> Dict[str, object]:
     config = durability if durability is not None else DurabilityConfig()
 
@@ -389,7 +376,6 @@ def _durability_recovery_row(
         workers_per_node=workers_per_node,
         seed=seed,
         durability=config,
-        jobs=jobs,
     )
     ps = elastic.ps
 
@@ -424,8 +410,6 @@ def _durability_recovery_row(
         "fail_node_state": elastic.membership.state_of(fail_node),
         "dropped_messages": ps.network.stats.dropped_messages,
         "sim_time_s": ps.simulated_time,
-        "parallel_fallback_reason": ps._last_fallback_reason,
-        "effective_jobs": ps._last_effective_jobs,
     }
 
 

@@ -122,12 +122,6 @@ class KGEKeySpace:
         """Total number of PS keys required."""
         return self.num_entities + self.num_relations * self.config.keys_per_relation
 
-    def entity_key(self, entity: int) -> int:
-        """PS key of an entity embedding."""
-        if not 0 <= entity < self.num_entities:
-            raise ExperimentError(f"entity {entity} out of range")
-        return entity
-
     def relation_keys(self, relation: int) -> List[int]:
         """PS keys of a relation parameter (one or ``d`` consecutive keys)."""
         if not 0 <= relation < self.num_relations:

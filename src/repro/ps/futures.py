@@ -39,7 +39,6 @@ class OperationHandle:
         "value_length",
         "issued_at",
         "completed_at",
-        "last_progress_at",
         "_event",
         "_pending_keys",
         "_values",
@@ -64,11 +63,6 @@ class OperationHandle:
         self.value_length = value_length
         self.issued_at = sim._now
         self.completed_at: Optional[float] = None
-        #: Simulated time of the most recent key completion.  The parallel
-        #: engine stitches a rebalance operation's completion instant from
-        #: the per-shard progress stamps (each shard completes a disjoint
-        #: key subset), so the maximum over shards is ``completed_at``.
-        self.last_progress_at: Optional[float] = None
         self._event = Event(sim)
         # The completion event always carries the handle — pre-seeding the
         # value (succeed() overwrites it with the same object) lets cleanup
@@ -109,11 +103,8 @@ class OperationHandle:
         pending = self._pending_keys
         if values is None:
             # Ack-style completion (pushes, localizes): no value bookkeeping.
-            before = len(pending)
             for key in keys:
                 pending.discard(int(key))
-            if len(pending) != before:
-                self.last_progress_at = self.sim._now
             if not pending and not self._event._triggered:
                 self.completed_at = self.sim._now
                 self._event.succeed(self)
@@ -127,7 +118,6 @@ class OperationHandle:
                 f"got {values.shape[0]} value rows for {len(keys)} keys"
             )
         recorded = self._values
-        before = len(pending)
         for index, key in enumerate(keys):
             key = int(key)
             if key not in pending:
@@ -136,8 +126,6 @@ class OperationHandle:
                 continue
             pending.discard(key)
             recorded[key] = values[index]
-        if len(pending) != before:
-            self.last_progress_at = self.sim._now
         if not pending and not self._event._triggered:
             self.completed_at = self.sim._now
             self._event.succeed(self)
@@ -155,7 +143,7 @@ class OperationHandle:
             return
         self._pending_keys.clear()
         self._batch = values
-        self.last_progress_at = self.completed_at = self.sim._now
+        self.completed_at = self.sim._now
         self._event.succeed(self)
 
     def fail(self, exception: BaseException) -> None:

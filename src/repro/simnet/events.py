@@ -111,9 +111,6 @@ class Event:
         self.sim._enqueue(self, delay)
         return self
 
-    def _mark_processed(self) -> None:
-        self._processed = True
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         state = "processed" if self._processed else ("triggered" if self._triggered else "pending")
         return f"<{type(self).__name__} {state} at {id(self):#x}>"

@@ -93,17 +93,9 @@ _LINEAGE_KEEP = 24
 _LINEAGE_REBUILD = 48
 
 #: Flat length of a lineage at depth ``_LINEAGE_REBUILD``: a depth-``d``
-#: lineage has ``4 + 3 d`` entries (``5 + 3 d`` under an apply root), so
-#: ``len >= _TRIM_LEN`` holds exactly from depth ``_LINEAGE_REBUILD`` on.
+#: lineage has ``4 + 3 d`` entries, so ``len >= _TRIM_LEN`` holds exactly
+#: from depth ``_LINEAGE_REBUILD`` on.
 _TRIM_LEN = 4 + 3 * _LINEAGE_REBUILD
-
-#: Parent context of lineages allocated during a replicated barrier apply
-#: (``begin_apply``).  Real parent lineages start with a finite scheduling
-#: time, so ``inf`` sorts *after* every same-instant window lineage —
-#: barrier-apply actions come after everything the shards processed up to
-#: the barrier, exactly as the sequential engine's (newer) sequence numbers
-#: would order them.
-_APPLY_CTX: Tuple = (math.inf, _END)
 
 
 def _trim_lineage(lineage: Tuple) -> Tuple:
@@ -161,16 +153,6 @@ class Simulator:
         self._shard_rank: Optional[int] = None
         #: Lineage of the event currently being processed (shard mode).
         self._shard_ctx: Tuple = _ROOT_CTX
-        #: Whether a replicated barrier apply is executing (shard mode): all
-        #: shards run the same control-plane code against identical merged
-        #: state, so scheduling draws must come from the replicated
-        #: ``_apply_seq`` counter instead of the shard-local ``_sequence``.
-        self._apply_mode = False
-        #: Replicated scheduling counter for barrier applies (identical on
-        #: every shard by construction).
-        self._apply_seq = 0
-        #: Shard-local WAL ordering counter (see :meth:`wal_order_key`).
-        self._wal_seq = 0
         #: Events dispatched by :meth:`run_window` since the fork — the
         #: per-shard load that ``ps.shard_load_history`` records.
         self.executed_events = 0
@@ -216,48 +198,6 @@ class Simulator:
         """
         self._sequence += 1
         return (self._now,) + self._shard_ctx + (self._shard_rank, self._sequence)
-
-    def begin_apply(self) -> None:
-        """Enter replicated-apply mode (barrier control-plane execution).
-
-        Between :meth:`begin_apply` and :meth:`end_apply` every scheduling
-        action (event triggers, bare callbacks, wake-ups, lineage draws)
-        allocates its key from the replicated ``_apply_seq`` counter under
-        the ``(inf, END)`` parent context and leaves the shard-local sequence
-        untouched: all shards execute the identical apply code against
-        identical merged state, so the streams stay in lockstep and the
-        resulting keys are bit-identical across shards.
-        """
-        if self._shard_rank is None:
-            raise SimulationError("begin_apply requires shard mode")
-        self._apply_mode = True
-
-    def end_apply(self) -> None:
-        """Leave replicated-apply mode."""
-        self._apply_mode = False
-
-    def apply_lineage(self) -> Tuple:
-        """Allocate a lineage key from the replicated apply stream."""
-        self._apply_seq += 1
-        return (self._now,) + _APPLY_CTX + (-2, self._apply_seq)
-
-    def wal_order_key(self) -> Tuple:
-        """Total-order key for a WAL append issued on this shard.
-
-        The two-level LSN order of the parallel engine: shard-local WAL
-        appends are keyed ``(time, processing lineage, local seq)`` —
-        comparable across shards because lineages are (that is the window
-        protocol's core invariant) — and barrier-apply appends are keyed
-        under the replicated apply stream.  Sorting all shards' post-fork
-        appends by this key reproduces the sequential engine's global LSN
-        assignment order, which is what lets the parent stitch shard-relative
-        LSNs back into one cluster total order at epoch merge.
-        """
-        if self._apply_mode:
-            self._apply_seq += 1
-            return (self._now, _APPLY_CTX, self._apply_seq)
-        self._wal_seq += 1
-        return (self._now, self._shard_ctx, self._wal_seq)
 
     def schedule_foreign(
         self,
@@ -357,12 +297,8 @@ class Simulator:
         now = self._now
         time = now + delay
         if self._shard_rank is not None:
-            if self._apply_mode:
-                self._apply_seq += 1
-                lineage = (now,) + _APPLY_CTX + (-2, self._apply_seq)
-            else:
-                self._sequence += 1
-                lineage = (now,) + self._shard_ctx + (self._shard_rank, self._sequence)
+            self._sequence += 1
+            lineage = (now,) + self._shard_ctx + (self._shard_rank, self._sequence)
             if time == now:
                 self._ring.append((event, lineage))
             else:
@@ -386,12 +322,8 @@ class Simulator:
         now = self._now
         time = now + delay
         if self._shard_rank is not None:
-            if self._apply_mode:
-                self._apply_seq += 1
-                lineage = (now,) + _APPLY_CTX + (-2, self._apply_seq)
-            else:
-                self._sequence += 1
-                lineage = (now,) + self._shard_ctx + (self._shard_rank, self._sequence)
+            self._sequence += 1
+            lineage = (now,) + self._shard_ctx + (self._shard_rank, self._sequence)
             if time == now:
                 self._ring.append((_Call(fn, arg), lineage))
             else:
@@ -419,12 +351,8 @@ class Simulator:
         event = self.acquire_event()
         event._triggered = True
         if self._shard_rank is not None:
-            if self._apply_mode:
-                self._apply_seq += 1
-                lineage = (self._now,) + _APPLY_CTX + (-2, self._apply_seq)
-            else:
-                self._sequence += 1
-                lineage = (self._now,) + self._shard_ctx + (self._shard_rank, self._sequence)
+            self._sequence += 1
+            lineage = (self._now,) + self._shard_ctx + (self._shard_rank, self._sequence)
             if time == self._now:
                 self._ring.append((event, lineage))
             else:
@@ -564,22 +492,17 @@ class Simulator:
             self._run_bound = -math.inf
         return self._now
 
-    def run_window(self, end: float, inclusive: bool = False) -> float:
+    def run_window(self, end: float) -> float:
         """Process every event with time strictly below ``end`` (shard mode).
 
         The conservative window loop of the parallel engine: the shard owns
         all events below ``end`` (cross-shard deliveries generated anywhere
         in the current window land at or after ``end``, by the lookahead
         bound), so processing them needs no coordination.  Events exactly at
-        ``end`` stay queued for the next window — unless ``inclusive`` is
-        set, the drain mode of the membership-barrier protocol: once every
-        in-flight delivery at or below the barrier time is accounted for,
-        events *at* the barrier instant must be processed before the
-        control-plane apply (the sequential engine fires a membership event
-        only after exhausting all same-instant work).  Unlike :meth:`run`,
-        the clock is *not* advanced to ``end`` when the queue drains early —
-        the next window's bound is derived from the earliest pending event
-        across all shards, not from this shard's idle clock.
+        ``end`` stay queued for the next window.  Unlike :meth:`run`, the
+        clock is *not* advanced to ``end`` when the queue drains early — the
+        next window's bound is derived from the earliest pending event across
+        all shards, not from this shard's idle clock.
         """
         if self._shard_rank is None:
             raise SimulationError("run_window requires shard mode")
@@ -593,10 +516,6 @@ class Simulator:
         pool = self._event_pool
         trim = _trim_lineage
         executed = 0
-        if inclusive:
-            # Keep the hot loop's single `time >= end` comparison: an
-            # inclusive bound is an exclusive bound just past ``end``.
-            end = math.nextafter(end, math.inf)
         self._run_bound = end
         try:
             while True:

@@ -296,24 +296,8 @@ class Network:
         if size_bytes < 0:
             raise NetworkError(f"message size must be non-negative, got {size_bytes}")
         sim = self.sim
-        lineage = None
-        if sim._apply_mode:
-            # A replicated membership apply (``ElasticCluster.apply_in_shard``)
-            # runs this send with identical arguments, in identical order, on
-            # every shard.  Two rules keep the shards convergent:
-            # * the scheduling key is drawn unconditionally on every shard,
-            #   even for a send the owner then drops on the failed-node check,
-            #   so the replicated ``_apply_seq`` counters advance in lockstep;
-            # * every other side effect (traffic counters, FIFO channel clock,
-            #   tracer span, scheduling or outbox append) happens only on the
-            #   shard owning the source node: network stats ship home as
-            #   per-shard deltas and are summed, so replicated increments
-            #   would double-count.
-            lineage = sim.apply_lineage()
         lane, channel_clock = self._lane(src_node, dst_address)
         dst_node = lane.dst_node
-        if lineage is not None and self._shard_ranks[src_node] != self._shard_rank:
-            return None
         now = sim._now
         stats = self.stats
         if self._failed_nodes and (
@@ -352,28 +336,17 @@ class Network:
             # tracer appends a span to the sending node's buffer and nothing
             # about scheduling, coalescing, or sharding changes.
             tracer.net_span(src_node, dst_node, payload, now, deliver_at, size_bytes)
-        if self._shard_ranks is not None:
-            if self._shard_ranks[dst_node] != self._shard_rank:
-                # Cross-shard delivery: hand the record to the window-exchange
-                # protocol instead of the local kernel.  Always remote (shards
-                # partition whole nodes), so deliver_at >= sent_at + lookahead —
-                # the receiving shard merges it at a future window boundary.
-                stats.delivery_events += 1
-                if lineage is None:
-                    lineage = sim.shard_lineage()
-                self._shard_outbox.append(
-                    (deliver_at, lineage, dst_node, dst_address, payload)
-                )
-                return None
-            if lineage is not None:
-                # Apply-mode deliveries are never coalesced: they are always
-                # remote (rebalancing instructions target other nodes), land
-                # at least one lookahead after the barrier, and per-message
-                # heap entries ordered by the apply sequence reproduce the
-                # sequential delivery order exactly.
-                stats.delivery_events += 1
-                sim.schedule_foreign(deliver_at, lineage, lane.put, payload)
-                return None
+        shard_ranks = self._shard_ranks
+        if shard_ranks is not None and shard_ranks[dst_node] != self._shard_rank:
+            # Cross-shard delivery: hand the record to the window-exchange
+            # protocol instead of the local kernel.  Always remote (shards
+            # partition whole nodes), so deliver_at >= sent_at + lookahead —
+            # the receiving shard merges it at a future window boundary.
+            stats.delivery_events += 1
+            self._shard_outbox.append(
+                (deliver_at, sim.shard_lineage(), dst_node, dst_address, payload)
+            )
+            return None
         batches = self._pending_batches
         batch_key = (dst_address, deliver_at)
         batch = batches.get(batch_key)

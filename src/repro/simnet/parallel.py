@@ -20,23 +20,6 @@ windows**:
   events below ``G + L`` without coordination, then exchanges the newly
   generated cross-shard records and repeats.  ``G == inf`` on every shard
   means global quiescence: the epoch is done.
-* **Membership barriers** (elastic clusters).  A scheduled membership event
-  at time ``T`` splits the epoch: windows are clipped to ``T``, and once
-  the global horizon shows that every event and in-flight delivery at or
-  below ``T`` is accounted for, the shards drain *through* ``T``
-  (``run_window(T, inclusive=True)`` — safe once ``G + L > T``), exchange
-  rebalance-progress and control-plane state, and every shard executes the
-  identical event apply against identical merged state under the replicated
-  scheduling stream (:meth:`Simulator.begin_apply`).  The apply's
-  cross-node sends re-enter the ordinary window exchange, so the epoch
-  resumes seamlessly and stays bit-identical to ``jobs=1``.
-* **Durable windows** (durability subsystem).  Inside a shard, WAL appends
-  draw *provisional* LSNs from the forked clock and capture a global order
-  key (:meth:`Simulator.wal_order_key` — the two-level (window, shard,
-  local) order).  At epoch merge the parent sorts all shards' post-fork
-  records by that key, rewrites provisional LSNs into the cluster total
-  order, and stitches records and checkpoints back into the per-node logs,
-  so later recovery replays identically to a sequential run.
 * **Shard plan.**  Every epoch forks from contiguous node blocks
   (:func:`make_shard_plan`).  Results are plan-independent (lineage keys
   reproduce the sequential order under any partition), so the plan only
@@ -57,16 +40,17 @@ Shards are forked with :mod:`multiprocessing`'s ``fork`` start method, so
 each child inherits the whole object graph (parameter server, trainers,
 numpy state) copy-on-write.  At the end of the epoch each child ships the
 mutated state of *its* nodes back through a pipe — node storage and policy
-tables, worker RNGs and clocks, channel clocks of the channels it owns,
-traffic-counter deltas, WAL segments, and membership outcomes — and the
-parent merges them so the next epoch forks from an up-to-date image.  The
-children run under a :class:`~repro.backend.supervisor.ProcessGroup`: one
-that fails or dies ends the epoch at once, named, and none survives it.
+tables, worker RNGs and clocks, channel clocks of the channels it owns, and
+traffic-counter deltas — and the parent merges them so the next epoch forks
+from an up-to-date image.  The children run under a
+:class:`~repro.backend.supervisor.ProcessGroup`: one that fails or dies ends
+the epoch at once, named, and none survives it.
 
-Workloads the window protocol cannot shard (pending failure recovery,
-WAL truncation, single-node clusters, zero network latency, simulated-time
-cutoffs) are detected by :func:`parallel_fallback_reason` and fall back to
-the sequential engine with a once-per-reason warning.
+The engine shards static clusters without durability only.  Everything else
+(elastic clusters, durable stores, single-node clusters, zero network
+latency, simulated-time cutoffs) is detected by
+:func:`parallel_fallback_reason` and falls back to the sequential engine
+with a once-per-reason warning.
 """
 
 from __future__ import annotations
@@ -136,29 +120,15 @@ def make_shard_plan(num_nodes: int, jobs: int, lookahead: float) -> ShardPlan:
 def parallel_fallback_reason(ps: Any, until: Optional[float] = None) -> Optional[str]:
     """Why this run cannot use the parallel engine (None when it can).
 
-    The gate is conservative: anything the window-barrier protocol cannot
-    replay deterministically falls back to the sequential engine.  Elastic
-    membership changes (join/drain/rejoin) and durability logging shard
-    fine since the membership-barrier and LSN-stitching machinery; failure
-    *recovery* (a pending fail event) and WAL truncation do not.
+    The engine shards static clusters without durability: the window
+    protocol replays their runs bit for bit, and nothing else is run on it.
     """
     if until is not None:
         return "a simulated-time cutoff was requested"
-    driver = ps._elastic_driver
-    if driver is None and ps.membership is not None:
-        return "membership is attached without an elastic driver"
-    if driver is not None:
-        from repro.cluster.schedule import FAIL
-
-        if any(event.kind == FAIL for event in driver._pending):
-            return "a fail event is scheduled (failure recovery runs sequentially)"
-        if driver._pending and driver._pending[0].time <= ps.sim.now:
-            return "a membership event is already due at the epoch boundary"
-    if ps.network.failed_nodes:
-        return "cluster has failed nodes (failure recovery runs sequentially)"
-    durability = getattr(ps, "durability", None)
-    if durability is not None and durability.config.truncate_on_checkpoint:
-        return "WAL truncation on checkpoint defeats shard LSN stitching"
+    if ps.membership is not None:
+        return "elastic clusters run on the sequential engine"
+    if ps.durability is not None:
+        return "durable runs use the sequential engine"
     if ps.cluster.num_nodes < 2:
         return "cluster has a single node"
     if ps.cluster.cost_model.network_latency <= 0.0:
@@ -171,113 +141,6 @@ def parallel_fallback_reason(ps: Any, until: Optional[float] = None) -> Optional
 
 
 # --------------------------------------------------------------------- child
-def _strip_relocating(table: Dict[int, Any]) -> Dict[int, Any]:
-    """Handle-free copy of a ``relocating_in`` table (for pickling).
-
-    ``RelocatingKey`` entries carry localize handles and queued operations
-    whose object graphs reach the simulator (generators — unpicklable).
-    The barrier apply only reads an entry's existence and appends fresh
-    handles, and an entry still pending at epoch quiescence can never
-    complete (its transfer was dropped), so shipping the routing facts
-    without the in-flight attachments is exact.
-    """
-    if not table:
-        return {}
-    cls = next(iter(table.values())).__class__
-    return {
-        key: cls(
-            key=entry.key,
-            requested_at=entry.requested_at,
-            pending_new_owner=entry.pending_new_owner,
-        )
-        for key, entry in table.items()
-    }
-
-
-def _capture_barrier_state(ps: Any, plan: ShardPlan, rank: int) -> Dict[int, Dict]:
-    """Control-plane state of this shard's nodes, for the barrier sync.
-
-    The replicated membership-event apply reads three per-node structures
-    that ordinary (owner-shard-only) message processing mutates: the
-    parameter store (key residency), the home-location table, and the
-    relocation-in-flight table.  Each shard ships its *owned* nodes' copies
-    so every shard holds the identical merged image before the apply.
-    """
-    blob: Dict[int, Dict] = {}
-    for node_id in plan.shard_nodes[rank]:
-        state = ps.states[node_id]
-        storage = state.storage
-        entry: Dict[str, Any] = {"storage": getattr(storage, "inner", storage)}
-        home = getattr(state, "home_location", None)
-        if home is not None:
-            entry["home_location"] = dict(home)
-        relocating = getattr(state, "relocating_in", None)
-        if relocating is not None:
-            entry["relocating_in"] = _strip_relocating(relocating)
-        blob[node_id] = entry
-    return blob
-
-
-def _install_barrier_state(ps: Any, blob: Dict[int, Dict]) -> None:
-    """Install a peer shard's node state (foreign nodes only, by construction)."""
-    durability = ps.durability
-    for node_id, entry in blob.items():
-        state = ps.states[node_id]
-        storage = entry["storage"]
-        if durability is not None:
-            # Re-wrap in this process's WAL proxy to keep the durable-store
-            # invariant; the epoch-end assertion verifies no foreign-node
-            # append ever fires (the apply never mutates storage).
-            storage = durability.wrap_fresh_storage(node_id, storage)
-        state.storage = storage
-        if "home_location" in entry:
-            state.home_location = entry["home_location"]
-        if "relocating_in" in entry:
-            state.relocating_in = entry["relocating_in"]
-
-
-def _shard_barrier(
-    ps: Any,
-    driver: Any,
-    plan: ShardPlan,
-    rank: int,
-    conns: Dict[int, Any],
-    timeout: float,
-    barrier_time: float,
-) -> None:
-    """Fire the membership event(s) due at ``barrier_time`` on every shard.
-
-    Reached once the global horizon proves every event and in-flight
-    delivery at or below the barrier time has been processed.  All shards:
-    advance the clock to the barrier instant, all-to-all exchange rebalance
-    progress and control-plane state, finish globally completed rebalance
-    operations (in completion-time order — the callbacks the sequential
-    engine would already have fired), then execute the identical event
-    apply against the identical merged state.
-    """
-    sim = ps.sim
-    if sim._now < barrier_time:
-        sim._now = barrier_time
-    progress = driver.shard_op_progress()
-    blob = _capture_barrier_state(ps, plan, rank)
-    peers = [j for j in range(plan.num_shards) if j != rank]
-    for j in peers:
-        conns[j].send((progress, blob))
-    progress_rows: List[Any] = [None] * plan.num_shards
-    progress_rows[rank] = progress
-    for j in peers:
-        if not conns[j].poll(timeout):
-            raise SimulationError(
-                f"shard {rank}: no barrier-sync message from shard {j} "
-                f"within {timeout}s (deadlocked membership barrier?)"
-            )
-        progress_j, blob_j = conns[j].recv()
-        progress_rows[j] = progress_j
-        _install_barrier_state(ps, blob_j)
-    driver.finish_shard_ops(progress_rows)
-    driver.apply_in_shard()
-
-
 def _run_shard(
     ps: Any,
     rank: int,
@@ -290,22 +153,11 @@ def _run_shard(
     """Shard body: window loop plus the end-of-epoch state payload."""
     sim = ps.sim
     network = ps.network
-    driver = ps._elastic_driver
-    durability = ps.durability
     # Counts only what this shard sends; the parent adds it to its own.
     network.stats = NetworkStats()
     sim.enter_shard_mode(rank)
     network.enable_shard_mode(plan.node_ranks, rank)
     ps._op_counter = (rank + 1) * _OP_ID_STRIDE
-
-    if durability is not None:
-        wal_base: Dict[int, int] = {}
-        checkpoint_base: Dict[int, int] = {}
-        for node_id, wal in durability.wals.items():
-            wal_base[node_id] = len(wal.records)
-            checkpoint_base[node_id] = len(durability.checkpoints[node_id].checkpoints)
-            wal.enable_shard_capture(sim.wal_order_key)
-        lsn_base = durability.clock.last
 
     processes = []
     for index, client in owned_clients:
@@ -318,9 +170,6 @@ def _run_shard(
     node_ranks = plan.node_ranks
     lookahead = plan.lookahead
     infinity = float("inf")
-    #: Latched barrier: once the global horizon reaches the next membership
-    #: event's time, the shards commit to firing it and drain toward it.
-    fire_at: Optional[float] = None
     #: Window exchanges so far (identical on every shard: rounds are framed).
     window_rounds = 0
     while True:
@@ -336,63 +185,27 @@ def _run_shard(
         next_local = sim.peek_time()
         if next_local is not None and next_local < lo:
             lo = next_local
-        local_done = all(process.processed for _, process in processes)
         for j in peers:
-            conns[j].send((per_peer[j], lo, local_done))
+            conns[j].send((per_peer[j], lo))
         horizon = lo
-        all_done = local_done
         for j in peers:
             if not conns[j].poll(timeout):
                 raise SimulationError(
                     f"shard {rank}: no window-exchange message from shard {j} "
                     f"within {timeout}s (deadlocked shard barrier?)"
                 )
-            records_j, lo_j, done_j = conns[j].recv()
+            records_j, lo_j = conns[j].recv()
             if lo_j < horizon:
                 horizon = lo_j
-            if not done_j:
-                all_done = False
             for deliver_at, lineage, _dst_node, dst_address, payload in records_j:
                 sim.schedule_foreign(
                     deliver_at, lineage, network.shard_put(dst_address), payload
                 )
-        # All latch/fire decisions below depend only on (horizon, all_done,
-        # barrier_at), which are identical on every shard — so every shard
-        # takes the same branch each round and the exchange stays framed.
-        barrier_at = driver.shard_barrier_time() if driver is not None else None
-        if fire_at is None and barrier_at is not None and horizon >= barrier_at:
-            if horizon == infinity and all_done:
-                # Workers finished and the cluster is quiescent: the epoch is
-                # over and the event stays pending for a later epoch, exactly
-                # as the sequential driver leaves it.
-                break
-            fire_at = barrier_at
-        if fire_at is None:
-            if horizon == infinity:
-                break
-            bound = horizon + lookahead
-            if barrier_at is not None and barrier_at < bound:
-                # Clip the window at the scheduled event: events at or past
-                # its time must wait for the barrier apply.
-                bound = barrier_at
-            sim.run_window(bound)
-            continue
-        if horizon > fire_at:
-            # Nothing anywhere is pending at or below the barrier time (the
-            # horizon covers both local peeks and in-flight deliveries):
-            # fire the membership event(s) on the synchronized state.
-            _shard_barrier(ps, driver, plan, rank, conns, timeout, fire_at)
-            fire_at = None
-            continue
-        if horizon + lookahead > fire_at:
-            # The remaining work at or below the barrier time can no longer
-            # generate deliveries at or below it (they would land past
-            # horizon + lookahead): drain through the barrier instant
-            # inclusively, as the sequential engine exhausts same-instant
-            # work before firing the event.
-            sim.run_window(fire_at, inclusive=True)
-        else:
-            sim.run_window(horizon + lookahead)
+        # Every shard sees the same horizon, so all leave the loop in the
+        # same round and the exchange stays framed.
+        if horizon == infinity:
+            break
+        sim.run_window(horizon + lookahead)
 
     unfinished = [process.name for _, process in processes if not process.processed]
     states: Dict[int, Dict[str, Any]] = {}
@@ -403,18 +216,17 @@ def _run_shard(
                 f"shard {rank}: node {node_id} still has in-flight operations "
                 "at epoch quiescence"
             )
-        data = {
+        relocating = getattr(state, "relocating_in", None)
+        if relocating:
+            # Its entries hold handles and queued operations (unpicklable);
+            # on a static run every transfer lands before quiescence.
+            raise SimulationError(
+                f"shard {rank}: node {node_id} still has key "
+                f"{next(iter(relocating))} relocating in at epoch quiescence"
+            )
+        states[node_id] = {
             name: value for name, value in vars(state).items() if name not in _STATE_SKIP
         }
-        if durability is not None:
-            # Ship the raw store: the WAL proxy's object graph reaches the
-            # simulator (unpicklable) and the parent re-wraps on merge; the
-            # log itself travels through the payload's durability section.
-            data["storage"] = getattr(data["storage"], "inner", data["storage"])
-        relocating = data.get("relocating_in")
-        if relocating:
-            data["relocating_in"] = _strip_relocating(relocating)
-        states[node_id] = data
     payload = {
         "rank": rank,
         "now": sim._now,
@@ -440,37 +252,6 @@ def _run_shard(
         "executed_events": sim.executed_events,
         "window_rounds": window_rounds,
     }
-    if driver is not None:
-        payload["elastic"] = driver.shard_epoch_summary(rank)
-    if durability is not None:
-        owned: Set[int] = set(plan.shard_nodes[rank])
-        for node_id, wal in durability.wals.items():
-            if node_id not in owned and len(wal.records) != wal_base[node_id]:
-                raise SimulationError(
-                    f"shard {rank}: the WAL of non-owned node {node_id} grew "
-                    "during the epoch (appends must be owner-shard-local)"
-                )
-        payload["durability"] = {
-            "lsn_base": lsn_base,
-            "records": {
-                node_id: (
-                    durability.wals[node_id].records[wal_base[node_id]:],
-                    durability.wals[node_id].shard_keys,
-                )
-                for node_id in plan.shard_nodes[rank]
-            },
-            "checkpoints": {
-                node_id: durability.checkpoints[node_id].checkpoints[
-                    checkpoint_base[node_id]:
-                ]
-                for node_id in plan.shard_nodes[rank]
-            },
-            "next_checkpoint_at": {
-                node_id: durability._next_checkpoint_at[node_id]
-                for node_id in plan.shard_nodes[rank]
-                if node_id in durability._next_checkpoint_at
-            },
-        }
     return payload
 
 
@@ -502,12 +283,6 @@ def _apply_payload(ps: Any, clients: Sequence[Any], payload: Dict) -> None:
         # original NodeState object, which must stay identical.
         state = ps.states[node_id]
         vars(state).update(data)
-        if ps.durability is not None:
-            state.storage = ps.durability.wrap_fresh_storage(node_id, state.storage)
-            # The shipped payload replaced the metrics object the node's WAL
-            # was constructed with; re-point it so later appends (parent-side
-            # or in next epoch's children) keep counting on the live object.
-            ps.durability.wals[node_id].metrics = state.metrics
     for node_id, rng in payload["node_rngs"].items():
         ps.nodes[node_id].rng = rng
     for index, data in payload["clients"].items():
@@ -520,56 +295,6 @@ def _apply_payload(ps: Any, clients: Sequence[Any], payload: Dict) -> None:
     network.stats.absorb(payload["stats_delta"])
 
 
-def _merge_durability(ps: Any, payloads: Sequence[Dict]) -> None:
-    """Stitch the shards' WAL segments into the cluster LSN total order.
-
-    Each shard logged its owned nodes' mutations with provisional LSNs from
-    its forked clock and captured one global order key per record.  Sorting
-    every shard's post-fork records by that key reproduces the sequential
-    engine's append interleaving; final LSNs are assigned in that order,
-    shipped checkpoints are remapped through the per-shard provisional ->
-    final table, and the cluster clock advances past the merged suffix.
-    Per-node record order is preserved (a node's records come from exactly
-    one shard, already in append order), so ``records_since`` bisection and
-    replay behave identically to a sequential run.
-    """
-    manager = ps.durability
-    lsn_base = manager.clock.last
-    entries: List[Tuple[Tuple, int, int, Any]] = []
-    for payload in payloads:
-        segment = payload["durability"]
-        if segment["lsn_base"] != lsn_base:
-            raise SimulationError(
-                "parallel engine: shard forked from a different LSN clock "
-                f"({segment['lsn_base']} != {lsn_base})"
-            )
-        rank = payload["rank"]
-        for node_id, (records, keys) in segment["records"].items():
-            for record, key in zip(records, keys):
-                entries.append((key, rank, node_id, record))
-    entries.sort(key=lambda entry: entry[0])
-    final_map: Dict[int, Dict[int, int]] = {payload["rank"]: {} for payload in payloads}
-    lsn = lsn_base
-    for key, rank, node_id, record in entries:
-        lsn += 1
-        final_map[rank][record.lsn] = lsn
-        record.lsn = lsn
-        wal = manager.wals[node_id]
-        wal.records.append(record)
-        wal._last_lsn = lsn
-    manager.clock._last = lsn
-    for payload in payloads:
-        segment = payload["durability"]
-        mapping = final_map[payload["rank"]]
-        for node_id, checkpoints in segment["checkpoints"].items():
-            store = manager.checkpoints[node_id]
-            for checkpoint in checkpoints:
-                if checkpoint.lsn > lsn_base:
-                    checkpoint.lsn = mapping[checkpoint.lsn]
-                store.add(checkpoint)
-        manager._next_checkpoint_at.update(segment["next_checkpoint_at"])
-
-
 def run_workers_parallel(
     ps: Any,
     worker_fn: Callable[[Any, int], Generator],
@@ -580,9 +305,8 @@ def run_workers_parallel(
     """Run one driver epoch on the parallel engine (caller checked eligibility).
 
     Forks ``min(jobs, num_nodes)`` shard processes, runs the conservative
-    window protocol (with membership barriers on elastic clusters) to
-    quiescence, merges the shards' state — node tables, WAL segments,
-    membership outcome — back into the parent, and returns the worker
+    window protocol to quiescence, merges the shards' node tables back into
+    the parent, and returns the worker
     return values in ``clients`` order — exactly the contract of the
     sequential ``run_workers``.
     """
@@ -645,12 +369,6 @@ def run_workers_parallel(
             final_sequence = payload["sequence"]
     sim._now = final_now
     sim._sequence = final_sequence
-    if ps._elastic_driver is not None:
-        ps._elastic_driver.merge_shard_epoch(
-            [payload["elastic"] for payload in payloads]
-        )
-    if ps.durability is not None:
-        _merge_durability(ps, payloads)
 
     # Executed-event skew (max shard / mean shard): how evenly the plan
     # spread this epoch's kernel work.

@@ -34,13 +34,6 @@ class TestSyntheticMatrix:
         )
         assert np.abs(matrix.values - predicted).mean() < 0.05
 
-    def test_entries_for_rows_and_columns(self):
-        matrix = generate_matrix(20, 20, 150, seed=0)
-        rows, cols, values = matrix.entries_for_rows(0, 10)
-        assert (rows < 10).all()
-        rows, cols, values = matrix.entries_for_columns(5, 15)
-        assert ((cols >= 5) & (cols < 15)).all()
-
     def test_no_duplicate_positions(self):
         matrix = generate_matrix(10, 10, 80, seed=3)
         positions = set(zip(matrix.rows.tolist(), matrix.cols.tolist()))
@@ -83,12 +76,6 @@ class TestSyntheticKnowledgeGraph:
     def test_no_self_loops(self):
         graph = generate_knowledge_graph(num_entities=10, num_relations=2, num_triples=1000, seed=1)
         assert (graph.subjects != graph.objects).all()
-
-    def test_triples_of_relation(self):
-        graph = generate_knowledge_graph(num_entities=50, num_relations=5, num_triples=300, seed=0)
-        for relation in range(5):
-            triples = graph.triples_of_relation(relation)
-            assert (triples[:, 1] == relation).all()
 
     def test_deterministic(self):
         a = generate_knowledge_graph(seed=7)

@@ -109,17 +109,15 @@ class TestDeltaWAL:
 
     @pytest.mark.parametrize("count", [0, 1, 4])
     def test_append_deltas_equals_one_append_per_key(self, count):
-        """Records, LSNs (continuing a shared clock), counters and captured
-        shard order keys are those of ``count`` single-row appends; the hook
-        fires once, after the last record."""
+        """Records, LSNs (continuing a shared clock) and counters are those
+        of ``count`` single-row appends; the hook fires once, after the last
+        record."""
 
         def log(batched):
             clock = LSNClock()
             DeltaWAL(node=0, clock=clock).append(WAL_SET, [9], rows(row(0, 0, 0)))
             metrics = PSMetrics()
             wal = DeltaWAL(node=1, clock=clock, metrics=metrics)
-            sequence = iter(range(100))
-            wal.enable_shard_capture(lambda: (0.5, ("shard", 1), next(sequence)))
             fired = []
             wal.after_append = lambda: fired.append(wal.last_lsn)
             wal.append(WAL_INSERT, [3], rows(row(1, 1, 1)))
@@ -134,12 +132,12 @@ class TestDeltaWAL:
                 (r.lsn, r.kind, r.keys, r.values.shape, r.values.tobytes(), r.nbytes)
                 for r in wal.records
             ]
-            seen = (records, wal.shard_keys, wal.last_lsn, clock.last)
+            seen = (records, wal.last_lsn, clock.last)
             return seen, (metrics.wal_appends, metrics.wal_bytes), fired
 
         batched, single = log(True), log(False)
         assert batched[:2] == single[:2]
-        assert batched[0][2] == 2 + count
+        assert batched[0][1] == 2 + count
         assert single[2] == [2 + number for number in range(count + 1)]
         assert batched[2] == single[2][:1] + single[2][-1:] * (count > 0)
 

@@ -168,100 +168,59 @@ def test_non_contiguous_plan_refork_identical(monkeypatch):
     assert np.array_equal(seq_rows, par_rows)
 
 
-def _skewed_run(jobs):
-    """Lapse MF on 8 nodes of which only 4 ever hold keys or run workers."""
+def _elastic_join_run(jobs):
+    """Lapse MF on three of four nodes while node 3 joins mid-epoch."""
+    from repro.cluster import ClusterSchedule
     from repro.experiments.runner import make_elastic_mf
 
     elastic, trainer = make_elastic_mf(
         "lapse",
-        num_nodes=8,
-        initial_nodes=(0, 1, 2, 3),
-        scale=MFScale(num_rows=64, num_cols=32, num_entries=1200, rank=4),
+        num_nodes=4,
+        initial_nodes=(0, 1, 2),
+        schedule=ClusterSchedule().join(0.002, node=3),
+        scale=MF,
         workers_per_node=2,
-        jobs=jobs,
     )
-    epochs = [elastic.run_epoch(trainer, compute_loss=True) for _ in range(3)]
+    elastic.ps.jobs = jobs
+    epochs = [elastic.run_epoch(trainer, compute_loss=True) for _ in range(2)]
     stats = elastic.ps.network.stats
     fingerprint = (
         [(repr(epoch.duration), repr(epoch.loss)) for epoch in epochs],
         stats.remote_messages,
         stats.bytes_sent,
         elastic.ps.metrics().as_dict(),
+        elastic.ps.all_parameters().tobytes(),
     )
     return elastic.ps, fingerprint
 
 
-def test_idle_reserve_nodes_shard_identically():
-    """The contiguous plan puts the 4 active nodes on 2 of 4 shards, so two
-    shards only host idle reserve nodes; the run still merges bit-identically."""
-    _, sequential = _skewed_run(jobs=1)
-    ps, sharded = _skewed_run(jobs=4)
-    assert ps._last_fallback_reason is None and ps._last_effective_jobs == 4
-    assert sharded == sequential
-
-
-# ------------------------------------------------------------------- elastic
-def _run_elastic(jobs, system="lapse", schedule=None):
-    from repro.cluster import ClusterSchedule
-    from repro.experiments.runner import run_elastic_mf_experiment
-
-    if schedule is None:
-        # Join and drain both land mid-epoch, so shards must quiesce at the
-        # membership barriers and execute the replicated apply.
-        schedule = ClusterSchedule().join(0.002, node=3).drain(0.008, node=1)
-    return run_elastic_mf_experiment(
-        system,
-        num_nodes=4,
-        initial_nodes=(0, 1, 2),
-        schedule=schedule,
-        scale=MF,
-        workers_per_node=2,
-        epochs=4,
-        compute_loss=True,
-        jobs=jobs,
-    )
-
-
-@pytest.mark.parametrize("system", ("classic", "lapse", "hybrid"))
-def test_elastic_lifecycle_identical(system):
-    """Elastic runs shard now: join + drain mid-epoch, bit-identical merge."""
-    seq = _run_elastic(1, system=system)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        par = _run_elastic(2, system=system)
-    assert not [w for w in caught if w.category is RuntimeWarning]
-    assert par.parallel_fallback_reason is None
-    assert par.effective_jobs == 2
-    assert seq.effective_jobs == 1
-    assert _fingerprint(seq) == _fingerprint(par)
-
-
-def test_elastic_four_shards_identical():
-    seq = _run_elastic(1)
-    par = _run_elastic(4)
-    assert par.effective_jobs == 4
-    assert _fingerprint(seq) == _fingerprint(par)
-
-
-def test_scheduled_failure_falls_back_to_sequential():
-    """Scheduled node failures stay sequential: the recovery ladder is not
-    shardable, so jobs>1 warns, records the reason, and matches jobs=1."""
-    from repro.cluster import ClusterSchedule
+def test_elastic_and_durable_runs_fall_back_bit_identically():
+    """Elastic clusters and durable stores run on the sequential engine at
+    ``jobs=2``: the run records why, uses one shard, and equals ``jobs=1``."""
+    from repro.durability import DurabilityConfig
     from repro.simnet.parallel import reset_fallback_warnings
 
-    schedule = (
-        ClusterSchedule().fail(0.004, node=2).rejoin(0.008, node=2)
-    )
-    seq = _run_elastic(1, schedule=schedule)
     reset_fallback_warnings()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        par = _run_elastic(2, schedule=schedule)
+        _, elastic_seq = _elastic_join_run(jobs=1)
+        ps, elastic_par = _elastic_join_run(jobs=2)
+        durability = DurabilityConfig(checkpoint_interval=0.005)
+        durable_seq = run_mf_experiment(
+            "lapse", scale=MF, durability=durability, **NODES
+        )
+        durable_par = run_mf_experiment(
+            "lapse", scale=MF, durability=durability, jobs=2, **NODES
+        )
     reset_fallback_warnings()
     messages = [str(w.message) for w in caught if w.category is RuntimeWarning]
-    assert any("fail event" in message for message in messages)
-    # Once the node is recovered the engine resumes sharding, so the fields
-    # on the result reflect the (parallel) final epoch.
-    assert par.parallel_fallback_reason is None
-    assert par.effective_jobs == 2
-    assert _fingerprint(seq) == _fingerprint(par)
+    assert any("elastic" in message for message in messages)
+    assert any("durable" in message for message in messages)
+    assert "elastic" in ps._last_fallback_reason
+    assert ps._last_effective_jobs == 1
+    assert not ps._elastic_driver.pending_events  # the join fired mid-epoch
+    assert elastic_par == elastic_seq
+    assert "durable" in durable_par.parallel_fallback_reason
+    assert durable_par.effective_jobs == 1
+    assert durable_par.metrics.wal_appends > 0
+    assert _fingerprint(durable_par) == _fingerprint(durable_seq)

@@ -55,7 +55,6 @@ class TestKeySpace:
         assert config.base_dim == 6
         assert config.keys_per_relation == 1
         assert keyspace.num_keys == graph.num_entities + graph.num_relations
-        assert keyspace.entity_key(5) == 5
         assert keyspace.relation_keys(0) == [graph.num_entities]
 
     def test_rescal_layout(self):
@@ -69,8 +68,6 @@ class TestKeySpace:
     def test_out_of_range_rejected(self):
         graph, config = build_kge()
         keyspace = KGEKeySpace(graph, config)
-        with pytest.raises(ExperimentError):
-            keyspace.entity_key(10_000)
         with pytest.raises(ExperimentError):
             keyspace.relation_keys(10_000)
 

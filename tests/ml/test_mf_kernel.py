@@ -654,7 +654,7 @@ SWEEP_DURABILITY = {"volatile": None, "wal": DurabilityConfig(checkpoint_interva
 SWEEP_SCHEDULES = ("static", "join", "drain", "fail_rejoin")
 
 
-def churn(system, durability, schedule, jobs, seed, withhold, scale=SWEEP_SCALE):
+def churn(system, durability, schedule, seed, withhold, scale=SWEEP_SCALE):
     """Three elastic epochs on up to 3 nodes x 2 workers.  Node 2 joins
     (from reserve) or node 1 drains 40 % into the second epoch; node 2
     crashes and restarts at the boundary before it."""
@@ -666,7 +666,6 @@ def churn(system, durability, schedule, jobs, seed, withhold, scale=SWEEP_SCALE)
         workers_per_node=2,
         seed=seed,
         durability=SWEEP_DURABILITY[durability],
-        jobs=jobs,
     )
     ps = elastic.ps
     epochs = []
@@ -688,16 +687,16 @@ def churn(system, durability, schedule, jobs, seed, withhold, scale=SWEEP_SCALE)
 
 #: The cells tier-1 runs; the rest of the matrix is ``-m slow``.
 SWEEP_TIER1 = {
-    ("lapse", "wal", "join", 1, 0),
-    ("hybrid", "volatile", "drain", 1, 0),
-    ("lapse", "wal", "fail_rejoin", 1, 1),
-    ("classic_fast_local", "wal", "drain", 2, 1),
+    ("lapse", "wal", "join", 0),
+    ("hybrid", "volatile", "drain", 0),
+    ("lapse", "wal", "fail_rejoin", 1),
+    ("classic_fast_local", "wal", "drain", 1),
 }
 
 
 def sweep_cells():
-    for cell in itertools.product(SYSTEMS, SWEEP_DURABILITY, SWEEP_SCHEDULES, (1, 2), (0, 1)):
-        system, _, schedule, _, _ = cell
+    for cell in itertools.product(SYSTEMS, SWEEP_DURABILITY, SWEEP_SCHEDULES, (0, 1)):
+        system, _, schedule, _ = cell
         if system == "classic_fast_local" and schedule == "fail_rejoin":
             continue  # a static allocation cannot re-home a failed node's keys
         marks = () if cell in SWEEP_TIER1 else pytest.mark.slow
@@ -724,31 +723,28 @@ def recorded_visits():
 REASONS = {"not resident", "guarded", "checkpoint", "membership event", "unsettled keys"}
 
 
-@pytest.mark.parametrize("system,durability,schedule,jobs,seed", sweep_cells())
+@pytest.mark.parametrize("system,durability,schedule,seed", sweep_cells())
 def test_fused_equals_withheld_on_elastic_and_durable_clusters(
-    system, durability, schedule, jobs, seed
+    system, durability, schedule, seed
 ):
     """Every cell: equal durations, counters, traffic, parameters and row
     factors; on a logged store also equal per-key WAL records and
     checkpoints, and each node's latest checkpoint replays to its store.
-    Sharded, fewer events make other windows, and with them another physical
-    batching of deliveries (as between engines).  Every declined entry has a
-    reason, and where a checkpoint or a mid-epoch event can reach a visit, a
-    sequential ``lapse`` / ``hybrid`` run splits some visit and, unless every
-    hazard cut came at a visit's last entry, resumes one past its hazard
-    (shard children keep what they record)."""
+    Every declined entry has a reason, and where a checkpoint or a mid-epoch
+    event can reach a visit, a ``lapse`` / ``hybrid`` run splits some visit
+    and, unless every hazard cut came at a visit's last entry, resumes one
+    past its hazard."""
     with recorded_visits() as visits:
-        fused = churn(system, durability, schedule, jobs, seed, withhold=False)
-    oracle = churn(system, durability, schedule, jobs, seed, withhold=True)
-    seen = observe if jobs == 1 else observe_across_engines
-    assert seen(*fused) == seen(*oracle)
+        fused = churn(system, durability, schedule, seed, withhold=False)
+    oracle = churn(system, durability, schedule, seed, withhold=True)
+    assert observe(*fused) == observe(*oracle)
     trainer = fused[0]
     assert trainer.fused_steps > 0
     assert trainer.fused_steps + trainer.declined_steps == 3 * trainer.matrix.num_entries
     assert sum(trainer.decline_reasons.values()) == trainer.declined_steps
     assert set(trainer.decline_reasons) <= REASONS
     hazard = durability == "wal" or schedule in ("join", "drain")
-    if jobs == 1 and hazard and system != "classic_fast_local":
+    if hazard and system != "classic_fast_local":
         assert any(0 < taken < entries for taken, entries, _, _ in visits)
         if any(cut and entries - taken > 1 for taken, entries, _, cut in visits):
             assert any(start > 0 for _, _, start, _ in visits)
@@ -766,8 +762,8 @@ def test_without_compute_time_a_cut_visit_is_never_resumed():
     still equals the withheld one — WAL per key and checkpoints included."""
     scale = MFScale(num_rows=32, num_cols=18, num_entries=300, rank=4, compute_time_per_entry=0.0)
     with recorded_visits() as visits:
-        fused = churn("lapse", "wal", "join", 1, 0, withhold=False, scale=scale)
-    oracle = churn("lapse", "wal", "join", 1, 0, withhold=True, scale=scale)
+        fused = churn("lapse", "wal", "join", 0, withhold=False, scale=scale)
+    oracle = churn("lapse", "wal", "join", 0, withhold=True, scale=scale)
     assert observe(*fused) == observe(*oracle)
     assert durable_log(fused[0].ps) == durable_log(oracle[0].ps)
     assert any(cut and entries - taken > 1 for taken, entries, _, cut in visits)
@@ -884,7 +880,7 @@ def test_every_visit_commits_by_its_workers_resume(jobs, width):
 
 def test_elastic_visits_without_a_wal_commit_by_their_workers_resume():
     with left_to_the_epoch() as left:
-        trainer, _ = churn("lapse", "volatile", "join", 1, 0, withhold=False)
+        trainer, _ = churn("lapse", "volatile", "join", 0, withhold=False)
     assert left == [0, 0, 0] and trainer.ps.pending_visits == []
     assert trainer.committed_visits > trainer.visit_commits > 0
 

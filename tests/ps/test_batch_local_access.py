@@ -46,7 +46,6 @@ def observe(ps, handles):
         "values": [h.values().tolist() if h.op_type == "pull" else None for h in handles],
         "first": [h.first_value().tolist() if h.op_type == "pull" else None for h in handles],
         "completed_at": [h.completed_at for h in handles],
-        "progress_at": [h.last_progress_at for h in handles],
         "latency": [h.latency for h in handles],
         "now": ps.simulated_time,
         "metrics": ps.metrics().as_dict(),
@@ -150,7 +149,7 @@ class TestBatchCompletedHandle:
             handle.values()
         sim.run()
         assert handle.done
-        assert handle.completed_at == handle.last_progress_at == 0.25
+        assert handle.completed_at == 0.25
         assert handle.latency == 0.25
         assert handle.values() is block
         np.testing.assert_array_equal(handle.first_value(), [1.0, 2.0])

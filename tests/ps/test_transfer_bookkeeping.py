@@ -90,7 +90,7 @@ def run_workload(ps_class, seed, location_caches=False):
             push = client.push_async(touched, np.ones((2, LENGTH)), needs_ack=True)
             for handle in (localize, pull, push):
                 yield from client.wait(handle)
-                log.append((handle.op_type, handle.completed_at, handle.last_progress_at))
+                log.append((handle.op_type, handle.completed_at))
             log.append(pull.values().tobytes())
             yield float(rng.integers(0, 4)) * 50e-6
 

@@ -3,9 +3,8 @@
 The kernel once keyed every shard-mode event by the nested tuple
 ``(sched_time, parent_lineage, shard_rank, seq, depth)``: ``parent_lineage``
 is the (depth-trimmed) key of the event being processed when this one was
-scheduled, ``()`` at the root; ``(inf,)`` is the parent of every action of a
-replicated barrier apply; ``depth`` is bookkeeping for the trim and never
-decides a comparison.  Plain tuple comparison of these keys *is* the
+scheduled, ``()`` at the root; ``depth`` is bookkeeping for the trim and
+never decides a comparison.  Plain tuple comparison of these keys *is* the
 recursion that reproduces the sequential engine's order, which makes them
 the oracle of the flat keys :mod:`repro.simnet.kernel` allocates today:
 ``flatten`` is the serialization the kernel claims to build incrementally,
@@ -17,9 +16,6 @@ from typing import Tuple
 
 #: Parent of a lineage scheduled at the root (no processing event).
 ROOT: Tuple = ()
-
-#: Parent of every lineage allocated during a replicated barrier apply.
-APPLY_CTX: Tuple = (math.inf,)
 
 #: Ancestry depth kept when a chain is rebuilt.
 LINEAGE_KEEP = 24
@@ -60,11 +56,6 @@ def child(now: float, parent: Tuple, rank: int, seq: int) -> Tuple:
     return (now, ctx, rank, seq, ctx[4] + 1)
 
 
-def applied(now: float, seq: int) -> Tuple:
-    """Key of an action of a replicated barrier apply (apply stream ``seq``)."""
-    return (now, APPLY_CTX, -2, seq, 0)
-
-
 def inherited(seq: int) -> Tuple:
     """Key of a heap entry the shard inherited at the fork (global ``seq``)."""
     return (-1.0, ROOT, -1, seq, 0)
@@ -73,12 +64,9 @@ def inherited(seq: int) -> Tuple:
 def flatten(lineage: Tuple) -> Tuple:
     """The prefix-free flat serialization of a nested key.
 
-    ``F(()) = (-inf,)``, ``F((inf,)) = (inf, -inf)`` and
-    ``F((s, P, r, q, d)) = (s,) + F(P) + (r, q)``.
+    ``F(()) = (-inf,)`` and ``F((s, P, r, q, d)) = (s,) + F(P) + (r, q)``.
     """
     if lineage == ROOT:
         return (-math.inf,)
-    if lineage == APPLY_CTX:
-        return (math.inf, -math.inf)
     sched_time, parent, rank, seq, _depth = lineage
     return (sched_time,) + flatten(parent) + (rank, seq)

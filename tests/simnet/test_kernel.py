@@ -441,11 +441,11 @@ def test_quiet_through_respects_run_until():
 
 
 def test_quiet_through_respects_the_window_end():
-    for inclusive, expected in [(False, [True, False, False]), (True, [True, True, False])]:
-        sim = Simulator()
-        sim.enter_shard_mode(0)
-        results = []
-        _probe(sim, 1.0, results, 1.5, 2.0, 3.0)
-        sim.run_window(2.0, inclusive=inclusive)
-        assert results == expected
-        assert not sim.quiet_through(sim.now)
+    sim = Simulator()
+    sim.enter_shard_mode(0)
+    results = []
+    _probe(sim, 1.0, results, 1.5, 2.0, 3.0)
+    sim.run_window(2.0)
+    # Strictly below the window's exclusive end only.
+    assert results == [True, False, False]
+    assert not sim.quiet_through(sim.now)

@@ -4,8 +4,8 @@ A shard heap orders same-time events by lineage, and the lineage order is
 what makes a ``jobs=N`` run *the* sequential run.  The kernel stores each
 lineage as a flat, prefix-free tuple; ``reference_lineage`` keeps the nested
 tuples it replaced.  Here random scheduling forests — same-instant cascades
-and positive delays on 2–3 shard ranks, fork-inherited entries, apply-rooted
-chains and chains that cross the ancestry trim — must sort into the same
+and positive delays on 2–3 shard ranks, fork-inherited entries and chains
+that cross the ancestry trim — must sort into the same
 permutation under both keys, and every kernel key must be the flattened
 reference key.
 """
@@ -40,9 +40,9 @@ def _inherited_keys(count):
     return sorted(lineage for _time, lineage, _item in sim._queue)
 
 
-def _chain(levels, apply_rooted=False):
+def _chain(levels):
     """The last key of a same-instant nested cascade ``levels`` below its root."""
-    lineage = reference.applied(0.0, 1) if apply_rooted else reference.root(0.0, 0, 1)
+    lineage = reference.root(0.0, 0, 1)
     for seq in range(2, levels + 2):
         lineage = reference.child(0.0, lineage, seq % 2, seq)
     return lineage
@@ -53,7 +53,7 @@ def _chain(levels, apply_rooted=False):
 #: hangs a same-instant chain of 45–50 levels off the picked node, so
 #: chains cross the trim at depths 47, 48 and 49.
 OPS = st.tuples(
-    st.sampled_from(("root", "apply", "inherit", "child", "child", "child", "spine")),
+    st.sampled_from(("root", "inherit", "child", "child", "child", "spine")),
     st.integers(0, 10**6),
     st.sampled_from((0.0, 0.0, 0.25, 0.5)),
     st.integers(0, 2),
@@ -67,7 +67,7 @@ def _build_forest(num_ranks, ops):
     sim.enter_shard_mode(0)
     inherited = _inherited_keys(len(ops))
     seqs = [0] * num_ranks
-    apply_seq = inherited_seq = 0
+    inherited_seq = 0
     # (nested key, kernel key, time the event is processed)
     nodes = []
 
@@ -91,12 +91,6 @@ def _build_forest(num_ranks, ops):
             for level in range(length):
                 add_child(parent, 0.0, (rank + level) % num_ranks)
                 parent = len(nodes) - 1
-        elif kind == "apply":
-            apply_seq += 1
-            sim._now = instant
-            nodes.append(
-                (reference.applied(instant, apply_seq), sim.apply_lineage(), instant + delay)
-            )
         elif kind == "inherit":
             inherited_seq += 1
             nodes.append((
@@ -131,12 +125,11 @@ def test_flat_keys_sort_like_nested_keys(num_ranks, ops):
         assert upper[: len(lower)] != lower
 
 
-@pytest.mark.parametrize("apply_rooted", (False, True))
 @pytest.mark.parametrize("levels", (47, 48, 49))
-def test_trim_is_the_flattened_nested_trim(levels, apply_rooted):
+def test_trim_is_the_flattened_nested_trim(levels):
     """Depth 47 stays, depth 48 is trimmed, and the child of a trimmed
-    parent (49 levels) is back at depth 24 — on both kinds of root."""
-    lineage = _chain(levels, apply_rooted)
+    parent (49 levels) is back at depth 24."""
+    lineage = _chain(levels)
     flat = reference.flatten(lineage)
     trimmed = _trim_lineage(flat)
     assert trimmed == reference.flatten(reference.trim(lineage))
@@ -164,8 +157,7 @@ def test_independent_lockstep_cascades_order_by_their_roots():
 
 def test_every_scheduling_path_allocates_the_reference_key():
     """Bare callbacks, triggered events, wake-ups and explicit draws all key
-    a child by the processed event's trimmed lineage, and a barrier apply
-    draws from the replicated stream."""
+    a child by the processed event's trimmed lineage."""
     sim = Simulator()
     sim.enter_shard_mode(1)
     deep = _chain(reference.LINEAGE_REBUILD)
@@ -176,13 +168,10 @@ def test_every_scheduling_path_allocates_the_reference_key():
         sim.timeout(1.0)
         sim.wake_at(2.0)
         drawn.append(sim.shard_lineage())
-        sim.begin_apply()
-        sim.call_later(1.0, print)
-        sim.end_apply()
 
     sim.schedule_foreign(0.5, reference.flatten(deep), parent, None)
     sim.run_window(0.75)
     expected = [reference.flatten(reference.child(0.5, deep, 1, seq)) for seq in (1, 2, 3, 4)]
     assert drawn == expected[3:]
     queued = sorted(lineage for _time, lineage, _item in sim._queue)
-    assert queued == sorted(expected[:3] + [reference.flatten(reference.applied(0.5, 1))])
+    assert queued == sorted(expected[:3])
