@@ -120,6 +120,19 @@ class TestJoin:
         assert metrics.rebalance_rounds == 1
         assert metrics.rebalance_time.count == 1
 
+    def test_only_active_nodes_contribute_epoch_workers(self):
+        schedule = ClusterSchedule().join(0.0, node=2)
+        elastic, _trainer = make_elastic_mf(
+            "lapse", num_nodes=3, initial_nodes=[0, 1], schedule=schedule,
+            scale=TINY, workers_per_node=2, seed=0,
+        )
+        before = elastic.participating_clients()
+        assert [(c.node_id, c.worker_id) for c in before] == [(0, 0), (0, 1), (1, 2), (1, 3)]
+        elastic.membership.begin_join(2)
+        assert elastic.participating_clients() == before  # joining: no workers yet
+        elastic.membership.complete_join(2)
+        assert [c.node_id for c in elastic.participating_clients()] == [0, 0, 1, 1, 2, 2]
+
     def test_join_speeds_up_dpa_but_not_classic(self, lifecycle_rows):
         classic = row_of(lifecycle_rows, "classic")
         for system in ("lapse", "hybrid"):

@@ -73,6 +73,15 @@ class TestMembership:
         with pytest.raises(ClusterError):
             membership.fail(1)  # terminal
 
+    def test_nodes_in_selects_any_of_the_given_states(self):
+        membership = Membership(5, initial_active=[0, 1, 2])
+        membership.begin_drain(2)
+        membership.begin_join(3)
+        assert membership.nodes_in(ACTIVE) == [0, 1]
+        assert membership.nodes_in(JOINING, DRAINING) == [2, 3]
+        assert membership.nodes_in(LEFT, FAILED) == [4]
+        assert membership.nodes_in() == []
+
     def test_seed_node_protected(self):
         membership = Membership(2)
         with pytest.raises(ClusterError):

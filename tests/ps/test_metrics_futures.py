@@ -43,6 +43,12 @@ class TestPSMetrics:
         assert metrics.key_reads_total == 40
         assert metrics.local_read_fraction == pytest.approx(0.75)
 
+    def test_key_accesses_total_counts_reads_and_writes(self):
+        metrics = PSMetrics(
+            key_reads_local=30, key_reads_remote=10, key_writes_local=5, key_writes_remote=2
+        )
+        assert metrics.key_accesses_total == 47
+
     def test_local_fraction_with_no_reads(self):
         assert PSMetrics().local_read_fraction == 1.0
 

@@ -5,6 +5,7 @@ import pytest
 from repro.config import ClusterConfig, CostModel, message_size
 from repro.errors import NetworkError
 from repro.simnet import Network, Simulator
+from repro.simnet.network import NetworkStats
 from repro.simnet.node import Node, server_address, worker_address
 
 
@@ -226,3 +227,34 @@ def test_healthy_traffic_unaffected_by_other_failures():
     sim.run()
     assert recv.value == "fine"
     assert network.stats.remote_messages == 1
+
+
+def test_failed_nodes_is_a_detached_snapshot():
+    sim, network, nodes = build_cluster(num_nodes=3)
+    network.fail_node(2)
+    before = network.failed_nodes
+    network.fail_node(1)
+    network.restore_node(2)
+    assert before == frozenset({2})
+    assert network.failed_nodes == frozenset({1})
+
+
+def test_network_stats_absorb_adds_every_counter_and_channel():
+    """A shard's own counts fold into the parent's: scalars add, and the
+    per-channel counts merge key by key."""
+    parent = NetworkStats(
+        messages_sent=3, remote_messages=2, local_messages=1, bytes_sent=100,
+        per_channel_messages={(0, 1): 2}, delivery_events=3,
+    )
+    child = NetworkStats(
+        messages_sent=4, remote_messages=4, bytes_sent=40, dropped_messages=1,
+        per_channel_messages={(0, 1): 1, (1, 0): 3}, delivery_events=3,
+        coalesced_messages=1,
+    )
+    parent.absorb(child)
+    assert parent == NetworkStats(
+        messages_sent=7, remote_messages=6, local_messages=1, bytes_sent=140,
+        per_channel_messages={(0, 1): 3, (1, 0): 3}, dropped_messages=1,
+        delivery_events=6, coalesced_messages=1,
+    )
+    assert child.per_channel_messages == {(0, 1): 1, (1, 0): 3}

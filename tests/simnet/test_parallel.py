@@ -228,6 +228,20 @@ def test_cross_shard_send_uses_the_shard_lineage():
     assert deliveries == ["near"]
 
 
+def test_shard_put_resolves_the_sink_or_the_mailbox():
+    """A receiving shard delivers a cross-shard record where a local send
+    would have: into the attached sink if there is one, else the mailbox."""
+    sim = Simulator()
+    network = Network(sim)
+    mailbox = network.register("box", 0)
+    network.register("sink", 1)
+    consumed = []
+    network.attach_sink("sink", consumed.append)
+    assert network.shard_put("box") == mailbox.put
+    network.shard_put("sink")("payload")
+    assert consumed == ["payload"]
+
+
 # ------------------------------------------------------------------ fallbacks
 def _make_ps(num_nodes=4, **kwargs):
     cluster = ClusterConfig(num_nodes=num_nodes, workers_per_node=1)
@@ -262,6 +276,42 @@ def test_fallback_on_durable_store():
     from repro.durability import DurabilityConfig
 
     ps = _make_ps(durability=DurabilityConfig(checkpoint_interval=1.0))
+    assert "durable" in parallel_fallback_reason(ps)
+
+
+def test_fallback_on_zero_latency_cost_model():
+    cluster = ClusterConfig(
+        num_nodes=4, workers_per_node=1, cost_model=CostModel(network_latency=0.0)
+    )
+    config = ParameterServerConfig(num_keys=4, value_length=2)
+    ps = make_parameter_server("lapse", cluster, config)
+    assert "zero lookahead" in parallel_fallback_reason(ps)
+
+
+def test_fallback_without_the_fork_start_method(monkeypatch):
+    import multiprocessing
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert "fork" in parallel_fallback_reason(_make_ps())
+
+
+def test_fallback_inside_a_daemonic_process(monkeypatch):
+    import multiprocessing
+    from types import SimpleNamespace
+
+    monkeypatch.setattr(
+        multiprocessing, "current_process", lambda: SimpleNamespace(daemon=True)
+    )
+    assert "daemonic" in parallel_fallback_reason(_make_ps())
+
+
+def test_a_cutoff_is_named_before_the_cluster_gates():
+    """The gates are checked in a fixed order: a run that trips several
+    reports the first, so the recorded reason does not depend on set order."""
+    from repro.durability import DurabilityConfig
+
+    ps = _make_ps(num_nodes=1, durability=DurabilityConfig(checkpoint_interval=1.0))
+    assert "cutoff" in parallel_fallback_reason(ps, until=1.0)
     assert "durable" in parallel_fallback_reason(ps)
 
 
