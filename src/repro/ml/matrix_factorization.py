@@ -109,14 +109,16 @@ class _EpochPlan:
     ``entries`` holds the per-(worker, block) entry index arrays in visit
     order.  ``levels`` holds each visit's :func:`level_schedule` — positions
     into its ``entries`` in level order, and the level of each — built at
-    the first visit the block-visit kernel takes.  Rows, columns and values
-    are gathered per visit (transient, so the cache never retains copies of
-    the data).
+    the first visit the block-visit kernel takes.  ``layouts`` holds, per
+    kernel call of whole visits, the level layout
+    (:meth:`MatrixFactorizationTrainer._level_layout`), keyed by the visits'
+    ``(cell, start, end, width)``: the same commits recur every epoch.
     """
 
     schedule: BlockSchedule
     entries: Dict[Tuple[int, int], "np.ndarray"]
     levels: Dict[Tuple[int, int], Tuple["np.ndarray", "np.ndarray"]] = field(default_factory=dict)
+    layouts: Dict[tuple, tuple] = field(default_factory=dict)
 
 
 class VisitKernel(NamedTuple):
@@ -357,32 +359,96 @@ class MatrixFactorizationTrainer(FusedLaneCounts):
         and is left as the per-entry loop would have left it after the
         visit's entries ``start`` to ``start + count`` (all from ``start`` by
         default), run on the factors the entries before ``start`` left.
-        Every expression is the loop's own, element-wise over the level; the
-        dot is the stacked ``matmul`` because it reduces each row pair the
-        way the scalar ``row @ col`` does (``einsum`` and ``(a * b).sum(1)``
-        sum in another order and differ in the last bits).  A contiguous run
-        of the visit keeps each of its entries' levels — an entry's earlier
-        same-row and same-column entries in the run sit in lower levels — so
-        it runs as every level filtered to ``start <= order < start +
-        count``.  Visits that share no factor (the workers of one DSGD
-        subepoch) keep their levels side by side: the runs' entries, stably
-        sorted by level, run against one table of every block's columns.
         ``deltas``, when given, receives at row ``k`` the update the loop
         pushes for the run's ``k``-th entry (visit entry ``start + k``).
+
+        The row factors and every visit's columns form one operand table,
+        viewed as one ``np.void`` record per factor row.  A level is one
+        record gather of its factors, rows first and then columns, viewed as
+        ``factor[0]`` / ``factor[1]``; each half's operand is the other half
+        (``factor[::-1]``).  The dot is the loop's ``row @ col`` as a stacked
+        ``matmul``, which reduces each pair the way the scalar product does
+        (``einsum`` and ``(a * b).sum(1)`` sum in another order).  Then
+        ``update = (error * operand + reg * factor) * (-lr)`` and one record
+        scatter of ``factor + update``.  That is the loop bit for bit:
+        ``row + g * (-lr)`` is ``row - lr * g`` (negation is exact),
+        ``col + update`` with ``update = grad_col * (-lr)`` is the loop's own
+        expression, and every other product and sum is the loop's.  The
+        deltas are the column half of ``update``.  The level layout comes
+        from :meth:`_level_layout`, cached on the plan for whole visits.
+        """
+        # Concurrent visits share no factor, so their order is free: by cell,
+        # as the key of the layout they recur with.
+        visits = sorted(visits, key=lambda visit: visit[0].cell)
+        plan = visits[0][0].plan
+        key, whole = [], True
+        for kernel, columns, _, count in visits:
+            entries = len(kernel.plan.entries[kernel.cell])
+            end = entries if count is None else kernel.start + count
+            key.append((kernel.cell, kernel.start, end, len(columns)))
+            whole &= not kernel.start and end == entries
+        key = tuple(key)
+        layout = plan.layouts.get(key)
+        if layout is None:
+            layout = self._level_layout(visits, key)
+            if whole:
+                plan.layouts[key] = layout
+        bounds, gather, values, positions, spans = layout
+        row_factors = self.row_factors
+        num_rows, rank = row_factors.shape
+        table = np.concatenate([row_factors, *(visit[1] for visit in visits)])
+        records = table.view(np.dtype((np.void, 8 * rank))).reshape(-1)
+        logged = any(visit[2] is not None for visit in visits)
+        deltas = np.empty((len(positions), rank)) if logged else None
+        error = np.empty((len(values), 1, 1))
+        learning_rate = self.config.learning_rate
+        regularization = self.config.regularization
+        for low, high in zip(bounds, bounds[1:]):
+            slots = gather[2 * low : 2 * high]
+            gathered = records[slots]
+            factor = gathered.view(np.float64).reshape(2, high - low, rank)
+            level_error = np.matmul(
+                factor[0, :, None, :], factor[1, :, :, None], out=error[: high - low]
+            )[:, 0]
+            level_error -= values[low:high]
+            update = level_error * factor[::-1]
+            update += regularization * factor
+            update *= -learning_rate
+            factor += update
+            records[slots] = gathered
+            if logged:
+                deltas[positions[low:high]] = update[1]
+        row_factors[:] = table[:num_rows]
+        for (_, block, block_deltas, _), (at, written) in zip(visits, spans):
+            block[:] = table[at : at + len(block)]
+            if block_deltas is not None:
+                block_deltas[:] = deltas[written : written + len(block_deltas)]
+
+    def _level_layout(self, visits: list, key: tuple) -> tuple:
+        """Where the levels of one kernel call find their operands:
+        ``(bounds, gather, values, positions, spans)``.
+
+        The visits' runs, each its :func:`level_schedule` filtered to
+        ``start <= order < end`` (a contiguous run keeps each entry's level:
+        its earlier same-row and same-column entries in the run sit in lower
+        levels), stably sorted by level; visits that share no factor (the
+        workers of one DSGD subepoch) keep their levels side by side.  Level
+        ``k`` holds entries ``bounds[k]:bounds[k + 1]``, with matrix
+        ``values``; ``gather[2 * bounds[k]:2 * bounds[k + 1]]``
+        are the table slots of their rows, then of their columns;
+        ``positions`` are the entries' rows in the call's deltas, and
+        ``spans`` each visit's first table slot and first deltas row.
         """
         matrix = self.matrix
         runs, levels, cols, positions, spans = [], [], [], [], []
-        offset = length = 0
-        logged = False
-        for kernel, columns, deltas, count in visits:
-            logged |= deltas is not None
-            plan, cell, start = kernel.plan, kernel.cell, kernel.start
+        offset, length = len(self.row_factors), 0
+        for (kernel, _, _, _), (cell, start, end, width) in zip(visits, key):
+            plan = kernel.plan
             if cell not in plan.levels:
                 indices = plan.entries[cell]
                 order, bounds = level_schedule(matrix.rows[indices], matrix.cols[indices])
                 plan.levels[cell] = order, np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
             order, level = plan.levels[cell]
-            end = len(order) if count is None else start + count
             if start or end < len(order):
                 kept = (order >= start) & (order < end)
                 order, level = order[kept], level[kept]
@@ -392,40 +458,21 @@ class MatrixFactorizationTrainer(FusedLaneCounts):
             cols.append(matrix.cols[run] + (offset - kernel.first_key))
             positions.append(order + (length - start))
             spans.append((offset, length))
-            offset += len(columns)
+            offset += width
             length += end - start
         level = np.concatenate(levels)
-        by_level = np.argsort(level, kind="stable") if len(visits) > 1 else slice(None)
-        bounds = [0, *np.cumsum(np.bincount(level)).tolist()]
+        by_level = np.argsort(level, kind="stable")
+        bounds = np.cumsum([0, *np.bincount(level)])
         indices = np.concatenate(runs)[by_level]
-        rows = matrix.rows[indices]
-        cols = np.concatenate(cols)[by_level]
+        level, at = level[by_level], np.arange(len(level))
+        # Entry ``at`` of level ``k``: its row at slot ``bounds[k] + at``, its
+        # column at ``bounds[k + 1] + at``.
+        gather = np.empty(2 * len(level), dtype=np.intp)
+        gather[bounds[level] + at] = matrix.rows[indices]
+        gather[bounds[level + 1] + at] = np.concatenate(cols)[by_level]
         values = matrix.values[indices].astype(np.float64).reshape(-1, 1)
         positions = np.concatenate(positions)[by_level]
-        columns = np.concatenate([visit[1] for visit in visits])
-        deltas = np.empty((length, columns.shape[1])) if logged else None
-        learning_rate = self.config.learning_rate
-        regularization = self.config.regularization
-        row_factors = self.row_factors
-        for low, high in zip(bounds, bounds[1:]):
-            level_rows = rows[low:high]
-            level_cols = cols[low:high]
-            row_factor = row_factors[level_rows]
-            col_factor = columns[level_cols]
-            error = (
-                np.matmul(row_factor[:, None, :], col_factor[:, :, None])[:, 0] - values[low:high]
-            )
-            grad_row = error * col_factor + regularization * row_factor
-            grad_col = error * row_factor + regularization * col_factor
-            row_factors[level_rows] = row_factor - learning_rate * grad_row
-            update = -learning_rate * grad_col
-            columns[level_cols] = col_factor + update
-            if deltas is not None:
-                deltas[positions[low:high]] = update
-        for (_, block, block_deltas, _), (at, written) in zip(visits, spans):
-            block[:] = columns[at : at + len(block)]
-            if block_deltas is not None:
-                block_deltas[:] = deltas[written : written + len(block_deltas)]
+        return bounds.tolist(), gather, values, positions, spans
 
     # ------------------------------------------------------------- evaluation
     def column_factors(self) -> np.ndarray:

@@ -831,9 +831,115 @@ def test_concurrent_visits_in_one_kernel_call_equal_one_call_each(drawn, rank):
     assert run(together=True) == run(together=False)
 
 
+# ------------------------------------------------------- the layout cache
+def golden_trainer(rank):
+    """A trainer on 2 x 1 Lapse at the golden scale (two workers, two blocks)."""
+    matrix = generate_matrix(rank=rank, seed=3, **GOLDEN_SCALE)
+    ps = make_parameter_server(
+        "lapse",
+        ClusterConfig(num_nodes=2, workers_per_node=1, seed=3),
+        ParameterServerConfig(num_keys=matrix.num_cols, value_length=rank),
+    )
+    return MatrixFactorizationTrainer(ps, matrix, MatrixFactorizationConfig(rank=rank), seed=3)
+
+
+def commit_subepoch(trainer, plan, workers=(0, 1), start=0, count=None, logged=(0,), run=True):
+    """One kernel call (none without ``run``) over the visits of subepoch 0
+    by ``workers``, each cut to ``start`` / ``count``, on fixed row factors
+    and columns; the workers in ``logged`` ask for deltas.  Returns the row
+    factors and each visit's columns and deltas, as bytes."""
+    matrix, rank = trainer.matrix, trainer.config.rank
+    trainer.row_factors[:] = np.random.default_rng(11).normal(size=trainer.row_factors.shape)
+    initial = np.random.default_rng(rank).normal(size=(matrix.num_cols, rank))
+    visits = []
+    for worker in workers:
+        cell = (worker, plan.schedule.block_for(worker, 0))
+        keys = keys_of_block(cell[1], matrix.num_cols, plan.schedule.num_blocks)
+        run_length = len(plan.entries[cell]) - start if count is None else count
+        deltas = np.full((run_length, rank), np.nan) if worker in logged else None
+        kernel = VisitKernel(trainer._run_levels, plan, cell, keys[0], start)
+        visits.append((kernel, initial[keys].copy(), deltas, count))
+    if run:
+        trainer._run_levels(visits)
+    return trainer.row_factors.tobytes(), [
+        (columns.tobytes(), None if deltas is None else deltas.tobytes())
+        for _, columns, deltas, _ in visits
+    ]
+
+
+@pytest.mark.parametrize("rank", RANKS)
+def test_a_commit_served_from_the_layout_cache_equals_one_built_fresh(rank):
+    trainer = golden_trainer(rank)
+    plan = trainer._plan(2)
+    first = commit_subepoch(trainer, plan)
+    assert [len(key) for key in plan.layouts] == [2]
+    with mock.patch.object(trainer, "_level_layout", side_effect=AssertionError("rebuilt")):
+        served = commit_subepoch(trainer, plan)
+    fresh = commit_subepoch(trainer, _EpochPlan(plan.schedule, plan.entries))
+    assert served == fresh == first
+
+
+@pytest.mark.parametrize("start,count", [(5, None), (0, 7), (3, 10), (0, 0)])
+def test_a_cut_run_is_never_cached_nor_served_a_whole_visit_layout(start, count):
+    trainer = golden_trainer(4)
+    plan = trainer._plan(2)
+    cut = commit_subepoch(trainer, plan, start=start, count=count)
+    assert plan.layouts == {}
+    commit_subepoch(trainer, plan)
+    whole = dict(plan.layouts)
+    built, layout = [], trainer._level_layout
+    with mock.patch.object(trainer, "_level_layout", lambda *a: built.append(1) or layout(*a)):
+        assert commit_subepoch(trainer, plan, start=start, count=count) == cut
+    assert built == [1] and plan.layouts == whole
+
+
+def test_an_empty_batch_and_a_zero_entry_visit_run_and_change_nothing():
+    trainer = golden_trainer(4)
+    full = trainer._plan(2)
+    before = commit_subepoch(trainer, full, count=0, logged=(0, 1), run=False)
+    assert commit_subepoch(trainer, full, count=0, logged=(0, 1)) == before
+    # Worker 0's cells have no entries: its visits are whole and empty.
+    plan = _EpochPlan(full.schedule, {
+        cell: indices[:0] if cell[0] == 0 else indices for cell, indices in full.entries.items()
+    })
+    alone = commit_subepoch(trainer, plan, workers=(0,))
+    assert alone == commit_subepoch(trainer, plan, workers=(0,), run=False)
+    rows, (empty, visit) = commit_subepoch(trainer, plan)
+    assert empty == alone[1][0] and (rows, [visit]) == commit_subepoch(trainer, plan, workers=(1,))
+    assert len(plan.layouts) == 3
+
+
 #: Visits long enough that all workers of a subepoch visit before the first
 #: of them resumes (at the golden scale some localizes outlast a visit).
 MERGE_SCALE = MFScale(num_rows=64, num_cols=16, num_entries=800, rank=4)
+
+
+def test_a_lapse_run_caches_one_layout_per_subepoch_batch():
+    """2 x 2 Lapse, two epochs: each subepoch's four visits commit as one
+    batch, and the second epoch's batches are the first's, served from the
+    cache."""
+    scale = MERGE_SCALE
+    matrix = generate_matrix(scale.num_rows, scale.num_cols, scale.num_entries, rank=4, seed=3)
+    trainer, _ = train("lapse", matrix, compute_time=scale.compute_time_per_entry)
+    plan = trainer._plan(4)
+    assert trainer.visit_commits == 2 * len(plan.layouts) == 2 * 4
+    visits = sorted(visit for key in plan.layouts for visit in key)
+    assert visits == sorted(
+        (cell, 0, len(indices), 4) for cell, indices in plan.entries.items()
+    )
+
+
+@pytest.mark.slow
+def test_kernel_equals_event_loop_at_the_mf_lapse_benchmark_scale():
+    """The ``mf_lapse`` benchmark's size: 1024 x 256, 80 000 entries, rank
+    8, 2 nodes x 2 workers, two epochs.  Four concurrent visits per commit
+    run 134-150 levels each, deeper than any golden-digest cell."""
+    matrix = generate_matrix(1024, 256, 80_000, rank=8, seed=0)
+    trainer, _ = assert_kernel_equals_event_loop(
+        "lapse", matrix, rank=8, compute_time=25e-6, seed=0
+    )
+    assert trainer.committed_visits == 4 * trainer.visit_commits
+    assert (trainer.fused_steps, trainer.declined_steps) == (2 * matrix.num_entries, 0)
 
 
 def test_concurrent_visits_commit_together_and_logged_visits_alone():
