@@ -34,12 +34,12 @@ from repro.experiments import (
     MFScale,
     W2VScale,
     format_table,
-    merge_metrics,
     metrics_rows,
     run_kge_experiment,
     run_mf_experiment,
     run_w2v_experiment,
 )
+from repro.ps import PSMetrics
 
 #: All systems run at the paper's mid-scale parallelism level.
 NUM_NODES = 4
@@ -126,9 +126,7 @@ def test_replication_vs_relocation(benchmark, task):
     assert replica.epoch_duration < classic.epoch_duration
     assert hybrid.epoch_duration < classic.epoch_duration
 
-    dynamic = merge_metrics(
-        [lapse.metrics, replica.metrics, hybrid.metrics]
-    )
+    dynamic = PSMetrics.aggregate([lapse.metrics, replica.metrics, hybrid.metrics])
     print(
         f"\nspeedup vs static: lapse {classic.epoch_duration / lapse.epoch_duration:.1f}x, "
         f"replica {classic.epoch_duration / replica.epoch_duration:.1f}x, "

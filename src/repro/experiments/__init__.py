@@ -12,7 +12,6 @@ from repro.experiments.reporting import (
     LATENCY_COUNTERS,
     MANAGEMENT_COUNTERS,
     format_table,
-    merge_metrics,
     metrics_rows,
     speedup,
 )
@@ -32,11 +31,9 @@ from repro.experiments.runner import (
 from repro.experiments.scenarios import (
     DEFAULT_PARALLELISM,
     ELASTIC_SCALING_SYSTEMS,
-    REPLICATION_COMPARISON_SYSTEMS,
     elastic_scaling_scenario,
     kge_scenario,
     matrix_factorization_scenario,
-    replication_comparison_scenario,
     word2vec_scenario,
 )
 
@@ -47,7 +44,6 @@ __all__ = [
     "LATENCY_COUNTERS",
     "MANAGEMENT_COUNTERS",
     "MFScale",
-    "REPLICATION_COMPARISON_SYSTEMS",
     "SYSTEMS",
     "TaskRunResult",
     "W2VScale",
@@ -57,9 +53,7 @@ __all__ = [
     "make_elastic_mf",
     "make_parameter_server",
     "matrix_factorization_scenario",
-    "merge_metrics",
     "metrics_rows",
-    "replication_comparison_scenario",
     "run_elastic_mf_experiment",
     "run_kge_experiment",
     "run_mf_experiment",

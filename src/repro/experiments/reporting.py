@@ -4,16 +4,16 @@ Besides table formatting, this module is the one place that turns
 :class:`~repro.ps.metrics.PSMetrics` into report rows: benchmarks pass their
 :class:`~repro.experiments.runner.TaskRunResult` lists to
 :func:`metrics_rows` (built on ``PSMetrics.as_dict``) instead of hand-picking
-counters, and :func:`merge_metrics` is the cross-node / cross-run merge.
+counters (``PSMetrics.merge`` / ``PSMetrics.aggregate`` merge across nodes
+and runs).
 """
 
 from __future__ import annotations
 
-from dataclasses import fields
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ExperimentError
-from repro.ps.metrics import PSMetrics, RunningStat
+from repro.ps.metrics import PSMetrics
 
 #: Default counters of the management-technique comparisons: relocation
 #: activity (Table 5), location-cache outcomes (Table 3), and the
@@ -103,59 +103,6 @@ def speedup(baseline: float, measured: float) -> float:
     if measured <= 0:
         raise ExperimentError("measured time must be positive")
     return baseline / measured
-
-
-def merge_metrics(parts: Iterable[Optional[PSMetrics]]) -> PSMetrics:
-    """Merge per-node (or per-run) metrics into one aggregate.
-
-    Tolerates the asymmetric inputs an elastic cluster produces: ``None``
-    entries (nodes that joined too late or left too early to report) are
-    skipped, and partial counter mappings (e.g. a subset of
-    :meth:`PSMetrics.as_dict`, as serialized by a node that ran only part of
-    an experiment) are merged against zero defaults for the counters they
-    omit.  Unknown counter names raise :class:`ExperimentError`.
-    """
-    total = PSMetrics()
-    for part in parts:
-        if part is None:
-            continue
-        if isinstance(part, Mapping):
-            part = _metrics_from_partial(part)
-        elif not isinstance(part, PSMetrics):
-            raise ExperimentError(
-                f"cannot merge metrics from {type(part).__name__!r} "
-                "(expected PSMetrics, a counter mapping, or None)"
-            )
-        total = total.merge(part)
-    return total
-
-
-def _metrics_from_partial(counters: Mapping[str, object]) -> PSMetrics:
-    """Build a :class:`PSMetrics` from a (possibly partial) counter mapping.
-
-    Derived ``mean_*`` / ``p50_*`` / ``p99_*`` entries (the
-    :class:`RunningStat` projections of ``as_dict``) are ignored — a point
-    estimate cannot be merged without its sample counts.
-    """
-    metrics = PSMetrics()
-    stat_fields = {
-        spec.name
-        for spec in fields(PSMetrics)
-        if isinstance(getattr(metrics, spec.name), RunningStat)
-    }
-    scalar_fields = {spec.name for spec in fields(PSMetrics)} - stat_fields
-    derived = {
-        f"{prefix}_{name}"
-        for name in stat_fields
-        for prefix in ("mean", "p50", "p99")
-    }
-    for name, value in counters.items():
-        if name in derived:
-            continue
-        if name not in scalar_fields:
-            raise ExperimentError(f"unknown PSMetrics counter {name!r}")
-        setattr(metrics, name, value)
-    return metrics
 
 
 def metrics_rows(

@@ -29,11 +29,6 @@ from repro.experiments.runner import (
 #: number of simulated nodes.
 DEFAULT_PARALLELISM = (1, 2, 4, 8)
 
-#: The four parameter-management strategies compared by the replication
-#: scenario: static allocation (classic), relocation (Lapse), replication,
-#: and the per-key hybrid of relocation and replication.
-REPLICATION_COMPARISON_SYSTEMS = ("classic_fast_local", "lapse", "replica", "hybrid")
-
 
 def _result_rows(results: Iterable[TaskRunResult]) -> List[Dict[str, object]]:
     rows = []
@@ -148,39 +143,6 @@ def word2vec_scenario(
                 )
             )
     return _result_rows(results)
-
-
-def replication_comparison_scenario(
-    task: str,
-    systems: Sequence[str] = REPLICATION_COMPARISON_SYSTEMS,
-    parallelism: Sequence[int] = DEFAULT_PARALLELISM,
-    epochs: int = 1,
-    seed: int = 0,
-    workers_per_node: int = 4,
-) -> List[Dict[str, object]]:
-    """Relocation vs. replication vs. static allocation on one workload.
-
-    ``task`` is one of ``"mf"``, ``"kge"``, or ``"w2v"``.  The default system
-    set opposes the three parameter-management strategies on equal footing
-    (all with shared-memory local access); pass e.g. ``("classic", "lapse",
-    "replica")`` to include the PS-Lite-style baseline instead.
-    """
-    if task == "mf":
-        return matrix_factorization_scenario(
-            systems, parallelism=parallelism, epochs=epochs, seed=seed,
-            workers_per_node=workers_per_node,
-        )
-    if task == "kge":
-        return kge_scenario(
-            systems, parallelism=parallelism, epochs=epochs, seed=seed,
-            workers_per_node=workers_per_node,
-        )
-    if task == "w2v":
-        return word2vec_scenario(
-            systems, parallelism=parallelism, epochs=epochs, seed=seed,
-            workers_per_node=workers_per_node,
-        )
-    raise ExperimentError(f"unknown task {task!r} (expected 'mf', 'kge', or 'w2v')")
 
 
 #: Systems compared by the elastic scaling scenario: the inelastic static

@@ -107,17 +107,13 @@ class _EpochPlan:
     identical to the pre-elastic fixed assignment.
 
     ``entries`` holds the per-(worker, block) entry index arrays in visit
-    order.  ``levels`` holds each visit's :func:`level_schedule` — positions
-    into its ``entries`` in level order, and the level of each — built at
-    the first visit the block-visit kernel takes.  ``layouts`` holds, per
-    kernel call of whole visits, the level layout
-    (:meth:`MatrixFactorizationTrainer._level_layout`), keyed by the visits'
-    ``(cell, start, end, width)``: the same commits recur every epoch.
+    order.  ``layouts`` holds, per kernel call of whole visits, the level
+    layout (:meth:`MatrixFactorizationTrainer._level_layout`), keyed by the
+    visits' ``(cell, start, end, width)``: the same commits recur every epoch.
     """
 
     schedule: BlockSchedule
     entries: Dict[Tuple[int, int], "np.ndarray"]
-    levels: Dict[Tuple[int, int], Tuple["np.ndarray", "np.ndarray"]] = field(default_factory=dict)
     layouts: Dict[tuple, tuple] = field(default_factory=dict)
 
 
@@ -253,10 +249,9 @@ class MatrixFactorizationTrainer(FusedLaneCounts):
         commit_visits(self.ps.pending_visits)
         for result in results:
             if result is not None:
-                low, high, rows, counts, levels = result
+                low, high, rows, counts = result
                 self.row_factors[low:high] = rows
                 self.count_lanes(counts)
-                plan.levels.update(levels)
         duration = self.ps.simulated_time - start_time
         self._epochs_run += 1
         loss = self.training_rmse() if compute_loss else None
@@ -274,7 +269,6 @@ class MatrixFactorizationTrainer(FusedLaneCounts):
         # makes this worker's block keys private until the subepoch barrier,
         # which is exactly the privacy window FusedLocalSteps.visit requires.
         fused = client.fused_local_steps()
-        known_levels = set(plan.levels)
         for subepoch in range(schedule.num_subepochs):
             block = schedule.block_for(participant, subepoch)
             block_keys = keys_of_block(block, matrix.num_cols, schedule.num_blocks)
@@ -328,11 +322,10 @@ class MatrixFactorizationTrainer(FusedLaneCounts):
                 else:
                     start = count
             yield from subepoch_synchronization(client)
-        # Return this worker's row-factor slice and the level schedules it
-        # built.  On the simulated backend the rows were updated in place and
-        # the plan is shared, so the writeback in run_epoch is a no-op; on
-        # the real backend the worker process worked on a forked copy, and
-        # what it returns carries the rows and the schedules home.
+        # Return this worker's row-factor slice.  On the simulated backend
+        # the rows were updated in place, so the writeback in run_epoch is a
+        # no-op; on the real backend the worker process worked on a forked
+        # copy, and what it returns carries the rows home.
         num_workers = schedule.num_workers
         rows_per_worker = int(np.ceil(matrix.num_rows / num_workers))
         low = min(participant * rows_per_worker, matrix.num_rows)
@@ -340,13 +333,7 @@ class MatrixFactorizationTrainer(FusedLaneCounts):
             high = matrix.num_rows
         else:
             high = min((participant + 1) * rows_per_worker, matrix.num_rows)
-        counts = lane_counts(fused)
-        levels = {
-            visit: built
-            for visit, built in plan.levels.items()
-            if visit[0] == participant and visit not in known_levels
-        }
-        return low, high, row_factors[low:high], counts, levels
+        return low, high, row_factors[low:high], lane_counts(fused)
 
     def _run_levels(
         self, visits: List[Tuple[VisitKernel, np.ndarray, Optional[np.ndarray], Optional[int]]]
@@ -428,51 +415,39 @@ class MatrixFactorizationTrainer(FusedLaneCounts):
         """Where the levels of one kernel call find their operands:
         ``(bounds, gather, values, positions, spans)``.
 
-        The visits' runs, each its :func:`level_schedule` filtered to
-        ``start <= order < end`` (a contiguous run keeps each entry's level:
-        its earlier same-row and same-column entries in the run sit in lower
-        levels), stably sorted by level; visits that share no factor (the
-        workers of one DSGD subepoch) keep their levels side by side.  Level
-        ``k`` holds entries ``bounds[k]:bounds[k + 1]``, with matrix
-        ``values``; ``gather[2 * bounds[k]:2 * bounds[k + 1]]``
-        are the table slots of their rows, then of their columns;
-        ``positions`` are the entries' rows in the call's deltas, and
-        ``spans`` each visit's first table slot and first deltas row.
+        One :func:`level_schedule` over the visits' runs concatenated, with
+        each entry's matrix row and its column's operand-table slot: visits
+        that share no factor (the workers of one DSGD subepoch) then keep
+        their levels side by side, and a run resumed at ``start > 0`` gets
+        its own levels, none of them empty.  Level ``k`` holds entries
+        ``bounds[k]:bounds[k + 1]``, with matrix ``values``;
+        ``gather[2 * bounds[k]:2 * bounds[k + 1]]`` are the table slots of
+        their rows, then of their columns; ``positions`` are the entries'
+        rows in the call's deltas, and ``spans`` each visit's first table
+        slot and first deltas row.
         """
         matrix = self.matrix
-        runs, levels, cols, positions, spans = [], [], [], [], []
+        runs, cols, spans = [], [], []
         offset, length = len(self.row_factors), 0
         for (kernel, _, _, _), (cell, start, end, width) in zip(visits, key):
-            plan = kernel.plan
-            if cell not in plan.levels:
-                indices = plan.entries[cell]
-                order, bounds = level_schedule(matrix.rows[indices], matrix.cols[indices])
-                plan.levels[cell] = order, np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
-            order, level = plan.levels[cell]
-            if start or end < len(order):
-                kept = (order >= start) & (order < end)
-                order, level = order[kept], level[kept]
-            run = plan.entries[cell][order]
+            run = kernel.plan.entries[cell][start:end]
             runs.append(run)
-            levels.append(level)
             cols.append(matrix.cols[run] + (offset - kernel.first_key))
-            positions.append(order + (length - start))
             spans.append((offset, length))
             offset += width
             length += end - start
-        level = np.concatenate(levels)
-        by_level = np.argsort(level, kind="stable")
-        bounds = np.cumsum([0, *np.bincount(level)])
-        indices = np.concatenate(runs)[by_level]
-        level, at = level[by_level], np.arange(len(level))
+        run = np.concatenate(runs)
+        rows, cols = matrix.rows[run], np.concatenate(cols)
+        positions, bounds = level_schedule(rows, cols)
+        level = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+        at, edges = np.arange(len(level)), np.array(bounds)
         # Entry ``at`` of level ``k``: its row at slot ``bounds[k] + at``, its
         # column at ``bounds[k + 1] + at``.
         gather = np.empty(2 * len(level), dtype=np.intp)
-        gather[bounds[level] + at] = matrix.rows[indices]
-        gather[bounds[level + 1] + at] = np.concatenate(cols)[by_level]
-        values = matrix.values[indices].astype(np.float64).reshape(-1, 1)
-        positions = np.concatenate(positions)[by_level]
-        return bounds.tolist(), gather, values, positions, spans
+        gather[edges[level] + at] = rows[positions]
+        gather[edges[level + 1] + at] = cols[positions]
+        values = matrix.values[run[positions]].astype(np.float64).reshape(-1, 1)
+        return bounds, gather, values, positions, spans
 
     # ------------------------------------------------------------- evaluation
     def column_factors(self) -> np.ndarray:

@@ -458,8 +458,7 @@ class FusedLocalSteps:
         and the hazard stays in :attr:`hazard` until :meth:`passed` sees it
         gone; the caller may then offer the entries it has not run yet as a
         new visit (``entry_keys`` is any suffix of a block's entries).  A
-        visit that runs nothing leaves all state untouched; a hazard at the
-        first entry is found before any per-entry work.  One that runs ``n``
+        visit that runs nothing leaves all state untouched.  One that runs ``n``
         entries accounts their operations, replays the worker clock with the
         event path's own additions in entry order (``+ access_delay`` for the
         pull, ``+ compute_time``; the asynchronous push costs the worker
@@ -486,40 +485,29 @@ class FusedLocalSteps:
         if reason is not None:
             self.reasons[reason] += count
             return 0
-        start = self.sim._now if self.clock is None else self.clock
+        # A running sum adds left to right, one delay at a time, like the
+        # worker it replays: entry k pulls from instants[2k] to instants[2k+1].
+        instants = np.empty(2 * count + 1)
+        instants[0] = self.sim._now if self.clock is None else self.clock
+        instants[1::2] = self.access_delay
+        instants[2::2] = compute_time
+        instants = np.add.accumulate(instants)
         taken = count
         checkpoints, elastic = self.checkpoints, self.elastic
-        hazardous = checkpoints is not None or elastic is not None
-        if hazardous:
+        if checkpoints is not None or elastic is not None:
             due = math.inf if checkpoints is None else checkpoints.get(self.state.node_id, math.inf)
             horizon = math.inf if elastic is None else elastic.fusion_horizon(block_keys)
-            checkpoint = ("checkpoint", due)
-            membership = (
-                ("unsettled keys", block_keys)
-                if horizon == -math.inf
-                else ("membership event", horizon)
-            )
-            # The first entry alone, before any per-entry work.
-            read_at = start + self.access_delay
-            write_at = read_at + self.access_delay
-            if due <= write_at:
-                taken, hazard = 0, checkpoint
-            elif max(write_at, read_at + compute_time) >= horizon:
-                taken, hazard = 0, membership
-        if taken:
-            # A running sum adds left to right, one delay at a time, like the
-            # worker it replays: entry k pulls from instants[2k] to instants[2k+1].
-            instants = np.empty(2 * count + 1)
-            instants[0] = start
-            instants[1::2] = self.access_delay
-            instants[2::2] = compute_time
-            instants = np.add.accumulate(instants)
-            if hazardous:
-                writes = instants[1::2] + self.access_delay
-                taken, hazard = int(np.searchsorted(writes, due)), checkpoint
-                reached = int(np.searchsorted(np.maximum(writes, instants[2::2]), horizon))
-                if reached < taken:
-                    taken, hazard = reached, membership
+            # The earlier hazard cuts the visit; on a tie the checkpoint names it.
+            writes = instants[1::2] + self.access_delay
+            taken, hazard = int(np.searchsorted(writes, due)), ("checkpoint", due)
+            reached = int(np.searchsorted(np.maximum(writes, instants[2::2]), horizon))
+            if reached < taken:
+                taken = reached
+                hazard = (
+                    ("unsettled keys", block_keys)
+                    if horizon == -math.inf
+                    else ("membership event", horizon)
+                )
         if taken < count:
             self.hazard = hazard
             self.reasons[hazard[0]] += count - taken

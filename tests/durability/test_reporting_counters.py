@@ -1,12 +1,12 @@
 """No counter may be silently dropped from reports.
 
 Regression tests for the reporting gap the durability work exposed:
-``merge_metrics`` / ``metrics_rows`` used to surface only the counters named
-in hand-maintained tuples like ``MANAGEMENT_COUNTERS``, so a new
-:class:`PSMetrics` field (the WAL and checkpoint counters here) would vanish
-from reports unless the list was edited in lockstep.  ``all_counters()`` and
-``counters="all"`` derive the set from the dataclass itself; these tests pin
-that every field participates.
+``metrics_rows`` used to surface only the counters named in hand-maintained
+tuples like ``MANAGEMENT_COUNTERS``, so a new :class:`PSMetrics` field (the
+WAL and checkpoint counters here) would vanish from reports unless the list
+was edited in lockstep.  ``all_counters()`` and ``counters="all"`` derive
+the set from the dataclass itself; these tests pin that every field
+participates.
 """
 
 from dataclasses import fields
@@ -19,7 +19,6 @@ from repro.experiments.reporting import (
     DURABILITY_COUNTERS,
     MANAGEMENT_COUNTERS,
     all_counters,
-    merge_metrics,
     metrics_rows,
 )
 from repro.ps.metrics import PSMetrics, RunningStat
@@ -72,20 +71,9 @@ class TestEveryFieldSurfaces:
         other = PSMetrics()
         for value, name in enumerate(names, start=1):
             setattr(other, name, value)
-        merged = merge_metrics([part, other]).as_dict()
+        merged = part.merge(other).as_dict()
         for value, name in enumerate(names, start=1):
             assert merged[name] == 2 * value, name
-
-    def test_partial_mapping_merge_keeps_wal_counters(self):
-        merged = merge_metrics(
-            [{"wal_appends": 3, "checkpoints": 1}, {"wal_appends": 2}, None]
-        )
-        assert merged.wal_appends == 5
-        assert merged.checkpoints == 1
-
-    def test_unknown_counter_name_raises(self):
-        with pytest.raises(ExperimentError):
-            merge_metrics([{"wal_append": 3}])  # typo must not pass silently
 
 
 def _result(metrics):

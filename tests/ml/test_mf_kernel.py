@@ -228,8 +228,8 @@ def loop_entries(trainer, indices, columns, first_key):
 @pytest.mark.parametrize("start,count", [(0, None), (0, 7), (5, None), (5, 30), (40, 1)])
 def test_levels_of_an_inner_run_equal_the_loop_after_the_entries_before_it(start, count):
     """A visit resumed at entry ``start`` runs entries ``start`` onwards on
-    the factors the event loop left: the kernel filtered to ``start <= order
-    < start + count`` leaves columns, row factors and per-entry updates
+    the factors the event loop left: the kernel over entries ``start`` to
+    ``start + count`` leaves columns, row factors and per-entry updates
     bit-identical to the loop over that run."""
     matrix = generate_matrix(rank=4, seed=3, **GOLDEN_SCALE)
     ps = make_parameter_server(
@@ -648,6 +648,25 @@ def test_an_empty_visit_on_a_durable_elastic_store_is_taken_and_does_nothing():
     assert (runner.taken, runner.declined) == (0, 0)
 
 
+@pytest.mark.parametrize("compute_time", [2e-6, 0.0])
+def test_both_hazards_at_the_first_entry_count_as_checkpoint(compute_time):
+    """When the node's checkpoint is due and a join fires before the first
+    entry is done, the visit runs nothing and every entry counts under the
+    checkpoint; the event path then runs them all."""
+    elastic = elastic_server(durability=DurabilityConfig())
+    elastic.join_at(1e-3, node=2)
+
+    def checkpoint_due(ps):
+        ps.durability._next_checkpoint_at[0] = 1e-3
+
+    taken, untouched, runner, kernel_ran = visit_once(
+        elastic.ps, [0, 1, 2], [1, 1, 2], checkpoint_due, compute_time
+    )
+    assert (taken, untouched, kernel_ran) == (0, True, False)
+    assert runner.reasons == {"checkpoint": 3}
+    assert runner.hazard == ("checkpoint", 1e-3)
+
+
 # ------------------------------------- fused vs withheld on changing clusters
 SWEEP_SCALE = MFScale(num_rows=32, num_cols=18, num_entries=300, rank=4)
 SWEEP_DURABILITY = {"volatile": None, "wal": DurabilityConfig(checkpoint_interval=0.002)}
@@ -907,6 +926,27 @@ def test_an_empty_batch_and_a_zero_entry_visit_run_and_change_nothing():
     rows, (empty, visit) = commit_subepoch(trainer, plan)
     assert empty == alone[1][0] and (rows, [visit]) == commit_subepoch(trainer, plan, workers=(1,))
     assert len(plan.layouts) == 3
+
+
+@pytest.mark.parametrize("start", [8, 33, 63, 65])
+def test_a_resumed_run_is_scheduled_on_its_own_entries_without_empty_levels(start):
+    """A visit resumed at entry ``start`` (a hazard cut it) gets the level
+    schedule of the entries it still runs: the layout's bounds and delta
+    positions are :func:`level_schedule` of that run, and no level is empty."""
+    trainer = golden_trainer(4)
+    plan = trainer._plan(2)
+    cell = max(plan.entries, key=lambda cell: len(plan.entries[cell]))
+    indices = plan.entries[cell]
+    assert len(indices) > 65
+    keys = keys_of_block(cell[1], trainer.matrix.num_cols, plan.schedule.num_blocks)
+    kernel = VisitKernel(trainer._run_levels, plan, cell, keys[0], start)
+    bounds, _, _, positions, _ = trainer._level_layout(
+        [(kernel, None, None, None)], ((cell, start, len(indices), len(keys)),)
+    )
+    run = indices[start:]
+    order, expected = level_schedule(trainer.matrix.rows[run], trainer.matrix.cols[run])
+    assert bounds == expected and positions.tolist() == order.tolist()
+    assert all(low < high for low, high in zip(bounds, bounds[1:]))
 
 
 #: Visits long enough that all workers of a subepoch visit before the first
