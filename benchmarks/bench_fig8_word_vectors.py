@@ -12,7 +12,7 @@ no benefit at 8), Lapse is much faster than the classic PS at low/medium
 parallelism, and its error decreases over epochs.  At 8 nodes the small
 synthetic vocabulary makes localization conflicts relatively more frequent
 than in the paper, so the 8-node speed-up over one node is not reproduced
-(documented in EXPERIMENTS.md).
+(see "Scaled-down inputs" in docs/architecture.md).
 """
 
 from benchmark_utils import PARALLELISM, WORKERS_PER_NODE, run_once

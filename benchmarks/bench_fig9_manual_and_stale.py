@@ -6,10 +6,9 @@ a task-specific, hand-tuned low-level implementation.  The low-level
 implementation and Lapse scale linearly (Lapse with 2.0-2.6x generalization
 overhead); the stale PS is slower than Lapse and does not scale linearly.
 
-Here: the same scaled-down MF workload as Figure 6.  The network bandwidth is
-scaled down proportionally to the scaled-down parameter sizes so that the
-eager replication traffic of server-based synchronization remains visible
-(see DESIGN.md on substitutions).  Expected shape: low-level < Lapse <
+Here: the same scaled-down MF workload as Figure 6, on the default cost
+model: the parameters shrink but the bandwidth does not (see "Scaled-down
+inputs" in docs/architecture.md).  Expected shape: low-level < Lapse <
 stale (after warm-up) < stale (client sync), and the stale PS's warm-up epoch
 is slower than its post-warm-up epochs.
 """
@@ -86,7 +85,8 @@ def test_figure9_manual_and_stale(benchmark):
     # warm-up epoch, and the warm-up epoch is slower than the steady state.
     # (The paper additionally finds SSPPush 2-4x slower than Lapse; the gap is
     # not reproduced at this scale because the eagerly replicated state is tiny
-    # relative to the simulated bandwidth — see EXPERIMENTS.md.)
+    # relative to the simulated bandwidth — see "Scaled-down inputs" in
+    # docs/architecture.md.)
     assert t("stale_ssppush", 8) < t("stale_ssp", 8)
     assert t("stale_ssppush", 8) > 0.8 * t("lapse", 8)
     assert warmup("stale_ssppush", 8) > t("stale_ssppush", 8)

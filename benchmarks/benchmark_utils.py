@@ -1,7 +1,7 @@
 """Shared configuration for the benchmark suite.
 
 Every benchmark regenerates one table or figure of the paper on scaled-down
-synthetic workloads (see DESIGN.md for the substitution rationale).  The
+synthetic workloads (see "Scaled-down inputs" in docs/architecture.md).  The
 benchmarks print the regenerated rows/series and assert the *shape* of the
 paper's findings (who wins, roughly by how much, where crossovers lie) rather
 than absolute numbers.

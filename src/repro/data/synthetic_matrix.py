@@ -15,6 +15,10 @@ import numpy as np
 
 from repro.errors import DataGenerationError
 
+#: Entries one ``einsum`` call of :func:`predictions` covers.  It bounds the
+#: two gathered temporaries (about 1 MB at rank 8) whatever the entry count.
+PREDICTION_CHUNK = 8192
+
 
 @dataclass(frozen=True)
 class SyntheticMatrix:
@@ -40,6 +44,23 @@ class SyntheticMatrix:
     def num_entries(self) -> int:
         """Number of revealed entries."""
         return len(self.values)
+
+
+def predictions(
+    row_factors: np.ndarray, col_factors: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """``row_factors[rows[i]] · col_factors[cols[i]]`` for every entry ``i``.
+
+    The ``einsum`` runs over consecutive slices of :data:`PREDICTION_CHUNK`
+    entries into one output.  Each entry is still the same reduction over the
+    same ``rank`` products, so the result is bit-identical to one call over all
+    entries, without materialising two entries × rank gathers.
+    """
+    out = np.empty(len(rows), dtype=np.result_type(row_factors, col_factors))
+    for start in range(0, len(rows), PREDICTION_CHUNK):
+        part = slice(start, start + PREDICTION_CHUNK)
+        np.einsum("ij,ij->i", row_factors[rows[part]], col_factors[cols[part]], out=out[part])
+    return out
 
 
 def generate_matrix(
@@ -86,7 +107,7 @@ def generate_matrix(
     _, unique_index = np.unique(flat, return_index=True)
     rows = rows[np.sort(unique_index)]
     cols = cols[np.sort(unique_index)]
-    values = np.einsum("ij,ij->i", row_factors[rows], col_factors[cols])
+    values = predictions(row_factors, col_factors, rows, cols)
     values = values + rng.normal(0.0, noise, size=len(values))
     return SyntheticMatrix(
         num_rows=num_rows,

@@ -23,7 +23,7 @@ from typing import Dict, Generator, List, Optional, Tuple
 import numpy as np
 
 from repro.config import ClusterConfig, derive_seed, message_size
-from repro.data.synthetic_matrix import SyntheticMatrix
+from repro.data.synthetic_matrix import SyntheticMatrix, predictions
 from repro.errors import ExperimentError
 from repro.ml.metrics import rmse
 from repro.ml.results import EpochResult
@@ -160,12 +160,10 @@ class LowLevelDSGD:
     def training_rmse(self) -> float:
         """RMSE over all revealed entries with the current factors."""
         matrix = self.matrix
-        predictions = np.einsum(
-            "ij,ij->i",
-            self.row_factors[matrix.rows],
-            self.column_factors[matrix.cols],
+        return rmse(
+            predictions(self.row_factors, self.column_factors, matrix.rows, matrix.cols),
+            matrix.values,
         )
-        return rmse(predictions, matrix.values)
 
     @property
     def simulated_time(self) -> float:

@@ -23,7 +23,7 @@ from typing import Callable, Dict, Generator, List, NamedTuple, Optional, Sequen
 import numpy as np
 
 from repro.config import derive_seed
-from repro.data.synthetic_matrix import SyntheticMatrix
+from repro.data.synthetic_matrix import SyntheticMatrix, predictions
 from repro.errors import ExperimentError
 from repro.ml.common import FusedLaneCounts, lane_counts, maybe_localize, subepoch_synchronization
 from repro.ml.metrics import rmse
@@ -458,7 +458,6 @@ class MatrixFactorizationTrainer(FusedLaneCounts):
         """RMSE over all revealed entries with the current factors."""
         matrix = self.matrix
         columns = self.column_factors()
-        predictions = np.einsum(
-            "ij,ij->i", self.row_factors[matrix.rows], columns[matrix.cols]
+        return rmse(
+            predictions(self.row_factors, columns, matrix.rows, matrix.cols), matrix.values
         )
-        return rmse(predictions, matrix.values)
