@@ -325,7 +325,6 @@ class ElasticCluster:
             "subscriptions",
             "flush_counts",
             "pending_flush_acks",
-            "pending_fetches",
         ):
             table = getattr(state, attr, None)
             if table is not None:

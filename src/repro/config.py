@@ -20,7 +20,7 @@ because they determine the shape of the scaling curves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.errors import ExperimentError
 
@@ -79,28 +79,6 @@ class CostModel:
         if shared_memory:
             return self.sharedmem_access_latency + self.latch_acquire_time
         return self.ipc_access_latency
-
-    def scaled(self, factor: float) -> "CostModel":
-        """Return a copy with all latency constants multiplied by ``factor``.
-
-        Bandwidth is divided by the factor so that transfer times also scale.
-        Useful for sensitivity analyses on the communication-to-computation
-        ratio.
-        """
-        if factor <= 0:
-            raise ExperimentError(f"scale factor must be positive, got {factor}")
-        return replace(
-            self,
-            network_latency=self.network_latency * factor,
-            network_bandwidth=self.network_bandwidth / factor,
-            sharedmem_access_latency=self.sharedmem_access_latency * factor,
-            ipc_access_latency=self.ipc_access_latency * factor,
-            interthread_access_latency=self.interthread_access_latency * factor,
-            server_processing_time=self.server_processing_time * factor,
-            latch_acquire_time=self.latch_acquire_time * factor,
-            relocation_processing_time=self.relocation_processing_time * factor,
-            localize_issue_time=self.localize_issue_time * factor,
-        )
 
 
 def message_size(num_keys: int, num_values: int) -> int:
@@ -179,8 +157,6 @@ class ParameterServerConfig:
         shared_memory_local_access: Whether local parameter accesses bypass the
             server thread (Lapse-style fast local access).
         location_caches: Enable location caches (Lapse only).
-        message_grouping: Group per-destination messages of multi-key
-            operations (Lapse §3.7).
         staleness_bound: Staleness bound for the stale PS (ignored elsewhere).
         stale_server_push: Use server-based synchronization (SSPPush) in the
             stale PS instead of client-based synchronization (SSP).
@@ -200,7 +176,6 @@ class ParameterServerConfig:
     value_length: int = 8
     shared_memory_local_access: bool = True
     location_caches: bool = False
-    message_grouping: bool = True
     staleness_bound: int = 1
     stale_server_push: bool = False
     replica_sync_trigger: str = "time"

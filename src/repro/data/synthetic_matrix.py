@@ -105,8 +105,9 @@ def generate_matrix(
     # Deduplicate positions so each (row, col) appears at most once.
     flat = rows.astype(np.int64) * num_cols + cols.astype(np.int64)
     _, unique_index = np.unique(flat, return_index=True)
-    rows = rows[np.sort(unique_index)]
-    cols = cols[np.sort(unique_index)]
+    first_seen = np.sort(unique_index)
+    rows = rows[first_seen]
+    cols = cols[first_seen]
     values = predictions(row_factors, col_factors, rows, cols)
     values = values + rng.normal(0.0, noise, size=len(values))
     return SyntheticMatrix(

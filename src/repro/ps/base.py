@@ -17,8 +17,8 @@ Every system of this repo is the same machine; what differs is the
   several worker threads per node, Figure 2), runs one generic message loop
   per node over the policy's handler table, demultiplexes responses, runs
   worker processes, and exposes metrics and the trained model.  It is also the
-  transport the policies send through (``send_to_server``, ``respond_pull``,
-  ``ack_push``, op-id registry).
+  transport the policies send through (``send_to_server``, ``send_request``,
+  ``respond_pull``, ``ack_push``).
 
 The named systems (:class:`~repro.ps.lapse.LapsePS`, ...) are declarations: a
 report name, a policy class and, for the classic variants, fixed
@@ -51,7 +51,6 @@ from repro.ps.futures import OperationHandle
 from repro.ps.messages import (
     BarrierArrive,
     BarrierRelease,
-    LocalizeAck,
     PullRequest,
     PullResponse,
     PushAck,
@@ -207,8 +206,7 @@ class NodeState:
       ``broadcast_buffer``, ``policy`` (the node's hot-key policy),
       ``sync_timer_pending``;
     * bounded staleness (``stale``): ``replicas`` (key -> [value, clock]),
-      ``subscriptions``, ``flush_counts``, ``pending_flush_acks``,
-      ``pending_fetches``.
+      ``subscriptions``, ``flush_counts``, ``pending_flush_acks``.
 
     ``hybrid`` installs the relocation and the replication tables.
     """
@@ -229,7 +227,9 @@ class NodeState:
         #: tracer when a :class:`~repro.obs.TraceConfig` is passed.  ``None``
         #: (the default) keeps every hook to one attribute check.
         self.trace: Optional[Any] = None
-        #: Outstanding operations issued from this node, keyed by op id.
+        #: Outstanding operations issued from this node, keyed by op id: the
+        #: van finds the handle of every pull response, push ack and stale
+        #: fetch response here.
         self.outstanding: Dict[int, OperationHandle] = {}
         #: Barrier waiters: generation -> list of events to release.
         self.barrier_waiters: Dict[int, List[Event]] = {}
@@ -301,18 +301,20 @@ class NodeState:
         self.latches.acquire_many(keys)
 
     def register_handle(self, handle: OperationHandle) -> None:
-        """Track an outstanding operation until its responses arrive.
+        """Give ``handle`` its op id and track it until its responses arrive.
 
-        Uses one pre-bound cleanup callback instead of a fresh closure per
-        operation; the completion event carries the handle (see
-        :class:`~repro.ps.futures.OperationHandle`), so the callback can find
-        the table entry without captured state.
+        Every request sent for the handle carries this id, and this node's
+        van finds the handle under it.  Uses one pre-bound cleanup callback
+        instead of a fresh closure per operation; the completion event
+        carries the handle (see :class:`~repro.ps.futures.OperationHandle`),
+        so the callback can find the table entry without captured state.
         """
-        self.outstanding[id(handle)] = handle
+        op_id = handle.op_id = self.ps.next_op_id()
+        self.outstanding[op_id] = handle
         handle.completion_event.callbacks.append(self._outstanding_cleanup)
 
     def _cleanup_outstanding(self, event: Event) -> None:
-        self.outstanding.pop(id(event._value), None)
+        self.outstanding.pop(event._value.op_id, None)
 
 
 class FusedLocalSteps:
@@ -1010,7 +1012,9 @@ class WorkerClient:
             if kind == ROUTE_REMOTE:
                 metrics.key_writes_remote += 1
                 metrics.pushes_remote += 1
-                self._send_remote(handle, route.destination, keys, False, updates, [0])
+                self.ps.send_request(
+                    self.node_id, handle, route.destination, keys, False, updates, [0]
+                )
                 return
             routes: Sequence[Route] = (route,)
         elif policy.resident_is_local and all(state.storage.contains_flags(keys)):
@@ -1050,7 +1054,9 @@ class WorkerClient:
             policy.push_resident(self, handle, local, replica, updates)
         for destination, group in remote.items():
             metrics.key_writes_remote += len(group.keys)
-            self._send_remote(handle, destination, group.keys, False, updates, group.rows)
+            self.ps.send_request(
+                self.node_id, handle, destination, group.keys, False, updates, group.rows
+            )
         if remote:
             metrics.pushes_remote += 1
         else:
@@ -1062,40 +1068,6 @@ class WorkerClient:
     ) -> None:
         """Run ``action`` after ``delay`` simulated seconds (without blocking)."""
         self.sim.call_later(delay, _run_action, action)
-
-    def _send_remote(
-        self,
-        handle: OperationHandle,
-        destination: int,
-        keys: Sequence[int],
-        pull: bool,
-        updates: Optional[np.ndarray] = None,
-        rows: Optional[List[int]] = None,
-    ) -> None:
-        """Send a pull/push for ``keys`` to ``destination``'s server thread.
-
-        Chunks according to ``message_grouping`` (§3.7) and registers every
-        chunk's op id on ``handle`` so the van can route the responses back.
-        Pushes always request an acknowledgement; ``rows`` names the row of
-        ``updates`` that belongs to each of ``keys``.
-        """
-        ps = self.ps
-        node = self.node_id
-        if ps.ps_config.message_grouping or len(keys) == 1:
-            ps.send_request(node, handle, destination, keys, pull, updates, rows)
-        elif pull:
-            for key in keys:
-                ps.send_request(node, handle, destination, [key], True)
-        else:
-            for key, row in zip(keys, rows):
-                ps.send_request(node, handle, destination, [key], False, updates, [row])
-
-    def _chunks(self, keys: List[int]) -> List[List[int]]:
-        """Chunk assembly (§3.7): one chunk per destination when message
-        grouping is on, one single-key chunk per key otherwise."""
-        if self.ps.ps_config.message_grouping:
-            return [keys]
-        return [[key] for key in keys]
 
 
 class ParameterServer:
@@ -1179,8 +1151,6 @@ class ParameterServer:
         if self.partitioner.num_nodes != cluster.num_nodes:
             raise ParameterServerError("partitioner node count does not match cluster")
         self._op_counter = 0
-        self._op_handle_table: Dict[int, OperationHandle] = {}
-        self._op_cleanup_bound = self._cleanup_ops
         #: Interned per-node addresses (tuple construction is measurable on
         #: the per-message hot path).
         self._server_addresses = [server_address(i) for i in range(cluster.num_nodes)]
@@ -1454,23 +1424,19 @@ class ParameterServer:
 
     def _handle_van_message(self, state: NodeState, message: Any) -> None:
         if isinstance(message, PullResponse):
-            handle = self._op_handle_table.get(message.op_id)
+            handle = state.outstanding.get(message.op_id)
             if handle is not None:
                 handle.complete_keys(message.keys, message.values)
                 observer = self._response_observer
                 if observer is not None:
                     observer(state, message)
         elif isinstance(message, PushAck):
-            handle = self._op_handle_table.get(message.op_id)
+            handle = state.outstanding.get(message.op_id)
             if handle is not None:
                 handle.complete_keys(message.keys)
                 observer = self._response_observer
                 if observer is not None:
                     observer(state, message)
-        elif isinstance(message, LocalizeAck):
-            handle = self._op_handle_table.get(message.op_id)
-            if handle is not None:
-                handle.complete_keys(message.keys)
         elif isinstance(message, BarrierRelease):
             waiters = state.barrier_waiters.pop(message.generation, [])
             for event in waiters:
@@ -1498,11 +1464,12 @@ class ParameterServer:
         updates: Optional[np.ndarray] = None,
         rows: Optional[List[int]] = None,
     ) -> None:
-        """Send one pull/push chunk (§3.7) from ``src_node`` on behalf of
-        ``handle``, with its op id registered so the van routes the response
-        back; ``rows`` names the rows of ``updates`` the chunk carries."""
-        op_id = self.next_op_id()
-        self.register_op(op_id, handle)
+        """Send one pull/push message for ``chunk`` — the keys of ``handle``
+        that go to ``destination``, grouped into one message (§3.7) — from
+        ``src_node``.  It carries the handle's op id, under which the van of
+        ``src_node`` finds the handle again; ``rows`` names the rows of
+        ``updates`` the chunk carries.  Pushes always request an ack."""
+        op_id = handle.op_id
         reply_to = self._van_addresses[src_node]
         if pull:
             # Positional construction (keyword parsing is measurable here).
@@ -1532,32 +1499,10 @@ class ParameterServer:
             )
 
     def next_op_id(self) -> int:
-        """Return a fresh cluster-unique operation id."""
+        """Return a fresh operation id (unique per node, which is what every
+        table keyed by op ids — all of them per node — needs)."""
         self._op_counter += 1
         return self._op_counter
-
-    # The operation-id → handle registry (``_op_handle_table``, initialized in
-    # __init__) is cluster global; it models the per-node "customer" tables of
-    # PS-Lite without extra bookkeeping in every client.
-
-    def register_op(self, op_id: int, handle: OperationHandle) -> None:
-        """Associate ``op_id`` with ``handle`` for response routing.
-
-        Cleanup is one callback per *handle* (popping all of its op ids on
-        completion), not one closure per op id.
-        """
-        self._op_handle_table[op_id] = handle
-        ids = handle._op_ids
-        if ids is None:
-            handle._op_ids = [op_id]
-            handle.completion_event.callbacks.append(self._op_cleanup_bound)
-        else:
-            ids.append(op_id)
-
-    def _cleanup_ops(self, event: Any) -> None:
-        table = self._op_handle_table
-        for op_id in event._value._op_ids:
-            table.pop(op_id, None)
 
     # ------------------------------------------------------------- coordinator
     @property

@@ -67,7 +67,7 @@ class StaticPolicy(ManagementPolicy):
         if self.ps.ps_config.shared_memory_local_access:
             super().pull_local(client, handle, keys, whole)
         else:
-            client._send_remote(handle, client.node_id, keys, True)
+            self.ps.send_request(client.node_id, handle, client.node_id, keys, True)
 
     def push_local(
         self,
@@ -80,7 +80,9 @@ class StaticPolicy(ManagementPolicy):
         if self.ps.ps_config.shared_memory_local_access:
             super().push_local(client, handle, keys, updates, rows)
         else:
-            client._send_remote(handle, client.node_id, keys, False, updates, rows)
+            self.ps.send_request(
+                client.node_id, handle, client.node_id, keys, False, updates, rows
+            )
 
     def fusion_guard(self, state: NodeState) -> None:
         """Static allocation keeps a key's residency constant and its local

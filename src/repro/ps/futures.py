@@ -43,7 +43,7 @@ class OperationHandle:
         "_pending_keys",
         "_values",
         "_batch",
-        "_op_ids",
+        "op_id",
     )
 
     def __init__(
@@ -73,9 +73,10 @@ class OperationHandle:
         self._values: Dict[int, np.ndarray] = {}
         #: Response block of a pull answered in one piece (:meth:`complete_batch`).
         self._batch: Optional[np.ndarray] = None
-        #: Op ids registered for this handle in the server's routing table
-        #: (managed by :meth:`ParameterServer.register_op`).
-        self._op_ids: Optional[list] = None
+        #: Key of the handle in its node's outstanding table, carried by every
+        #: request sent for it (drawn by
+        #: :meth:`~repro.ps.base.NodeState.register_handle`).
+        self.op_id: Optional[int] = None
 
     # ------------------------------------------------------------------ state
     @property

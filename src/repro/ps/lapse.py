@@ -317,9 +317,11 @@ class RelocationPolicy(ManagementPolicy):
             return
         destination = self.route_destination(state, key)
         if pull:
-            client._send_remote(handle, destination, [key], True)
+            self.ps.send_request(state.node_id, handle, destination, (key,), True)
         else:
-            client._send_remote(handle, destination, [key], False, update.reshape(1, -1), [0])
+            self.ps.send_request(
+                state.node_id, handle, destination, (key,), False, update.reshape(1, -1), [0]
+            )
 
     def enqueue(self, state: NodeState, key: int, op: QueuedOp) -> None:
         state.relocating_in[key].queued_ops.append(op)
@@ -365,10 +367,8 @@ class RelocationPolicy(ManagementPolicy):
                 # home-side logic directly (saves message 1 of the protocol).
                 self.process_localize_at_home(state, tuple(home_keys), client.node_id)
             else:
-                op_id = ps.next_op_id()
-                ps.register_op(op_id, handle)
                 request = LocalizeRequest(
-                    op_id=op_id, keys=tuple(home_keys), requester_node=client.node_id
+                    op_id=handle.op_id, keys=tuple(home_keys), requester_node=client.node_id
                 )
                 ps.send_to_server(
                     client.node_id, home, request, message_size(len(home_keys), 0)

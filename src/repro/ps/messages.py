@@ -124,14 +124,6 @@ class RelocationTransfer:
     subscribers: Tuple[Tuple[int, ...], ...] = ()
 
 
-@dataclass(slots=True)
-class LocalizeAck:
-    """Notification that keys were already local to the requester (no move needed)."""
-
-    op_id: int
-    keys: Tuple[int, ...]
-
-
 # --------------------------------------------------------------------------- stale PS
 @dataclass(slots=True)
 class ReplicaFetchRequest:

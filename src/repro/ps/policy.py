@@ -263,7 +263,7 @@ class ManagementPolicy:
         self, client: WorkerClient, handle: OperationHandle, destination: int, keys: Sequence[int]
     ) -> None:
         """Fetch the ``remote`` group of a pull from ``destination``'s server."""
-        client._send_remote(handle, destination, keys, True)
+        self.ps.send_request(client.node_id, handle, destination, keys, True)
 
     def enqueue(self, state: NodeState, key: int, op: QueuedOp) -> None:
         """Park ``op`` behind the in-flight arrival of ``key`` (``queue`` route)."""

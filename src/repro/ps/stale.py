@@ -89,8 +89,6 @@ class StaleReplicaPolicy(ManagementPolicy):
         state.flush_counts = defaultdict(int)
         #: Pending flush acknowledgements: op id -> event.
         state.pending_flush_acks = {}
-        #: Pending replica fetches: op id -> (handle, keys).
-        state.pending_fetches = {}
 
     def attach_client(self, client: WorkerClient) -> None:
         #: Updates accumulated since the last clock, keyed by parameter key.
@@ -165,20 +163,16 @@ class StaleReplicaPolicy(ManagementPolicy):
     def pull_remote(
         self, client: WorkerClient, handle: OperationHandle, destination: int, keys: Sequence[int]
     ) -> None:
-        """Fetch fresh replicas of ``keys`` from their owner."""
-        for chunk in client._chunks(list(keys)):
-            op_id = self.ps.next_op_id()
-            client.state.pending_fetches[op_id] = (handle, tuple(chunk))
-            request = ReplicaFetchRequest(
-                op_id=op_id,
-                keys=tuple(chunk),
-                requester_node=client.node_id,
-                reply_to=van_address(client.node_id),
-                clock=client._clock,
-            )
-            self.ps.send_to_server(
-                client.node_id, destination, request, message_size(len(chunk), 0)
-            )
+        """Fetch fresh replicas of ``keys`` from their owner, in one message
+        answered under the handle's op id (see :meth:`_install_fetched`)."""
+        request = ReplicaFetchRequest(
+            op_id=handle.op_id,
+            keys=tuple(keys),
+            requester_node=client.node_id,
+            reply_to=van_address(client.node_id),
+            clock=client._clock,
+        )
+        self.ps.send_to_server(client.node_id, destination, request, message_size(len(keys), 0))
 
     def buffer_push(
         self,
@@ -346,10 +340,9 @@ class StaleReplicaPolicy(ManagementPolicy):
 
     # -------------------------------------------------------------------- van
     def _install_fetched(self, state: NodeState, message: ReplicaFetchResponse) -> None:
-        entry = state.pending_fetches.pop(message.op_id, None)
-        if entry is None:
+        handle = state.outstanding.get(message.op_id)
+        if handle is None:
             return
-        handle, _keys = entry
         values = np.array(message.values, dtype=np.float64)
         for index, key in enumerate(message.keys):
             state.replicas[key] = [values[index], message.clock]

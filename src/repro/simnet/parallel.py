@@ -65,12 +65,6 @@ from repro.backend.supervisor import ProcessGroup
 from repro.errors import ParameterServerError, SimulationError
 from repro.simnet.network import NetworkStats, _ChannelClock
 
-#: Op-id namespace stride: shard ``r`` draws operation ids above
-#: ``(r + 1) << 48``, so concurrently issued ops never collide.  Op ids are
-#: transient (handles complete within the epoch) and never enter message
-#: sizes, so the namespacing is unobservable in simulation results.
-_OP_ID_STRIDE = 1 << 48
-
 #: Seconds a shard waits for a peer's exchange message (or the parent for a
 #: shard's result) before declaring the window barrier deadlocked.
 DEFAULT_BARRIER_TIMEOUT = 120.0
@@ -157,7 +151,6 @@ def _run_shard(
     network.stats = NetworkStats()
     sim.enter_shard_mode(rank)
     network.enable_shard_mode(plan.node_ranks, rank)
-    ps._op_counter = (rank + 1) * _OP_ID_STRIDE
 
     processes = []
     for index, client in owned_clients:

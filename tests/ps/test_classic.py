@@ -178,25 +178,6 @@ class TestClassicAccessModes:
         assert metrics.pulls_local == 1
         assert metrics.pulls_remote == 1
 
-    def test_message_grouping_reduces_messages(self):
-        def run(grouping):
-            cluster = ClusterConfig(num_nodes=2, workers_per_node=1)
-            config = ParameterServerConfig(
-                num_keys=8, value_length=2, message_grouping=grouping
-            )
-            ps = ClassicPS(cluster, config)
-
-            def worker(client, worker_id):
-                if worker_id == 0:
-                    yield from client.pull([4, 5, 6, 7])
-                return None
-                yield
-
-            ps.run_workers(worker)
-            return ps.network.stats.remote_messages
-
-        assert run(True) < run(False)
-
 
 class TestClassicModel:
     def test_all_parameters_shape(self):

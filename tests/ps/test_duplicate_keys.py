@@ -77,15 +77,16 @@ def expected_growth(keys):
     ],
     ids=["local", "remote", "mixed", "two-remote-owners", "local-triple"],
 )
-@pytest.mark.parametrize("message_grouping", [True, False], ids=["grouped", "ungrouped"])
-def test_push_applies_every_row(system, keys, message_grouping):
-    ps = build(system, message_grouping=message_grouping)
+def test_push_applies_every_row(system, keys):
+    ps = build(system)
 
     def body(client):
         yield from client.push(list(keys), ROWS[: len(keys)])
 
     run_on_worker_zero(ps, body)
     np.testing.assert_array_equal(ps.all_parameters(), expected_growth(keys))
+    # Every response found its handle, and every handle left its node's table.
+    assert all(not state.outstanding for state in ps.states)
 
 
 @pytest.mark.parametrize("system", SIM_SYSTEMS)

@@ -341,8 +341,7 @@ class TestWorkerClientKeyCheck:
 
 
 class TestPushSnapshotsUpdates:
-    @pytest.mark.parametrize("message_grouping", [True, False])
-    def test_push_async_is_immune_to_buffer_reuse(self, message_grouping):
+    def test_push_async_is_immune_to_buffer_reuse(self):
         """Remote push payloads must snapshot the caller's update buffer.
 
         A worker may reuse its gradient buffer immediately after
@@ -355,9 +354,7 @@ class TestPushSnapshotsUpdates:
 
         ps = ClassicSharedMemoryPS(
             ClusterConfig(num_nodes=2, workers_per_node=1),
-            ParameterServerConfig(
-                num_keys=8, value_length=2, message_grouping=message_grouping
-            ),
+            ParameterServerConfig(num_keys=8, value_length=2),
         )
         remote_key = 7  # owned by node 1; pushed from node 0
 

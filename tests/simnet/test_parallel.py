@@ -78,7 +78,7 @@ def test_plan_lookahead_derives_from_the_cost_model():
     from repro.simnet.parallel import run_workers_parallel  # noqa: F401  (import check)
 
     for factor in (0.5, 1.0, 4.0):
-        cost_model = CostModel().scaled(factor)
+        cost_model = CostModel(network_latency=150e-6 * factor)
         cluster = ClusterConfig(
             num_nodes=4, workers_per_node=1, cost_model=cost_model
         )

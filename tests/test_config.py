@@ -29,15 +29,6 @@ def test_cost_model_local_access_time_shared_vs_ipc():
     assert ipc / shared > 20
 
 
-def test_cost_model_scaled():
-    cost = CostModel(network_latency=1e-3)
-    scaled = cost.scaled(2.0)
-    assert scaled.network_latency == pytest.approx(2e-3)
-    assert scaled.network_bandwidth == pytest.approx(cost.network_bandwidth / 2)
-    with pytest.raises(ExperimentError):
-        cost.scaled(0)
-
-
 def test_message_size_monotone():
     assert message_size(0, 0) > 0
     assert message_size(10, 100) > message_size(1, 1)
