@@ -181,9 +181,6 @@ class _QueueNetwork:
         self.ps = ps
         self.stats = NetworkStats()
 
-    def register(self, address: Hashable, node: int) -> None:
-        """No mailboxes: a node's one inbox is its command queue."""
-
     def send(self, src_node: int, address: Hashable, payload: Any, size_bytes: int) -> None:
         ps = self.ps
         stats = self.stats

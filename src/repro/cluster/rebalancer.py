@@ -386,8 +386,6 @@ class Rebalancer:
             install = RecoveryInstall(
                 keys=tuple(key for key, _value, _holders in entries),
                 values=np.stack([value for _key, value, _holders in entries]),
-                source_node=node,
-                failed_node=node,
                 subscribers=tuple(holders for _key, _value, holders in entries),
             )
             ps.management_policy.install_recovered(target_state, install)
@@ -396,12 +394,7 @@ class Rebalancer:
         # 3c) A lost key that a relocation waits for is re-initialized the
         #     same way, so the waiting handles complete.
         for target, keys in sorted(lost_groups.items()):
-            install = RecoveryInstall(
-                keys=tuple(keys),
-                values=np.zeros((len(keys), value_length)),
-                source_node=node,
-                failed_node=node,
-            )
+            install = RecoveryInstall(keys=tuple(keys), values=np.zeros((len(keys), value_length)))
             ps.management_policy.install_recovered(ps.states[target], install, lost=True)
         # 4) Surviving holders ship their copies to the new owners.
         if pending:
@@ -422,8 +415,6 @@ class Rebalancer:
                 install = RecoveryInstall(
                     keys=keys,
                     values=values,
-                    source_node=source,
-                    failed_node=node,
                     subscribers=tuple(holders for _key, holders in entries),
                 )
                 ps.send_to_server(

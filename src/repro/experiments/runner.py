@@ -412,8 +412,8 @@ def run_mf_experiment(
             workers_per_node=workers_per_node,
             epochs=epoch_results,
             metrics=None,
-            remote_messages=baseline.network.stats.remote_messages,
-            bytes_sent=baseline.network.stats.bytes_sent,
+            remote_messages=baseline.remote_messages,
+            bytes_sent=baseline.bytes_sent,
         )
     ps_config = ParameterServerConfig(num_keys=scale.num_cols, value_length=scale.rank)
     ps = make_parameter_server(

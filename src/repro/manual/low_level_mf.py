@@ -28,7 +28,7 @@ from repro.errors import ExperimentError
 from repro.ml.metrics import rmse
 from repro.ml.results import EpochResult
 from repro.pal.parameter_blocking import BlockSchedule, keys_of_block
-from repro.simnet import Network, Node, Simulator
+from repro.simnet import Simulator
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,9 @@ class LowLevelDSGD:
         self.config = config or LowLevelDSGDConfig()
         self.seed = seed
         self.sim = Simulator()
-        self.network = Network(self.sim, cluster.cost_model)
-        self.nodes = [Node(self.sim, self.network, i, cluster) for i in range(cluster.num_nodes)]
+        #: Block messages shipped between nodes, and their bytes.
+        self.remote_messages = 0
+        self.bytes_sent = 0
         num_workers = cluster.total_workers
         self.schedule = BlockSchedule(num_workers=num_workers)
         rng = np.random.default_rng(derive_seed(seed, 404))
@@ -138,6 +139,8 @@ class LowLevelDSGD:
                 previous_node = previous_holder // workers_per_node
                 if previous_node != node_id:
                     size = message_size(len(block_cols), len(block_cols) * config.rank)
+                    self.remote_messages += 1
+                    self.bytes_sent += size
                     yield self.cluster.cost_model.message_time(size)
             for index in self._entries[(worker_id, block)]:
                 row = int(matrix.rows[index])

@@ -45,7 +45,7 @@ from typing import (
 
 import numpy as np
 
-from repro.config import ClusterConfig, ParameterServerConfig, message_size
+from repro.config import ClusterConfig, ParameterServerConfig, derive_seed, message_size
 from repro.errors import ParameterServerError, StorageError, UnknownKeyError
 from repro.ps.futures import OperationHandle
 from repro.ps.messages import (
@@ -60,9 +60,9 @@ from repro.ps.metrics import PSMetrics
 from repro.ps.partition import KeyPartitioner, RangePartitioner
 from repro.ps.storage import SMALL_BATCH as _SMALL_BATCH
 from repro.ps.storage import DenseStorage, LatchTable
-from repro.simnet import Network, Node, Simulator
+from repro.simnet import Network, Simulator
 from repro.simnet.events import Event
-from repro.simnet.node import server_address
+from repro.simnet.node import coordinator_address, server_address, van_address
 
 #: Route kinds returned by :meth:`repro.ps.policy.ManagementPolicy.route`: the
 #: contract between the policies (which decide) and :class:`WorkerClient`
@@ -178,16 +178,6 @@ def _run_handler(arg: Tuple[Callable, "NodeState", Any]) -> None:
     handler(state, message)
 
 
-def van_address(node: int) -> Tuple[str, int]:
-    """Network address of the client "van" (response demultiplexer) on ``node``."""
-    return ("van", node)
-
-
-def coordinator_address() -> Tuple[str, int]:
-    """Network address of the cluster-wide barrier coordinator (on node 0)."""
-    return ("coordinator", 0)
-
-
 class NodeState:
     """State shared by the server thread and worker threads of one node.
 
@@ -211,10 +201,9 @@ class NodeState:
     ``hybrid`` installs the relocation and the replication tables.
     """
 
-    def __init__(self, ps: "ParameterServer", node: Node) -> None:
+    def __init__(self, ps: "ParameterServer", node_id: int) -> None:
         self.ps = ps
-        self.node = node
-        self.node_id = node.node_id
+        self.node_id = node_id
         self._outstanding_cleanup = self._cleanup_outstanding  # pre-bound, hot
         #: Event-driven server bookkeeping: simulated time until which the
         #: server thread is busy handling already-arrived messages.
@@ -303,11 +292,12 @@ class NodeState:
     def register_handle(self, handle: OperationHandle) -> None:
         """Give ``handle`` its op id and track it until its responses arrive.
 
-        Every request sent for the handle carries this id, and this node's
-        van finds the handle under it.  Uses one pre-bound cleanup callback
-        instead of a fresh closure per operation; the completion event
-        carries the handle (see :class:`~repro.ps.futures.OperationHandle`),
-        so the callback can find the table entry without captured state.
+        Every pull, push and stale fetch request sent for the handle carries
+        this id, and this node's van finds the handle under it.  Uses one
+        pre-bound cleanup callback instead of a fresh closure per operation;
+        the completion event carries the handle (see
+        :class:`~repro.ps.futures.OperationHandle`), so the callback can find
+        the table entry without captured state.
         """
         op_id = handle.op_id = self.ps.next_op_id()
         self.outstanding[op_id] = handle
@@ -711,11 +701,11 @@ class WorkerClient:
         self.worker_id = worker_id
         self.local_worker_id = local_worker_id
         self.node_id = state.node_id
-        self.rng = state.node.worker_rng(local_worker_id)
+        self.rng = np.random.default_rng(
+            derive_seed(ps.cluster.seed, state.node_id, local_worker_id + 1)
+        )
         self._barrier_generation = 0
         self._clock = 0
-        #: Cached reply address (hot: attached to every request message).
-        self._van_address = van_address(state.node_id)
         ps.management_policy.attach_client(self)
 
     # ------------------------------------------------------------- conveniences
@@ -897,12 +887,7 @@ class WorkerClient:
         self._barrier_generation += 1
         release = Event(self.sim)
         self.state.barrier_waiters.setdefault(generation, []).append(release)
-        arrive = BarrierArrive(
-            worker_id=self.worker_id,
-            node=self.node_id,
-            reply_to=self._van_address,
-            generation=generation,
-        )
+        arrive = BarrierArrive(node=self.node_id, generation=generation)
         self.ps.network.send(
             self.node_id, coordinator_address(), arrive, message_size(0, 0)
         )
@@ -1142,7 +1127,6 @@ class ParameterServer:
             ps_config = replace(ps_config, **self.config_overrides)
         self.ps_config = ps_config
         self._build_substrate()
-        self.nodes = [Node(self.sim, self.network, i, cluster) for i in range(cluster.num_nodes)]
         self.partitioner = partitioner or RangePartitioner(
             self.ps_config.num_keys, cluster.num_nodes
         )
@@ -1158,7 +1142,7 @@ class ParameterServer:
         #: The one policy object of this server; it installs its per-node
         #: tables as the node states are built.
         self.management_policy = self.policy_class(self)
-        self.states: List[NodeState] = [NodeState(self, node) for node in self.nodes]
+        self.states: List[NodeState] = [NodeState(self, i) for i in range(cluster.num_nodes)]
         if durability is not None and durability.enabled:
             # Wrap the (still empty) stores before the initial inserts so the
             # baseline state is itself logged; the manager then checkpoints.
@@ -1229,8 +1213,10 @@ class ParameterServer:
             # Event-driven server: handler timing is fully determined by
             # ``handle_at = max(arrival, busy_until) + cost``, so each message
             # is one scheduled handler call.
+            address = server_address(state.node_id)
+            self.network.register(address, state.node_id)
             self.network.attach_sink(
-                server_address(state.node_id),
+                address,
                 partial(
                     self._server_receive,
                     state,
@@ -1473,12 +1459,12 @@ class ParameterServer:
         reply_to = self._van_addresses[src_node]
         if pull:
             # Positional construction (keyword parsing is measurable here).
-            request: Any = PullRequest(op_id, tuple(chunk), src_node, reply_to)
+            request: Any = PullRequest(op_id, tuple(chunk), reply_to)
             size = message_size(len(chunk), 0)
         else:
             # One sliced copy instead of a per-key vstack.
             chunk_updates = copy_rows(updates, rows)
-            request = PushRequest(op_id, tuple(chunk), chunk_updates, src_node, reply_to, True)
+            request = PushRequest(op_id, tuple(chunk), chunk_updates, reply_to, True)
             size = message_size(len(chunk), chunk_updates.size)
         self.network.send(src_node, self._server_addresses[destination], request, size)
 

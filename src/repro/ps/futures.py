@@ -74,7 +74,7 @@ class OperationHandle:
         #: Response block of a pull answered in one piece (:meth:`complete_batch`).
         self._batch: Optional[np.ndarray] = None
         #: Key of the handle in its node's outstanding table, carried by every
-        #: request sent for it (drawn by
+        #: pull, push and stale fetch request sent for it (drawn by
         #: :meth:`~repro.ps.base.NodeState.register_handle`).
         self.op_id: Optional[int] = None
 

@@ -367,9 +367,7 @@ class RelocationPolicy(ManagementPolicy):
                 # home-side logic directly (saves message 1 of the protocol).
                 self.process_localize_at_home(state, tuple(home_keys), client.node_id)
             else:
-                request = LocalizeRequest(
-                    op_id=handle.op_id, keys=tuple(home_keys), requester_node=client.node_id
-                )
+                request = LocalizeRequest(keys=tuple(home_keys), requester_node=client.node_id)
                 ps.send_to_server(
                     client.node_id, home, request, message_size(len(home_keys), 0)
                 )
@@ -513,9 +511,7 @@ class RelocationPolicy(ManagementPolicy):
             instruction_groups[current_owner].append(key)
         for home, home_keys in forward_groups.items():
             home_state.metrics.forwarded_ops += 1
-            forwarded = LocalizeRequest(
-                op_id=ps.next_op_id(), keys=tuple(home_keys), requester_node=requester
-            )
+            forwarded = LocalizeRequest(keys=tuple(home_keys), requester_node=requester)
             ps.send_to_server(
                 home_state.node_id, home, forwarded, message_size(len(home_keys), 0)
             )
@@ -523,10 +519,8 @@ class RelocationPolicy(ManagementPolicy):
             self._acknowledge_local_keys(home_state, ack_keys, requester)
         for old_owner, owner_keys in instruction_groups.items():
             instruction = RelocateInstruction(
-                op_id=ps.next_op_id(),
                 keys=tuple(owner_keys),
                 new_owner=requester,
-                home_node=home_state.node_id,
                 incarnation=0 if membership is None else membership.incarnations[requester],
             )
             if old_owner == home_state.node_id:
@@ -553,10 +547,8 @@ class RelocationPolicy(ManagementPolicy):
             home_state.node_id,
             requester,
             RelocationTransfer(
-                op_id=0,
                 keys=tuple(keys),
                 values=np.zeros((0, ps.ps_config.value_length)),
-                old_owner=requester,
                 removed_at=ps.sim.now,
             ),
             message_size(len(keys), 0),
@@ -594,19 +586,14 @@ class RelocationPolicy(ManagementPolicy):
                 )
         if not transfer_keys:
             return
-        transfer = self._build_transfer(state, transfer_keys, instruction)
+        transfer = self._build_transfer(state, transfer_keys)
         size = message_size(len(transfer_keys), transfer.values.size)
         if instruction.new_owner == state.node_id:
             self._handle_transfer(state, transfer)
         else:
             ps.send_to_server(state.node_id, instruction.new_owner, transfer, size)
 
-    def _build_transfer(
-        self,
-        state: NodeState,
-        transfer_keys: List[int],
-        instruction: RelocateInstruction,
-    ) -> RelocationTransfer:
+    def _build_transfer(self, state: NodeState, transfer_keys: List[int]) -> RelocationTransfer:
         """Remove ``transfer_keys`` from the old owner and build message 3.
 
         Under the hybrid composition the subscriber sets travel with the
@@ -616,10 +603,8 @@ class RelocationPolicy(ManagementPolicy):
         if self.replication is not None:
             subscribers = self.replication.release_subscribers(state, transfer_keys)
         return RelocationTransfer(
-            op_id=instruction.op_id,
             keys=tuple(transfer_keys),
             values=state.storage.remove_many(transfer_keys),
-            old_owner=state.node_id,
             removed_at=self.ps.sim.now,
             subscribers=subscribers,
         )
@@ -704,10 +689,8 @@ class RelocationPolicy(ManagementPolicy):
         if entry.pending_new_owner is not None and state.storage.contains(key):
             membership = self.ps.membership
             follow_up = RelocateInstruction(
-                op_id=self.ps.next_op_id(),
                 keys=(key,),
                 new_owner=entry.pending_new_owner,
-                home_node=self.home_node(key),
                 incarnation=(
                     0 if membership is None else membership.incarnations[entry.pending_new_owner]
                 ),

@@ -27,7 +27,7 @@ forwarding helpers do).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Optional, Tuple
+from typing import Hashable, Tuple
 
 import numpy as np
 
@@ -42,7 +42,6 @@ class PullRequest:
 
     op_id: int
     keys: Tuple[int, ...]
-    requester_node: int
     reply_to: Hashable
     hops: int = 0
 
@@ -64,7 +63,6 @@ class PushRequest:
     op_id: int
     keys: Tuple[int, ...]
     updates: np.ndarray
-    requester_node: int
     reply_to: Hashable
     needs_ack: bool = True
     hops: int = 0
@@ -81,9 +79,12 @@ class PushAck:
 
 @dataclass(slots=True)
 class LocalizeRequest:
-    """Message 1 of the relocation protocol: requester → home node."""
+    """Message 1 of the relocation protocol: requester → home node.
 
-    op_id: int
+    The three relocation messages carry no op id: the requester's localize
+    handles wait in its per-key ``relocating_in`` entries.
+    """
+
     keys: Tuple[int, ...]
     requester_node: int
 
@@ -96,10 +97,8 @@ class RelocateInstruction:
     issued (elastic clusters; 0 otherwise).
     """
 
-    op_id: int
     keys: Tuple[int, ...]
     new_owner: int
-    home_node: int
     incarnation: int = 0
 
 
@@ -116,10 +115,8 @@ class RelocationTransfer:
     the key.  Empty for pure relocation (Lapse).
     """
 
-    op_id: int
     keys: Tuple[int, ...]
     values: np.ndarray
-    old_owner: int
     removed_at: float = 0.0
     subscribers: Tuple[Tuple[int, ...], ...] = ()
 
@@ -144,7 +141,6 @@ class ReplicaFetchResponse:
     keys: Tuple[int, ...]
     values: np.ndarray
     clock: int
-    responder_node: int
 
 
 @dataclass(slots=True)
@@ -154,9 +150,8 @@ class UpdateFlush:
     op_id: int
     keys: Tuple[int, ...]
     updates: np.ndarray
-    source_node: int
     clock: int
-    reply_to: Optional[Hashable] = None
+    reply_to: Hashable
 
 
 @dataclass(slots=True)
@@ -164,8 +159,6 @@ class FlushAck:
     """Stale PS: acknowledgement that an update flush was applied."""
 
     op_id: int
-    clock: int
-    responder_node: int
 
 
 @dataclass(slots=True)
@@ -175,7 +168,6 @@ class ReplicaPush:
     keys: Tuple[int, ...]
     values: np.ndarray
     clock: int
-    responder_node: int
 
 
 # ---------------------------------------------------------------------- replica PS
@@ -200,7 +192,6 @@ class ReplicaInstall:
 
     keys: Tuple[int, ...]
     values: np.ndarray
-    responder_node: int
 
 
 @dataclass(slots=True)
@@ -229,7 +220,6 @@ class ReplicaDeltaBroadcast:
 
     keys: Tuple[int, ...]
     deltas: np.ndarray
-    responder_node: int
 
 
 # ----------------------------------------------------------------- elastic cluster
@@ -247,19 +237,15 @@ class RecoveryInstall:
 
     keys: Tuple[int, ...]
     values: np.ndarray
-    source_node: int
-    failed_node: int
     subscribers: Tuple[Tuple[int, ...], ...] = ()
 
 
 # --------------------------------------------------------------------------- barrier
 @dataclass(slots=True)
 class BarrierArrive:
-    """A worker announces it reached barrier ``generation``."""
+    """A worker on ``node`` announces it reached barrier ``generation``."""
 
-    worker_id: int
     node: int
-    reply_to: Hashable
     generation: int
 
 

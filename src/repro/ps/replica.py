@@ -463,9 +463,7 @@ class EagerReplicationPolicy(ManagementPolicy):
         metrics.replica_broadcast_messages += 1
         metrics.replica_sync_keys += len(keys)
         metrics.replica_sync_bytes += size
-        broadcast = ReplicaDeltaBroadcast(
-            keys=keys, deltas=deltas, responder_node=state.node_id
-        )
+        broadcast = ReplicaDeltaBroadcast(keys=keys, deltas=deltas)
         self.ps.send_to_server(state.node_id, subscriber, broadcast, size)
 
     # ---------------------------------- subscriber handoff (with relocation)
@@ -568,11 +566,7 @@ class EagerReplicationPolicy(ManagementPolicy):
             values = state.read_local_many(resident_keys)
             for key in resident_keys:
                 state.subscribers[key].add(request.requester_node)
-            install = ReplicaInstall(
-                keys=tuple(resident_keys),
-                values=values,
-                responder_node=state.node_id,
-            )
+            install = ReplicaInstall(keys=tuple(resident_keys), values=values)
             size = message_size(len(resident_keys), values.size)
             ps.network.send(state.node_id, request.reply_to, install, size)
         for destination, keys in forward_groups.items():

@@ -259,7 +259,6 @@ class StaleReplicaPolicy(ManagementPolicy):
                 op_id=op_id,
                 keys=keys,
                 updates=updates,
-                source_node=client.node_id,
                 clock=client._clock,
                 reply_to=van_address(client.node_id),
             )
@@ -285,7 +284,6 @@ class StaleReplicaPolicy(ManagementPolicy):
             keys=request.keys,
             values=values,
             clock=request.clock,
-            responder_node=state.node_id,
         )
         size = message_size(len(request.keys), len(request.keys) * ps.ps_config.value_length)
         ps.network.send(state.node_id, request.reply_to, response, size)
@@ -295,11 +293,8 @@ class StaleReplicaPolicy(ManagementPolicy):
             self.handle_write(
                 state, flush.keys, flush.updates, what="received an update for"
             )
-        if flush.reply_to is not None:
-            ack = FlushAck(
-                op_id=flush.op_id, clock=flush.clock, responder_node=state.node_id
-            )
-            self.ps.network.send(state.node_id, flush.reply_to, ack, message_size(0, 0))
+        ack = FlushAck(op_id=flush.op_id)
+        self.ps.network.send(state.node_id, flush.reply_to, ack, message_size(0, 0))
         self._record_clock_arrival(state, flush.clock)
 
     def _record_clock_arrival(self, state: NodeState, clock: int) -> None:
@@ -321,12 +316,7 @@ class StaleReplicaPolicy(ManagementPolicy):
         for node, keys in per_subscriber.items():
             keys = sorted(keys)
             values = state.read_local_many(keys)
-            push = ReplicaPush(
-                keys=tuple(keys),
-                values=values,
-                clock=clock,
-                responder_node=state.node_id,
-            )
+            push = ReplicaPush(keys=tuple(keys), values=values, clock=clock)
             self.ps.send_to_server(
                 state.node_id, node, push, message_size(len(keys), values.size)
             )

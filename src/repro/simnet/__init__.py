@@ -17,7 +17,6 @@ from repro.simnet.clock import WallClock
 from repro.simnet.events import AllOf, Event, Timeout
 from repro.simnet.kernel import Simulator
 from repro.simnet.network import Network, NetworkStats
-from repro.simnet.node import Node
 from repro.simnet.process import Process
 from repro.simnet.queues import MessageQueue
 
@@ -27,7 +26,6 @@ __all__ = [
     "MessageQueue",
     "Network",
     "NetworkStats",
-    "Node",
     "Process",
     "Simulator",
     "Timeout",

@@ -70,10 +70,10 @@ from repro.simnet.network import NetworkStats, _ChannelClock
 DEFAULT_BARRIER_TIMEOUT = 120.0
 
 #: NodeState attributes that must not be shipped between processes: object
-#: graph backlinks (`ps`, `node`, the bound cleanup method) stay the
-#: parent's, and the in-flight tables (`outstanding`, `barrier_waiters`)
-#: hold kernel events — they are asserted empty at epoch quiescence instead.
-_STATE_SKIP = frozenset({"ps", "node", "_outstanding_cleanup", "outstanding", "barrier_waiters"})
+#: graph backlinks (`ps`, the bound cleanup method) stay the parent's, and
+#: the in-flight tables (`outstanding`, `barrier_waiters`) hold kernel
+#: events — they are asserted empty at epoch quiescence instead.
+_STATE_SKIP = frozenset({"ps", "_outstanding_cleanup", "outstanding", "barrier_waiters"})
 
 #: WorkerClient attributes that must not be shipped (backlinks).
 _CLIENT_SKIP = frozenset({"ps", "state"})
@@ -225,7 +225,6 @@ def _run_shard(
         "now": sim._now,
         "sequence": sim._sequence,
         "states": states,
-        "node_rngs": {node_id: ps.nodes[node_id].rng for node_id in plan.shard_nodes[rank]},
         "clients": {
             index: {
                 name: value
@@ -276,8 +275,6 @@ def _apply_payload(ps: Any, clients: Sequence[Any], payload: Dict) -> None:
         # original NodeState object, which must stay identical.
         state = ps.states[node_id]
         vars(state).update(data)
-    for node_id, rng in payload["node_rngs"].items():
-        ps.nodes[node_id].rng = rng
     for index, data in payload["clients"].items():
         vars(clients[index]).update(data)
     for channel, last in payload["channel_clocks"].items():

@@ -196,7 +196,7 @@ class TestDrainAndFailure:
         elastic.fail_at(elastic.ps.simulated_time, 1)
         elastic.run_epoch(trainer, compute_loss=False)
         ps = elastic.ps
-        assert not ps.nodes[1].alive
+        assert 1 in ps.network.failed_nodes
         before = ps.network.stats.dropped_messages
         remote_before = ps.network.stats.remote_messages
         ps.send_to_server(0, 1, "late request", 64)

@@ -145,8 +145,18 @@ class TestRunners:
         assert durable.bytes_sent == plain.bytes_sent
 
     def test_lowlevel_has_no_ps_metrics(self):
-        result = run_mf_experiment("lowlevel", num_nodes=2, workers_per_node=1, scale=TINY_MF)
+        """It has no PS metrics, but reports the block messages it ships."""
+        result = run_mf_experiment(
+            "lowlevel", num_nodes=2, workers_per_node=1, scale=TINY_MF, epochs=2
+        )
         assert result.metrics is None
+        # One block message per worker in the one cross-node subepoch.
+        assert result.remote_messages == 2 * 2
+        assert result.bytes_sent > 0
+        single = run_mf_experiment(
+            "lowlevel", num_nodes=1, workers_per_node=2, scale=TINY_MF, epochs=2
+        )
+        assert (single.remote_messages, single.bytes_sent) == (0, 0)
 
     def test_deterministic_given_seed(self):
         a = run_mf_experiment("lapse", num_nodes=2, workers_per_node=1, scale=TINY_MF, seed=5)

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.config import ClusterConfig, CostModel, ParameterServerConfig
-from repro.errors import UnknownKeyError, UnsupportedOperationError
+from repro.config import ClusterConfig, CostModel, ParameterServerConfig, derive_seed
+from repro.errors import ExperimentError, NetworkError, UnknownKeyError, UnsupportedOperationError
 from repro.ps import ClassicIPCPS, ClassicPS, ClassicSharedMemoryPS
+from repro.simnet.node import coordinator_address, server_address, van_address
 
 
 def build_classic(num_nodes=2, workers_per_node=1, shared_memory=True, num_keys=8, value_length=2):
@@ -209,3 +210,39 @@ class TestClassicModel:
         times = list(arrival_times.values())
         assert max(times) - min(times) < 1e-3
         assert min(times) >= 3e-3
+
+    def test_client_rng_is_per_seed_and_per_worker(self):
+        def draws(seed):
+            cluster = ClusterConfig(num_nodes=2, workers_per_node=2, seed=seed)
+            ps = ClassicPS(cluster, ParameterServerConfig(num_keys=4, value_length=1))
+            return {
+                (node, local): tuple(ps.client(node, local).rng.integers(0, 1 << 30, size=4))
+                for node in range(2)
+                for local in range(2)
+            }
+
+        seven = draws(7)
+        assert draws(7) == seven
+        assert draws(8) != seven
+        assert len(set(seven.values())) == 4
+        for (node, local), drawn in seven.items():
+            stream = np.random.default_rng(derive_seed(7, node, local + 1))
+            assert drawn == tuple(stream.integers(0, 1 << 30, size=4))
+
+    def test_client_of_an_invalid_node_or_worker_rejected(self):
+        ps, _ = build_classic(num_nodes=2, workers_per_node=2)
+        with pytest.raises(ExperimentError):
+            ps.client(5, 0)
+        with pytest.raises(ExperimentError):
+            ps.client(0, 99)
+
+    def test_every_node_registers_its_server_and_van_address(self):
+        ps, _ = build_classic(num_nodes=3, workers_per_node=2)
+        network = ps.network
+        for node in range(3):
+            assert network.node_of(server_address(node)) == node
+            assert network.node_of(van_address(node)) == node
+        assert network.node_of(coordinator_address()) == 0
+        # Workers are answered through their node's van, not an inbox of their own.
+        with pytest.raises(NetworkError):
+            network.node_of(("worker", 0, 0))

@@ -91,7 +91,7 @@ def test_stale_pull_over_two_owners_completes_through_two_fetches(system):
     install = StaleReplicaPolicy._install_fetched
 
     def record(self, state, message):
-        fetched.append((message.responder_node, message.op_id, message.keys))
+        fetched.append((message.op_id, message.keys))
         install(self, state, message)
 
     with mock.patch.object(StaleReplicaPolicy, "_install_fetched", record):
@@ -113,8 +113,6 @@ def test_stale_pull_over_two_owners_completes_through_two_fetches(system):
 
     handle = ps.run_workers(worker)[0]
     np.testing.assert_array_equal(handle.values(), expected)
-    assert sorted(fetched) == [
-        (1, handle.op_id, (remote,)),
-        (2, handle.op_id, (remote_2,)),
-    ]
+    # One fetch response per owner, each with that owner's keys only.
+    assert sorted(fetched) == [(handle.op_id, (remote,)), (handle.op_id, (remote_2,))]
     assert set(ps.states[0].replicas) == {remote, remote_2}

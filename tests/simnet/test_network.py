@@ -1,53 +1,49 @@
-"""Unit tests for the simulated network and node abstractions."""
+"""Unit tests for the simulated network and a node's addresses."""
 
 import pytest
 
-from repro.config import ClusterConfig, CostModel, message_size
+from repro.config import CostModel, message_size
 from repro.errors import NetworkError
 from repro.simnet import Network, Simulator
 from repro.simnet.network import NetworkStats
-from repro.simnet.node import Node, server_address, worker_address
+from repro.simnet.node import server_address
 
 
-def build_cluster(num_nodes=2, workers_per_node=2, cost_model=None, seed=0):
+def build_cluster(num_nodes=2, cost_model=None):
+    """A network with one server address per node; returns the server inboxes."""
     sim = Simulator()
-    config = ClusterConfig(
-        num_nodes=num_nodes,
-        workers_per_node=workers_per_node,
-        cost_model=cost_model or CostModel(),
-        seed=seed,
-    )
-    network = Network(sim, config.cost_model)
-    nodes = [Node(sim, network, i, config) for i in range(num_nodes)]
-    return sim, network, nodes
+    network = Network(sim, cost_model or CostModel())
+    inboxes = [network.register(server_address(i), i) for i in range(num_nodes)]
+    return sim, network, inboxes
 
 
 def test_register_and_lookup_addresses():
-    sim, network, nodes = build_cluster()
+    sim, network, inboxes = build_cluster()
     assert network.node_of(server_address(0)) == 0
-    assert network.node_of(worker_address(1, 1)) == 1
+    assert network.node_of(server_address(1)) == 1
+    assert network.mailbox(server_address(1)) is inboxes[1]
     with pytest.raises(NetworkError):
         network.node_of(("server", 99))
 
 
 def test_duplicate_address_rejected():
-    sim, network, nodes = build_cluster()
+    sim, network, inboxes = build_cluster()
     with pytest.raises(NetworkError):
         network.register(server_address(0), 0)
 
 
 def test_remote_message_charged_latency_and_bandwidth():
     cost = CostModel(network_latency=1e-3, network_bandwidth=1e6)
-    sim, network, nodes = build_cluster(cost_model=cost)
+    sim, network, inboxes = build_cluster(cost_model=cost)
     size = 1000  # bytes -> 1ms transfer at 1 MB/s
 
     def receiver():
-        payload = yield nodes[1].server_inbox.get()
+        payload = yield inboxes[1].get()
         return (payload, sim.now)
 
     def sender():
         yield 0.0
-        nodes[0].send_to_server(1, "ping", size)
+        network.send(0, server_address(1), "ping", size)
 
     recv = sim.process(receiver())
     sim.process(sender())
@@ -59,15 +55,15 @@ def test_remote_message_charged_latency_and_bandwidth():
 
 def test_local_message_uses_ipc_latency():
     cost = CostModel(ipc_access_latency=5e-6)
-    sim, network, nodes = build_cluster(cost_model=cost)
+    sim, network, inboxes = build_cluster(cost_model=cost)
 
     def receiver():
-        yield nodes[0].server_inbox.get()
+        yield inboxes[0].get()
         return sim.now
 
     def sender():
         yield 0.0
-        nodes[0].send_to_server(0, "local", 10_000)
+        network.send(0, server_address(0), "local", 10_000)
 
     recv = sim.process(receiver())
     sim.process(sender())
@@ -78,18 +74,18 @@ def test_local_message_uses_ipc_latency():
 def test_fifo_order_on_channel_with_different_sizes():
     # A huge message sent first must not be overtaken by a tiny one sent later.
     cost = CostModel(network_latency=1e-4, network_bandwidth=1e6)
-    sim, network, nodes = build_cluster(cost_model=cost)
+    sim, network, inboxes = build_cluster(cost_model=cost)
     received = []
 
     def receiver():
         for _ in range(2):
-            payload = yield nodes[1].server_inbox.get()
+            payload = yield inboxes[1].get()
             received.append((payload, sim.now))
 
     def sender():
-        nodes[0].send_to_server(1, "big", 1_000_000)  # 1 second of transfer
+        network.send(0, server_address(1), "big", 1_000_000)  # 1 second of transfer
         yield 1e-6
-        nodes[0].send_to_server(1, "small", 1)
+        network.send(0, server_address(1), "small", 1)
 
     sim.process(receiver())
     sim.process(sender())
@@ -99,19 +95,19 @@ def test_fifo_order_on_channel_with_different_sizes():
 
 
 def test_network_stats_accounting():
-    sim, network, nodes = build_cluster()
+    sim, network, inboxes = build_cluster()
     size = message_size(num_keys=2, num_values=16)
 
     def sender():
-        nodes[0].send_to_server(1, "a", size)
-        nodes[0].send_to_server(0, "b", size)
+        network.send(0, server_address(1), "a", size)
+        network.send(0, server_address(0), "b", size)
         yield 0.0
 
     def receiver_remote():
-        yield nodes[1].server_inbox.get()
+        yield inboxes[1].get()
 
     def receiver_local():
-        yield nodes[0].server_inbox.get()
+        yield inboxes[0].get()
 
     sim.process(receiver_remote())
     sim.process(receiver_local())
@@ -125,62 +121,26 @@ def test_network_stats_accounting():
 
 
 def test_negative_message_size_rejected():
-    sim, network, nodes = build_cluster()
+    sim, network, inboxes = build_cluster()
     with pytest.raises(NetworkError):
         network.send(0, server_address(1), "x", -5)
 
 
-def test_worker_addressing_and_send_to_worker():
-    sim, network, nodes = build_cluster(num_nodes=2, workers_per_node=3)
-
-    def receiver():
-        payload = yield nodes[1].worker_inboxes[2].get()
-        return payload
-
-    def sender():
-        yield 0.0
-        nodes[0].send(worker_address(1, 2), "for worker 2", 100)
-
-    recv = sim.process(receiver())
-    sim.process(sender())
+def test_send_to_unregistered_address_rejected():
+    sim, network, inboxes = build_cluster()
+    with pytest.raises(NetworkError):
+        network.send(0, ("worker", 1, 0), "nobody listens here", 10)
     sim.run()
-    assert recv.value == "for worker 2"
-
-
-def test_node_rng_deterministic_per_seed():
-    _, _, nodes_a = build_cluster(seed=7)
-    _, _, nodes_b = build_cluster(seed=7)
-    _, _, nodes_c = build_cluster(seed=8)
-    a = nodes_a[0].rng.integers(0, 1_000_000, size=5)
-    b = nodes_b[0].rng.integers(0, 1_000_000, size=5)
-    c = nodes_c[0].rng.integers(0, 1_000_000, size=5)
-    assert list(a) == list(b)
-    assert list(a) != list(c)
-
-
-def test_worker_rngs_independent():
-    _, _, nodes = build_cluster()
-    r0 = nodes[0].worker_rng(0).integers(0, 1_000_000, size=5)
-    r1 = nodes[0].worker_rng(1).integers(0, 1_000_000, size=5)
-    assert list(r0) != list(r1)
-    with pytest.raises(NetworkError):
-        nodes[0].worker_rng(99)
-
-
-def test_invalid_node_id_rejected():
-    sim = Simulator()
-    config = ClusterConfig(num_nodes=2, workers_per_node=1)
-    network = Network(sim, config.cost_model)
-    with pytest.raises(NetworkError):
-        Node(sim, network, 5, config)
+    assert network.stats.messages_sent == 0
+    assert len(inboxes[1]) == 0
 
 
 # ----------------------------------------------------------- node lifecycle
 def test_failed_node_drops_incoming_messages():
-    sim, network, nodes = build_cluster()
+    sim, network, inboxes = build_cluster()
     network.fail_node(1)
-    assert not nodes[1].alive
-    nodes[0].send_to_server(1, "lost", 100)
+    assert 1 in network.failed_nodes
+    network.send(0, server_address(1), "lost", 100)
     sim.run()
     assert network.stats.dropped_messages == 1
     assert network.stats.messages_sent == 0
@@ -189,48 +149,48 @@ def test_failed_node_drops_incoming_messages():
 
 
 def test_failed_node_drops_outgoing_messages():
-    sim, network, nodes = build_cluster()
+    sim, network, inboxes = build_cluster()
     network.fail_node(0)
-    nodes[0].send_to_server(1, "from the dead", 100)
+    network.send(0, server_address(1), "from the dead", 100)
     sim.run()
     assert network.stats.dropped_messages == 1
     assert network.stats.remote_messages == 0
 
 
 def test_restore_node_reconnects():
-    sim, network, nodes = build_cluster()
-    nodes[1].fail()
+    sim, network, inboxes = build_cluster()
+    network.fail_node(1)
     network.restore_node(1)
-    assert nodes[1].alive
+    assert 1 not in network.failed_nodes
 
     def receiver():
-        payload = yield nodes[1].server_inbox.get()
+        payload = yield inboxes[1].get()
         return payload
 
     recv = sim.process(receiver())
-    nodes[0].send_to_server(1, "hello again", 50)
+    network.send(0, server_address(1), "hello again", 50)
     sim.run()
     assert recv.value == "hello again"
     assert network.stats.dropped_messages == 0
 
 
 def test_healthy_traffic_unaffected_by_other_failures():
-    sim, network, nodes = build_cluster(num_nodes=3)
+    sim, network, inboxes = build_cluster(num_nodes=3)
     network.fail_node(2)
 
     def receiver():
-        payload = yield nodes[1].server_inbox.get()
+        payload = yield inboxes[1].get()
         return payload
 
     recv = sim.process(receiver())
-    nodes[0].send_to_server(1, "fine", 50)
+    network.send(0, server_address(1), "fine", 50)
     sim.run()
     assert recv.value == "fine"
     assert network.stats.remote_messages == 1
 
 
 def test_failed_nodes_is_a_detached_snapshot():
-    sim, network, nodes = build_cluster(num_nodes=3)
+    sim, network, inboxes = build_cluster(num_nodes=3)
     network.fail_node(2)
     before = network.failed_nodes
     network.fail_node(1)
