@@ -100,14 +100,23 @@ def generate_matrix(
     scale = 1.0 / np.sqrt(rank)
     row_factors = rng.normal(0.0, scale, size=(num_rows, rank))
     col_factors = rng.normal(0.0, scale, size=(num_cols, rank))
-    rows = rng.integers(0, num_rows, size=num_entries)
-    cols = rng.integers(0, num_cols, size=num_entries)
-    # Deduplicate positions so each (row, col) appears at most once.
-    flat = rows.astype(np.int64) * num_cols + cols.astype(np.int64)
-    _, unique_index = np.unique(flat, return_index=True)
-    first_seen = np.sort(unique_index)
-    rows = rows[first_seen]
-    cols = cols[first_seen]
+    # Positions as flat indices, rows drawn before cols, built in place.
+    flat = rng.integers(0, num_rows, size=num_entries)
+    flat *= num_cols
+    flat += rng.integers(0, num_cols, size=num_entries)
+    # Deduplicate positions so each (row, col) appears at most once, keeping
+    # first occurrences in draw order: a stable sort puts them first in
+    # each run of equal positions.
+    order = np.argsort(flat, kind="stable")
+    ordered = flat[order]
+    first = np.empty(num_entries, dtype=bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    del ordered
+    flat = flat[np.sort(order[first])]
+    del order, first
+    rows, cols = np.divmod(flat, num_cols)
+    del flat
     values = predictions(row_factors, col_factors, rows, cols)
     values = values + rng.normal(0.0, noise, size=len(values))
     return SyntheticMatrix(

@@ -48,8 +48,8 @@ def replay_records(state: Dict[int, np.ndarray], records) -> Tuple[int, int]:
 
     Returns ``(records_applied, delta_rows_applied)``.  Replaying a
     ``delta`` row is the same float64 ``+=`` the original store performed —
-    batch mutators on both store variants apply duplicate keys in batch
-    order (``np.add.at`` / sequential loops), so per key the replayed
+    the store's batch mutators apply duplicate keys in batch order
+    (``np.add.at`` / sequential loops), so per key the replayed
     addition sequence is identical to the live one and the result is
     bit-identical.
     """
@@ -168,18 +168,12 @@ class DurabilityManager:
         whose relocation transfer vanished with a crashing destination — the
         shared LSN clock makes "newest across all node logs" well defined.
         """
-        best_lsn = -1
-        best_value: Optional[np.ndarray] = None
+        best: Optional[Tuple[int, np.ndarray]] = None
         for wal in self.wals.values():
-            for record in wal.records:
-                if record.kind != WAL_REMOVE or record.lsn <= best_lsn:
-                    continue
-                for index, record_key in enumerate(record.keys):
-                    if record_key == key:
-                        best_lsn = record.lsn
-                        best_value = record.values[index].copy()
-                        break
-        return best_value
+            found = wal.last_removed(key)
+            if found is not None and (best is None or found[0] > best[0]):
+                best = found
+        return None if best is None else best[1]
 
     def reset_after_crash(self, node: int) -> None:
         """Seal a crashed node's durable history after recovery consumed it.

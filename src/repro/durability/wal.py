@@ -14,11 +14,12 @@ Three pieces live here:
   to the parameter server, **nothing** in this module is imported on the hot
   path and the stores stay plain :class:`~repro.ps.storage.DenseStorage`;
   durability off is structurally zero-overhead.
-* :class:`DeltaWAL` — one append-only record list per node.  All node WALs
-  share one :class:`LSNClock`, so LSNs form a cluster-wide total order and a
-  record written by node A can be ordered against node B's checkpoint (this
-  is what lets crash recovery find the value of a key whose ownership was in
-  flight between two nodes at crash time).
+* :class:`DeltaWAL` — one append-only log per node, kept in columns of
+  one row per logged key.  All node WALs share one :class:`LSNClock`, so
+  LSNs form a cluster-wide total order and a record written by node A can
+  be ordered against node B's checkpoint (this is what lets crash recovery
+  find the value of a key whose ownership was in flight between two nodes
+  at crash time).
 * :class:`LoggedStorage` — a transparent proxy wrapped around a node's
   parameter store.  Every mutator delegates to the inner store first (so a
   failed check-then-apply batch raises *before* anything is logged) and then
@@ -115,6 +116,12 @@ class LSNClock:
         return self._last
 
 
+def _record_nbytes(count: int, value_elements: int) -> int:
+    """Simulated serialized size of a record of ``count`` keys and
+    ``value_elements`` float64 values."""
+    return RECORD_HEADER_BYTES + KEY_BYTES * count + VALUE_BYTES * value_elements
+
+
 @dataclass
 class WALRecord:
     """One logged mutation batch: ``kind`` applied to ``keys``/``values``.
@@ -134,11 +141,14 @@ class WALRecord:
     @property
     def nbytes(self) -> int:
         """Simulated serialized size of this record."""
-        return (
-            RECORD_HEADER_BYTES
-            + KEY_BYTES * len(self.keys)
-            + VALUE_BYTES * int(self.values.size)
-        )
+        return _record_nbytes(len(self.keys), int(self.values.size))
+
+
+_KIND_CODES = {kind: code for code, kind in enumerate(WAL_KINDS)}
+_DELTA_CODE = _KIND_CODES[WAL_DELTA]
+_REMOVE_CODE = _KIND_CODES[WAL_REMOVE]
+#: Rows the columns hold after their first growth.
+_MIN_ROWS = 64
 
 
 class DeltaWAL:
@@ -150,111 +160,174 @@ class DeltaWAL:
     tests measure against).  ``after_append`` is an optional callback fired
     after every append; the durability manager uses it to trigger lazy
     simulated-time checkpoints without scheduling kernel events.
+
+    The log is stored in columns with one row per logged key: ``lsn``
+    (int64), ``kind`` (int8, an index into :data:`WAL_KINDS`), ``key``
+    (int64) and the float64 value row, whose width is fixed by the first
+    append.  A record of k keys is k consecutive rows that share one LSN.
+    The columns grow by doubling; writing a row is the copy that detaches
+    the log from the caller's buffers.  :class:`WALRecord` objects are built
+    only when the log is read (:attr:`records`, :meth:`records_since`).
     """
 
     __slots__ = (
         "node",
         "clock",
         "metrics",
-        "records",
         "after_append",
         "_last_lsn",
+        "_size",
+        "_lsns",
+        "_kinds",
+        "_keys",
+        "_values",
     )
 
     def __init__(self, node: int = 0, clock: Optional[LSNClock] = None, metrics=None):
         self.node = node
         self.clock = clock if clock is not None else LSNClock()
         self.metrics = metrics
-        self.records: List[WALRecord] = []
         self.after_append: Optional[Callable[[], None]] = None
         self._last_lsn = 0
+        self._size = 0
+        self._lsns = np.empty(0, dtype=np.int64)
+        self._kinds = np.empty(0, dtype=np.int8)
+        self._keys = np.empty(0, dtype=np.int64)
+        self._values = np.empty((0, 0))
 
     @property
     def last_lsn(self) -> int:
         """LSN of the last record this WAL appended (survives truncation)."""
         return self._last_lsn
 
-    def append(self, kind: str, keys: Sequence[int], values: np.ndarray) -> WALRecord:
-        """Append one record and return it.
+    def _grow(self, rows: int, values) -> None:
+        """Make room for ``rows`` rows, at least doubling the capacity."""
+        size = self._size
+        capacity = max(rows, 2 * len(self._lsns), _MIN_ROWS)
 
-        ``values`` must already be a detached float64 array of shape
-        ``(len(keys), d)`` — :class:`LoggedStorage` copies before logging so
-        records never alias caller buffers.
+        def grown(column, *width):
+            out = np.empty((capacity,) + width, dtype=column.dtype)
+            if size:
+                out[:size] = column[:size]
+            return out
+
+        self._lsns, self._kinds, self._keys = map(grown, (self._lsns, self._kinds, self._keys))
+        # The first append fixes the value width.
+        self._values = grown(self._values, self._values.shape[1] or np.shape(values)[-1])
+
+    def append(self, kind: str, keys: Sequence[int], values) -> None:
+        """Append one record of ``len(keys)`` rows sharing one new LSN.
+
+        ``values`` holds one row per key, ``(len(keys), d)``; a single key's
+        row may also come as ``(d,)``.  The rows are copied into the log, so
+        the caller may reuse its buffers.
         """
-        if kind not in WAL_KINDS:
+        code = _KIND_CODES.get(kind)
+        if code is None:
             raise DurabilityError(f"unknown WAL record kind {kind!r}")
-        record = WALRecord(
-            lsn=self.clock.next(), kind=kind, keys=tuple(keys), values=values
-        )
-        self.records.append(record)
-        self._last_lsn = record.lsn
+        count = len(keys)
+        if not count:
+            raise DurabilityError("a WAL record needs at least one key")
+        start = self._size
+        end = start + count
+        if end > len(self._lsns):
+            self._grow(end, values)
+        # The rows are written before the LSN is taken: a batch that does not
+        # fit the columns raises with the log and the clock untouched.
+        if count == 1:
+            self._values[start] = values
+            self._keys[start] = keys[0]
+            self._kinds[start] = code
+            self._lsns[start] = self._last_lsn = self.clock.next()
+        else:
+            self._values[start:end] = values
+            self._keys[start:end] = keys
+            self._kinds[start:end] = code
+            self._lsns[start:end] = self._last_lsn = self.clock.next()
+        self._size = end
         if self.metrics is not None:
             self.metrics.wal_appends += 1
-            self.metrics.wal_bytes += record.nbytes
+            self.metrics.wal_bytes += _record_nbytes(count, count * self._values.shape[1])
         if self.after_append is not None:
             self.after_append()
-        return record
 
     def append_deltas(self, keys: Sequence[int], rows: np.ndarray) -> None:
         """Append one single-row ``delta`` record per key, in order.
 
         The records, LSNs, ``wal_appends`` and ``wal_bytes`` are those of
-        ``len(keys)`` :meth:`append` calls; the clock,
-        the metrics and ``after_append`` are updated once.  ``rows`` holds one
-        detached ``(1, d)`` float64 block per key.  The caller guarantees that
-        no checkpoint could fire between the records (a fused block visit
-        appends only while its node's next checkpoint is not yet due), so one
-        ``after_append`` at the end sees what the last of the calls would.
+        ``len(keys)`` :meth:`append` calls, written as one slice of rows; the
+        clock, the metrics and ``after_append`` are updated once.  ``rows``
+        holds one ``(1, d)`` float64 block per key.  The caller guarantees
+        that no checkpoint could fire between the records (a fused block
+        visit appends only while its node's next checkpoint is not yet due),
+        so one ``after_append`` at the end sees what the last of the calls
+        would.
         """
         count = len(keys)
         if not count:
             return
+        start = self._size
+        end = start + count
+        if end > len(self._lsns):
+            self._grow(end, rows)
+        self._values[start:end] = rows.reshape(count, -1)
+        self._keys[start:end] = keys
+        self._kinds[start:end] = _DELTA_CODE
         lsns = self.clock.take(count)
-        self.records.extend(
-            WALRecord(lsn, WAL_DELTA, (key,), row) for lsn, key, row in zip(lsns, keys, rows)
-        )
+        self._lsns[start:end] = np.arange(lsns.start, lsns.stop)
+        self._size = end
         self._last_lsn = lsns[-1]
         if self.metrics is not None:
             self.metrics.wal_appends += count
-            self.metrics.wal_bytes += count * (
-                RECORD_HEADER_BYTES + KEY_BYTES + VALUE_BYTES * int(rows[0].size)
-            )
+            self.metrics.wal_bytes += count * _record_nbytes(1, self._values.shape[1])
         if self.after_append is not None:
             self.after_append()
 
+    def _records_from(self, start: int) -> List[WALRecord]:
+        """Records built from the rows at and after row ``start``."""
+        end = self._size
+        lsns = self._lsns[start:end]
+        firsts = np.flatnonzero(np.diff(lsns, prepend=-1))
+        bounds = (firsts + start).tolist() + [end]
+        keys, values = self._keys, self._values
+        return [
+            WALRecord(lsn, WAL_KINDS[code], tuple(keys[lo:hi].tolist()), values[lo:hi].copy())
+            for lsn, code, lo, hi in zip(
+                lsns[firsts].tolist(), self._kinds[firsts + start].tolist(), bounds, bounds[1:]
+            )
+        ]
+
+    def _first_row_after(self, lsn: int) -> int:
+        return int(np.searchsorted(self._lsns[: self._size], lsn, side="right"))
+
+    @property
+    def records(self) -> List[WALRecord]:
+        """Every retained record, in log order (built on each read)."""
+        return self._records_from(0)
+
     def records_since(self, lsn: int) -> List[WALRecord]:
         """Records with an LSN strictly greater than ``lsn``, in log order."""
-        records = self.records
-        # Records are appended in LSN order; bisect for the replay suffix.
-        lo, hi = 0, len(records)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if records[mid].lsn <= lsn:
-                lo = mid + 1
-            else:
-                hi = mid
-        return records[lo:]
+        return self._records_from(self._first_row_after(lsn))
 
     def truncate_to(self, lsn: int) -> int:
         """Drop records with LSN <= ``lsn``; returns how many were dropped."""
-        kept = self.records_since(lsn)
-        dropped = len(self.records) - len(kept)
-        self.records = kept
+        start, size = self._first_row_after(lsn), self._size
+        dropped = int(np.count_nonzero(np.diff(self._lsns[:start], prepend=-1)))
+        for column in (self._lsns, self._kinds, self._keys, self._values):
+            column[: size - start] = column[start:size]
+        self._size = size - start
         return dropped
 
-
-def _as_logged_rows(values, count: int, value_length: int) -> np.ndarray:
-    """Detached float64 ``(count, d)`` copy of a value batch for logging."""
-    rows = np.array(values, dtype=np.float64, copy=True)
-    if rows.ndim == 1:
-        rows = rows.reshape(count, value_length)
-    return rows
-
-
-def _as_key_tuple(keys) -> Tuple[int, ...]:
-    if type(keys) is np.ndarray:
-        return tuple(keys.tolist())
-    return tuple(int(key) for key in keys)
+    def last_removed(self, key: int) -> Optional[Tuple[int, np.ndarray]]:
+        """``(lsn, value)`` of the newest ``remove`` record of ``key``, taking
+        the first of its rows that names the key; ``None`` if none does."""
+        size = self._size
+        hits = np.flatnonzero((self._kinds[:size] == _REMOVE_CODE) & (self._keys[:size] == key))
+        if not hits.size:
+            return None
+        lsns = self._lsns[hits]
+        newest = lsns[-1]
+        return int(newest), self._values[hits[np.searchsorted(lsns, newest)]].copy()
 
 
 class LoggedStorage:
@@ -312,82 +385,44 @@ class LoggedStorage:
         return self.inner.snapshot()
 
     # --------------------------------------------------------------- mutators
+    # The log copies the keys and rows it writes, so the mutators hand it the
+    # caller's own.
     def add(self, key: int, update) -> None:
         self.inner.add(key, update)
-        self.wal.append(
-            WAL_DELTA,
-            (int(key),),
-            _as_logged_rows(update, 1, self.value_length),
-        )
+        self.wal.append(WAL_DELTA, (key,), update)
 
     def row_add(self, key: int, update) -> None:
         self.inner.row_add(key, update)
-        self.wal.append(
-            WAL_DELTA,
-            (int(key),),
-            _as_logged_rows(update, 1, self.value_length),
-        )
+        self.wal.append(WAL_DELTA, (key,), update)
 
     def add_many(self, keys, updates) -> None:
         self.inner.add_many(keys, updates)
-        key_tuple = _as_key_tuple(keys)
-        self.wal.append(
-            WAL_DELTA,
-            key_tuple,
-            _as_logged_rows(updates, len(key_tuple), self.value_length),
-        )
+        self.wal.append(WAL_DELTA, keys, updates)
 
     def set(self, key: int, value) -> None:
         self.inner.set(key, value)
-        self.wal.append(
-            WAL_SET,
-            (int(key),),
-            _as_logged_rows(value, 1, self.value_length),
-        )
+        self.wal.append(WAL_SET, (key,), value)
 
     def set_many(self, keys, values) -> None:
         self.inner.set_many(keys, values)
-        key_tuple = _as_key_tuple(keys)
-        self.wal.append(
-            WAL_SET,
-            key_tuple,
-            _as_logged_rows(values, len(key_tuple), self.value_length),
-        )
+        self.wal.append(WAL_SET, keys, values)
 
     def insert(self, key: int, value) -> None:
         self.inner.insert(key, value)
-        self.wal.append(
-            WAL_INSERT,
-            (int(key),),
-            _as_logged_rows(value, 1, self.value_length),
-        )
+        self.wal.append(WAL_INSERT, (key,), value)
 
     def insert_many(self, keys, values) -> None:
         self.inner.insert_many(keys, values)
-        key_tuple = _as_key_tuple(keys)
-        self.wal.append(
-            WAL_INSERT,
-            key_tuple,
-            _as_logged_rows(values, len(key_tuple), self.value_length),
-        )
+        self.wal.append(WAL_INSERT, keys, values)
 
     def remove(self, key: int) -> np.ndarray:
         value = self.inner.remove(key)
         # The removed value rides in the record: after a relocation hands a
         # key away, this is the last durable copy the old owner holds.
-        self.wal.append(
-            WAL_REMOVE,
-            (int(key),),
-            _as_logged_rows(value, 1, self.value_length),
-        )
+        self.wal.append(WAL_REMOVE, (key,), value)
         return value
 
     def remove_many(self, keys) -> np.ndarray:
         values = self.inner.remove_many(keys)
-        key_tuple = _as_key_tuple(keys)
-        self.wal.append(
-            WAL_REMOVE,
-            key_tuple,
-            _as_logged_rows(values, len(key_tuple), self.value_length),
-        )
+        self.wal.append(WAL_REMOVE, keys, values)
         return values

@@ -175,7 +175,8 @@ class Word2VecTrainer(FusedLaneCounts):
         return self.vocabulary_size + word
 
     def _sentence_keys(self, sentence: np.ndarray) -> List[int]:
-        words = np.unique(sentence)
+        words = np.sort(sentence)
+        words = words[np.diff(words, prepend=-1) != 0]
         return [self.input_key(int(w)) for w in words] + [
             self.output_key(int(w)) for w in words
         ]

@@ -52,6 +52,13 @@ def gather_rows(
     return out
 
 
+def _has_duplicate(keys: np.ndarray) -> bool:
+    """Whether any key repeats in ``keys``: sorted neighbours compared, as
+    ``np.unique`` would, but without its import of ``numpy.ma``."""
+    ordered = np.sort(keys)
+    return bool((ordered[1:] == ordered[:-1]).any())
+
+
 def _first_duplicate(keys: np.ndarray) -> int:
     """Return the first key that repeats in ``keys`` (error paths only)."""
     seen = set()
@@ -289,7 +296,7 @@ class DenseStorage:
             return
         keys = self._check_resident(keys)
         updates = self._check_batch_values(keys.size, updates)
-        if keys.size == np.unique(keys).size:
+        if not _has_duplicate(keys):
             # Duplicate-free batch: fancy += is several times faster than the
             # unbuffered np.add.at and numerically identical here.
             self._values[keys] += updates
@@ -328,7 +335,7 @@ class DenseStorage:
             return
         keys = self._check_key_range(keys)
         values = self._check_batch_values(keys.size, values)
-        if np.unique(keys).size != keys.size:
+        if _has_duplicate(keys):
             bad = _first_duplicate(keys)
             raise StorageError(f"key {bad} is already resident; cannot insert twice")
         resident = self._present[keys]
@@ -354,7 +361,7 @@ class DenseStorage:
                 values[key] = 0.0
             return out
         keys = self._check_resident(keys)
-        if np.unique(keys).size != keys.size:
+        if _has_duplicate(keys):
             # A duplicate would be removed twice; per-key semantics make the
             # second removal fail because the key is no longer resident.
             bad = _first_duplicate(keys)

@@ -58,6 +58,16 @@ def test_generation_peaks_below_100_bytes_per_entry():
     assert per_entry < 100, per_entry
 
 
+def test_generation_deduplicates_below_45_bytes_per_entry():
+    """Positions are built in place and deduplicated by a stable argsort, so
+    the pre-dedup rows, cols and flat positions never coexist (the output
+    itself is 24 bytes per entry)."""
+    _, per_entry = _peak_bytes_per_entry(
+        lambda: generate_matrix(*_SHAPE, rank=8, seed=0), _SHAPE[2]
+    )
+    assert per_entry < 45, per_entry
+
+
 def test_trainer_rmse_peaks_below_40_bytes_per_entry(matrix):
     cluster = ClusterConfig(num_nodes=1, workers_per_node=1, seed=0)
     ps = LapsePS(cluster, ParameterServerConfig(num_keys=matrix.num_cols, value_length=8))

@@ -11,13 +11,31 @@ invariant under test: for ANY crash LSN at or after the checkpoint LSN,
 equals the uninterrupted store's state at the crash point exactly — same key
 set, bit-identical float64 rows.  Replay applies the same additions in the
 same order as the live store did, so no tolerance is needed.
+
+A model test also drives the columnar :class:`DeltaWAL` through random
+appends, fused delta batches and truncations, next to a reference log that
+keeps a list of :class:`WALRecord` objects, and checks every read against it.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.durability import DeltaWAL, LoggedStorage, replay_records, take_checkpoint
+from repro.durability import (
+    WAL_DELTA,
+    WAL_KINDS,
+    WAL_REMOVE,
+    DeltaWAL,
+    DurabilityManager,
+    LoggedStorage,
+    LSNClock,
+    WALRecord,
+    replay_records,
+    take_checkpoint,
+)
+from repro.durability.wal import KEY_BYTES, RECORD_HEADER_BYTES, VALUE_BYTES
 from repro.ps.storage import DenseStorage
 
 NUM_KEYS = 6
@@ -135,3 +153,96 @@ def test_replay_from_baseline_rebuilds_everything(scenario):
     restored = {}
     replay_records(restored, storage.wal.records_since(0))
     assert _states_equal(restored, model)
+
+
+class _ListWAL:
+    """Reference log: one :class:`WALRecord` object per record, in a list."""
+
+    def __init__(self, clock):
+        self.clock = clock
+        self.records = []
+        self.last_lsn = 0
+        self.wal_appends = 0
+        self.wal_bytes = 0
+
+    def append(self, kind, keys, values):
+        self.last_lsn = self.clock.next()
+        values = np.array(values, dtype=np.float64).reshape(len(keys), D)
+        self.records.append(WALRecord(self.last_lsn, kind, tuple(keys), values))
+        self.wal_appends += 1
+        self.wal_bytes += RECORD_HEADER_BYTES + (KEY_BYTES + VALUE_BYTES * D) * len(keys)
+
+    def records_since(self, lsn):
+        return [record for record in self.records if record.lsn > lsn]
+
+    def truncate_to(self, lsn):
+        kept = self.records_since(lsn)
+        dropped = len(self.records) - len(kept)
+        self.records = kept
+        return dropped
+
+
+def _last_removed_value(wals, key):
+    """The newest ``remove`` record naming ``key``, its first such row."""
+    best_lsn, best = -1, None
+    for wal in wals:
+        for record in wal.records:
+            if record.kind == WAL_REMOVE and record.lsn > best_lsn and key in record.keys:
+                best_lsn, best = record.lsn, record.values[record.keys.index(key)]
+    return best
+
+
+_key = st.integers(0, NUM_KEYS - 1)
+_record_keys = st.lists(_key, min_size=1, max_size=3)
+_ops = st.lists(
+    st.tuples(
+        st.integers(0, 1),  # which of the two WALs
+        st.one_of(
+            st.tuples(st.just("append"), st.sampled_from(WAL_KINDS), _record_keys),
+            st.tuples(st.just("deltas"), st.just(WAL_DELTA), st.lists(_key, max_size=4)),
+            st.tuples(st.just("truncate"), st.just(None), st.integers(-1, 60)),
+        ),
+    ),
+    max_size=30,
+)
+
+
+def _as_pairs(records):
+    return [(r.lsn, r.kind, r.keys, r.values.shape, r.values.tobytes(), r.nbytes) for r in records]
+
+
+@given(ops=_ops)
+@settings(max_examples=40, deadline=None)
+def test_columnar_wal_reads_as_a_list_of_records(ops):
+    clock, reference_clock = LSNClock(), LSNClock()
+    metrics = [SimpleNamespace(wal_appends=0, wal_bytes=0) for _ in range(2)]
+    wals = [DeltaWAL(node, clock, metrics[node]) for node in range(2)]
+    references = [_ListWAL(reference_clock) for _ in range(2)]
+    value = 0.0
+    for node, (op, kind, arg) in ops:
+        wal, reference = wals[node], references[node]
+        if op == "truncate":
+            assert wal.truncate_to(arg) == reference.truncate_to(arg)
+            continue
+        rows = value + np.arange(len(arg) * D, dtype=np.float64).reshape(len(arg), 1, D)
+        value += len(arg) * D
+        if op == "append":
+            wal.append(kind, arg, rows[:, 0] if len(arg) > 1 else rows[0, 0])
+            reference.append(kind, arg, rows)
+        else:
+            wal.append_deltas(arg, rows)
+            for key, row in zip(arg, rows):
+                reference.append(kind, [key], row)
+    manager = SimpleNamespace(wals=dict(enumerate(wals)))
+    for wal, reference, counters in zip(wals, references, metrics):
+        assert _as_pairs(wal.records) == _as_pairs(reference.records)
+        for lsn in range(clock.last + 2):
+            assert _as_pairs(wal.records_since(lsn)) == _as_pairs(reference.records_since(lsn))
+        assert wal.last_lsn == reference.last_lsn
+        assert counters.wal_appends == reference.wal_appends
+        assert counters.wal_bytes == reference.wal_bytes
+    for key in range(NUM_KEYS):
+        got = DurabilityManager.last_removed_value(manager, key)
+        expected = _last_removed_value(references, key)
+        assert (got is None) == (expected is None)
+        assert got is None or got.tobytes() == expected.tobytes()

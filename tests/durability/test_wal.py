@@ -7,6 +7,8 @@ store while every mutation lands in the log), checkpoint snapshots, and the
 metrics plumbing.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -84,20 +86,31 @@ class TestDeltaWAL:
         assert wal.last_lsn == 5
 
     def test_records_are_detached_copies(self):
+        """The log copies the caller's rows, and each read copies the log."""
         wal = DeltaWAL()
-        update = row(1, 2, 3)
-        record = wal.append(WAL_DELTA, [7], rows(update))
+        update = rows(row(1, 2, 3))
+        wal.append(WAL_DELTA, [7], update)
         update[:] = 99.0
-        np.testing.assert_array_equal(record.values[0], row(1, 2, 3))
+        np.testing.assert_array_equal(wal.records[-1].values[0], row(1, 2, 3))
+        wal.records[-1].values[:] = 99.0
+        np.testing.assert_array_equal(wal.records[-1].values[0], row(1, 2, 3))
 
     def test_metrics_bumps(self):
         metrics = PSMetrics()
         wal = DeltaWAL(metrics=metrics)
-        record = wal.append(WAL_INSERT, [0, 1], rows(row(1, 1, 1), row(2, 2, 2)))
+        wal.append(WAL_INSERT, [0, 1], rows(row(1, 1, 1), row(2, 2, 2)))
         wal.append(WAL_DELTA, [0], rows(row(1, 0, 0)))
         assert metrics.wal_appends == 2
-        assert metrics.wal_bytes > 0
-        assert record.nbytes > 0
+        assert metrics.wal_bytes == sum(record.nbytes for record in wal.records)
+        assert wal.records[0].nbytes == 16 + 2 * 8 + 6 * 8
+
+    def test_zero_key_record_raises(self):
+        """A record's LSN lives in its rows, so a record needs one; nothing
+        is logged and no LSN is taken."""
+        wal = DeltaWAL()
+        with pytest.raises(DurabilityError):
+            wal.append(WAL_REMOVE, [], np.empty((0, D)))
+        assert wal.records == [] and wal.clock.last == 0
 
     def test_after_append_hook_fires(self):
         wal = DeltaWAL()
@@ -140,6 +153,45 @@ class TestDeltaWAL:
         assert batched[0][1] == 2 + count
         assert single[2] == [2 + number for number in range(count + 1)]
         assert batched[2] == single[2][:1] + single[2][-1:] * (count > 0)
+
+
+class TestWALMemory:
+    """A logged row costs its 81 column bytes at d = 8, plus the slack of
+    doubling, not a record object, a key tuple and an array view each."""
+
+    ROWS = 20_000
+
+    def _retained_bytes_per_row(self, log):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            wal = DeltaWAL()
+            log(wal)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert wal.clock.last == self.ROWS
+        return retained / self.ROWS
+
+    def test_append_deltas_row(self):
+        keys = list(range(50))
+
+        def log(wal):
+            # A fused visit hands over a fresh (rows, 1, d) block each time.
+            for _ in range(self.ROWS // 50):
+                wal.append_deltas(keys, np.ones((50, 1, 8)))
+
+        assert self._retained_bytes_per_row(log) < 170
+
+    def test_single_row_append(self):
+        update = np.ones(8)
+
+        def log(wal):
+            storage = LoggedStorage(DenseStorage(64, 8, initial_keys=range(64)), wal)
+            for key in range(self.ROWS):
+                storage.row_add(key % 64, update)
+
+        assert self._retained_bytes_per_row(log) < 170
 
 
 class TestDurabilityConfig:
