@@ -25,17 +25,36 @@ Quickstart::
     print(ps.metrics().relocations, "relocations in", ps.simulated_time, "sim-seconds")
 """
 
-from repro.config import ClusterConfig, CostModel, ParameterServerConfig
-from repro.ps import (
-    ClassicIPCPS,
-    ClassicPS,
-    ClassicSharedMemoryPS,
-    LapsePS,
-    ReplicaPS,
-    StalePS,
-)
+import importlib
+import sys
+from typing import TYPE_CHECKING, Any, Callable, Dict, Sequence
 
-__version__ = "1.0.0"
+
+def lazy_exports(package: str, homes: Dict[str, Sequence[str]]) -> Callable[[str], Any]:
+    """A module ``__getattr__`` (PEP 562) for ``package``: the first access to
+    a name of ``homes`` (module -> names) imports its module and caches it.
+    Defined above the imports, because the subpackages they load use it."""
+    home = {name: module for module, names in homes.items() for name in names}
+
+    def __getattr__(name: str) -> Any:
+        if name not in home:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(home[name]), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    return __getattr__
+
+
+from repro.config import ClusterConfig, CostModel, ParameterServerConfig
+from repro.ps import ClassicIPCPS, ClassicPS, ClassicSharedMemoryPS, LapsePS
+
+if TYPE_CHECKING:
+    from repro.ps import ReplicaPS, StalePS
+
+__getattr__ = lazy_exports(__name__, {"repro.ps": ("ReplicaPS", "StalePS")})
+
+__version__ = "0.4.0"
 
 __all__ = [
     "ClassicIPCPS",

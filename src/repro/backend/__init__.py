@@ -11,19 +11,17 @@ the sharded simulator — which imports only that, so the names below load
 their modules on first use.
 """
 
-import importlib
+from typing import TYPE_CHECKING
 
-_HOME = {
-    "REAL_BACKEND_SYSTEMS": "repro.backend.real",
-    "RealParameterServer": "repro.backend.real",
-    "RealWorkerClient": "repro.backend.real",
-    "SharedDenseStorage": "repro.backend.shm",
-}
+from repro import lazy_exports
 
-__all__ = sorted(_HOME)
+if TYPE_CHECKING:
+    from repro.backend.real import REAL_BACKEND_SYSTEMS, RealParameterServer, RealWorkerClient
+    from repro.backend.shm import SharedDenseStorage
 
+__getattr__ = lazy_exports(__name__, {
+    "repro.backend.real": ("REAL_BACKEND_SYSTEMS", "RealParameterServer", "RealWorkerClient"),
+    "repro.backend.shm": ("SharedDenseStorage",),
+})
 
-def __getattr__(name: str):
-    if name not in _HOME:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(_HOME[name]), name)
+__all__ = ["REAL_BACKEND_SYSTEMS", "RealParameterServer", "RealWorkerClient", "SharedDenseStorage"]

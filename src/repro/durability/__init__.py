@@ -8,20 +8,25 @@ node's checkpoint and replays the WAL suffix — feeding the same
 sync and crash recovery are two consumers of one log.
 """
 
-from .checkpoint import Checkpoint, CheckpointStore, take_checkpoint
-from .recovery import DurabilityManager, replay_records
-from .wal import (
-    WAL_DELTA,
-    WAL_INSERT,
-    WAL_KINDS,
-    WAL_REMOVE,
-    WAL_SET,
-    DeltaWAL,
-    DurabilityConfig,
-    LoggedStorage,
-    LSNClock,
-    WALRecord,
-)
+from typing import TYPE_CHECKING
+
+from repro import lazy_exports
+
+if TYPE_CHECKING:
+    from .checkpoint import Checkpoint, CheckpointStore, take_checkpoint
+    from .recovery import DurabilityManager, replay_records
+    from .wal import WAL_DELTA, WAL_INSERT, WAL_KINDS, WAL_REMOVE, WAL_SET, DeltaWAL
+    from .wal import DurabilityConfig, LoggedStorage, LSNClock, WALRecord
+
+#: Only durable runs load the subsystem, where they build it.
+__getattr__ = lazy_exports(__name__, {
+    "repro.durability.checkpoint": ("Checkpoint", "CheckpointStore", "take_checkpoint"),
+    "repro.durability.recovery": ("DurabilityManager", "replay_records"),
+    "repro.durability.wal": (
+        "WAL_DELTA", "WAL_INSERT", "WAL_KINDS", "WAL_REMOVE", "WAL_SET", "DeltaWAL",
+        "DurabilityConfig", "LoggedStorage", "LSNClock", "WALRecord",
+    ),
+})
 
 __all__ = [
     "Checkpoint",

@@ -8,13 +8,9 @@
 * :mod:`repro.experiments.reporting` — plain-text tables for benchmark output.
 """
 
-from repro.experiments.reporting import (
-    LATENCY_COUNTERS,
-    MANAGEMENT_COUNTERS,
-    format_table,
-    metrics_rows,
-    speedup,
-)
+from typing import TYPE_CHECKING
+
+from repro import lazy_exports
 from repro.experiments.runner import (
     SYSTEMS,
     KGEScale,
@@ -28,14 +24,24 @@ from repro.experiments.runner import (
     run_mf_experiment,
     run_w2v_experiment,
 )
-from repro.experiments.scenarios import (
-    DEFAULT_PARALLELISM,
-    ELASTIC_SCALING_SYSTEMS,
-    elastic_scaling_scenario,
-    kge_scenario,
-    matrix_factorization_scenario,
-    word2vec_scenario,
-)
+
+if TYPE_CHECKING:
+    from repro.experiments.reporting import LATENCY_COUNTERS, MANAGEMENT_COUNTERS, format_table
+    from repro.experiments.reporting import metrics_rows, speedup
+    from repro.experiments.scenarios import DEFAULT_PARALLELISM, ELASTIC_SCALING_SYSTEMS
+    from repro.experiments.scenarios import elastic_scaling_scenario, kge_scenario
+    from repro.experiments.scenarios import matrix_factorization_scenario, word2vec_scenario
+
+#: The figure presets and table helpers load on first access.
+__getattr__ = lazy_exports(__name__, {
+    "repro.experiments.reporting": (
+        "LATENCY_COUNTERS", "MANAGEMENT_COUNTERS", "format_table", "metrics_rows", "speedup"
+    ),
+    "repro.experiments.scenarios": (
+        "DEFAULT_PARALLELISM", "ELASTIC_SCALING_SYSTEMS", "elastic_scaling_scenario",
+        "kge_scenario", "matrix_factorization_scenario", "word2vec_scenario",
+    ),
+})
 
 __all__ = [
     "DEFAULT_PARALLELISM",

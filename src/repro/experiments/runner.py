@@ -40,14 +40,13 @@ network traffic.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
-from repro.cluster import ClusterSchedule, ElasticCluster
 from repro.config import ClusterConfig, CostModel, ParameterServerConfig
 from repro.data import generate_corpus, generate_knowledge_graph, generate_matrix
 from repro.errors import ExperimentError
-from repro.manual import LowLevelDSGD, LowLevelDSGDConfig
 from repro.ml import (
     KGEConfig,
     KGETrainer,
@@ -58,17 +57,13 @@ from repro.ml import (
 )
 from repro.ml.kge import KGEKeySpace
 from repro.ml.results import EpochResult
-from repro.ps import (
-    ClassicIPCPS,
-    ClassicSharedMemoryPS,
-    HybridPS,
-    LapsePS,
-    ReplicaPS,
-    StalePS,
-)
+from repro.ps import ClassicIPCPS, ClassicSharedMemoryPS, LapsePS
 from repro.ps.base import ParameterServer
 from repro.ps.metrics import PSMetrics
 from repro.ps.partition import ElasticPartitioner, KeyPartitioner
+
+if TYPE_CHECKING:
+    from repro.cluster import ClusterSchedule
 
 #: Systems compared across the evaluation (see module docstring).
 SYSTEMS = (
@@ -159,6 +154,11 @@ def make_parameter_server(
         raise ExperimentError(f"unknown backend {backend!r}; choose 'sim' or 'real'")
     ps = _make_sim_ps(system, cluster, ps_config, partitioner, durability, trace)
     ps.jobs = jobs
+    if jobs > 1:
+        # The sharded engine and the fork machinery of its first run load
+        # here, not inside that run.
+        for module in ("repro.simnet.parallel", "multiprocessing.popen_fork"):
+            importlib.import_module(module)
     return ps
 
 
@@ -177,19 +177,20 @@ def _make_sim_ps(
         return ClassicSharedMemoryPS(cluster, ps_config, **extras)
     if system in ("lapse", "lapse_clustering_only"):
         return LapsePS(cluster, ps_config, **extras)
-    if system == "stale_ssp":
-        return StalePS(cluster, replace(ps_config, stale_server_push=False), **extras)
-    if system == "stale_ssppush":
-        return StalePS(cluster, replace(ps_config, stale_server_push=True), **extras)
-    if system == "replica":
-        return ReplicaPS(
-            cluster, replace(ps_config, replica_sync_trigger="time"), **extras
-        )
-    if system == "replica_clock":
-        return ReplicaPS(
-            cluster, replace(ps_config, replica_sync_trigger="clock"), **extras
-        )
+    # The systems below load their modules only when built.
+    if system in ("stale_ssp", "stale_ssppush"):
+        from repro.ps.stale import StalePS
+
+        push = system == "stale_ssppush"
+        return StalePS(cluster, replace(ps_config, stale_server_push=push), **extras)
+    if system in ("replica", "replica_clock"):
+        from repro.ps.replica import ReplicaPS
+
+        trigger = "time" if system == "replica" else "clock"
+        return ReplicaPS(cluster, replace(ps_config, replica_sync_trigger=trigger), **extras)
     if system == "hybrid":
+        from repro.ps.hybrid import HybridPS
+
         # Threshold > 1 so that one-off reads stay relocatable: only keys a
         # node keeps coming back to are replicated there.
         return HybridPS(
@@ -396,6 +397,8 @@ def run_mf_experiment(
     if system == "lowlevel" and backend != "sim":
         raise ExperimentError("the low-level baseline only runs on the simulator")
     if system == "lowlevel":
+        from repro.manual import LowLevelDSGD, LowLevelDSGDConfig
+
         baseline = LowLevelDSGD(
             cluster,
             matrix,
@@ -512,6 +515,8 @@ def make_elastic_mf(
     """
     if system == "lowlevel":
         raise ExperimentError("the low-level baseline does not support elastic clusters")
+    from repro.cluster import ElasticCluster
+
     scale = scale or MFScale()
     matrix = generate_matrix(
         scale.num_rows, scale.num_cols, scale.num_entries, rank=scale.rank, seed=seed

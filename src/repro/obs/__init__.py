@@ -20,9 +20,20 @@ Opt-in, zero-overhead-when-off observability for every execution mode:
 See docs/architecture.md, "Observability".
 """
 
+from typing import TYPE_CHECKING
+
+from repro import lazy_exports
 from repro.obs.config import DEFAULT_SAMPLED_COUNTERS, TraceConfig
-from repro.obs.core import NodeTrace, Tracer
-from repro.obs.export import build_trace, load_trace, validate_trace
+
+if TYPE_CHECKING:
+    from repro.obs.core import NodeTrace, Tracer
+    from repro.obs.export import build_trace, load_trace, validate_trace
+
+#: The tracer and its exporter load where a traced server is built.
+__getattr__ = lazy_exports(__name__, {
+    "repro.obs.core": ("NodeTrace", "Tracer"),
+    "repro.obs.export": ("build_trace", "load_trace", "validate_trace"),
+})
 
 __all__ = [
     "DEFAULT_SAMPLED_COUNTERS",

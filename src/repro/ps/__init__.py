@@ -31,10 +31,12 @@ policy).  The named systems are declarations: name, policy, fixed
 configuration overrides.
 """
 
+from typing import TYPE_CHECKING
+
+from repro import lazy_exports
 from repro.ps.base import NodeState, ParameterServer, QueuedOp, WorkerClient
 from repro.ps.classic import ClassicIPCPS, ClassicPS, ClassicSharedMemoryPS, StaticPolicy
 from repro.ps.futures import OperationHandle
-from repro.ps.hybrid import HybridManagementPolicy, HybridPS
 from repro.ps.lapse import LapsePS, RelocationPolicy
 from repro.ps.metrics import PSMetrics, RunningStat
 from repro.ps.policy import ManagementPolicy, Route, consistency_classification
@@ -44,9 +46,19 @@ from repro.ps.partition import (
     KeyPartitioner,
     RangePartitioner,
 )
-from repro.ps.replica import EagerReplicationPolicy, ReplicaPS
-from repro.ps.stale import StalePS, StaleReplicaPolicy
 from repro.ps.storage import DenseStorage, LatchTable
+
+if TYPE_CHECKING:
+    from repro.ps.hybrid import HybridManagementPolicy, HybridPS
+    from repro.ps.replica import EagerReplicationPolicy, ReplicaPS
+    from repro.ps.stale import StalePS, StaleReplicaPolicy
+
+#: The replicated, hybrid and stale systems load on first access.
+__getattr__ = lazy_exports(__name__, {
+    "repro.ps.hybrid": ("HybridManagementPolicy", "HybridPS"),
+    "repro.ps.replica": ("EagerReplicationPolicy", "ReplicaPS"),
+    "repro.ps.stale": ("StalePS", "StaleReplicaPolicy"),
+})
 
 __all__ = [
     "AccessCountHotKeyPolicy",

@@ -1,9 +1,18 @@
-"""No run imports ``numpy.ma``.
+"""Import discipline: what a run loads, and when.
 
-``np.unique`` without ``return_index`` imports ``numpy.ma`` on NumPy 2.4,
-which costs every process about 1.2 MB of RSS and 13 ms.  One tiny MF, elastic
-and durable MF (with a join, a drain and a crash), KGE and W2V run in a fresh
-interpreter must leave it unimported.
+One fresh interpreter (no module cached from other tests) checks three rules:
+
+* No run imports ``numpy.ma``.  ``np.unique`` without ``return_index``
+  imports it on NumPy 2.4, which costs every process about 1.2 MB of RSS and
+  13 ms.
+* The five packages the benchmark imports load the core runtime only; the
+  optional subsystems load where a run builds them.
+* Nothing is first imported inside training: each cell is built, then
+  trained, and the training call must leave ``sys.modules`` as it found it.
+
+The cells are tiny MF on classic and on Lapse, elastic and durable MF (with
+a join, a drain and a crash), KGE, W2V, MF at ``jobs=2`` and MF on the real
+backend.
 """
 
 import json
@@ -17,33 +26,92 @@ _SCRIPT = """
 import json, sys
 import numpy
 before = "numpy.ma" in sys.modules
+import repro.data, repro.durability, repro.experiments.runner, repro.ml, repro.obs
+core = sorted(name for name in sys.modules if name.startswith("repro"))
 from repro.cluster import ClusterSchedule
+from repro.config import ClusterConfig, ParameterServerConfig
+from repro.data import generate_corpus, generate_knowledge_graph, generate_matrix
 from repro.durability import DurabilityConfig
-from repro.experiments.runner import (
-    KGEScale, MFScale, W2VScale, run_elastic_mf_experiment, run_kge_experiment,
-    run_mf_experiment, run_w2v_experiment,
+from repro.experiments.runner import MFScale, make_elastic_mf, make_parameter_server
+from repro.ml import (
+    KGEConfig, KGETrainer, MatrixFactorizationConfig, MatrixFactorizationTrainer,
+    Word2VecConfig, Word2VecTrainer,
 )
-mf = MFScale(num_rows=32, num_cols=16, num_entries=300, rank=4)
-run_mf_experiment("lapse", num_nodes=2, scale=mf, workers_per_node=2, compute_loss=True)
-run_elastic_mf_experiment(
-    "lapse", num_nodes=4, initial_nodes=(0, 1, 2),
-    schedule=ClusterSchedule().join(0.002, node=3).drain(0.004, node=1).fail(0.006, node=2),
-    scale=mf, workers_per_node=2, epochs=2, compute_loss=True,
-    durability=DurabilityConfig(checkpoint_interval=0.002),
-)
-run_kge_experiment(
-    "lapse", num_nodes=2, workers_per_node=2, compute_loss=True,
-    scale=KGEScale(num_entities=40, num_relations=4, num_triples=60, entity_dim=2),
-)
-run_w2v_experiment(
-    "lapse", num_nodes=2, workers_per_node=2, compute_error=True,
-    scale=W2VScale(vocabulary_size=50, num_sentences=8),
-)
-print(json.dumps({"before": before, "after": "numpy.ma" in sys.modules}))
+from repro.ml.kge import KGEKeySpace
+
+def ps(system, num_keys, value_length, **options):
+    cluster = ClusterConfig(num_nodes=2, workers_per_node=2)
+    return make_parameter_server(system, cluster, ParameterServerConfig(num_keys, value_length), **options)
+
+def mf(system, **options):
+    server = ps(system, 16, 4, **options)
+    matrix = generate_matrix(32, 16, 300, rank=4, seed=0)
+    return server, MatrixFactorizationTrainer(server, matrix, MatrixFactorizationConfig(rank=4))
+
+def elastic_mf():
+    schedule = ClusterSchedule().join(0.002, node=3).drain(0.004, node=1).fail(0.006, node=2)
+    return make_elastic_mf(
+        "lapse", num_nodes=4, initial_nodes=(0, 1, 2), schedule=schedule,
+        scale=MFScale(num_rows=32, num_cols=16, num_entries=300, rank=4), workers_per_node=2,
+        durability=DurabilityConfig(checkpoint_interval=0.002),
+    )
+
+def kge():
+    graph = generate_knowledge_graph(num_entities=40, num_relations=4, num_triples=60, seed=0)
+    config = KGEConfig(entity_dim=2)
+    server = ps("lapse", KGEKeySpace(graph, config).num_keys, config.value_length)
+    return server, KGETrainer(server, graph, config)
+
+def w2v():
+    corpus = generate_corpus(vocabulary_size=50, num_sentences=8, seed=0)
+    config = Word2VecConfig(dim=4)
+    server = ps("lapse", 100, 4)
+    return server, Word2VecTrainer(server, corpus, config)
+
+cells = {
+    "mf_classic": (lambda: mf("classic"), lambda b: b[1].train(compute_loss=True)),
+    "mf_lapse": (lambda: mf("lapse"), lambda b: b[1].train(compute_loss=True)),
+    "mf_elastic_durable": (
+        elastic_mf, lambda b: [b[0].run_epoch(b[1], compute_loss=True) for _ in range(2)]
+    ),
+    "kge": (kge, lambda b: b[1].train(compute_loss=True)),
+    "w2v": (w2v, lambda b: b[1].train(compute_error=True)),
+    "mf_jobs2": (lambda: mf("classic", jobs=2), lambda b: b[1].train()),
+    "mf_real": (lambda: mf("lapse", backend="real"), lambda b: b[1].train()),
+}
+loaded = {}
+for name, (build, train) in cells.items():
+    built = build()
+    modules = set(sys.modules)
+    train(built)
+    loaded[name] = sorted(set(sys.modules) - modules)
+    getattr(built[0], "shutdown", lambda: None)()
+print(json.dumps({
+    "before": before, "after": "numpy.ma" in sys.modules, "core": core, "loaded": loaded,
+}))
 """
 
+#: Optional subsystems: no benchmark package may load them at import.
+_OPTIONAL = (
+    "repro.backend",
+    "repro.cluster",
+    "repro.durability.checkpoint",
+    "repro.durability.recovery",
+    "repro.durability.wal",
+    "repro.experiments.reporting",
+    "repro.experiments.scenarios",
+    "repro.manual",
+    "repro.obs.core",
+    "repro.obs.export",
+    "repro.ps.hybrid",
+    "repro.ps.replica",
+    "repro.ps.stale",
+    "repro.simnet.parallel",
+)
 
-def test_runs_do_not_import_numpy_ma():
+
+@pytest.fixture(scope="module")
+def seen():
     src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
     completed = subprocess.run(
         [sys.executable, "-c", _SCRIPT],
@@ -53,7 +121,25 @@ def test_runs_do_not_import_numpy_ma():
         timeout=60,
     )
     assert completed.returncode == 0, completed.stderr[-3000:]
-    seen = json.loads(completed.stdout.splitlines()[-1])
+    return json.loads(completed.stdout.splitlines()[-1])
+
+
+def test_runs_do_not_import_numpy_ma(seen):
     if seen["before"]:
         pytest.skip("this NumPy imports numpy.ma with numpy itself")
     assert not seen["after"]
+
+
+def test_benchmark_packages_load_only_the_core(seen):
+    optional = [
+        name
+        for name in seen["core"]
+        if any(name == module or name.startswith(module + ".") for module in _OPTIONAL)
+    ]
+    assert optional == []
+    assert len(seen["core"]) <= 45
+
+
+def test_no_module_is_first_imported_inside_training(seen):
+    assert seen["loaded"] == {name: [] for name in seen["loaded"]}
+    assert len(seen["loaded"]) == 7

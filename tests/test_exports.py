@@ -6,7 +6,9 @@ documented export list; this test catches it at import time.
 """
 
 import importlib
+import pathlib
 import pkgutil
+import re
 
 import repro
 
@@ -22,3 +24,11 @@ def test_every_name_in_all_resolves():
         missing = [export for export in exports if not hasattr(module, export)]
         assert not missing, f"{name}.__all__ names missing attributes: {missing}"
         assert len(set(exports)) == len(exports), f"{name}.__all__ has duplicates"
+
+
+def test_version_matches_the_project_metadata():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    metadata = (root / "pyproject.toml").read_text()
+    match = re.search(r'^\[project\][^\[]*?^version = "([^"]+)"', metadata, re.M | re.S)
+    assert match is not None
+    assert repro.__version__ == match.group(1)
