@@ -372,10 +372,6 @@ class _BlockVisits:
     the block's values, and a visit that lost the race pushes what it
     computed as the cumulative update it is.  No interleaving loses an update."""
 
-    #: A refused visit is refused for good: no hazard for the caller to wait
-    #: out, so the rest of the block takes the push path without retries.
-    hazard = None
-
     def __init__(self, client: RealWorkerClient) -> None:
         self.client = client
         self.taken = 0  # entries run by a visit
@@ -383,18 +379,16 @@ class _BlockVisits:
         self.reasons: Counter = Counter()
         self.conflicts = 0  # visits whose compare-and-swap lost the race
 
-    @property
-    def declined(self) -> int:
-        return sum(self.reasons.values())
-
     def visit(
         self, block_keys: Sequence[int], entry_keys: np.ndarray, compute_time: float,
         kernel: Callable[[np.ndarray], np.ndarray],
-    ) -> int:
+    ) -> Tuple[int, None]:
         """One single-key ``pull`` → update → ``push_async`` → compute step
         per entry of ``entry_keys``, all inside ``block_keys``, as one access
         replacing the block by ``kernel(values)``: returns how many entries
-        it ran, all of them or (to fall back) none.
+        it ran, all of them or (to fall back) none, and no hazard — a refused
+        visit is refused for good, so the rest of the block takes the push
+        path without retries.
 
         Refused, touching nothing, when a block key is not resident or the
         lane would overtake an operation this worker handed over.  The block
@@ -415,10 +409,10 @@ class _BlockVisits:
         with lock:
             if client._overtakable:
                 self.reasons["handed over"] += count
-                return 0
+                return 0, None
             if not all(storage.contains_flags(block_keys)):
                 self.reasons["not resident"] += count
-                return 0
+                return 0, None
             before = storage.get_many(block_keys)
         read = sim.now
         values = kernel(before.copy())
@@ -444,7 +438,7 @@ class _BlockVisits:
             recorder.span("pull", block_keys, issued, read)
             recorder.span("push", block_keys, computed, written)
         _busy_wait(count * compute_time)
-        return count
+        return count, None
 
     def step(self, keys: Sequence[int], compute_time: float, kernel: Callable) -> None:
         """Declines: the event horizon licensing a step has no wall-clock counterpart."""

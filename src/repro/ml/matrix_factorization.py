@@ -275,15 +275,16 @@ class MatrixFactorizationTrainer(FusedLaneCounts):
             yield from maybe_localize(client, block_keys)
             visit = (participant, block)
             indices = plan.entries[visit]
-            start, count = 0, len(indices)
+            start, count, cut = 0, len(indices), None
             while start < count:
                 if fused is not None:
-                    start += fused.visit(
+                    taken, cut = fused.visit(
                         block_keys,
                         matrix.cols[indices[start:]],
                         compute_time,
                         VisitKernel(self._run_levels, plan, visit, block_keys[0], start),
                     )
+                    start += taken
                     wake = fused.drain()
                     if wake is not None:
                         yield wake
@@ -292,9 +293,8 @@ class MatrixFactorizationTrainer(FusedLaneCounts):
                 # Event loop (no runner, or the entries a visit left): one
                 # pull, update and asynchronous push per entry.  Unbox the
                 # run once so the loop performs no NumPy scalar conversions.
-                # After a hazard, the visit resumes once the hazard has
-                # passed and this worker's last push has landed.
-                resumable = fused is not None and fused.hazard is not None
+                # After a cut, the visit resumes once the hazard that cut it
+                # has passed and this worker's last push has landed.
                 run = indices[start:]
                 rows = matrix.rows[run].tolist()
                 cols = matrix.cols[run].tolist()
@@ -316,7 +316,7 @@ class MatrixFactorizationTrainer(FusedLaneCounts):
                     )
                     if compute_time > 0:
                         yield compute_time
-                    if resumable and push.done and fused.passed(len(rows) - index - 1):
+                    if cut and push.done and fused.passed(cut, block_keys, len(rows) - index - 1):
                         start += index + 1
                         break
                 else:

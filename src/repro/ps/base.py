@@ -37,6 +37,7 @@ from typing import (
     Dict,
     Generator,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -333,10 +334,11 @@ class FusedLocalSteps:
     **Verified** (:meth:`step`; one kernel event per step).  For keys other
     workers share, the runner checks the kernel's event horizon instead: a
     multi-key pull → step → push runs inline only when every key is resident
-    and unguarded and nothing else is scheduled up to and including the
-    instant of the write (:meth:`~repro.simnet.kernel.Simulator.quiet_through`),
-    so no other event could have observed or reordered the read and the
-    write.  Anything else declines and the caller takes the event path.
+    and unguarded and the write comes before the kernel's next event
+    (:meth:`~repro.simnet.kernel.Simulator.horizon`), so no other event could
+    have observed or reordered the read and the write.  Anything else
+    declines and the caller takes the event path.  Both lanes read what may
+    end a private run from one place, :meth:`horizon`.
 
     Both lanes write what the event path writes entry by entry at one
     instant: the step's or visit's own, or, for a visit on an unlogged
@@ -355,8 +357,8 @@ class FusedLocalSteps:
 
     __slots__ = (
         "sim", "storage", "latches", "metrics", "access_delay", "clock", "trace", "guard",
-        "state", "policy", "recorder", "checkpoints", "elastic", "taken", "reasons", "hazard",
-        "pending", "commits", "committed",
+        "state", "policy", "recorder", "checkpoints", "elastic", "taken", "reasons", "pending",
+        "commits", "committed",
     )
 
     def __init__(self, client: "WorkerClient", guard: Optional[Callable[[int], Any]]) -> None:
@@ -393,11 +395,6 @@ class FusedLocalSteps:
         #: for :meth:`step` also ``"t3 < t2"`` and ``"not quiet"``.
         self.taken = 0
         self.reasons: Counter = Counter()
-        #: ``(reason, mark)`` of the hazard that cut the last visit short —
-        #: the checkpoint due time, the membership event's instant, or the
-        #: block keys an unsettled rebalance moves — else None (the visit ran
-        #: everything, or was refused for good).
-        self.hazard: Optional[Tuple[str, Any]] = None
         #: The server's queue of visits whose numerics still have to run,
         #: shared by the runners of all its workers (:meth:`commit`).
         self.pending: List[Tuple] = client.ps.pending_visits
@@ -413,19 +410,37 @@ class FusedLocalSteps:
         #: the last bits).  ``None`` while no time is deferred.
         self.clock: Optional[float] = None
 
-    @property
-    def declined(self) -> int:
-        """Steps handed back to the event path, all reasons together."""
-        return sum(self.reasons.values())
+    def horizon(self, keys: Sequence[int], verified: bool = False) -> Iterator[Tuple[float, str]]:
+        """What may end a private run on ``keys``: one ``(instant, reason)``
+        per hazard, in the order that names a decline.
 
-    def _refusal(self, keys: Sequence[int]) -> Optional[str]:
-        """Why neither lane may touch ``keys`` at all, or None."""
+        A run is private only before each hazard's instant.  The verified
+        lane (:meth:`step`) starts with the kernel's next event, ``"not
+        quiet"`` (:meth:`~repro.simnet.kernel.Simulator.horizon`).  On a
+        logged store the node's next checkpoint due time follows,
+        ``"checkpoint"``.  On an elastic cluster the asserted lane
+        (:meth:`visit`) then gets the
+        :meth:`~repro.cluster.runtime.ElasticCluster.fusion_horizon` of
+        ``keys``: ``"membership event"``, or ``"unsettled keys"`` at ``-inf``
+        while a rebalance still moves one of them.  Last comes a refusal at
+        ``-inf``: a key is not resident, ``"not resident"``, or the policy's
+        fusion guard holds one back, ``"guarded"``.  A hazard that is absent
+        yields nothing, and each source is read only when the caller asks
+        for the next hazard, so a step that meets an early one reads no later
+        one.
+        """
+        if verified:
+            yield self.sim.horizon(), "not quiet"
+        checkpoints = self.checkpoints
+        if checkpoints is not None:
+            yield checkpoints.get(self.state.node_id, math.inf), "checkpoint"
+        if not verified and self.elastic is not None:
+            instant = self.elastic.fusion_horizon(keys)
+            yield instant, "unsettled keys" if instant == -math.inf else "membership event"
         if not all(self.storage.contains_flags(keys)):
-            return "not resident"
-        guard = self.guard
-        if guard is not None and any(guard(key) for key in keys):
-            return "guarded"
-        return None
+            yield -math.inf, "not resident"
+        elif self.guard is not None and any(map(self.guard, keys)):
+            yield -math.inf, "guarded"
 
     def visit(
         self,
@@ -433,24 +448,24 @@ class FusedLocalSteps:
         entry_keys: np.ndarray,
         compute_time: float,
         kernel: Callable[..., np.ndarray],
-    ) -> int:
+    ) -> Tuple[int, Optional[Tuple[float, str]]]:
         """Asserted fused run of one single-key ``pull`` → update →
         ``push_async`` → ``yield compute_time`` step per leading entry of
         ``entry_keys``, all inside the private block ``block_keys``: returns
-        how many entries it ran, and the caller runs the rest on the event
-        path after :meth:`drain`.
+        how many entries it ran and the hazard that cut the rest off, or None.
+        The caller runs the rest on the event path after :meth:`drain`.
 
-        A visit with a block key not resident or guarded runs nothing.
-        Otherwise it runs every entry no hazard reaches: on a logged store,
-        entry ``k``'s push must land (``writes[k]``, ``access_delay`` after
-        its read) before the node's next checkpoint is due; on an elastic
-        cluster, both that landing and the worker's resume after it must come
-        before the :meth:`~repro.cluster.runtime.ElasticCluster.fusion_horizon`
-        of the block.  Entries left over count under the hazard that cut them,
-        and the hazard stays in :attr:`hazard` until :meth:`passed` sees it
-        gone; the caller may then offer the entries it has not run yet as a
-        new visit (``entry_keys`` is any suffix of a block's entries).  A
-        visit that runs nothing leaves all state untouched.  One that runs ``n``
+        A visit refused by the :meth:`horizon` of the block runs nothing and
+        is refused for good.  Otherwise it runs every entry that the block's
+        hazards let through: a checkpoint due time must come after the
+        entry's push lands (``access_delay`` after its read), and a
+        membership event must come after both that landing and the worker's
+        resume.  The first hazard to reach an entry cuts the visit there; on
+        a tie the checkpoint names the cut.  Entries left over count under
+        the cut's reason until :meth:`passed` sees that hazard gone; the
+        caller may then offer the entries it has not run yet as a new visit
+        (``entry_keys`` is any suffix of a block's entries).  A visit that runs
+        nothing leaves all state untouched.  One that runs ``n``
         entries accounts their operations, replays the worker clock with the
         event path's own additions in entry order (``+ access_delay`` for the
         pull, ``+ compute_time``; the asynchronous push costs the worker
@@ -469,42 +484,35 @@ class FusedLocalSteps:
         order (:meth:`~repro.durability.wal.DeltaWAL.append_deltas`) — the
         records of the event path's writes, all appended before the due time.
         """
-        self.hazard = None
         count = len(entry_keys)
         if not count:
-            return 0
-        reason = self._refusal(block_keys)
-        if reason is not None:
-            self.reasons[reason] += count
-            return 0
+            return 0, None
         # A running sum adds left to right, one delay at a time, like the
-        # worker it replays: entry k pulls from instants[2k] to instants[2k+1].
+        # worker it replays: entry k pulls from instants[2k] to instants[2k+1]
+        # and resumes at instants[2k+2].
         instants = np.empty(2 * count + 1)
         instants[0] = self.sim._now if self.clock is None else self.clock
         instants[1::2] = self.access_delay
         instants[2::2] = compute_time
         instants = np.add.accumulate(instants)
-        taken = count
-        checkpoints, elastic = self.checkpoints, self.elastic
-        if checkpoints is not None or elastic is not None:
-            due = math.inf if checkpoints is None else checkpoints.get(self.state.node_id, math.inf)
-            horizon = math.inf if elastic is None else elastic.fusion_horizon(block_keys)
-            # The earlier hazard cuts the visit; on a tie the checkpoint names it.
-            writes = instants[1::2] + self.access_delay
-            taken, hazard = int(np.searchsorted(writes, due)), ("checkpoint", due)
-            reached = int(np.searchsorted(np.maximum(writes, instants[2::2]), horizon))
+        taken, cut = count, None
+        for hazard in self.horizon(block_keys):
+            instant, reason = hazard
+            if reason in ("not resident", "guarded"):
+                self.reasons[reason] += count
+                return 0, None
+            # Entry k's push lands access_delay after its read; a membership
+            # event must also wait for the worker's resume.
+            reach = instants[1::2] + self.access_delay
+            if reason != "checkpoint":
+                reach = np.maximum(reach, instants[2::2])
+            reached = int(np.searchsorted(reach, instant))
             if reached < taken:
-                taken = reached
-                hazard = (
-                    ("unsettled keys", block_keys)
-                    if horizon == -math.inf
-                    else ("membership event", horizon)
-                )
-        if taken < count:
-            self.hazard = hazard
-            self.reasons[hazard[0]] += count - taken
+                taken, cut = reached, hazard
+        if cut is not None:
+            self.reasons[cut[1]] += count - taken
             if not taken:
-                return 0
+                return 0, cut
         self.taken += taken
         metrics = self.metrics
         metrics.key_reads_local += taken
@@ -521,36 +529,29 @@ class FusedLocalSteps:
                 trace.fused("pull", key, instants[2 * index], read_at)
                 trace.fused("push", key, read_at, read_at)
         storage = self.storage
-        if checkpoints is None:
+        if self.checkpoints is None:
             self.pending.append((storage, block_keys, kernel, taken))
-            return taken
+            return taken, cut
         self.commits += 1
         self.committed += 1
         values = storage.get_many(block_keys)
         deltas = np.empty((taken, 1, storage.value_length))
         storage.inner.set_many(block_keys, kernel(values, deltas[:, 0], taken))
         storage.wal.append_deltas(entry_keys[:taken].tolist(), deltas)
-        return taken
+        return taken, cut
 
-    def passed(self, left: int) -> bool:
-        """Whether the :attr:`hazard` that cut the last visit is behind the
-        worker: the node's checkpoint due time has moved on, the membership
-        event's instant is before now, or no unsettled rebalance moves a
-        block key any more.  If so the hazard is cleared and the ``left``
-        entries the caller offers again are taken off its tally, so every
-        entry counts once, under the reason that sent it to the event path.
+    def passed(self, cut: Tuple[float, str], keys: Sequence[int], left: int) -> bool:
+        """Whether the hazard ``cut`` that stopped a visit of ``keys`` is gone
+        from their :meth:`horizon`: the node's checkpoint due time has moved
+        on, the membership event has fired, or no rebalance moves a key any
+        more.  If so, the ``left`` entries the caller offers again are taken
+        off its tally, so every entry counts once, under the reason that sent
+        it to the event path.
         """
-        reason, mark = self.hazard
-        if reason == "checkpoint":
-            gone = self.checkpoints.get(self.state.node_id, math.inf) > mark
-        elif reason == "membership event":
-            gone = self.sim._now > mark
-        else:
-            gone = self.elastic.fusion_horizon(mark) != -math.inf
-        if gone:
-            self.hazard = None
-            self.reasons[reason] -= left
-        return gone
+        if cut in self.horizon(keys):
+            return False
+        self.reasons[cut[1]] -= left
+        return True
 
     def step(
         self,
@@ -565,14 +566,13 @@ class FusedLocalSteps:
         ``len(keys)`` values, the event path reads at ``t1 = t + d``, writes
         at ``t2 = t1 + d`` and resumes the worker at ``t3 = t1 +
         compute_time``.  The step runs inline — read, ``kernel(values)``,
-        write, the counters and latches of both operations — iff
-
-        * ``t3 >= t2``: the worker's own next step must not overtake its write,
-        * the kernel is quiet through ``t2``: ties at ``t2`` take the event
-          path, so nothing can run between the read and the write,
-        * on a logged store, the node's next checkpoint is due after ``t2``,
-        * every key is resident and unguarded (in range is the caller's duty,
-          as for :meth:`visit`).
+        write, the counters and latches of both operations — iff ``t3 >=
+        t2`` (the worker's own next step must not overtake its write) and
+        ``t2`` comes before every hazard of the verified :meth:`horizon`: the
+        kernel's next event (ties at ``t2`` take the event path, so nothing
+        can run between the read and the write), the node's next checkpoint,
+        and the refusals (in range is the caller's duty, as for
+        :meth:`visit`).  The first test to fail names the decline.
 
         The instants are the slow path's own additions (``(t + d) + d``,
         ``(t + d) + compute_time``), so the resume lands on its exact bits;
@@ -591,18 +591,13 @@ class FusedLocalSteps:
         read_at = now + delay
         write_at = read_at + delay
         resume_at = read_at + compute_time
-        checkpoints = self.checkpoints
         if resume_at < write_at:
-            reason = "t3 < t2"
-        elif not sim.quiet_through(write_at):
-            reason = "not quiet"
-        elif checkpoints is not None and checkpoints.get(self.state.node_id, math.inf) <= write_at:
-            reason = "checkpoint"
-        else:
-            reason = self._refusal(keys)
-        if reason is not None:
-            self.reasons[reason] += 1
+            self.reasons["t3 < t2"] += 1
             return None
+        for instant, reason in self.horizon(keys, verified=True):
+            if write_at >= instant:
+                self.reasons[reason] += 1
+                return None
         self.taken += 1
         metrics = self.metrics
         metrics.key_reads_local += count

@@ -159,7 +159,7 @@ class Simulator:
         #: Exclusive bound of the run loop in progress: ``until`` of
         #: :meth:`run` (``inf`` without a cutoff), ``end`` of
         #: :meth:`run_before` and :meth:`run_window`; ``-inf`` while no loop
-        #: runs (see :meth:`quiet_through`).
+        #: runs (see :meth:`horizon`).
         self._run_bound = -math.inf
 
     # ------------------------------------------------------------------ sharding
@@ -238,23 +238,22 @@ class Simulator:
             return None
         return self._queue[0][0]
 
-    def quiet_through(self, time: float) -> bool:
-        """Whether nothing but the caller can happen up to and including ``time``.
+    def horizon(self) -> float:
+        """The instant before which nothing but the caller can happen.
 
-        True iff the ring is empty, no heap entry is due at or before
-        ``time`` and ``time`` lies strictly below the bound of the run loop in
-        progress — past ``until`` the loop stops before reaching it, and past
-        a window's ``end`` a cross-shard delivery may still be merged in.
-        The caller (code running inside the event being processed) may then
-        perform its own actions due up to ``time`` inline: no other event can
-        observe or reorder them.  Always False outside :meth:`run` /
-        :meth:`run_before` / :meth:`run_window` (a :meth:`step` driver gives
-        no bound).
+        ``-inf`` while the ring holds an entry; otherwise the earlier of the
+        first heap entry's time and the bound of the run loop in progress —
+        past ``until`` the loop stops before reaching it, and past a window's
+        ``end`` a cross-shard delivery may still be merged in.  The caller
+        (code running inside the event being processed) may perform its own
+        actions due strictly before it inline: no other event can observe or
+        reorder them.  ``-inf`` outside :meth:`run` / :meth:`run_before` /
+        :meth:`run_window` (a :meth:`step` driver gives no bound).
         """
-        if self._ring or time >= self._run_bound:
-            return False
+        if self._ring:
+            return -math.inf
         queue = self._queue
-        return not queue or queue[0][0] > time
+        return min(queue[0][0], self._run_bound) if queue else self._run_bound
 
     # ------------------------------------------------------------------ events
     def event(self) -> Event:
@@ -443,7 +442,7 @@ class Simulator:
 
     def _loop(self, end: float, bound: float, stop: Optional[Event]) -> float:
         """The run loop of :meth:`run` and :meth:`run_before`: events due
-        before ``end``, with :meth:`quiet_through` bounded by ``bound``."""
+        before ``end``, with :meth:`horizon` bounded by ``bound``."""
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")
         self._running = True

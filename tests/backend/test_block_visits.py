@@ -147,7 +147,7 @@ def test_refused_visit_touches_nothing():  # (b)
             )
             report = (
                 refused, untouched, taken, calls, counted,
-                (runner.taken, runner.declined), dict(runner.reasons),
+                (runner.taken, sum(runner.reasons.values())), dict(runner.reasons),
             )
         yield from client.barrier()
         return report
@@ -155,7 +155,7 @@ def test_refused_visit_touches_nothing():  # (b)
     with _server() as ps:
         report = ps.run_workers(worker)[0]
         reasons = {"not resident": 5, "handed over": 5}
-        assert report == ([0, 0], True, 5, [4], (5, 5, 5, 5), (5, 10), reasons)
+        assert report == ([(0, None)] * 2, True, (5, None), [4], (5, 5, 5, 5), (5, 10), reasons)
         np.testing.assert_array_equal(ps.all_parameters()[:4], 1.0)
         np.testing.assert_array_equal(ps.all_parameters()[4:], 0.0)
         assert ps.metrics().pulls_local == 5  # the worker's counters came home
@@ -175,13 +175,13 @@ def test_visits_of_a_contended_block_lose_no_update():
             choice = rng.integers(0, 8)
             if choice == 0:
                 yield from client.localize(block)  # moves it under everyone else
-            if runner.visit(block, entries, 0.0, lambda values: values + 1.0):
+            if runner.visit(block, entries, 0.0, lambda values: values + 1.0)[0]:
                 continue
             if choice < 4:
                 client.push_async(block, np.ones((4, LENGTH)))  # next visit must not overtake it
             else:
                 yield from client.push(block, np.ones((4, LENGTH)))
-        return runner.taken, runner.declined
+        return runner.taken, sum(runner.reasons.values())
 
     with _server(workers_per_node=2) as ps:
         counts = ps.run_workers(worker)
@@ -206,7 +206,7 @@ def test_lock_is_free_inside_the_kernel_and_a_write_in_between_is_kept(monkeypat
 
             if worker_id == 0:
                 runner = client.fused_local_steps()
-                assert runner.visit([0, 1], np.array([0, 1, 1]), 0.5, kernel) == 3
+                assert runner.visit([0, 1], np.array([0, 1, 1]), 0.5, kernel) == (3, None)
                 observed["taken"] = runner.taken
                 observed["conflicts"] = runner.conflicts
             yield from client.barrier()

@@ -306,7 +306,8 @@ def test_kernel_at_jobs2_equals_event_loop(system):
 def visit_once(ps, block_keys, entry_keys, prepare=None, compute_time=2e-6, fused=True):
     """One ``visit`` at t = 1e-3 by a worker of node 0, then the entries it
     left on the event path (all of them without ``fused``); returns
-    ``(taken, untouched, runner, kernel_ran)``."""
+    ``(visited, untouched, runner, kernel_ran)``, where ``visited`` is what
+    the visit returned: ``(taken, cut)``."""
     client = ps.client(0, 0)
     runner = client.fused_local_steps()
     outcome = {}
@@ -337,15 +338,15 @@ def visit_once(ps, block_keys, entry_keys, prepare=None, compute_time=2e-6, fuse
         if prepare is not None:
             prepare(ps)
         before = snapshot()
-        taken = runner.visit(
+        visited = runner.visit(
             block_keys, np.asarray(entry_keys, dtype=np.int64), compute_time, kernel
-        ) if fused else 0
-        outcome["taken"] = taken
+        ) if fused else (0, None)
+        outcome["visited"] = visited
         outcome["untouched"] = snapshot() == before
         wake = runner.drain()
         if wake is not None:
             yield wake
-        for index in range(taken, len(entry_keys)):
+        for index in range(visited[0], len(entry_keys)):
             key = entry_keys[index]
             yield from client.pull([key])
             client.push_async([key], np.full((1, ps.ps_config.value_length), index + 1.0))
@@ -354,7 +355,7 @@ def visit_once(ps, block_keys, entry_keys, prepare=None, compute_time=2e-6, fuse
 
     ps.sim.process(worker())
     ps.run()
-    return outcome["taken"], outcome["untouched"], runner, "kernel_ran" in outcome
+    return outcome["visited"], outcome["untouched"], runner, "kernel_ran" in outcome
 
 
 def entry_instants(ps, entries, compute_time, start=1e-3):
@@ -396,15 +397,15 @@ def elastic_server(durability=None):
 
 
 def test_visit_takes_a_resident_unguarded_block():
-    taken, untouched, runner, kernel_ran = visit_once(small_server("lapse"), [0, 1, 2], [1, 1, 2])
-    assert (taken, untouched, kernel_ran) == (3, False, True)
-    assert (runner.taken, runner.declined) == (3, 0)
+    visited, untouched, runner, kernel_ran = visit_once(small_server("lapse"), [0, 1, 2], [1, 1, 2])
+    assert (visited, untouched, kernel_ran) == ((3, None), False, True)
+    assert (runner.taken, sum(runner.reasons.values())) == (3, 0)
 
 
 def test_visit_refuses_a_non_resident_column():
-    taken, untouched, runner, kernel_ran = visit_once(small_server("lapse"), [5, 6], [5, 5, 5])
-    assert (taken, untouched, kernel_ran) == (0, True, False)
-    assert (runner.taken, runner.declined) == (0, 3)
+    visited, untouched, runner, kernel_ran = visit_once(small_server("lapse"), [5, 6], [5, 5, 5])
+    assert (visited, untouched, kernel_ran) == ((0, None), True, False)
+    assert (runner.taken, sum(runner.reasons.values())) == (0, 3)
     assert runner.reasons == {"not resident": 3}
 
 
@@ -416,13 +417,13 @@ def test_visit_refuses_a_guarded_key_under_hybrid():
 
     # Guarded although no entry of the visit touches key 2: the whole block
     # is read and written back.
-    taken, untouched, runner, kernel_ran = visit_once(
+    visited, untouched, runner, kernel_ran = visit_once(
         small_server("hybrid"), [0, 1, 2], [0, 1], prepare=subscribe_node_1
     )
-    assert (taken, untouched, kernel_ran) == (0, True, False)
+    assert (visited, untouched, kernel_ran) == ((0, None), True, False)
     assert runner.reasons == {"guarded": 2}
-    taken, _, _, _ = visit_once(small_server("hybrid"), [0, 1], [0, 1], prepare=subscribe_node_1)
-    assert taken == 2
+    visited, _, _, _ = visit_once(small_server("hybrid"), [0, 1], [0, 1], prepare=subscribe_node_1)
+    assert visited == (2, None)
 
 
 @pytest.mark.parametrize("compute_time", [2e-6, 0.0])
@@ -444,12 +445,13 @@ def test_visit_refuses_a_write_at_or_past_the_next_checkpoint(compute_time):
             logs = []
             for fused in (True, False):
                 ps = small_server("lapse", durability=DurabilityConfig())
-                taken, untouched, runner, _ = visit_once(
+                visited, untouched, runner, _ = visit_once(
                     ps, [0, 1, 2], entry_keys, checkpoint_due, compute_time, fused
                 )
                 logs.append((durable_log(ps), live_store(ps, 0)))
                 if fused:
-                    assert (taken, untouched) == (expected, not expected)
+                    cut = (due, "checkpoint") if expected < 3 else None
+                    assert (visited, untouched) == ((expected, cut), not expected)
                     assert runner.reasons == ({"checkpoint": 3 - expected} if expected < 3 else {})
                     # The baseline, and one where the event path's write reached the due time.
                     assert len(ps.durability.checkpoints[0]) == (1 if expected == 3 else 2)
@@ -561,12 +563,13 @@ def test_elastic_visit_declines_through_a_membership_event(compute_time):
             for fused in (True, False):
                 elastic = elastic_server()
                 elastic.join_at(due, node=2)
-                taken, untouched, runner, _ = visit_once(
+                visited, untouched, runner, _ = visit_once(
                     elastic.ps, [0, 1, 2], entry_keys, compute_time=compute_time, fused=fused
                 )
                 seen.append((server_state(elastic.ps), elastic.membership.state_of(2)))
                 if fused:
-                    assert (taken, untouched) == (expected, not expected)
+                    cut = (due, "membership event") if expected < 3 else None
+                    assert (visited, untouched) == ((expected, cut), not expected)
                     assert runner.reasons == (
                         {"membership event": 3 - expected} if expected < 3 else {}
                     )
@@ -612,7 +615,9 @@ def test_unsettled_keys_decline_while_other_keys_fuse_before_the_next_settle():
     seen = []
 
     def visit(block):
-        taken = runner.visit(block, np.array(block), 2e-6, lambda columns, deltas, count: columns)
+        taken, _ = runner.visit(
+            block, np.array(block), 2e-6, lambda columns, deltas, count: columns
+        )
         seen.append((taken, elastic.fusion_horizon(block)))
         return runner.drain()
 
@@ -641,11 +646,11 @@ def test_an_empty_visit_on_a_durable_elastic_store_is_taken_and_does_nothing():
     def checkpoint_due(ps):
         ps.durability._next_checkpoint_at[0] = 1e-3
 
-    taken, untouched, runner, kernel_ran = visit_once(
+    visited, untouched, runner, kernel_ran = visit_once(
         elastic.ps, [0, 1, 2], [], prepare=checkpoint_due
     )
-    assert (taken, untouched, kernel_ran) == (0, True, False)
-    assert (runner.taken, runner.declined) == (0, 0)
+    assert (visited, untouched, kernel_ran) == ((0, None), True, False)
+    assert (runner.taken, sum(runner.reasons.values())) == (0, 0)
 
 
 @pytest.mark.parametrize("compute_time", [2e-6, 0.0])
@@ -659,12 +664,11 @@ def test_both_hazards_at_the_first_entry_count_as_checkpoint(compute_time):
     def checkpoint_due(ps):
         ps.durability._next_checkpoint_at[0] = 1e-3
 
-    taken, untouched, runner, kernel_ran = visit_once(
+    visited, untouched, runner, kernel_ran = visit_once(
         elastic.ps, [0, 1, 2], [1, 1, 2], checkpoint_due, compute_time
     )
-    assert (taken, untouched, kernel_ran) == (0, True, False)
+    assert (visited, untouched, kernel_ran) == ((0, (1e-3, "checkpoint")), True, False)
     assert runner.reasons == {"checkpoint": 3}
-    assert runner.hazard == ("checkpoint", 1e-3)
 
 
 # ------------------------------------- fused vs withheld on changing clusters
@@ -726,14 +730,14 @@ def sweep_cells():
 def recorded_visits():
     """``(taken, entries, start, cut)`` of every ``FusedLocalSteps.visit`` in
     this process: ``start`` is the block entry a resumed visit begins at,
-    ``cut`` whether a hazard (not a refusal) stopped it short."""
+    ``cut`` the hazard (not a refusal) that stopped it short, or None."""
     seen = []
     visit = FusedLocalSteps.visit
 
     def recording(self, block_keys, entry_keys, compute_time, kernel):
-        taken = visit(self, block_keys, entry_keys, compute_time, kernel)
-        seen.append((taken, len(entry_keys), kernel.start, self.hazard is not None))
-        return taken
+        taken, cut = visit(self, block_keys, entry_keys, compute_time, kernel)
+        seen.append((taken, len(entry_keys), kernel.start, cut))
+        return taken, cut
 
     with mock.patch.object(FusedLocalSteps, "visit", recording):
         yield seen
@@ -1054,7 +1058,7 @@ def test_a_logged_visit_writes_at_its_instant_an_unlogged_one_at_the_resume(logg
     def worker():
         yield 1e-3
         before = observe_store()
-        assert runner.visit([0, 1, 2], np.array([1, 1, 2]), 2e-6, kernel) == 3
+        assert runner.visit([0, 1, 2], np.array([1, 1, 2]), 2e-6, kernel) == (3, None)
         seen.append(np.subtract(observe_store(), before).tolist())
         yield runner.drain()
         seen.append(np.subtract(observe_store(), before).tolist())

@@ -78,9 +78,19 @@ def build(trainer_class, system, seed=5):
     return trainer_class(ps, corpus, config, seed=seed)
 
 
-@pytest.mark.parametrize(
-    "system", ["lapse", "classic", "classic_fast_local", "hybrid", "stale_ssp"]
-)
+#: Why the verified lane declined each step, in its label order ("t3 < t2",
+#: "not quiet", "checkpoint", then the refusals): a step that is both
+#: unquiet and non-resident counts as unquiet.
+DECLINE_REASONS = {
+    "lapse": {"not quiet": 485, "not resident": 76},
+    "classic": {},
+    "classic_fast_local": {"not quiet": 548, "not resident": 260},
+    "hybrid": {"not quiet": 611, "not resident": 96, "guarded": 82},
+    "stale_ssp": {},
+}
+
+
+@pytest.mark.parametrize("system", list(DECLINE_REASONS))
 def test_training_equals_reference_trainer_byte_for_byte(system):
     trainer = build(Word2VecTrainer, system)
     reference = build(reference_word2vec.ReferenceWord2VecTrainer, system)
@@ -102,4 +112,4 @@ def test_training_equals_reference_trainer_byte_for_byte(system):
     # keys live on different nodes, so every step declines there.
     assert (reference.fused_steps, reference.declined_steps) == (0, 0)
     assert (trainer.fused_steps > 0) == (system in ("lapse", "hybrid"))
-    assert (trainer.declined_steps > 0) == (system in ("lapse", "hybrid", "classic_fast_local"))
+    assert trainer.decline_reasons == DECLINE_REASONS[system]

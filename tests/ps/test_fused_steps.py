@@ -106,7 +106,7 @@ def test_verified_step_equals_event_path(ps_class, key_lists):
     assert fused["seen"] == event["seen"]
     assert fused["resumed"] == event["resumed"]
     assert observe(fused_ps) == observe(event_ps)
-    assert (fused["runner"].taken, fused["runner"].declined) == (len(key_lists), 0)
+    assert (fused["runner"].taken, sum(fused["runner"].reasons.values())) == (len(key_lists), 0)
 
 
 def test_verified_step_on_a_localized_key_equals_event_path():
@@ -180,7 +180,7 @@ def test_refuses_a_heap_entry_inside_the_window():
         build(), LOCAL_KEYS, COMPUTE, prepare=lambda ps: ps.sim.call_later(ACCESS, noop)
     )
     assert (taken, untouched) == (False, True)
-    assert (runner.taken, runner.declined) == (0, 1)
+    assert (runner.taken, sum(runner.reasons.values())) == (0, 1)
 
 
 def test_refuses_an_entry_exactly_at_the_write_instant_and_takes_one_just_after():
@@ -390,8 +390,8 @@ def test_asserted_visit_equals_one_event_step_per_entry(ps_class, compute_time):
         def worker():
             yield 1e-3
             if fused:
-                taken = runner.visit(block_keys, np.array(entry_keys), compute_time, kernel)
-                assert taken == len(entry_keys)
+                visited = runner.visit(block_keys, np.array(entry_keys), compute_time, kernel)
+                assert visited == (len(entry_keys), None)
                 wake = runner.drain()
                 if wake is not None:
                     yield wake
@@ -407,7 +407,7 @@ def test_asserted_visit_equals_one_event_step_per_entry(ps_class, compute_time):
         ps.run()
         seen = observe(ps)
         del seen["now"]  # the last asynchronous write may outlast the worker
-        return resumed, seen, (runner.taken, runner.declined)
+        return resumed, seen, (runner.taken, sum(runner.reasons.values()))
 
     fused, event = run(build(ps_class), True), run(build(ps_class), False)
     assert fused[:2] == event[:2]

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import math
+
 import pytest
 
 from repro.errors import ProcessError, SimulationError
@@ -387,25 +389,26 @@ def test_determinism_across_runs():
     assert build_and_run() == build_and_run()
 
 
-# ----------------------------------------------------------- quiet_through
+# ----------------------------------------------------------------- horizon
 def _probe(sim, at, results, *times):
-    """At simulated time ``at``, record ``quiet_through`` for each of ``times``."""
+    """At simulated time ``at``, record for each of ``times`` whether it lies
+    before the ``horizon``."""
 
     def callback(_):
-        results.extend(sim.quiet_through(time) for time in times)
+        results.extend(time < sim.horizon() for time in times)
 
     sim.call_later(at, callback)
 
 
-def test_quiet_through_is_false_outside_a_run_loop():
+def test_horizon_is_minus_infinity_outside_a_run_loop():
     sim = Simulator()
-    assert not sim.quiet_through(0.0)
+    assert sim.horizon() == -math.inf
     sim.call_later(1.0, lambda _: None)
     sim.step()  # a step() driver gives no bound
-    assert not sim.quiet_through(1.0)
+    assert sim.horizon() == -math.inf
 
 
-def test_quiet_through_sees_heap_entries_up_to_and_including_the_time():
+def test_horizon_is_the_first_heap_entry():
     sim = Simulator()
     results = []
     sim.call_later(2.0, lambda _: None)
@@ -414,24 +417,24 @@ def test_quiet_through_sees_heap_entries_up_to_and_including_the_time():
     # Quiet strictly before the entry; an entry exactly at the time is not quiet.
     assert results == [True, False, False]
     # The bound is gone once the loop returns.
-    assert not sim.quiet_through(sim.now)
+    assert sim.horizon() == -math.inf
 
 
-def test_quiet_through_is_false_while_the_ring_holds_an_entry():
+def test_horizon_is_minus_infinity_while_the_ring_holds_an_entry():
     sim = Simulator()
     results = []
 
     def callback(_):
-        results.append(sim.quiet_through(5.0))
+        results.append(5.0 < sim.horizon())
         sim.call_later(0.0, lambda _: None)  # same-instant work, on the ring
-        results.append(sim.quiet_through(5.0))
+        results.append(5.0 < sim.horizon())
 
     sim.call_later(1.0, callback)
     sim.run()
     assert results == [True, False]
 
 
-def test_quiet_through_respects_run_until():
+def test_horizon_respects_run_until():
     sim = Simulator()
     results = []
     _probe(sim, 1.0, results, 1.5, 2.0, 3.0)
@@ -440,7 +443,7 @@ def test_quiet_through_respects_run_until():
     assert results == [True, False, False]
 
 
-def test_quiet_through_respects_the_window_end():
+def test_horizon_respects_the_window_end():
     sim = Simulator()
     sim.enter_shard_mode(0)
     results = []
@@ -448,4 +451,4 @@ def test_quiet_through_respects_the_window_end():
     sim.run_window(2.0)
     # Strictly below the window's exclusive end only.
     assert results == [True, False, False]
-    assert not sim.quiet_through(sim.now)
+    assert sim.horizon() == -math.inf
