@@ -47,12 +47,12 @@ def lazy_exports(package: str, homes: Dict[str, Sequence[str]]) -> Callable[[str
 
 
 from repro.config import ClusterConfig, CostModel, ParameterServerConfig
-from repro.ps import ClassicIPCPS, ClassicPS, ClassicSharedMemoryPS, LapsePS
+from repro.ps import ClassicIPCPS, ClassicPS, ClassicSharedMemoryPS
 
 if TYPE_CHECKING:
-    from repro.ps import ReplicaPS, StalePS
+    from repro.ps import LapsePS, ReplicaPS, StalePS
 
-__getattr__ = lazy_exports(__name__, {"repro.ps": ("ReplicaPS", "StalePS")})
+__getattr__ = lazy_exports(__name__, {"repro.ps": ("LapsePS", "ReplicaPS", "StalePS")})
 
 __version__ = "0.4.0"
 

@@ -14,9 +14,21 @@ equivalents that preserve the properties the experiments depend on:
   word-vector experiment).
 """
 
-from repro.data.synthetic_corpus import SyntheticCorpus, generate_corpus
-from repro.data.synthetic_graph import SyntheticKnowledgeGraph, generate_knowledge_graph
-from repro.data.synthetic_matrix import SyntheticMatrix, generate_matrix
+from typing import TYPE_CHECKING
+
+from repro import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.data.synthetic_corpus import SyntheticCorpus, generate_corpus
+    from repro.data.synthetic_graph import SyntheticKnowledgeGraph, generate_knowledge_graph
+    from repro.data.synthetic_matrix import SyntheticMatrix, generate_matrix
+
+#: Each generator loads where a run draws its dataset.
+__getattr__ = lazy_exports(__name__, {
+    "repro.data.synthetic_corpus": ("SyntheticCorpus", "generate_corpus"),
+    "repro.data.synthetic_graph": ("SyntheticKnowledgeGraph", "generate_knowledge_graph"),
+    "repro.data.synthetic_matrix": ("SyntheticMatrix", "generate_matrix"),
+})
 
 __all__ = [
     "SyntheticCorpus",

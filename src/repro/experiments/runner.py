@@ -45,19 +45,9 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from repro.config import ClusterConfig, CostModel, ParameterServerConfig
-from repro.data import generate_corpus, generate_knowledge_graph, generate_matrix
 from repro.errors import ExperimentError
-from repro.ml import (
-    KGEConfig,
-    KGETrainer,
-    MatrixFactorizationConfig,
-    MatrixFactorizationTrainer,
-    Word2VecConfig,
-    Word2VecTrainer,
-)
-from repro.ml.kge import KGEKeySpace
 from repro.ml.results import EpochResult
-from repro.ps import ClassicIPCPS, ClassicSharedMemoryPS, LapsePS
+from repro.ps import ClassicIPCPS, ClassicSharedMemoryPS
 from repro.ps.base import ParameterServer
 from repro.ps.metrics import PSMetrics
 from repro.ps.partition import ElasticPartitioner, KeyPartitioner
@@ -175,9 +165,11 @@ def _make_sim_ps(
         return ClassicIPCPS(cluster, ps_config, **extras)
     if system == "classic_fast_local":
         return ClassicSharedMemoryPS(cluster, ps_config, **extras)
+    # Every other system loads its module only when built.
     if system in ("lapse", "lapse_clustering_only"):
+        from repro.ps.lapse import LapsePS
+
         return LapsePS(cluster, ps_config, **extras)
-    # The systems below load their modules only when built.
     if system in ("stale_ssp", "stale_ssppush"):
         from repro.ps.stale import StalePS
 
@@ -386,6 +378,9 @@ def run_mf_experiment(
     wall-clock seconds.  ``trace`` installs the tracing subsystem (ignored by
     the handle-free ``lowlevel`` baseline).
     """
+    from repro.data.synthetic_matrix import generate_matrix
+    from repro.ml.matrix_factorization import MatrixFactorizationConfig, MatrixFactorizationTrainer
+
     scale = scale or MFScale()
     matrix = generate_matrix(
         scale.num_rows, scale.num_cols, scale.num_entries, rank=scale.rank, seed=seed
@@ -453,6 +448,9 @@ def run_kge_experiment(
     trace: Optional[Any] = None,
 ) -> TaskRunResult:
     """Run knowledge-graph-embedding training (Figures 1 and 7, Table 5)."""
+    from repro.data.synthetic_graph import generate_knowledge_graph
+    from repro.ml.kge import KGEConfig, KGEKeySpace, KGETrainer
+
     scale = scale or KGEScale()
     graph = generate_knowledge_graph(
         num_entities=scale.num_entities,
@@ -516,6 +514,8 @@ def make_elastic_mf(
     if system == "lowlevel":
         raise ExperimentError("the low-level baseline does not support elastic clusters")
     from repro.cluster import ElasticCluster
+    from repro.data.synthetic_matrix import generate_matrix
+    from repro.ml.matrix_factorization import MatrixFactorizationConfig, MatrixFactorizationTrainer
 
     scale = scale or MFScale()
     matrix = generate_matrix(
@@ -593,6 +593,9 @@ def run_w2v_experiment(
     trace: Optional[Any] = None,
 ) -> TaskRunResult:
     """Run skip-gram word-vector training (Figure 8)."""
+    from repro.data.synthetic_corpus import generate_corpus
+    from repro.ml.word2vec import Word2VecConfig, Word2VecTrainer
+
     scale = scale or W2VScale()
     corpus = generate_corpus(
         vocabulary_size=scale.vocabulary_size,

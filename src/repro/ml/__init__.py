@@ -13,12 +13,25 @@ algorithm runs on the classic PS, the stale PS, and Lapse:
   latency hiding.
 """
 
-from repro.ml.kge import KGEConfig, KGETrainer
-from repro.ml.matrix_factorization import MatrixFactorizationConfig, MatrixFactorizationTrainer
+from typing import TYPE_CHECKING
+
+from repro import lazy_exports
 from repro.ml.metrics import log_loss, rmse, sigmoid
-from repro.ml.optim import AdaGradPacking, adagrad_update
 from repro.ml.results import EpochResult
-from repro.ml.word2vec import Word2VecConfig, Word2VecTrainer
+
+if TYPE_CHECKING:
+    from repro.ml.kge import KGEConfig, KGETrainer
+    from repro.ml.matrix_factorization import MatrixFactorizationConfig, MatrixFactorizationTrainer
+    from repro.ml.optim import AdaGradPacking, adagrad_update
+    from repro.ml.word2vec import Word2VecConfig, Word2VecTrainer
+
+#: Each task loads where a run builds its trainer; every task uses metrics and results.
+__getattr__ = lazy_exports(__name__, {
+    "repro.ml.kge": ("KGEConfig", "KGETrainer"),
+    "repro.ml.matrix_factorization": ("MatrixFactorizationConfig", "MatrixFactorizationTrainer"),
+    "repro.ml.optim": ("AdaGradPacking", "adagrad_update"),
+    "repro.ml.word2vec": ("Word2VecConfig", "Word2VecTrainer"),
+})
 
 __all__ = [
     "AdaGradPacking",

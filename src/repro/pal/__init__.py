@@ -11,18 +11,27 @@ PS client API (``localize`` / ``pull`` / ``push``):
   data points so accesses are local by the time they happen.
 """
 
-from repro.pal.data_clustering import (
-    access_counts_by_node,
-    assign_parameters_by_frequency,
-    clustering_localize_plan,
-)
-from repro.pal.latency_hiding import Prelocalizer
-from repro.pal.parameter_blocking import (
-    BlockSchedule,
-    block_of_key,
-    block_of_keys,
-    keys_of_block,
-)
+from typing import TYPE_CHECKING
+
+from repro import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.pal.data_clustering import access_counts_by_node
+    from repro.pal.data_clustering import assign_parameters_by_frequency, clustering_localize_plan
+    from repro.pal.latency_hiding import Prelocalizer
+    from repro.pal.parameter_blocking import BlockSchedule, block_of_key, block_of_keys
+    from repro.pal.parameter_blocking import keys_of_block
+
+#: Each technique loads where the task that uses it does.
+__getattr__ = lazy_exports(__name__, {
+    "repro.pal.data_clustering": (
+        "access_counts_by_node", "assign_parameters_by_frequency", "clustering_localize_plan"
+    ),
+    "repro.pal.latency_hiding": ("Prelocalizer",),
+    "repro.pal.parameter_blocking": (
+        "BlockSchedule", "block_of_key", "block_of_keys", "keys_of_block"
+    ),
+})
 
 __all__ = [
     "BlockSchedule",

@@ -37,7 +37,6 @@ from repro import lazy_exports
 from repro.ps.base import NodeState, ParameterServer, QueuedOp, WorkerClient
 from repro.ps.classic import ClassicIPCPS, ClassicPS, ClassicSharedMemoryPS, StaticPolicy
 from repro.ps.futures import OperationHandle
-from repro.ps.lapse import LapsePS, RelocationPolicy
 from repro.ps.metrics import PSMetrics, RunningStat
 from repro.ps.policy import ManagementPolicy, Route, consistency_classification
 from repro.ps.partition import (
@@ -50,12 +49,14 @@ from repro.ps.storage import DenseStorage, LatchTable
 
 if TYPE_CHECKING:
     from repro.ps.hybrid import HybridManagementPolicy, HybridPS
+    from repro.ps.lapse import LapsePS, RelocationPolicy
     from repro.ps.replica import EagerReplicationPolicy, ReplicaPS
     from repro.ps.stale import StalePS, StaleReplicaPolicy
 
-#: The replicated, hybrid and stale systems load on first access.
+#: Every system but the classic one loads on first access.
 __getattr__ = lazy_exports(__name__, {
     "repro.ps.hybrid": ("HybridManagementPolicy", "HybridPS"),
+    "repro.ps.lapse": ("LapsePS", "RelocationPolicy"),
     "repro.ps.replica": ("EagerReplicationPolicy", "ReplicaPS"),
     "repro.ps.stale": ("StalePS", "StaleReplicaPolicy"),
 })

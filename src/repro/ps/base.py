@@ -143,7 +143,6 @@ def first_missing(state: "NodeState", keys) -> Optional[int]:
     return None
 
 
-@dataclass
 class QueuedOp:
     """An operation queued while its key is in flight.
 
@@ -154,18 +153,18 @@ class QueuedOp:
     wrong results).
 
     ``kind`` is ``"local_pull"`` / ``"local_push"`` for worker-issued
-    operations (completed against ``handle``) and ``"remote_pull"`` /
-    ``"remote_push"`` / ``"register"`` / ``"flush"`` for server-side requests
-    that must be re-processed (``request``) once the key is resident.
+    operations (completed against ``handle``, a push with its ``update``)
+    and ``"remote_pull"`` / ``"remote_push"`` / ``"register"`` / ``"flush"``
+    for server-side requests that must be re-processed (``request``) once
+    the key is resident; ``row`` is the position of ``key`` in ``request``
+    (a request may repeat a key).
     """
 
-    kind: str
-    key: int
-    handle: Optional["OperationHandle"] = None
-    update: Optional[np.ndarray] = None
-    request: Optional[Any] = None
-    #: Position of ``key`` in ``request`` (a request may repeat a key).
-    row: int = 0
+    __slots__ = ("kind", "key", "handle", "update", "request", "row")
+
+    def __init__(self, kind, key, handle=None, update=None, request=None, row=0) -> None:
+        self.kind, self.key, self.handle = kind, key, handle
+        self.update, self.request, self.row = update, request, row
 
 
 def _run_action(action: Callable[[], None]) -> None:

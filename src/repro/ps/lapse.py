@@ -30,7 +30,7 @@ test-suite demonstrates.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -55,6 +55,7 @@ from repro.ps.messages import (
     RecoveryInstall,
     RelocateInstruction,
     RelocationTransfer,
+    replace,
 )
 from repro.ps.policy import LOCAL, QUEUE, Handlers, ManagementPolicy
 

@@ -1,7 +1,7 @@
 """Wire messages exchanged by parameter-server threads.
 
-These dataclasses are the payloads carried by :class:`repro.simnet.Network`
-envelopes.  They mirror the message types described in the paper:
+These classes are the payloads a :class:`repro.simnet.Network` carries.
+They mirror the message types described in the paper:
 
 * pull / push requests and their responses (Table 2),
 * the three relocation-protocol messages of Figure 4 (*request relocation*,
@@ -14,25 +14,28 @@ envelopes.  They mirror the message types described in the paper:
   flushes, and delta broadcasts used by the replication-based variant,
 * barrier coordination messages used between subepochs.
 
-All message classes are slotted dataclasses: messages are the most frequently
-allocated objects on the simulator's hot path, and ``__slots__`` removes the
-per-instance ``__dict__`` allocation.  They are *not* frozen — a frozen
-dataclass routes every field assignment in ``__init__`` through
-``object.__setattr__``, which roughly triples construction cost — but they
-are immutable by convention: a message, once sent, is shared between sender
-and receiver and must never be mutated (build a new message instead, as the
-forwarding helpers do).
+Messages are the most frequently allocated objects on the simulator's hot
+path.  Each is a plain class with ``__slots__`` (no per-instance ``__dict__``)
+and one ``__init__``; a dataclass would generate and compile methods at every
+import that nothing calls.  Across messages, ``keys`` is a tuple of int keys
+in request order, ``values`` / ``updates`` / ``deltas`` hold one row per key,
+``reply_to`` is a van address, and ids, node ids and clocks are ints.
+Messages are immutable by convention: once sent, a message is shared between
+sender and receiver and must never be mutated; :func:`replace` builds a
+changed copy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable, Tuple
-
-import numpy as np
+from typing import Any
 
 
-@dataclass(slots=True)
+def replace(message: Any, **changes: Any) -> Any:
+    """A new message of ``message``'s type, with ``changes`` and its other fields."""
+    fields = {name: getattr(message, name) for name in message.__slots__}
+    return type(message)(**{**fields, **changes})
+
+
 class PullRequest:
     """Request to read the current values of ``keys``.
 
@@ -40,44 +43,41 @@ class PullRequest:
     forwarding steps for metric purposes (Figure 5 routing).
     """
 
-    op_id: int
-    keys: Tuple[int, ...]
-    reply_to: Hashable
-    hops: int = 0
+    __slots__ = ("op_id", "keys", "reply_to", "hops")
+
+    def __init__(self, op_id, keys, reply_to, hops=0) -> None:
+        self.op_id, self.keys, self.reply_to, self.hops = op_id, keys, reply_to, hops
 
 
-@dataclass(slots=True)
 class PullResponse:
     """Values answering a :class:`PullRequest` (possibly a partial key subset)."""
 
-    op_id: int
-    keys: Tuple[int, ...]
-    values: np.ndarray
-    responder_node: int
+    __slots__ = ("op_id", "keys", "values", "responder_node")
+
+    def __init__(self, op_id, keys, values, responder_node) -> None:
+        self.op_id, self.keys = op_id, keys
+        self.values, self.responder_node = values, responder_node
 
 
-@dataclass(slots=True)
 class PushRequest:
     """Cumulative update for ``keys``; ``updates`` has one row per key."""
 
-    op_id: int
-    keys: Tuple[int, ...]
-    updates: np.ndarray
-    reply_to: Hashable
-    needs_ack: bool = True
-    hops: int = 0
+    __slots__ = ("op_id", "keys", "updates", "reply_to", "needs_ack", "hops")
+
+    def __init__(self, op_id, keys, updates, reply_to, needs_ack=True, hops=0) -> None:
+        self.op_id, self.keys, self.updates = op_id, keys, updates
+        self.reply_to, self.needs_ack, self.hops = reply_to, needs_ack, hops
 
 
-@dataclass(slots=True)
 class PushAck:
     """Acknowledgement that a push (sub-)request was applied."""
 
-    op_id: int
-    keys: Tuple[int, ...]
-    responder_node: int
+    __slots__ = ("op_id", "keys", "responder_node")
+
+    def __init__(self, op_id, keys, responder_node) -> None:
+        self.op_id, self.keys, self.responder_node = op_id, keys, responder_node
 
 
-@dataclass(slots=True)
 class LocalizeRequest:
     """Message 1 of the relocation protocol: requester → home node.
 
@@ -85,11 +85,12 @@ class LocalizeRequest:
     handles wait in its per-key ``relocating_in`` entries.
     """
 
-    keys: Tuple[int, ...]
-    requester_node: int
+    __slots__ = ("keys", "requester_node")
+
+    def __init__(self, keys, requester_node) -> None:
+        self.keys, self.requester_node = keys, requester_node
 
 
-@dataclass(slots=True)
 class RelocateInstruction:
     """Message 2 of the relocation protocol: home node → current owner.
 
@@ -97,12 +98,12 @@ class RelocateInstruction:
     issued (elastic clusters; 0 otherwise).
     """
 
-    keys: Tuple[int, ...]
-    new_owner: int
-    incarnation: int = 0
+    __slots__ = ("keys", "new_owner", "incarnation")
+
+    def __init__(self, keys, new_owner, incarnation=0) -> None:
+        self.keys, self.new_owner, self.incarnation = keys, new_owner, incarnation
 
 
-@dataclass(slots=True)
 class RelocationTransfer:
     """Message 3 of the relocation protocol: old owner → new owner (with values).
 
@@ -115,63 +116,62 @@ class RelocationTransfer:
     the key.  Empty for pure relocation (Lapse).
     """
 
-    keys: Tuple[int, ...]
-    values: np.ndarray
-    removed_at: float = 0.0
-    subscribers: Tuple[Tuple[int, ...], ...] = ()
+    __slots__ = ("keys", "values", "removed_at", "subscribers")
+
+    def __init__(self, keys, values, removed_at=0.0, subscribers=()) -> None:
+        self.keys, self.values = keys, values
+        self.removed_at, self.subscribers = removed_at, subscribers
 
 
 # --------------------------------------------------------------------------- stale PS
-@dataclass(slots=True)
 class ReplicaFetchRequest:
     """Stale PS: fetch fresh replica values for ``keys`` from their owner."""
 
-    op_id: int
-    keys: Tuple[int, ...]
-    requester_node: int
-    reply_to: Hashable
-    clock: int
+    __slots__ = ("op_id", "keys", "requester_node", "reply_to", "clock")
+
+    def __init__(self, op_id, keys, requester_node, reply_to, clock) -> None:
+        self.op_id, self.keys, self.requester_node = op_id, keys, requester_node
+        self.reply_to, self.clock = reply_to, clock
 
 
-@dataclass(slots=True)
 class ReplicaFetchResponse:
     """Stale PS: fresh values with the server clock at which they were read."""
 
-    op_id: int
-    keys: Tuple[int, ...]
-    values: np.ndarray
-    clock: int
+    __slots__ = ("op_id", "keys", "values", "clock")
+
+    def __init__(self, op_id, keys, values, clock) -> None:
+        self.op_id, self.keys, self.values, self.clock = op_id, keys, values, clock
 
 
-@dataclass(slots=True)
 class UpdateFlush:
     """Stale PS: accumulated updates flushed from a node to a key's owner at a clock."""
 
-    op_id: int
-    keys: Tuple[int, ...]
-    updates: np.ndarray
-    clock: int
-    reply_to: Hashable
+    __slots__ = ("op_id", "keys", "updates", "clock", "reply_to")
+
+    def __init__(self, op_id, keys, updates, clock, reply_to) -> None:
+        self.op_id, self.keys, self.updates = op_id, keys, updates
+        self.clock, self.reply_to = clock, reply_to
 
 
-@dataclass(slots=True)
 class FlushAck:
     """Stale PS: acknowledgement that an update flush was applied."""
 
-    op_id: int
+    __slots__ = ("op_id",)
+
+    def __init__(self, op_id) -> None:
+        self.op_id = op_id
 
 
-@dataclass(slots=True)
 class ReplicaPush:
     """Stale PS (SSPPush): owner proactively pushes fresh values to a subscriber."""
 
-    keys: Tuple[int, ...]
-    values: np.ndarray
-    clock: int
+    __slots__ = ("keys", "values", "clock")
+
+    def __init__(self, keys, values, clock) -> None:
+        self.keys, self.values, self.clock = keys, values, clock
 
 
 # ---------------------------------------------------------------------- replica PS
-@dataclass(slots=True)
 class ReplicaRegisterRequest:
     """Replica PS: subscribe ``requester_node`` to ``keys`` and fetch a snapshot.
 
@@ -181,20 +181,21 @@ class ReplicaRegisterRequest:
     ``installing`` entries, and flushes/broadcasts are one-way.
     """
 
-    keys: Tuple[int, ...]
-    requester_node: int
-    reply_to: Hashable
+    __slots__ = ("keys", "requester_node", "reply_to")
+
+    def __init__(self, keys, requester_node, reply_to) -> None:
+        self.keys, self.requester_node, self.reply_to = keys, requester_node, reply_to
 
 
-@dataclass(slots=True)
 class ReplicaInstall:
     """Replica PS: owner → new replica holder, value snapshot at subscribe time."""
 
-    keys: Tuple[int, ...]
-    values: np.ndarray
+    __slots__ = ("keys", "values")
+
+    def __init__(self, keys, values) -> None:
+        self.keys, self.values = keys, values
 
 
-@dataclass(slots=True)
 class ReplicaSyncFlush:
     """Replica PS: accumulated local updates flushed from a replica holder to the owner.
 
@@ -203,12 +204,12 @@ class ReplicaSyncFlush:
     *other* subscribers (the source already applied them locally).
     """
 
-    keys: Tuple[int, ...]
-    updates: np.ndarray
-    source_node: int
+    __slots__ = ("keys", "updates", "source_node")
+
+    def __init__(self, keys, updates, source_node) -> None:
+        self.keys, self.updates, self.source_node = keys, updates, source_node
 
 
-@dataclass(slots=True)
 class ReplicaDeltaBroadcast:
     """Replica PS: owner → subscriber, aggregate of other nodes' updates.
 
@@ -218,12 +219,13 @@ class ReplicaDeltaBroadcast:
     replicas.
     """
 
-    keys: Tuple[int, ...]
-    deltas: np.ndarray
+    __slots__ = ("keys", "deltas")
+
+    def __init__(self, keys, deltas) -> None:
+        self.keys, self.deltas = keys, deltas
 
 
 # ----------------------------------------------------------------- elastic cluster
-@dataclass(slots=True)
 class RecoveryInstall:
     """Elastic runtime: a surviving replica holder ships recovered keys to their new owner.
 
@@ -235,23 +237,27 @@ class RecoveryInstall:
     exactly like the subscriber handoff of a relocation).
     """
 
-    keys: Tuple[int, ...]
-    values: np.ndarray
-    subscribers: Tuple[Tuple[int, ...], ...] = ()
+    __slots__ = ("keys", "values", "subscribers")
+
+    def __init__(self, keys, values, subscribers=()) -> None:
+        self.keys, self.values, self.subscribers = keys, values, subscribers
 
 
 # --------------------------------------------------------------------------- barrier
-@dataclass(slots=True)
 class BarrierArrive:
     """A worker on ``node`` announces it reached barrier ``generation``."""
 
-    node: int
-    generation: int
+    __slots__ = ("node", "generation")
+
+    def __init__(self, node, generation) -> None:
+        self.node, self.generation = node, generation
 
 
-@dataclass(slots=True)
 class BarrierRelease:
     """The coordinator releases all workers from barrier ``generation``."""
 
-    generation: int
+    __slots__ = ("generation",)
+
+    def __init__(self, generation) -> None:
+        self.generation = generation
 

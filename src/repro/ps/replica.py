@@ -40,7 +40,7 @@ consistency test-suite demonstrates both directions.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -66,6 +66,7 @@ from repro.ps.messages import (
     ReplicaInstall,
     ReplicaRegisterRequest,
     ReplicaSyncFlush,
+    replace,
 )
 from repro.ps.partition import AccessCountHotKeyPolicy
 from repro.ps.policy import LOCAL, QUEUE, REPLICA, Handlers, ManagementPolicy

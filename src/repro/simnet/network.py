@@ -85,18 +85,6 @@ class NetworkStats:
             channels[channel] = channels.get(channel, 0) + count
 
 
-@dataclass(slots=True)
-class Envelope:
-    """A message in flight: payload plus routing metadata."""
-
-    src_node: int
-    dst_node: int
-    dst_address: Hashable
-    payload: Any
-    size_bytes: int
-    sent_at: float
-
-
 class _Lane:
     """Resolved per-(source node, destination address) sending state."""
 
@@ -280,18 +268,12 @@ class Network:
         dst_address: Hashable,
         payload: Any,
         size_bytes: int,
-    ) -> Optional[Envelope]:
+    ) -> None:
         """Send ``payload`` to ``dst_address``, charging the cost model.
 
         The message is delivered into the destination's mailbox after the
         appropriate simulated delay.  Delivery order per directed node pair is
         FIFO.
-
-        Returns:
-            ``None`` for a scheduled delivery.  For a message blackholed by a
-            failed node, the :class:`Envelope` describing the dropped message
-            (useful for tests and tracing); the routing metadata of delivered
-            messages is no longer materialized on the hot path.
         """
         if size_bytes < 0:
             raise NetworkError(f"message size must be non-negative, got {size_bytes}")
@@ -306,14 +288,7 @@ class Network:
             # A failed node neither sends nor receives; the message vanishes
             # without charging the cost model or the traffic counters.
             stats.dropped_messages += 1
-            return Envelope(
-                src_node=src_node,
-                dst_node=dst_node,
-                dst_address=dst_address,
-                payload=payload,
-                size_bytes=size_bytes,
-                sent_at=now,
-            )
+            return None
         stats.messages_sent += 1
         cost = self.cost_model
         if lane.local:

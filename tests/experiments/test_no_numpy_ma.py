@@ -1,12 +1,15 @@
 """Import discipline: what a run loads, and when.
 
-One fresh interpreter (no module cached from other tests) checks three rules:
+One fresh interpreter (no module cached from other tests) checks four rules:
 
 * No run imports ``numpy.ma``.  ``np.unique`` without ``return_index``
   imports it on NumPy 2.4, which costs every process about 1.2 MB of RSS and
   13 ms.
 * The five packages the benchmark imports load the core runtime only; the
-  optional subsystems load where a run builds them.
+  optional subsystems, the tasks, their datasets and PAL techniques, and
+  Lapse load where a run builds them.
+* Building MF on ``classic``, the first cell, loads no other task and no
+  Lapse.
 * Nothing is first imported inside training: each cell is built, then
   trained, and the training call must leave ``sys.modules`` as it found it.
 
@@ -28,27 +31,23 @@ import numpy
 before = "numpy.ma" in sys.modules
 import repro.data, repro.durability, repro.experiments.runner, repro.ml, repro.obs
 core = sorted(name for name in sys.modules if name.startswith("repro"))
-from repro.cluster import ClusterSchedule
 from repro.config import ClusterConfig, ParameterServerConfig
-from repro.data import generate_corpus, generate_knowledge_graph, generate_matrix
-from repro.durability import DurabilityConfig
 from repro.experiments.runner import MFScale, make_elastic_mf, make_parameter_server
-from repro.ml import (
-    KGEConfig, KGETrainer, MatrixFactorizationConfig, MatrixFactorizationTrainer,
-    Word2VecConfig, Word2VecTrainer,
-)
-from repro.ml.kge import KGEKeySpace
 
 def ps(system, num_keys, value_length, **options):
     cluster = ClusterConfig(num_nodes=2, workers_per_node=2)
     return make_parameter_server(system, cluster, ParameterServerConfig(num_keys, value_length), **options)
 
 def mf(system, **options):
+    from repro.data import generate_matrix
+    from repro.ml import MatrixFactorizationConfig, MatrixFactorizationTrainer
     server = ps(system, 16, 4, **options)
     matrix = generate_matrix(32, 16, 300, rank=4, seed=0)
     return server, MatrixFactorizationTrainer(server, matrix, MatrixFactorizationConfig(rank=4))
 
 def elastic_mf():
+    from repro.cluster import ClusterSchedule
+    from repro.durability import DurabilityConfig
     schedule = ClusterSchedule().join(0.002, node=3).drain(0.004, node=1).fail(0.006, node=2)
     return make_elastic_mf(
         "lapse", num_nodes=4, initial_nodes=(0, 1, 2), schedule=schedule,
@@ -57,12 +56,17 @@ def elastic_mf():
     )
 
 def kge():
+    from repro.data import generate_knowledge_graph
+    from repro.ml import KGEConfig, KGETrainer
+    from repro.ml.kge import KGEKeySpace
     graph = generate_knowledge_graph(num_entities=40, num_relations=4, num_triples=60, seed=0)
     config = KGEConfig(entity_dim=2)
     server = ps("lapse", KGEKeySpace(graph, config).num_keys, config.value_length)
     return server, KGETrainer(server, graph, config)
 
 def w2v():
+    from repro.data import generate_corpus
+    from repro.ml import Word2VecConfig, Word2VecTrainer
     corpus = generate_corpus(vocabulary_size=50, num_sentences=8, seed=0)
     config = Word2VecConfig(dim=4)
     server = ps("lapse", 100, 4)
@@ -79,15 +83,17 @@ cells = {
     "mf_jobs2": (lambda: mf("classic", jobs=2), lambda b: b[1].train()),
     "mf_real": (lambda: mf("lapse", backend="real"), lambda b: b[1].train()),
 }
-loaded = {}
+loaded, built_with = {}, {}
 for name, (build, train) in cells.items():
     built = build()
     modules = set(sys.modules)
+    built_with[name] = sorted(module for module in modules if module.startswith("repro"))
     train(built)
     loaded[name] = sorted(set(sys.modules) - modules)
     getattr(built[0], "shutdown", lambda: None)()
 print(json.dumps({
     "before": before, "after": "numpy.ma" in sys.modules, "core": core, "loaded": loaded,
+    "built_with": built_with,
 }))
 """
 
@@ -108,6 +114,19 @@ _OPTIONAL = (
     "repro.ps.stale",
     "repro.simnet.parallel",
 )
+
+#: Loaded where a run builds its task or system, never by the package import.
+_TASKS_AND_LAPSE = (
+    "repro.data.",
+    "repro.ml.kge",
+    "repro.ml.matrix_factorization",
+    "repro.ml.word2vec",
+    "repro.pal",
+    "repro.ps.lapse",
+)
+
+#: What an MF run on ``classic`` never executes.
+_NOT_MF_CLASSIC = ("repro.ml.kge", "repro.ml.word2vec", "repro.ps.lapse")
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +156,15 @@ def test_benchmark_packages_load_only_the_core(seen):
         if any(name == module or name.startswith(module + ".") for module in _OPTIONAL)
     ]
     assert optional == []
-    assert len(seen["core"]) <= 45
+    tasks = [name for name in seen["core"] if name.startswith(_TASKS_AND_LAPSE)]
+    assert tasks == []
+    assert len(seen["core"]) <= 29
+
+
+def test_classic_mf_builds_no_other_task_and_no_lapse(seen):
+    built_with = seen["built_with"]["mf_classic"]
+    assert {"repro.ml.matrix_factorization", "repro.ps.classic"} <= set(built_with)
+    assert [name for name in built_with if name.startswith(_NOT_MF_CLASSIC)] == []
 
 
 def test_no_module_is_first_imported_inside_training(seen):
