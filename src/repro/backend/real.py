@@ -35,11 +35,12 @@ the job.  A run ends with ``sync``, not ``stop``: every server sends home
 what is new (metrics, traffic and trace deltas, location tables) and goes
 back to its queue.  Between runs the parent may read anything and write
 parameter *values* (the servers' stores are the shared blocks); where keys
-live changes only inside runs.  Workers are one fork per run: the fork is
-how an unpicklable ``worker_fn`` and the trainer's current state reach them.
-Any failed run discards the whole group — locks, queues, reply channels —
-and the next one starts afresh.  Spawning, waiting and tearing down are
-:class:`~repro.backend.supervisor.ProcessGroup`'s.
+live changes only inside runs.  Workers live as long as the function they
+run: a cohort of them is forked (so an unpicklable ``worker_fn`` and the
+trainer's state reach it) and serves every run of that very ``worker_fn``
+on the same clients.  Any failed run discards every child — locks, queues,
+reply channels — and the next one starts afresh.  Spawning, waiting and
+tearing down are :class:`~repro.backend.supervisor.ProcessGroup`'s.
 
 Semantics vs the simulator — *statistical equivalence*: true concurrency
 makes message interleavings nondeterministic, so runs are not bit-identical
@@ -119,7 +120,7 @@ def _busy_wait(seconds: float) -> None:
 
 
 def _release(servers: List[ProcessGroup], storages: Sequence[SharedDenseStorage] = ()) -> None:
-    """Stop the server processes, if any, and detach the shared blocks named
+    """Stop the child processes, if any, and detach the shared blocks named
     (finalizer target; must not reference the PS)."""
     while servers:
         servers.pop().close()
@@ -454,23 +455,27 @@ class RealParameterServer(ParameterServer):
     Construction builds, in the parent, what :class:`ParameterServer` always
     builds — policy, node states, initial allocation — with the stores in
     shared memory.  The first :meth:`run_workers` forks one server process per
-    node, and they live until :meth:`shutdown`; every run forks one process
-    per worker, waits for the workers, waits until nothing is in flight and
-    has the servers ``sync``: what the children report (metrics, traffic,
-    traces, location tables) is merged into the parent's node states.
+    node, and they live until :meth:`shutdown`; every run starts one process
+    per worker or reuses those of the previous run, waits for the workers,
+    waits until nothing is in flight and has the servers ``sync``: what the
+    children report (metrics, traffic, traces, location tables) is merged
+    into the parent's node states.
     Between runs (epochs) the parent reads everything and writes parameter
     *values* directly — the shared blocks are the servers' stores.  Where
     keys live is the servers' business from the first run on: allocation
     changes only inside runs.
 
-    Use as a context manager (or call :meth:`shutdown`) to stop the servers
+    Use as a context manager (or call :meth:`shutdown`) to stop the children
     and release the shared-memory blocks; dropping the last reference does
     the same.
     """
 
     client_class = RealWorkerClient
-    #: Barrier of the current run's worker cohort (``None`` between runs).
+    #: Barrier of the worker cohort (in the parent: ``None`` between runs).
     _barrier: Optional[Any] = None
+    #: ``(worker_fn, worker ids, group, go channels, barrier)``, live while
+    #: its group is ``_servers[-1]``.
+    _cohort: Optional[tuple] = None
 
     def __init__(
         self,
@@ -494,8 +499,8 @@ class RealParameterServer(ParameterServer):
         self.timeout = timeout
         self._ctx = mp.get_context("fork")
         super().__init__(cluster, ps_config)
-        #: The live group of server processes: empty before the first run and
-        #: after a failed one (a list so that the finalizer sees it change).
+        #: The live groups, servers first, then the worker cohort: empty
+        #: before the first run and after a failed one (a list, for the finalizer).
         self._servers: List[ProcessGroup] = []
         self._finalizer = weakref.finalize(
             self, _release, self._servers, [state.storage for state in self.states]
@@ -539,6 +544,27 @@ class RealParameterServer(ParameterServer):
                 group.spawn(f"server-{node}", self._serve, node)
         return self._servers[0]
 
+    def _start_workers(self, worker_fn: Callable, client_list: list) -> ProcessGroup:
+        """Tell the workers of ``worker_fn`` on ``client_list`` to go, forking
+        them unless the live cohort runs that very object; returns their group."""
+        workers = [client.worker_id for client in client_list]
+        cohort = self._cohort
+        if not (cohort and cohort[0] is worker_fn and cohort[1:3] == (workers, self._servers[-1])):
+            while len(self._servers) > 1:
+                self._servers.pop().close()
+            ctx = self._ctx
+            group = ProcessGroup(ctx, "real backend")
+            self._servers.append(group)
+            # A cyclic barrier, and go channels that only this cohort waits on.
+            self._barrier = ctx.Barrier(len(client_list))
+            gos = [ctx.SimpleQueue() for _ in client_list]
+            cohort = self._cohort = (worker_fn, workers, group, gos, self._barrier)
+            for client, go in zip(client_list, gos):
+                group.spawn(f"worker-{client.worker_id}", self._worker_main, client, worker_fn, go)
+        for go in cohort[3]:
+            go.put(None)
+        return cohort[2]
+
     # ------------------------------------------------------------------- runs
     def run_workers(
         self,
@@ -548,12 +574,16 @@ class RealParameterServer(ParameterServer):
     ) -> List[Any]:
         """Run ``worker_fn`` as one OS process per worker; returns their values.
 
-        Forks the worker processes (fork, so ``worker_fn`` and its closure
-        need not be picklable; the first run forks the servers too) and
-        returns once the cluster is quiescent, every server has reported and
-        every worker has exited.  A child that fails, dies or overruns
-        ``timeout`` ends the run with a :class:`ParameterServerError` naming
-        it, and no child survives: the next run starts new servers.
+        The first run of ``worker_fn`` forks its worker processes (fork, so
+        it need not be picklable; the first run forks the servers too), and
+        a later run of the same object (``is``) on the same clients calls it
+        again in them, on what the previous call left there; any other run
+        stops them and forks its own.  A caller that changes what its
+        workers read between runs, other than parameter values, must pass a
+        new callable.  Returns once the cluster is quiescent and every child
+        has reported.  A child that fails, dies or overruns ``timeout`` ends
+        the run with a :class:`ParameterServerError` naming it, and no child
+        survives: the next run forks afresh.
         """
         if until is not None:
             raise ParameterServerError(
@@ -566,42 +596,35 @@ class RealParameterServer(ParameterServer):
         cluster = self.cluster
         deadline = time.monotonic() + self.timeout
         try:
-            # On success every worker exits by itself; after a failure (or
-            # for a worker that does not exit) none may outlive the run.
-            with ProcessGroup(self._ctx, "real backend") as workers:
-                group = self._server_group()
-                servers = group.children
-                self._barrier = self._ctx.Barrier(len(client_list))
-                for client in client_list:
-                    workers.spawn(
-                        f"worker-{client.worker_id}", self._worker_main, client, worker_fn
-                    )
-                results = []
-                reports = workers.gather(workers.children, deadline, watching=servers)
-                for client, (value, metrics, trace) in zip(client_list, reports):
-                    results.append(value)
-                    self._absorb(cluster.node_of_worker(client.worker_id), metrics, trace)
-                # Quiescence.  Every operation of every worker has a handle at
-                # its server by now (each worker's last act is a round trip
-                # through it), and a handle completes only after the last
-                # message sent on its behalf was answered (simulated pushes
-                # are always acknowledged) — so "no outstanding handle
-                # anywhere" is "nothing in flight".  The message counts close
-                # the one gap: an operation naming a key twice completes on
-                # the first of its answers.
-                while True:
-                    self._tell_servers("idle")
-                    sent, received = map(sum, zip(*group.gather(servers, deadline)))
-                    if sent == received:
-                        break
-                self._tell_servers("sync")
-                reports = group.gather(servers, deadline)
-                for node, (metrics, trace, stats, tables) in enumerate(reports):
-                    self._absorb(node, metrics, trace)
-                    self.network.stats.absorb(stats)
-                    vars(self.states[node]).update(tables)
+            group = self._server_group()
+            servers = group.children
+            workers = self._start_workers(worker_fn, client_list)
+            results = []
+            reports = workers.gather(workers.children, deadline, watching=servers)
+            for client, (value, metrics, trace) in zip(client_list, reports):
+                results.append(value)
+                self._absorb(cluster.node_of_worker(client.worker_id), metrics, trace)
+            # Quiescence.  Every operation of every worker has a handle at
+            # its server by now (each worker's last act is a round trip
+            # through it), and a handle completes only after the last
+            # message sent on its behalf was answered (simulated pushes
+            # are always acknowledged) — so "no outstanding handle
+            # anywhere" is "nothing in flight".  The message counts close
+            # the one gap: an operation naming a key twice completes on
+            # the first of its answers.
+            while True:
+                self._tell_servers("idle")
+                sent, received = map(sum, zip(*group.gather(servers, deadline)))
+                if sent == received:
+                    break
+            self._tell_servers("sync")
+            reports = group.gather(servers, deadline)
+            for node, (metrics, trace, stats, tables) in enumerate(reports):
+                self._absorb(node, metrics, trace)
+                self.network.stats.absorb(stats)
+                vars(self.states[node]).update(tables)
         except BaseException:
-            # Locks may have died held and queues hold strays: servers too.
+            # Locks may have died held and queues hold strays: every child.
             _release(self._servers)
             raise
         finally:
@@ -729,20 +752,22 @@ class RealParameterServer(ParameterServer):
 
     # ---------------------------------------------------------- worker process
     def _worker_main(
-        self, report: Callable[[Any], None], client: RealWorkerClient, worker_fn: Callable
+        self, report: Callable[[Any], None], client: RealWorkerClient, worker_fn: Callable, go
     ) -> None:
+        """A worker of a cohort: one call of ``worker_fn`` per go."""
         state = client.state
-        state.metrics = PSMetrics()
         trace = None if client._trace is None else state.trace
-        if trace is not None:
-            # The forked copy still holds whatever the parent buffer held;
-            # clear it so this child reports only its own span deltas.
-            trace.reset()
-        value = self._drive(worker_fn(client, client.worker_id))
-        # Once this comes back, every operation this worker handed over
-        # has a handle at its server — and, as it happens, has completed.
-        client._hand_over("flush", (), None, True)
-        report((value, state.metrics, trace))
+        while True:
+            go.get()
+            # Report deltas, not what the fork or a previous run left.
+            state.metrics = PSMetrics()
+            if trace is not None:
+                trace.reset()
+            value = self._drive(worker_fn(client, client.worker_id))
+            # Once this comes back, every operation this worker handed over
+            # has a handle at its server — and, as it happens, has completed.
+            client._hand_over("flush", (), None, True)
+            report((value, state.metrics, trace))
 
     @staticmethod
     def _drive(generator: Generator) -> Any:
@@ -776,7 +801,7 @@ class RealParameterServer(ParameterServer):
 
     # ----------------------------------------------------------------- cleanup
     def shutdown(self) -> None:
-        """Stop the servers and release the shared-memory blocks (idempotent)."""
+        """Stop the children and release the shared-memory blocks (idempotent)."""
         self._finalizer()
 
     def __enter__(self) -> "RealParameterServer":

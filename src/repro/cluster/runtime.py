@@ -211,10 +211,11 @@ class ElasticCluster:
 
         ``-inf`` while a key is still pending in the rebalance of an event
         fired since the last :meth:`settle`; otherwise the next pending
-        event's time, but no earlier than now (a fail held past its time may
-        fire at any moment), or ``inf`` if there is none.  Fused MF block
-        visits (:meth:`~repro.ps.base.FusedLocalSteps.visit`) run only the
-        entries done before it.  A rebalance issues every relocation it makes at the
+        event's time, but no earlier than now, or ``inf`` if there is none or
+        it is a fail (:meth:`run` holds a fail, and every event behind it,
+        until the workers finish).  Fused MF block visits
+        (:meth:`~repro.ps.base.FusedLocalSteps.visit`) run only the entries
+        done before it.  A rebalance issues every relocation it makes at the
         apply instant
         (:meth:`~repro.cluster.rebalancer.Rebalancer._relocate_to_homes`), and an
         application localize it piggybacks on joins the same handle, so its
@@ -224,7 +225,9 @@ class ElasticCluster:
             handle = operation.handle
             if handle is not None and not handle._pending_keys.isdisjoint(keys):
                 return -math.inf
-        return max(self._pending[0].time, self.ps.sim.now) if self._pending else math.inf
+        if not self._pending or self._pending[0].kind == FAIL:
+            return math.inf
+        return max(self._pending[0].time, self.ps.sim.now)
 
     # ------------------------------------------------------------ event handling
     def _apply(self, event: ClusterEvent) -> RebalanceOperation:

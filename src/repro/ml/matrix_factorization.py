@@ -168,6 +168,8 @@ class MatrixFactorizationTrainer(FusedLaneCounts):
                 f"got {ps.ps_config.value_length}"
             )
         self._plans: Dict[int, _EpochPlan] = {}
+        #: One epoch callable per tuple of participating worker clients.
+        self._worker_fns: Dict[tuple, Callable] = {}
         self.schedule = self._plan(num_workers).schedule
         rng = np.random.default_rng(derive_seed(seed, 101))
         #: Worker-local row factors (each worker touches only its own rows).
@@ -236,11 +238,17 @@ class MatrixFactorizationTrainer(FusedLaneCounts):
                 defaults to every worker in the cluster.
         """
         clients = list(clients) if clients is not None else self.ps.clients()
-        plan = self._plan(len(clients))
-        participant_of = {client.worker_id: index for index, client in enumerate(clients)}
+        worker_fn = self._worker_fns.get(tuple(clients))
+        if worker_fn is None:
+            plan = self._plan(len(clients))
+            participant_of = {client.worker_id: index for index, client in enumerate(clients)}
 
-        def worker_fn(client, worker_id: int) -> Generator:
-            return self._worker_epoch(client, participant_of[worker_id], plan)
+            def worker_fn(client, worker_id: int) -> Generator:
+                return self._worker_epoch(client, participant_of[worker_id], plan)
+
+            # The same object every epoch: real-backend workers live on with
+            # their rows and the plan's layouts; nothing else they read changes.
+            self._worker_fns[tuple(clients)] = worker_fn
 
         epoch = self._epochs_run
         start_time = self.ps.simulated_time

@@ -157,8 +157,8 @@ class NodeTrace:
         """Clear every buffer.
 
         The real backend's forked worker and server processes inherit the
-        parent's buffer contents; they reset on startup so each child reports
-        only its own deltas back to the parent.
+        parent's buffer contents; they reset at the start of every run so each
+        child reports only its own deltas back to the parent.
         """
         self.ops = []
         self.server = []

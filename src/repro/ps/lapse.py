@@ -30,7 +30,6 @@ test-suite demonstrates.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,18 +61,20 @@ from repro.ps.policy import LOCAL, QUEUE, Handlers, ManagementPolicy
 __all__ = ["LapsePS", "RelocatingKey", "RelocationPolicy"]
 
 
-@dataclass
 class RelocatingKey:
-    """State of one key currently relocating *to* this node."""
+    """State of one key currently relocating *to* this node.
 
-    key: int
-    requested_at: float
-    localize_handles: List[OperationHandle] = field(default_factory=list)
-    queued_ops: List[QueuedOp] = field(default_factory=list)
-    #: Set when a RelocateInstruction for this key arrives before the transfer
-    #: (a later localize by another node); the key is passed on immediately
-    #: after the transfer completes and queued work is drained.
-    pending_new_owner: Optional[int] = None
+    ``pending_new_owner`` is set when a RelocateInstruction for this key
+    arrives before the transfer (a later localize by another node); the key
+    is passed on right after the transfer completes and queued work drains.
+    """
+
+    __slots__ = ("key", "requested_at", "localize_handles", "queued_ops", "pending_new_owner")
+
+    def __init__(self, key: int, requested_at: float, localize_handles: Optional[list] = None):
+        self.key, self.requested_at, self.pending_new_owner = key, requested_at, None
+        self.localize_handles: List[OperationHandle] = localize_handles or []
+        self.queued_ops: List[QueuedOp] = []
 
 
 class RelocationPolicy(ManagementPolicy):

@@ -40,7 +40,6 @@ consistency test-suite demonstrates both directions.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -76,7 +75,6 @@ from repro.simnet.events import Event
 __all__ = ["EagerReplicationPolicy", "InstallingKey", "ReplicaPS"]
 
 
-@dataclass
 class InstallingKey:
     """Queue of operations issued for a key while its replica install is in flight.
 
@@ -88,9 +86,12 @@ class InstallingKey:
     install).
     """
 
-    key: int
-    ops: List[QueuedOp] = field(default_factory=list)
-    pending_deltas: List[np.ndarray] = field(default_factory=list)
+    __slots__ = ("key", "ops", "pending_deltas")
+
+    def __init__(self, key: int) -> None:
+        self.key = key
+        self.ops: List[QueuedOp] = []
+        self.pending_deltas: List[np.ndarray] = []
 
 
 class EagerReplicationPolicy(ManagementPolicy):

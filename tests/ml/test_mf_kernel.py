@@ -680,7 +680,8 @@ SWEEP_SCHEDULES = ("static", "join", "drain", "fail_rejoin")
 def churn(system, durability, schedule, seed, withhold, scale=SWEEP_SCALE):
     """Three elastic epochs on up to 3 nodes x 2 workers.  Node 2 joins
     (from reserve) or node 1 drains 40 % into the second epoch; node 2
-    crashes and restarts at the boundary before it."""
+    crashes and restarts at the boundary before it, or (``fail``) crashes
+    10 % into it."""
     elastic, trainer = make_elastic_mf(
         system,
         num_nodes=3,
@@ -704,6 +705,8 @@ def churn(system, durability, schedule, seed, withhold, scale=SWEEP_SCALE):
                 elif schedule == "fail_rejoin":
                     elastic.fail_at(ps.simulated_time, 2)
                     elastic.rejoin_at(ps.simulated_time, 2)
+                elif schedule == "fail":
+                    elastic.fail_at(ps.simulated_time + 0.1 * epochs[-1].duration, 2)
             epochs.append(elastic.run_epoch(trainer, compute_loss=False))
     return trainer, epochs
 
@@ -776,6 +779,21 @@ def test_fused_equals_withheld_on_elastic_and_durable_clusters(
         assert log == durable_log(oracle[0].ps)
         for node, entry in log.items():
             assert entry["replays"][-1] == live_store(trainer.ps, node)
+
+
+@pytest.mark.parametrize("system", ["lapse", "hybrid"])
+def test_a_held_fail_cuts_no_fused_visit(system):
+    """The runtime holds a fail, and every event behind it, until the
+    workers finish, so no fused visit can reach it: a node failing mid-epoch
+    declines no entry as a membership event, and the run equals the
+    withheld one."""
+    fused = churn(system, "volatile", "fail", 3, withhold=False)
+    oracle = churn(system, "volatile", "fail", 3, withhold=True)
+    assert observe(*fused) == observe(*oracle)
+    trainer = fused[0]
+    assert "membership event" not in trainer.decline_reasons
+    assert trainer.declined_steps == 0 and trainer.fused_steps > 0
+    assert trainer.ps.membership.active_nodes() == [0, 1]
 
 
 def test_without_compute_time_a_cut_visit_is_never_resumed():
