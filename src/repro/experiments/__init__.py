@@ -2,9 +2,10 @@
 
 * :mod:`repro.experiments.runner` — construct a PS variant by name, run one of
   the three ML tasks on it at a given parallelism, and collect run time,
-  loss, PS metrics and network traffic,
-* :mod:`repro.experiments.scenarios` — the scaled-down workload presets used to
-  regenerate every figure and table of the paper,
+  loss, PS metrics and network traffic; ``make_elastic_mf`` builds the MF run
+  that elastic and durable lifecycles drive epoch by epoch,
+* :mod:`repro.experiments.scenarios` — the sweeps of systems over parallelism
+  behind the paper's figures,
 * :mod:`repro.experiments.reporting` — plain-text tables for benchmark output.
 """
 
@@ -28,8 +29,7 @@ from repro.experiments.runner import (
 if TYPE_CHECKING:
     from repro.experiments.reporting import LATENCY_COUNTERS, MANAGEMENT_COUNTERS, format_table
     from repro.experiments.reporting import metrics_rows, speedup
-    from repro.experiments.scenarios import DEFAULT_PARALLELISM, ELASTIC_SCALING_SYSTEMS
-    from repro.experiments.scenarios import elastic_scaling_scenario, kge_scenario
+    from repro.experiments.scenarios import DEFAULT_PARALLELISM, kge_scenario
     from repro.experiments.scenarios import matrix_factorization_scenario, word2vec_scenario
 
 #: The figure presets and table helpers load on first access.
@@ -38,14 +38,13 @@ __getattr__ = lazy_exports(__name__, {
         "LATENCY_COUNTERS", "MANAGEMENT_COUNTERS", "format_table", "metrics_rows", "speedup"
     ),
     "repro.experiments.scenarios": (
-        "DEFAULT_PARALLELISM", "ELASTIC_SCALING_SYSTEMS", "elastic_scaling_scenario",
-        "kge_scenario", "matrix_factorization_scenario", "word2vec_scenario",
+        "DEFAULT_PARALLELISM", "kge_scenario", "matrix_factorization_scenario",
+        "word2vec_scenario",
     ),
 })
 
 __all__ = [
     "DEFAULT_PARALLELISM",
-    "ELASTIC_SCALING_SYSTEMS",
     "KGEScale",
     "LATENCY_COUNTERS",
     "MANAGEMENT_COUNTERS",
@@ -53,7 +52,6 @@ __all__ = [
     "SYSTEMS",
     "TaskRunResult",
     "W2VScale",
-    "elastic_scaling_scenario",
     "format_table",
     "kge_scenario",
     "make_elastic_mf",

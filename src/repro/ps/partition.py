@@ -280,7 +280,3 @@ class AccessCountHotKeyPolicy:
     def is_hot(self, key: int) -> bool:
         """Whether ``key`` should be replicated to this node."""
         return self._counts.get(key, 0) >= self.threshold
-
-    def access_count(self, key: int) -> int:
-        """Number of accesses recorded for ``key`` on this node."""
-        return self._counts.get(key, 0)

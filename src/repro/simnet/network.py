@@ -173,11 +173,6 @@ class Network:
         return put
 
     # ---------------------------------------------------------- node lifecycle
-    @property
-    def failed_nodes(self) -> frozenset:
-        """Nodes whose links are down (messages to/from them are dropped)."""
-        return frozenset(self._failed_nodes)
-
     def fail_node(self, node: int) -> None:
         """Take ``node`` off the network: its traffic is silently dropped.
 

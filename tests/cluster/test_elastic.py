@@ -18,7 +18,6 @@ from repro.experiments import (
     run_elastic_mf_experiment,
     run_mf_experiment,
 )
-from repro.experiments.scenarios import elastic_scaling_scenario
 
 TINY = MFScale(num_rows=48, num_cols=24, num_entries=600, rank=4, compute_time_per_entry=2e-6)
 #: Scale for the lifecycle scenario: compute-heavy enough that extra workers
@@ -38,13 +37,38 @@ SEVEN_SYSTEMS = (
 )
 
 
+def lifecycle(system, scale=LIFECYCLE, seed=1):
+    """Node 2 joins mid-epoch and node 1 drains mid-epoch; then, where the
+    policy can re-home keys, standby replicas are provisioned and node 2
+    crashes (the phases of ``examples/elastic_scaling.py``)."""
+    elastic, trainer = make_elastic_mf(
+        system, num_nodes=3, initial_nodes=[0, 1], scale=scale, workers_per_node=2, seed=seed
+    )
+    ps = elastic.ps
+
+    def epoch():
+        return elastic.run_epoch(trainer, compute_loss=False).duration
+
+    baseline = epoch()
+    elastic.join_at(ps.simulated_time + 0.5 * baseline, 2)
+    epoch()
+    post_join = epoch()
+    elastic.drain_at(ps.simulated_time + 0.5 * post_join, 1)
+    for _ in range(2):
+        epoch()
+    if elastic.rebalancer.supports_rebalance:
+        elastic.ensure_backups()
+        elastic.fail_at(ps.simulated_time, 2)
+        epoch()
+    return dict(
+        baseline=baseline, post_join=post_join, drained=elastic.membership.state_of(1),
+        recovered=elastic.recovered_keys, lost=elastic.lost_keys, metrics=ps.metrics().as_dict(),
+    )
+
+
 @pytest.fixture(scope="module")
-def lifecycle_rows():
-    return elastic_scaling_scenario(scale=LIFECYCLE, seed=1, workers_per_node=2)
-
-
-def row_of(rows, system):
-    return next(row for row in rows if row["system"] == system)
+def lifecycles():
+    return {system: lifecycle(system) for system in ("classic", "lapse", "hybrid")}
 
 
 class TestEmptyScheduleEquivalence:
@@ -133,17 +157,17 @@ class TestJoin:
         elastic.membership.complete_join(2)
         assert [c.node_id for c in elastic.participating_clients()] == [0, 0, 1, 1, 2, 2]
 
-    def test_join_speeds_up_dpa_but_not_classic(self, lifecycle_rows):
-        classic = row_of(lifecycle_rows, "classic")
+    def test_join_speeds_up_dpa_but_not_classic(self, lifecycles):
+        classic = lifecycles["classic"]
         for system in ("lapse", "hybrid"):
-            row = row_of(lifecycle_rows, system)
+            run = lifecycles[system]
             # Acceptance: the mid-epoch join strictly reduces the post-join
             # epoch time for the DPA systems, and they beat classic-static.
-            assert row["post_join_epoch_s"] < row["baseline_epoch_s"]
-            assert row["post_join_epoch_s"] < classic["post_join_epoch_s"]
-            assert row["rebalanced_keys"] > 0
+            assert run["post_join"] < run["baseline"]
+            assert run["post_join"] < classic["post_join"]
+            assert run["metrics"]["rebalanced_keys"] > 0
         # The static classic PS cannot rebalance: no keys moved.
-        assert classic["rebalanced_keys"] == 0
+        assert classic["metrics"]["rebalanced_keys"] == 0
 
     def test_join_on_static_policy_adds_workers_only(self):
         schedule = ClusterSchedule().join(0.0, node=1)
@@ -158,11 +182,10 @@ class TestJoin:
 
 
 class TestDrainAndFailure:
-    def test_drain_empties_node_and_leaves(self, lifecycle_rows):
-        for system in ("lapse", "hybrid"):
-            assert row_of(lifecycle_rows, system)["drain_node_state"] == LEFT
+    def test_drain_empties_node_and_leaves(self, lifecycles):
         # Static allocation cannot complete a drain: the node keeps serving.
-        assert row_of(lifecycle_rows, "classic")["drain_node_state"] == DRAINING
+        drained = {system: run["drained"] for system, run in lifecycles.items()}
+        assert drained == {"classic": DRAINING, "lapse": LEFT, "hybrid": LEFT}
 
     def test_drained_node_owns_nothing(self):
         schedule = ClusterSchedule().drain(0.0, node=1)
@@ -178,13 +201,10 @@ class TestDrainAndFailure:
         # All parameters remain reachable after the drain.
         assert elastic.ps.all_parameters().shape == (TINY.num_cols, TINY.rank)
 
-    def test_hybrid_recovers_all_lapse_loses(self, lifecycle_rows):
-        hybrid = row_of(lifecycle_rows, "hybrid")
-        lapse = row_of(lifecycle_rows, "lapse")
-        assert hybrid["lost_keys"] == 0
-        assert hybrid["recovered_keys"] > 0
-        assert lapse["recovered_keys"] == 0
-        assert lapse["lost_keys"] > 0
+    def test_hybrid_recovers_all_lapse_loses(self, lifecycles):
+        hybrid, lapse = lifecycles["hybrid"], lifecycles["lapse"]
+        assert hybrid["lost"] == 0 and hybrid["recovered"] > 0
+        assert lapse["recovered"] == 0 and lapse["lost"] > 0
 
     def test_failed_node_traffic_dropped(self):
         """Traffic to/from a crashed node is blackholed, end to end."""
@@ -195,13 +215,12 @@ class TestDrainAndFailure:
         elastic.ensure_backups()
         elastic.fail_at(elastic.ps.simulated_time, 1)
         elastic.run_epoch(trainer, compute_loss=False)
-        ps = elastic.ps
-        assert 1 in ps.network.failed_nodes
-        before = ps.network.stats.dropped_messages
-        remote_before = ps.network.stats.remote_messages
+        ps, stats = elastic.ps, elastic.ps.network.stats
+        before, remote_before = stats.dropped_messages, stats.remote_messages
         ps.send_to_server(0, 1, "late request", 64)
-        assert ps.network.stats.dropped_messages == before + 1
-        assert ps.network.stats.remote_messages == remote_before
+        ps.send_to_server(1, 0, "from the dead", 64)
+        assert stats.dropped_messages == before + 2
+        assert stats.remote_messages == remote_before
 
     def test_mid_epoch_fail_is_held_to_the_boundary(self):
         """Regression: a fail scheduled inside an epoch must not deadlock it.
@@ -392,10 +411,4 @@ class TestEnsureBackups:
 
 class TestDeterminism:
     def test_same_seed_same_lifecycle(self):
-        runs = [
-            elastic_scaling_scenario(
-                systems=("lapse",), scale=TINY, seed=9, workers_per_node=2
-            )
-            for _ in range(2)
-        ]
-        assert runs[0] == runs[1]
+        assert lifecycle("lapse", TINY, seed=9) == lifecycle("lapse", TINY, seed=9)

@@ -1,113 +1,85 @@
 """Fail/rejoin fault matrix across management policies.
 
-The fast acceptance test pins the PR's headline property at tiny scale:
-a lapse (pure relocation, no replicas) crash-and-restart under durability
-finishes with ``lost_keys == 0`` and a final model bit-identical to the
-failure-free run.  The ``slow``-marked sweep replays the same lifecycle
-across every relocation-capable system, several seeds, and several crash
-victims at a larger scale (run with ``pytest -m slow``).
+Each case trains a failure-free reference and a durable run (WAL +
+checkpoints) of the same MF job, whose victim node crashes and restarts at
+an epoch boundary, as ``examples/crash_recovery.py`` does.  Under lapse (pure
+relocation, no replicas) and hybrid the crash loses no key and the final
+model is bit-identical to the reference; the static classic PS cannot
+re-home keys, so it is not crashed and its WAL must be behavior-inert.  The
+``slow``-marked sweep repeats this over every system, several seeds and
+both crash victims at a larger scale (run with ``pytest -m slow``).
 """
 
 import numpy as np
 import pytest
 
+from repro.cluster import ACTIVE
 from repro.durability import DurabilityConfig
 from repro.experiments import MFScale, make_elastic_mf
-from repro.experiments.scenarios import (
-    DURABILITY_RECOVERY_SYSTEMS,
-    durability_recovery_scenario,
-)
 
 TINY = MFScale(num_rows=40, num_cols=24, num_entries=300, rank=4)
 SWEEP = MFScale(num_rows=120, num_cols=32, num_entries=2000, rank=4)
 
 
-@pytest.fixture(scope="module")
-def recovery_rows():
-    return durability_recovery_scenario(scale=TINY, seed=1)
-
-
-def row_of(rows, system):
-    return next(row for row in rows if row["system"] == system)
+def crash_restart(system, scale=TINY, seed=1, victim=2, crashes=1):
+    """Train a reference and a durable run for ``crashes + 2`` epochs; the
+    durable run's ``victim`` crashes and restarts at each of the first
+    ``crashes`` epoch boundaries where the system can recover from its log.
+    Return the durable run and whether its model equals the reference."""
+    runs = []
+    for durability in (None, DurabilityConfig()):
+        elastic, trainer = make_elastic_mf(
+            system, num_nodes=3, scale=scale, workers_per_node=2, seed=seed,
+            durability=durability,
+        )
+        for epoch in range(crashes + 2):
+            elastic.run_epoch(trainer, compute_loss=False)
+            if durability and epoch < crashes and elastic.rebalancer.supports_wal_recovery:
+                now = elastic.ps.simulated_time
+                elastic.fail_at(now, victim)
+                elastic.rejoin_at(now, victim)
+        runs.append(elastic)
+    reference, elastic = runs
+    return elastic, np.array_equal(elastic.ps.all_parameters(), reference.ps.all_parameters())
 
 
 class TestAcceptance:
-    def test_lapse_fail_rejoin_is_lossless_and_bit_identical(self, recovery_rows):
-        """The acceptance shape of the PR: pure relocation, no replicas,
-        crash + restart — zero lost keys, bit-identical final model."""
-        row = row_of(recovery_rows, "lapse")
-        assert row["fail_injected"]
-        assert row["lost_keys"] == 0
-        # No replicas: every recovered key came from the log.
-        assert row["recovered_keys"] > 0
-        assert row["wal_recovered_keys"] > 0
-        assert row["replayed_deltas"] > 0
-        assert row["params_match_reference"]
-        assert row["fail_node_state"] == "active"
+    @pytest.mark.parametrize("system", ["lapse", "hybrid"])
+    def test_fail_rejoin_is_lossless_and_bit_identical(self, system):
+        elastic, exact = crash_restart(system)
+        assert elastic.lost_keys == 0 and exact
+        assert elastic.recovered_keys > 0
+        assert elastic.membership.state_of(2) == ACTIVE
+        if system == "lapse":  # no replicas: every recovered key came from the log
+            metrics = elastic.ps.metrics()
+            assert metrics.wal_recovered_keys > 0 and metrics.replayed_deltas > 0
 
-    def test_hybrid_fail_rejoin_is_lossless_and_bit_identical(self, recovery_rows):
-        row = row_of(recovery_rows, "hybrid")
-        assert row["fail_injected"]
-        assert row["lost_keys"] == 0
-        assert row["recovered_keys"] > 0
-        assert row["params_match_reference"]
-        assert row["fail_node_state"] == "active"
+    def test_classic_gets_inert_wal_and_no_injection(self):
+        elastic, exact = crash_restart("classic")
+        assert not elastic.rebalancer.supports_wal_recovery
+        assert elastic.lost_keys == 0 and exact
+        assert elastic.ps.metrics().wal_appends > 0
 
-    def test_classic_gets_inert_wal_and_no_injection(self, recovery_rows):
-        """Static partitioning cannot re-home keys, so no failure is
-        injected; its row proves the installed WAL is behavior-inert."""
-        row = row_of(recovery_rows, "classic")
-        assert not row["fail_injected"]
-        assert row["lost_keys"] == 0
-        assert row["wal_appends"] > 0
-        assert row["params_match_reference"]
-
-    def test_scenario_is_deterministic(self):
-        first = durability_recovery_scenario(systems=("lapse",), scale=TINY, seed=3)
-        second = durability_recovery_scenario(systems=("lapse",), scale=TINY, seed=3)
-        assert first == second
+    def test_same_seed_same_lifecycle(self):
+        first, second = (crash_restart("lapse", seed=3)[0].ps for _ in range(2))
+        assert first.metrics().as_dict() == second.metrics().as_dict()
+        np.testing.assert_array_equal(first.all_parameters(), second.all_parameters())
 
 
 @pytest.mark.slow
 class TestFaultMatrixSweep:
-    @pytest.mark.parametrize("system", DURABILITY_RECOVERY_SYSTEMS)
+    @pytest.mark.parametrize("system", ["classic", "lapse", "hybrid"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    @pytest.mark.parametrize("fail_node", [1, 2])
-    def test_lifecycle_is_lossless(self, system, seed, fail_node):
-        rows = durability_recovery_scenario(
-            systems=(system,), scale=SWEEP, seed=seed, fail_node=fail_node
-        )
-        row = rows[0]
-        assert row["lost_keys"] == 0
-        assert row["params_match_reference"]
-        if row["fail_injected"]:
-            assert row["fail_node_state"] == "active"
+    @pytest.mark.parametrize("victim", [1, 2])
+    def test_lifecycle_is_lossless(self, system, seed, victim):
+        elastic, exact = crash_restart(system, SWEEP, seed, victim)
+        assert elastic.lost_keys == 0 and exact
+        assert (elastic.recovered_keys > 0) == (system != "classic")
+        assert elastic.membership.state_of(victim) == ACTIVE
 
     @pytest.mark.parametrize("system", ["lapse", "hybrid"])
     def test_repeated_crashes_of_the_same_node(self, system):
-        """Crash-and-restart the same machine at two consecutive epoch
-        boundaries; the second recovery must replay past the first reset."""
-        durability = DurabilityConfig()
-        reference, reference_trainer = make_elastic_mf(
-            system, num_nodes=3, scale=SWEEP, workers_per_node=2, seed=5
-        )
-        for _ in range(4):
-            reference.run_epoch(reference_trainer, compute_loss=False)
-        reference_params = reference.ps.all_parameters()
-
-        elastic, trainer = make_elastic_mf(
-            system, num_nodes=3, scale=SWEEP, workers_per_node=2, seed=5,
-            durability=durability,
-        )
-        elastic.run_epoch(trainer, compute_loss=False)
-        for _ in range(2):
-            now = elastic.ps.simulated_time
-            elastic.fail_at(now, 2)
-            elastic.rejoin_at(now, 2)
-            elastic.run_epoch(trainer, compute_loss=False)
-        elastic.run_epoch(trainer, compute_loss=False)
-        assert elastic.lost_keys == 0
-        assert elastic.membership.state_of(2) == "active"
-        np.testing.assert_array_equal(
-            elastic.ps.all_parameters(), reference_params
-        )
+        """The second recovery must replay past the first restart's reset."""
+        elastic, exact = crash_restart(system, SWEEP, seed=5, crashes=2)
+        assert elastic.lost_keys == 0 and exact
+        assert elastic.membership.state_of(2) == ACTIVE

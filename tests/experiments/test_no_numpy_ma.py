@@ -1,6 +1,6 @@
 """Import discipline: what a run loads, and when.
 
-One fresh interpreter (no module cached from other tests) checks four rules:
+One fresh interpreter (no module cached from other tests) checks five rules:
 
 * No run imports ``numpy.ma``.  ``np.unique`` without ``return_index``
   imports it on NumPy 2.4, which costs every process about 1.2 MB of RSS and
@@ -8,6 +8,9 @@ One fresh interpreter (no module cached from other tests) checks four rules:
 * The five packages the benchmark imports load the core runtime only; the
   optional subsystems, the tasks, their datasets and PAL techniques, and
   Lapse load where a run builds them.
+* The figure presets (``repro.experiments.scenarios``, what every
+  ``benchmarks/bench_*.py`` imports) load no durability module on top of
+  the core.
 * Building MF on ``classic``, the first cell, loads no other task and no
   Lapse.
 * Nothing is first imported inside training: each cell is built, then
@@ -31,6 +34,8 @@ import numpy
 before = "numpy.ma" in sys.modules
 import repro.data, repro.durability, repro.experiments.runner, repro.ml, repro.obs
 core = sorted(name for name in sys.modules if name.startswith("repro"))
+import repro.experiments.scenarios
+figures = sorted(name for name in sys.modules if name.startswith("repro") and name not in core)
 from repro.config import ClusterConfig, ParameterServerConfig
 from repro.experiments.runner import MFScale, make_elastic_mf, make_parameter_server
 
@@ -92,8 +97,8 @@ for name, (build, train) in cells.items():
     loaded[name] = sorted(set(sys.modules) - modules)
     getattr(built[0], "shutdown", lambda: None)()
 print(json.dumps({
-    "before": before, "after": "numpy.ma" in sys.modules, "core": core, "loaded": loaded,
-    "built_with": built_with,
+    "before": before, "after": "numpy.ma" in sys.modules, "core": core, "figures": figures,
+    "loaded": loaded, "built_with": built_with,
 }))
 """
 
@@ -159,6 +164,10 @@ def test_benchmark_packages_load_only_the_core(seen):
     tasks = [name for name in seen["core"] if name.startswith(_TASKS_AND_LAPSE)]
     assert tasks == []
     assert len(seen["core"]) <= 29
+
+
+def test_figure_presets_load_no_durability_module(seen):
+    assert [name for name in seen["figures"] if name.startswith("repro.durability")] == []
 
 
 def test_classic_mf_builds_no_other_task_and_no_lapse(seen):
